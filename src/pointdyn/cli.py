@@ -17,8 +17,7 @@ from .bundled import (REGISTRY, bundled_measure, bundled_system, mixed_sample,
                       sampled_space, shift_probes)
 from .errors import (MalformedInputError, PointdynError, PreconditionError,
                      ResourceBudgetError)
-from .expansivity import (classify_points, expansive_point_at,
-                          minimally_expansive_at, uniformly_expansive_at)
+from .expansivity import minimally_expansive_at, point_verdicts
 from .measures import (build_tracking_map, expansive_measure_check,
                        mu_expansive_points, tracking_commutes,
                        tracking_within_ball,
@@ -30,7 +29,7 @@ from .shadowing import shadowable_exact, shadowable_windowed
 from .shiftspace import parse_ep, shift_metric
 from .stability import (build_conjugacy, gh_distance_bounds,
                         gh_stable_point_check)
-from .systems import Satellite, materialize, point_label, sorted_points
+from .systems import Satellite, point_label
 from . import sysfile
 
 DEFAULT_BUDGET_ENV = "PDL_BUDGET"
@@ -59,7 +58,8 @@ def _load(spec: str) -> sysfile.SystemFile:
 
 
 def parse_point(system, text: str):
-    """Read a carrier point in the system's own notation."""
+    """Read a carrier point in the system's own notation; on finite
+    carriers the point must belong to the carrier."""
     t = text.strip()
     backend = system.backend
     if backend == "satellite":
@@ -72,15 +72,16 @@ def parse_point(system, text: str):
         return parse_ep(t)
     if backend == "shift":
         return parse_ep(t)
-    if t.startswith("(") and t.endswith(")"):
-        try:
-            return tuple(int(v) for v in t[1:-1].split(","))
-        except ValueError:
-            raise MalformedInputError(f"lattice pairs read (a,b): {text!r}") from None
     try:
-        return int(t)
+        if t.startswith("(") and t.endswith(")"):
+            point = tuple(int(v) for v in t[1:-1].split(","))
+        else:
+            point = int(t)
     except ValueError:
         raise MalformedInputError(f"not a carrier point: {text!r}") from None
+    if point not in system.kernel.index:
+        raise MalformedInputError(f"{text!r} is not a point of the carrier")
+    return point
 
 
 def _scale(text, what):
@@ -166,18 +167,10 @@ def cmd_classify(args):
         points = mu_expansive_points(system, mu, c, probe=probe)
         results = {"points": labels(points)}
         return assemble("classify", echo, results, system), 0
-    points = classify_points(system, args.variant, c, probe=probe)
-    if system.finite:
-        pool = system.points()
-    else:
-        pool = list(probe or ())
-        if system.backend == "satellite":
-            pool = pool + system.satellite_points()
+    verdicts = point_verdicts(system, args.variant, c, probe=probe)
+    points = [p for p, verdict in verdicts.items() if verdict.result]
     certificates = {}
-    check = {"expansive": expansive_point_at, "uniform": uniformly_expansive_at,
-             "minimal": minimally_expansive_at}[args.variant]
-    for p in sorted_points(pool):
-        verdict = check(system, p, c)
+    for p, verdict in verdicts.items():
         entry = {"result": verdict.result}
         if verdict.counterexample:
             entry["counterexample"] = [label(q) for q in verdict.counterexample]
@@ -292,8 +285,7 @@ def cmd_ghdist(args):
     X = _load(args.x_system).system
     Y = _load(args.y_system).system
     bounds = gh_distance_bounds(X, Y, budget=_budget(args))
-    _, xpts = materialize(X)
-    _, ypts = materialize(Y)
+    xpts, ypts = X.kernel.pts, Y.kernel.pts
     results = {
         "lower": rat(bounds.lower),
         "upper": rat(bounds.upper),

@@ -23,12 +23,6 @@ from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, c0_distance,
 
 
 @dataclass(frozen=True)
-class SeparationCertificate:
-    n: int
-    achieved: Fraction
-
-
-@dataclass(frozen=True)
 class ExpansivityVerdict:
     point: object
     constant: Fraction
@@ -261,8 +255,9 @@ _VARIANTS = {
 }
 
 
-def classify_points(system, variant: str, c, probe=None):
-    """Points of the carrier (or probe set) whose verdict is true at c."""
+def point_verdicts(system, variant: str, c, probe=None) -> dict:
+    """Verdict at c for every carrier point (or probe and satellite
+    point on infinite carriers), keyed in the canonical point order."""
     if variant not in _VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
     check = _VARIANTS[variant]
@@ -275,7 +270,13 @@ def classify_points(system, variant: str, c, probe=None):
         if not pts:
             raise PreconditionError(
                 "classification on an infinite carrier needs a probe set")
-    return sorted_points([p for p in pts if check(system, p, c).result])
+    return {p: check(system, p, c) for p in sorted_points(pts)}
+
+
+def classify_points(system, variant: str, c, probe=None):
+    """Points of the carrier (or probe set) whose verdict is true at c."""
+    return [p for p, verdict in point_verdicts(system, variant, c, probe).items()
+            if verdict.result]
 
 
 def separation_horizon(system, x, c, y, eps) -> int:

@@ -18,7 +18,7 @@ from .rationals import ONE, ZERO, as_rational, format_rational
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
                       c0_distance, orbit, orbit_closure, pair_sup_separation,
-                      point_label, sorted_points, system_ball, system_order)
+                      point_label, sorted_points, system_ball)
 
 
 class WeightedMeasure:
@@ -337,8 +337,9 @@ def build_tracking_map(f, g, x, eta) -> SetValuedAssignment:
     """H(u) = {z : d(f^n z, g^n u) <= eta for all integer n}, u in the g-orbit of x.
 
     Closed balls, so the comparison is non-strict. On finite carriers
-    both maps are permutations and the constraint is checked over one
-    joint period exactly. Empty images are kept: they shrink the domain.
+    both maps are permutations: (f^n z, g^n u) has a period dividing
+    lcm(order of f, period of u), and the constraint is checked over
+    that horizon exactly. Empty images are kept: they shrink the domain.
     """
     eta = as_rational(eta)
     if eta <= 0:
@@ -357,23 +358,17 @@ def build_tracking_map(f, g, x, eta) -> SetValuedAssignment:
                 "shift tracking images are only finitely representable below 1")
         return SetValuedAssignment(eta, (), rule="identity",
                                    closure=orbit_closure(f, x))
-    horizon = lcm(system_order(f), system_order(g))
-    pts = f.points()
+    k = f.kernel
+    dom = orbit(g, x).points
+    P = len(dom)
+    window = [k.index[u] for u in dom]
+    horizon = lcm(k.order, P)
     images = {}
-    for u in orbit(g, x).points:
-        survivors = []
-        for z in pts:
-            fz, gu = z, u
-            ok = True
-            for _ in range(horizon):
-                if f.dist(fz, gu) > eta:
-                    ok = False
-                    break
-                fz, gu = f.image(fz), g.image(gu)
-            if ok:
-                survivors.append(z)
-        images[u] = frozenset(survivors)
-    return SetValuedAssignment(eta, orbit(g, x).points, images=images)
+    for i, u in enumerate(dom):
+        targets = [window[(i + n) % P] for n in range(horizon)]
+        found = k.tracers(targets, eta, closed=True)
+        images[u] = frozenset(k.pts[z] for z in found)
+    return SetValuedAssignment(eta, dom, images=images)
 
 
 def tracking_within_ball(assignment: SetValuedAssignment, system, eta=None):

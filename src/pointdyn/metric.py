@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from .errors import MalformedInputError, PreconditionError
-from .rationals import ZERO, as_rational, format_rational, parse_rational
+from .rationals import ZERO, as_rational, format_rational
 
 
 @dataclass(frozen=True)
@@ -174,42 +174,3 @@ def is_delta_isometry(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace, d
         return False, f"image not delta-dense: hausdorff {format_rational(density)} >= delta"
     return True, (f"distortion {format_rational(dist)}, "
                   f"image hausdorff {format_rational(density)}")
-
-
-def load_metric_text(text: str) -> FiniteMetricSpace:
-    """Parse the table format: header "metric n", then n(n-1)/2 lines "i j p/q"."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("metric"):
-        raise MalformedInputError("metric table must start with 'metric n'")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise MalformedInputError(f"bad metric header: {lines[0]!r}")
-    try:
-        n = int(head[1])
-    except ValueError:
-        raise MalformedInputError(f"bad metric size: {head[1]!r}") from None
-    want = n * (n - 1) // 2
-    body = lines[1:]
-    if len(body) != want:
-        raise MalformedInputError(f"metric table for n={n} needs {want} entries, got {len(body)}")
-    pairs = {}
-    for ln in body:
-        parts = ln.split()
-        if len(parts) != 3:
-            raise MalformedInputError(f"bad metric entry: {ln!r}")
-        i, j = int(parts[0]), int(parts[1])
-        if not (0 <= i < j < n):
-            raise MalformedInputError(f"bad index pair in entry: {ln!r}")
-        if (i, j) in pairs:
-            raise MalformedInputError(f"duplicate pair ({i},{j})")
-        pairs[(i, j)] = parse_rational(parts[2])
-    return space_from_pairs(n, pairs)
-
-
-def dump_metric_text(space: FiniteMetricSpace) -> str:
-    lines = [f"metric {space.n}"]
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            lines.append(f"{i} {j} {format_rational(space.table[i][j])}")
-    return "\n".join(lines) + "\n"

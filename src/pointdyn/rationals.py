@@ -8,14 +8,16 @@ reports are canonical.
 
 from fractions import Fraction
 
+from .errors import MalformedInputError
+
 Rational = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-class RationalFormatError(ValueError):
-    pass
+class RationalFormatError(MalformedInputError, ValueError):
+    """Text or a value that is not an exact rational (a usage error)."""
 
 
 def parse_rational(text: str) -> Fraction:

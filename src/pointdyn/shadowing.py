@@ -14,14 +14,13 @@ reachable limit sets of each half.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .measures import measure_of
 from .rationals import as_rational
 from .shiftspace import EPPoint, shift_metric
-from .systems import materialize, sorted_points, system_ball
+from .systems import sorted_points, system_ball
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
@@ -90,12 +89,19 @@ def _reverse(graph, pts):
     return PseudoOrbitGraph(graph.delta, {u: tuple(vs) for u, vs in rev.items()})
 
 
-def count_pseudo_orbits(system, x, delta, N) -> int:
+def _windows(system, x, delta, N):
+    """The pseudo-orbit graph, its reverse and the number of radius-N
+    windows through x."""
+    if N < 0:
+        raise PreconditionError("window radius must be nonnegative")
     graph = pseudo_orbit_graph(system, delta)
     pts = system.points()
-    fwd = _path_counts(graph, N, pts)[x]
-    bwd = _path_counts(_reverse(graph, pts), N, pts)[x]
-    return fwd * bwd
+    rev = _reverse(graph, pts)
+    return graph, rev, _path_counts(graph, N, pts)[x] * _path_counts(rev, N, pts)[x]
+
+
+def count_pseudo_orbits(system, x, delta, N) -> int:
+    return _windows(system, x, delta, N)[2]
 
 
 def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
@@ -105,13 +111,11 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
     predictable; PDL_BUDGET / the budget argument raise the ceiling.
     """
     budget = DEFAULT_WINDOW_BUDGET if budget is None else budget
-    total = count_pseudo_orbits(system, x, delta, N)
+    graph, rev, total = _windows(system, x, delta, N)
     if total > budget:
         raise ResourceBudgetError(
             f"{total} pseudo-orbit windows exceed the budget {budget}",
             requested=total, budget=budget)
-    graph = pseudo_orbit_graph(system, delta)
-    rev = _reverse(graph, system.points())
     return (PseudoOrbitWindow(tuple(reversed(back)) + (x,) + tuple(out), graph.delta)
             for back in _walks(rev, x, N) for out in _walks(graph, x, N))
 
@@ -133,21 +137,10 @@ def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
         raise UnsupportedBackendError(
             "enumerative tracing needs a finite carrier; "
             "the shift backend traces by splicing")
-    N = window.radius
-    found = []
-    for z in system.points():
-        cur = z
-        for _ in range(N):
-            cur = system.preimage(cur)
-        ok = True
-        for n in range(-N, N + 1):
-            if system.dist(cur, window.entry(n)) >= eps:
-                ok = False
-                break
-            cur = system.image(cur)
-        if ok:
-            found.append(z)
-    return TracerSet(frozenset(found), eps)
+    k = system.kernel
+    found = k.tracers([k.index[p] for p in window.entries], eps,
+                      first=-window.radius)
+    return TracerSet(frozenset(k.pts[z] for z in found), eps)
 
 
 @dataclass(frozen=True)
@@ -188,56 +181,21 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
 # -- exact decider --------------------------------------------------------
 
 
-class _Tables:
-    """Materialized index-level view of a finite system for the decider."""
-
-    def __init__(self, system):
-        explicit, pts = materialize(system)
-        self.pts = pts
-        self.index = {p: i for i, p in enumerate(pts)}
-        self.dist = explicit.space.table
-        self.perm = explicit.perm
-        self.inv = explicit.inv
-        self.order = _permutation_order(explicit.perm)
-        # powers[k][z] = f^k(z), k modulo the permutation order
-        powers = [list(range(len(pts)))]
-        for _ in range(self.order - 1):
-            powers.append([self.perm[z] for z in powers[-1]])
-        self.powers = powers
-
-
-def _permutation_order(perm) -> int:
-    order = 1
-    seen = set()
-    for start in range(len(perm)):
-        if start in seen:
-            continue
-        length, cur = 0, start
-        while True:
-            cur = perm[cur]
-            length += 1
-            seen.add(cur)
-            if cur == start:
-                break
-        order = lcm(order, length)
-    return order
-
-
-def _half_limit_sets(tab: _Tables, x: int, eps, delta, forward: bool):
+def _half_limit_sets(kernel, x: int, eps, delta, forward: bool):
     """Limit candidate-tracer sets of one time direction.
 
     States are (current point, surviving time-zero tracer set, exponent
     mod order). Returns the set of tracer sets that persist along some
     infinite pseudo-orbit half starting at x.
     """
-    n = len(tab.pts)
-    rng = range(n)
+    dist, perm = kernel.table, kernel.perm
+    rng = range(len(perm))
     if forward:
-        succ = [[v for v in rng if tab.dist[tab.perm[u]][v] < delta] for u in rng]
+        succ = [[v for v in rng if dist[perm[u]][v] < delta] for u in rng]
     else:
-        succ = [[w for w in rng if tab.dist[tab.perm[w]][u] < delta] for u in rng]
+        succ = [[w for w in rng if dist[perm[w]][u] < delta] for u in rng]
     kstep = 1 if forward else -1
-    start_set = frozenset(z for z in rng if tab.dist[z][x] < eps)
+    start_set = frozenset(z for z in rng if dist[z][x] < eps)
     start = (x, start_set, 0)
     edges = {}
     stack = [start]
@@ -245,13 +203,13 @@ def _half_limit_sets(tab: _Tables, x: int, eps, delta, forward: bool):
         state = stack.pop()
         if state in edges:
             continue
-        u, A, k = state
-        k2 = (k + kstep) % tab.order
-        pw = tab.powers[k2]
+        u, A, e = state
+        e2 = (e + kstep) % kernel.order
+        pw = kernel.powers[e2]
         outs = []
         for v in succ[u]:
-            A2 = frozenset(z for z in A if tab.dist[pw[z]][v] < eps)
-            outs.append((v, A2, k2))
+            A2 = frozenset(z for z in A if dist[pw[z]][v] < eps)
+            outs.append((v, A2, e2))
         edges[state] = outs
         stack.extend(s for s in outs if s not in edges)
     limits = set()
@@ -292,12 +250,12 @@ def shadowable_exact(system, x, eps, delta) -> bool:
     if not system.finite:
         raise UnsupportedBackendError(
             "the exact decider needs a finite carrier")
-    tab = _Tables(system)
-    xi = tab.index[x]
-    fwd = _half_limit_sets(tab, xi, eps, delta, forward=True)
+    kernel = system.kernel
+    xi = kernel.index[x]
+    fwd = _half_limit_sets(kernel, xi, eps, delta, forward=True)
     if frozenset() in fwd:
         return False
-    bwd = _half_limit_sets(tab, xi, eps, delta, forward=False)
+    bwd = _half_limit_sets(kernel, xi, eps, delta, forward=False)
     if frozenset() in bwd:
         return False
     return all(a & b for a in fwd for b in bwd)

@@ -19,7 +19,7 @@ from .metric import distortion, hausdorff_distance
 from .rationals import ZERO, as_rational, dyadic_below, format_rational
 from .systems import (ExplicitSystem, c0_distance, iterate, materialize,
                       orbit, orbit_closure, pair_sup_separation, point_label,
-                      point_key, system_order)
+                      point_key)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -65,23 +65,6 @@ class ConjugacyResult:
 
     def __bool__(self):
         return self.success
-
-
-def _tracer_candidates(f, g_orbit, eta):
-    """Points z with d(f^n z, x_n) < eta for the whole periodic window."""
-    P = len(g_orbit)
-    horizon = lcm(system_order(f), P)
-    found = []
-    for z in f.points():
-        cur, ok = z, True
-        for n in range(horizon):
-            if f.dist(cur, g_orbit[n % P]) >= eta:
-                ok = False
-                break
-            cur = f.image(cur)
-        if ok:
-            found.append(z)
-    return found
 
 
 def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
@@ -132,7 +115,10 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
 
     orb = orbit(g, x).points
     P = len(orb)
-    tracers = _tracer_candidates(f, orb, eta)
+    k = f.kernel
+    window = [k.index[u] for u in orb]
+    tracers = [k.pts[z] for z in k.tracers(
+        [window[n % P] for n in range(lcm(k.order, P))], eta)]
     if not tracers:
         return finish(ConjugacyResult(
             False, "shadowing", orb, None, None, None, eta,
@@ -287,47 +273,45 @@ class IsometryPair:
                    self.j_distortion, self.j_density, self.j_commutation)
 
 
-def _clause_values(m, src, dst, fperm, gperm):
-    """(distortion, image density defect, commutation defect) of one map."""
+def _clause_values(m, X, Y):
+    """(distortion, image density defect, commutation defect) of one map
+    between the materialized systems X and Y."""
+    src, dst = X.space, Y.space
     dist = distortion(m, src, dst)
     density = hausdorff_distance(dst, sorted(set(m)), range(dst.n))
-    comm = max(dst.table[gperm[m[u]]][m[fperm[u]]] for u in range(src.n))
+    comm = max(dst.table[Y.perm[m[u]]][m[X.perm[u]]] for u in range(src.n))
     return dist, density, comm
-
-
-def _orbit_chain_order(perm):
-    """Carrier indices listed cycle by cycle, each point after its preimage."""
-    seen, order = set(), []
-    for s in range(len(perm)):
-        cur = s
-        while cur not in seen:
-            seen.add(cur)
-            order.append(cur)
-            cur = perm[cur]
-    return order
 
 
 class _MapSearch:
     """Branch-and-bound enumeration of maps with all clauses strictly below delta.
 
-    Assignments follow f-orbit chains so the commutation clause prunes
-    each new image to a ball around g(previous image); the distortion
-    clause prunes against every assigned point. Both partial quantities
-    are monotone under extension, so pruning is admissible. Image
-    density is checked at the leaves.
+    Assignments follow the f-cycles, each point after its preimage, so
+    the commutation clause prunes each new image to a ball around
+    g(previous image); the distortion clause prunes against every
+    assigned point. Both partial quantities are monotone under
+    extension, so pruning is admissible. Image density is checked at
+    the leaves. X and Y are materialized systems.
+
+    The node checks compare integers: both distance tables and delta
+    are scaled by one common denominator, which keeps them exact.
     """
 
-    def __init__(self, src, dst, fperm, gperm, delta, budget):
-        self.src, self.dst = src, dst
-        self.fperm, self.gperm = fperm, gperm
-        self.finv = [0] * len(fperm)
-        for u, v in enumerate(fperm):
-            self.finv[v] = u
+    def __init__(self, X, Y, delta, budget):
+        self.src, self.dst = X.space, Y.space
+        self.fperm, self.finv, self.gperm = X.perm, X.inv, Y.perm
         self.delta = delta
+        tables = (X.space.table, Y.space.table)
+        scale = lcm(delta.denominator, *(d.denominator for table in tables
+                                         for row in table for d in row))
+        self.stab, self.dtab = (
+            [[d.numerator * (scale // d.denominator) for d in row]
+             for row in table] for table in tables)
+        self.bound = delta.numerator * (scale // delta.denominator)
         self.budget = budget
         self.nodes = 0
         self.complete = True
-        self.order = _orbit_chain_order(fperm)
+        self.order = [i for cyc in X.kernel.cycles for i in cyc]
 
     def run(self, limit=None):
         found = []
@@ -352,20 +336,21 @@ class _MapSearch:
             return
         x = self.order[t]
         fx, px = self.fperm[x], self.finv[x]
+        dtab, gperm, bound = self.dtab, self.gperm, self.bound
         for v in range(self.dst.n):
             self.nodes += 1
             if self.nodes > self.budget:
                 self.complete = False
                 raise _SearchStop
             if fx == x:
-                if self.dst.table[self.gperm[v]][v] >= self.delta:
+                if dtab[gperm[v]][v] >= bound:
                     continue
             else:
                 if px != x and image[px] is not None and \
-                        self.dst.table[self.gperm[image[px]]][v] >= self.delta:
+                        dtab[gperm[image[px]]][v] >= bound:
                     continue
                 if image[fx] is not None and \
-                        self.dst.table[self.gperm[v]][image[fx]] >= self.delta:
+                        dtab[gperm[v]][image[fx]] >= bound:
                     continue
             if not self._distortion_ok(x, v, image):
                 continue
@@ -374,10 +359,11 @@ class _MapSearch:
             image[x] = None
 
     def _distortion_ok(self, x, v, image):
+        dv, sx, bound = self.dtab[v], self.stab[x], self.bound
         for y, w in enumerate(image):
             if w is None or y == x:
                 continue
-            if abs(self.dst.table[v][w] - self.src.table[x][y]) >= self.delta:
+            if abs(dv[w] - sx[y]) >= bound:
                 return False
         return True
 
@@ -386,10 +372,10 @@ class _SearchStop(Exception):
     pass
 
 
-def _one_sided_maps(src, dst, fperm, gperm, delta, budget, limit=None):
-    search = _MapSearch(src, dst, fperm, gperm, delta, budget)
+def _one_sided_maps(X, Y, delta, budget, limit=None):
+    search = _MapSearch(X, Y, delta, budget)
     maps = search.run(limit)
-    return maps, search.complete, search.nodes
+    return maps, search.complete
 
 
 @dataclass(frozen=True)
@@ -402,9 +388,9 @@ class IsometrySearch:
         return len(self.pairs)
 
 
-def _make_pair(i_map, j_map, delta, Xs, Ys, fperm, gperm) -> IsometryPair:
-    i_d, i_h, i_c = _clause_values(i_map, Xs, Ys, fperm, gperm)
-    j_d, j_h, j_c = _clause_values(j_map, Ys, Xs, gperm, fperm)
+def _make_pair(i_map, j_map, delta, Xs, Ys) -> IsometryPair:
+    i_d, i_h, i_c = _clause_values(i_map, Xs, Ys)
+    j_d, j_h, j_c = _clause_values(j_map, Ys, Xs)
     return IsometryPair(tuple(i_map), tuple(j_map), delta,
                         i_d, i_h, i_c, j_d, j_h, j_c)
 
@@ -422,10 +408,8 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     Xs, _ = materialize(X)
     Ys, _ = materialize(Y)
-    i_maps, i_done, _ = _one_sided_maps(Xs.space, Ys.space, Xs.perm, Ys.perm,
-                                        delta, budget)
-    j_maps, j_done, _ = _one_sided_maps(Ys.space, Xs.space, Ys.perm, Xs.perm,
-                                        delta, budget)
+    i_maps, i_done = _one_sided_maps(Xs, Ys, delta, budget)
+    j_maps, j_done = _one_sided_maps(Ys, Xs, delta, budget)
     complete = i_done and j_done
     if len(i_maps) * len(j_maps) > MAX_REPORTED_PAIRS:
         complete = False
@@ -436,8 +420,7 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
         for jm in j_maps:
             if len(pairs) >= MAX_REPORTED_PAIRS:
                 break
-            pairs.append(_make_pair(im, jm, delta, Xs.space, Ys.space,
-                                    Xs.perm, Ys.perm))
+            pairs.append(_make_pair(im, jm, delta, Xs, Ys))
     return IsometrySearch(tuple(pairs), complete, delta)
 
 
@@ -449,20 +432,16 @@ def first_delta_isometry_pair(X, Y, delta, budget=None):
     Ys, _ = materialize(Y)
     if Xs.space.n == Ys.space.n:
         ident = tuple(range(Xs.space.n))
-        pair = _make_pair(ident, ident, delta, Xs.space, Ys.space,
-                          Xs.perm, Ys.perm)
+        pair = _make_pair(ident, ident, delta, Xs, Ys)
         if pair.score < delta:
             return pair, True
-    i_maps, i_done, _ = _one_sided_maps(Xs.space, Ys.space, Xs.perm, Ys.perm,
-                                        delta, budget, limit=1)
+    i_maps, i_done = _one_sided_maps(Xs, Ys, delta, budget, limit=1)
     if not i_maps:
         return None, i_done
-    j_maps, j_done, _ = _one_sided_maps(Ys.space, Xs.space, Ys.perm, Xs.perm,
-                                        delta, budget, limit=1)
+    j_maps, j_done = _one_sided_maps(Ys, Xs, delta, budget, limit=1)
     if not j_maps:
         return None, j_done
-    return _make_pair(i_maps[0], j_maps[0], delta, Xs.space, Ys.space,
-                      Xs.perm, Ys.perm), True
+    return _make_pair(i_maps[0], j_maps[0], delta, Xs, Ys), True
 
 
 # -- exact isomorphism and GH0 bounds ---------------------------------------
@@ -474,34 +453,12 @@ def find_exact_isomorphism(X, Y):
     Choosing the image of one point per f-cycle forces the whole cycle,
     so the search branches only over cycle representatives.
     """
-    Xs, xpts = materialize(X)
-    Ys, ypts = materialize(Y)
-    n = Xs.space.n
-    if n != Ys.space.n:
+    fk, gk = X.kernel, Y.kernel
+    n = len(fk.pts)
+    if n != len(gk.pts):
         return None
-    fperm, gperm = Xs.perm, Ys.perm
-    cycles = []
-    seen = set()
-    for s in range(n):
-        if s in seen:
-            continue
-        cyc, cur = [], s
-        while cur not in seen:
-            seen.add(cur)
-            cyc.append(cur)
-            cur = fperm[cur]
-        cycles.append(tuple(cyc))
-    g_period = [None] * n
-    for s in range(n):
-        if g_period[s] is not None:
-            continue
-        cyc, cur = [], s
-        while not cyc or cur != s:
-            cyc.append(cur)
-            cur = gperm[cur]
-        for v in cyc:
-            g_period[v] = len(cyc)
-
+    gperm, xtab, ytab = gk.perm, fk.table, gk.table
+    cycles = fk.cycles
     image = [None] * n
     used = [False] * n
 
@@ -510,7 +467,7 @@ def find_exact_isomorphism(X, Y):
             return True
         cyc = cycles[ci]
         for y0 in range(n):
-            if used[y0] or g_period[y0] != len(cyc):
+            if used[y0] or len(gk.cycle_of[y0]) != len(cyc):
                 continue
             trial, cur, ok = [], y0, True
             for x in cyc:
@@ -521,7 +478,7 @@ def find_exact_isomorphism(X, Y):
                     ok = False
                     break
                 for w, z in enumerate(image):
-                    if z is not None and Ys.space.table[y][z] != Xs.space.table[x][w]:
+                    if z is not None and ytab[y][z] != xtab[x][w]:
                         ok = False
                         break
                 if not ok:
@@ -529,7 +486,7 @@ def find_exact_isomorphism(X, Y):
                 image[x] = y
                 used[y] = True
             else:
-                if all(Ys.space.table[image[a]][image[b]] == Xs.space.table[a][b]
+                if all(ytab[image[a]][image[b]] == xtab[a][b]
                        for a in cyc for b in cyc) and assign_cycle(ci + 1):
                     return True
                 ok = False
@@ -540,7 +497,7 @@ def find_exact_isomorphism(X, Y):
         return False
 
     if assign_cycle(0):
-        return {xpts[a]: ypts[image[a]] for a in range(n)}
+        return {fk.pts[a]: gk.pts[image[a]] for a in range(n)}
     return None
 
 
@@ -582,10 +539,8 @@ def gh_distance_bounds(X, Y, budget=None, step=Fraction(1, 128)) -> GHBounds:
     step = as_rational(step)
     if find_exact_isomorphism(X, Y) is not None:
         return GHBounds(ZERO, ZERO, True, None)
-    Xs, _ = materialize(X)
-    Ys, _ = materialize(Y)
-    diameter = max(max(max(row) for row in Xs.space.table),
-                   max(max(row) for row in Ys.space.table))
+    diameter = max(max(max(row) for row in X.kernel.table),
+                   max(max(row) for row in Y.kernel.table))
     start = diameter + 1
     pair, _ = first_delta_isometry_pair(X, Y, start, budget)
     if pair is None:
@@ -645,8 +600,8 @@ def gh_stable_point_check(f, x, eps, delta, candidates, budget=None, *,
     """
     eps, delta = as_rational(eps), as_rational(delta)
     eta = eps if eta is None else as_rational(eta)
-    Xs, xpts = materialize(f)
-    xi = xpts.index(x)
+    fk = f.kernel
+    xi = fk.index[x]
     entries, ok = [], True
     for cand in candidates:
         pair, settled = first_delta_isometry_pair(f, cand, delta, budget)
@@ -656,15 +611,16 @@ def gh_stable_point_check(f, x, eps, delta, candidates, budget=None, *,
                 "no certifying isometry pair" if settled
                 else "certificate search exhausted its budget"))
             continue
-        Ys, ypts = materialize(cand)
-        pre = tuple(y for y in range(Ys.space.n) if pair.j_map[y] == xi)
+        gk = cand.kernel
+        ypts = gk.pts
+        pre = tuple(y for y in range(len(ypts)) if pair.j_map[y] == xi)
         if not pre:
             entries.append(CandidateVerdict(
                 cand.name, "vacuous", (), "j never hits the point"))
             continue
         failures = []
         for y in pre:
-            verdict = _gh_trace(Xs, Ys, pair.j_map, y, eta, eps)
+            verdict = _gh_trace(fk, gk, pair.j_map, y, eta, eps)
             if verdict is not None:
                 failures.append(f"{point_label(ypts[y])}: {verdict}")
         if failures:
@@ -680,40 +636,25 @@ def gh_stable_point_check(f, x, eps, delta, candidates, budget=None, *,
     return GHStableReport(ok, x, eps, delta, tuple(entries))
 
 
-def _gh_trace(Xs, Ys, j_map, y, eta, eps):
+def _gh_trace(fk, gk, j_map, y, eta, eps):
     """Trace the j-image of the g-orbit of y; None on success, else reason.
 
-    The conjugacy h(g^n y) = f^n z is rebuilt explicitly and its
-    closeness to j (strict, below eps) and commutation with the maps
-    are verified independently of how the tracer was found.
+    fk and gk are the kernels of f and g. The conjugacy h(g^n y) = f^n z
+    is rebuilt explicitly and its closeness to j (strict, below eps) and
+    commutation with the maps are verified independently of how the
+    tracer was found.
     """
-    gperm = Ys.perm
-    orb, cur = [], y
-    while not orb or cur != y:
-        orb.append(cur)
-        cur = gperm[cur]
+    fperm, gperm, table = fk.perm, gk.perm, fk.table
+    cyc = gk.cycle_of[y]
+    at = cyc.index(y)
+    orb = cyc[at:] + cyc[:at]
     P = len(orb)
     window = [j_map[v] for v in orb]
-    horizon = lcm(_perm_order(Xs.perm), P)
-    fperm = Xs.perm
-    table = Xs.space.table
-    tracers = []
-    for z in range(Xs.space.n):
-        cur, okz = z, True
-        for n in range(horizon):
-            if table[cur][window[n % P]] >= eta:
-                okz = False
-                break
-            cur = fperm[cur]
-        if okz:
-            tracers.append(z)
+    tracers = fk.tracers([window[n % P] for n in range(lcm(fk.order, P))], eta)
     if not tracers:
         return "no orbit of f traces the transported pseudo-orbit"
     z = tracers[0]
-    cur = z
-    for _ in range(P):
-        cur = fperm[cur]
-    if cur != z:
+    if fk.powers[P % fk.order][z] != z:
         return "tracer does not close up over the orbit period"
     h, img = {}, z
     for v in orb:
@@ -724,22 +665,6 @@ def _gh_trace(Xs, Ys, j_map, y, eta, eps):
     if any(fperm[h[v]] != h[gperm[v]] for v in orb):
         return "conjugacy fails to commute with the maps"
     return None
-
-
-def _perm_order(perm) -> int:
-    order, seen = 1, set()
-    for s in range(len(perm)):
-        if s in seen:
-            continue
-        length, cur = 0, s
-        while True:
-            cur = perm[cur]
-            length += 1
-            seen.add(cur)
-            if cur == s:
-                break
-        order = lcm(order, length)
-    return order
 
 
 # -- conjugation transport ----------------------------------------------------

@@ -13,7 +13,9 @@ SatelliteBall) instead of enumeration; every answer stays exact.
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
+from operator import ge, gt
 
 from .errors import (CarrierMismatchError, MalformedInputError,
                      PreconditionError, UnsupportedBackendError)
@@ -94,6 +96,13 @@ class MetricSystem:
 
     def digest(self) -> str:
         return hashlib.sha256(self.describe().encode()).hexdigest()[:12]
+
+    @cached_property
+    def kernel(self) -> "FiniteKernel":
+        """The index-level view of a finite system, built once per instance."""
+        if not self.finite:
+            raise UnsupportedBackendError(f"{self.backend} carrier is not enumerable")
+        return FiniteKernel(self)
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -335,6 +344,110 @@ class SatelliteSystem(MetricSystem):
         return f"satellite K={self.K} t={self.t} p={format_ep(self.p)}"
 
 
+# -- the finite kernel ---------------------------------------------------
+
+
+class FiniteKernel:
+    """A finite system compiled to indices: point i is pts[i].
+
+    perm and inv are the map and its inverse on indices. The distance
+    table, the cycle decomposition, the order, the power table and, for
+    each tracing radius, the matrix of pairs beyond it are built on
+    first use and kept; the kernel never changes otherwise.
+    """
+
+    def __init__(self, system):
+        self._system = system
+        self.pts = tuple(system.points())
+        self.index = {p: i for i, p in enumerate(self.pts)}
+        self.perm = tuple(self.index[system.image(p)] for p in self.pts)
+        inv = [0] * len(self.perm)
+        for i, j in enumerate(self.perm):
+            inv[j] = i
+        self.inv = tuple(inv)
+        self._far_tables = {}
+
+    @cached_property
+    def table(self) -> tuple:
+        """table[i][j] = d(pts[i], pts[j])."""
+        if isinstance(self._system, ExplicitSystem):
+            return self._system.space.table
+        dist = self._system.dist
+        return tuple(tuple(dist(a, b) for b in self.pts) for a in self.pts)
+
+    @cached_property
+    def cycles(self) -> tuple:
+        """The cycles of perm, each listed from its least index in map
+        order, sorted by that index."""
+        seen = [False] * len(self.perm)
+        out = []
+        for start in range(len(self.perm)):
+            if seen[start]:
+                continue
+            cyc, cur = [], start
+            while not seen[cur]:
+                seen[cur] = True
+                cyc.append(cur)
+                cur = self.perm[cur]
+            out.append(tuple(cyc))
+        return tuple(out)
+
+    @cached_property
+    def cycle_of(self) -> tuple:
+        """cycle_of[i] is the cycle holding index i."""
+        out = [None] * len(self.perm)
+        for cyc in self.cycles:
+            for i in cyc:
+                out[i] = cyc
+        return tuple(out)
+
+    @cached_property
+    def order(self) -> int:
+        """Smallest L >= 1 with f^L the identity."""
+        return lcm(*(len(cyc) for cyc in self.cycles))
+
+    @cached_property
+    def powers(self) -> tuple:
+        """powers[k][i] = f^k(i) for 0 <= k < order."""
+        out = [tuple(range(len(self.perm)))]
+        for _ in range(self.order - 1):
+            out.append(tuple(self.perm[i] for i in out[-1]))
+        return tuple(out)
+
+    @cached_property
+    def explicit(self) -> "ExplicitSystem":
+        """The system as an ExplicitSystem on indices (itself if explicit)."""
+        if isinstance(self._system, ExplicitSystem):
+            return self._system
+        return ExplicitSystem(FiniteMetricSpace(self.table), self.perm,
+                              name=self._system.name)
+
+    def tracers(self, targets, radius, first=0, closed=False) -> list:
+        """Indices z with d(f^(first+n) z, targets[n]) < radius for every n,
+        or <= radius when closed; targets are indices, the result ascends."""
+        far, perm = self._far(radius, closed), self.perm
+        start = self.powers[first % self.order] if first else range(len(perm))
+        found = []
+        for z in range(len(perm)):
+            cur = start[z]
+            for t in targets:
+                if far[cur][t]:
+                    break
+                cur = perm[cur]
+            else:
+                found.append(z)
+        return found
+
+    def _far(self, radius, closed) -> tuple:
+        """far[i][j]: d(i, j) >= radius, or > radius when closed."""
+        key = (radius, closed)
+        if key not in self._far_tables:
+            too_far = gt if closed else ge
+            self._far_tables[key] = tuple(tuple(too_far(d, radius) for d in row)
+                                          for row in self.table)
+        return self._far_tables[key]
+
+
 # -- builders ------------------------------------------------------------
 
 
@@ -443,23 +556,9 @@ def iterate(system, x, n: int):
     return x
 
 
-def orbit_period(system, x) -> int:
-    """Period of a finite orbit; PreconditionError when infinite."""
-    ob = orbit(system, x)
-    if not ob.finite:
-        raise PreconditionError(f"orbit of {point_label(x)} is infinite")
-    return ob.period
-
-
 def system_order(system) -> int:
     """Smallest L >= 1 with f^L the identity (finite carriers only)."""
-    if not system.finite:
-        raise UnsupportedBackendError(
-            f"{system.backend} maps have no global finite order")
-    out = 1
-    for p in system.points():
-        out = lcm(out, orbit_period(system, p))
-    return out
+    return system.kernel.order
 
 
 # -- separation along pair orbits ----------------------------------------
@@ -510,14 +609,6 @@ def _satellite_sup_separation(system, x, y):
     return Fraction(1, x.k) + Fraction(1, y.k) + worst
 
 
-def pair_distance_at(system, x, y, n: int) -> Fraction:
-    return system.dist(iterate(system, x, n), iterate(system, y, n))
-
-
-def joint_pair_period(system, x, y) -> int:
-    return lcm(orbit_period(system, x), orbit_period(system, y))
-
-
 # -- C0 distance ---------------------------------------------------------
 
 
@@ -526,15 +617,18 @@ def c0_distance(f: MetricSystem, g: MetricSystem, probe=None) -> Fraction:
 
     Exact on finite backends. On shift/satellite carriers a finite
     probe set is required and the result is a lower bound (the sup is
-    over an infinite carrier); callers surface that caveat.
+    over an infinite carrier); callers surface that caveat. Only there
+    do equal descriptions short-cut to zero.
     """
     if f.carrier_token() != g.carrier_token():
         raise CarrierMismatchError(
             f"carriers differ: {f.carrier_token()[0]} vs {g.carrier_token()[0]}")
-    if f is g or f.digest() == g.digest():
+    if f is g:
         return ZERO
     if f.finite:
         return max((f.dist(f.image(x), g.image(x)) for x in f.points()), default=ZERO)
+    if f.digest() == g.digest():
+        return ZERO
     pts = list(probe) if probe else []
     if f.backend == "satellite":
         pts.extend(f.satellite_points())
@@ -616,14 +710,13 @@ def _satellite_ball(system, x, r, closed):
 
 
 def materialize(system) -> tuple:
-    """Finite system as (ExplicitSystem, point list); index i <-> pts[i]."""
-    if not system.finite:
-        raise UnsupportedBackendError(f"{system.backend} carrier cannot be materialized")
-    pts = system.points()
-    index = {p: i for i, p in enumerate(pts)}
-    table = [[system.dist(a, b) for b in pts] for a in pts]
-    perm = tuple(index[system.image(p)] for p in pts)
-    return ExplicitSystem(FiniteMetricSpace(table), perm, name=system.name), pts
+    """Finite system as (ExplicitSystem, points); index i <-> pts[i].
+
+    An ExplicitSystem is its own materialization; other systems build
+    theirs once, on their kernel.
+    """
+    kernel = system.kernel
+    return kernel.explicit, kernel.pts
 
 
 def is_self_isometry(system, relabel: dict) -> bool:

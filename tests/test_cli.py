@@ -1,6 +1,10 @@
 """Command-line verbs: reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -167,3 +171,45 @@ def test_pretty_flag_changes_rendering_only(capsys):
     assert code == code2 == 0
     assert json.loads(pretty) == doc
     assert pretty.count("\n") > 3
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+BAD_STANZA = "explicit {\n  n = 2\n  d 0 1 abc\n  map = 1 0\n}\n"
+ID3_SCALES = ("--eps", "1/2", "--delta", "1/2")
+
+# argv that once ended in a traceback, with the exit codes they now give
+BAD_ARGV = (
+    (("classify", "bundled:r12k3", "--variant", "minimal", "--c", "abc"), {2}),
+    (("classify", "bundled:r12k3", "--variant", "minimal", "--c", "1/0"), {2}),
+    (("conjugacy", "bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES,
+      "--c", "xyz"), {2}),
+    (("validate", "{stanza}"), {2}),
+    (("shadow", "bundled:r12k3", "--x", "99", "--eps", "1/4",
+      "--delta", "1/24"), {1, 2}),
+    (("shadow", "bundled:r12k3", "--x", "0", "--eps", "1/4", "--delta", "1/24",
+      "--window", "-1"), {1, 2}),
+    (("trackmap", "bundled:id3", "--x", "7", "--eta", "1/2"), {1, 2}),
+    (("ghstable", "bundled:id3", "bundled:id3", "--x", "9", *ID3_SCALES),
+     {1, 2}),
+    (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "5",
+      *ID3_SCALES), {1, 2}),
+)
+
+
+@pytest.mark.parametrize("argv, codes", BAD_ARGV,
+                         ids=[" ".join(a) for a, _ in BAD_ARGV])
+def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
+    stanza = tmp_path / "bad.pdl"
+    stanza.write_text(BAD_STANZA)
+    argv = [str(stanza) if a == "{stanza}" else a for a in argv]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from pointdyn.cli import main; sys.exit(main())", *argv],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode in codes
+    assert "Traceback" not in proc.stderr
+    if argv[0] == "validate":
+        assert "line 3:" in proc.stderr

@@ -1,0 +1,138 @@
+"""The finite kernel against brute-force loops over dist and image."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, strategies as st
+
+from pointdyn.errors import UnsupportedBackendError
+from pointdyn.metric import FiniteMetricSpace, discrete_space
+from pointdyn.systems import (build_explicit, build_lattice, build_shift,
+                              materialize)
+
+PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
+RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
+TORUS_MATRICES = ((2, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0))
+
+
+@st.composite
+def finite_systems(draw):
+    kind = draw(st.sampled_from(("explicit", "circle", "torus")))
+    if kind == "circle":
+        return build_lattice(draw(st.integers(2, 9)), step=draw(st.integers(0, 8)))
+    if kind == "torus":
+        return build_lattice(draw(st.integers(2, 4)), kind="torus",
+                             matrix=draw(st.sampled_from(TORUS_MATRICES)))
+    n = draw(st.integers(1, 6))
+    table = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(st.sampled_from(PALETTE))
+    perm = draw(st.permutations(range(n)))
+    return build_explicit(FiniteMetricSpace(table), tuple(perm))
+
+
+# -- oracles: the loops the kernel replaced ---------------------------------
+
+
+def oracle_order(system):
+    pts = system.points()
+    cur, order = [system.image(p) for p in pts], 1
+    while cur != pts:
+        cur = [system.image(p) for p in cur]
+        order += 1
+    return order
+
+
+def oracle_orbits(system):
+    out = set()
+    for p in system.points():
+        orb, cur = [p], system.image(p)
+        while cur != p:
+            orb.append(cur)
+            cur = system.image(cur)
+        out.add(frozenset(orb))
+    return out
+
+
+def oracle_tracers(system, targets, radius, first, closed):
+    found = []
+    for z in system.points():
+        cur = z
+        for _ in range(abs(first)):
+            cur = system.image(cur) if first > 0 else system.preimage(cur)
+        ok = True
+        for t in targets:
+            d = system.dist(cur, t)
+            if (d > radius) if closed else (d >= radius):
+                ok = False
+                break
+            cur = system.image(cur)
+        if ok:
+            found.append(z)
+    return found
+
+
+# -- properties ---------------------------------------------------------------
+
+
+@given(finite_systems())
+def test_order_matches_oracle(system):
+    assert system.kernel.order == oracle_order(system)
+
+
+@given(finite_systems())
+def test_cycles_match_oracle(system):
+    k = system.kernel
+    assert {frozenset(k.pts[i] for i in cyc) for cyc in k.cycles} == \
+        oracle_orbits(system)
+    assert sorted(i for cyc in k.cycles for i in cyc) == list(range(len(k.pts)))
+    assert [cyc[0] for cyc in k.cycles] == sorted(min(cyc) for cyc in k.cycles)
+    for cyc in k.cycles:
+        assert all(k.perm[cyc[j]] == cyc[(j + 1) % len(cyc)]
+                   for j in range(len(cyc)))
+        assert all(k.cycle_of[i] == cyc for i in cyc)
+
+
+@given(finite_systems(), st.data())
+def test_tracers_match_oracle(system, data):
+    k = system.kernel
+    pts = system.points()
+    targets = data.draw(st.lists(st.sampled_from(pts), max_size=7))
+    radius = data.draw(st.sampled_from(RADII))
+    first = data.draw(st.integers(-4, 4))
+    idx = [k.index[t] for t in targets]
+    # both comparisons on one kernel: the per-radius cache keeps them apart
+    for closed in (False, True):
+        got = [k.pts[z] for z in k.tracers(idx, radius, first, closed)]
+        assert got == oracle_tracers(system, targets, radius, first, closed)
+
+
+@given(finite_systems())
+def test_kernel_maps_and_powers(system):
+    k = system.kernel
+    assert system.kernel is k
+    for i, p in enumerate(k.pts):
+        assert k.pts[k.perm[i]] == system.image(p)
+        assert k.pts[k.inv[i]] == system.preimage(p)
+        for j, q in enumerate(k.pts):
+            assert k.table[i][j] == system.dist(p, q)
+    for e, row in enumerate(k.powers):
+        cur = list(k.pts)
+        for _ in range(e):
+            cur = [system.image(p) for p in cur]
+        assert [k.pts[i] for i in row] == cur
+
+
+def test_explicit_system_is_its_own_materialization():
+    swap = build_explicit(discrete_space(3), (1, 0, 2))
+    m, pts = materialize(swap)
+    assert m is swap and m.kernel.table is swap.space.table
+    assert pts == (0, 1, 2)
+
+
+def test_infinite_carriers_have_no_kernel():
+    with pytest.raises(UnsupportedBackendError):
+        build_shift(2).kernel
+    with pytest.raises(UnsupportedBackendError):
+        materialize(build_shift(2))
