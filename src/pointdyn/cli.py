@@ -209,7 +209,7 @@ def cmd_shadow(args):
 def cmd_conjugacy(args):
     f = _load(args.f).system
     g = _load(args.g).system
-    x = parse_point(g, args.x)
+    x = parse_point(f, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
     c = parse_rational(args.c) if args.c else None
     eta = parse_rational(args.eta) if args.eta else None

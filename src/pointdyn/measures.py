@@ -13,7 +13,8 @@ from math import lcm
 
 from .errors import (CarrierMismatchError, MalformedInputError, PointdynError,
                      PreconditionError, UnsupportedBackendError)
-from .expansivity import ExpansivityVerdict, _eventual_agreement_index
+from .expansivity import (ExpansivityVerdict, _eventual_agreement_index,
+                          _region_contains)
 from .rationals import ONE, ZERO, as_rational, format_rational
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
@@ -181,23 +182,17 @@ def gamma_set(system, x, c, z):
     """phi_set(z, c) cut down to the open ball B(x, c); z must lie in that ball."""
     c = as_rational(c)
     ball = system_ball(system, x, c)
-    if not _ball_contains(ball, z):
+    if not _region_contains(ball, z):
         raise PreconditionError(
             f"{point_label(z)} lies outside the open ball of radius {c}")
     phi = phi_set(system, z, c)
     if isinstance(phi, frozenset):
-        return frozenset(y for y in phi if _ball_contains(ball, y))
+        return frozenset(y for y in phi if _region_contains(ball, y))
     if system.backend == "shift":
         # phi is the whole space here (c >= 1), so the cut is the ball itself
         return ball
     raise UnsupportedBackendError(
         "satellite gamma sets with an unbounded Y part are not finitely representable")
-
-
-def _ball_contains(ball, p) -> bool:
-    if isinstance(ball, frozenset):
-        return p in ball
-    return ball.contains(p)
 
 
 # -- pointwise mu-expansivity ----------------------------------------------

@@ -3,7 +3,7 @@
 A FiniteMetricSpace is a full symmetric distance table on points
 0..n-1. All axioms are decidable by exact comparison, so
 validate_metric returns witnesses instead of tolerances. Set-level
-operations (balls, set distance, Hausdorff distance) take index
+operations (balls, Hausdorff distance) take index
 iterables and return exact values; on finite spaces inf and sup are
 min and max.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import MalformedInputError, PreconditionError
+from .errors import PreconditionError
 from .rationals import ZERO, as_rational, format_rational
 
 
@@ -56,23 +56,6 @@ def discrete_space(n: int, gap=1) -> FiniteMetricSpace:
     )
 
 
-def space_from_pairs(n: int, pairs) -> FiniteMetricSpace:
-    """Build from {(i, j): distance} with i < j; missing pairs are an error."""
-    table = [[ZERO] * n for _ in range(n)]
-    seen = set()
-    for (i, j), v in pairs.items():
-        if not (0 <= i < j < n):
-            raise MalformedInputError(f"bad pair ({i},{j}) for n={n}")
-        q = as_rational(v)
-        table[i][j] = q
-        table[j][i] = q
-        seen.add((i, j))
-    missing = {(i, j) for i in range(n) for j in range(i + 1, n)} - seen
-    if missing:
-        raise MalformedInputError(f"missing distances for pairs {sorted(missing)[:4]}")
-    return FiniteMetricSpace(table)
-
-
 def validate_metric(space: FiniteMetricSpace):
     """Return all axiom violations, each with an exact witness.
 
@@ -114,14 +97,6 @@ def ball(space: FiniteMetricSpace, x: int, radius, closed: bool = False):
     if closed:
         return frozenset(y for y in space.points() if space.table[x][y] <= r)
     return frozenset(y for y in space.points() if space.table[x][y] < r)
-
-
-def set_distance(space: FiniteMetricSpace, a, b) -> Fraction:
-    """min over pairs; both sets must be nonempty."""
-    a, b = tuple(a), tuple(b)
-    if not a or not b:
-        raise PreconditionError("set_distance needs nonempty sets")
-    return min(space.table[i][j] for i in a for j in b)
 
 
 def hausdorff_distance(space: FiniteMetricSpace, a, b) -> Fraction:

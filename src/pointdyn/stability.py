@@ -13,42 +13,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import (CarrierMismatchError, PreconditionError,
-                     ResourceBudgetError, UnsupportedBackendError)
+from .errors import (PreconditionError, ResourceBudgetError,
+                     UnsupportedBackendError)
 from .metric import distortion, hausdorff_distance
 from .rationals import ZERO, as_rational, dyadic_below, format_rational
-from .systems import (ExplicitSystem, c0_distance, iterate, materialize,
-                      orbit, orbit_closure, pair_sup_separation, point_label,
-                      point_key)
+from .systems import (ExplicitSystem, c0_distance, materialize, orbit_closure,
+                      pair_sup_separation, point_index, point_key,
+                      point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 500_000
+GH_GRID_STEP = Fraction(1, 128)
 MAX_REPORTED_PAIRS = 10_000
 
 
 # -- semiconjugacy builder --------------------------------------------------
-
-
-def _common_ground(f, g):
-    """Comparable forms of two systems on the same metric carrier.
-
-    Different backends (a lattice and an explicit perturbation of it)
-    can present the same points and metric under different carrier
-    tokens; materializing both reconciles them. Returns (f', g', pts)
-    where pts translates working indices back to f's points, or None
-    when no translation happened.
-    """
-    if f.carrier_token() == g.carrier_token():
-        return f, g, None
-    if not (f.finite and g.finite):
-        raise CarrierMismatchError(
-            f"carriers differ: {f.carrier_token()[0]} vs {g.carrier_token()[0]}")
-    fm, fpts = materialize(f)
-    gm, gpts = materialize(g)
-    if fm.space != gm.space or fpts != gpts:
-        raise CarrierMismatchError(
-            f"carriers differ: {f.carrier_token()[0]} vs {g.carrier_token()[0]}")
-    return fm, gm, fpts
 
 
 @dataclass(frozen=True)
@@ -73,26 +52,31 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
     Requires c0_distance(f, g) <= delta. The tracing radius defaults to
     the min(eps, c)/16 schedule (eps/16 without a declared expansivity
     constant); at that radius well-definedness needs separation only
-    beyond 2*eta, which the schedule keeps below c.
+    beyond 2*eta, which the schedule keeps below c. x is a point of f;
+    on finite carriers g may label its points differently, and its index
+    i stands for f's point f.kernel.pts[i] (systems.check_carrier).
     """
     eps, delta = as_rational(eps), as_rational(delta)
-    f, g, pts = _common_ground(f, g)
-    if pts is not None:
-        try:
-            x = pts.index(x)
-        except ValueError:
-            raise PreconditionError(
-                f"{point_label(x)} is not a carrier point") from None
     gap = c0_distance(f, g)
     if gap > delta:
         raise PreconditionError(
             f"c0 distance {format_rational(gap)} exceeds delta")
-    if eta is None:
-        if expansivity_c is not None:
-            eta = min(eps, as_rational(expansivity_c)) / 16
-        else:
-            eta = eps / 16
-    eta = as_rational(eta)
+    return _semiconjugacy(f, g, x, gap, eps,
+                          _tracing_radius(eps, expansivity_c, eta))
+
+
+def _tracing_radius(eps, expansivity_c, eta):
+    if eta is not None:
+        return as_rational(eta)
+    if expansivity_c is not None:
+        return min(eps, as_rational(expansivity_c)) / 16
+    return eps / 16
+
+
+def _semiconjugacy(f, g, x, gap, eps, eta):
+    """build_conjugacy once the carrier is shared and gap = c0(f, g) is
+    admissible. Finite carriers work on kernel indices throughout and
+    label only the results."""
     if not f.finite:
         if gap != 0:
             raise UnsupportedBackendError(
@@ -102,55 +86,46 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
         return ConjugacyResult(True, None, dom_t,
                                {u: u for u in dom_t} or None, ZERO, True, eta,
                                "unperturbed map: h is the identity on the orbit closure")
-
-    def finish(res: ConjugacyResult) -> ConjugacyResult:
-        if pts is None:
-            return res
-        dom = tuple(pts[u] for u in res.domain)
-        mp = None if res.mapping is None else \
-            {pts[u]: pts[v] for u, v in res.mapping.items()}
-        return ConjugacyResult(res.success, res.failed_step, dom, mp,
-                               res.residual, res.commutation_ok, res.eta,
-                               res.detail)
-
-    orb = orbit(g, x).points
+    fk, gk = f.kernel, g.kernel
+    pts, fperm = fk.pts, fk.perm
+    xi = point_index(f, x)
+    orb = gk.orbit(xi)
+    dom = tuple(pts[u] for u in orb)
     P = len(orb)
-    k = f.kernel
-    window = [k.index[u] for u in orb]
-    tracers = [k.pts[z] for z in k.tracers(
-        [window[n % P] for n in range(lcm(k.order, P))], eta)]
+    tracers = fk.tracers([orb[n % P] for n in range(lcm(fk.order, P))], eta)
     if not tracers:
-        return finish(ConjugacyResult(
-            False, "shadowing", orb, None, None, None, eta,
+        return ConjugacyResult(
+            False, "shadowing", dom, None, None, None, eta,
             f"no orbit of f stays within {format_rational(eta)} of the "
-            f"perturbed orbit"))
-    z = x if x in tracers else min(tracers, key=point_key)
-    w = iterate(f, z, P)
+            f"perturbed orbit")
+    z = xi if xi in tracers else min(tracers, key=lambda i: point_key(pts[i]))
+    w = fk.powers[P % fk.order][z]
     if w != z:
-        sep = pair_sup_separation(f, z, w)
-        return finish(ConjugacyResult(
-            False, "well-definedness", orb, None, None, None, eta,
-            f"tracer {point_label(z)} does not close up over the orbit "
+        sep = pair_sup_separation(f, pts[z], pts[w])
+        return ConjugacyResult(
+            False, "well-definedness", dom, None, None, None, eta,
+            f"tracer {point_label(pts[z])} does not close up over the orbit "
             f"period {P}: the competing branch images separate by only "
             f"{format_rational(sep)} (at most 2*eta), below any usable "
-            f"expansivity constant"))
-    mapping, img = {}, z
+            f"expansivity constant")
+    h, img = {}, z
     for u in orb:
-        mapping[u] = img
-        img = f.image(img)
-    commutation = all(f.image(mapping[u]) == mapping[g.image(u)] for u in orb)
-    residual = max(f.dist(mapping[u], u) for u in orb)
+        h[u] = img
+        img = fperm[img]
+    commutation = all(fperm[h[u]] == h[gk.perm[u]] for u in orb)
+    residual = max(fk.table[h[u]][u] for u in orb)
+    mapping = {pts[u]: pts[v] for u, v in h.items()}
     if not commutation:
-        return finish(ConjugacyResult(
-            False, "commutation", orb, mapping, residual, False, eta,
-            "f o h differs from h o g"))
+        return ConjugacyResult(
+            False, "commutation", dom, mapping, residual, False, eta,
+            "f o h differs from h o g")
     if residual > eps:
-        return finish(ConjugacyResult(
-            False, "residual", orb, mapping, residual, True, eta,
-            f"sup displacement {format_rational(residual)} exceeds eps"))
-    return finish(ConjugacyResult(
-        True, None, orb, mapping, residual, True, eta,
-        f"tracer {point_label(z)}, {len(tracers)} candidates"))
+        return ConjugacyResult(
+            False, "residual", dom, mapping, residual, True, eta,
+            f"sup displacement {format_rational(residual)} exceeds eps")
+    return ConjugacyResult(
+        True, None, dom, mapping, residual, True, eta,
+        f"tracer {point_label(pts[z])}, {len(tracers)} candidates")
 
 
 # -- perturbation enumeration ------------------------------------------------
@@ -232,19 +207,18 @@ def verify_topologically_stable_point(f, x, eps, delta, perturbations, *,
     failed; the verdict quantifies over the admissible ones only.
     """
     eps, delta = as_rational(eps), as_rational(delta)
+    eta = _tracing_radius(eps, expansivity_c, eta)
     if isinstance(perturbations, PerturbationFamily):
         perturbations = perturbations.systems
     entries, ok = [], True
     for g in perturbations:
-        fg, gg, _ = _common_ground(f, g)
-        gap = c0_distance(fg, gg)
+        gap = c0_distance(f, g)
         if gap > delta:
             entries.append(PerturbationVerdict(
                 g.name, "skipped", None,
                 f"c0 distance {format_rational(gap)} exceeds delta"))
             continue
-        res = build_conjugacy(f, g, x, eps, delta,
-                              expansivity_c=expansivity_c, eta=eta)
+        res = _semiconjugacy(f, g, x, gap, eps, eta)
         entries.append(PerturbationVerdict(
             g.name, "ok" if res.success else "failed", res,
             "" if res.success else res.failed_step))
@@ -526,8 +500,8 @@ def _grid_above(value, step) -> Fraction:
     return step * (floor + 1)
 
 
-def gh_distance_bounds(X, Y, budget=None, step=Fraction(1, 128)) -> GHBounds:
-    """Dyadic-grid bounds with lower <= d_GH0(X, Y) <= upper.
+def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
+    """Bounds on the GH_GRID_STEP grid with lower <= d_GH0(X, Y) <= upper.
 
     An exact isomorphism collapses the bounds to (0, 0). Otherwise a
     found pair admits every delta above its worst clause value, giving
@@ -536,7 +510,6 @@ def gh_distance_bounds(X, Y, budget=None, step=Fraction(1, 128)) -> GHBounds:
     bounds valid but wider, flagged via `complete`.
     """
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    step = as_rational(step)
     if find_exact_isomorphism(X, Y) is not None:
         return GHBounds(ZERO, ZERO, True, None)
     diameter = max(max(max(row) for row in X.kernel.table),
@@ -547,16 +520,16 @@ def gh_distance_bounds(X, Y, budget=None, step=Fraction(1, 128)) -> GHBounds:
         # even the coarsest scale found nothing within budget
         return GHBounds(ZERO, start, False, None)
     best = pair
-    hi = _grid_above(best.score, step)
+    hi = _grid_above(best.score, GH_GRID_STEP)
     lo = ZERO
     complete = True
-    while hi - lo > step:
+    while hi - lo > GH_GRID_STEP:
         mid = (lo + hi) / 2
         found, done = first_delta_isometry_pair(X, Y, mid, budget)
         if found is not None:
             if found.score < best.score:
                 best = found
-            hi = min(_grid_above(best.score, step), mid)
+            hi = min(_grid_above(best.score, GH_GRID_STEP), mid)
         elif done:
             lo = mid
         else:
@@ -645,9 +618,7 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
     tracer was found.
     """
     fperm, gperm, table = fk.perm, gk.perm, fk.table
-    cyc = gk.cycle_of[y]
-    at = cyc.index(y)
-    orb = cyc[at:] + cyc[:at]
+    orb = gk.orbit(y)
     P = len(orb)
     window = [j_map[v] for v in orb]
     tracers = fk.tracers([window[n % P] for n in range(lcm(fk.order, P))], eta)
@@ -670,7 +641,7 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
 # -- conjugation transport ----------------------------------------------------
 
 
-def transport_under_conjugacy(h, point_set, which=None) -> frozenset:
+def transport_under_conjugacy(h, point_set) -> frozenset:
     """Image of a classified point set under the carrier bijection h."""
     move = h if callable(h) else h.__getitem__
     return frozenset(move(p) for p in point_set)

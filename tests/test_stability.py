@@ -1,12 +1,15 @@
 """Conjugacy construction, perturbation families, isometry search, GH bounds."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from pointdyn.bundled import bundled_system
 from pointdyn.metric import FiniteMetricSpace, discrete_space, is_delta_isometry
+from pointdyn.rationals import format_rational
 from pointdyn.systems import (ExplicitSystem, build_lattice, conjugate_system,
-                              is_self_isometry, materialize)
+                              is_self_isometry, materialize, point_label)
 from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
                                 find_exact_isomorphism,
                                 first_delta_isometry_pair, gh_distance_bounds,
@@ -80,6 +83,55 @@ def test_stable_point_skips_far_perturbations():
     assert rep.result
     skipped = [e for e in rep.entries if e.status == "skipped"]
     assert len(skipped) == 5          # non-identity permutations have c0 = 1
+
+
+def _entry_text(entry):
+    parts = [entry.name, entry.status, entry.note]
+    res = entry.conjugacy
+    if res is not None:
+        mapping = "-" if res.mapping is None else " ".join(
+            f"{point_label(u)}>{point_label(v)}" for u, v in res.mapping.items())
+        residual = "-" if res.residual is None else format_rational(res.residual)
+        parts += [" ".join(point_label(u) for u in res.domain), mapping,
+                  residual, res.detail]
+    return "|".join(parts)
+
+
+# sha256 of every entry of the Z12 (unit rotation) stable-point reports
+# below, recorded before the stability layer moved onto kernel indices.
+Z12_STABLE_POINT_PIN = "4ed14ca374d88dbdb91005f879fce6822987cf7e6b1edebae9caede569a2febd"
+
+
+def test_lattice_against_its_perturbation_family_is_pinned():
+    # the family lives on indices, the lattice on its own points: the
+    # reports must not depend on how the two are reconciled
+    z12 = build_lattice(12, step=1)
+    fam = enumerate_perturbations(z12, F(1, 12))
+    digest = hashlib.sha256()
+    for x in range(12):
+        rep = verify_topologically_stable_point(z12, x, F(1, 4), F(1, 12), fam)
+        for entry in rep.entries:
+            digest.update((_entry_text(entry) + "\n").encode())
+    assert digest.hexdigest() == Z12_STABLE_POINT_PIN
+
+
+def test_torus_against_its_perturbation_family():
+    cat5 = bundled_system("cat5")
+    fam = enumerate_perturbations(cat5, F(1, 10))
+    pts = fam.points
+    for x in cat5.points():
+        rep = verify_topologically_stable_point(
+            cat5, x, F(1, 4), F(1, 10), fam, expansivity_c=F(1, 10))
+        ref = verify_topologically_stable_point(
+            fam.base, cat5.kernel.index[x], F(1, 4), F(1, 10), fam,
+            expansivity_c=F(1, 10))
+        assert rep.result == ref.result
+        assert [e.status for e in rep.entries] == [e.status for e in ref.entries]
+        for got, want in zip(rep.entries, ref.entries):
+            assert got.conjugacy.domain == tuple(pts[u] for u in want.conjugacy.domain)
+            assert got.conjugacy.domain[0] == x
+            assert got.conjugacy.mapping == {
+                pts[u]: pts[v] for u, v in want.conjugacy.mapping.items()}
 
 
 def test_search_delta_isometries():

@@ -4,7 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from pointdyn.bundled import bundled_system
+from pointdyn.measures import build_tracking_map
 from pointdyn.metric import discrete_space
+from pointdyn.stability import build_conjugacy
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               build_satellite, Satellite, orbit, orbit_closure,
                               iterate, pair_sup_separation, c0_distance,
@@ -118,6 +121,25 @@ def test_c0_distance_values():
     id3 = build_explicit(discrete_space(3), (0, 1, 2))
     with pytest.raises(CarrierMismatchError):
         c0_distance(r1, id3)
+    # equal distance tables share a carrier index by index, whatever the labels
+    cat5 = build_lattice(5, kind="torus", matrix=(2, 1, 1, 1))
+    flat, _ = materialize(cat5)
+    assert c0_distance(cat5, flat) == c0_distance(flat, cat5) == 0
+    assert c0_distance(materialize(r5)[0], r1) == F(1, 3)
+    with pytest.raises(CarrierMismatchError):
+        c0_distance(cat5, materialize(r1)[0])
+
+
+@pytest.mark.parametrize("name, x", [("r12k3", 99), ("cat5", (7, 7))])
+def test_off_carrier_points_raise(name, x):
+    # the maps send these points into the carrier, so an orbit walk
+    # would never come back to them
+    system = bundled_system(name)
+    for build in (lambda: orbit(system, x),
+                  lambda: build_tracking_map(system, system, x, F(1, 8)),
+                  lambda: build_conjugacy(system, system, x, F(1, 4), F(1, 8))):
+        with pytest.raises(PreconditionError, match="not a carrier point"):
+            build()
 
 
 def test_materialize_round_trip():
