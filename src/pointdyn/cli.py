@@ -58,20 +58,17 @@ def _load(spec: str) -> sysfile.SystemFile:
 
 
 def parse_point(system, text: str):
-    """Read a carrier point in the system's own notation; on finite
-    carriers the point must belong to the carrier."""
+    """Read a carrier point in the system's own notation; the point must
+    belong to the carrier."""
     t = text.strip()
-    backend = system.backend
-    if backend == "satellite":
-        if t.startswith("q(") and t.endswith(")"):
+    if not system.finite:
+        if system.backend == "satellite" and t.startswith("q(") and t.endswith(")"):
             try:
                 i, k, j = (int(v) for v in t[2:-1].split(","))
             except ValueError:
                 raise MalformedInputError(f"satellite points read q(i,k,j): {text!r}") from None
-            return Satellite(i, k, j)
-        return parse_ep(t)
-    if backend == "shift":
-        return parse_ep(t)
+            return system.check_point(Satellite(i, k, j))
+        return system.check_point(parse_ep(t))
     try:
         if t.startswith("(") and t.endswith(")"):
             point = tuple(int(v) for v in t[1:-1].split(","))

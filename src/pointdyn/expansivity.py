@@ -1,7 +1,8 @@
 """Expansivity classifiers at a point.
 
 All variants quantify the same primitive: the supremum of d(f^n y, f^n z)
-over all integer times, computed exactly by pair_sup_separation. A point
+over all integer times, computed exactly by pair_sup_separation (on
+finite carriers, a lookup in the kernel's separation matrix). A point
 is expansive when every other point separates beyond the constant at
 some time; uniformly expansive when the map is expansive on the open
 ball around it; minimally expansive when the map is expansive on the

@@ -20,7 +20,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .measures import measure_of
 from .rationals import as_rational
 from .shiftspace import EPPoint, shift_metric
-from .systems import sorted_points, system_ball
+from .systems import point_index, sorted_points, system_ball
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
@@ -94,6 +94,7 @@ def _windows(system, x, delta, N):
     windows through x."""
     if N < 0:
         raise PreconditionError("window radius must be nonnegative")
+    point_index(system, x)
     graph = pseudo_orbit_graph(system, delta)
     pts = system.points()
     rev = _reverse(graph, pts)
@@ -251,7 +252,7 @@ def shadowable_exact(system, x, eps, delta) -> bool:
         raise UnsupportedBackendError(
             "the exact decider needs a finite carrier")
     kernel = system.kernel
-    xi = kernel.index[x]
+    xi = point_index(system, x)
     fwd = _half_limit_sets(kernel, xi, eps, delta, forward=True)
     if frozenset() in fwd:
         return False

@@ -107,9 +107,6 @@ class EPPoint:
     def __repr__(self):
         return f"EPPoint({format_ep(self)!r})"
 
-    def sort_key(self):
-        return (len(self.center), format_ep(self))
-
 
 def _canonicalize(left, center, right, offset):
     left = _primitive(left)

@@ -309,6 +309,15 @@ class SatelliteSystem(MetricSystem):
     def finite(self):
         return False
 
+    def check_point(self, x):
+        """x itself; satellites must lie in the truncation, Y points in the shift."""
+        if not isinstance(x, Satellite):
+            return ShiftSystem.check_point(self, x)
+        if not (1 <= x.i <= self.COPIES and 1 <= x.k <= self.K and 0 <= x.j < self.t):
+            raise MalformedInputError(
+                f"{point_label(x)} is not a carrier point (K={self.K}, t={self.t})")
+        return x
+
     def marked(self, j: int) -> EPPoint:
         return self._marked[j % self.t]
 
@@ -360,8 +369,8 @@ class FiniteKernel:
     """A finite system compiled to indices: point i is pts[i].
 
     perm and inv are the map and its inverse on indices. The distance
-    table, the cycle decomposition, the order, the power table and, for
-    each tracing radius, the matrix of pairs beyond it are built on
+    and sup-separation tables, the cycles, the order, the powers and,
+    for each tracing radius, the matrix of pairs beyond it are built on
     first use and kept; the kernel never changes otherwise.
     """
 
@@ -380,6 +389,25 @@ class FiniteKernel:
             return self._system.space.table
         dist = self._system.dist
         return tuple(tuple(dist(a, b) for b in self.pts) for a in self.pts)
+
+    @cached_property
+    def separation(self) -> tuple:
+        """separation[i][j] = sup over n of d(f^n pts[i], f^n pts[j]); the
+        sup is constant along each orbit of f x f, so one walk of dist per
+        pair orbit fills the matrix with n^2 distance evaluations."""
+        dist, pts, perm = self._system.dist, self.pts, self.perm
+        sep = [[None] * len(pts) for _ in pts]
+        for i in range(len(pts)):
+            for j in range(len(pts)):
+                if sep[i][j] is None:
+                    walk, a, b = [(i, j)], perm[i], perm[j]
+                    while (a, b) != (i, j):
+                        walk.append((a, b))
+                        a, b = perm[a], perm[b]
+                    best = ZERO if i == j else max(dist(pts[a], pts[b]) for a, b in walk)
+                    for a, b in walk:
+                        sep[a][b] = best
+        return tuple(map(tuple, sep))
 
     @cached_property
     def cycles(self) -> tuple:
@@ -532,7 +560,6 @@ def build_satellite(K: int, t: int, p: EPPoint, probes=(), alphabet=2,
 class OrbitResult:
     points: tuple
     period: int          # joint period of the listed window; None when infinite
-    preperiod: int = 0
     finite: bool = True
     left_cycle: tuple = ()
     right_cycle: tuple = ()
@@ -556,31 +583,20 @@ class ShiftOrbitClosure:
         n = self.base.offset - y.offset
         return self.base.shift_by(n) == y
 
-    def sample(self, width: int = 3):
-        pts = [self.base.shift_by(n) for n in range(-width, width + 1)]
-        return pts + list(self.left_cycle) + list(self.right_cycle)
-
-
-def _finite_orbit(system, x):
-    pts = [x]
-    cur = system.image(x)
-    while cur != x:
-        pts.append(cur)
-        cur = system.image(cur)
-    return OrbitResult(tuple(pts), period=len(pts))
-
 
 def orbit(system, x) -> OrbitResult:
     """Full two-sided orbit. Finite orbits come back as an ordered list
     with their exact period; infinite shift orbits come back as a window
-    of shifts with finite=False plus the two limit cycles. A point off a
-    finite carrier raises PreconditionError."""
+    of shifts with finite=False plus the two limit cycles. Points off a
+    finite carrier or outside the satellite truncation raise."""
     if system.finite:
         k = system.kernel
         cyc = k.orbit(point_index(system, x))
         return OrbitResult(tuple(k.pts[i] for i in cyc), period=len(cyc))
     if isinstance(x, Satellite):
-        return _finite_orbit(system, x)
+        system.check_point(x)
+        return OrbitResult(tuple(Satellite(x.i, x.k, (x.j + n) % system.t)
+                                 for n in range(system.t)), period=system.t)
     if x.is_periodic:
         pts = tuple(x.shift_by(n) for n in range(x.period))
         return OrbitResult(pts, period=x.period)
@@ -618,22 +634,15 @@ def system_order(system) -> int:
 def pair_sup_separation(system, x, y) -> Fraction:
     """sup over n in Z of d(f^n x, f^n y), exact.
 
-    Finite backends scan one joint pair period. On the shift two
-    distinct points always reach separation exactly 1: shifting moves
-    their first disagreement to the origin. Satellite pairs reduce to
-    finitely many marked-orbit comparisons.
+    Finite backends read kernel.separation (PreconditionError off the
+    carrier). On the shift two distinct points always reach separation
+    exactly 1: shifting moves their first disagreement to the origin.
+    Satellite pairs reduce to finitely many marked-orbit comparisons.
     """
+    if system.finite:
+        return system.kernel.separation[point_index(system, x)][point_index(system, y)]
     if x == y:
         return ZERO
-    if system.finite:
-        best = system.dist(x, y)
-        a, b = system.image(x), system.image(y)
-        while (a, b) != (x, y):
-            d = system.dist(a, b)
-            if d > best:
-                best = d
-            a, b = system.image(a), system.image(b)
-        return best
     if system.backend == "shift":
         return ONE
     if system.backend == "satellite":
@@ -708,21 +717,14 @@ class SatelliteBall:
             return True
         return pt in self.y_extra
 
-    def has_y_region(self) -> bool:
-        return self.y_ball is not None
-
-    def sample_points(self, alphabet=2, limit=6):
-        out = list(self.satellites) + list(self.y_extra)
-        if self.y_ball is not None:
-            out.extend(self.y_ball.sample_points(alphabet, limit))
-        return out
-
 
 def system_ball(system, x, radius, closed: bool = False):
     """Metric ball around x. Finite backends return a frozenset;
-    the shift returns a ShiftBall; the satellite a SatelliteBall."""
+    the shift returns a ShiftBall; the satellite a SatelliteBall. A center
+    off a finite carrier raises PreconditionError."""
     r = as_rational(radius)
     if system.finite:
+        point_index(system, x)
         if closed:
             return frozenset(y for y in system.points() if system.dist(x, y) <= r)
         return frozenset(y for y in system.points() if system.dist(x, y) < r)

@@ -193,6 +193,11 @@ BAD_ARGV = (
      {1, 2}),
     (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "5",
       *ID3_SCALES), {1, 2}),
+    # points off an infinite carrier once came back with a verdict
+    (("classify", "bundled:shift2", "--variant", "expansive", "--c", "1/2",
+      "--probe", "2~2~2@0"), {1, 2}),
+    (("classify", "bundled:satellite3", "--variant", "expansive", "--c", "1/2",
+      "--probe", "q(1,1,99)"), {1, 2}),
 )
 
 

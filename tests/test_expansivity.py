@@ -1,17 +1,19 @@
 """Pointwise expansivity variants on lattices, shifts, and satellites."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
 from pointdyn.metric import discrete_space
+from pointdyn.measures import phi_set
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
-                              build_satellite, Satellite)
+                              build_satellite, Satellite, sorted_points)
 from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.expansivity import (expansive_point_at, uniformly_expansive_at,
                                   minimally_expansive_at, classify_points,
                                   separation_set, separation_horizon,
-                                  sequence_expansivity_criterion)
+                                  sequence_expansivity_criterion, point_verdicts)
 from pointdyn.errors import PreconditionError
 
 R12K3 = build_lattice(12, step=3)
@@ -90,3 +92,25 @@ def test_sequence_criterion():
     assert v.result
     v2 = sequence_expansivity_criterion(R12K3, [R12K3], 0, F(1, 2), "uniform")
     assert not v2.result
+
+
+# sha256 of every point verdict (result, counterexample, detail) of the
+# three variants, and of every cat7 phi set, recorded while finite
+# sup-separation still walked each pair orbit per call. At c = 3/7 on
+# cat7 and c = 1/6 on Z36 every point fails, so the digest also pins
+# which counterexample each verdict reports.
+VERDICT_PIN = "4950d6a7705803be37f1cebd4db340ed42b49cdeaf26ad79ae611c1cdc56f3e9"
+
+
+def test_point_verdicts_are_pinned():
+    cat7 = build_lattice(7, kind="torus", matrix=(2, 1, 1, 1))
+    z36 = build_lattice(36, step=5)
+    digest = hashlib.sha256()
+    for system, c in ((cat7, F(1, 4)), (cat7, F(3, 7)), (z36, F(1, 6))):
+        for variant in ("expansive", "uniform", "minimal"):
+            for p, v in point_verdicts(system, variant, c).items():
+                digest.update(repr((p, v.result, v.counterexample, v.detail)).encode())
+    for c in (F(1, 4), F(3, 7)):
+        for p in cat7.points():
+            digest.update(repr((p, sorted_points(phi_set(cat7, p, c)))).encode())
+    assert digest.hexdigest() == VERDICT_PIN

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
-                              materialize)
+                              materialize, pair_sup_separation)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -73,6 +73,19 @@ def oracle_tracers(system, targets, radius, first, closed):
     return found
 
 
+def oracle_sup_separation(system, x, y):
+    if x == y:
+        return F(0)
+    best = system.dist(x, y)
+    a, b = system.image(x), system.image(y)
+    while (a, b) != (x, y):
+        d = system.dist(a, b)
+        if d > best:
+            best = d
+        a, b = system.image(a), system.image(b)
+    return best
+
+
 # -- properties ---------------------------------------------------------------
 
 
@@ -106,6 +119,16 @@ def test_tracers_match_oracle(system, data):
     for closed in (False, True):
         got = [k.pts[z] for z in k.tracers(idx, radius, first, closed)]
         assert got == oracle_tracers(system, targets, radius, first, closed)
+
+
+@given(finite_systems())
+def test_separation_matches_oracle(system):
+    k = system.kernel
+    assert [[k.separation[i][j] for j in range(len(k.pts))]
+            for i in range(len(k.pts))] == \
+        [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
+    assert all(pair_sup_separation(system, p, q) == oracle_sup_separation(system, p, q)
+               for p in k.pts for q in k.pts)
 
 
 @given(finite_systems())

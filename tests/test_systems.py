@@ -5,7 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from pointdyn.bundled import bundled_system
-from pointdyn.measures import build_tracking_map
+from pointdyn.expansivity import (expansive_point_at, minimally_expansive_at,
+                                  uniformly_expansive_at)
+from pointdyn.measures import build_tracking_map, phi_set
 from pointdyn.metric import discrete_space
 from pointdyn.stability import build_conjugacy
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
@@ -13,6 +15,7 @@ from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               iterate, pair_sup_separation, c0_distance,
                               system_ball, materialize, conjugate_system,
                               is_self_isometry, point_label, system_order)
+from pointdyn.shadowing import shadowable_exact, shadowable_windowed
 from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.errors import (MalformedInputError, CarrierMismatchError,
                              PreconditionError)
@@ -130,16 +133,31 @@ def test_c0_distance_values():
         c0_distance(cat5, materialize(r1)[0])
 
 
-@pytest.mark.parametrize("name, x", [("r12k3", 99), ("cat5", (7, 7))])
+@pytest.mark.parametrize("name, x", [("r12k3", 99), ("cat5", (7, 7)),
+                                     ("satellite3", Satellite(1, 1, 99))])
 def test_off_carrier_points_raise(name, x):
     # the maps send these points into the carrier, so an orbit walk
     # would never come back to them
     system = bundled_system(name)
-    for build in (lambda: orbit(system, x),
-                  lambda: build_tracking_map(system, system, x, F(1, 8)),
-                  lambda: build_conjugacy(system, system, x, F(1, 4), F(1, 8))):
-        with pytest.raises(PreconditionError, match="not a carrier point"):
-            build()
+    calls = [lambda: orbit(system, x)]
+    error = PreconditionError if system.finite else MalformedInputError
+    if system.finite:
+        y, c = system.points()[0], F(1, 6)
+        calls += [
+            lambda: build_tracking_map(system, system, x, F(1, 8)),
+            lambda: build_conjugacy(system, system, x, F(1, 4), F(1, 8)),
+            lambda: pair_sup_separation(system, x, y),
+            lambda: pair_sup_separation(system, y, x),
+            lambda: expansive_point_at(system, x, c),
+            lambda: uniformly_expansive_at(system, x, c),
+            lambda: minimally_expansive_at(system, x, c),
+            lambda: phi_set(system, x, c),
+            lambda: shadowable_exact(system, x, F(1, 4), F(1, 24)),
+            lambda: shadowable_windowed(system, x, F(1, 4), F(1, 24), 1),
+        ]
+    for call in calls:
+        with pytest.raises(error, match="not a carrier point"):
+            call()
 
 
 def test_materialize_round_trip():
