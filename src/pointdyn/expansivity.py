@@ -152,6 +152,7 @@ def expansive_point_at(system, x, c) -> ExpansivityVerdict:
             if y != x and pair_sup_separation(system, x, y) <= c:
                 return ExpansivityVerdict(x, c, "expansive", False, (x, y))
         return ExpansivityVerdict(x, c, "expansive", True)
+    system.check_point(x)
     if system.backend == "shift":
         if c < ONE:
             return ExpansivityVerdict(x, c, "expansive", True,

@@ -9,7 +9,9 @@ sets to their fixpoints: along any infinite pseudo-orbit the set of
 surviving time-zero tracers is non-increasing, hence eventually
 constant, and the two directions of time constrain tracers
 independently, so the verdict only depends on the finitely many
-reachable limit sets of each half.
+reachable limit sets of each half. Tracer sets are integer bitsets
+over kernel indices; a step is one AND with a row of the kernel's
+eps pull-backs, so no distance is compared per decider state.
 """
 
 from dataclasses import dataclass
@@ -20,7 +22,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .measures import measure_of
 from .rationals import as_rational
 from .shiftspace import EPPoint, shift_metric
-from .systems import point_index, sorted_points, system_ball
+from .systems import members, point_index, sorted_points, system_ball
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
@@ -60,10 +62,15 @@ class TracerSet:
         return bool(self.points)
 
 
+def _positive(value, what) -> Fraction:
+    value = as_rational(value)
+    if value.numerator <= 0:        # the sign, without a Fraction compare per window
+        raise PreconditionError(f"{what} must be positive")
+    return value
+
+
 def pseudo_orbit_graph(system, delta) -> PseudoOrbitGraph:
-    delta = as_rational(delta)
-    if delta <= 0:
-        raise PreconditionError("pseudo-orbit gap must be positive")
+    delta = _positive(delta, "pseudo-orbit gap")
     if not system.finite:
         raise UnsupportedBackendError(
             f"{system.backend} carrier has no finite pseudo-orbit graph")
@@ -133,7 +140,7 @@ def _walks(graph, start, length):
 
 def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
     """Exact tracer set {z : d(f^n z, x_n) < eps for every window index}."""
-    eps = as_rational(eps)
+    eps = _positive(eps, "tracing radius")
     if not system.finite:
         raise UnsupportedBackendError(
             "enumerative tracing needs a finite carrier; "
@@ -164,7 +171,7 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     The worst window (fewest tracers; the failing one on False) is
     reported as the concrete witness.
     """
-    eps = as_rational(eps)
+    eps, delta = _positive(eps, "tracing radius"), _positive(delta, "pseudo-orbit gap")
     checked = 0
     worst, worst_count = None, None
     for window in enumerate_pseudo_orbits(system, x, delta, N, budget):
@@ -173,71 +180,62 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
         if worst_count is None or len(tr.points) < worst_count:
             worst, worst_count = window, len(tr.points)
         if not tr.points:
-            return WindowedShadowReport(False, eps, as_rational(delta), N,
-                                        checked, window, 0)
-    return WindowedShadowReport(True, eps, as_rational(delta), N,
-                                checked, worst, worst_count or 0)
+            return WindowedShadowReport(False, eps, delta, N, checked, window, 0)
+    return WindowedShadowReport(True, eps, delta, N, checked, worst, worst_count or 0)
 
 
 # -- exact decider --------------------------------------------------------
 
 
 def _half_limit_sets(kernel, x: int, eps, delta, forward: bool):
-    """Limit candidate-tracer sets of one time direction.
+    """Limit tracer sets of one time direction, as bitsets, or None
+    when the empty set is reachable.
 
-    States are (current point, surviving time-zero tracer set, exponent
-    mod order). Returns the set of tracer sets that persist along some
-    infinite pseudo-orbit half starting at x.
+    States are (point u, surviving time-zero tracer set A, exponent e
+    mod order). A step to v at exponent e' keeps A & pullbacks(eps)[e'][v];
+    the successors v come from the delta row of f(u) (forward) or are
+    the f-preimages of the delta row of u (backward). Sets only shrink
+    along a walk, so A is a limit set when some reachable walk keeps it
+    forever. One counter-based trim over the A-keeping edges removes
+    every state with no A-keeping successor left; the sets of the states
+    that remain are the limits. The empty set is absorbing and every
+    state has a successor (f(u) forward, f^-1(u) backward, at distance
+    0 < delta), so reaching it makes it a limit and the search stops.
     """
-    dist, perm = kernel.table, kernel.perm
-    rng = range(len(perm))
+    pull, order = kernel.pullbacks(eps), kernel.order
+    near = [members(row) for row in kernel.within(delta)]
     if forward:
-        succ = [[v for v in rng if dist[perm[u]][v] < delta] for u in rng]
+        succ, kstep = [near[v] for v in kernel.perm], 1
     else:
-        succ = [[w for w in rng if dist[perm[w]][u] < delta] for u in rng]
-    kstep = 1 if forward else -1
-    start_set = frozenset(z for z in rng if dist[z][x] < eps)
-    start = (x, start_set, 0)
-    edges = {}
-    stack = [start]
+        succ, kstep = [[kernel.inv[y] for y in row] for row in near], -1
+    start = (x, pull[0][x], 0)      # holds x: eps > 0
+    ids, states, left, preds, stack = {start: 0}, [start], [0], [[]], [0]
     while stack:
-        state = stack.pop()
-        if state in edges:
-            continue
-        u, A, e = state
-        e2 = (e + kstep) % kernel.order
-        pw = kernel.powers[e2]
-        outs = []
+        s = stack.pop()
+        u, A, e = states[s]
+        e = (e + kstep) % order
+        row = pull[e]
         for v in succ[u]:
-            A2 = frozenset(z for z in A if dist[pw[z]][v] < eps)
-            outs.append((v, A2, e2))
-        edges[state] = outs
-        stack.extend(s for s in outs if s not in edges)
-    limits = set()
-    by_set = {}
-    for state in edges:
-        by_set.setdefault(state[1], []).append(state)
-    for A, layer in by_set.items():
-        if _layer_has_infinite_path(layer, edges, A):
-            limits.add(A)
-    return limits
-
-
-def _layer_has_infinite_path(layer, edges, A) -> bool:
-    """Does the A-preserving subgraph on `layer` contain an infinite walk?
-
-    Iteratively trimming states with no A-preserving successor leaves
-    exactly the states from which the set survives forever.
-    """
-    layer = set(layer)
-    changed = True
-    while changed and layer:
-        changed = False
-        for state in list(layer):
-            if not any(nxt in layer for nxt in edges[state] if nxt[1] == A):
-                layer.discard(state)
-                changed = True
-    return bool(layer)
+            B = A & row[v]
+            if not B:
+                return None
+            state = (v, B, e)
+            j = ids.setdefault(state, len(states))
+            if j == len(states):
+                states.append(state)
+                left.append(0)
+                preds.append([])
+                stack.append(j)
+            if B == A:
+                left[s] += 1
+                preds[j].append(s)
+    dead = [s for s, k in enumerate(left) if not k]
+    while dead:
+        for s in preds[dead.pop()]:
+            left[s] -= 1
+            if not left[s]:
+                dead.append(s)
+    return {states[s][1] for s, k in enumerate(left) if k}
 
 
 def shadowable_exact(system, x, eps, delta) -> bool:
@@ -247,19 +245,17 @@ def shadowable_exact(system, x, eps, delta) -> bool:
     independent, so the quantifier reduces to checking that every
     forward limit tracer set meets every backward one.
     """
-    eps, delta = as_rational(eps), as_rational(delta)
+    eps, delta = _positive(eps, "tracing radius"), _positive(delta, "pseudo-orbit gap")
     if not system.finite:
         raise UnsupportedBackendError(
             "the exact decider needs a finite carrier")
     kernel = system.kernel
     xi = point_index(system, x)
     fwd = _half_limit_sets(kernel, xi, eps, delta, forward=True)
-    if frozenset() in fwd:
+    if fwd is None:
         return False
     bwd = _half_limit_sets(kernel, xi, eps, delta, forward=False)
-    if frozenset() in bwd:
-        return False
-    return all(a & b for a in fwd for b in bwd)
+    return bwd is not None and all(a & b for a in fwd for b in bwd)
 
 
 def shadowable_exact_neighborhood(system, x, eps, delta) -> bool:

@@ -574,7 +574,7 @@ def gh_stable_point_check(f, x, eps, delta, candidates, budget=None, *,
     eps, delta = as_rational(eps), as_rational(delta)
     eta = eps if eta is None else as_rational(eta)
     fk = f.kernel
-    xi = fk.index[x]
+    xi = point_index(f, x)
     entries, ok = [], True
     for cand in candidates:
         pair, settled = first_delta_isometry_pair(f, cand, delta, budget)

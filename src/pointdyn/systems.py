@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import ge, gt
+from operator import le, lt
 
 from .errors import (CarrierMismatchError, MalformedInputError,
                      PreconditionError, UnsupportedBackendError)
@@ -370,8 +370,8 @@ class FiniteKernel:
 
     perm and inv are the map and its inverse on indices. The distance
     and sup-separation tables, the cycles, the order, the powers and,
-    for each tracing radius, the matrix of pairs beyond it are built on
-    first use and kept; the kernel never changes otherwise.
+    for each radius, the bitset rows within(r) and their pull-backs are
+    built on first use and kept; the kernel never changes otherwise.
     """
 
     def __init__(self, system):
@@ -380,7 +380,7 @@ class FiniteKernel:
         self.index = {p: i for i, p in enumerate(self.pts)}
         self.perm = tuple(self.index[system.image(p)] for p in self.pts)
         self.inv = _inverse(self.perm)
-        self._far_tables = {}
+        self._within, self._pullbacks = {}, {}
 
     @cached_property
     def table(self) -> tuple:
@@ -462,30 +462,42 @@ class FiniteKernel:
         return ExplicitSystem(FiniteMetricSpace(self.table), self.perm,
                               name=self._system.name)
 
+    def within(self, radius, closed=False) -> tuple:
+        """within(r)[v]: the bitset of y with d(y, v) < r (<= r when closed)."""
+        key = (radius, closed)
+        if key not in self._within:
+            inside = le if closed else lt
+            self._within[key] = tuple(
+                sum(1 << y for y, d in enumerate(row) if inside(d, radius))
+                for row in self.table)
+        return self._within[key]
+
+    def pullbacks(self, radius, closed=False) -> tuple:
+        """pullbacks(r)[e][v]: the bitset of z with f^e z in within(r)[v]."""
+        key = (radius, closed)
+        found = self._pullbacks.get(key)
+        if found is None:
+            rows = [members(w) for w in self.within(radius, closed)]
+            found = self._pullbacks[key] = tuple(
+                tuple(sum(1 << back[y] for y in row) for row in rows)
+                for back in (self.powers[-e % self.order] for e in range(self.order)))
+        return found
+
     def tracers(self, targets, radius, first=0, closed=False) -> list:
         """Indices z with d(f^(first+n) z, targets[n]) < radius for every n,
         or <= radius when closed; targets are indices, the result ascends."""
-        far, perm = self._far(radius, closed), self.perm
-        start = self.powers[first % self.order] if first else range(len(perm))
-        found = []
-        for z in range(len(perm)):
-            cur = start[z]
-            for t in targets:
-                if far[cur][t]:
-                    break
-                cur = perm[cur]
-            else:
-                found.append(z)
-        return found
+        pull, order = self.pullbacks(radius, closed), self.order
+        found = (1 << len(self.perm)) - 1
+        for n, t in enumerate(targets):
+            found &= pull[(first + n) % order][t]
+            if not found:
+                break
+        return members(found)
 
-    def _far(self, radius, closed) -> tuple:
-        """far[i][j]: d(i, j) >= radius, or > radius when closed."""
-        key = (radius, closed)
-        if key not in self._far_tables:
-            too_far = gt if closed else ge
-            self._far_tables[key] = tuple(tuple(too_far(d, radius) for d in row)
-                                          for row in self.table)
-        return self._far_tables[key]
+
+def members(bits) -> list:
+    """The indices of the set bits of bits, ascending."""
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
 
 
 def _inverse(perm) -> tuple:
@@ -634,14 +646,14 @@ def system_order(system) -> int:
 def pair_sup_separation(system, x, y) -> Fraction:
     """sup over n in Z of d(f^n x, f^n y), exact.
 
-    Finite backends read kernel.separation (PreconditionError off the
-    carrier). On the shift two distinct points always reach separation
-    exactly 1: shifting moves their first disagreement to the origin.
-    Satellite pairs reduce to finitely many marked-orbit comparisons.
+    Finite backends read kernel.separation, others check both points
+    (off the carrier both raise). On the shift distinct points always
+    reach separation exactly 1: shifting moves their first disagreement
+    to the origin. Satellite pairs reduce to marked-orbit comparisons.
     """
     if system.finite:
         return system.kernel.separation[point_index(system, x)][point_index(system, y)]
-    if x == y:
+    if system.check_point(x) == system.check_point(y):    # each returns its point
         return ZERO
     if system.backend == "shift":
         return ONE
@@ -721,13 +733,14 @@ class SatelliteBall:
 def system_ball(system, x, radius, closed: bool = False):
     """Metric ball around x. Finite backends return a frozenset;
     the shift returns a ShiftBall; the satellite a SatelliteBall. A center
-    off a finite carrier raises PreconditionError."""
+    off the carrier raises (PreconditionError on finite carriers)."""
     r = as_rational(radius)
     if system.finite:
         point_index(system, x)
         if closed:
             return frozenset(y for y in system.points() if system.dist(x, y) <= r)
         return frozenset(y for y in system.points() if system.dist(x, y) < r)
+    system.check_point(x)
     if system.backend == "shift":
         if closed and r == 0:
             return frozenset([x])

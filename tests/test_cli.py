@@ -193,6 +193,11 @@ BAD_ARGV = (
      {1, 2}),
     (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "5",
       *ID3_SCALES), {1, 2}),
+    # non-positive scales once came back with a verdict
+    (("shadow", "bundled:r12k3", "--x", "0", "--eps", "0", "--delta", "1/24"),
+     {1}),
+    (("shadow", "bundled:r12k3", "--x", "0", "--eps", "0", "--delta", "0"),
+     {1}),
     # points off an infinite carrier once came back with a verdict
     (("classify", "bundled:shift2", "--variant", "expansive", "--c", "1/2",
       "--probe", "2~2~2@0"), {1, 2}),

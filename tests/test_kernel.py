@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
-                              materialize, pair_sup_separation)
+                              materialize, members, pair_sup_separation)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -119,6 +119,28 @@ def test_tracers_match_oracle(system, data):
     for closed in (False, True):
         got = [k.pts[z] for z in k.tracers(idx, radius, first, closed)]
         assert got == oracle_tracers(system, targets, radius, first, closed)
+
+
+@given(finite_systems(), st.sampled_from(RADII))
+def test_within_and_pullbacks_match_oracle(system, radius):
+    k = system.kernel
+    pts = system.points()
+
+    def bitsets(starts, inside):
+        # row v holds bit i when the point started from pts[i] lies inside v
+        return tuple(sum(1 << i for i, y in enumerate(starts)
+                         if inside(system.dist(y, v))) for v in pts)
+
+    for closed in (False, True):
+        inside = (lambda d: d <= radius) if closed else (lambda d: d < radius)
+        assert k.within(radius, closed) == bitsets(pts, inside)
+        pull = k.pullbacks(radius, closed)
+        assert len(pull) == k.order
+        image = list(pts)          # image[i] = f^e(pts[i])
+        for e in range(k.order):
+            assert pull[e] == bitsets(image, inside)
+            image = [system.image(p) for p in image]
+    assert members(0) == [] and members(0b101001) == [0, 3, 5]
 
 
 @given(finite_systems())

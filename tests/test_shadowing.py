@@ -3,18 +3,93 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pointdyn.metric import discrete_space
-from pointdyn.systems import build_explicit, build_lattice, build_shift
+from pointdyn.metric import FiniteMetricSpace, discrete_space
+from pointdyn.systems import build_explicit, build_lattice, build_shift, members
 from pointdyn.shiftspace import pure, with_symbol, shift_metric
 from pointdyn.measures import WeightedMeasure
 from pointdyn import shadowing as SH
 from pointdyn.errors import PreconditionError, ResourceBudgetError
 
+from test_kernel import finite_systems
+
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3)
 SHIFT2 = build_shift(2)
 P01 = pure((0, 1))
+
+
+# -- oracle: the frozenset decider the bitset one replaced ---------------------
+
+
+def oracle_half_limit_sets(kernel, x, eps, delta, forward):
+    """Limit tracer sets of one time direction, as frozensets of indices,
+    by exploring every state and trimming each layer until it is stable."""
+    dist, perm = kernel.table, kernel.perm
+    rng = range(len(perm))
+    if forward:
+        succ = [[v for v in rng if dist[perm[u]][v] < delta] for u in rng]
+    else:
+        succ = [[w for w in rng if dist[perm[w]][u] < delta] for u in rng]
+    kstep = 1 if forward else -1
+    start = (x, frozenset(z for z in rng if dist[z][x] < eps), 0)
+    edges = {}
+    stack = [start]
+    while stack:
+        state = stack.pop()
+        if state in edges:
+            continue
+        u, A, e = state
+        e2 = (e + kstep) % kernel.order
+        pw = kernel.powers[e2]
+        outs = [(v, frozenset(z for z in A if dist[pw[z]][v] < eps), e2)
+                for v in succ[u]]
+        edges[state] = outs
+        stack.extend(s for s in outs if s not in edges)
+    by_set = {}
+    for state in edges:
+        by_set.setdefault(state[1], []).append(state)
+    return {A for A, layer in by_set.items()
+            if oracle_layer_has_infinite_path(layer, edges, A)}
+
+
+def oracle_layer_has_infinite_path(layer, edges, A):
+    layer = set(layer)
+    changed = True
+    while changed and layer:
+        changed = False
+        for state in list(layer):
+            if not any(nxt in layer for nxt in edges[state] if nxt[1] == A):
+                layer.discard(state)
+                changed = True
+    return bool(layer)
+
+
+def distances(system):
+    """The carrier's positive distances, ascending: drawing eps and delta
+    from them exercises d == eps and d == delta, both excluded (strict)."""
+    return sorted({d for row in system.kernel.table for d in row if d > 0}) or [F(1)]
+
+
+def assert_matches_oracle(system, eps, delta):
+    k = system.kernel
+    for x, p in enumerate(k.pts):
+        halves = []
+        for forward in (True, False):
+            got = SH._half_limit_sets(k, x, eps, delta, forward)
+            want = oracle_half_limit_sets(k, x, eps, delta, forward)
+            if got is None:
+                assert frozenset() in want
+            else:
+                assert {frozenset(members(A)) for A in got} == want
+            halves.append(want)
+        fwd, bwd = halves
+        assert SH.shadowable_exact(system, p, eps, delta) == \
+            all(a & b for a in fwd for b in bwd)
+
+
+# -- unit tests ---------------------------------------------------------------
 
 
 def test_pseudo_orbit_graph_degrees():
@@ -69,6 +144,19 @@ def test_exact_decider_values():
     assert SH.shadowable_exact(R12K3, 0, F(1, 4), F(1, 6)) is False
 
 
+@pytest.mark.parametrize("eps, delta", [(F(1, 4), 0), (0, 0), (0, F(1, 24)),
+                                        (F(-1, 4), F(1, 24)), (F(1, 4), F(-1, 2))])
+def test_non_positive_scales_are_rejected(eps, delta):
+    what = "tracing radius" if eps <= 0 else "pseudo-orbit gap"
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        SH.shadowable_exact(R12K3, 0, eps, delta)
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        SH.shadowable_windowed(R12K3, 0, eps, delta, 1)
+    if eps <= 0:
+        with pytest.raises(PreconditionError, match="tracing radius must be positive"):
+            SH.trace(R12K3, SH.PseudoOrbitWindow((0,), F(1, 24)), eps)
+
+
 def test_exact_matches_deep_windowed():
     assert SH.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 4,
                                   budget=10 ** 7).result is False
@@ -116,3 +204,37 @@ def test_mu_restricted_shadowing():
     assert ms3.result is False and ms3.failing_point == 0
     with pytest.raises(PreconditionError):
         SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=(0, 1))
+
+
+def test_transient_tracer_sets_are_not_limits():
+    # along the true orbit of 0 the tracer set {0, 1} loses 1 after one
+    # step (d(f1, f0) = d(2, 1) = 2): only {0} persists
+    f = build_explicit(FiniteMetricSpace([[0, 1, 2], [1, 0, 2], [2, 2, 0]]),
+                       (1, 2, 0))
+    for forward in (True, False):
+        assert SH._half_limit_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b001}
+        assert oracle_half_limit_sets(f.kernel, 0, F(3, 2), F(1), forward) == \
+            {frozenset({0})}
+    assert_matches_oracle(f, F(3, 2), F(1))
+
+
+# The oracle's state count grows steeply with eps (on Z8 at eps = delta
+# = 1/2 it takes 3.8 s for all points), so eps leaves out the largest
+# distance, and on rotations up to Z24 keeps to the two smallest.
+
+
+@settings(max_examples=40, deadline=None)
+@given(finite_systems(), st.data())
+def test_exact_decider_matches_oracle(system, data):
+    values = distances(system)
+    eps = data.draw(st.sampled_from(values[:-1] or values), label="eps")
+    assert_matches_oracle(system, eps, data.draw(st.sampled_from(values), label="delta"))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(6, 24), st.data())
+def test_exact_decider_matches_oracle_on_rotations(n, data):
+    system = build_lattice(n, step=data.draw(st.integers(0, n - 1), label="step"))
+    values = distances(system)
+    eps = data.draw(st.sampled_from(values[:2]), label="eps")
+    assert_matches_oracle(system, eps, data.draw(st.sampled_from(values), label="delta"))

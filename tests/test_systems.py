@@ -6,10 +6,10 @@ import pytest
 
 from pointdyn.bundled import bundled_system
 from pointdyn.expansivity import (expansive_point_at, minimally_expansive_at,
-                                  uniformly_expansive_at)
+                                  point_verdicts, uniformly_expansive_at)
 from pointdyn.measures import build_tracking_map, phi_set
 from pointdyn.metric import discrete_space
-from pointdyn.stability import build_conjugacy
+from pointdyn.stability import build_conjugacy, gh_stable_point_check
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               build_satellite, Satellite, orbit, orbit_closure,
                               iterate, pair_sup_separation, c0_distance,
@@ -139,24 +139,44 @@ def test_off_carrier_points_raise(name, x):
     # the maps send these points into the carrier, so an orbit walk
     # would never come back to them
     system = bundled_system(name)
-    calls = [lambda: orbit(system, x)]
+    c = F(1, 6)
+    calls = [lambda: orbit(system, x),
+             lambda: expansive_point_at(system, x, c),
+             lambda: uniformly_expansive_at(system, x, c),
+             lambda: minimally_expansive_at(system, x, c)]
     error = PreconditionError if system.finite else MalformedInputError
     if system.finite:
-        y, c = system.points()[0], F(1, 6)
+        y = system.points()[0]
         calls += [
             lambda: build_tracking_map(system, system, x, F(1, 8)),
             lambda: build_conjugacy(system, system, x, F(1, 4), F(1, 8)),
             lambda: pair_sup_separation(system, x, y),
             lambda: pair_sup_separation(system, y, x),
-            lambda: expansive_point_at(system, x, c),
-            lambda: uniformly_expansive_at(system, x, c),
-            lambda: minimally_expansive_at(system, x, c),
             lambda: phi_set(system, x, c),
             lambda: shadowable_exact(system, x, F(1, 4), F(1, 24)),
             lambda: shadowable_windowed(system, x, F(1, 4), F(1, 24), 1),
+            lambda: gh_stable_point_check(system, x, F(1, 4), F(1, 8), [system]),
         ]
+    else:
+        y = system.satellite_points()[0]
+        calls += [lambda: point_verdicts(system, "expansive", c, probe=[x]),
+                  lambda: pair_sup_separation(system, x, y),
+                  lambda: pair_sup_separation(system, y, x)]
     for call in calls:
         with pytest.raises(error, match="not a carrier point"):
+            call()
+
+
+def test_shift_symbols_outside_the_alphabet_raise():
+    shift2, bad = bundled_system("shift2"), parse_ep("2~2~2@0")
+    calls = [lambda check=check: check(shift2, bad, F(1, 2))
+             for check in (expansive_point_at, uniformly_expansive_at,
+                           minimally_expansive_at)]
+    calls += [lambda: point_verdicts(shift2, "minimal", F(1, 2), probe=[bad]),
+              lambda: pair_sup_separation(shift2, bad, P01),
+              lambda: pair_sup_separation(shift2, P01, bad)]
+    for call in calls:
+        with pytest.raises(MalformedInputError, match="outside alphabet"):
             call()
 
 
