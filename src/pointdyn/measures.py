@@ -15,7 +15,7 @@ from .errors import (CarrierMismatchError, MalformedInputError, PointdynError,
                      PreconditionError, UnsupportedBackendError)
 from .expansivity import (ExpansivityVerdict, _eventual_agreement_index,
                           _region_contains)
-from .rationals import ONE, ZERO, as_rational, format_rational
+from .rationals import ONE, ZERO, as_rational, format_rational, positive
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
                       c0_distance, orbit, orbit_closure, pair_sup_separation,
@@ -429,9 +429,10 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
     verifies: (i) mu-null images near x, (ii) displacement within eps,
     (iii) exact commutation, (iv) the domain co-measure bound against
     U = B intersect B(x, delta) intersect the orbit. Preconditions are
-    reported as named clause failures rather than exceptions.
+    reported as named clause failures rather than exceptions; a
+    non-positive eps or delta is a PreconditionError.
     """
-    eps, delta = as_rational(eps), as_rational(delta)
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     _check_measure_backend(f, mu)
     if eta is None:
         c = as_rational(expansivity_c) if expansivity_c is not None else None

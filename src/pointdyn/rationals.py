@@ -8,7 +8,7 @@ reports are canonical.
 
 from fractions import Fraction
 
-from .errors import MalformedInputError
+from .errors import MalformedInputError, PreconditionError
 
 Rational = Fraction
 
@@ -45,6 +45,15 @@ def as_rational(value) -> Fraction:
     if isinstance(value, str):
         return parse_rational(value)
     raise RationalFormatError(f"exact rational required, got {type(value).__name__}")
+
+
+def positive(value, what) -> Fraction:
+    """value as a rational; PreconditionError "<what> must be positive"
+    unless it is above zero."""
+    value = as_rational(value)
+    if value.numerator <= 0:        # the sign, without a Fraction compare
+        raise PreconditionError(f"{what} must be positive")
+    return value
 
 
 def dyadic_below(q: Fraction) -> Fraction:

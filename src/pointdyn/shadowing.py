@@ -2,16 +2,21 @@
 
 A delta-pseudo-orbit is a walk in the graph whose edges (u, v) satisfy
 d(f(u), v) < delta (strict). Tracing asks for a single true orbit
-staying strictly within eps of every entry. The windowed decider
-enumerates all finite windows through a point; the exact decider
-settles the bi-infinite quantifier by propagating candidate tracer
-sets to their fixpoints: along any infinite pseudo-orbit the set of
-surviving time-zero tracers is non-increasing, hence eventually
-constant, and the two directions of time constrain tracers
-independently, so the verdict only depends on the finitely many
-reachable limit sets of each half. Tracer sets are integer bitsets
-over kernel indices; a step is one AND with a row of the kernel's
-eps pull-backs, so no distance is compared per decider state.
+staying strictly within eps of every entry. Tracer sets are integer
+bitsets over kernel indices, and a step is one AND with a row of the
+kernel's eps pull-backs, so no distance is compared per decider state.
+
+The two directions of time constrain tracers independently: the tracer
+set of a window x_-N..x_N is F & B, where F is the AND of the rows of
+x_0..x_N and B that of x_-N..x_0. Both deciders work on the halves.
+The windowed decider walks each half once, layer by layer, over the
+distinct (endpoint, tracer set) states, and pairs the distinct final
+sets; path counts recover the number and the order of the windows, so
+its report matches a window-by-window enumeration. The exact decider
+settles the bi-infinite quantifier: along any infinite pseudo-orbit the
+set of surviving time-zero tracers is non-increasing, hence eventually
+constant, so the verdict only depends on the finitely many reachable
+limit sets of each half.
 """
 
 from dataclasses import dataclass
@@ -20,7 +25,7 @@ from fractions import Fraction
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .measures import measure_of
-from .rationals import as_rational
+from .rationals import positive
 from .shiftspace import EPPoint, shift_metric
 from .systems import members, point_index, sorted_points, system_ball
 
@@ -62,15 +67,8 @@ class TracerSet:
         return bool(self.points)
 
 
-def _positive(value, what) -> Fraction:
-    value = as_rational(value)
-    if value.numerator <= 0:        # the sign, without a Fraction compare per window
-        raise PreconditionError(f"{what} must be positive")
-    return value
-
-
 def pseudo_orbit_graph(system, delta) -> PseudoOrbitGraph:
-    delta = _positive(delta, "pseudo-orbit gap")
+    delta = positive(delta, "pseudo-orbit gap")
     if not system.finite:
         raise UnsupportedBackendError(
             f"{system.backend} carrier has no finite pseudo-orbit graph")
@@ -80,11 +78,12 @@ def pseudo_orbit_graph(system, delta) -> PseudoOrbitGraph:
     return PseudoOrbitGraph(delta, succ)
 
 
-def _path_counts(graph, length, pts):
-    """counts[u] = number of graph walks of `length` steps starting at u."""
-    counts = {u: 1 for u in pts}
+def _path_counts(successors, length, pts):
+    """counts[k][u] = number of walks of k steps from u, for k = 0..length."""
+    counts = [{u: 1 for u in pts}]
     for _ in range(length):
-        counts = {u: sum(counts[v] for v in graph.successors[u]) for u in pts}
+        prev = counts[-1]
+        counts.append({u: sum(prev[v] for v in successors[u]) for u in pts})
     return counts
 
 
@@ -105,7 +104,8 @@ def _windows(system, x, delta, N):
     graph = pseudo_orbit_graph(system, delta)
     pts = system.points()
     rev = _reverse(graph, pts)
-    return graph, rev, _path_counts(graph, N, pts)[x] * _path_counts(rev, N, pts)[x]
+    return graph, rev, (_path_counts(graph.successors, N, pts)[N][x]
+                        * _path_counts(rev.successors, N, pts)[N][x])
 
 
 def count_pseudo_orbits(system, x, delta, N) -> int:
@@ -118,14 +118,18 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
     Counts first and refuses beyond the window budget so runtimes stay
     predictable; PDL_BUDGET / the budget argument raise the ceiling.
     """
-    budget = DEFAULT_WINDOW_BUDGET if budget is None else budget
     graph, rev, total = _windows(system, x, delta, N)
+    _check_budget(total, budget)
+    return (PseudoOrbitWindow(tuple(reversed(back)) + (x,) + tuple(out), graph.delta)
+            for back in _walks(rev, x, N) for out in _walks(graph, x, N))
+
+
+def _check_budget(total, budget):
+    budget = DEFAULT_WINDOW_BUDGET if budget is None else budget
     if total > budget:
         raise ResourceBudgetError(
             f"{total} pseudo-orbit windows exceed the budget {budget}",
             requested=total, budget=budget)
-    return (PseudoOrbitWindow(tuple(reversed(back)) + (x,) + tuple(out), graph.delta)
-            for back in _walks(rev, x, N) for out in _walks(graph, x, N))
 
 
 def _walks(graph, start, length):
@@ -140,7 +144,7 @@ def _walks(graph, start, length):
 
 def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
     """Exact tracer set {z : d(f^n z, x_n) < eps for every window index}."""
-    eps = _positive(eps, "tracing radius")
+    eps = positive(eps, "tracing radius")
     if not system.finite:
         raise UnsupportedBackendError(
             "enumerative tracing needs a finite carrier; "
@@ -168,20 +172,91 @@ class WindowedShadowReport:
 def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadowReport:
     """Every window of radius N through x traceable at eps?
 
-    The worst window (fewest tracers; the failing one on False) is
-    reported as the concrete witness.
+    The report is the one a window-by-window enumeration gives
+    (enumerate_pseudo_orbits order, each window traced): on True every
+    window is counted and the worst window is the first with the fewest
+    tracers; on False the count stops at the first window with none,
+    which is the witness. Windows are refused beyond the budget before
+    any work, as in enumerate_pseudo_orbits.
+
+    No window is built. Each half is walked once (_half_windows), which
+    yields its distinct final tracer sets, each with the first walk that
+    ends in it and that walk's rank among the half's walks. The window
+    of backward rank rb and forward rank ra comes at position
+    rb * n_out + ra of the enumeration (n_out forward walks), so
+    scanning the pairs of sets in (rb, ra) order finds the first window
+    with the fewest tracers, and the first with none.
     """
-    eps, delta = _positive(eps, "tracing radius"), _positive(delta, "pseudo-orbit gap")
-    checked = 0
-    worst, worst_count = None, None
-    for window in enumerate_pseudo_orbits(system, x, delta, N, budget):
-        checked += 1
-        tr = trace(system, window, eps)
-        if worst_count is None or len(tr.points) < worst_count:
-            worst, worst_count = window, len(tr.points)
-        if not tr.points:
-            return WindowedShadowReport(False, eps, delta, N, checked, window, 0)
-    return WindowedShadowReport(True, eps, delta, N, checked, worst, worst_count or 0)
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
+    if N < 0:
+        raise PreconditionError("window radius must be nonnegative")
+    xi = point_index(system, x)
+    kernel = system.kernel
+    steps = [_steps(kernel, delta, forward) for forward in (True, False)]
+    counts = [_path_counts(rows, N, range(len(rows))) for rows in steps]
+    n_out = counts[0][N][xi]
+    total = n_out * counts[1][N][xi]
+    _check_budget(total, budget)
+    pull = kernel.pullbacks(eps)
+    fwd, bwd = (_half_windows(pull, kernel.order, rows, c, xi, N, kstep)
+                for rows, c, kstep in zip(steps, counts, (1, -1)))
+    worst = None
+    for b, (rb, back) in bwd.items():
+        for a, (ra, out) in fwd.items():
+            count = (a & b).bit_count()
+            if worst is None or count < worst[0]:
+                worst = (count, rb * n_out + ra, back, out)
+                if not count:
+                    break
+        if not worst[0]:
+            break
+    count, at, back, out = worst
+    pts = kernel.pts
+    window = PseudoOrbitWindow(tuple(pts[i] for i in reversed(back)) + (x,)
+                               + tuple(pts[i] for i in out), delta)
+    if count:
+        return WindowedShadowReport(True, eps, delta, N, total, window, count)
+    return WindowedShadowReport(False, eps, delta, N, at + 1, window, 0)
+
+
+def _steps(kernel, delta, forward: bool) -> list:
+    """Pseudo-orbit steps on kernel indices, each row ascending: the v
+    with d(f(u), v) < delta forward, the w with d(f(w), u) < delta
+    backward."""
+    near = kernel.within(delta)
+    if forward:
+        return [members(near[v]) for v in kernel.perm]
+    return [sorted(kernel.inv[y] for y in members(row)) for row in near]
+
+
+def _half_windows(pull, order, steps, counts, x: int, N: int, kstep: int) -> dict:
+    """The distinct tracer sets of the N-step walks from x, forward
+    (kstep 1) or backward (kstep -1) in time, each with the rank and
+    the entries of the first walk that ends in it.
+
+    Layer t holds the states (endpoint v, AND of the eps pull-back rows
+    of the walk's entries at exponents kstep * 0..t), each with the
+    first walk that reaches it. Iterating the previous layer in
+    insertion order and the steps in ascending order makes the first
+    walk to reach a state the least one in enumeration order, and the
+    states of a layer come in the order of their least walks. A walk's
+    rank adds, at each step, the walks to complete (counts) from the
+    steps it passes over.
+    """
+    layer = {(x, pull[0][x]): (0, ())}
+    for t in range(1, N + 1):
+        row, below, nxt = pull[kstep * t % order], counts[N - t], {}
+        for (u, A), (rank, walk) in layer.items():
+            for v in steps[u]:
+                state = (v, A & row[v])
+                if state not in nxt:
+                    nxt[state] = (rank, walk + (v,))
+                rank += below[v]
+        layer = nxt
+    found = {}
+    for (_, A), first in layer.items():
+        found.setdefault(A, first)
+    return found
 
 
 # -- exact decider --------------------------------------------------------
@@ -203,11 +278,7 @@ def _half_limit_sets(kernel, x: int, eps, delta, forward: bool):
     0 < delta), so reaching it makes it a limit and the search stops.
     """
     pull, order = kernel.pullbacks(eps), kernel.order
-    near = [members(row) for row in kernel.within(delta)]
-    if forward:
-        succ, kstep = [near[v] for v in kernel.perm], 1
-    else:
-        succ, kstep = [[kernel.inv[y] for y in row] for row in near], -1
+    succ, kstep = _steps(kernel, delta, forward), 1 if forward else -1
     start = (x, pull[0][x], 0)      # holds x: eps > 0
     ids, states, left, preds, stack = {start: 0}, [start], [0], [[]], [0]
     while stack:
@@ -245,7 +316,7 @@ def shadowable_exact(system, x, eps, delta) -> bool:
     independent, so the quantifier reduces to checking that every
     forward limit tracer set meets every backward one.
     """
-    eps, delta = _positive(eps, "tracing radius"), _positive(delta, "pseudo-orbit gap")
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     if not system.finite:
         raise UnsupportedBackendError(
             "the exact decider needs a finite carrier")
@@ -260,6 +331,7 @@ def shadowable_exact(system, x, eps, delta) -> bool:
 
 def shadowable_exact_neighborhood(system, x, eps, delta) -> bool:
     """Every pseudo-orbit through the open delta-ball around x traceable."""
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     return all(shadowable_exact(system, x0, eps, delta)
                for x0 in sorted_points(system_ball(system, x, delta)))
 
@@ -327,6 +399,7 @@ def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
     B must carry full measure; the quantifier then decomposes over the
     finitely many admissible through-points.
     """
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     if not system.finite:
         raise UnsupportedBackendError(
             "measure-restricted shadowing needs a finite carrier")

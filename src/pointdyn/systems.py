@@ -11,6 +11,7 @@ SatelliteBall) instead of enumeration; every answer stays exact.
 """
 
 import hashlib
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -372,22 +373,27 @@ class FiniteKernel:
     and sup-separation tables, the cycles, the order, the powers and,
     for each radius, the bitset rows within(r) and their pull-backs are
     built on first use and kept; the kernel never changes otherwise.
+    The system caches its kernel, so the kernel holds the system weakly:
+    a strong link back would make each pair a cycle that only the
+    cyclic collector frees.
     """
 
     def __init__(self, system):
-        self._system = system
+        self._system = weakref.ref(system)
         self.pts = tuple(system.points())
         self.index = {p: i for i, p in enumerate(self.pts)}
         self.perm = tuple(self.index[system.image(p)] for p in self.pts)
         self.inv = _inverse(self.perm)
         self._within, self._pullbacks = {}, {}
+        self._explicit = None
 
     @cached_property
     def table(self) -> tuple:
         """table[i][j] = d(pts[i], pts[j])."""
-        if isinstance(self._system, ExplicitSystem):
-            return self._system.space.table
-        dist = self._system.dist
+        system = self.system
+        if isinstance(system, ExplicitSystem):
+            return system.space.table
+        dist = system.dist
         return tuple(tuple(dist(a, b) for b in self.pts) for a in self.pts)
 
     @cached_property
@@ -395,7 +401,7 @@ class FiniteKernel:
         """separation[i][j] = sup over n of d(f^n pts[i], f^n pts[j]); the
         sup is constant along each orbit of f x f, so one walk of dist per
         pair orbit fills the matrix with n^2 distance evaluations."""
-        dist, pts, perm = self._system.dist, self.pts, self.perm
+        dist, pts, perm = self.system.dist, self.pts, self.perm
         sep = [[None] * len(pts) for _ in pts]
         for i in range(len(pts)):
             for j in range(len(pts)):
@@ -454,13 +460,23 @@ class FiniteKernel:
             out.append(tuple(self.perm[i] for i in out[-1]))
         return tuple(out)
 
-    @cached_property
+    @property
+    def system(self) -> MetricSystem:
+        system = self._system()
+        if system is None:
+            raise ReferenceError("the system of this kernel has been freed")
+        return system
+
+    @property
     def explicit(self) -> "ExplicitSystem":
         """The system as an ExplicitSystem on indices (itself if explicit)."""
-        if isinstance(self._system, ExplicitSystem):
-            return self._system
-        return ExplicitSystem(FiniteMetricSpace(self.table), self.perm,
-                              name=self._system.name)
+        system = self.system
+        if isinstance(system, ExplicitSystem):
+            return system
+        if self._explicit is None:
+            self._explicit = ExplicitSystem(FiniteMetricSpace(self.table), self.perm,
+                                            name=system.name)
+        return self._explicit
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(y, v) < r (<= r when closed)."""

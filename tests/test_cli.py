@@ -1,5 +1,7 @@
 """Command-line verbs: reports, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pointdyn.cli import main
 from pointdyn import sysfile
@@ -198,6 +201,8 @@ BAD_ARGV = (
      {1}),
     (("shadow", "bundled:r12k3", "--x", "0", "--eps", "0", "--delta", "0"),
      {1}),
+    (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "0",
+      "--eps", "1/2", "--delta", "0"), {1}),
     # points off an infinite carrier once came back with a verdict
     (("classify", "bundled:shift2", "--variant", "expansive", "--c", "1/2",
       "--probe", "2~2~2@0"), {1, 2}),
@@ -223,3 +228,67 @@ def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
     assert "Traceback" not in proc.stderr
     if argv[0] == "validate":
         assert "line 3:" in proc.stderr
+
+
+# -- fuzzing: any argv ends in an exit code, never in an exception -----------
+
+# Values are drawn mostly well formed, so that most argv get past parsing
+# and reach the library; the rest are off the carrier or not scales.
+FUZZ_POINTS = {
+    "id3": ("0", "2"), "nearpair4": ("0", "3"), "r6k2": ("0", "5"),
+    "r12k3": ("0", "11"), "r12k5": ("1", "7"), "cat5": ("(0,0)", "(4,1)"),
+    "shift2": ("01~~01@0", "0~1~0@2"), "satellite3": ("q(1,1,0)", "01~~01@0"),
+}
+FUZZ_SYSTEMS = tuple(f"bundled:{name}" for name in FUZZ_POINTS) + ("bundled:nope",)
+OFF_POINTS = ("99", "-1", "abc", "(9,9)", "2~2~2@0", "q(1,1,99)")
+GOOD_SCALES = ("1/6", "1/4", "1/3", "1/2", "2/3", "1", "2")
+FUZZ_SCALES = GOOD_SCALES * 3 + ("0", "-1/2", "abc", "1/0")
+FUZZ_VALUES = {
+    "--variant": st.sampled_from(("expansive", "uniform", "minimal", "shadow",
+                                  "mu-uniform", "nope")),
+    "--window": st.integers(-2, 40).map(str),
+    "--budget": st.integers(-1, 10 ** 4).map(str),
+    "--measure": st.sampled_from(("bundled:uniform3", "bundled:nullpoint3",
+                                  "bundled:bernoulli_half", "bundled:nope")),
+    "--g": st.sampled_from(FUZZ_SYSTEMS),
+}
+# verb -> (systems it takes, its options); the GH verbs always get a
+# budget, since without one a search may run for seconds
+FUZZ_VERBS = {
+    "validate": (1, ("--probe",)),
+    "classify": (1, ("--variant", "--c", "--eps", "--delta", "--measure",
+                     "--probe")),
+    "shadow": (1, ("--x", "--eps", "--delta", "--window", "--budget")),
+    "conjugacy": (2, ("--x", "--eps", "--delta", "--c", "--eta")),
+    "trackmap": (2, ("--x", "--eta")),
+    "ghdist": (2, ("--budget",)),
+    "ghstable": (3, ("--x", "--eps", "--delta", "--eta", "--budget")),
+    "mustable": (1, ("--g", "--x", "--eps", "--delta", "--eta", "--c",
+                     "--measure", "--through")),
+    "satellite": (1, ("--c",)),
+}
+
+
+@st.composite
+def pdl_argv(draw):
+    verb = draw(st.sampled_from(sorted(FUZZ_VERBS)))
+    arity, flags = FUZZ_VERBS[verb]
+    systems = [draw(st.sampled_from(FUZZ_SYSTEMS)) for _ in range(arity)]
+    points = st.sampled_from(FUZZ_POINTS.get(systems[0][8:], ()) * 3 + OFF_POINTS)
+    argv = [verb] + systems
+    for flag in flags:
+        if verb.startswith("gh") and flag == "--budget" or \
+                draw(st.sampled_from((True, True, True, False))):
+            values = points if flag in ("--x", "--probe", "--through") else \
+                FUZZ_VALUES.get(flag, st.sampled_from(FUZZ_SCALES))
+            argv += [flag, draw(values, label=flag)]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(pdl_argv())
+def test_any_argv_exits_with_a_contract_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), (argv, err.getvalue())

@@ -1,5 +1,7 @@
 """The finite kernel against brute-force loops over dist and image."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -181,3 +183,25 @@ def test_infinite_carriers_have_no_kernel():
         build_shift(2).kernel
     with pytest.raises(UnsupportedBackendError):
         materialize(build_shift(2))
+
+
+@pytest.mark.parametrize("make", (
+    lambda: build_lattice(12, step=5),
+    lambda: build_explicit(discrete_space(3), (1, 2, 0)),
+), ids=("lattice", "explicit"))
+def test_kernel_does_not_keep_its_system_alive(make):
+    # the system caches its kernel; a strong link back would be a cycle
+    # that only the cyclic collector frees
+    gc.disable()
+    try:
+        system = make()
+        k = system.kernel
+        k.table, k.separation, k.within(F(1, 2)), k.pullbacks(F(1, 2))
+        assert k.explicit.kernel.table == k.table
+        alive = weakref.ref(system)
+        del system
+        assert alive() is None
+        with pytest.raises(ReferenceError):
+            k.explicit
+    finally:
+        gc.enable()

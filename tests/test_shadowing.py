@@ -1,5 +1,8 @@
 """Pseudo-orbits, windowed tracing, and the exact shadowing decider."""
 
+import contextlib
+import hashlib
+import io
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import build_explicit, build_lattice, build_shift, members
 from pointdyn.shiftspace import pure, with_symbol, shift_metric
-from pointdyn.measures import WeightedMeasure
+from pointdyn.cli import main
+from pointdyn.measures import WeightedMeasure, verify_strong_mu_topological_stability
 from pointdyn import shadowing as SH
 from pointdyn.errors import PreconditionError, ResourceBudgetError
 
@@ -18,6 +22,7 @@ ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3)
 SHIFT2 = build_shift(2)
 P01 = pure((0, 1))
+UNI12 = WeightedMeasure.from_weights({p: 1 for p in range(12)})
 
 
 # -- oracle: the frozenset decider the bitset one replaced ---------------------
@@ -64,6 +69,24 @@ def oracle_layer_has_infinite_path(layer, edges, A):
                 layer.discard(state)
                 changed = True
     return bool(layer)
+
+
+# -- oracle: the window-by-window loop the layered halves replaced ------------
+
+
+def oracle_shadowable_windowed(system, x, eps, delta, N, budget=None):
+    """Trace every window in enumeration order; the worst window is the
+    first with the fewest tracers, and the first with none ends the loop."""
+    checked = 0
+    worst, worst_count = None, None
+    for window in SH.enumerate_pseudo_orbits(system, x, delta, N, budget):
+        checked += 1
+        tr = SH.trace(system, window, eps)
+        if worst_count is None or len(tr.points) < worst_count:
+            worst, worst_count = window, len(tr.points)
+        if not tr.points:
+            return SH.WindowedShadowReport(False, eps, delta, N, checked, window, 0)
+    return SH.WindowedShadowReport(True, eps, delta, N, checked, worst, worst_count or 0)
 
 
 def distances(system):
@@ -145,16 +168,62 @@ def test_exact_decider_values():
 
 
 @pytest.mark.parametrize("eps, delta", [(F(1, 4), 0), (0, 0), (0, F(1, 24)),
-                                        (F(-1, 4), F(1, 24)), (F(1, 4), F(-1, 2))])
+                                        (F(-1, 4), F(1, 24)), (F(1, 4), F(-1, 2)),
+                                        (F(-1, 2), -1)])
 def test_non_positive_scales_are_rejected(eps, delta):
     what = "tracing radius" if eps <= 0 else "pseudo-orbit gap"
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
         SH.shadowable_exact(R12K3, 0, eps, delta)
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
         SH.shadowable_windowed(R12K3, 0, eps, delta, 1)
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        SH.shadowable_exact_neighborhood(R12K3, 0, eps, delta)
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        SH.mu_shadowable_at(R12K3, UNI12, 0, eps, delta, B=range(12))
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        verify_strong_mu_topological_stability(R12K3, UNI12, 0, eps, delta, R12K3)
     if eps <= 0:
         with pytest.raises(PreconditionError, match="tracing radius must be positive"):
             SH.trace(R12K3, SH.PseudoOrbitWindow((0,), F(1, 24)), eps)
+
+
+def test_windowed_budget_refusal():
+    total = SH.count_pseudo_orbits(R12K3, 0, F(1, 6), 3)
+    assert total == 729
+    with pytest.raises(ResourceBudgetError) as err:
+        SH.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 3, budget=total - 1)
+    assert err.value.requested == total and err.value.budget == total - 1
+    rep = SH.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 3, budget=total)
+    assert rep == oracle_shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 3)
+    assert rep.result is False and rep.windows_checked == 18
+
+
+# `pdl shadow ... --window N` stdout, recorded with the window-by-window
+# loop: the False cases pin the count and the witness where the first
+# traceless window stops the loop.
+WINDOWED_PINS = (
+    ("shadow bundled:id3 --x 0 --eps 1/2 --delta 2 --window 1", 1,
+     "9ce6a8b3227e5d8b94b868933e1e660e4fda59363b77d845f3d3748671762be1"),
+    ("shadow bundled:r12k3 --x 0 --eps 1/4 --delta 1/6 --window 3", 1,
+     "fa3f0729eb2491bb19fe01dbf4f488827e28be6ed8cb3e4906aa5a22dccc5216"),
+    ("shadow bundled:r12k3 --x 0 --eps 1/4 --delta 1/6 --window 1", 0,
+     "95db98d56a135d11a50117cc0d0b25b62b674899d988fa9c715674181ffcf193"),
+    ("shadow bundled:r6k2 --x 0 --eps 1/3 --delta 103/300 --window 3", 1,
+     "13ad23cb2b90619250490e15161193294beec8a64baacc6ea8c5ab754ccbbfb7"),
+    ("shadow bundled:r6k2 --x 0 --eps 2/3 --delta 103/300 --window 4", 0,
+     "c90a47799f9ca7cdb72d446b38eade4449f60bab7577dab11a8625e94869011a"),
+    ("shadow bundled:nearpair4 --x 0 --eps 1/4 --delta 1/2 --window 2", 0,
+     "30b7f0d67e9ee8f0960a9edebe1aabd7697e0482b696472a7243f0baddeb07d8"),
+)
+
+
+@pytest.mark.parametrize("command, code, digest", WINDOWED_PINS,
+                         ids=[p[0] for p in WINDOWED_PINS])
+def test_windowed_report_is_pinned(command, code, digest):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert main(command.split()) == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
 
 
 def test_exact_matches_deep_windowed():
@@ -238,3 +307,34 @@ def test_exact_decider_matches_oracle_on_rotations(n, data):
     values = distances(system)
     eps = data.draw(st.sampled_from(values[:2]), label="eps")
     assert_matches_oracle(system, eps, data.draw(st.sampled_from(values), label="delta"))
+
+
+# The oracle traces every window, so N shrinks until a draw has at most
+# WINDOW_CAP windows through x; eps and delta come from the carrier's own
+# distances, which covers False verdicts and the strict boundary.
+WINDOW_CAP = 1500
+
+
+def assert_windowed_matches_oracle(system, data):
+    values = distances(system)
+    eps = data.draw(st.sampled_from(values), label="eps")
+    delta = data.draw(st.sampled_from(values), label="delta")
+    x = data.draw(st.sampled_from(system.points()), label="x")
+    N = data.draw(st.integers(1, 3), label="N")
+    while SH.count_pseudo_orbits(system, x, delta, N) > WINDOW_CAP:
+        N -= 1
+    assert SH.shadowable_windowed(system, x, eps, delta, N) == \
+        oracle_shadowable_windowed(system, x, eps, delta, N)
+
+
+@settings(max_examples=80, deadline=None)
+@given(finite_systems(), st.data())
+def test_windowed_decider_matches_oracle(system, data):
+    assert_windowed_matches_oracle(system, data)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(6, 12), st.data())
+def test_windowed_decider_matches_oracle_on_rotations(n, data):
+    system = build_lattice(n, step=data.draw(st.integers(0, n - 1), label="step"))
+    assert_windowed_matches_oracle(system, data)
