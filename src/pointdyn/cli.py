@@ -94,7 +94,11 @@ def _budget(args):
     if getattr(args, "budget", None) is not None:
         return args.budget
     env = os.environ.get(DEFAULT_BUDGET_ENV)
-    return int(env) if env else None
+    try:
+        return int(env) if env else None
+    except ValueError:
+        raise MalformedInputError(
+            f"{DEFAULT_BUDGET_ENV} must be an integer, got {env!r}") from None
 
 
 def _probe_points(system, loaded: sysfile.SystemFile, args):
@@ -230,7 +234,7 @@ def cmd_conjugacy(args):
 def cmd_trackmap(args):
     f = _load(args.f).system
     g = _load(args.g).system if args.g else f
-    x = parse_point(g, args.x)
+    x = parse_point(f, args.x)
     eta = _scale(args.eta, "eta")
     assignment = build_tracking_map(f, g, x, eta)
     within_ok, within_witness = tracking_within_ball(assignment, f)

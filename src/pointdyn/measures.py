@@ -9,7 +9,6 @@ values are exact rationals.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import (CarrierMismatchError, MalformedInputError, PointdynError,
                      PreconditionError, UnsupportedBackendError)
@@ -18,8 +17,9 @@ from .expansivity import (ExpansivityVerdict, _eventual_agreement_index,
 from .rationals import ONE, ZERO, as_rational, format_rational, positive
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
-                      c0_distance, orbit, orbit_closure, pair_sup_separation,
-                      point_label, sorted_points, system_ball)
+                      c0_distance, check_carrier, orbit_closure,
+                      pair_sup_separation, point_index, point_label,
+                      sorted_points, system_ball)
 
 
 class WeightedMeasure:
@@ -331,16 +331,18 @@ class SetValuedAssignment:
 def build_tracking_map(f, g, x, eta) -> SetValuedAssignment:
     """H(u) = {z : d(f^n z, g^n u) <= eta for all integer n}, u in the g-orbit of x.
 
-    Closed balls, so the comparison is non-strict. On finite carriers
-    both maps are permutations: (f^n z, g^n u) has a period dividing
-    lcm(order of f, period of u), and the constraint is checked over
-    that horizon exactly. Empty images are kept: they shrink the domain.
+    Closed balls, so the comparison is non-strict. f and g share a
+    carrier (systems.check_carrier): x is a point of f, and on finite
+    carriers g's index i stands for f.kernel.pts[i], so the domain and
+    the images are f's points whatever labels g gives its own. Each
+    image is one exact trace of the periodic g-orbit by f's kernel
+    (FiniteKernel.trace_cycle, the tracer the semiconjugacy and GH
+    checks use), started at that image's rotation of the orbit, so no
+    image is derived from another. Empty images are kept: they shrink
+    the domain.
     """
-    eta = as_rational(eta)
-    if eta <= 0:
-        raise PreconditionError("tracking radius must be positive")
-    if f.carrier_token() != g.carrier_token():
-        raise CarrierMismatchError("tracking maps need a shared carrier")
+    eta = positive(eta, "tracking radius")
+    check_carrier(f, g)
     if not f.finite:
         if f.backend != "shift":
             raise UnsupportedBackendError(
@@ -354,16 +356,12 @@ def build_tracking_map(f, g, x, eta) -> SetValuedAssignment:
         return SetValuedAssignment(eta, (), rule="identity",
                                    closure=orbit_closure(f, x))
     k = f.kernel
-    dom = orbit(g, x).points
-    P = len(dom)
-    window = [k.index[u] for u in dom]
-    horizon = lcm(k.order, P)
+    orb = g.kernel.orbit(point_index(f, x))
     images = {}
-    for i, u in enumerate(dom):
-        targets = [window[(i + n) % P] for n in range(horizon)]
-        found = k.tracers(targets, eta, closed=True)
-        images[u] = frozenset(k.pts[z] for z in found)
-    return SetValuedAssignment(eta, dom, images=images)
+    for i, u in enumerate(orb):
+        tracers, _, _ = k.trace_cycle(orb, eta, first=-i, closed=True)
+        images[k.pts[u]] = frozenset(k.pts[z] for z in tracers)
+    return SetValuedAssignment(eta, tuple(k.pts[u] for u in orb), images=images)
 
 
 def tracking_within_ball(assignment: SetValuedAssignment, system, eta=None):
@@ -379,13 +377,17 @@ def tracking_within_ball(assignment: SetValuedAssignment, system, eta=None):
 
 
 def tracking_commutes(assignment: SetValuedAssignment, f, g):
-    """Re-verify f(H(u)) = H(g(u)) as exact set equality; (ok, witness)."""
+    """Re-verify f(H(u)) = H(g(u)) as exact set equality; (ok, witness).
+
+    Points are f's; g acts on them through the shared kernel indices."""
+    check_carrier(f, g)
     if assignment.rule == "identity":
         # images are {u}; f{u} = {f(u)} equals {g(u)} because g is f here
         return True, None
+    pts, index, gperm = f.kernel.pts, f.kernel.index, g.kernel.perm
     for u in assignment.domain:
         pushed = frozenset(f.image(z) for z in assignment.images[u])
-        target = assignment.images[g.image(u)]
+        target = assignment.images[pts[gperm[index[u]]]]
         if pushed != target:
             return False, (u, pushed, target)
     return True, None
@@ -428,9 +430,10 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
     Builds the canonical tracking map H over the g-orbit of x and
     verifies: (i) mu-null images near x, (ii) displacement within eps,
     (iii) exact commutation, (iv) the domain co-measure bound against
-    U = B intersect B(x, delta) intersect the orbit. Preconditions are
-    reported as named clause failures rather than exceptions; a
-    non-positive eps or delta is a PreconditionError.
+    U = B intersect B(x, delta) intersect the orbit. x is a point of f,
+    as in build_tracking_map. Preconditions are reported as named clause
+    failures rather than exceptions; a non-positive eps or delta is a
+    PreconditionError.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     _check_measure_backend(f, mu)
@@ -489,8 +492,7 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
     if f.finite:
         dom = frozenset(H.dom())
         dom_defect = measure_of(mu, carrier - dom)
-        U = frozenset(u for u in orbit(g, x).points
-                      if u in B and f.dist(x, u) < delta)
+        U = frozenset(u for u in H.domain if u in B and f.dist(x, u) < delta)
         u_defect = measure_of(mu, carrier - U)
         clauses.append(ClauseCheck(
             "iv:domain-measure", dom_defect <= u_defect,

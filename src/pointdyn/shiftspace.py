@@ -61,10 +61,6 @@ class EPPoint:
             return c[i - off]
         return self.right[(i - off - len(c)) % len(self.right)]
 
-    def window(self, lo: int, hi: int):
-        """Values at positions lo..hi-1."""
-        return tuple(self.value(i) for i in range(lo, hi))
-
     @property
     def is_periodic(self) -> bool:
         return not self.center and self.left == self.right

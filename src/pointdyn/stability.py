@@ -16,9 +16,10 @@ from math import lcm
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .metric import distortion, hausdorff_distance
-from .rationals import ZERO, as_rational, dyadic_below, format_rational
-from .systems import (ExplicitSystem, c0_distance, materialize, orbit_closure,
-                      pair_sup_separation, point_index, point_key,
+from .rationals import (ZERO, as_rational, dyadic_below, format_rational,
+                        positive)
+from .systems import (ExplicitSystem, c0_distance, materialize, members,
+                      orbit_closure, pair_sup_separation, point_index,
                       point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
@@ -56,7 +57,7 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
     on finite carriers g may label its points differently, and its index
     i stands for f's point f.kernel.pts[i] (systems.check_carrier).
     """
-    eps, delta = as_rational(eps), as_rational(delta)
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     gap = c0_distance(f, g)
     if gap > delta:
         raise PreconditionError(
@@ -67,7 +68,7 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
 
 def _tracing_radius(eps, expansivity_c, eta):
     if eta is not None:
-        return as_rational(eta)
+        return positive(eta, "eta")
     if expansivity_c is not None:
         return min(eps, as_rational(expansivity_c)) / 16
     return eps / 16
@@ -91,27 +92,22 @@ def _semiconjugacy(f, g, x, gap, eps, eta):
     xi = point_index(f, x)
     orb = gk.orbit(xi)
     dom = tuple(pts[u] for u in orb)
-    P = len(orb)
-    tracers = fk.tracers([orb[n % P] for n in range(lcm(fk.order, P))], eta)
+    tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi)
     if not tracers:
         return ConjugacyResult(
             False, "shadowing", dom, None, None, None, eta,
             f"no orbit of f stays within {format_rational(eta)} of the "
             f"perturbed orbit")
-    z = xi if xi in tracers else min(tracers, key=lambda i: point_key(pts[i]))
-    w = fk.powers[P % fk.order][z]
-    if w != z:
-        sep = pair_sup_separation(f, pts[z], pts[w])
+    if path is None:
+        P = len(orb)
+        sep = pair_sup_separation(f, pts[z], pts[fk.powers[P % fk.order][z]])
         return ConjugacyResult(
             False, "well-definedness", dom, None, None, None, eta,
             f"tracer {point_label(pts[z])} does not close up over the orbit "
             f"period {P}: the competing branch images separate by only "
             f"{format_rational(sep)} (at most 2*eta), below any usable "
             f"expansivity constant")
-    h, img = {}, z
-    for u in orb:
-        h[u] = img
-        img = fperm[img]
+    h = dict(zip(orb, path))
     commutation = all(fperm[h[u]] == h[gk.perm[u]] for u in orb)
     residual = max(fk.table[h[u]][u] for u in orb)
     mapping = {pts[u]: pts[v] for u, v in h.items()}
@@ -152,9 +148,8 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
     base, pts = materialize(system)
     n = base.space.n
-    table = base.space.table
-    allowed = [[v for v in range(n) if table[base.perm[u]][v] <= delta]
-               for u in range(n)]
+    rows = system.kernel.within(delta, closed=True)
+    allowed = [members(rows[v]) for v in base.perm]
     perms, chosen, used = [], [None] * n, [False] * n
 
     def place(u):
@@ -206,7 +201,7 @@ def verify_topologically_stable_point(f, x, eps, delta, perturbations, *,
     Perturbations beyond the delta bound are recorded as skipped, not
     failed; the verdict quantifies over the admissible ones only.
     """
-    eps, delta = as_rational(eps), as_rational(delta)
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     eta = _tracing_radius(eps, expansivity_c, eta)
     if isinstance(perturbations, PerturbationFamily):
         perturbations = perturbations.systems
@@ -288,18 +283,16 @@ class _MapSearch:
         self.order = [i for cyc in X.kernel.cycles for i in cyc]
 
     def run(self, limit=None):
+        """(maps found, whether the search ran to the end)."""
         found = []
         image = [None] * self.src.n
         try:
             self._place(0, image, found, limit)
         except _SearchStop:
             pass
-        return found
+        return found, self.complete
 
     def _place(self, t, image, found, limit):
-        if self.nodes > self.budget:
-            self.complete = False
-            raise _SearchStop
         if t == self.src.n:
             density = hausdorff_distance(
                 self.dst, sorted(set(image)), range(self.dst.n))
@@ -346,12 +339,6 @@ class _SearchStop(Exception):
     pass
 
 
-def _one_sided_maps(X, Y, delta, budget, limit=None):
-    search = _MapSearch(X, Y, delta, budget)
-    maps = search.run(limit)
-    return maps, search.complete
-
-
 @dataclass(frozen=True)
 class IsometrySearch:
     pairs: tuple
@@ -376,14 +363,12 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     searched independently and the results crossed. A capped search or
     pair list is flagged incomplete.
     """
-    delta = as_rational(delta)
-    if delta <= 0:
-        raise PreconditionError("delta must be positive")
+    delta = positive(delta, "delta")
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
     Xs, _ = materialize(X)
     Ys, _ = materialize(Y)
-    i_maps, i_done = _one_sided_maps(Xs, Ys, delta, budget)
-    j_maps, j_done = _one_sided_maps(Ys, Xs, delta, budget)
+    i_maps, i_done = _MapSearch(Xs, Ys, delta, budget).run()
+    j_maps, j_done = _MapSearch(Ys, Xs, delta, budget).run()
     complete = i_done and j_done
     if len(i_maps) * len(j_maps) > MAX_REPORTED_PAIRS:
         complete = False
@@ -409,10 +394,10 @@ def first_delta_isometry_pair(X, Y, delta, budget=None):
         pair = _make_pair(ident, ident, delta, Xs, Ys)
         if pair.score < delta:
             return pair, True
-    i_maps, i_done = _one_sided_maps(Xs, Ys, delta, budget, limit=1)
+    i_maps, i_done = _MapSearch(Xs, Ys, delta, budget).run(limit=1)
     if not i_maps:
         return None, i_done
-    j_maps, j_done = _one_sided_maps(Ys, Xs, delta, budget, limit=1)
+    j_maps, j_done = _MapSearch(Ys, Xs, delta, budget).run(limit=1)
     if not j_maps:
         return None, j_done
     return _make_pair(i_maps[0], j_maps[0], delta, Xs, Ys), True
@@ -424,50 +409,38 @@ def first_delta_isometry_pair(X, Y, delta, budget=None):
 def find_exact_isomorphism(X, Y):
     """Distance-preserving bijection with exact commutation, or None.
 
-    Choosing the image of one point per f-cycle forces the whole cycle,
-    so the search branches only over cycle representatives.
+    Choosing the image of one point per f-cycle forces the whole cycle
+    onto that image's g-orbit, so the search branches only over cycle
+    representatives.
     """
     fk, gk = X.kernel, Y.kernel
     n = len(fk.pts)
     if n != len(gk.pts):
         return None
-    gperm, xtab, ytab = gk.perm, fk.table, gk.table
+    xtab, ytab = fk.table, gk.table
     cycles = fk.cycles
     image = [None] * n
-    used = [False] * n
+    used = set()                # the cycles of g already assigned
 
     def assign_cycle(ci):
         if ci == len(cycles):
             return True
         cyc = cycles[ci]
+        placed = [a for c in cycles[:ci + 1] for a in c]
         for y0 in range(n):
-            if used[y0] or len(gk.cycle_of[y0]) != len(cyc):
+            target = gk.cycle_of[y0]
+            if target in used or len(target) != len(cyc):
                 continue
-            trial, cur, ok = [], y0, True
-            for x in cyc:
-                trial.append((x, cur))
-                cur = gperm[cur]
-            for x, y in trial:
-                if used[y]:
-                    ok = False
-                    break
-                for w, z in enumerate(image):
-                    if z is not None and ytab[y][z] != xtab[x][w]:
-                        ok = False
-                        break
-                if not ok:
-                    break
+            for x, y in zip(cyc, gk.orbit(y0)):
                 image[x] = y
-                used[y] = True
-            else:
-                if all(ytab[image[a]][image[b]] == xtab[a][b]
-                       for a in cyc for b in cyc) and assign_cycle(ci + 1):
+            if all(ytab[image[x]][image[w]] == xtab[x][w]
+                   for x in cyc for w in placed):
+                used.add(target)
+                if assign_cycle(ci + 1):
                     return True
-                ok = False
-            for x, y in trial:
-                if image[x] == y:
-                    image[x] = None
-                    used[y] = False
+                used.discard(target)
+        for x in cyc:
+            image[x] = None
         return False
 
     if assign_cycle(0):
@@ -571,8 +544,8 @@ def gh_stable_point_check(f, x, eps, delta, candidates, budget=None, *,
     Candidates without a certificate are skipped, an empty preimage is
     the recorded vacuous pass.
     """
-    eps, delta = as_rational(eps), as_rational(delta)
-    eta = eps if eta is None else as_rational(eta)
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
+    eta = eps if eta is None else positive(eta, "eta")
     fk = f.kernel
     xi = point_index(f, x)
     entries, ok = [], True
@@ -619,18 +592,12 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
     """
     fperm, gperm, table = fk.perm, gk.perm, fk.table
     orb = gk.orbit(y)
-    P = len(orb)
-    window = [j_map[v] for v in orb]
-    tracers = fk.tracers([window[n % P] for n in range(lcm(fk.order, P))], eta)
+    tracers, _, path = fk.trace_cycle([j_map[v] for v in orb], eta)
     if not tracers:
         return "no orbit of f traces the transported pseudo-orbit"
-    z = tracers[0]
-    if fk.powers[P % fk.order][z] != z:
+    if path is None:
         return "tracer does not close up over the orbit period"
-    h, img = {}, z
-    for v in orb:
-        h[v] = img
-        img = fperm[img]
+    h = dict(zip(orb, path))
     if any(table[h[v]][j_map[v]] >= eps for v in orb):
         return "conjugacy image strays to eps or beyond from j"
     if any(fperm[h[v]] != h[gperm[v]] for v in orb):

@@ -510,6 +510,28 @@ class FiniteKernel:
                 break
         return members(found)
 
+    def trace_cycle(self, window, radius, first=0, closed=False, prefer=None) -> tuple:
+        """Trace the periodic index window w, P = len(w): the tracers are
+        the z with d(f^(first+n) z, w[n % P]) < radius for every integer n
+        (<= radius when closed); both sides repeat after lcm(order, P).
+
+        Returns (tracers, z, h): z is prefer when it traces, else the least
+        tracer (pts ascend in point_key order on every finite backend);
+        h[n] = f^n z for 0 <= n < P lays h along z's f-orbit, and is None
+        when f^P z != z, i.e. the orbit does not close up. z and h are None
+        without a tracer.
+        """
+        P = len(window)
+        found = self.tracers([window[n % P] for n in range(lcm(self.order, P))],
+                             radius, first, closed)
+        if not found:
+            return found, None, None
+        z = prefer if prefer in found else found[0]
+        powers, order = self.powers, self.order
+        if powers[P % order][z] != z:
+            return found, z, None
+        return found, z, tuple(powers[n % order][z] for n in range(P))
+
 
 def members(bits) -> list:
     """The indices of the set bits of bits, ascending."""

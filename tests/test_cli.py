@@ -7,9 +7,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointdyn.cli import main
 from pointdyn import sysfile
@@ -78,6 +79,15 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _ = run(capsys, "shadow", "bundled:id3",
                   "--x", "0", "--eps", "1/2", "--delta", "2", "--window", "3")
     assert code == 3
+
+
+@pytest.mark.parametrize("value", ["abc", "1/2", "2.5"])
+def test_budget_env_var_must_be_an_integer(capsys, monkeypatch, value):
+    monkeypatch.setenv("PDL_BUDGET", value)
+    code = main(["shadow", "bundled:r12k3", "--x", "0", "--eps", "1/4",
+                 "--delta", "1/24", "--window", "2"])
+    assert code == 2
+    assert "PDL_BUDGET must be an integer" in capsys.readouterr().err
 
 
 def test_conjugacy_verb(capsys):
@@ -203,6 +213,8 @@ BAD_ARGV = (
      {1}),
     (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "0",
       "--eps", "1/2", "--delta", "0"), {1}),
+    (("ghstable", "bundled:id3", "bundled:id3", "--x", "0", "--eps", "1/2",
+      "--delta", "0"), {1}),
     # points off an infinite carrier once came back with a verdict
     (("classify", "bundled:shift2", "--variant", "expansive", "--c", "1/2",
       "--probe", "2~2~2@0"), {1, 2}),
@@ -252,8 +264,12 @@ FUZZ_VALUES = {
                                   "bundled:bernoulli_half", "bundled:nope")),
     "--g": st.sampled_from(FUZZ_SYSTEMS),
 }
+# PDL_BUDGET values: unset (None), integers, and text that is not one
+FUZZ_ENV_BUDGETS = st.one_of(st.sampled_from((None, "abc", "1/2", "")),
+                             st.integers(-1, 10 ** 4).map(str))
 # verb -> (systems it takes, its options); the GH verbs always get a
-# budget, since without one a search may run for seconds
+# budget from --budget or a set PDL_BUDGET, since without one a search
+# may run for seconds
 FUZZ_VERBS = {
     "validate": (1, ("--probe",)),
     "classify": (1, ("--variant", "--c", "--eps", "--delta", "--measure",
@@ -271,24 +287,37 @@ FUZZ_VERBS = {
 
 @st.composite
 def pdl_argv(draw):
+    """(argv, the PDL_BUDGET value to run it under or None for unset)."""
+    env_budget = draw(FUZZ_ENV_BUDGETS, label="PDL_BUDGET")
     verb = draw(st.sampled_from(sorted(FUZZ_VERBS)))
     arity, flags = FUZZ_VERBS[verb]
     systems = [draw(st.sampled_from(FUZZ_SYSTEMS)) for _ in range(arity)]
     points = st.sampled_from(FUZZ_POINTS.get(systems[0][8:], ()) * 3 + OFF_POINTS)
     argv = [verb] + systems
     for flag in flags:
-        if verb.startswith("gh") and flag == "--budget" or \
-                draw(st.sampled_from((True, True, True, False))):
+        if flag == "--budget" and env_budget:    # mostly left to PDL_BUDGET
+            present = draw(st.sampled_from((True, False, False, False)))
+        else:
+            present = verb.startswith("gh") and flag == "--budget" or \
+                draw(st.sampled_from((True, True, True, False)))
+        if present:
             values = points if flag in ("--x", "--probe", "--through") else \
                 FUZZ_VALUES.get(flag, st.sampled_from(FUZZ_SCALES))
             argv += [flag, draw(values, label=flag)]
-    return argv
+    return argv, env_budget
 
 
 @settings(max_examples=150, deadline=None)
 @given(pdl_argv())
-def test_any_argv_exits_with_a_contract_code(argv):
+@example((["shadow", "bundled:r12k3", "--x", "0", "--eps", "1/4",
+           "--delta", "1/24", "--window", "2"], "abc"))
+def test_any_argv_exits_with_a_contract_code(drawn):
+    argv, env_budget = drawn
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        os.environ.pop("PDL_BUDGET", None)
+        if env_budget is not None:
+            os.environ["PDL_BUDGET"] = env_budget
         code = main(argv)
-    assert code in (0, 1, 2, 3), (argv, err.getvalue())
+    assert code in (0, 1, 2, 3), (argv, env_budget, err.getvalue())

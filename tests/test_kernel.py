@@ -10,7 +10,8 @@ from hypothesis import given, strategies as st
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
-                              materialize, members, pair_sup_separation)
+                              iterate, materialize, members,
+                              pair_sup_separation, sorted_points)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -121,6 +122,33 @@ def test_tracers_match_oracle(system, data):
     for closed in (False, True):
         got = [k.pts[z] for z in k.tracers(idx, radius, first, closed)]
         assert got == oracle_tracers(system, targets, radius, first, closed)
+
+
+@given(finite_systems(), st.data())
+def test_trace_cycle_matches_oracle(system, data):
+    k = system.kernel
+    pts = system.points()
+    window = data.draw(st.lists(st.sampled_from(pts), min_size=1, max_size=5))
+    radius = data.draw(st.sampled_from(RADII))
+    first = data.draw(st.integers(-4, 4))
+    closed = data.draw(st.booleans())
+    prefer = data.draw(st.sampled_from(pts))
+    found, z, h = k.trace_cycle([k.index[p] for p in window], radius, first,
+                                closed, prefer=k.index[prefer])
+    # the oracle traces order * P steps, a multiple of the routine's horizon
+    P = len(window)
+    targets = [window[n % P] for n in range(oracle_order(system) * P)]
+    want = oracle_tracers(system, targets, radius, first, closed)
+    assert [k.pts[i] for i in found] == want
+    if not want:
+        assert z is None and h is None
+        return
+    pick = prefer if prefer in want else sorted_points(want)[0]
+    assert k.pts[z] == pick
+    if iterate(system, pick, P) != pick:
+        assert h is None
+    else:
+        assert [k.pts[i] for i in h] == [iterate(system, pick, n) for n in range(P)]
 
 
 @given(finite_systems(), st.sampled_from(RADII))

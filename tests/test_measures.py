@@ -1,12 +1,17 @@
 """Borel-measure layer: weights, Bernoulli, Phi/Gamma sets, tracking maps."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
 
+from pointdyn.bundled import bundled_system
 from pointdyn.metric import discrete_space
-from pointdyn.systems import (build_explicit, build_lattice, build_shift,
-                              build_satellite, Satellite)
+from pointdyn.rationals import format_rational
+from pointdyn.stability import enumerate_perturbations
+from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
+                              build_shift, build_satellite, c0_distance,
+                              point_label, Satellite)
 from pointdyn.shiftspace import pure, ShiftBall
 from pointdyn import measures as M
 from pointdyn.errors import MalformedInputError, PreconditionError
@@ -147,3 +152,83 @@ def test_measure_sequence_criterion():
     swap = build_explicit(discrete_space(3), (1, 0, 2), name="swap")
     mv3 = M.measure_sequence_criterion(ID3, [swap, ID3, ID3], UNI, 0, F(1, 2))
     assert mv3.result is False and "index 1" in mv3.detail
+
+
+# -- a lattice against perturbations on its indices ---------------------------
+
+
+def _against_base(f, base, pts, g, x, mu, eps, delta, eta):
+    """The tracking-map calls on (f, x) agree with the same calls on the
+    index system base at pts.index(x), relabelled through pts."""
+    xi = pts.index(x)
+    base_mu = M.WeightedMeasure.from_weights(
+        {i: mu.weights[p] for i, p in enumerate(pts)})
+
+    def relabel(H):
+        return (tuple(pts[u] for u in H.domain),
+                {pts[u]: frozenset(pts[z] for z in img)
+                 for u, img in H.images.items()})
+
+    H, ref = M.build_tracking_map(f, g, x, eta), M.build_tracking_map(base, g, xi, eta)
+    assert (H.domain, H.images) == relabel(ref)
+    assert H.domain[0] == x
+    assert M.tracking_commutes(H, f, g) == M.tracking_commutes(ref, base, g) \
+        == (True, None)
+    rep = M.verify_strong_mu_topological_stability(f, mu, x, eps, delta, g)
+    want = M.verify_strong_mu_topological_stability(base, base_mu, xi, eps, delta, g)
+    assert [(c.name, c.result) for c in rep.clauses] == \
+        [(c.name, c.result) for c in want.clauses]
+    assert (rep.assignment.domain, rep.assignment.images) == relabel(want.assignment)
+    return rep
+
+
+def test_lattice_against_its_perturbation_family():
+    z12 = build_lattice(12, step=1)
+    fam = enumerate_perturbations(z12, F(1, 12))
+    mu = M.WeightedMeasure.from_weights({p: p % 2 for p in range(12)})
+    verdicts = set()
+    for g in fam.systems:
+        for x in (0, 7):
+            rep = _against_base(z12, fam.base, fam.points, g, x, mu,
+                                F(1, 4), F(1, 12), F(1, 8))
+            verdicts.add(rep.result)
+    assert verdicts == {True, False}
+
+
+def test_torus_against_index_perturbations():
+    cat5 = bundled_system("cat5")
+    k = cat5.kernel
+    base, pts = k.explicit, k.pts
+    # cat5 with the images of two points a fifth apart swapped, on indices
+    swaps = [(a, b) for a in range(25) for b in range(a + 1, 25)
+             if k.table[k.perm[a]][k.perm[b]] == F(1, 5)][:6]
+    perturbations = [ExplicitSystem(base.space, k.perm, name="cat5~same")]
+    for a, b in swaps:
+        perm = list(k.perm)
+        perm[a], perm[b] = perm[b], perm[a]
+        perturbations.append(ExplicitSystem(base.space, perm, name=f"cat5~{a}.{b}"))
+    mu = M.WeightedMeasure.from_weights({p: p[0] % 2 for p in pts})
+    for g in perturbations:
+        assert c0_distance(cat5, g) <= F(1, 5)
+        for x in ((0, 0), (1, 2), (4, 1)):
+            _against_base(cat5, base, pts, g, x, mu, F(1, 2), F(1, 5), F(1, 5))
+
+
+# sha256 of build_tracking_map(f, f, x, eta) on the finite bundled systems,
+# recorded before the tracking map moved onto the shared periodic tracer
+TRACKING_PIN = "b059b67a903ebdea13838ee92feb122adc90798eae06fa7ec0b87d4a3219b3ca"
+
+
+def test_tracking_images_are_pinned():
+    digest = hashlib.sha256()
+    for name in ("id3", "nearpair4", "r6k2", "r12k1", "r12k3", "r12k5", "cat5"):
+        f = bundled_system(name)
+        for x in f.points():
+            for eta in (F(1, 12), F(1, 5), F(1, 2)):
+                H = M.build_tracking_map(f, f, x, eta)
+                for u in H.domain:
+                    img = " ".join(map(point_label, sorted(H.images[u],
+                                                           key=f.kernel.index.get)))
+                    digest.update(f"{name}|{point_label(x)}|{format_rational(eta)}|"
+                                  f"{point_label(u)}|{img}\n".encode())
+    assert digest.hexdigest() == TRACKING_PIN

@@ -24,7 +24,8 @@ from pointdyn.measures import (WeightedMeasure, pullback, phi_set, gamma_set,
                                tracking_commutes)
 from pointdyn.shadowing import mu_shadowable_at
 from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
-                                gh_distance_bounds, transport_under_conjugacy)
+                                find_exact_isomorphism, gh_distance_bounds,
+                                transport_under_conjugacy)
 from pointdyn.rationals import dyadic_below
 
 # ---------------------------------------------------------------------------
@@ -467,3 +468,32 @@ def test_gh_upper_bounded_by_c0_plus_step(data):
     if not b.complete:
         return
     assert b.upper <= c0_distance(f, g) + F(1, 128)
+
+
+def _brute_isomorphisms(X, Y):
+    """Every bijection of indices preserving distances and commuting with
+    the maps, by trying them all."""
+    n = X.space.n
+    xt, yt = X.space.table, Y.space.table
+    return [m for m in permutations(range(n))
+            if all(yt[m[a]][m[b]] == xt[a][b] for a in range(n) for b in range(n))
+            and all(m[X.perm[a]] == Y.perm[m[a]] for a in range(n))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(perm_systems(1, 6), st.data())
+def test_exact_isomorphism_matches_brute_force(system, data):
+    n = system.space.n
+    relabel = dict(enumerate(data.draw(st.permutations(range(n)))))
+    twin = conjugate_system(system, relabel, name="twin", transport_metric=True)
+    other = data.draw(perm_systems(n, n))
+    for Y in (twin, other):
+        found = find_exact_isomorphism(system, Y)
+        brute = _brute_isomorphisms(system, Y)
+        assert (found is None) == (not brute)
+        if found is not None:
+            m = tuple(found[a] for a in range(n))
+            assert all(Y.space.table[m[a]][m[b]] == system.space.table[a][b]
+                       for a in range(n) for b in range(n))
+            assert all(m[system.perm[a]] == Y.perm[m[a]] for a in range(n))
+    assert find_exact_isomorphism(system, twin) is not None

@@ -12,7 +12,11 @@ from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import build_explicit, build_lattice, build_shift, members
 from pointdyn.shiftspace import pure, with_symbol, shift_metric
 from pointdyn.cli import main
-from pointdyn.measures import WeightedMeasure, verify_strong_mu_topological_stability
+from pointdyn.measures import (WeightedMeasure, build_tracking_map,
+                               verify_strong_mu_topological_stability)
+from pointdyn.stability import (build_conjugacy, gh_stable_point_check,
+                                search_delta_isometries,
+                                verify_topologically_stable_point)
 from pointdyn import shadowing as SH
 from pointdyn.errors import PreconditionError, ResourceBudgetError
 
@@ -182,9 +186,27 @@ def test_non_positive_scales_are_rejected(eps, delta):
         SH.mu_shadowable_at(R12K3, UNI12, 0, eps, delta, B=range(12))
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
         verify_strong_mu_topological_stability(R12K3, UNI12, 0, eps, delta, R12K3)
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        build_conjugacy(R12K3, R12K3, 0, eps, delta)
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        verify_topologically_stable_point(R12K3, 0, eps, delta, [R12K3])
+    with pytest.raises(PreconditionError, match=f"{what} must be positive"):
+        gh_stable_point_check(R12K3, 0, eps, delta, [R12K3])
     if eps <= 0:
         with pytest.raises(PreconditionError, match="tracing radius must be positive"):
             SH.trace(R12K3, SH.PseudoOrbitWindow((0,), F(1, 24)), eps)
+        with pytest.raises(PreconditionError, match="tracking radius must be positive"):
+            build_tracking_map(R12K3, R12K3, 0, eps)
+        with pytest.raises(PreconditionError, match="eta must be positive"):
+            build_conjugacy(R12K3, R12K3, 0, F(1, 4), F(1, 12), eta=eps)
+        with pytest.raises(PreconditionError, match="eta must be positive"):
+            verify_topologically_stable_point(R12K3, 0, F(1, 4), F(1, 12), [R12K3],
+                                              eta=eps)
+        with pytest.raises(PreconditionError, match="eta must be positive"):
+            gh_stable_point_check(R12K3, 0, F(1, 4), F(1, 12), [R12K3], eta=eps)
+    if delta <= 0:
+        with pytest.raises(PreconditionError, match="delta must be positive"):
+            search_delta_isometries(R12K3, R12K3, delta)
 
 
 def test_windowed_budget_refusal():

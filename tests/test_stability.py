@@ -233,3 +233,29 @@ def test_transported_constant():
     assert transported_constant(NEAR3, {0: 0, 1: 2, 2: 1}, F(1, 2)) == F(1, 128)
     with pytest.raises(PreconditionError):
         transported_constant(ID3, {0: 1, 1: 2, 2: 0}, 2)
+
+
+# sha256 of gh_stable_point_check entries on the finite bundled systems,
+# recorded before the GH trace moved onto the shared periodic tracer
+GH_STABLE_PIN = "5871477a219951c06beb3aa85497f660344518f7e99d0861bd129fc8526101ad"
+
+
+def test_gh_stable_entries_are_pinned():
+    cases = (("id3", ("id3", "nearpair4", "r6k2")),
+             ("nearpair4", ("nearpair4", "id3")), ("r6k2", ("r6k2",)),
+             ("r12k1", ("r12k1", "r12k3", "r12k5")),
+             ("r12k3", ("r12k1", "r12k3", "r12k5")),
+             ("r12k5", ("r12k1", "r12k5")), ("cat5", ("cat5",)))
+    digest = hashlib.sha256()
+    for name, names in cases:
+        f = bundled_system(name)
+        candidates = [bundled_system(c) for c in names]
+        for x in f.points():
+            for eps, delta in ((F(1, 2), F(1, 2)), (F(1, 4), F(1, 3))):
+                rep = gh_stable_point_check(f, x, eps, delta, candidates,
+                                            budget=20000)
+                for e in rep.entries:
+                    preimages = " ".join(map(point_label, e.preimages))
+                    digest.update(f"{name}|{point_label(x)}|{rep.result}|{e.name}|"
+                                  f"{e.status}|{preimages}|{e.detail}\n".encode())
+    assert digest.hexdigest() == GH_STABLE_PIN
