@@ -18,12 +18,11 @@ from .bundled import (REGISTRY, bundled_measure, bundled_system, mixed_sample,
 from .errors import (MalformedInputError, PointdynError, PreconditionError,
                      ResourceBudgetError)
 from .expansivity import minimally_expansive_at, point_verdicts
-from .measures import (build_tracking_map, expansive_measure_check,
-                       mu_expansive_points, tracking_commutes,
-                       tracking_within_ball,
+from .measures import (build_tracking_map, mu_expansive_points,
+                       tracking_commutes, tracking_within_ball,
                        verify_strong_mu_topological_stability)
 from .metric import validate_metric
-from .rationals import dyadic_below, format_rational, parse_rational
+from .rationals import dyadic_below, parse_rational, positive
 from .report import assemble, label, labels, opt_rat, rat, render, table
 from .shadowing import shadowable_exact, shadowable_windowed
 from .shiftspace import parse_ep, shift_metric
@@ -81,8 +80,11 @@ def parse_point(system, text: str):
     return point
 
 
-def _scale(text, what):
+def _scale(text, what, required=True):
+    """The rational of the scale flag --what; an absent optional flag is None."""
     if text is None:
+        if not required:
+            return None
         raise MalformedInputError(f"missing required scale --{what}")
     try:
         return parse_rational(text)
@@ -212,8 +214,8 @@ def cmd_conjugacy(args):
     g = _load(args.g).system
     x = parse_point(f, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
-    c = parse_rational(args.c) if args.c else None
-    eta = parse_rational(args.eta) if args.eta else None
+    c = _scale(args.c, "c", required=False)
+    eta = _scale(args.eta, "eta", required=False)
     res = build_conjugacy(f, g, x, eps, delta, expansivity_c=c, eta=eta)
     results = {
         "success": res.success,
@@ -302,7 +304,7 @@ def cmd_ghstable(args):
     f = _load(args.f).system
     x = parse_point(f, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
-    eta = parse_rational(args.eta) if args.eta else None
+    eta = _scale(args.eta, "eta", required=False)
     candidates = [_load(spec).system for spec in args.candidates]
     rep = gh_stable_point_check(f, x, eps, delta, candidates,
                                 budget=_budget(args), eta=eta)
@@ -349,8 +351,8 @@ def cmd_mustable(args):
     mu = _resolve_measure(args, loaded)
     x = parse_point(f, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
-    eta = parse_rational(args.eta) if args.eta else None
-    c = parse_rational(args.c) if args.c else None
+    eta = _scale(args.eta, "eta", required=False)
+    c = _scale(args.c, "c", required=False)
     B = None
     if args.through:
         B = frozenset(parse_point(f, t) for t in args.through)
@@ -376,7 +378,8 @@ def cmd_satellite(args):
     system = loaded.system
     if system.backend != "satellite":
         raise MalformedInputError("the satellite verb needs a satellite system")
-    shift_c = parse_rational(args.c) if args.c else Fraction(1, 2)
+    shift_c = positive(_scale("1/2" if args.c is None else args.c, "c"),
+                       "expansivity constant")
     marked = [system.marked(j) for j in range(system.t)]
     sample = system.satellite_points() + list(loaded.probes) + marked
     entries, ok = [], True

@@ -437,9 +437,9 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     _check_measure_backend(f, mu)
+    c = None if expansivity_c is None else positive(expansivity_c, "expansivity constant")
     if eta is None:
-        c = as_rational(expansivity_c) if expansivity_c is not None else None
-        eta = min(c / 16, eps / 2) if c is not None else eps / 2
+        eta = eps / 2 if c is None else min(c / 16, eps / 2)
     eta = as_rational(eta)
     clauses = []
 

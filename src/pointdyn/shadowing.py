@@ -27,7 +27,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .measures import measure_of
 from .rationals import positive
 from .shiftspace import EPPoint, shift_metric
-from .systems import members, point_index, sorted_points, system_ball
+from .systems import point_index, sorted_points, system_ball
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
@@ -78,12 +78,12 @@ def pseudo_orbit_graph(system, delta) -> PseudoOrbitGraph:
     return PseudoOrbitGraph(delta, succ)
 
 
-def _path_counts(successors, length, pts):
-    """counts[k][u] = number of walks of k steps from u, for k = 0..length."""
-    counts = [{u: 1 for u in pts}]
+def _path_counts(steps, length):
+    """counts[k][u] = number of walks of k steps from index u, for k = 0..length."""
+    counts = [[1] * len(steps)]
     for _ in range(length):
         prev = counts[-1]
-        counts.append({u: sum(prev[v] for v in successors[u]) for u in pts})
+        counts.append([sum(prev[v] for v in row) for row in steps])
     return counts
 
 
@@ -96,20 +96,19 @@ def _reverse(graph, pts):
 
 
 def _windows(system, x, delta, N):
-    """The pseudo-orbit graph, its reverse and the number of radius-N
-    windows through x."""
+    """x's kernel index, the forward and backward kernel steps, the walk
+    counts of each and the number of radius-N windows through x."""
     if N < 0:
         raise PreconditionError("window radius must be nonnegative")
-    point_index(system, x)
-    graph = pseudo_orbit_graph(system, delta)
-    pts = system.points()
-    rev = _reverse(graph, pts)
-    return graph, rev, (_path_counts(graph.successors, N, pts)[N][x]
-                        * _path_counts(rev.successors, N, pts)[N][x])
+    xi = point_index(system, x)
+    delta = positive(delta, "pseudo-orbit gap")
+    steps = [system.kernel.steps(delta, forward) for forward in (True, False)]
+    counts = [_path_counts(rows, N) for rows in steps]
+    return xi, steps, counts, counts[0][N][xi] * counts[1][N][xi]
 
 
 def count_pseudo_orbits(system, x, delta, N) -> int:
-    return _windows(system, x, delta, N)[2]
+    return _windows(system, x, delta, N)[3]
 
 
 def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
@@ -117,9 +116,11 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
 
     Counts first and refuses beyond the window budget so runtimes stay
     predictable; PDL_BUDGET / the budget argument raise the ceiling.
+    Walks follow pseudo_orbit_graph, a route apart from the kernel steps.
     """
-    graph, rev, total = _windows(system, x, delta, N)
-    _check_budget(total, budget)
+    _check_budget(count_pseudo_orbits(system, x, delta, N), budget)
+    graph = pseudo_orbit_graph(system, delta)
+    rev = _reverse(graph, system.points())
     return (PseudoOrbitWindow(tuple(reversed(back)) + (x,) + tuple(out), graph.delta)
             for back in _walks(rev, x, N) for out in _walks(graph, x, N))
 
@@ -188,15 +189,9 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     with the fewest tracers, and the first with none.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
-    if N < 0:
-        raise PreconditionError("window radius must be nonnegative")
-    xi = point_index(system, x)
-    kernel = system.kernel
-    steps = [_steps(kernel, delta, forward) for forward in (True, False)]
-    counts = [_path_counts(rows, N, range(len(rows))) for rows in steps]
-    n_out = counts[0][N][xi]
-    total = n_out * counts[1][N][xi]
+    xi, steps, counts, total = _windows(system, x, delta, N)
     _check_budget(total, budget)
+    kernel, n_out = system.kernel, counts[0][N][xi]
     pull = kernel.pullbacks(eps)
     fwd, bwd = (_half_windows(pull, kernel.order, rows, c, xi, N, kstep)
                 for rows, c, kstep in zip(steps, counts, (1, -1)))
@@ -217,16 +212,6 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     if count:
         return WindowedShadowReport(True, eps, delta, N, total, window, count)
     return WindowedShadowReport(False, eps, delta, N, at + 1, window, 0)
-
-
-def _steps(kernel, delta, forward: bool) -> list:
-    """Pseudo-orbit steps on kernel indices, each row ascending: the v
-    with d(f(u), v) < delta forward, the w with d(f(w), u) < delta
-    backward."""
-    near = kernel.within(delta)
-    if forward:
-        return [members(near[v]) for v in kernel.perm]
-    return [sorted(kernel.inv[y] for y in members(row)) for row in near]
 
 
 def _half_windows(pull, order, steps, counts, x: int, N: int, kstep: int) -> dict:
@@ -267,18 +252,17 @@ def _half_limit_sets(kernel, x: int, eps, delta, forward: bool):
     when the empty set is reachable.
 
     States are (point u, surviving time-zero tracer set A, exponent e
-    mod order). A step to v at exponent e' keeps A & pullbacks(eps)[e'][v];
-    the successors v come from the delta row of f(u) (forward) or are
-    the f-preimages of the delta row of u (backward). Sets only shrink
-    along a walk, so A is a limit set when some reachable walk keeps it
-    forever. One counter-based trim over the A-keeping edges removes
-    every state with no A-keeping successor left; the sets of the states
-    that remain are the limits. The empty set is absorbing and every
+    mod order). A step to v at exponent e' keeps A & pullbacks(eps)[e'][v]
+    for each of the kernel's delta steps v from u in that direction.
+    Sets only shrink along a walk, so A is a limit set when some
+    reachable walk keeps it forever. One counter-based trim over the
+    A-keeping edges removes every state with no A-keeping successor
+    left; the sets of the states that remain are the limits. The empty set is absorbing and every
     state has a successor (f(u) forward, f^-1(u) backward, at distance
     0 < delta), so reaching it makes it a limit and the search stops.
     """
     pull, order = kernel.pullbacks(eps), kernel.order
-    succ, kstep = _steps(kernel, delta, forward), 1 if forward else -1
+    succ, kstep = kernel.steps(delta, forward), 1 if forward else -1
     start = (x, pull[0][x], 0)      # holds x: eps > 0
     ids, states, left, preds, stack = {start: 0}, [start], [0], [[]], [0]
     while stack:

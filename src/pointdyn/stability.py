@@ -11,16 +11,16 @@ found pairs / exhausted searches into exact upper / lower bounds.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from itertools import islice, product
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .metric import distortion, hausdorff_distance
 from .rationals import (ZERO, as_rational, dyadic_below, format_rational,
                         positive)
-from .systems import (ExplicitSystem, c0_distance, materialize, members,
-                      orbit_closure, pair_sup_separation, point_index,
-                      point_label)
+from .systems import (ExplicitSystem, c0_distance, common_scale, materialize,
+                      members, orbit_closure, pair_sup_separation,
+                      point_index, point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -67,11 +67,9 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
 
 
 def _tracing_radius(eps, expansivity_c, eta):
-    if eta is not None:
-        return positive(eta, "eta")
     if expansivity_c is not None:
-        return min(eps, as_rational(expansivity_c)) / 16
-    return eps / 16
+        eps = min(eps, positive(expansivity_c, "expansivity constant"))
+    return eps / 16 if eta is None else positive(eta, "eta")
 
 
 def _semiconjugacy(f, g, x, gap, eps, eta):
@@ -242,13 +240,13 @@ class IsometryPair:
                    self.j_distortion, self.j_density, self.j_commutation)
 
 
-def _clause_values(m, X, Y):
+def _clause_values(m, fk, gk):
     """(distortion, image density defect, commutation defect) of one map
-    between the materialized systems X and Y."""
-    src, dst = X.space, Y.space
+    from fk's system to gk's, recomputed by metric on their tables."""
+    src, dst = fk.explicit.space, gk.explicit.space
     dist = distortion(m, src, dst)
     density = hausdorff_distance(dst, sorted(set(m)), range(dst.n))
-    comm = max(dst.table[Y.perm[m[u]]][m[X.perm[u]]] for u in range(src.n))
+    comm = max(dst.table[gk.perm[m[u]]][m[fk.perm[u]]] for u in range(src.n))
     return dist, density, comm
 
 
@@ -259,33 +257,30 @@ class _MapSearch:
     the commutation clause prunes each new image to a ball around
     g(previous image); the distortion clause prunes against every
     assigned point. Both partial quantities are monotone under
-    extension, so pruning is admissible. Image density is checked at
-    the leaves. X and Y are materialized systems.
+    extension, so pruning is admissible. At a leaf the image is dense
+    when the delta rows of its points cover Y: the image lies in Y, so
+    that is its Hausdorff distance to Y being below delta. fk and gk are
+    the kernels of the source and target systems.
 
-    The node checks compare integers: both distance tables and delta
-    are scaled by one common denominator, which keeps them exact.
+    The node checks compare integers: both kernels' tables and delta are
+    read at their common scale (common_scale), which keeps them exact.
     """
 
-    def __init__(self, X, Y, delta, budget):
-        self.src, self.dst = X.space, Y.space
-        self.fperm, self.finv, self.gperm = X.perm, X.inv, Y.perm
-        self.delta = delta
-        tables = (X.space.table, Y.space.table)
-        scale = lcm(delta.denominator, *(d.denominator for table in tables
-                                         for row in table for d in row))
-        self.stab, self.dtab = (
-            [[d.numerator * (scale // d.denominator) for d in row]
-             for row in table] for table in tables)
-        self.bound = delta.numerator * (scale // delta.denominator)
+    def __init__(self, fk, gk, delta, budget):
+        self.fperm, self.finv, self.gperm = fk.perm, fk.inv, gk.perm
+        self.n, self.m = len(fk.pts), len(gk.pts)
+        scale, self.bound = common_scale(delta, fk, gk)
+        self.stab, self.dtab = fk.scaled(scale), gk.scaled(scale)
+        self.near, self.full = gk.within(delta), (1 << self.m) - 1
         self.budget = budget
         self.nodes = 0
         self.complete = True
-        self.order = [i for cyc in X.kernel.cycles for i in cyc]
+        self.order = [i for cyc in fk.cycles for i in cyc]
 
     def run(self, limit=None):
         """(maps found, whether the search ran to the end)."""
         found = []
-        image = [None] * self.src.n
+        image = [None] * self.n
         try:
             self._place(0, image, found, limit)
         except _SearchStop:
@@ -293,10 +288,11 @@ class _MapSearch:
         return found, self.complete
 
     def _place(self, t, image, found, limit):
-        if t == self.src.n:
-            density = hausdorff_distance(
-                self.dst, sorted(set(image)), range(self.dst.n))
-            if density < self.delta:
+        if t == self.n:
+            cover = 0
+            for v in image:
+                cover |= self.near[v]
+            if cover == self.full:
                 found.append(tuple(image))
                 if limit is not None and len(found) >= limit:
                     raise _SearchStop
@@ -304,7 +300,7 @@ class _MapSearch:
         x = self.order[t]
         fx, px = self.fperm[x], self.finv[x]
         dtab, gperm, bound = self.dtab, self.gperm, self.bound
-        for v in range(self.dst.n):
+        for v in range(self.m):
             self.nodes += 1
             if self.nodes > self.budget:
                 self.complete = False
@@ -349,9 +345,9 @@ class IsometrySearch:
         return len(self.pairs)
 
 
-def _make_pair(i_map, j_map, delta, Xs, Ys) -> IsometryPair:
-    i_d, i_h, i_c = _clause_values(i_map, Xs, Ys)
-    j_d, j_h, j_c = _clause_values(j_map, Ys, Xs)
+def _make_pair(i_map, j_map, delta, fk, gk) -> IsometryPair:
+    i_d, i_h, i_c = _clause_values(i_map, fk, gk)
+    j_d, j_h, j_c = _clause_values(j_map, gk, fk)
     return IsometryPair(tuple(i_map), tuple(j_map), delta,
                         i_d, i_h, i_c, j_d, j_h, j_c)
 
@@ -365,42 +361,32 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     """
     delta = positive(delta, "delta")
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    Xs, _ = materialize(X)
-    Ys, _ = materialize(Y)
-    i_maps, i_done = _MapSearch(Xs, Ys, delta, budget).run()
-    j_maps, j_done = _MapSearch(Ys, Xs, delta, budget).run()
-    complete = i_done and j_done
-    if len(i_maps) * len(j_maps) > MAX_REPORTED_PAIRS:
-        complete = False
-    pairs = []
-    for im in i_maps:
-        if len(pairs) >= MAX_REPORTED_PAIRS:
-            break
-        for jm in j_maps:
-            if len(pairs) >= MAX_REPORTED_PAIRS:
-                break
-            pairs.append(_make_pair(im, jm, delta, Xs, Ys))
-    return IsometrySearch(tuple(pairs), complete, delta)
+    fk, gk = X.kernel, Y.kernel
+    i_maps, i_done = _MapSearch(fk, gk, delta, budget).run()
+    j_maps, j_done = _MapSearch(gk, fk, delta, budget).run()
+    complete = i_done and j_done and len(i_maps) * len(j_maps) <= MAX_REPORTED_PAIRS
+    pairs = tuple(_make_pair(im, jm, delta, fk, gk) for im, jm in
+                  islice(product(i_maps, j_maps), MAX_REPORTED_PAIRS))
+    return IsometrySearch(pairs, complete, delta)
 
 
 def first_delta_isometry_pair(X, Y, delta, budget=None):
     """One certifying pair (or None); second value reports completeness."""
     delta = as_rational(delta)
     budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
-    Xs, _ = materialize(X)
-    Ys, _ = materialize(Y)
-    if Xs.space.n == Ys.space.n:
-        ident = tuple(range(Xs.space.n))
-        pair = _make_pair(ident, ident, delta, Xs, Ys)
+    fk, gk = X.kernel, Y.kernel
+    if len(fk.pts) == len(gk.pts):
+        ident = tuple(range(len(fk.pts)))
+        pair = _make_pair(ident, ident, delta, fk, gk)
         if pair.score < delta:
             return pair, True
-    i_maps, i_done = _MapSearch(Xs, Ys, delta, budget).run(limit=1)
+    i_maps, i_done = _MapSearch(fk, gk, delta, budget).run(limit=1)
     if not i_maps:
         return None, i_done
-    j_maps, j_done = _MapSearch(Ys, Xs, delta, budget).run(limit=1)
+    j_maps, j_done = _MapSearch(gk, fk, delta, budget).run(limit=1)
     if not j_maps:
         return None, j_done
-    return _make_pair(i_maps[0], j_maps[0], delta, Xs, Ys), True
+    return _make_pair(i_maps[0], j_maps[0], delta, fk, gk), True
 
 
 # -- exact isomorphism and GH0 bounds ---------------------------------------

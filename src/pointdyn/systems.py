@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import le, lt
 
 from .errors import (CarrierMismatchError, MalformedInputError,
                      PreconditionError, UnsupportedBackendError)
@@ -370,9 +369,10 @@ class FiniteKernel:
     """A finite system compiled to indices: point i is pts[i].
 
     perm and inv are the map and its inverse on indices. The distance
-    and sup-separation tables, the cycles, the order, the powers and,
-    for each radius, the bitset rows within(r) and their pull-backs are
-    built on first use and kept; the kernel never changes otherwise.
+    and sup-separation tables, the cycles, the order, the powers, the
+    integer tables scaled(S) and, for each radius, the bitset rows
+    within(r), their pull-backs and the pseudo-orbit steps are built on
+    first use and kept; the kernel never changes otherwise.
     The system caches its kernel, so the kernel holds the system weakly:
     a strong link back would make each pair a cycle that only the
     cyclic collector frees.
@@ -384,7 +384,7 @@ class FiniteKernel:
         self.index = {p: i for i, p in enumerate(self.pts)}
         self.perm = tuple(self.index[system.image(p)] for p in self.pts)
         self.inv = _inverse(self.perm)
-        self._within, self._pullbacks = {}, {}
+        self._views = {}            # (view, *arguments) -> view
         self._explicit = None
 
     @cached_property
@@ -399,9 +399,9 @@ class FiniteKernel:
     @cached_property
     def separation(self) -> tuple:
         """separation[i][j] = sup over n of d(f^n pts[i], f^n pts[j]); the
-        sup is constant along each orbit of f x f, so one walk of dist per
-        pair orbit fills the matrix with n^2 distance evaluations."""
-        dist, pts, perm = self.system.dist, self.pts, self.perm
+        sup is constant along each orbit of f x f, so one walk per pair
+        orbit fills the matrix with n^2 table reads."""
+        table, pts, perm = self.table, self.pts, self.perm
         sep = [[None] * len(pts) for _ in pts]
         for i in range(len(pts)):
             for j in range(len(pts)):
@@ -410,7 +410,7 @@ class FiniteKernel:
                     while (a, b) != (i, j):
                         walk.append((a, b))
                         a, b = perm[a], perm[b]
-                    best = ZERO if i == j else max(dist(pts[a], pts[b]) for a, b in walk)
+                    best = ZERO if i == j else max(table[a][b] for a, b in walk)
                     for a, b in walk:
                         sep[a][b] = best
         return tuple(map(tuple, sep))
@@ -478,26 +478,49 @@ class FiniteKernel:
                                             name=system.name)
         return self._explicit
 
+    @cached_property
+    def denominator(self) -> int:
+        """The lcm of the table's denominators: the least S with S * table integral."""
+        return lcm(*(d.denominator for row in self.table for d in row))
+
+    def scaled(self, scale) -> tuple:
+        """The integer rows scale * table, for a multiple scale of denominator."""
+        key = ("scaled", scale)
+        if key not in self._views:
+            self._views[key] = tuple(tuple(d.numerator * (scale // d.denominator) for d in row)
+                                     for row in self.table)
+        return self._views[key]
+
     def within(self, radius, closed=False) -> tuple:
-        """within(r)[v]: the bitset of y with d(y, v) < r (<= r when closed)."""
-        key = (radius, closed)
-        if key not in self._within:
-            inside = le if closed else lt
-            self._within[key] = tuple(
-                sum(1 << y for y, d in enumerate(row) if inside(d, radius))
-                for row in self.table)
-        return self._within[key]
+        """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
+        read off scaled(S) at S = common_scale, where d <= r is d*S < r*S + 1."""
+        key = ("within", radius, closed)
+        if key not in self._views:
+            scale, bound = common_scale(radius, self)
+            bound += closed
+            self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d < bound)
+                                     for row in self.scaled(scale))
+        return self._views[key]
 
     def pullbacks(self, radius, closed=False) -> tuple:
         """pullbacks(r)[e][v]: the bitset of z with f^e z in within(r)[v]."""
-        key = (radius, closed)
-        found = self._pullbacks.get(key)
-        if found is None:
+        key = ("pullbacks", radius, closed)
+        if key not in self._views:
             rows = [members(w) for w in self.within(radius, closed)]
-            found = self._pullbacks[key] = tuple(
+            self._views[key] = tuple(
                 tuple(sum(1 << back[y] for y in row) for row in rows)
                 for back in (self.powers[-e % self.order] for e in range(self.order)))
-        return found
+        return self._views[key]
+
+    def steps(self, delta, forward=True) -> tuple:
+        """The delta-pseudo-orbit steps, each row ascending: the v with
+        d(f(u), v) < delta forward, the w with d(f(w), u) < delta backward."""
+        key = ("steps", delta, forward)
+        if key not in self._views:
+            near = [members(row) for row in self.within(delta)]
+            self._views[key] = (tuple(near[v] for v in self.perm) if forward else
+                                tuple(sorted(self.inv[y] for y in row) for row in near))
+        return self._views[key]
 
     def tracers(self, targets, radius, first=0, closed=False) -> list:
         """Indices z with d(f^(first+n) z, targets[n]) < radius for every n,
@@ -531,6 +554,13 @@ class FiniteKernel:
         if powers[P % order][z] != z:
             return found, z, None
         return found, z, tuple(powers[n % order][z] for n in range(P))
+
+
+def common_scale(radius, *kernels) -> tuple:
+    """(S, radius * S): the least S that makes radius and the tables of
+    the kernels integral, and radius at that scale."""
+    scale = lcm(radius.denominator, *(k.denominator for k in kernels))
+    return scale, radius.numerator * (scale // radius.denominator)
 
 
 def members(bits) -> list:
@@ -774,10 +804,9 @@ def system_ball(system, x, radius, closed: bool = False):
     off the carrier raises (PreconditionError on finite carriers)."""
     r = as_rational(radius)
     if system.finite:
-        point_index(system, x)
-        if closed:
-            return frozenset(y for y in system.points() if system.dist(x, y) <= r)
-        return frozenset(y for y in system.points() if system.dist(x, y) < r)
+        k = system.kernel
+        row = k.within(r, closed)[point_index(system, x)]
+        return frozenset(k.pts[y] for y in members(row))
     system.check_point(x)
     if system.backend == "shift":
         if closed and r == 0:
@@ -843,16 +872,14 @@ def conjugate_system(system, relabel: dict, name=None,
     """
     if not system.finite:
         raise UnsupportedBackendError("conjugation requires a finite carrier")
-    pts = system.points()
+    kernel = system.kernel
+    pts = kernel.pts
     if sorted(map(point_key, relabel)) != sorted(map(point_key, pts)) or \
             sorted(map(point_key, relabel.values())) != sorted(map(point_key, pts)):
         raise PreconditionError("relabeling must be a bijection of the carrier")
-    index = {p: i for i, p in enumerate(pts)}
     inv = {v: k for k, v in relabel.items()}
-    perm = tuple(index[relabel[system.image(inv[p])]] for p in pts)
-    if transport_metric:
-        table = [[system.dist(inv[a], inv[b]) for b in pts] for a in pts]
-    else:
-        table = [[system.dist(a, b) for b in pts] for a in pts]
+    perm = tuple(kernel.index[relabel[system.image(inv[p])]] for p in pts)
+    table = ([[system.dist(inv[a], inv[b]) for b in pts] for a in pts]
+             if transport_metric else kernel.table)
     return ExplicitSystem(FiniteMetricSpace(table), perm,
                           name=name or f"{system.name}_conj")

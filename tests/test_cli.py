@@ -215,6 +215,18 @@ BAD_ARGV = (
       "--eps", "1/2", "--delta", "0"), {1}),
     (("ghstable", "bundled:id3", "bundled:id3", "--x", "0", "--eps", "1/2",
       "--delta", "0"), {1}),
+    # a non-positive expansivity constant once came back with a verdict
+    (("conjugacy", "bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES,
+      "--c", "0"), {1}),
+    (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "0",
+      *ID3_SCALES, "--c", "-1"), {1}),
+    (("satellite", "bundled:satellite3", "--c", "0"), {1}),
+    # optional scales go through the parser of --eps: an empty --eta was
+    # once read as absent, and a bad --c did not name its flag
+    (("conjugacy", "bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES,
+      "--eta", ""), {2}),
+    (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "0",
+      *ID3_SCALES, "--c", "abc"), {2}),
     # points off an infinite carrier once came back with a verdict
     (("classify", "bundled:shift2", "--variant", "expansive", "--c", "1/2",
       "--probe", "2~2~2@0"), {1, 2}),
@@ -240,6 +252,20 @@ def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
     assert "Traceback" not in proc.stderr
     if argv[0] == "validate":
         assert "line 3:" in proc.stderr
+
+
+@pytest.mark.parametrize("verb, flag", (("conjugacy", "--c"), ("conjugacy", "--eta"),
+                                        ("ghstable", "--eta"), ("mustable", "--c"),
+                                        ("satellite", "--c")))
+def test_optional_scales_name_their_flag(capsys, verb, flag):
+    args = {"conjugacy": ("bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES),
+            "ghstable": ("bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES),
+            "mustable": ("bundled:id3", "--measure", "bundled:nullpoint3",
+                         "--x", "0", *ID3_SCALES),
+            "satellite": ("bundled:satellite3",)}[verb]
+    for bad in ("abc", ""):
+        assert main([verb, *args, flag, bad]) == 2
+        assert f"{flag} must be a rational p/q, got {bad!r}" in capsys.readouterr().err
 
 
 # -- fuzzing: any argv ends in an exit code, never in an exception -----------

@@ -9,9 +9,10 @@ from hypothesis import given, strategies as st
 
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
+from pointdyn.shadowing import pseudo_orbit_graph
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               iterate, materialize, members,
-                              pair_sup_separation, sorted_points)
+                              pair_sup_separation, sorted_points, system_ball)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -151,10 +152,15 @@ def test_trace_cycle_matches_oracle(system, data):
         assert [k.pts[i] for i in h] == [iterate(system, pick, n) for n in range(P)]
 
 
-@given(finite_systems(), st.sampled_from(RADII))
-def test_within_and_pullbacks_match_oracle(system, radius):
+@given(finite_systems(), st.data())
+def test_within_and_pullbacks_match_oracle(system, data):
     k = system.kernel
     pts = system.points()
+    # the system's own distances are the strict/closed boundary; 2/11 has
+    # a denominator coprime to every table's (n <= 9, palette quarters
+    # and thirds)
+    own = tuple(sorted({d for row in k.table for d in row}))
+    radius = data.draw(st.sampled_from(RADII + (F(2, 11),) + own))
 
     def bitsets(starts, inside):
         # row v holds bit i when the point started from pts[i] lies inside v
@@ -170,7 +176,28 @@ def test_within_and_pullbacks_match_oracle(system, radius):
         for e in range(k.order):
             assert pull[e] == bitsets(image, inside)
             image = [system.image(p) for p in image]
+        for x in pts:
+            assert system_ball(system, x, radius, closed) == \
+                frozenset(y for y in pts if inside(system.dist(x, y)))
     assert members(0) == [] and members(0b101001) == [0, 3, 5]
+    # within compares on scaled(S): S * table is integral, and no T < S is
+    S = k.denominator
+    assert all((d * S).denominator == 1 for row in k.table for d in row)
+    assert all(any((d * T).denominator != 1 for row in k.table for d in row)
+               for T in range(1, S))
+    for scale in (S, 3 * S):
+        got = k.scaled(scale)
+        assert all(type(v) is int for row in got for v in row)
+        assert got == tuple(tuple(scale * d for d in row) for row in k.table)
+    if radius > 0:
+        # the step rows are the pseudo-orbit graph on indices, and its reverse
+        graph = pseudo_orbit_graph(system, radius)
+        succ = [[k.index[v] for v in graph.successors[p]] for p in pts]
+        back = [[u for u in range(len(pts)) if v in succ[u]] for v in range(len(pts))]
+        forward, backward = k.steps(radius, True), k.steps(radius, False)
+        assert succ == [list(row) for row in forward]
+        assert back == [list(row) for row in backward]
+        assert all(list(row) == sorted(row) for row in forward + backward)
 
 
 @given(finite_systems())

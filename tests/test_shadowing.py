@@ -207,6 +207,16 @@ def test_non_positive_scales_are_rejected(eps, delta):
     if delta <= 0:
         with pytest.raises(PreconditionError, match="delta must be positive"):
             search_delta_isometries(R12K3, R12K3, delta)
+        # the non-positive deltas 0, -1/2 and -1 double as expansivity constants
+        what = "expansivity constant must be positive"
+        with pytest.raises(PreconditionError, match=what):
+            build_conjugacy(R12K3, R12K3, 0, F(1, 4), F(1, 12), expansivity_c=delta)
+        with pytest.raises(PreconditionError, match=what):
+            verify_topologically_stable_point(R12K3, 0, F(1, 4), F(1, 12), [R12K3],
+                                              expansivity_c=delta)
+        with pytest.raises(PreconditionError, match=what):
+            verify_strong_mu_topological_stability(R12K3, UNI12, 0, F(1, 4), F(1, 12),
+                                                   R12K3, expansivity_c=delta)
 
 
 def test_windowed_budget_refusal():

@@ -2,11 +2,14 @@
 
 import hashlib
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pointdyn.bundled import bundled_system
-from pointdyn.metric import FiniteMetricSpace, discrete_space, is_delta_isometry
+from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
+                             hausdorff_distance, is_delta_isometry)
 from pointdyn.rationals import format_rational
 from pointdyn.systems import (ExplicitSystem, build_lattice, conjugate_system,
                               is_self_isometry, materialize, point_label)
@@ -144,6 +147,55 @@ def test_search_delta_isometries():
     idpair = [p for p in same.pairs
               if p.i_map == (0, 1, 2) and p.j_map == (0, 1, 2)]
     assert len(idpair) == 1 and idpair[0].score == 0
+
+
+# -- the delta-isometry search against brute force ------------------------------
+
+# few values, so that distances, their differences and delta tie often
+ISO_PALETTE = (F(1), F(3, 2), F(2))
+
+
+@st.composite
+def small_systems(draw):
+    n = draw(st.integers(1, 3))
+    table = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(st.sampled_from(ISO_PALETTE))
+    return ExplicitSystem(FiniteMetricSpace(table), tuple(draw(st.permutations(range(n)))))
+
+
+def brute_force_maps(X, Y, delta):
+    """Every map X -> Y with distortion, image density and commutation
+    defect all below delta, in the order of itertools.product."""
+    src, dst = X.space, Y.space
+    found = []
+    for m in product(range(dst.n), repeat=src.n):
+        comm = max(dst.table[Y.perm[m[u]]][m[X.perm[u]]] for u in range(src.n))
+        if (distortion(m, src, dst) < delta
+                and hausdorff_distance(dst, set(m), range(dst.n)) < delta
+                and comm < delta):
+            found.append(m)
+    return found
+
+
+@given(small_systems(), small_systems(), st.data())
+def test_isometry_search_matches_brute_force(X, Y, data):
+    values = sorted({d for s in (X, Y) for row in s.space.table for d in row})
+    values = sorted({abs(a - b) for a in values for b in values} | set(values))
+    between = [(a + b) / 2 for a, b in zip(values, values[1:])] + [values[-1] + 1]
+    delta = data.draw(st.sampled_from([d for d in values + between if d > 0]))
+    want = {(im, jm) for im in brute_force_maps(X, Y, delta)
+            for jm in brute_force_maps(Y, X, delta)}
+    found = search_delta_isometries(X, Y, delta)
+    assert found.complete
+    assert len(found.pairs) == len(want)
+    assert {(p.i_map, p.j_map) for p in found.pairs} == want
+    assert all(p.score < delta for p in found.pairs)
+    pair, settled = first_delta_isometry_pair(X, Y, delta)
+    assert settled
+    assert (pair is None) == (not want)
+    assert pair is None or (pair.i_map, pair.j_map) in want
 
 
 def test_identity_pair_for_close_rotations():
