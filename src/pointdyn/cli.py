@@ -93,14 +93,19 @@ def _scale(text, what, required=True):
 
 
 def _budget(args):
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get(DEFAULT_BUDGET_ENV)
-    try:
-        return int(env) if env else None
-    except ValueError:
-        raise MalformedInputError(
-            f"{DEFAULT_BUDGET_ENV} must be an integer, got {env!r}") from None
+    """The budget of --budget, else of PDL_BUDGET, else None. Every verb
+    that takes a budget reads it first: a negative one is a usage error."""
+    budget, source = args.budget, "--budget"
+    if budget is None:
+        env, source = os.environ.get(DEFAULT_BUDGET_ENV), DEFAULT_BUDGET_ENV
+        try:
+            budget = int(env) if env else None
+        except ValueError:
+            raise MalformedInputError(
+                f"{DEFAULT_BUDGET_ENV} must be an integer, got {env!r}") from None
+    if budget is not None and budget < 0:
+        raise MalformedInputError(f"{source} must be nonnegative, got {budget}")
+    return budget
 
 
 def _probe_points(system, loaded: sysfile.SystemFile, args):
@@ -185,6 +190,7 @@ def cmd_classify(args):
 
 
 def cmd_shadow(args):
+    budget = _budget(args)
     loaded = _load(args.system)
     system = loaded.system
     x = parse_point(system, args.x)
@@ -193,7 +199,7 @@ def cmd_shadow(args):
             "delta": args.delta, "window": args.window}
     if args.window is not None:
         rep = shadowable_windowed(system, x, eps, delta, args.window,
-                                  budget=_budget(args))
+                                  budget=budget)
         results = {
             "mode": "windowed",
             "result": rep.result,
@@ -285,9 +291,10 @@ def _pair_payload(pair, xpts, ypts):
 
 
 def cmd_ghdist(args):
+    budget = _budget(args)
     X = _load(args.x_system).system
     Y = _load(args.y_system).system
-    bounds = gh_distance_bounds(X, Y, budget=_budget(args))
+    bounds = gh_distance_bounds(X, Y, budget=budget)
     xpts, ypts = X.kernel.pts, Y.kernel.pts
     results = {
         "lower": rat(bounds.lower),
@@ -301,13 +308,14 @@ def cmd_ghdist(args):
 
 
 def cmd_ghstable(args):
+    budget = _budget(args)
     f = _load(args.f).system
     x = parse_point(f, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
     eta = _scale(args.eta, "eta", required=False)
     candidates = [_load(spec).system for spec in args.candidates]
     rep = gh_stable_point_check(f, x, eps, delta, candidates,
-                                budget=_budget(args), eta=eta)
+                                budget=budget, eta=eta)
     results = {
         "result": rep.result,
         "entries": [

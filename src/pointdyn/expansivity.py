@@ -1,13 +1,19 @@
 """Expansivity classifiers at a point.
 
 All variants quantify the same primitive: the supremum of d(f^n y, f^n z)
-over all integer times, computed exactly by pair_sup_separation (on
-finite carriers, a lookup in the kernel's separation matrix). A point
-is expansive when every other point separates beyond the constant at
-some time; uniformly expansive when the map is expansive on the open
-ball around it; minimally expansive when the map is expansive on the
-orbit closure of every ball point. Each verdict carries either a
-per-pair certificate or a concrete counterexample pair.
+over all integer times. A point is expansive when every other point
+separates beyond the constant at some time; uniformly expansive when
+the map is expansive on the open ball around it; minimally expansive
+when the map is expansive on the orbit closure of every ball point.
+Each verdict carries either a per-pair certificate or a concrete
+counterexample pair.
+
+On finite carriers every verdict is read off the kernel's bitset rows
+inseparable(c) (the j with sup-separation at most c from i), built once
+per constant from the integer sup-separation matrix: a point's row, the
+first pair of a ball's bits, and for minimal expansivity one verdict per
+cycle (cycle_failures), shared by every centre whose ball meets it.
+Symbolic carriers answer through pair_sup_separation and their regions.
 """
 
 from dataclasses import dataclass
@@ -19,7 +25,7 @@ from .errors import (PreconditionError, UnsupportedBackendError,
 from .rationals import ONE, as_rational
 from .shiftspace import ShiftBall, pure, with_symbol
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, c0_distance,
-                      iterate, orbit, orbit_closure, pair_sup_separation,
+                      iterate, least, orbit, pair_sup_separation, point_index,
                       point_label, sorted_points, system_ball)
 
 
@@ -73,7 +79,8 @@ def is_expansive_on(system, domain, c) -> ExpansivityVerdict:
 
     `domain` is a finite point collection or a symbolic region
     (ShiftOrbitClosure, ShiftBall, SatelliteBall). Strict inequality:
-    pair_sup_separation must exceed c.
+    pair_sup_separation must exceed c. The counterexample is the first
+    failing pair in point order.
     """
     c = as_rational(c)
     if isinstance(domain, ShiftOrbitClosure):
@@ -82,6 +89,11 @@ def is_expansive_on(system, domain, c) -> ExpansivityVerdict:
         return _expansive_on_shift_ball(system, domain, c)
     if isinstance(domain, SatelliteBall):
         return _expansive_on_satellite_ball(system, domain, c)
+    if system.finite:
+        mask = 0
+        for y in domain:
+            mask |= 1 << point_index(system, y)
+        return _bits_verdict(system, None, c, "expansive_on", mask)
     pts = sorted_points(domain)
     for i, y in enumerate(pts):
         for z in pts[i + 1:]:
@@ -89,6 +101,16 @@ def is_expansive_on(system, domain, c) -> ExpansivityVerdict:
                 return ExpansivityVerdict(None, c, "expansive_on", False, (y, z))
     return ExpansivityVerdict(None, c, "expansive_on", True,
                               detail=f"{len(pts)} points, all pairs separate")
+
+
+def _bits_verdict(system, x, c, variant, mask):
+    """Does every pair of the kernel bitset mask separate beyond c?"""
+    k = system.kernel
+    pair = k.first_inseparable_pair(c, mask)
+    if pair is None:
+        return ExpansivityVerdict(x, c, variant, True,
+                                  detail=f"{mask.bit_count()} points, all pairs separate")
+    return ExpansivityVerdict(x, c, variant, False, (k.pts[pair[0]], k.pts[pair[1]]))
 
 
 def _expansive_on_shift_closure(system, closure, c):
@@ -148,9 +170,11 @@ def expansive_point_at(system, x, c) -> ExpansivityVerdict:
     """True iff every y != x satisfies pair_sup_separation(x, y) > c."""
     c = as_rational(c)
     if system.finite:
-        for y in system.points():
-            if y != x and pair_sup_separation(system, x, y) <= c:
-                return ExpansivityVerdict(x, c, "expansive", False, (x, y))
+        i = point_index(system, x)
+        hit = system.kernel.inseparable(c)[i] & ~(1 << i)
+        if hit:
+            return ExpansivityVerdict(x, c, "expansive", False,
+                                      (x, system.kernel.pts[least(hit)]))
         return ExpansivityVerdict(x, c, "expansive", True)
     system.check_point(x)
     if system.backend == "shift":
@@ -185,23 +209,32 @@ def _satellite_expansive_point(system, x, c):
 def uniformly_expansive_at(system, x, c) -> ExpansivityVerdict:
     """Expansive with constant c on the open ball B(x, c)."""
     c = as_rational(c)
+    if system.finite:
+        ball = system.kernel.within(c)[point_index(system, x)]
+        return _bits_verdict(system, x, c, "uniform", ball)
     inner = is_expansive_on(system, system_ball(system, x, c), c)
     return ExpansivityVerdict(x, c, "uniform", inner.result,
                               inner.counterexample, inner.detail)
 
 
 def minimally_expansive_at(system, x, c) -> ExpansivityVerdict:
-    """Expansive with constant c on the orbit closure of every ball point."""
+    """Expansive with constant c on the orbit closure of every ball point.
+
+    On a finite carrier the orbit closure of y is its cycle, so the
+    verdict is that of the first ball point whose cycle fails.
+    """
     c = as_rational(c)
-    region = system_ball(system, x, c)
     if system.finite:
-        for y in sorted_points(region):
-            inner = is_expansive_on(system, orbit_closure(system, y), c)
-            if not inner.result:
-                return ExpansivityVerdict(
-                    x, c, "minimal", False, inner.counterexample,
-                    detail=f"orbit closure of {point_label(y)} fails")
-        return ExpansivityVerdict(x, c, "minimal", True)
+        k = system.kernel
+        failing, pairs = k.cycle_failures(c)
+        hit = k.within(c)[point_index(system, x)] & failing
+        if not hit:
+            return ExpansivityVerdict(x, c, "minimal", True)
+        y = least(hit)
+        return ExpansivityVerdict(x, c, "minimal", False,
+                                  tuple(k.pts[i] for i in pairs[y]),
+                                  detail=f"orbit closure of {point_label(k.pts[y])} fails")
+    region = system_ball(system, x, c)
     if system.backend == "shift":
         return _shift_minimal(system, x, c, region)
     if system.backend == "satellite":

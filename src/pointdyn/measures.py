@@ -17,7 +17,7 @@ from .expansivity import (ExpansivityVerdict, _eventual_agreement_index,
 from .rationals import ONE, ZERO, as_rational, format_rational, positive
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
-                      c0_distance, check_carrier, orbit_closure,
+                      c0_distance, check_carrier, members, orbit_closure,
                       pair_sup_separation, point_index, point_label,
                       sorted_points, system_ball)
 
@@ -151,8 +151,8 @@ def phi_set(system, x, c):
     """Points never separating from x beyond c: {y : sup_n d(f^n x, f^n y) <= c}."""
     c = as_rational(c)
     if system.finite:
-        return frozenset(y for y in system.points()
-                         if pair_sup_separation(system, x, y) <= c)
+        k = system.kernel
+        return frozenset(k.pts[j] for j in members(k.inseparable(c)[point_index(system, x)]))
     if system.backend == "shift":
         if c < 1:
             return frozenset([x])  # any disagreement reaches distance 1
@@ -530,13 +530,13 @@ def measure_sequence_criterion(f, approximants, mu, x, delta) -> ExpansivityVerd
     tail = _eventual_agreement_index(f, approximants)
     third = delta / 3
     if f.finite:
-        ball = system_ball(f, x, delta)
+        k = f.kernel
+        ball, rows = k.within(delta)[point_index(f, x)], k.inseparable(third)
         witness = None
-        for z in sorted_points(ball):
-            failure = frozenset(y for y in ball
-                                if pair_sup_separation(f, z, y) <= third)
+        for z in members(ball):
+            failure = frozenset(k.pts[y] for y in members(rows[z] & ball))
             if measure_of(mu, failure) != 0:
-                witness = z
+                witness = k.pts[z]
                 break
         result = witness is None
     else:

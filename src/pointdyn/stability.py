@@ -28,6 +28,16 @@ GH_GRID_STEP = Fraction(1, 128)
 MAX_REPORTED_PAIRS = 10_000
 
 
+def _budget(budget, default) -> int:
+    """budget, or default when it is None; a negative budget fails as
+    a PreconditionError before any work is done."""
+    if budget is None:
+        return default
+    if budget < 0:
+        raise PreconditionError(f"budget must be nonnegative, got {budget}")
+    return budget
+
+
 # -- semiconjugacy builder --------------------------------------------------
 
 
@@ -143,7 +153,7 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     most delta (non-strict, matching the stability comparisons).
     """
     delta = as_rational(delta)
-    budget = DEFAULT_ENUMERATION_BUDGET if budget is None else budget
+    budget = _budget(budget, DEFAULT_ENUMERATION_BUDGET)
     base, pts = materialize(system)
     n = base.space.n
     rows = system.kernel.within(delta, closed=True)
@@ -360,7 +370,7 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     pair list is flagged incomplete.
     """
     delta = positive(delta, "delta")
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    budget = _budget(budget, DEFAULT_SEARCH_BUDGET)
     fk, gk = X.kernel, Y.kernel
     i_maps, i_done = _MapSearch(fk, gk, delta, budget).run()
     j_maps, j_done = _MapSearch(gk, fk, delta, budget).run()
@@ -372,8 +382,8 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
 
 def first_delta_isometry_pair(X, Y, delta, budget=None):
     """One certifying pair (or None); second value reports completeness."""
-    delta = as_rational(delta)
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    delta = positive(delta, "delta")
+    budget = _budget(budget, DEFAULT_SEARCH_BUDGET)
     fk, gk = X.kernel, Y.kernel
     if len(fk.pts) == len(gk.pts):
         ident = tuple(range(len(fk.pts)))
@@ -468,7 +478,7 @@ def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
     complete search proves no pair exists. Exhausted budgets leave the
     bounds valid but wider, flagged via `complete`.
     """
-    budget = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    budget = _budget(budget, DEFAULT_SEARCH_BUDGET)
     if find_exact_isomorphism(X, Y) is not None:
         return GHBounds(ZERO, ZERO, True, None)
     diameter = max(max(max(row) for row in X.kernel.table),

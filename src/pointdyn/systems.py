@@ -168,6 +168,8 @@ class CircleSystem(MetricSystem):
         self.n = n
         self.step = step % n
         self.name = name or f"circle{n}_rot{self.step}"
+        arcs, values = _arc_tables(n)
+        self._dist = tuple(values[a] for a in arcs)     # by (x - y) mod n
 
     @property
     def finite(self):
@@ -177,8 +179,7 @@ class CircleSystem(MetricSystem):
         return list(range(self.n))
 
     def dist(self, x, y):
-        a = abs(x - y) % self.n
-        return Fraction(min(a, self.n - a), self.n)
+        return self._dist[(x - y) % self.n]
 
     def image(self, x):
         return (x + self.step) % self.n
@@ -208,6 +209,7 @@ class TorusSystem(MetricSystem):
         det_inv = pow(det, -1, n)
         self.inv_matrix = tuple((v * det_inv) % n for v in (d, -b, -c, a))
         self.name = name or f"torus{n}_mat{a}{b}{c}{d}"
+        self._arcs, self._values = _arc_tables(n)
 
     @property
     def finite(self):
@@ -216,12 +218,10 @@ class TorusSystem(MetricSystem):
     def points(self):
         return [(u, v) for u in range(self.n) for v in range(self.n)]
 
-    def _arc(self, x, y):
-        a = abs(x - y) % self.n
-        return Fraction(min(a, self.n - a), self.n)
-
     def dist(self, x, y):
-        return max(self._arc(x[0], y[0]), self._arc(x[1], y[1]))
+        n, arcs = self.n, self._arcs
+        a, b = arcs[(x[0] - y[0]) % n], arcs[(x[1] - y[1]) % n]
+        return self._values[a if a > b else b]
 
     def image(self, x):
         a, b, c, d = self.matrix
@@ -236,6 +236,13 @@ class TorusSystem(MetricSystem):
 
     def describe(self):
         return f"lattice n={self.n} torus map=mat " + " ".join(str(v) for v in self.matrix)
+
+
+def _arc_tables(n: int) -> tuple:
+    """(arcs, values): arcs[k] = min(k, n - k) is the integer arc of a
+    difference k mod n, and values[a] = a/n, one Fraction per arc."""
+    return (tuple(min(k, n - k) for k in range(n)),
+            tuple(Fraction(a, n) for a in range(n // 2 + 1)))
 
 
 class ShiftSystem(MetricSystem):
@@ -370,9 +377,11 @@ class FiniteKernel:
 
     perm and inv are the map and its inverse on indices. The distance
     and sup-separation tables, the cycles, the order, the powers, the
-    integer tables scaled(S) and, for each radius, the bitset rows
-    within(r), their pull-backs and the pseudo-orbit steps are built on
-    first use and kept; the kernel never changes otherwise.
+    integer tables scaled(S) and sup_scaled, for each radius the bitset
+    rows within(r), their pull-backs and the pseudo-orbit steps, and for
+    each constant the inseparability rows inseparable(c) and the cycle
+    verdicts cycle_failures(c) are built on first use and kept; the
+    kernel never changes otherwise.
     The system caches its kernel, so the kernel holds the system weakly:
     a strong link back would make each pair a cycle that only the
     cyclic collector frees.
@@ -397,23 +406,79 @@ class FiniteKernel:
         return tuple(tuple(dist(a, b) for b in self.pts) for a in self.pts)
 
     @cached_property
-    def separation(self) -> tuple:
-        """separation[i][j] = sup over n of d(f^n pts[i], f^n pts[j]); the
-        sup is constant along each orbit of f x f, so one walk per pair
-        orbit fills the matrix with n^2 table reads."""
-        table, pts, perm = self.table, self.pts, self.perm
-        sep = [[None] * len(pts) for _ in pts]
-        for i in range(len(pts)):
-            for j in range(len(pts)):
-                if sep[i][j] is None:
-                    walk, a, b = [(i, j)], perm[i], perm[j]
-                    while (a, b) != (i, j):
-                        walk.append((a, b))
-                        a, b = perm[a], perm[b]
-                    best = ZERO if i == j else max(table[a][b] for a, b in walk)
-                    for a, b in walk:
-                        sep[a][b] = best
+    def sup_scaled(self) -> tuple:
+        """sup_scaled[i][j] = denominator * sup over n of d(f^n pts[i], f^n pts[j]),
+        an integer. Pairs (cyc1[s], cyc2[t]) of two cycles of lengths p and
+        q fall into g = gcd(p, q) orbits of f x f, one per (t - s) mod g,
+        and the sup is constant along each: one walk per orbit fills the
+        matrix with n^2 reads of scaled(denominator)."""
+        rows, cycles = self.scaled(self.denominator), self.cycles
+        sep = [[0] * len(self.perm) for _ in self.perm]
+        for c1 in cycles:
+            p = len(c1)
+            for c2 in cycles:
+                q = len(c2)
+                g = gcd(p, q)
+                best = [max(rows[c1[s % p]][c2[(s + r) % q]] for s in range(p * q // g))
+                        for r in range(g)]
+                if c1 is c2:
+                    best[0] = 0         # the diagonal orbit: each point with itself
+                for s, a in enumerate(c1):
+                    row = sep[a]
+                    for t, b in enumerate(c2):
+                        row[b] = best[(t - s) % g]
         return tuple(map(tuple, sep))
+
+    @cached_property
+    def separation(self) -> tuple:
+        """separation[i][j] = sup over n of d(f^n pts[i], f^n pts[j]), the
+        Fractions of sup_scaled, one object per distinct value."""
+        D = self.denominator
+        values = {s: Fraction(s, D) for row in self.sup_scaled for s in set(row)}
+        return tuple(tuple(values[s] for s in row) for row in self.sup_scaled)
+
+    def inseparable(self, c) -> tuple:
+        """inseparable(c)[i]: the bitset of j with separation[i][j] <= c.
+
+        For c = p/q the test s/D <= p/q is s * q <= p * D on sup_scaled,
+        i.e. s <= floor(p * D / q) with q > 0.
+        """
+        key = ("inseparable", c)
+        if key not in self._views:
+            bound = c.numerator * self.denominator // c.denominator
+            self._views[key] = tuple(sum(1 << j for j, s in enumerate(row) if s <= bound)
+                                     for row in self.sup_scaled)
+        return self._views[key]
+
+    def first_inseparable_pair(self, c, mask):
+        """The least pair (i, j), i < j both in the bitset mask, with
+        separation[i][j] <= c, read off inseparable(c); None when every
+        pair of mask separates beyond c."""
+        rows = self.inseparable(c)
+        while mask:
+            i = least(mask)
+            mask &= mask - 1            # what is left lies above i
+            hit = rows[i] & mask
+            if hit:
+                return i, least(hit)
+        return None
+
+    def cycle_failures(self, c) -> tuple:
+        """(bits, pairs): pairs[i] is the first_inseparable_pair of the
+        cycle through i (None when the cycle separates beyond c), and bits
+        holds the i with a pair; one verdict per cycle and constant."""
+        key = ("cycle_failures", c)
+        if key not in self._views:
+            bits, pairs = 0, [None] * len(self.perm)
+            for cyc in self.cycles:
+                mask = sum(1 << i for i in cyc)
+                pair = self.first_inseparable_pair(c, mask)
+                if pair is not None:
+                    bits |= mask
+                    for i in cyc:
+                        pairs[i] = pair
+            self._views[key] = bits, tuple(pairs)
+        return self._views[key]
 
     @cached_property
     def cycles(self) -> tuple:
@@ -566,6 +631,11 @@ def common_scale(radius, *kernels) -> tuple:
 def members(bits) -> list:
     """The indices of the set bits of bits, ascending."""
     return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+def least(bits) -> int:
+    """The index of the lowest set bit of bits (nonzero)."""
+    return (bits & -bits).bit_length() - 1
 
 
 def _inverse(perm) -> tuple:
@@ -879,7 +949,10 @@ def conjugate_system(system, relabel: dict, name=None,
         raise PreconditionError("relabeling must be a bijection of the carrier")
     inv = {v: k for k, v in relabel.items()}
     perm = tuple(kernel.index[relabel[system.image(inv[p])]] for p in pts)
-    table = ([[system.dist(inv[a], inv[b]) for b in pts] for a in pts]
-             if transport_metric else kernel.table)
+    table = kernel.table
+    if transport_metric:
+        # twin index i carries the point inv[pts[i]], at source index src[i]
+        src = [kernel.index[inv[p]] for p in pts]
+        table = [[row[b] for b in src] for row in (table[a] for a in src)]
     return ExplicitSystem(FiniteMetricSpace(table), perm,
                           name=name or f"{system.name}_conj")

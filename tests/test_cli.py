@@ -254,6 +254,32 @@ def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
         assert "line 3:" in proc.stderr
 
 
+# every verb that takes a budget reads it first; ghdist once reported
+# with a negative one and shadow --window ran out of it (exit 3)
+BUDGET_ARGV = (
+    (("shadow", "bundled:r12k3", "--x", "0", "--eps", "1/4", "--delta", "1/24"), 0),
+    (("shadow", "bundled:r12k3", "--x", "0", "--eps", "1/4", "--delta", "1/24",
+      "--window", "2"), 3),
+    (("ghdist", "bundled:id3", "bundled:nearpair4"), 0),
+    (("ghstable", "bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES), 0),
+)
+
+
+@pytest.mark.parametrize("argv, zero_code", BUDGET_ARGV,
+                         ids=[" ".join(a) for a, _ in BUDGET_ARGV])
+def test_negative_budget_is_a_usage_error(capsys, monkeypatch, argv, zero_code):
+    monkeypatch.delenv("PDL_BUDGET", raising=False)
+    for budget in ("-1", "-5"):
+        assert main([*argv, "--budget", budget]) == 2
+        assert f"--budget must be nonnegative, got {budget}" in capsys.readouterr().err
+        monkeypatch.setenv("PDL_BUDGET", budget)
+        assert main(list(argv)) == 2
+        assert f"PDL_BUDGET must be nonnegative, got {budget}" in capsys.readouterr().err
+        monkeypatch.delenv("PDL_BUDGET")
+    # zero stays a budget: no window, no search node beyond the first
+    assert main([*argv, "--budget", "0"]) == zero_code
+
+
 @pytest.mark.parametrize("verb, flag", (("conjugacy", "--c"), ("conjugacy", "--eta"),
                                         ("ghstable", "--eta"), ("mustable", "--c"),
                                         ("satellite", "--c")))
@@ -285,14 +311,15 @@ FUZZ_VALUES = {
     "--variant": st.sampled_from(("expansive", "uniform", "minimal", "shadow",
                                   "mu-uniform", "nope")),
     "--window": st.integers(-2, 40).map(str),
-    "--budget": st.integers(-1, 10 ** 4).map(str),
+    "--budget": st.one_of(st.integers(-10 ** 4, -1), st.integers(0, 10 ** 4)).map(str),
     "--measure": st.sampled_from(("bundled:uniform3", "bundled:nullpoint3",
                                   "bundled:bernoulli_half", "bundled:nope")),
     "--g": st.sampled_from(FUZZ_SYSTEMS),
 }
 # PDL_BUDGET values: unset (None), integers, and text that is not one
 FUZZ_ENV_BUDGETS = st.one_of(st.sampled_from((None, "abc", "1/2", "")),
-                             st.integers(-1, 10 ** 4).map(str))
+                             st.integers(-10 ** 4, -1).map(str),
+                             st.integers(0, 10 ** 4).map(str))
 # verb -> (systems it takes, its options); the GH verbs always get a
 # budget from --budget or a set PDL_BUDGET, since without one a search
 # may run for seconds
@@ -347,3 +374,6 @@ def test_any_argv_exits_with_a_contract_code(drawn):
             os.environ["PDL_BUDGET"] = env_budget
         code = main(argv)
     assert code in (0, 1, 2, 3), (argv, env_budget, err.getvalue())
+    budget = argv[argv.index("--budget") + 1] if "--budget" in argv else env_budget
+    if "--budget" in FUZZ_VERBS[argv[0]][1] and budget and budget.startswith("-"):
+        assert code == 2, (argv, env_budget, err.getvalue())

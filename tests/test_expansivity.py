@@ -4,13 +4,16 @@ import hashlib
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pointdyn.metric import discrete_space
+from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.measures import phi_set
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
-                              build_satellite, Satellite, sorted_points)
+                              build_satellite, conjugate_system, point_label,
+                              Satellite, sorted_points)
 from pointdyn.shiftspace import pure, parse_ep
-from pointdyn.expansivity import (expansive_point_at, uniformly_expansive_at,
+from pointdyn.expansivity import (ExpansivityVerdict, expansive_point_at,
+                                  uniformly_expansive_at, is_expansive_on,
                                   minimally_expansive_at, classify_points,
                                   separation_set, separation_horizon,
                                   sequence_expansivity_criterion, point_verdicts)
@@ -114,3 +117,112 @@ def test_point_verdicts_are_pinned():
         for p in cat7.points():
             digest.update(repr((p, sorted_points(phi_set(cat7, p, c)))).encode())
     assert digest.hexdigest() == VERDICT_PIN
+
+
+# -- oracles: the pair loops the kernel rows replaced ---------------------------
+
+
+def oracle_sup(system, x, y):
+    """sup over n of d(f^n x, f^n y), walking the pair orbit on dist."""
+    if x == y:
+        return F(0)
+    best, a, b = system.dist(x, y), system.image(x), system.image(y)
+    while (a, b) != (x, y):
+        best = max(best, system.dist(a, b))
+        a, b = system.image(a), system.image(b)
+    return best
+
+
+def oracle_expansive_on(system, domain, c):
+    pts = sorted_points(domain)
+    for i, y in enumerate(pts):
+        for z in pts[i + 1:]:
+            if oracle_sup(system, y, z) <= c:
+                return ExpansivityVerdict(None, c, "expansive_on", False, (y, z))
+    return ExpansivityVerdict(None, c, "expansive_on", True,
+                              detail=f"{len(pts)} points, all pairs separate")
+
+
+def oracle_expansive_point(system, x, c):
+    for y in system.points():
+        if y != x and oracle_sup(system, x, y) <= c:
+            return ExpansivityVerdict(x, c, "expansive", False, (x, y))
+    return ExpansivityVerdict(x, c, "expansive", True)
+
+
+def oracle_ball(system, x, c):
+    return frozenset(y for y in system.points() if system.dist(x, y) < c)
+
+
+def oracle_uniform(system, x, c):
+    inner = oracle_expansive_on(system, oracle_ball(system, x, c), c)
+    return ExpansivityVerdict(x, c, "uniform", inner.result,
+                              inner.counterexample, inner.detail)
+
+
+def oracle_orbit(system, y):
+    orb, cur = [y], system.image(y)
+    while cur != y:
+        orb.append(cur)
+        cur = system.image(cur)
+    return orb
+
+
+def oracle_minimal(system, x, c):
+    for y in sorted_points(oracle_ball(system, x, c)):
+        inner = oracle_expansive_on(system, oracle_orbit(system, y), c)
+        if not inner.result:
+            return ExpansivityVerdict(x, c, "minimal", False, inner.counterexample,
+                                      detail=f"orbit closure of {point_label(y)} fails")
+    return ExpansivityVerdict(x, c, "minimal", True)
+
+
+def oracle_phi(system, x, c):
+    return frozenset(y for y in system.points() if oracle_sup(system, x, y) <= c)
+
+
+# The acceptance-criterion-3 distances: values in [1, 2] keep the triangle
+# inequality automatic.
+C3_DISTANCES = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
+TORUS_MATRICES = ((2, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0), (1, 0, 0, 1))
+
+
+@st.composite
+def classified_systems(draw):
+    """Random explicit systems, lattices, and relabeled twins of either."""
+    kind = draw(st.sampled_from(("explicit", "circle", "torus")))
+    if kind == "circle":
+        system = build_lattice(draw(st.integers(2, 12)), step=draw(st.integers(0, 11)))
+    elif kind == "torus":
+        system = build_lattice(draw(st.integers(2, 4)), kind="torus",
+                               matrix=draw(st.sampled_from(TORUS_MATRICES)))
+    else:
+        n = draw(st.integers(3, 9))
+        table = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                table[i][j] = table[j][i] = draw(st.sampled_from(C3_DISTANCES))
+        system = build_explicit(FiniteMetricSpace(table),
+                                tuple(draw(st.permutations(range(n)))))
+    if draw(st.booleans()):
+        pts = system.points()
+        system = conjugate_system(system, dict(zip(pts, draw(st.permutations(pts)))),
+                                  transport_metric=True)
+    return system
+
+
+@settings(max_examples=60, deadline=None)
+@given(classified_systems(), st.data())
+def test_classifiers_match_the_pair_loops(system, data):
+    pts = system.points()
+    # the system's own separations are the <= boundary; also just above them
+    own = sorted({oracle_sup(system, x, y) for x in pts for y in pts})
+    c = data.draw(st.sampled_from(own), label="separation")
+    c += data.draw(st.sampled_from((F(0), F(1, 10 ** 6))), label="above")
+    for x in pts:
+        assert expansive_point_at(system, x, c) == oracle_expansive_point(system, x, c)
+        assert uniformly_expansive_at(system, x, c) == oracle_uniform(system, x, c)
+        assert minimally_expansive_at(system, x, c) == oracle_minimal(system, x, c)
+        assert phi_set(system, x, c) == oracle_phi(system, x, c)
+    domain = data.draw(st.lists(st.sampled_from(pts), unique=True), label="domain")
+    assert is_expansive_on(system, domain, c) == oracle_expansive_on(system, domain, c)

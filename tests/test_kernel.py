@@ -3,16 +3,18 @@
 import gc
 import weakref
 from fractions import Fraction as F
+from random import Random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.shadowing import pseudo_orbit_graph
-from pointdyn.systems import (build_explicit, build_lattice, build_shift,
-                              iterate, materialize, members,
-                              pair_sup_separation, sorted_points, system_ball)
+from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
+                              build_shift, conjugate_system, iterate,
+                              materialize, members, pair_sup_separation,
+                              sorted_points, system_ball)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -75,6 +77,16 @@ def oracle_tracers(system, targets, radius, first, closed):
         if ok:
             found.append(z)
     return found
+
+
+def oracle_lattice_dist(system, x, y):
+    """The arc metric min(|i-j|, n-|i-j|)/n, maxed over torus coordinates."""
+    def arc(a, b):
+        a = abs(a - b) % system.n
+        return F(min(a, system.n - a), system.n)
+    if isinstance(system, CircleSystem):
+        return arc(x, y)
+    return max(arc(x[0], y[0]), arc(x[1], y[1]))
 
 
 def oracle_sup_separation(system, x, y):
@@ -200,18 +212,30 @@ def test_within_and_pullbacks_match_oracle(system, data):
         assert all(list(row) == sorted(row) for row in forward + backward)
 
 
-@given(finite_systems())
-def test_separation_matches_oracle(system):
+@given(finite_systems(), st.data())
+def test_separation_matches_oracle(system, data):
     k = system.kernel
+    oracle = [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
     assert [[k.separation[i][j] for j in range(len(k.pts))]
-            for i in range(len(k.pts))] == \
-        [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
+            for i in range(len(k.pts))] == oracle
     assert all(pair_sup_separation(system, p, q) == oracle_sup_separation(system, p, q)
                for p in k.pts for q in k.pts)
+    D = k.denominator
+    assert k.sup_scaled == tuple(tuple(int(D * v) for v in row) for row in oracle)
+    # the system's own separations are the <= boundary, and just above them
+    own = sorted({v for row in oracle for v in row})
+    base = data.draw(st.sampled_from(own + list(RADII) + [F(-1)]))
+    for c in (base, base + F(1, 10 ** 6)):
+        assert k.inseparable(c) == tuple(sum(1 << j for j, v in enumerate(row) if v <= c)
+                                         for row in oracle)
 
 
-@given(finite_systems())
-def test_kernel_maps_and_powers(system):
+@given(finite_systems(), st.randoms(use_true_random=False))
+@example(build_lattice(2, step=1), Random(0))
+@example(build_lattice(7, step=3), Random(1))
+@example(build_lattice(2, kind="torus", matrix=(1, 1, 0, 1)), Random(2))
+@example(build_lattice(3, kind="torus", matrix=(2, 1, 1, 1)), Random(3))
+def test_kernel_maps_and_powers(system, rng):
     k = system.kernel
     assert system.kernel is k
     for i, p in enumerate(k.pts):
@@ -219,6 +243,17 @@ def test_kernel_maps_and_powers(system):
         assert k.pts[k.inv[i]] == system.preimage(p)
         for j, q in enumerate(k.pts):
             assert k.table[i][j] == system.dist(p, q)
+            if system.backend == "lattice":
+                # the arc tables against the formula they replaced
+                assert system.dist(p, q) == oracle_lattice_dist(system, p, q)
+    # the transported conjugate indexes the kernel table; the loop it
+    # replaced called dist for each pair
+    relabel = dict(zip(k.pts, rng.sample(k.pts, len(k.pts))))
+    inv = {v: u for u, v in relabel.items()}
+    twin = conjugate_system(system, relabel, transport_metric=True)
+    assert twin.space.table == tuple(tuple(system.dist(inv[a], inv[b]) for b in k.pts)
+                                     for a in k.pts)
+    assert twin.perm == tuple(k.index[relabel[system.image(inv[p])]] for p in k.pts)
     for e, row in enumerate(k.powers):
         cur = list(k.pts)
         for _ in range(e):

@@ -218,6 +218,33 @@ def test_find_exact_isomorphism():
     assert find_exact_isomorphism(s3, D2) is None
 
 
+@pytest.mark.parametrize("delta", (F(0), F(-1), -1))
+def test_first_pair_rejects_nonpositive_delta(delta):
+    # search_delta_isometries already refused these; the first-pair search
+    # once answered (None, True), a complete proof that no pair exists
+    for search in (first_delta_isometry_pair, search_delta_isometries):
+        with pytest.raises(PreconditionError, match="delta must be positive"):
+            search(ID3, ID3, delta)
+
+
+def test_searches_reject_a_negative_budget():
+    nearpair4 = bundled_system("nearpair4")
+    # gh_distance_bounds(id3, nearpair4, budget=-5) once bracketed (0, 2)
+    calls = (lambda b: gh_distance_bounds(ID3, nearpair4, budget=b),
+             lambda b: gh_distance_bounds(ID3, ID3, budget=b),
+             lambda b: first_delta_isometry_pair(ID3, nearpair4, F(1, 2), b),
+             lambda b: search_delta_isometries(ID3, nearpair4, F(1, 2), b),
+             lambda b: enumerate_perturbations(ID3, 2, budget=b))
+    for call in calls:
+        for budget in (-1, -5):
+            with pytest.raises(PreconditionError, match="budget must be nonnegative"):
+                call(budget)
+    # a zero budget is valid: it allows no search node beyond the first
+    assert gh_distance_bounds(ID3, ID3, budget=0) == (0, 0)
+    assert first_delta_isometry_pair(ID3, ID3, F(1, 2), 0)[0] is not None
+    assert gh_distance_bounds(ID3, nearpair4, budget=0).lower == 0
+
+
 def test_gh_bounds_self_distance_zero():
     b = gh_distance_bounds(ID3, ID3)
     assert b == (0, 0) and b.complete
