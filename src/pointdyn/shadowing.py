@@ -1,10 +1,12 @@
 """Pseudo-orbit machinery and shadowable-point deciders.
 
 A delta-pseudo-orbit is a walk in the graph whose edges (u, v) satisfy
-d(f(u), v) < delta (strict). Tracing asks for a single true orbit
-staying strictly within eps of every entry. Tracer sets are integer
-bitsets over kernel indices, and a step is one AND with a row of the
-kernel's eps pull-backs, so no distance is compared per decider state.
+d(f(u), v) < delta (strict), while the stability layer admits
+perturbations at c0 distance <= delta (closed). Tracing asks for a
+single true orbit staying strictly within eps of every entry. Tracer
+sets are integer bitsets over kernel indices, and a step is one AND
+with a row of the kernel's eps pull-backs, so no distance is compared
+per decider state.
 
 The two directions of time constrain tracers independently: the tracer
 set of a window x_-N..x_N is F & B, where F is the AND of the rows of

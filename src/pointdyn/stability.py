@@ -11,6 +11,7 @@ found pairs / exhausted searches into exact upper / lower bounds.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice, product
 
 from .errors import (PreconditionError, ResourceBudgetError,
@@ -18,9 +19,9 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .metric import distortion, hausdorff_distance
 from .rationals import (ZERO, as_rational, dyadic_below, format_rational,
                         positive)
-from .systems import (ExplicitSystem, c0_distance, common_scale, materialize,
-                      members, orbit_closure, pair_sup_separation,
-                      point_index, point_label)
+from .systems import (ExplicitSystem, c0_distance, check_carrier, common_scale,
+                      materialize, members, orbit_closure,
+                      pair_sup_separation, point_index, point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -72,7 +73,7 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
     if gap > delta:
         raise PreconditionError(
             f"c0 distance {format_rational(gap)} exceeds delta")
-    return _semiconjugacy(f, g, x, gap, eps,
+    return _semiconjugacy(f, g.kernel.perm if g.finite else None, x, gap, eps,
                           _tracing_radius(eps, expansivity_c, eta))
 
 
@@ -82,10 +83,11 @@ def _tracing_radius(eps, expansivity_c, eta):
     return eps / 16 if eta is None else positive(eta, "eta")
 
 
-def _semiconjugacy(f, g, x, gap, eps, eta):
+def _semiconjugacy(f, gperm, x, gap, eps, eta):
     """build_conjugacy once the carrier is shared and gap = c0(f, g) is
-    admissible. Finite carriers work on kernel indices throughout and
-    label only the results."""
+    admissible; gperm is g's index permutation on f's kernel indices
+    (None on infinite carriers). Finite carriers work on kernel indices
+    throughout and label only the results."""
     if not f.finite:
         if gap != 0:
             raise UnsupportedBackendError(
@@ -95,10 +97,13 @@ def _semiconjugacy(f, g, x, gap, eps, eta):
         return ConjugacyResult(True, None, dom_t,
                                {u: u for u in dom_t} or None, ZERO, True, eta,
                                "unperturbed map: h is the identity on the orbit closure")
-    fk, gk = f.kernel, g.kernel
+    fk = f.kernel
     pts, fperm = fk.pts, fk.perm
     xi = point_index(f, x)
-    orb = gk.orbit(xi)
+    orb, u = [xi], gperm[xi]
+    while u != xi:
+        orb.append(u)
+        u = gperm[u]
     dom = tuple(pts[u] for u in orb)
     tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi)
     if not tracers:
@@ -116,7 +121,7 @@ def _semiconjugacy(f, g, x, gap, eps, eta):
             f"{format_rational(sep)} (at most 2*eta), below any usable "
             f"expansivity constant")
     h = dict(zip(orb, path))
-    commutation = all(fperm[h[u]] == h[gk.perm[u]] for u in orb)
+    commutation = all(fperm[h[u]] == h[gperm[u]] for u in orb)
     residual = max(fk.table[h[u]][u] for u in orb)
     mapping = {pts[u]: pts[v] for u, v in h.items()}
     if not commutation:
@@ -137,12 +142,26 @@ def _semiconjugacy(f, g, x, gap, eps, eta):
 
 @dataclass(frozen=True)
 class PerturbationFamily:
+    """The admissible perturbations of base as index permutations on its
+    carrier: index i stands for points[i] in every map."""
     base: ExplicitSystem        # the input system, materialized
     points: tuple               # index -> original point
-    systems: tuple              # every permutation within c0 distance delta
+    perms: tuple                # every index permutation within c0 distance delta
+    nodes: int                  # search nodes visited: the partial maps extended,
+                                # the empty one included
 
     def __len__(self):
-        return len(self.systems)
+        return len(self.perms)
+
+    def name(self, i) -> str:
+        return f"{self.base.name}~pert{i}"
+
+    @cached_property
+    def systems(self) -> tuple:
+        """The perturbations as ExplicitSystems on base's space, built on
+        first access."""
+        return tuple(ExplicitSystem(self.base.space, p, name=self.name(i))
+                     for i, p in enumerate(self.perms))
 
 
 def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
@@ -150,17 +169,31 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
 
     Perturbations stay within the homeomorphism class, so on a finite
     carrier they are exactly the permutations moving each f-image by at
-    most delta (non-strict, matching the stability comparisons).
+    most delta. The bound is closed, while pseudo-orbit steps are strict
+    (d(f(w_n), w_(n+1)) < delta): a perturbation with a step of exactly
+    delta is admitted here, though its orbits are not delta-pseudo-orbits.
+
+    A depth-first search places the images of indices 0, 1, ... in
+    ascending order, so the maps come out in lexicographic order. It
+    checks forward: due[u] holds the targets that no index after u may
+    take, and an image for u that leaves one of them unused cuts the
+    branch. The budget caps the maps found.
     """
-    delta = as_rational(delta)
+    delta = positive(delta, "perturbation radius")
     budget = _budget(budget, DEFAULT_ENUMERATION_BUDGET)
     base, pts = materialize(system)
     n = base.space.n
     rows = system.kernel.within(delta, closed=True)
-    allowed = [members(rows[v]) for v in base.perm]
-    perms, chosen, used = [], [None] * n, [False] * n
+    bits = [rows[v] for v in base.perm]
+    due, later = [0] * n, 0
+    for u in reversed(range(n)):
+        due[u] = bits[u] & ~later
+        later |= bits[u]
+    allowed = [members(row) for row in bits]
+    perms, chosen, nodes = [], [None] * n, 0
 
-    def place(u):
+    def place(u, used):
+        nonlocal nodes
         if u == n:
             perms.append(tuple(chosen))
             if len(perms) > budget:
@@ -168,18 +201,17 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
                     f"more than {budget} admissible perturbations",
                     budget=budget)
             return
+        nodes += 1
+        need = due[u]
         for v in allowed[u]:
-            if not used[v]:
-                used[v] = True
-                chosen[u] = v
-                place(u + 1)
-                used[v] = False
+            bit = 1 << v
+            if used & bit or need & ~(used | bit):
+                continue
+            chosen[u] = v
+            place(u + 1, used | bit)
 
-    place(0)
-    systems = tuple(
-        ExplicitSystem(base.space, p, name=f"{base.name}~pert{i}")
-        for i, p in enumerate(perms))
-    return PerturbationFamily(base, pts, systems)
+    place(0, 0)
+    return PerturbationFamily(base, pts, tuple(perms), nodes)
 
 
 @dataclass(frozen=True)
@@ -206,27 +238,46 @@ def verify_topologically_stable_point(f, x, eps, delta, perturbations, *,
                                       expansivity_c=None, eta=None):
     """Does every admissible perturbation admit a verified semiconjugacy at x?
 
+    perturbations is a PerturbationFamily or an iterable of systems on
+    f's carrier. A perturbation is admissible at c0_distance(f, g) <=
+    delta (closed), while the pseudo-orbits that tracing follows are
+    strict (steps below delta), as in enumerate_perturbations.
     Perturbations beyond the delta bound are recorded as skipped, not
     failed; the verdict quantifies over the admissible ones only.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     eta = _tracing_radius(eps, expansivity_c, eta)
-    if isinstance(perturbations, PerturbationFamily):
-        perturbations = perturbations.systems
     entries, ok = [], True
-    for g in perturbations:
-        gap = c0_distance(f, g)
+    for name, gperm, gap in _perturbation_maps(f, perturbations):
         if gap > delta:
             entries.append(PerturbationVerdict(
-                g.name, "skipped", None,
+                name, "skipped", None,
                 f"c0 distance {format_rational(gap)} exceeds delta"))
             continue
-        res = _semiconjugacy(f, g, x, gap, eps, eta)
+        res = _semiconjugacy(f, gperm, x, gap, eps, eta)
         entries.append(PerturbationVerdict(
-            g.name, "ok" if res.success else "failed", res,
+            name, "ok" if res.success else "failed", res,
             "" if res.success else res.failed_step))
         ok = ok and res.success
     return StablePointReport(ok, x, eps, delta, tuple(entries))
+
+
+def _perturbation_maps(f, perturbations):
+    """(name, index permutation, c0 distance from f) per perturbation.
+
+    A family's carrier is checked once, against its base; each system
+    of any other iterable is checked by c0_distance, and carries no
+    index permutation on an infinite carrier (None).
+    """
+    if isinstance(perturbations, PerturbationFamily):
+        check_carrier(f, perturbations.base)
+        c0 = f.kernel.c0_distance
+        for i, p in enumerate(perturbations.perms):
+            yield perturbations.name(i), p, c0(p)
+        return
+    for g in perturbations:
+        gap = c0_distance(f, g)
+        yield g.name, g.kernel.perm if g.finite else None, gap
 
 
 # -- delta-isometry search ---------------------------------------------------

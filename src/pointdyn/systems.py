@@ -556,6 +556,14 @@ class FiniteKernel:
                                      for row in self.table)
         return self._views[key]
 
+    def c0_distance(self, perm) -> Fraction:
+        """max over i of d(f(pts[i]), pts[perm[i]]): the C0 distance from
+        perm to the kernel's map on the same indices, read off the integer
+        rows scaled(denominator)."""
+        rows = self.scaled(self.denominator)
+        top = max((rows[a][b] for a, b in zip(self.perm, perm)), default=0)
+        return Fraction(top, self.denominator)
+
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
         read off scaled(S) at S = common_scale, where d <= r is d*S < r*S + 1."""
@@ -826,7 +834,8 @@ def c0_distance(f: MetricSystem, g: MetricSystem, probe=None) -> Fraction:
     """sup over the carrier of d(f(x), g(x)).
 
     Exact on finite backends, where the carrier is shared index by index
-    (check_carrier). On shift/satellite carriers a finite
+    (check_carrier) and the sup is taken over f's integer kernel rows
+    (FiniteKernel.c0_distance). On shift/satellite carriers a finite
     probe set is required and the result is a lower bound (the sup is
     over an infinite carrier); callers surface that caveat. Only there
     do equal descriptions short-cut to zero.
@@ -835,9 +844,7 @@ def c0_distance(f: MetricSystem, g: MetricSystem, probe=None) -> Fraction:
     if f is g:
         return ZERO
     if f.finite:
-        table = f.kernel.table
-        return max((table[a][b] for a, b in zip(f.kernel.perm, g.kernel.perm)),
-                   default=ZERO)
+        return f.kernel.c0_distance(g.kernel.perm)
     if f.digest() == g.digest():
         return ZERO
     pts = list(probe) if probe else []

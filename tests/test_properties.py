@@ -443,6 +443,23 @@ def test_conjugacy_success_reverifies_externally(data):
         assert h[seen] == zz
 
 
+@settings(max_examples=60, deadline=None)
+@given(spaces(1, 6), st.integers(2, 9), st.data())
+def test_c0_distance_is_the_fraction_max(space, n, data):
+    # finite carriers read the kernel's integer rows; the oracle compares
+    # Fractions, on an explicit carrier and on a circle and its indices
+    f, g = (build_explicit(space, tuple(data.draw(st.permutations(range(space.n)))))
+            for _ in "fg")
+    assert c0_distance(f, g) == max(space.table[f.perm[u]][g.perm[u]]
+                                    for u in range(space.n))
+    rot = build_lattice(n, step=data.draw(st.integers(0, n - 1)))
+    perm = tuple(data.draw(st.permutations(range(n))))
+    g = ExplicitSystem(FiniteMetricSpace([[rot.dist(a, b) for b in range(n)]
+                                          for a in range(n)]), perm)
+    assert c0_distance(rot, g) == c0_distance(g, rot) == max(
+        rot.dist(rot.image(u), perm[u]) for u in range(n))
+
+
 @given(st.data())
 @settings(max_examples=15, deadline=None)
 def test_gh_bounds_ordered_and_budget_monotone(data):

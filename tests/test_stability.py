@@ -2,24 +2,26 @@
 
 import hashlib
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pointdyn.bundled import bundled_system
 from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
                              hausdorff_distance, is_delta_isometry)
 from pointdyn.rationals import format_rational
-from pointdyn.systems import (ExplicitSystem, build_lattice, conjugate_system,
-                              is_self_isometry, materialize, point_label)
+from pointdyn.systems import (ExplicitSystem, build_lattice, c0_distance,
+                              conjugate_system, is_self_isometry, materialize,
+                              point_label)
 from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
                                 find_exact_isomorphism,
                                 first_delta_isometry_pair, gh_distance_bounds,
                                 gh_stable_point_check, search_delta_isometries,
                                 transport_under_conjugacy, transported_constant,
                                 verify_topologically_stable_point)
-from pointdyn.errors import PreconditionError, ResourceBudgetError
+from pointdyn.errors import (CarrierMismatchError, PreconditionError,
+                             ResourceBudgetError)
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -64,6 +66,14 @@ def test_enumerate_perturbations_counts():
     assert err.value.budget == 3
 
 
+@pytest.mark.parametrize("delta", (-1, 0, F(0)))
+def test_enumerate_perturbations_rejects_nonpositive_radius(delta):
+    # -1 once gave an empty family, against which every stability verdict
+    # held vacuously, and 0 gave the family {f}
+    with pytest.raises(PreconditionError, match="perturbation radius must be positive"):
+        enumerate_perturbations(bundled_system("id3"), delta)
+
+
 def test_rotation_perturbation_count_is_lucas_plus_rotations():
     # images u -> 3u + e with |e| <= 1 step, injective mod 12; substituting
     # v = 3u these are permutations of Z_12 moving every point at most one
@@ -72,12 +82,100 @@ def test_rotation_perturbation_count_is_lucas_plus_rotations():
     assert len(fam) == 324
 
 
+# -- the enumerator against brute force --------------------------------------
+
+# distances in [1/2, 1] keep the triangle inequality automatic
+EXPLICIT_PALETTE = (F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1))
+
+
+@st.composite
+def explicit_systems(draw, min_n=2, max_n=6):
+    n = draw(st.integers(min_n, max_n))
+    table = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(st.sampled_from(EXPLICIT_PALETTE))
+    return ExplicitSystem(FiniteMetricSpace(table), tuple(draw(st.permutations(range(n)))),
+                          name="rand")
+
+
+def carrier_radius(data, system):
+    """A positive distance value of the carrier, so that the closed
+    bound c0 <= delta is hit by some map."""
+    values = sorted({d for row in system.kernel.table for d in row if d > 0})
+    return data.draw(st.sampled_from(values))
+
+
+def perturbation_oracle(base, delta):
+    """The permutations p of base's carrier with c0_distance(base, p) <=
+    delta, in lexicographic order. Each index keeps the images within
+    delta of its base image by a Fraction compare on the table, and
+    itertools.product runs through those ascending lists in order."""
+    n, table = base.space.n, base.space.table
+    images = [[v for v in range(n) if table[base.perm[u]][v] <= delta]
+              for u in range(n)]
+    return [p for p in product(*images) if len(set(p)) == n
+            and c0_distance(base, ExplicitSystem(base.space, p)) <= delta]
+
+
+def assert_family_is(fam, want):
+    assert fam.perms == tuple(want) and len(fam) == len(want)
+    assert [g.perm for g in fam.systems] == list(want)
+    assert [g.name for g in fam.systems] == [
+        f"{fam.base.name}~pert{i}" for i in range(len(want))]
+    assert fam.systems is fam.systems            # built once, then kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(explicit_systems(), st.data())
+def test_enumerator_matches_permutation_oracle(system, data):
+    delta = carrier_radius(data, system)
+    want = [p for p in permutations(range(system.space.n))
+            if c0_distance(system, ExplicitSystem(system.space, p)) <= delta]
+    assert perturbation_oracle(system, delta) == want
+    assert_family_is(enumerate_perturbations(system, delta), want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(8, 12), st.data())
+def test_enumerator_matches_oracle_on_rotations_and_twins(n, data):
+    # the carrier's least distance 1/n; the next one, 2/n, would make the
+    # oracle's product 5^n long
+    rot = build_lattice(n, step=data.draw(st.integers(1, n - 1)))
+    relabel = dict(enumerate(data.draw(st.permutations(range(n)))))
+    twin = conjugate_system(rot, relabel, name="twin", transport_metric=True)
+    for system in (rot, twin):
+        fam = enumerate_perturbations(system, F(1, n))
+        assert_family_is(fam, perturbation_oracle(fam.base, F(1, n)))
+
+
+@pytest.mark.parametrize("n", range(3, 17))
+def test_enumeration_visits_no_dead_end(n):
+    # forward checking: every node the search visits extends to a map
+    fam = enumerate_perturbations(build_lattice(n, step=1), F(1, n))
+    assert fam.nodes == len({p[:k] for p in fam.perms for k in range(n)})
+
+
+def test_z48_enumeration_refuses_within_its_budget():
+    # the budget counts maps, so a search that wanders through dead ends
+    # between them can run for minutes before it refuses
+    with pytest.raises(ResourceBudgetError) as err:
+        enumerate_perturbations(build_lattice(48, step=1), F(1, 48), budget=10 ** 5)
+    assert err.value.budget == 10 ** 5
+
+
 def test_stable_point_identity_only():
     fam = enumerate_perturbations(ID3, F(1, 2))
     for x in (0, 1, 2):
         rep = verify_topologically_stable_point(ID3, x, F(1, 2), F(1, 2), fam)
         assert rep.result
         assert len(rep.entries) == 1 and rep.entries[0].status == "ok"
+
+
+def test_stable_point_checks_the_family_carrier():
+    with pytest.raises(CarrierMismatchError):
+        verify_topologically_stable_point(R12K1, 0, F(1, 4), F(1, 12),
+                                          enumerate_perturbations(ID3, F(1, 2)))
 
 
 def test_stable_point_skips_far_perturbations():
@@ -135,6 +233,50 @@ def test_torus_against_its_perturbation_family():
             assert got.conjugacy.domain[0] == x
             assert got.conjugacy.mapping == {
                 pts[u]: pts[v] for u, v in want.conjugacy.mapping.items()}
+
+
+def three_routes(f, x, eps, delta, fam, **kw):
+    """The stable-point reports against the family itself, its systems,
+    and fresh copies of its maps, which take the per-system route."""
+    copies = [ExplicitSystem(fam.base.space, p, name=fam.name(i))
+              for i, p in enumerate(fam.perms)]
+    return [verify_topologically_stable_point(f, x, eps, delta, maps, **kw)
+            for maps in (fam, list(fam.systems), copies)]
+
+
+def assert_same_reports(reports):
+    first = reports[0]
+    for rep in reports[1:]:
+        assert (rep.result, rep.point, rep.eps, rep.delta) == \
+            (first.result, first.point, first.eps, first.delta)
+        assert len(rep.entries) == len(first.entries)
+        for got, want in zip(rep.entries, first.entries):
+            assert got == want
+
+
+def test_verify_routes_agree_on_z12():
+    z12 = build_lattice(12, step=1)
+    fam = enumerate_perturbations(z12, F(1, 12))
+    for x in z12.points():
+        assert_same_reports(three_routes(z12, x, F(1, 4), F(1, 12), fam))
+
+
+def test_verify_routes_agree_on_cat5():
+    cat5 = bundled_system("cat5")
+    fam = enumerate_perturbations(cat5, F(1, 10))
+    for x in cat5.points():
+        assert_same_reports(three_routes(cat5, x, F(1, 4), F(1, 10), fam,
+                                         expansivity_c=F(1, 10)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(explicit_systems(2, 5), st.data())
+def test_verify_routes_agree_on_random_systems(f, data):
+    fam = enumerate_perturbations(f, carrier_radius(data, f))
+    x = data.draw(st.integers(0, f.space.n - 1))
+    eps, delta = carrier_radius(data, f), carrier_radius(data, f)
+    c = data.draw(st.one_of(st.none(), st.sampled_from(EXPLICIT_PALETTE)))
+    assert_same_reports(three_routes(f, x, eps, delta, fam, expansivity_c=c))
 
 
 def test_search_delta_isometries():
