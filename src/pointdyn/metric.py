@@ -29,7 +29,9 @@ class FiniteMetricSpace:
     __slots__ = ("table", "n")
 
     def __init__(self, table):
-        rows = tuple(tuple(as_rational(v) for v in row) for row in table)
+        # a row of Fractions only (a kernel's or a twin's) is taken as it is
+        rows = tuple(tuple(row) if {Fraction}.issuperset(map(type, row))
+                     else tuple(map(as_rational, row)) for row in table)
         self.table = rows
         self.n = len(rows)
 

@@ -86,8 +86,8 @@ def _tracing_radius(eps, expansivity_c, eta):
 def _semiconjugacy(f, gperm, x, gap, eps, eta):
     """build_conjugacy once the carrier is shared and gap = c0(f, g) is
     admissible; gperm is g's index permutation on f's kernel indices
-    (None on infinite carriers). Finite carriers work on kernel indices
-    throughout and label only the results."""
+    (None on infinite carriers), and only they read gap. Finite carriers
+    work on kernel indices throughout and label only the results."""
     if not f.finite:
         if gap != 0:
             raise UnsupportedBackendError(
@@ -248,8 +248,8 @@ def verify_topologically_stable_point(f, x, eps, delta, perturbations, *,
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     eta = _tracing_radius(eps, expansivity_c, eta)
     entries, ok = [], True
-    for name, gperm, gap in _perturbation_maps(f, perturbations):
-        if gap > delta:
+    for name, gperm, gap, skip in _perturbation_maps(f, perturbations, delta):
+        if skip:
             entries.append(PerturbationVerdict(
                 name, "skipped", None,
                 f"c0 distance {format_rational(gap)} exceeds delta"))
@@ -262,22 +262,28 @@ def verify_topologically_stable_point(f, x, eps, delta, perturbations, *,
     return StablePointReport(ok, x, eps, delta, tuple(entries))
 
 
-def _perturbation_maps(f, perturbations):
-    """(name, index permutation, c0 distance from f) per perturbation.
+def _perturbation_maps(f, perturbations, delta):
+    """(name, index permutation, c0 distance from f, whether it exceeds
+    delta) per perturbation.
 
-    A family's carrier is checked once, against its base; each system
-    of any other iterable is checked by c0_distance, and carries no
-    index permutation on an infinite carrier (None).
+    A family's carrier is checked once, against its base. Its maps compare
+    their integer C0 sup top with delta = p/q as top > floor(p * D / q),
+    and build the distance only beyond delta (None for an admissible map).
+    Each system of any other iterable is checked by c0_distance, and
+    carries no index permutation on an infinite carrier (None).
     """
     if isinstance(perturbations, PerturbationFamily):
         check_carrier(f, perturbations.base)
-        c0 = f.kernel.c0_distance
+        k, D = f.kernel, f.kernel.denominator
+        bound = delta.numerator * D // delta.denominator
         for i, p in enumerate(perturbations.perms):
-            yield perturbations.name(i), p, c0(p)
+            top = k.c0_scaled(p)
+            skip = top > bound
+            yield perturbations.name(i), p, Fraction(top, D) if skip else None, skip
         return
     for g in perturbations:
         gap = c0_distance(f, g)
-        yield g.name, g.kernel.perm if g.finite else None, gap
+        yield g.name, g.kernel.perm if g.finite else None, gap, gap > delta
 
 
 # -- delta-isometry search ---------------------------------------------------

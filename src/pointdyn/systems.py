@@ -7,7 +7,9 @@ eventually periodic bi-infinite sequences; the satellite backend glues
 finitely many isolated periodic "satellite" copies onto a marked
 periodic orbit of the shift. Infinite carriers answer set-level
 questions through symbolic objects (ShiftBall, ShiftOrbitClosure,
-SatelliteBall) instead of enumeration; every answer stays exact.
+SatelliteBall) instead of enumeration; every answer stays exact. A finite
+backend hands its FiniteKernel integer rows: lattices rotate and concatenate
+their integer arcs, an explicit system converts its Fraction table once.
 """
 
 import hashlib
@@ -15,6 +17,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import (CarrierMismatchError, MalformedInputError,
@@ -148,6 +151,14 @@ class ExplicitSystem(MetricSystem):
     def carrier_token(self):
         return ("explicit", self.space.table)
 
+    def _integer_table(self):
+        # one conversion per distinct object: a twin's n^2 entries share a few
+        table = self.space.table
+        values = {id(d): d for row in table for d in row}
+        D = lcm(*(d.denominator for d in values.values()))
+        ints = {key: d.numerator * (D // d.denominator) for key, d in values.items()}
+        return D, tuple(tuple(map(ints.__getitem__, map(id, row))) for row in table)
+
     def describe(self):
         rows = [f"explicit n={self.space.n}"]
         for i in range(self.space.n):
@@ -168,8 +179,8 @@ class CircleSystem(MetricSystem):
         self.n = n
         self.step = step % n
         self.name = name or f"circle{n}_rot{self.step}"
-        arcs, values = _arc_tables(n)
-        self._dist = tuple(values[a] for a in arcs)     # by (x - y) mod n
+        self._arcs, values = _arc_tables(n)
+        self._dist = tuple(values[a] for a in self._arcs)     # by (x - y) mod n
 
     @property
     def finite(self):
@@ -189,6 +200,9 @@ class CircleSystem(MetricSystem):
 
     def carrier_token(self):
         return ("circle", self.n)
+
+    def _integer_table(self):
+        return self.n, _arc_rows(self._arcs)
 
     def describe(self):
         return f"lattice n={self.n} map=rot {self.step}"
@@ -234,6 +248,15 @@ class TorusSystem(MetricSystem):
     def carrier_token(self):
         return ("torus", self.n)
 
+    def _integer_table(self):
+        # row (u, v) is n blocks, one per u': the circle row of v maxed
+        # with the arc from u to u', one block per (v, arc)
+        n, circle = self.n, _arc_rows(self._arcs)
+        blocks = [[tuple(a if a > b else b for b in row) for a in range(n // 2 + 1)]
+                  for row in circle]
+        return n, tuple(tuple(chain.from_iterable(map(blocks[v].__getitem__, circle[u])))
+                        for u in range(n) for v in range(n))
+
     def describe(self):
         return f"lattice n={self.n} torus map=mat " + " ".join(str(v) for v in self.matrix)
 
@@ -243,6 +266,12 @@ def _arc_tables(n: int) -> tuple:
     difference k mod n, and values[a] = a/n, one Fraction per arc."""
     return (tuple(min(k, n - k) for k in range(n)),
             tuple(Fraction(a, n) for a in range(n // 2 + 1)))
+
+
+def _arc_rows(arcs) -> tuple:
+    """The circle's integer rows: row i is arcs[(j - i) % n] over j."""
+    n = len(arcs)
+    return tuple(arcs[n - i:] + arcs[:n - i] for i in range(n))
 
 
 class ShiftSystem(MetricSystem):
@@ -382,6 +411,9 @@ class FiniteKernel:
     each constant the inseparability rows inseparable(c) and the cycle
     verdicts cycle_failures(c) are built on first use and kept; the
     kernel never changes otherwise.
+    Integer rows come first: denominator reads the system's _integer_table
+    (D, D * table), from the integer arcs on a lattice (D = n, and table is
+    built from the rows), from one conversion of an explicit system's table.
     The system caches its kernel, so the kernel holds the system weakly:
     a strong link back would make each pair a cycle that only the
     cyclic collector frees.
@@ -398,12 +430,12 @@ class FiniteKernel:
 
     @cached_property
     def table(self) -> tuple:
-        """table[i][j] = d(pts[i], pts[j])."""
+        """table[i][j] = d(pts[i], pts[j]): an explicit system's own table,
+        else the Fractions of scaled(denominator), built on first read."""
         system = self.system
         if isinstance(system, ExplicitSystem):
             return system.space.table
-        dist = system.dist
-        return tuple(tuple(dist(a, b) for b in self.pts) for a in self.pts)
+        return _fractions(self.scaled(self.denominator), self.denominator)
 
     @cached_property
     def sup_scaled(self) -> tuple:
@@ -432,10 +464,8 @@ class FiniteKernel:
     @cached_property
     def separation(self) -> tuple:
         """separation[i][j] = sup over n of d(f^n pts[i], f^n pts[j]), the
-        Fractions of sup_scaled, one object per distinct value."""
-        D = self.denominator
-        values = {s: Fraction(s, D) for row in self.sup_scaled for s in set(row)}
-        return tuple(tuple(values[s] for s in row) for row in self.sup_scaled)
+        Fractions of sup_scaled."""
+        return _fractions(self.sup_scaled, self.denominator)
 
     def inseparable(self, c) -> tuple:
         """inseparable(c)[i]: the bitset of j with separation[i][j] <= c.
@@ -444,11 +474,11 @@ class FiniteKernel:
         i.e. s <= floor(p * D / q) with q > 0.
         """
         key = ("inseparable", c)
-        if key not in self._views:
+        if (rows := self._views.get(key)) is None:
             bound = c.numerator * self.denominator // c.denominator
-            self._views[key] = tuple(sum(1 << j for j, s in enumerate(row) if s <= bound)
-                                     for row in self.sup_scaled)
-        return self._views[key]
+            rows = self._views[key] = tuple(sum(1 << j for j, s in enumerate(row) if s <= bound)
+                                            for row in self.sup_scaled)
+        return rows
 
     def first_inseparable_pair(self, c, mask):
         """The least pair (i, j), i < j both in the bitset mask, with
@@ -468,7 +498,7 @@ class FiniteKernel:
         cycle through i (None when the cycle separates beyond c), and bits
         holds the i with a pair; one verdict per cycle and constant."""
         key = ("cycle_failures", c)
-        if key not in self._views:
+        if (view := self._views.get(key)) is None:
             bits, pairs = 0, [None] * len(self.perm)
             for cyc in self.cycles:
                 mask = sum(1 << i for i in cyc)
@@ -477,8 +507,8 @@ class FiniteKernel:
                     bits |= mask
                     for i in cyc:
                         pairs[i] = pair
-            self._views[key] = bits, tuple(pairs)
-        return self._views[key]
+            view = self._views[key] = bits, tuple(pairs)
+        return view
 
     @cached_property
     def cycles(self) -> tuple:
@@ -545,55 +575,56 @@ class FiniteKernel:
 
     @cached_property
     def denominator(self) -> int:
-        """The lcm of the table's denominators: the least S with S * table integral."""
-        return lcm(*(d.denominator for row in self.table for d in row))
+        """The least S with S * table integral; the rows come with it."""
+        D, self._rows = self.system._integer_table()
+        return D
 
     def scaled(self, scale) -> tuple:
         """The integer rows scale * table, for a multiple scale of denominator."""
         key = ("scaled", scale)
-        if key not in self._views:
-            self._views[key] = tuple(tuple(d.numerator * (scale // d.denominator) for d in row)
-                                     for row in self.table)
-        return self._views[key]
+        if (rows := self._views.get(key)) is None:
+            k = scale // self.denominator
+            rows = self._views[key] = self._rows if k == 1 else tuple(
+                tuple(v * k for v in row) for row in self._rows)
+        return rows
 
-    def c0_distance(self, perm) -> Fraction:
-        """max over i of d(f(pts[i]), pts[perm[i]]): the C0 distance from
-        perm to the kernel's map on the same indices, read off the integer
-        rows scaled(denominator)."""
+    def c0_scaled(self, perm) -> int:
+        """denominator * max over i of d(f(pts[i]), pts[perm[i]]): the C0
+        distance from perm to the kernel's map on the same indices, read
+        off the integer rows scaled(denominator)."""
         rows = self.scaled(self.denominator)
-        top = max((rows[a][b] for a, b in zip(self.perm, perm)), default=0)
-        return Fraction(top, self.denominator)
+        return max((rows[a][b] for a, b in zip(self.perm, perm)), default=0)
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
         read off scaled(S) at S = common_scale, where d <= r is d*S < r*S + 1."""
         key = ("within", radius, closed)
-        if key not in self._views:
+        if (rows := self._views.get(key)) is None:
             scale, bound = common_scale(radius, self)
             bound += closed
-            self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d < bound)
-                                     for row in self.scaled(scale))
-        return self._views[key]
+            rows = self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d < bound)
+                                            for row in self.scaled(scale))
+        return rows
 
     def pullbacks(self, radius, closed=False) -> tuple:
         """pullbacks(r)[e][v]: the bitset of z with f^e z in within(r)[v]."""
         key = ("pullbacks", radius, closed)
-        if key not in self._views:
+        if (pull := self._views.get(key)) is None:
             rows = [members(w) for w in self.within(radius, closed)]
-            self._views[key] = tuple(
+            pull = self._views[key] = tuple(
                 tuple(sum(1 << back[y] for y in row) for row in rows)
                 for back in (self.powers[-e % self.order] for e in range(self.order)))
-        return self._views[key]
+        return pull
 
     def steps(self, delta, forward=True) -> tuple:
         """The delta-pseudo-orbit steps, each row ascending: the v with
         d(f(u), v) < delta forward, the w with d(f(w), u) < delta backward."""
         key = ("steps", delta, forward)
-        if key not in self._views:
+        if (rows := self._views.get(key)) is None:
             near = [members(row) for row in self.within(delta)]
-            self._views[key] = (tuple(near[v] for v in self.perm) if forward else
-                                tuple(sorted(self.inv[y] for y in row) for row in near))
-        return self._views[key]
+            rows = self._views[key] = (tuple(near[v] for v in self.perm) if forward else
+                                       tuple(sorted(self.inv[y] for y in row) for row in near))
+        return rows
 
     def tracers(self, targets, radius, first=0, closed=False) -> list:
         """Indices z with d(f^(first+n) z, targets[n]) < radius for every n,
@@ -644,6 +675,12 @@ def members(bits) -> list:
 def least(bits) -> int:
     """The index of the lowest set bit of bits (nonzero)."""
     return (bits & -bits).bit_length() - 1
+
+
+def _fractions(rows, D) -> tuple:
+    """The Fraction rows s/D of integer rows, one object per distinct value."""
+    values = {s: Fraction(s, D) for s in set().union(*rows)}
+    return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
 
 def _inverse(perm) -> tuple:
@@ -835,7 +872,7 @@ def c0_distance(f: MetricSystem, g: MetricSystem, probe=None) -> Fraction:
 
     Exact on finite backends, where the carrier is shared index by index
     (check_carrier) and the sup is taken over f's integer kernel rows
-    (FiniteKernel.c0_distance). On shift/satellite carriers a finite
+    (FiniteKernel.c0_scaled). On shift/satellite carriers a finite
     probe set is required and the result is a lower bound (the sup is
     over an infinite carrier); callers surface that caveat. Only there
     do equal descriptions short-cut to zero.
@@ -844,7 +881,7 @@ def c0_distance(f: MetricSystem, g: MetricSystem, probe=None) -> Fraction:
     if f is g:
         return ZERO
     if f.finite:
-        return f.kernel.c0_distance(g.kernel.perm)
+        return Fraction(f.kernel.c0_scaled(g.kernel.perm), f.kernel.denominator)
     if f.digest() == g.digest():
         return ZERO
     pts = list(probe) if probe else []
@@ -960,6 +997,6 @@ def conjugate_system(system, relabel: dict, name=None,
     if transport_metric:
         # twin index i carries the point inv[pts[i]], at source index src[i]
         src = [kernel.index[inv[p]] for p in pts]
-        table = [[row[b] for b in src] for row in (table[a] for a in src)]
+        table = [tuple(map(row.__getitem__, src)) for row in map(table.__getitem__, src)]
     return ExplicitSystem(FiniteMetricSpace(table), perm,
                           name=name or f"{system.name}_conj")

@@ -1,8 +1,10 @@
-"""Every name a pointdyn module imports is used in that module.
+"""Every name a pointdyn module imports is used in that module, and no
+module writes a float.
 
 A dead import hides which layer a module really depends on, and it
 outlives the code that needed it. The package __init__ is exempt: its
-imports are the re-exported public API.
+imports are the re-exported public API. Every verdict is exact, so a
+float literal or a float() call in the library is a bug wherever it is.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pointdyn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -37,3 +40,26 @@ def test_the_check_sees_dead_and_live_imports():
     source = ("import os\nfrom math import lcm, gcd as g\nfrom . import sysfile\n"
               "print(g(4, 6), sysfile.load_file)\n")
     assert unused_imports(source) == ["lcm", "os"]
+
+
+def float_uses(source: str) -> list:
+    """(line, text) of each float literal and each call of float in source."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            out.append((node.lineno, repr(node.value)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "float"):
+            out.append((node.lineno, "float()"))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_float_in_the_library(path):
+    assert float_uses(path.read_text()) == []
+
+
+def test_the_check_sees_floats():
+    source = ('"""0.5 in a docstring"""\nx = 1 / 2\ny = 0.25 + 1e-3 + 2j\n'
+              'z = float("1/3")\nw = int(x)  # float(x)\n')
+    assert float_uses(source) == [(3, "0.001"), (3, "0.25"), (3, "2j"), (4, "float()")]

@@ -3,10 +3,11 @@
 import gc
 import weakref
 from fractions import Fraction as F
+from math import lcm
 from random import Random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
@@ -228,6 +229,45 @@ def test_separation_matches_oracle(system, data):
     for c in (base, base + F(1, 10 ** 6)):
         assert k.inseparable(c) == tuple(sum(1 << j for j, v in enumerate(row) if v <= c)
                                          for row in oracle)
+
+
+@st.composite
+def large_lattices(draw):
+    """Lattices past finite_systems' sizes, or their transported twins:
+    the cat map on tori n = 5..12, where arcs reach 2 and more and the
+    row blocks differ, and circles up to n = 36."""
+    if draw(st.booleans()):
+        system = build_lattice(draw(st.integers(5, 12)), kind="torus",
+                               matrix=TORUS_MATRICES[0])
+    else:
+        system = build_lattice(draw(st.integers(2, 36)), step=draw(st.integers(0, 35)))
+    if draw(st.booleans()):
+        pts = system.points()
+        system = conjugate_system(system, dict(zip(pts, draw(st.permutations(pts)))),
+                                  transport_metric=True)
+    return system
+
+
+@settings(max_examples=20, deadline=None)
+@given(large_lattices())
+@example(build_lattice(12, kind="torus", matrix=TORUS_MATRICES[0]))
+@example(build_lattice(36, step=5))
+def test_integer_rows_at_lattice_sizes(system):
+    # the per-entry route the integer rows replaced: a dist double loop,
+    # the lcm over every denominator, and the rescale of each entry
+    k = system.kernel
+    oracle = [[system.dist(p, q) for q in k.pts] for p in k.pts]
+    if system.backend == "lattice":
+        assert oracle == [[oracle_lattice_dist(system, p, q) for q in k.pts] for p in k.pts]
+    assert [list(row) for row in k.table] == oracle
+    S = k.denominator
+    assert S == lcm(*(d.denominator for row in oracle for d in row))
+    for scale in (S, 2 * S):
+        got = k.scaled(scale)
+        assert all(type(v) is int for row in got for v in row)
+        assert got == tuple(tuple(int(scale * d) for d in row) for row in oracle)
+    assert k.sup_scaled == tuple(tuple(int(S * oracle_sup_separation(system, p, q))
+                                       for q in k.pts) for p in k.pts)
 
 
 @given(finite_systems(), st.randoms(use_true_random=False))

@@ -8,10 +8,32 @@ from pointdyn.metric import (FiniteMetricSpace, discrete_space, validate_metric,
                              ball, hausdorff_distance, distortion,
                              is_delta_isometry)
 from pointdyn.errors import MalformedInputError, PreconditionError
+from pointdyn.rationals import RationalFormatError
 
 
 def space_from_rows(rows):
     return FiniteMetricSpace(tuple(tuple(F(v) for v in row) for row in rows))
+
+
+def test_entries_are_coerced_to_exact_fractions():
+    half = F(1, 2)
+    sp = FiniteMetricSpace([[0, "1/2", "1/2"], [half, F(0), F(1)], ("1/2", 1, "0/1")])
+    assert sp.table == ((0, half, half), (half, 0, 1), (half, 1, 0))
+    assert all(type(v) is F for row in sp.table for v in row)
+    assert all(type(row) is tuple for row in sp.table)
+    # a row of Fractions only is kept as it is, entry for entry
+    assert sp.table[1][0] is half
+
+
+@pytest.mark.parametrize("rows", (
+    [[0.0, 0.5], [0.5, 0.0]],
+    [[F(0), F(1, 2), 0.5], [F(1, 2), F(0), F(1)], [F(1, 2), F(1), F(0)]],
+    [[F(0), F(1)], [F(1), 0.0]],
+    [[0, "1/2"], [0.5, 0]],
+), ids=("all-float", "one-float-in-fraction-row", "last-entry", "float-among-ints"))
+def test_floats_are_rejected(rows):
+    with pytest.raises(RationalFormatError, match="got float"):
+        FiniteMetricSpace(rows)
 
 
 def test_discrete_space_is_clean():

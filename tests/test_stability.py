@@ -279,6 +279,43 @@ def test_verify_routes_agree_on_random_systems(f, data):
     assert_same_reports(three_routes(f, x, eps, delta, fam, expansivity_c=c))
 
 
+@st.composite
+def small_carriers(draw):
+    """Explicit systems, rotations and their transported twins, small
+    enough that a family at the largest distance stays short."""
+    kind = draw(st.sampled_from(("explicit", "circle", "twin")))
+    if kind == "explicit":
+        return draw(explicit_systems(2, 5))
+    n = draw(st.integers(2, 6))
+    rot = build_lattice(n, step=draw(st.integers(0, n - 1)))
+    if kind == "circle":
+        return rot
+    relabel = dict(enumerate(draw(st.permutations(range(n)))))
+    return conjugate_system(rot, relabel, name="twin", transport_metric=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_carriers(), st.data())
+def test_verify_skips_exactly_beyond_delta(f, data):
+    # delta is one of the carrier's own distances, so some maps sit on the
+    # closed bound c0 = delta; the family's own radius, drawn apart, often
+    # reaches past delta, so that other maps skip
+    fam = enumerate_perturbations(f, carrier_radius(data, f))
+    delta = carrier_radius(data, f)
+    x = data.draw(st.sampled_from(f.points()))
+    rep = verify_topologically_stable_point(f, x, F(1, 2), delta, fam)
+    assert len(rep.entries) == len(fam)
+    for g, entry in zip(fam.systems, rep.entries):
+        gap = c0_distance(f, g)
+        if gap > delta:
+            assert (entry.status, entry.conjugacy) == ("skipped", None)
+            assert entry.note == f"c0 distance {format_rational(gap)} exceeds delta"
+        else:
+            assert entry.status in ("ok", "failed") and entry.conjugacy is not None
+            assert entry.note == ("" if entry.status == "ok"
+                                  else entry.conjugacy.failed_step)
+
+
 def test_search_delta_isometries():
     s3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="d3")
     found = search_delta_isometries(s3, D2, F(1, 2))
