@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice, product
+from math import lcm
+from operator import sub
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
-from .metric import distortion, hausdorff_distance
 from .rationals import (ZERO, as_rational, dyadic_below, format_rational,
                         positive)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, common_scale,
@@ -147,8 +148,8 @@ class PerturbationFamily:
     base: ExplicitSystem        # the input system, materialized
     points: tuple               # index -> original point
     perms: tuple                # every index permutation within c0 distance delta
-    nodes: int                  # search nodes visited: the partial maps extended,
-                                # the empty one included
+    nodes: int                  # search nodes visited: the partial maps extended
+                                # in search order, the empty one included
 
     def __len__(self):
         return len(self.perms)
@@ -173,11 +174,15 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     (d(f(w_n), w_(n+1)) < delta): a perturbation with a step of exactly
     delta is admitted here, though its orbits are not delta-pseudo-orbits.
 
-    A depth-first search places the images of indices 0, 1, ... in
-    ascending order, so the maps come out in lexicographic order. It
-    checks forward: due[u] holds the targets that no index after u may
-    take, and an image for u that leaves one of them unused cuts the
-    branch. The budget caps the maps found.
+    A depth-first search places the images of the indices in the order
+    of _shared_target_order, which depends on the admissible targets
+    only, not on how the carrier is labeled. It checks forward in that
+    order: due[t] holds the targets that no index placed after the t-th
+    may take, and an image that leaves one of them unused cuts the
+    branch. nodes counts the partial maps the search extends, in its
+    order. The maps are sorted at the end, so the family lists them in
+    lexicographic order whatever the search order. The budget caps the
+    maps found.
     """
     delta = positive(delta, "perturbation radius")
     budget = _budget(budget, DEFAULT_ENUMERATION_BUDGET)
@@ -185,16 +190,17 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     n = base.space.n
     rows = system.kernel.within(delta, closed=True)
     bits = [rows[v] for v in base.perm]
+    order = _shared_target_order(bits)
     due, later = [0] * n, 0
-    for u in reversed(range(n)):
-        due[u] = bits[u] & ~later
-        later |= bits[u]
-    allowed = [members(row) for row in bits]
+    for t in reversed(range(n)):
+        due[t] = bits[order[t]] & ~later
+        later |= bits[order[t]]
+    allowed = [members(bits[u]) for u in order]
     perms, chosen, nodes = [], [None] * n, 0
 
-    def place(u, used):
+    def place(t, used):
         nonlocal nodes
-        if u == n:
+        if t == n:
             perms.append(tuple(chosen))
             if len(perms) > budget:
                 raise ResourceBudgetError(
@@ -202,16 +208,39 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
                     budget=budget)
             return
         nodes += 1
-        need = due[u]
-        for v in allowed[u]:
+        u, need = order[t], due[t]
+        for v in allowed[t]:
             bit = 1 << v
             if used & bit or need & ~(used | bit):
                 continue
             chosen[u] = v
-            place(u + 1, used | bit)
+            place(t + 1, used | bit)
 
     place(0, 0)
+    perms.sort()
     return PerturbationFamily(base, pts, tuple(perms), nodes)
+
+
+def _shared_target_order(bits) -> list:
+    """The indices of the target bitsets bits in search order.
+
+    Each next index is the unplaced one whose targets overlap most with
+    the targets already placed; ties go to the larger overlap with the
+    last placed index's targets, then to the lower index, so the least
+    index comes first. On a lattice this is the identity order; on a
+    relabeled twin it follows the same chain of shared targets, so both
+    visit the same number of partial maps.
+    """
+    order, placed, last = [], 0, 0
+    rest = list(range(len(bits)))
+    while rest:
+        u = max(rest, key=lambda w: ((bits[w] & placed).bit_count(),
+                                     (bits[w] & last).bit_count(), -w))
+        rest.remove(u)
+        order.append(u)
+        last = bits[u]
+        placed |= last
+    return order
 
 
 @dataclass(frozen=True)
@@ -309,12 +338,18 @@ class IsometryPair:
 
 def _clause_values(m, fk, gk):
     """(distortion, image density defect, commutation defect) of one map
-    from fk's system to gk's, recomputed by metric on their tables."""
-    src, dst = fk.explicit.space, gk.explicit.space
-    dist = distortion(m, src, dst)
-    density = hausdorff_distance(dst, sorted(set(m)), range(dst.n))
-    comm = max(dst.table[gk.perm[m[u]]][m[fk.perm[u]]] for u in range(src.n))
-    return dist, density, comm
+    m from fk's system to gk's, read off the integer rows scaled(S) of
+    both kernels at S = lcm of their denominators: the largest change of
+    a distance under m, the farthest point of Y from the image, and the
+    largest d(g(m(u)), m(f(u))). Only the three values are Fractions."""
+    S = lcm(fk.denominator, gk.denominator)
+    stab, dtab = fk.scaled(S), gk.scaled(S)
+    dist = max(max(map(abs, map(sub, map(dtab[v].__getitem__, m), row)))
+               for v, row in zip(m, stab))
+    density = max(map(min, zip(*map(dtab.__getitem__, set(m)))))
+    gperm = gk.perm
+    comm = max(dtab[gperm[v]][m[w]] for v, w in zip(m, fk.perm))
+    return Fraction(dist, S), Fraction(density, S), Fraction(comm, S)
 
 
 class _MapSearch:
@@ -331,6 +366,8 @@ class _MapSearch:
 
     The node checks compare integers: both kernels' tables and delta are
     read at their common scale (common_scale), which keeps them exact.
+    A found map's clause values come from _clause_values, on the
+    kernels' integer rows as well.
     """
 
     def __init__(self, fk, gk, delta, budget):
@@ -464,13 +501,15 @@ def find_exact_isomorphism(X, Y):
 
     Choosing the image of one point per f-cycle forces the whole cycle
     onto that image's g-orbit, so the search branches only over cycle
-    representatives.
+    representatives. Distances are compared as the integer rows of both
+    kernels at one common scale.
     """
     fk, gk = X.kernel, Y.kernel
     n = len(fk.pts)
     if n != len(gk.pts):
         return None
-    xtab, ytab = fk.table, gk.table
+    scale = lcm(fk.denominator, gk.denominator)
+    xtab, ytab = fk.scaled(scale), gk.scaled(scale)
     cycles = fk.cycles
     image = [None] * n
     used = set()                # the cycles of g already assigned
@@ -527,20 +566,26 @@ def _grid_above(value, step) -> Fraction:
 
 
 def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
-    """Bounds on the GH_GRID_STEP grid with lower <= d_GH0(X, Y) <= upper.
+    """Bounds lower <= d_GH0(X, Y) <= upper, with a witness pair.
 
-    An exact isomorphism collapses the bounds to (0, 0). Otherwise a
-    found pair admits every delta above its worst clause value, giving
-    the upper bound; the lower bound rises only on grid points where a
-    complete search proves no pair exists. Exhausted budgets leave the
-    bounds valid but wider, flagged via `complete`.
+    An exact isomorphism collapses the bounds to (0, 0), with no witness.
+    Otherwise a pair found at a delta above both diameters gives hi, the
+    least multiple of GH_GRID_STEP above its score (its worst clause
+    value), and [0, hi] is bisected. A pair found at the midpoint brings
+    upper down to the midpoint or to the grid point above the best score
+    so far, whichever is lower; a complete search that finds none there
+    raises lower to the midpoint. So lower is 0 or a midpoint, upper is a
+    grid point or a midpoint: both are dyadic, but need not lie on the
+    grid (nearpair4 against cat5 gives lower 129/256). The witness is the
+    best pair found, and its score is below upper. A complete result has
+    upper - lower <= GH_GRID_STEP. An exhausted budget stops the
+    bisection and leaves the bounds valid but wider, with complete False.
     """
     budget = _budget(budget, DEFAULT_SEARCH_BUDGET)
     if find_exact_isomorphism(X, Y) is not None:
         return GHBounds(ZERO, ZERO, True, None)
-    diameter = max(max(max(row) for row in X.kernel.table),
-                   max(max(row) for row in Y.kernel.table))
-    start = diameter + 1
+    start = 1 + max(Fraction(max(map(max, k.scaled(k.denominator))), k.denominator)
+                    for k in (X.kernel, Y.kernel))
     pair, _ = first_delta_isometry_pair(X, Y, start, budget)
     if pair is None:
         # even the coarsest scale found nothing within budget

@@ -151,8 +151,12 @@ class ExplicitSystem(MetricSystem):
     def carrier_token(self):
         return ("explicit", self.space.table)
 
+    _integers = None            # (D, rows) handed over by conjugate_system
+
     def _integer_table(self):
-        # one conversion per distinct object: a twin's n^2 entries share a few
+        if self._integers is not None:
+            return self._integers
+        # one conversion per distinct object: a table's n^2 entries share a few
         table = self.space.table
         values = {id(d): d for row in table for d in row}
         D = lcm(*(d.denominator for d in values.values()))
@@ -413,7 +417,8 @@ class FiniteKernel:
     kernel never changes otherwise.
     Integer rows come first: denominator reads the system's _integer_table
     (D, D * table), from the integer arcs on a lattice (D = n, and table is
-    built from the rows), from one conversion of an explicit system's table.
+    built from the rows), from one conversion of an explicit system's table,
+    or, for a conjugate_system twin, from its source's rows.
     The system caches its kernel, so the kernel holds the system weakly:
     a strong link back would make each pair a cycle that only the
     cyclic collector frees.
@@ -993,10 +998,14 @@ def conjugate_system(system, relabel: dict, name=None,
         raise PreconditionError("relabeling must be a bijection of the carrier")
     inv = {v: k for k, v in relabel.items()}
     perm = tuple(kernel.index[relabel[system.image(inv[p])]] for p in pts)
-    table = kernel.table
+    table, D = kernel.table, kernel.denominator
+    rows = kernel.scaled(D)
     if transport_metric:
         # twin index i carries the point inv[pts[i]], at source index src[i]
         src = [kernel.index[inv[p]] for p in pts]
-        table = [tuple(map(row.__getitem__, src)) for row in map(table.__getitem__, src)]
-    return ExplicitSystem(FiniteMetricSpace(table), perm,
+        table, rows = ([tuple(map(row.__getitem__, src)) for row in map(t.__getitem__, src)]
+                       for t in (table, rows))
+    twin = ExplicitSystem(FiniteMetricSpace(table), perm,
                           name=name or f"{system.name}_conj")
+    twin._integers = D, tuple(rows)
+    return twin

@@ -233,25 +233,39 @@ def test_separation_matches_oracle(system, data):
 
 @st.composite
 def large_lattices(draw):
-    """Lattices past finite_systems' sizes, or their transported twins:
-    the cat map on tori n = 5..12, where arcs reach 2 and more and the
-    row blocks differ, and circles up to n = 36."""
-    if draw(st.booleans()):
+    """Lattices past finite_systems' sizes, random explicit systems, or
+    their conjugate twins: the cat map on tori n = 5..12, where arcs reach
+    2 and more and the row blocks differ, circles up to n = 36, and
+    explicit tables up to n = 6. A twin transports the metric or keeps
+    it, as drawn."""
+    kind = draw(st.sampled_from(("torus", "circle", "explicit")))
+    if kind == "torus":
         system = build_lattice(draw(st.integers(5, 12)), kind="torus",
                                matrix=TORUS_MATRICES[0])
-    else:
+    elif kind == "circle":
         system = build_lattice(draw(st.integers(2, 36)), step=draw(st.integers(0, 35)))
+    else:
+        system = draw(finite_systems().filter(lambda s: s.backend == "explicit"))
     if draw(st.booleans()):
         pts = system.points()
         system = conjugate_system(system, dict(zip(pts, draw(st.permutations(pts)))),
-                                  transport_metric=True)
+                                  transport_metric=draw(st.booleans()))
     return system
 
 
-@settings(max_examples=20, deadline=None)
+def reversed_twin(system, transport_metric):
+    pts = system.points()
+    return conjugate_system(system, dict(zip(pts, reversed(pts))),
+                            transport_metric=transport_metric)
+
+
+@settings(max_examples=30, deadline=None)
 @given(large_lattices())
 @example(build_lattice(12, kind="torus", matrix=TORUS_MATRICES[0]))
 @example(build_lattice(36, step=5))
+@example(reversed_twin(build_lattice(9, kind="torus", matrix=TORUS_MATRICES[0]), True))
+@example(reversed_twin(build_explicit(FiniteMetricSpace(
+    [[0, F(1, 2), F(2, 3)], [F(1, 2), 0, F(3, 4)], [F(2, 3), F(3, 4), 0]]), (1, 2, 0)), False))
 def test_integer_rows_at_lattice_sizes(system):
     # the per-entry route the integer rows replaced: a dist double loop,
     # the lcm over every denominator, and the rescale of each entry
@@ -262,6 +276,11 @@ def test_integer_rows_at_lattice_sizes(system):
     assert [list(row) for row in k.table] == oracle
     S = k.denominator
     assert S == lcm(*(d.denominator for row in oracle for d in row))
+    if system.backend == "explicit":
+        # a twin's rows come from its source; a fresh system on the same
+        # table converts it entry by entry, one conversion per object
+        fresh = build_explicit(system.space, system.perm)
+        assert (S, k.scaled(S)) == fresh._integer_table()
     for scale in (S, 2 * S):
         got = k.scaled(scale)
         assert all(type(v) is int for row in got for v in row)

@@ -3,9 +3,10 @@
 import hashlib
 from fractions import Fraction as F
 from itertools import permutations, product
+from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pointdyn.bundled import bundled_system
 from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
@@ -14,8 +15,8 @@ from pointdyn.rationals import format_rational
 from pointdyn.systems import (ExplicitSystem, build_lattice, c0_distance,
                               conjugate_system, is_self_isometry, materialize,
                               point_label)
-from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
-                                find_exact_isomorphism,
+from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
+                                enumerate_perturbations, find_exact_isomorphism,
                                 first_delta_isometry_pair, gh_distance_bounds,
                                 gh_stable_point_check, search_delta_isometries,
                                 transport_under_conjugacy, transported_constant,
@@ -89,12 +90,12 @@ EXPLICIT_PALETTE = (F(1, 2), F(5, 8), F(3, 4), F(7, 8), F(1))
 
 
 @st.composite
-def explicit_systems(draw, min_n=2, max_n=6):
+def explicit_systems(draw, min_n=2, max_n=6, palette=EXPLICIT_PALETTE):
     n = draw(st.integers(min_n, max_n))
     table = [[F(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            table[i][j] = table[j][i] = draw(st.sampled_from(EXPLICIT_PALETTE))
+            table[i][j] = table[j][i] = draw(st.sampled_from(palette))
     return ExplicitSystem(FiniteMetricSpace(table), tuple(draw(st.permutations(range(n)))),
                           name="rand")
 
@@ -136,17 +137,44 @@ def test_enumerator_matches_permutation_oracle(system, data):
     assert_family_is(enumerate_perturbations(system, delta), want)
 
 
-@settings(max_examples=10, deadline=None)
-@given(st.integers(8, 12), st.data())
-def test_enumerator_matches_oracle_on_rotations_and_twins(n, data):
-    # the carrier's least distance 1/n; the next one, 2/n, would make the
-    # oracle's product 5^n long
-    rot = build_lattice(n, step=data.draw(st.integers(1, n - 1)))
+def rotation_and_twin(n, data):
+    """Z_n with a drawn unit step, and a transported twin under a drawn
+    relabeling (a dict of indices)."""
+    units = [k for k in range(1, n) if gcd(k, n) == 1]
+    rot = build_lattice(n, step=data.draw(st.sampled_from(units)))
     relabel = dict(enumerate(data.draw(st.permutations(range(n)))))
-    twin = conjugate_system(rot, relabel, name="twin", transport_metric=True)
+    return rot, conjugate_system(rot, relabel, name="twin", transport_metric=True), relabel
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(8, 24), st.data())
+def test_enumerator_matches_oracle_on_rotations_and_twins(n, data):
+    rot, twin, relabel = rotation_and_twin(n, data)
+    fams = [enumerate_perturbations(system, F(1, n)) for system in (rot, twin)]
+    # the search follows shared targets, so labels do not change its size
+    assert fams[1].nodes == fams[0].nodes
+    if n <= 12:
+        # the carrier's least distance 1/n; the next one, 2/n, would make
+        # the oracle's product 5^n long
+        for fam in fams:
+            assert_family_is(fam, perturbation_oracle(fam.base, F(1, n)))
+        return
+    # past n = 12 the oracle's 3^n product is too long: the twin's family
+    # is the lattice's, conjugated by the relabeling and sorted
+    inv = {v: k for k, v in relabel.items()}
+    want = sorted(tuple(relabel[p[inv[i]]] for i in range(n)) for p in fams[0].perms)
+    assert fams[1].perms == tuple(want)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(3, 12), st.data())
+def test_enumeration_refuses_exactly_past_its_budget(n, data):
+    rot, twin, _ = rotation_and_twin(n, data)
     for system in (rot, twin):
-        fam = enumerate_perturbations(system, F(1, n))
-        assert_family_is(fam, perturbation_oracle(fam.base, F(1, n)))
+        size = len(enumerate_perturbations(system, F(1, n)))
+        with pytest.raises(ResourceBudgetError):
+            enumerate_perturbations(system, F(1, n), budget=size - 1)
+        assert len(enumerate_perturbations(system, F(1, n), budget=size)) == size
 
 
 @pytest.mark.parametrize("n", range(3, 17))
@@ -391,6 +419,68 @@ def test_identity_pair_for_close_rotations():
     assert ok
 
 
+# -- clause values against the metric module ----------------------------------
+
+
+def fraction_clauses(m, X, Y):
+    """The clause values of m: X -> Y by the Fraction route on the
+    kernels' explicit systems."""
+    fk, gk = X.kernel, Y.kernel
+    src, dst = fk.explicit.space, gk.explicit.space
+    comm = max(dst.table[gk.perm[m[u]]][m[fk.perm[u]]] for u in range(src.n))
+    return (distortion(m, src, dst), hausdorff_distance(dst, set(m), range(dst.n)),
+            comm)
+
+
+# distances in [a, 2a] keep the triangle inequality automatic; the two
+# palettes have coprime denominators
+THIRDS = (F(2, 3), F(1), F(4, 3))
+FIFTHS = (F(3, 5), F(4, 5), F(6, 5))
+
+
+@st.composite
+def clause_pairs(draw):
+    """Two finite systems: explicit ones of different sizes on coprime
+    denominators, rotations, a cat map against a rotation, or a system
+    and a relabeled twin of it (metric transported or kept)."""
+    kind = draw(st.sampled_from(("explicit", "rotations", "cat", "twin")))
+    if kind == "explicit":
+        X, Y = (draw(explicit_systems(1, 6, palette)) for palette in (THIRDS, FIFTHS))
+        assume(X.space.n != Y.space.n)
+        return X, Y
+    if kind == "twin":
+        X = draw(explicit_systems(1, 6, THIRDS))
+        pts = X.points()
+        return X, conjugate_system(X, dict(zip(pts, draw(st.permutations(pts)))),
+                                   transport_metric=draw(st.booleans()))
+    Y = build_lattice(draw(st.integers(2, 16)), step=draw(st.integers(0, 15)))
+    if kind == "cat":
+        X = build_lattice(draw(st.integers(3, 6)), kind="torus", matrix=(2, 1, 1, 1))
+    else:
+        X = build_lattice(draw(st.integers(2, 16)), step=draw(st.integers(0, 15)))
+    return (X, Y) if draw(st.booleans()) else (Y, X)
+
+
+@settings(max_examples=80, deadline=None)
+@given(clause_pairs(), st.data())
+def test_clause_values_match_the_fraction_route(pair, data):
+    X, Y = pair
+    n, m = len(X.kernel.pts), len(Y.kernel.pts)
+    mp = tuple(data.draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)))
+    got = _clause_values(mp, X.kernel, Y.kernel)
+    assert all(type(v) is F for v in got)
+    assert got == fraction_clauses(mp, X, Y)
+
+
+def test_clause_values_read_only_integer_rows():
+    X, Y = build_lattice(16, step=3), build_lattice(5, kind="torus", matrix=(2, 1, 1, 1))
+    mp = (0, 1, 2) * 5 + (24,)
+    got = _clause_values(mp, X.kernel, Y.kernel)
+    for k in (X.kernel, Y.kernel):
+        assert "table" not in vars(k) and k._explicit is None
+    assert got == fraction_clauses(mp, X, Y)
+
+
 def test_find_exact_isomorphism():
     assert find_exact_isomorphism(ID3, ID3) == {0: 0, 1: 1, 2: 2}
     s3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="d3")
@@ -451,6 +541,50 @@ def test_gh_bounds_bracket_size_mismatch():
     s3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="d3")
     b = gh_distance_bounds(s3, D2, budget=40000)
     assert b.lower <= 1 <= b.upper
+
+
+# sha256 of gh_distance_bounds on three bundled pairs at four budgets:
+# lower, upper, complete and the witness's six clause values, recorded
+# before the clause values moved onto the kernels' integer rows
+GH_BOUNDS_PIN = "11b1f04cfe86a5b33c529ba188781781403ec783c86b5c53ab985394f5aba2d5"
+
+
+def test_gh_bounds_are_pinned():
+    digest = hashlib.sha256()
+    for a, b in (("r12k1", "r12k5"), ("cat5", "r12k3"), ("id3", "nearpair4")):
+        for budget in (50, 10 ** 3, 2 * 10 ** 4, None):
+            r = gh_distance_bounds(bundled_system(a), bundled_system(b), budget)
+            w = r.witness
+            values = () if w is None else (
+                w.i_distortion, w.i_density, w.i_commutation,
+                w.j_distortion, w.j_density, w.j_commutation)
+            line = " ".join([a, b, str(budget), format_rational(r.lower),
+                             format_rational(r.upper), str(r.complete)]
+                            + [format_rational(v) for v in values])
+            digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == GH_BOUNDS_PIN
+
+
+def test_gh_bounds_leave_the_grid():
+    # bisection midpoints halve the first grid point above a score, so
+    # neither bound need be a multiple of GH_GRID_STEP
+    one = ExplicitSystem(discrete_space(1), (0,), name="one")
+    b = gh_distance_bounds(one, ID3)
+    assert (b.lower, b.upper, b.complete) == (F(16383, 16384), F(32895, 32768), True)
+    assert b.witness.score == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(explicit_systems(1, 4), explicit_systems(1, 4))
+def test_complete_gh_bounds_close_within_a_grid_step(X, Y):
+    b = gh_distance_bounds(X, Y, budget=20000)
+    assert b.lower <= b.upper
+    if b.witness is None:
+        assert (b.lower, b.upper) == (0, 0) or not b.complete
+        return
+    assert b.witness.score < b.upper
+    if b.complete:
+        assert b.upper - b.lower <= GH_GRID_STEP
 
 
 def test_gh_stable_point_basic():
