@@ -21,7 +21,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .rationals import (ZERO, as_rational, dyadic_below, format_rational,
                         positive)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, common_scale,
-                      materialize, members, orbit_closure,
+                      gatherer, materialize, members, orbit_closure,
                       pair_sup_separation, point_index, point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
@@ -344,8 +344,8 @@ def _clause_values(m, fk, gk):
     largest d(g(m(u)), m(f(u))). Only the three values are Fractions."""
     S = lcm(fk.denominator, gk.denominator)
     stab, dtab = fk.scaled(S), gk.scaled(S)
-    dist = max(max(map(abs, map(sub, map(dtab[v].__getitem__, m), row)))
-               for v, row in zip(m, stab))
+    take = gatherer(m)
+    dist = max(max(map(abs, map(sub, take(dtab[v]), row))) for v, row in zip(m, stab))
     density = max(map(min, zip(*map(dtab.__getitem__, set(m)))))
     gperm = gk.perm
     comm = max(dtab[gperm[v]][m[w]] for v, w in zip(m, fk.perm))
@@ -469,8 +469,12 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     i_maps, i_done = _MapSearch(fk, gk, delta, budget).run()
     j_maps, j_done = _MapSearch(gk, fk, delta, budget).run()
     complete = i_done and j_done and len(i_maps) * len(j_maps) <= MAX_REPORTED_PAIRS
-    pairs = tuple(_make_pair(im, jm, delta, fk, gk) for im, jm in
-                  islice(product(i_maps, j_maps), MAX_REPORTED_PAIRS))
+    # clause values once per map that reaches a reported pair, not once per pair
+    i_used = -(-MAX_REPORTED_PAIRS // len(j_maps)) if j_maps else 0
+    i_side = [(m, _clause_values(m, fk, gk)) for m in i_maps[:i_used]]
+    j_side = [(m, _clause_values(m, gk, fk)) for m in j_maps[:MAX_REPORTED_PAIRS]] if i_maps else []
+    pairs = tuple(IsometryPair(im, jm, delta, *iv, *jv) for (im, iv), (jm, jv) in
+                  islice(product(i_side, j_side), MAX_REPORTED_PAIRS))
     return IsometrySearch(pairs, complete, delta)
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import (CarrierMismatchError, MalformedInputError,
                      PreconditionError, UnsupportedBackendError)
@@ -419,6 +420,9 @@ class FiniteKernel:
     (D, D * table), from the integer arcs on a lattice (D = n, and table is
     built from the rows), from one conversion of an explicit system's table,
     or, for a conjugate_system twin, from its source's rows.
+    sup_scaled costs the sum over cycles of M gathers of n entries (M as
+    there); the views of a radius or constant key on its (numerator,
+    denominator) and compare scaled(denominator) with integer thresholds.
     The system caches its kernel, so the kernel holds the system weakly:
     a strong link back would make each pair a cycle that only the
     cyclic collector frees.
@@ -445,26 +449,27 @@ class FiniteKernel:
     @cached_property
     def sup_scaled(self) -> tuple:
         """sup_scaled[i][j] = denominator * sup over n of d(f^n pts[i], f^n pts[j]),
-        an integer. Pairs (cyc1[s], cyc2[t]) of two cycles of lengths p and
-        q fall into g = gcd(p, q) orbits of f x f, one per (t - s) mod g,
-        and the sup is constant along each: one walk per orbit fills the
-        matrix with n^2 reads of scaled(denominator)."""
-        rows, cycles = self.scaled(self.denominator), self.cycles
-        sep = [[0] * len(self.perm) for _ in self.perm]
-        for c1 in cycles:
-            p = len(c1)
-            for c2 in cycles:
-                q = len(c2)
-                g = gcd(p, q)
-                best = [max(rows[c1[s % p]][c2[(s + r) % q]] for s in range(p * q // g))
-                        for r in range(g)]
-                if c1 is c2:
-                    best[0] = 0         # the diagonal orbit: each point with itself
-                for s, a in enumerate(c1):
-                    row = sep[a]
-                    for t, b in enumerate(c2):
-                        row[b] = best[(t - s) % g]
-        return tuple(map(tuple, sep))
+        an integer, built by whole-row gathers. The first point i of a cycle
+        of length p takes the elementwise max over t < M of rows[f^t i]
+        gathered at f^t, where M = max over cycle lengths q of lcm(p, q)
+        covers a full period of every pair orbit through i; the row of
+        f^m i is that row gathered at f^-m. Cost: sum over cycles of M
+        gathers of n entries, and no powers table."""
+        rows, identity = self.scaled(self.denominator), tuple(range(len(self.perm)))
+        lengths = {len(cyc) for cyc in self.cycles}
+        forward, back = gatherer(self.perm), gatherer(self.inv)
+        sep = [None] * len(identity)
+        for cyc in self.cycles:
+            i, at, seen = cyc[0], identity, []
+            for _ in range(max(lcm(len(cyc), q) for q in lengths)):
+                seen.append(gatherer(at)(rows[at[i]]))      # at[j] = f^t j
+                at = forward(at)
+            best = tuple(map(max, *seen)) if len(seen) > 1 else seen[0]
+            at = identity
+            for a in cyc:
+                sep[a] = gatherer(at)(best)         # at[j] = f^-m j for a = f^m i
+                at = back(at)
+        return tuple(sep)
 
     @cached_property
     def separation(self) -> tuple:
@@ -478,7 +483,7 @@ class FiniteKernel:
         For c = p/q the test s/D <= p/q is s * q <= p * D on sup_scaled,
         i.e. s <= floor(p * D / q) with q > 0.
         """
-        key = ("inseparable", c)
+        key = ("inseparable", c.numerator, c.denominator)
         if (rows := self._views.get(key)) is None:
             bound = c.numerator * self.denominator // c.denominator
             rows = self._views[key] = tuple(sum(1 << j for j, s in enumerate(row) if s <= bound)
@@ -502,7 +507,7 @@ class FiniteKernel:
         """(bits, pairs): pairs[i] is the first_inseparable_pair of the
         cycle through i (None when the cycle separates beyond c), and bits
         holds the i with a pair; one verdict per cycle and constant."""
-        key = ("cycle_failures", c)
+        key = ("cycle_failures", c.numerator, c.denominator)
         if (view := self._views.get(key)) is None:
             bits, pairs = 0, [None] * len(self.perm)
             for cyc in self.cycles:
@@ -602,18 +607,20 @@ class FiniteKernel:
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
-        read off scaled(S) at S = common_scale, where d <= r is d*S < r*S + 1."""
-        key = ("within", radius, closed)
+        read off scaled(D) at D = denominator, as inseparable does: for
+        r = p/q, s/D < p/q is s <= floor((p * D - 1) / q), and s/D <= p/q
+        is s <= floor(p * D / q)."""
+        key = ("within", radius.numerator, radius.denominator, closed)
         if (rows := self._views.get(key)) is None:
-            scale, bound = common_scale(radius, self)
-            bound += closed
-            rows = self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d < bound)
-                                            for row in self.scaled(scale))
+            D = self.denominator
+            bound = (radius.numerator * D - (not closed)) // radius.denominator
+            rows = self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d <= bound)
+                                            for row in self.scaled(D))
         return rows
 
     def pullbacks(self, radius, closed=False) -> tuple:
         """pullbacks(r)[e][v]: the bitset of z with f^e z in within(r)[v]."""
-        key = ("pullbacks", radius, closed)
+        key = ("pullbacks", radius.numerator, radius.denominator, closed)
         if (pull := self._views.get(key)) is None:
             rows = [members(w) for w in self.within(radius, closed)]
             pull = self._views[key] = tuple(
@@ -624,7 +631,7 @@ class FiniteKernel:
     def steps(self, delta, forward=True) -> tuple:
         """The delta-pseudo-orbit steps, each row ascending: the v with
         d(f(u), v) < delta forward, the w with d(f(w), u) < delta backward."""
-        key = ("steps", delta, forward)
+        key = ("steps", delta.numerator, delta.denominator, forward)
         if (rows := self._views.get(key)) is None:
             near = [members(row) for row in self.within(delta)]
             rows = self._views[key] = (tuple(near[v] for v in self.perm) if forward else
@@ -680,6 +687,15 @@ def members(bits) -> list:
 def least(bits) -> int:
     """The index of the lowest set bit of bits (nonzero)."""
     return (bits & -bits).bit_length() - 1
+
+
+def gatherer(indices):
+    """The gather row -> tuple(row[i] for i in indices), one C-level
+    itemgetter call; itemgetter returns a bare item for a single index,
+    so one index (or none) takes the generator route."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda row: tuple(row[i] for i in indices)
 
 
 def _fractions(rows, D) -> tuple:
@@ -993,19 +1009,18 @@ def conjugate_system(system, relabel: dict, name=None,
         raise UnsupportedBackendError("conjugation requires a finite carrier")
     kernel = system.kernel
     pts = kernel.pts
-    if sorted(map(point_key, relabel)) != sorted(map(point_key, pts)) or \
-            sorted(map(point_key, relabel.values())) != sorted(map(point_key, pts)):
+    # a dict's keys are distinct, so equal key and value sets make a bijection
+    if not set(relabel) == set(relabel.values()) == set(pts):
         raise PreconditionError("relabeling must be a bijection of the carrier")
     inv = {v: k for k, v in relabel.items()}
     perm = tuple(kernel.index[relabel[system.image(inv[p])]] for p in pts)
     table, D = kernel.table, kernel.denominator
     rows = kernel.scaled(D)
     if transport_metric:
-        # twin index i carries the point inv[pts[i]], at source index src[i]
-        src = [kernel.index[inv[p]] for p in pts]
-        table, rows = ([tuple(map(row.__getitem__, src)) for row in map(t.__getitem__, src)]
-                       for t in (table, rows))
+        # twin index i carries the point inv[pts[i]]: gather at its source index
+        take = gatherer([kernel.index[inv[p]] for p in pts])
+        table, rows = (tuple(map(take, take(t))) for t in (table, rows))
     twin = ExplicitSystem(FiniteMetricSpace(table), perm,
                           name=name or f"{system.name}_conj")
-    twin._integers = D, tuple(rows)
+    twin._integers = D, rows
     return twin

@@ -266,6 +266,13 @@ def reversed_twin(system, transport_metric):
 @example(reversed_twin(build_lattice(9, kind="torus", matrix=TORUS_MATRICES[0]), True))
 @example(reversed_twin(build_explicit(FiniteMetricSpace(
     [[0, F(1, 2), F(2, 3)], [F(1, 2), 0, F(3, 4)], [F(2, 3), F(3, 4), 0]]), (1, 2, 0)), False))
+# one point: a single-index gather still yields a row
+@example(build_lattice(1, kind="torus", matrix=TORUS_MATRICES[0]))
+@example(build_explicit(discrete_space(1), (0,)))
+@example(reversed_twin(build_lattice(1, kind="torus", matrix=TORUS_MATRICES[0]), True))
+@example(reversed_twin(build_lattice(1, kind="torus", matrix=TORUS_MATRICES[0]), False))
+@example(reversed_twin(build_explicit(discrete_space(1), (0,)), True))
+@example(reversed_twin(build_explicit(discrete_space(1), (0,)), False))
 def test_integer_rows_at_lattice_sizes(system):
     # the per-entry route the integer rows replaced: a dist double loop,
     # the lcm over every denominator, and the rescale of each entry
@@ -318,6 +325,40 @@ def test_kernel_maps_and_powers(system, rng):
         for _ in range(e):
             cur = [system.image(p) for p in cur]
         assert [k.pts[i] for i in row] == cur
+
+
+def test_sup_scaled_over_many_cycle_lengths():
+    # cycles of lengths 3, 4, 5, 7, 11 and 13: n = 43 and order 60 060,
+    # while each cycle's rows take at most lcm(11, 13) = 143 gathers
+    lengths, perm = (3, 4, 5, 7, 11, 13), []
+    for p in lengths:
+        perm += [len(perm) + (t + 1) % p for t in range(p)]
+    n, rng = len(perm), Random(43)
+    table = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = rng.choice(PALETTE)
+    system = build_explicit(FiniteMetricSpace(table), perm)
+    k = system.kernel
+    assert sorted(map(len, k.cycles)) == list(lengths) and k.order == 60060
+    D = k.denominator
+    assert k.sup_scaled == tuple(tuple(int(D * oracle_sup_separation(system, p, q))
+                                       for q in k.pts) for p in k.pts)
+    assert "powers" not in vars(k)
+
+
+def test_views_are_keyed_by_value():
+    # equal radii as distinct objects share one view, and no key holds a
+    # Fraction, whose hash is Python code
+    system = build_lattice(12, kind="torus", matrix=(1, 1, 0, 1))
+    k = system.kernel
+    one, other = F(1, 4), F(2, 8)
+    assert one is not other
+    for view in (k.within, k.pullbacks, k.steps, k.inseparable, k.cycle_failures):
+        assert view(one) is view(other)
+    assert k.within(one, True) is k.within(other, True)
+    assert k.within(one, True) is not k.within(one)
+    assert not any(type(v) is F for key in k._views for v in key)
 
 
 def test_explicit_system_is_its_own_materialization():

@@ -2,12 +2,13 @@
 
 import hashlib
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import islice, permutations, product
 from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from pointdyn import stability
 from pointdyn.bundled import bundled_system
 from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
                              hausdorff_distance, is_delta_isometry)
@@ -470,6 +471,33 @@ def test_clause_values_match_the_fraction_route(pair, data):
     got = _clause_values(mp, X.kernel, Y.kernel)
     assert all(type(v) is F for v in got)
     assert got == fraction_clauses(mp, X, Y)
+
+
+@pytest.mark.parametrize("X, Y, delta, cap", (
+    (ID3, ID3, F(1, 2), 10_000),        # 6 x 6 maps
+    (ID3, ID3, F(1, 2), 8),             # the cap cuts the crossing inside the second i-map
+    (NEAR3, ID3, F(3, 2), 10_000),      # 27 x 27 maps
+), ids=("id3", "id3-capped", "near3"))
+def test_search_computes_clause_values_once_per_map(monkeypatch, X, Y, delta, cap):
+    calls = []
+
+    def counted(m, fk, gk):
+        calls.append(m)
+        return _clause_values(m, fk, gk)
+
+    monkeypatch.setattr(stability, "_clause_values", counted)
+    monkeypatch.setattr(stability, "MAX_REPORTED_PAIRS", cap)
+    found = search_delta_isometries(X, Y, delta)
+    # the crossed oracle: brute-force maps both ways, crossed in product order
+    crossed = list(islice(product(brute_force_maps(X, Y, delta),
+                                  brute_force_maps(Y, X, delta)), cap))
+    assert [(p.i_map, p.j_map) for p in found.pairs] == crossed
+    for p in found.pairs:
+        assert (p.i_distortion, p.i_density, p.i_commutation) == \
+            fraction_clauses(p.i_map, X, Y)
+        assert (p.j_distortion, p.j_density, p.j_commutation) == \
+            fraction_clauses(p.j_map, Y, X)
+    assert len(calls) == len({im for im, _ in crossed}) + len({jm for _, jm in crossed})
 
 
 def test_clause_values_read_only_integer_rows():

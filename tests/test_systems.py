@@ -205,6 +205,18 @@ def test_conjugation_and_self_isometry():
     assert not is_self_isometry(r12, not_iso)
 
 
+@pytest.mark.parametrize("relabel", (
+    {0: 0, 1: (1,), 2: 2},              # a value off the carrier
+    {0: 1, 1: 0, (2,): 2},              # a key off the carrier
+    {0: 1, 1: 1, 2: 2},                 # two keys on one value
+    {0: 1, 1: 0},                       # a point left out
+), ids=("value", "key", "collision", "missing"))
+def test_conjugation_needs_a_bijection_of_the_carrier(relabel):
+    # (1,) and 1 share a sort key, so comparing sorted keys let these through
+    with pytest.raises(PreconditionError, match="bijection"):
+        conjugate_system(build_lattice(3, step=1), relabel)
+
+
 def test_point_labels():
     assert point_label(7) == "7"
     assert point_label((2, 3)) == "(2,3)"
