@@ -10,24 +10,27 @@ a fresh system, timed alone with the views it reads already built:
   bijection, the relabeled twin of the classify-lattice workload.
 
 The rungs are the cat map (2 1; 1 1) on the 7, 9, 13 and 17 tori at
-c = 1/4, the circles Z36 and Z96 with a unit step at c = 1/(2n), and two
-explicit systems with many cycle lengths at c = 7/5: cycles of lengths
-3, 4, 5, 7, 11 and 13 (n = 43, order 60 060), and a seeded random
-permutation of 40 points. Explicit distances are drawn from [1, 2], so
-the triangle inequality holds.
+c = 1/4, the circles Z36 and Z96 with a unit step at c = 1/(2n), and
+three explicit systems with long pair orbits at c = 7/5: cycles of
+lengths 3, 4, 5, 7, 11 and 13 (n = 43, order 60 060), a seeded random
+permutation of 40 points, and two coprime cycles of lengths 199 and 201
+(n = 400, pair orbits of period 39 999). Explicit distances are drawn
+from [1, 2], so the triangle inequality holds.
 
 Every record is {tree, layer, case, size, wall_s, counters}: wall_s is
 the least wall time over --repeats fresh systems, size is the point
 count n, and the counters describe the rung, not the code that ran on
-it: n, cycles, order, and gathers = sum over cycles of
-M = max over cycle lengths q of lcm(p, q), the whole-row gathers that
-build sup_scaled by orbit rows. No figure here gates a test.
+it: n, cycles, order, gathers = sum over cycles of M = max over cycle
+lengths q of lcm(p, q), the whole-row gathers of a fold over a full
+period of every pair orbit, and classes = sum over cycle pairs (p, q) of
+gcd(p, q) when it is below q, the residue classes of more than one point
+that sup_scaled takes one max over. No figure here gates a test.
 
 Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
 
-    python3 bench/ladder.py --label change --out BENCH_14.json
-    python3 bench/ladder.py --src ../parent/src --label parent --out BENCH_14.json
+    python3 bench/ladder.py --repeats 30 --label change --out BENCH_14.json
+    python3 bench/ladder.py --repeats 30 --src ../parent/src --label parent --out BENCH_14.json
 
 Records of another label already in --out are kept; those of --label
 are replaced.
@@ -40,7 +43,7 @@ import platform
 import sys
 import time
 from fractions import Fraction as F
-from math import lcm
+from math import gcd, lcm
 from random import Random
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
@@ -74,14 +77,16 @@ def rungs(systems, metric):
     out += [(f"Z{n}", lambda n=n: systems.build_lattice(n, step=1), F(1, 2 * n))
             for n in (36, 96)]
     out += [("cycles43", explicit(cycles_perm((3, 4, 5, 7, 11, 13)), 43), F(7, 5)),
-            ("random40", explicit(shuffled, 40), F(7, 5))]
+            ("random40", explicit(shuffled, 40), F(7, 5)),
+            ("coprime400", explicit(cycles_perm((199, 201)), 400), F(7, 5))]
     return out
 
 
 def counters(kernel):
     lengths = [len(cyc) for cyc in kernel.cycles]
     return {"n": len(kernel.pts), "cycles": len(lengths), "order": kernel.order,
-            "gathers": sum(max(lcm(p, q) for q in lengths) for p in lengths)}
+            "gathers": sum(max(lcm(p, q) for q in lengths) for p in lengths),
+            "classes": sum(gcd(p, q) for p in lengths for q in lengths if gcd(p, q) < q)}
 
 
 def layers(systems):

@@ -11,7 +11,7 @@ found pairs / exhausted searches into exact upper / lower bounds.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import islice, product
 from math import lcm
 from operator import sub
@@ -469,12 +469,11 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     i_maps, i_done = _MapSearch(fk, gk, delta, budget).run()
     j_maps, j_done = _MapSearch(gk, fk, delta, budget).run()
     complete = i_done and j_done and len(i_maps) * len(j_maps) <= MAX_REPORTED_PAIRS
-    # clause values once per map that reaches a reported pair, not once per pair
-    i_used = -(-MAX_REPORTED_PAIRS // len(j_maps)) if j_maps else 0
-    i_side = [(m, _clause_values(m, fk, gk)) for m in i_maps[:i_used]]
-    j_side = [(m, _clause_values(m, gk, fk)) for m in j_maps[:MAX_REPORTED_PAIRS]] if i_maps else []
-    pairs = tuple(IsometryPair(im, jm, delta, *iv, *jv) for (im, iv), (jm, jv) in
-                  islice(product(i_side, j_side), MAX_REPORTED_PAIRS))
+    # clause values once per map, not once per crossed pair
+    ci = cache(lambda m: _clause_values(m, fk, gk))
+    cj = cache(lambda m: _clause_values(m, gk, fk))
+    pairs = tuple(IsometryPair(im, jm, delta, *ci(im), *cj(jm)) for im, jm in
+                  islice(product(i_maps, j_maps), MAX_REPORTED_PAIRS))
     return IsometrySearch(pairs, complete, delta)
 
 

@@ -16,7 +16,7 @@ import hashlib
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
@@ -420,9 +420,8 @@ class FiniteKernel:
     (D, D * table), from the integer arcs on a lattice (D = n, and table is
     built from the rows), from one conversion of an explicit system's table,
     or, for a conjugate_system twin, from its source's rows.
-    sup_scaled costs the sum over cycles of M gathers of n entries (M as
-    there); the views of a radius or constant key on its (numerator,
-    denominator) and compare scaled(denominator) with integer thresholds.
+    sup_scaled costs O(n^2), mostly 4n whole-row gathers of n entries; the
+    views of a radius or constant key on its (numerator, denominator).
     The system caches its kernel, so the kernel holds the system weakly:
     a strong link back would make each pair a cycle that only the
     cyclic collector frees.
@@ -448,23 +447,27 @@ class FiniteKernel:
 
     @cached_property
     def sup_scaled(self) -> tuple:
-        """sup_scaled[i][j] = denominator * sup over n of d(f^n pts[i], f^n pts[j]),
-        an integer, built by whole-row gathers. The first point i of a cycle
-        of length p takes the elementwise max over t < M of rows[f^t i]
-        gathered at f^t, where M = max over cycle lengths q of lcm(p, q)
-        covers a full period of every pair orbit through i; the row of
-        f^m i is that row gathered at f^-m. Cost: sum over cycles of M
-        gathers of n entries, and no powers table."""
-        rows, identity = self.scaled(self.denominator), tuple(range(len(self.perm)))
-        lengths = {len(cyc) for cyc in self.cycles}
-        forward, back = gatherer(self.perm), gatherer(self.inv)
-        sep = [None] * len(identity)
+        """sup_scaled[i][j] = denominator * sup over n of d(f^n pts[i], f^n pts[j]).
+        For the first point i of a cycle of length p, the elementwise max over
+        t < p of rows[f^t i] gathered at f^t (folded 32 rows at a time) is the
+        sup over one period of i; as f^p fixes i, the sup at c2[k] on a cycle
+        c2 is that max over the k' = k mod gcd(p, len(c2)) (_residue_classes).
+        Row f^m i is row i gathered at f^-m. O(n^2): about 4n gathers of n
+        entries and under n/2 class maxima per cycle; no powers table."""
+        rows, n = self.scaled(self.denominator), len(self.perm)
+        identity, forward, back = tuple(range(n)), gatherer(self.perm), gatherer(self.inv)
+        residues, sep = cache(lambda p: _residue_classes(self.cycles, p, n)), [None] * n
         for cyc in self.cycles:
-            i, at, seen = cyc[0], identity, []
-            for _ in range(max(lcm(len(cyc), q) for q in lengths)):
-                seen.append(gatherer(at)(rows[at[i]]))      # at[j] = f^t j
-                at = forward(at)
-            best = tuple(map(max, *seen)) if len(seen) > 1 else seen[0]
+            classes, spread = residues(p := len(cyc))
+            at, best = identity, rows[cyc[0]]
+            for t in range(1, p, 32):
+                seen = [best]
+                for _ in range(min(32, p - t)):
+                    at = forward(at)                        # at[j] = f^t j
+                    seen.append(gatherer(at)(rows[at[cyc[0]]]))
+                best = tuple(map(max, *seen))
+            if classes:
+                best = spread(best + tuple(max(map(best.__getitem__, c)) for c in classes))
             at = identity
             for a in cyc:
                 sep[a] = gatherer(at)(best)         # at[j] = f^-m j for a = f^m i
@@ -607,9 +610,8 @@ class FiniteKernel:
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
-        read off scaled(D) at D = denominator, as inseparable does: for
-        r = p/q, s/D < p/q is s <= floor((p * D - 1) / q), and s/D <= p/q
-        is s <= floor(p * D / q)."""
+        read off scaled(D), D = denominator, as inseparable is: for r = p/q,
+        s/D < r is s <= (p * D - 1) // q, and s/D <= r is s <= p * D // q."""
         key = ("within", radius.numerator, radius.denominator, closed)
         if (rows := self._views.get(key)) is None:
             D = self.denominator
@@ -696,6 +698,21 @@ def gatherer(indices):
     if len(indices) > 1:
         return itemgetter(*indices)
     return lambda row: tuple(row[i] for i in indices)
+
+
+def _residue_classes(cycles, p, n):
+    """(classes, spread) for a cycle of length p: the classes c2[r::g],
+    g = gcd(p, len(c2)), of more than one point, and the gather that takes
+    row + (one value per class) to row with each class set to its value."""
+    slot, classes = list(range(n)), []
+    for c2 in cycles:
+        g = gcd(p, len(c2))
+        if g < len(c2):
+            for r in range(g):
+                for j in c2[r::g]:
+                    slot[j] = n + len(classes)
+                classes.append(c2[r::g])
+    return classes, gatherer(slot)
 
 
 def _fractions(rows, D) -> tuple:
@@ -1010,7 +1027,11 @@ def conjugate_system(system, relabel: dict, name=None,
     kernel = system.kernel
     pts = kernel.pts
     # a dict's keys are distinct, so equal key and value sets make a bijection
-    if not set(relabel) == set(relabel.values()) == set(pts):
+    try:
+        bijective = set(relabel) == set(relabel.values()) == set(pts)
+    except TypeError:               # an unhashable value is no carrier point
+        bijective = False
+    if not bijective:
         raise PreconditionError("relabeling must be a bijection of the carrier")
     inv = {v: k for k, v in relabel.items()}
     perm = tuple(kernel.index[relabel[system.image(inv[p])]] for p in pts)

@@ -1,14 +1,17 @@
 """The finite kernel against brute-force loops over dist and image."""
 
 import gc
+import importlib.util
 import weakref
 from fractions import Fraction as F
 from math import lcm
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pointdyn import metric, systems
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.shadowing import pseudo_orbit_graph
@@ -259,6 +262,21 @@ def reversed_twin(system, transport_metric):
                             transport_metric=transport_metric)
 
 
+def long_cycles(lengths, seed):
+    """An explicit system on cycles of the given lengths, with distances
+    drawn from 100 values in [1, 2), so that a pair orbit's sup is rarely
+    reached at more than one step."""
+    perm, rng = [], Random(seed)
+    for p in lengths:
+        perm += [len(perm) + (t + 1) % p for t in range(p)]
+    n = len(perm)
+    table = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = F(100 + rng.randrange(100), 100)
+    return build_explicit(FiniteMetricSpace(table), tuple(perm))
+
+
 @settings(max_examples=30, deadline=None)
 @given(large_lattices())
 @example(build_lattice(12, kind="torus", matrix=TORUS_MATRICES[0]))
@@ -273,6 +291,9 @@ def reversed_twin(system, transport_metric):
 @example(reversed_twin(build_lattice(1, kind="torus", matrix=TORUS_MATRICES[0]), False))
 @example(reversed_twin(build_explicit(discrete_space(1), (0,)), True))
 @example(reversed_twin(build_explicit(discrete_space(1), (0,)), False))
+# cycles longer than the 32 rows sup_scaled folds at a time
+@example(long_cycles((70, 5), 70))
+@example(reversed_twin(long_cycles((33, 6, 4), 33), True))
 def test_integer_rows_at_lattice_sizes(system):
     # the per-entry route the integer rows replaced: a dist double loop,
     # the lcm over every denominator, and the rescale of each entry
@@ -327,24 +348,62 @@ def test_kernel_maps_and_powers(system, rng):
         assert [k.pts[i] for i in row] == cur
 
 
+LADDER = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+
+
+def ladder_rung(case):
+    """A fresh system of bench/ladder.py's rung `case`, built by the
+    ladder's own code (the module is loaded from its file)."""
+    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return {name: make for name, make, _c in ladder.rungs(systems, metric)}[case]()
+
+
 def test_sup_scaled_over_many_cycle_lengths():
-    # cycles of lengths 3, 4, 5, 7, 11 and 13: n = 43 and order 60 060,
-    # while each cycle's rows take at most lcm(11, 13) = 143 gathers
-    lengths, perm = (3, 4, 5, 7, 11, 13), []
-    for p in lengths:
-        perm += [len(perm) + (t + 1) % p for t in range(p)]
-    n, rng = len(perm), Random(43)
-    table = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i][j] = table[j][i] = rng.choice(PALETTE)
-    system = build_explicit(FiniteMetricSpace(table), perm)
+    # the ladder's cycles43 rung: cycles of lengths 3, 4, 5, 7, 11 and 13,
+    # so n = 43 and order 60 060, and pair orbits up to lcm(11, 13) = 143
+    system = ladder_rung("cycles43")
     k = system.kernel
-    assert sorted(map(len, k.cycles)) == list(lengths) and k.order == 60060
+    assert sorted(map(len, k.cycles)) == [3, 4, 5, 7, 11, 13] and k.order == 60060
     D = k.denominator
     assert k.sup_scaled == tuple(tuple(int(D * oracle_sup_separation(system, p, q))
                                        for q in k.pts) for p in k.pts)
     assert "powers" not in vars(k)
+
+
+def test_sup_scaled_on_long_coprime_cycles(monkeypatch):
+    # the ladder's coprime400 rung: cycles of lengths 199 and 201, whose
+    # pair orbits have period 39 999; an orbit-row fold over a full period
+    # would gather 2 * 39 999 rows of 400 entries, the class maxima gather
+    # O(n^2) entries in all
+    system = ladder_rung("coprime400")
+    k = system.kernel
+    a, b = sorted(k.cycles, key=len)
+    assert (len(a), len(b)) == (199, 201)
+    gathered = []
+
+    def counted(indices):
+        take = gather(indices)
+
+        def run(row):
+            gathered.append(len(indices))
+            return take(row)
+        return run
+
+    gather = systems.gatherer
+    monkeypatch.setattr(systems, "gatherer", counted)
+    got, n = k.sup_scaled, len(k.pts)
+    assert sum(gathered) <= 5 * n * n
+    rows = k.scaled(k.denominator)
+    # coprime lengths: the orbit of (x, y), x in a and y in b, is all of a x b
+    block = max(rows[x][y] for x in a for y in b)
+    assert all(got[x][y] == got[y][x] == block for x in a for y in b)
+    D = k.denominator
+    for x in (a[0], a[57], b[0], b[200]):
+        same = a if x in a else b
+        assert [got[x][y] for y in same] == \
+            [int(D * oracle_sup_separation(system, k.pts[x], k.pts[y])) for y in same]
 
 
 def test_views_are_keyed_by_value():

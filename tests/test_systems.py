@@ -210,9 +210,11 @@ def test_conjugation_and_self_isometry():
     {0: 1, 1: 0, (2,): 2},              # a key off the carrier
     {0: 1, 1: 1, 2: 2},                 # two keys on one value
     {0: 1, 1: 0},                       # a point left out
-), ids=("value", "key", "collision", "missing"))
+    {0: 1, 1: [0], 2: 2},               # an unhashable value
+), ids=("value", "key", "collision", "missing", "unhashable"))
 def test_conjugation_needs_a_bijection_of_the_carrier(relabel):
-    # (1,) and 1 share a sort key, so comparing sorted keys let these through
+    # (1,) and 1 share a sort key, so comparing sorted keys let the first
+    # two through; a list value cannot be hashed into the value set
     with pytest.raises(PreconditionError, match="bijection"):
         conjugate_system(build_lattice(3, step=1), relabel)
 
