@@ -1,4 +1,5 @@
-"""Size ladder for the finite-kernel layers that classification pays for.
+"""Size ladder for the finite-kernel layers that classification and
+the shadowing deciders pay for.
 
 Each rung is one finite system; each layer is one kernel view built on
 a fresh system, timed alone with the views it reads already built:
@@ -7,7 +8,13 @@ a fresh system, timed alone with the views it reads already built:
 - ``within``: the bitset rows within(c);
 - ``inseparable``: the bitset rows inseparable(c), over sup_scaled;
 - ``twin``: conjugate_system(..., transport_metric=True) with a seeded
-  bijection, the relabeled twin of the classify-lattice workload.
+  bijection, the relabeled twin of the classify-lattice workload;
+- ``pullbacks``: the pull-backs pullbacks(c) of within(c), one bitset
+  row per point and exponent below the order, which both shadowing
+  deciders read. It costs O(order * n) whatever the code, so rungs whose
+  order exceeds 1 000 (cycles43 and coprime400) are left out of this
+  layer: there one build would time the size of the view, not the way
+  the code steps f.
 
 The rungs are the cat map (2 1; 1 1) on the 7, 9, 13 and 17 tori at
 c = 1/4, the circles Z36 and Z96 with a unit step at c = 1/(2n), and
@@ -18,25 +25,27 @@ permutation of 40 points, and two coprime cycles of lengths 199 and 201
 from [1, 2], so the triangle inequality holds.
 
 Every record is {tree, layer, case, size, wall_s, counters}: wall_s is
-the least wall time over --repeats fresh systems, size is the point
-count n, and the counters describe the rung, not the code that ran on
-it: n, cycles, order, gathers = sum over cycles of M = max over cycle
-lengths q of lcm(p, q), the whole-row gathers of a fold over a full
-period of every pair orbit, and classes = sum over cycle pairs (p, q) of
+the least wall time over --repeats fresh systems, each timed call begun
+after a full garbage collection; size is the point count n, and the
+counters describe the rung, not the code that ran on it: n, cycles,
+order, gathers = sum over cycles of M = max over cycle lengths q of
+lcm(p, q), the whole-row gathers of a fold over a full period of every
+pair orbit, and classes = sum over cycle pairs (p, q) of
 gcd(p, q) when it is below q, the residue classes of more than one point
 that sup_scaled takes one max over. No figure here gates a test.
 
 Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
 
-    python3 bench/ladder.py --repeats 30 --label change --out BENCH_14.json
-    python3 bench/ladder.py --repeats 30 --src ../parent/src --label parent --out BENCH_14.json
+    python3 bench/ladder.py --repeats 15 --label change --out BENCH_15.json
+    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_15.json
 
 Records of another label already in --out are kept; those of --label
 are replaced.
 """
 
 import argparse
+import gc
 import json
 import os
 import platform
@@ -47,6 +56,7 @@ from math import gcd, lcm
 from random import Random
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
+PULLBACKS_MAX_ORDER = 1000
 
 
 def cycles_perm(lengths):
@@ -96,6 +106,10 @@ def layers(systems):
         k = system.kernel
         k.scaled(k.denominator), k.cycles
 
+    def warm_within(system, c):
+        warm_rows(system, c)
+        system.kernel.within(c)
+
     def warm_sup(system, c):
         warm_rows(system, c)
         system.kernel.sup_scaled
@@ -110,18 +124,25 @@ def layers(systems):
             ("within", warm_rows, lambda s, c, _: s.kernel.within(c)),
             ("inseparable", warm_sup, lambda s, c, _: s.kernel.inseparable(c)),
             ("twin", warm_twin,
-             lambda s, c, h: systems.conjugate_system(s, h, transport_metric=True)))
+             lambda s, c, h: systems.conjugate_system(s, h, transport_metric=True)),
+            ("pullbacks", warm_within, lambda s, c, _: s.kernel.pullbacks(c)))
 
 
 def measure(label, repeats):
     from pointdyn import metric, systems
     records = []
     for case, make, c in rungs(systems, metric):
+        order = make().kernel.order
         for layer, prepare, build in layers(systems):
+            if layer == "pullbacks" and order > PULLBACKS_MAX_ORDER:
+                continue
             best = None
             for _ in range(repeats):
                 system = make()
                 arg = prepare(system, c)
+                # whether a collection falls inside the timed call must not
+                # depend on the garbage the earlier rungs left behind
+                gc.collect()
                 t0 = time.perf_counter()
                 build(system, c, arg)
                 wall = time.perf_counter() - t0

@@ -56,6 +56,16 @@ def positive(value, what) -> Fraction:
     return value
 
 
+def resolve_budget(budget, default) -> int:
+    """budget, or default when it is None; PreconditionError "budget must
+    be nonnegative" for a negative budget, before any work is done."""
+    if budget is None:
+        return default
+    if budget < 0:
+        raise PreconditionError(f"budget must be nonnegative, got {budget}")
+    return budget
+
+
 def dyadic_below(q: Fraction) -> Fraction:
     """Largest power of two 1/2^k strictly below q (q > 0)."""
     if q <= 0:

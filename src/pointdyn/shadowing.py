@@ -27,7 +27,7 @@ from fractions import Fraction
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .measures import measure_of
-from .rationals import positive
+from .rationals import positive, resolve_budget
 from .shiftspace import EPPoint, shift_metric
 from .systems import point_index, sorted_points, system_ball
 
@@ -120,6 +120,7 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
     predictable; PDL_BUDGET / the budget argument raise the ceiling.
     Walks follow pseudo_orbit_graph, a route apart from the kernel steps.
     """
+    budget = resolve_budget(budget, DEFAULT_WINDOW_BUDGET)
     _check_budget(count_pseudo_orbits(system, x, delta, N), budget)
     graph = pseudo_orbit_graph(system, delta)
     rev = _reverse(graph, system.points())
@@ -128,7 +129,6 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
 
 
 def _check_budget(total, budget):
-    budget = DEFAULT_WINDOW_BUDGET if budget is None else budget
     if total > budget:
         raise ResourceBudgetError(
             f"{total} pseudo-orbit windows exceed the budget {budget}",
@@ -191,6 +191,7 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     with the fewest tracers, and the first with none.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
+    budget = resolve_budget(budget, DEFAULT_WINDOW_BUDGET)
     xi, steps, counts, total = _windows(system, x, delta, N)
     _check_budget(total, budget)
     kernel, n_out = system.kernel, counts[0][N][xi]

@@ -19,8 +19,8 @@ from operator import sub
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .rationals import (ZERO, as_rational, dyadic_below, format_rational,
-                        positive)
-from .systems import (ExplicitSystem, c0_distance, check_carrier, common_scale,
+                        positive, resolve_budget)
+from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
                       gatherer, materialize, members, orbit_closure,
                       pair_sup_separation, point_index, point_label)
 
@@ -28,16 +28,6 @@ DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 500_000
 GH_GRID_STEP = Fraction(1, 128)
 MAX_REPORTED_PAIRS = 10_000
-
-
-def _budget(budget, default) -> int:
-    """budget, or default when it is None; a negative budget fails as
-    a PreconditionError before any work is done."""
-    if budget is None:
-        return default
-    if budget < 0:
-        raise PreconditionError(f"budget must be nonnegative, got {budget}")
-    return budget
 
 
 # -- semiconjugacy builder --------------------------------------------------
@@ -113,8 +103,8 @@ def _semiconjugacy(f, gperm, x, gap, eps, eta):
             f"no orbit of f stays within {format_rational(eta)} of the "
             f"perturbed orbit")
     if path is None:
-        P = len(orb)
-        sep = pair_sup_separation(f, pts[z], pts[fk.powers[P % fk.order][z]])
+        P, cyc = len(orb), fk.orbit(z)
+        sep = pair_sup_separation(f, pts[z], pts[cyc[P % len(cyc)]])
         return ConjugacyResult(
             False, "well-definedness", dom, None, None, None, eta,
             f"tracer {point_label(pts[z])} does not close up over the orbit "
@@ -185,7 +175,7 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     maps found.
     """
     delta = positive(delta, "perturbation radius")
-    budget = _budget(budget, DEFAULT_ENUMERATION_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
     base, pts = materialize(system)
     n = base.space.n
     rows = system.kernel.within(delta, closed=True)
@@ -296,15 +286,16 @@ def _perturbation_maps(f, perturbations, delta):
     delta) per perturbation.
 
     A family's carrier is checked once, against its base. Its maps compare
-    their integer C0 sup top with delta = p/q as top > floor(p * D / q),
-    and build the distance only beyond delta (None for an admissible map).
+    their integer C0 sup top with delta as top > floor_scaled(delta, D,
+    closed=True), and build the distance only beyond delta (None for an
+    admissible map).
     Each system of any other iterable is checked by c0_distance, and
     carries no index permutation on an infinite carrier (None).
     """
     if isinstance(perturbations, PerturbationFamily):
         check_carrier(f, perturbations.base)
         k, D = f.kernel, f.kernel.denominator
-        bound = delta.numerator * D // delta.denominator
+        bound = floor_scaled(delta, D, closed=True)
         for i, p in enumerate(perturbations.perms):
             top = k.c0_scaled(p)
             skip = top > bound
@@ -364,17 +355,18 @@ class _MapSearch:
     that is its Hausdorff distance to Y being below delta. fk and gk are
     the kernels of the source and target systems.
 
-    The node checks compare integers: both kernels' tables and delta are
-    read at their common scale (common_scale), which keeps them exact.
-    A found map's clause values come from _clause_values, on the
-    kernels' integer rows as well.
+    The node checks compare integers on the rows both kernels have at
+    S = lcm of their denominators, the rows _clause_values reads: a value
+    v fails the strict "below delta" when v > floor_scaled(delta, S,
+    closed=False), so no table is rescaled for delta.
     """
 
     def __init__(self, fk, gk, delta, budget):
         self.fperm, self.finv, self.gperm = fk.perm, fk.inv, gk.perm
         self.n, self.m = len(fk.pts), len(gk.pts)
-        scale, self.bound = common_scale(delta, fk, gk)
+        scale = lcm(fk.denominator, gk.denominator)
         self.stab, self.dtab = fk.scaled(scale), gk.scaled(scale)
+        self.bound = floor_scaled(delta, scale, closed=False)
         self.near, self.full = gk.within(delta), (1 << self.m) - 1
         self.budget = budget
         self.nodes = 0
@@ -410,14 +402,14 @@ class _MapSearch:
                 self.complete = False
                 raise _SearchStop
             if fx == x:
-                if dtab[gperm[v]][v] >= bound:
+                if dtab[gperm[v]][v] > bound:
                     continue
             else:
                 if px != x and image[px] is not None and \
-                        dtab[gperm[image[px]]][v] >= bound:
+                        dtab[gperm[image[px]]][v] > bound:
                     continue
                 if image[fx] is not None and \
-                        dtab[gperm[v]][image[fx]] >= bound:
+                        dtab[gperm[v]][image[fx]] > bound:
                     continue
             if not self._distortion_ok(x, v, image):
                 continue
@@ -430,7 +422,7 @@ class _MapSearch:
         for y, w in enumerate(image):
             if w is None or y == x:
                 continue
-            if abs(dv[w] - sx[y]) >= bound:
+            if abs(dv[w] - sx[y]) > bound:
                 return False
         return True
 
@@ -464,7 +456,7 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     pair list is flagged incomplete.
     """
     delta = positive(delta, "delta")
-    budget = _budget(budget, DEFAULT_SEARCH_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     fk, gk = X.kernel, Y.kernel
     i_maps, i_done = _MapSearch(fk, gk, delta, budget).run()
     j_maps, j_done = _MapSearch(gk, fk, delta, budget).run()
@@ -480,7 +472,7 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
 def first_delta_isometry_pair(X, Y, delta, budget=None):
     """One certifying pair (or None); second value reports completeness."""
     delta = positive(delta, "delta")
-    budget = _budget(budget, DEFAULT_SEARCH_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     fk, gk = X.kernel, Y.kernel
     if len(fk.pts) == len(gk.pts):
         ident = tuple(range(len(fk.pts)))
@@ -584,7 +576,7 @@ def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
     upper - lower <= GH_GRID_STEP. An exhausted budget stops the
     bisection and leaves the bounds valid but wider, with complete False.
     """
-    budget = _budget(budget, DEFAULT_SEARCH_BUDGET)
+    budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if find_exact_isomorphism(X, Y) is not None:
         return GHBounds(ZERO, ZERO, True, None)
     start = 1 + max(Fraction(max(map(max, k.scaled(k.denominator))), k.denominator)
@@ -719,14 +711,21 @@ def transported_constant(system, h, c) -> Fraction:
     """A constant d with d(h(a), h(b)) > d whenever d(a, b) > c.
 
     The largest dyadic step strictly below the minimum separation of
-    h-images over c-separated pairs; h need not be an isometry.
+    h-images over c-separated pairs; h need not be an isometry, but a map
+    that misses a carrier point or merges a c-separated pair is refused.
     """
     c = as_rational(c)
     move = h if callable(h) else h.__getitem__
     pts = system.points()
-    gaps = [system.dist(move(a), move(b))
+    try:
+        image = dict(zip(pts, map(move, pts)))
+    except KeyError as exc:
+        raise PreconditionError(f"h misses {point_label(exc.args[0])}") from None
+    gaps = [system.dist(image[a], image[b])
             for i, a in enumerate(pts) for b in pts[i + 1:]
             if system.dist(a, b) > c]
     if not gaps:
         raise PreconditionError("no pair separates beyond c")
+    if not min(gaps):
+        raise PreconditionError("h merges two points that separate beyond c")
     return dyadic_below(min(gaps))

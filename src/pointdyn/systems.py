@@ -409,22 +409,20 @@ class SatelliteSystem(MetricSystem):
 class FiniteKernel:
     """A finite system compiled to indices: point i is pts[i].
 
-    perm and inv are the map and its inverse on indices. The distance
-    and sup-separation tables, the cycles, the order, the powers, the
-    integer tables scaled(S) and sup_scaled, for each radius the bitset
-    rows within(r), their pull-backs and the pseudo-orbit steps, and for
-    each constant the inseparability rows inseparable(c) and the cycle
-    verdicts cycle_failures(c) are built on first use and kept; the
-    kernel never changes otherwise.
-    Integer rows come first: denominator reads the system's _integer_table
-    (D, D * table), from the integer arcs on a lattice (D = n, and table is
-    built from the rows), from one conversion of an explicit system's table,
-    or, for a conjugate_system twin, from its source's rows.
-    sup_scaled costs O(n^2), mostly 4n whole-row gathers of n entries; the
-    views of a radius or constant key on its (numerator, denominator).
-    The system caches its kernel, so the kernel holds the system weakly:
-    a strong link back would make each pair a cycle that only the
-    cyclic collector frees.
+    perm and inv are the map and its inverse on indices. The kernel has
+    one integer scaling: denominator D and the rows scaled(D) = D * table,
+    which come first (the system's _integer_table: integer arcs on a
+    lattice, one conversion of an explicit table, a conjugate_system twin's
+    source rows); table is their Fractions. A radius r meets these rows
+    and sup_scaled as floor_scaled(r, D, closed). Only a comparison of two
+    kernels reads scaled(S), at S = lcm of their denominators. The table,
+    sup_scaled, the cycles, the order, and per radius or constant (keyed
+    on its numerator and denominator) within(r), its pull-backs, the
+    pseudo-orbit steps, inseparable(c) and cycle_failures(c) are built on
+    first use and kept. f^m steps by whole-row gathers of perm or inv, or
+    along a cycle (orbit). The system caches its kernel, so the kernel
+    holds the system weakly: a strong link back would make each pair a
+    cycle that only the cyclic collector frees.
     """
 
     def __init__(self, system):
@@ -439,11 +437,14 @@ class FiniteKernel:
     @cached_property
     def table(self) -> tuple:
         """table[i][j] = d(pts[i], pts[j]): an explicit system's own table,
-        else the Fractions of scaled(denominator), built on first read."""
+        else the Fractions of scaled(D), one object per distinct value."""
         system = self.system
         if isinstance(system, ExplicitSystem):
             return system.space.table
-        return _fractions(self.scaled(self.denominator), self.denominator)
+        D = self.denominator
+        rows = self.scaled(D)
+        values = {s: Fraction(s, D) for s in set().union(*rows)}
+        return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
     @cached_property
     def sup_scaled(self) -> tuple:
@@ -453,7 +454,7 @@ class FiniteKernel:
         sup over one period of i; as f^p fixes i, the sup at c2[k] on a cycle
         c2 is that max over the k' = k mod gcd(p, len(c2)) (_residue_classes).
         Row f^m i is row i gathered at f^-m. O(n^2): about 4n gathers of n
-        entries and under n/2 class maxima per cycle; no powers table."""
+        entries and under n/2 class maxima per cycle."""
         rows, n = self.scaled(self.denominator), len(self.perm)
         identity, forward, back = tuple(range(n)), gatherer(self.perm), gatherer(self.inv)
         residues, sep = cache(lambda p: _residue_classes(self.cycles, p, n)), [None] * n
@@ -474,28 +475,19 @@ class FiniteKernel:
                 at = back(at)
         return tuple(sep)
 
-    @cached_property
-    def separation(self) -> tuple:
-        """separation[i][j] = sup over n of d(f^n pts[i], f^n pts[j]), the
-        Fractions of sup_scaled."""
-        return _fractions(self.sup_scaled, self.denominator)
-
     def inseparable(self, c) -> tuple:
-        """inseparable(c)[i]: the bitset of j with separation[i][j] <= c.
-
-        For c = p/q the test s/D <= p/q is s * q <= p * D on sup_scaled,
-        i.e. s <= floor(p * D / q) with q > 0.
-        """
+        """inseparable(c)[i]: the bitset of j whose sup-separation from i
+        is at most c, i.e. sup_scaled[i][j] <= floor_scaled(c, D, True)."""
         key = ("inseparable", c.numerator, c.denominator)
         if (rows := self._views.get(key)) is None:
-            bound = c.numerator * self.denominator // c.denominator
+            bound = floor_scaled(c, self.denominator, closed=True)
             rows = self._views[key] = tuple(sum(1 << j for j, s in enumerate(row) if s <= bound)
                                             for row in self.sup_scaled)
         return rows
 
     def first_inseparable_pair(self, c, mask):
-        """The least pair (i, j), i < j both in the bitset mask, with
-        separation[i][j] <= c, read off inseparable(c); None when every
+        """The least pair (i, j), i < j both in the bitset mask, whose
+        sup-separation is at most c, read off inseparable(c); None when every
         pair of mask separates beyond c."""
         rows = self.inseparable(c)
         while mask:
@@ -560,14 +552,6 @@ class FiniteKernel:
         """Smallest L >= 1 with f^L the identity."""
         return lcm(*(len(cyc) for cyc in self.cycles))
 
-    @cached_property
-    def powers(self) -> tuple:
-        """powers[k][i] = f^k(i) for 0 <= k < order."""
-        out = [tuple(range(len(self.perm)))]
-        for _ in range(self.order - 1):
-            out.append(tuple(self.perm[i] for i in out[-1]))
-        return tuple(out)
-
     @property
     def system(self) -> MetricSystem:
         system = self._system()
@@ -610,24 +594,26 @@ class FiniteKernel:
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
-        read off scaled(D), D = denominator, as inseparable is: for r = p/q,
-        s/D < r is s <= (p * D - 1) // q, and s/D <= r is s <= p * D // q."""
+        i.e. scaled(D)[v][y] <= floor_scaled(r, D, closed), D = denominator."""
         key = ("within", radius.numerator, radius.denominator, closed)
         if (rows := self._views.get(key)) is None:
             D = self.denominator
-            bound = (radius.numerator * D - (not closed)) // radius.denominator
+            bound = floor_scaled(radius, D, closed)
             rows = self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d <= bound)
                                             for row in self.scaled(D))
         return rows
 
     def pullbacks(self, radius, closed=False) -> tuple:
-        """pullbacks(r)[e][v]: the bitset of z with f^e z in within(r)[v]."""
+        """pullbacks(r)[e][v]: the bitset of z with f^e z in within(r)[v];
+        f^-e advances by one whole-row gather of inv per exponent e."""
         key = ("pullbacks", radius.numerator, radius.denominator, closed)
         if (pull := self._views.get(key)) is None:
             rows = [members(w) for w in self.within(radius, closed)]
-            pull = self._views[key] = tuple(
-                tuple(sum(1 << back[y] for y in row) for row in rows)
-                for back in (self.powers[-e % self.order] for e in range(self.order)))
+            at, back, pull = tuple(range(len(self.perm))), gatherer(self.inv), []
+            for _ in range(self.order):
+                pull.append(tuple(sum(1 << at[y] for y in row) for row in rows))
+                at = back(at)                       # at[y] = f^-e y
+            pull = self._views[key] = tuple(pull)
         return pull
 
     def steps(self, delta, forward=True) -> tuple:
@@ -658,9 +644,9 @@ class FiniteKernel:
 
         Returns (tracers, z, h): z is prefer when it traces, else the least
         tracer (pts ascend in point_key order on every finite backend);
-        h[n] = f^n z for 0 <= n < P lays h along z's f-orbit, and is None
-        when f^P z != z, i.e. the orbit does not close up. z and h are None
-        without a tracer.
+        h[n] = f^n z for 0 <= n < P lays h along z's cycle orbit(z), and is
+        None when f^P z != z, i.e. the cycle's length does not divide P and
+        the orbit does not close up. z and h are None without a tracer.
         """
         P = len(window)
         found = self.tracers([window[n % P] for n in range(lcm(self.order, P))],
@@ -668,17 +654,17 @@ class FiniteKernel:
         if not found:
             return found, None, None
         z = prefer if prefer in found else found[0]
-        powers, order = self.powers, self.order
-        if powers[P % order][z] != z:
+        cyc = self.orbit(z)
+        if P % len(cyc):
             return found, z, None
-        return found, z, tuple(powers[n % order][z] for n in range(P))
+        return found, z, cyc * (P // len(cyc))
 
 
-def common_scale(radius, *kernels) -> tuple:
-    """(S, radius * S): the least S that makes radius and the tables of
-    the kernels integral, and radius at that scale."""
-    scale = lcm(radius.denominator, *(k.denominator for k in kernels))
-    return scale, radius.numerator * (scale // radius.denominator)
+def floor_scaled(r, S, closed) -> int:
+    """The largest integer s with s/S <= r when closed, s/S < r when not:
+    for r = p/q and S > 0, floor(p * S / q) or floor((p * S - 1) / q).
+    This is how every radius meets integer rows at scale S."""
+    return (r.numerator * S - (not closed)) // r.denominator
 
 
 def members(bits) -> list:
@@ -713,12 +699,6 @@ def _residue_classes(cycles, p, n):
                     slot[j] = n + len(classes)
                 classes.append(c2[r::g])
     return classes, gatherer(slot)
-
-
-def _fractions(rows, D) -> tuple:
-    """The Fraction rows s/D of integer rows, one object per distinct value."""
-    values = {s: Fraction(s, D) for s in set().union(*rows)}
-    return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
 
 def _inverse(perm) -> tuple:
@@ -850,6 +830,8 @@ def orbit_closure(system, x):
 
 
 def iterate(system, x, n: int):
+    """f^n(x); a point off the carrier raises, as in orbit."""
+    point_index(system, x) if system.finite else system.check_point(x)
     step = system.image if n >= 0 else system.preimage
     for _ in range(abs(n)):
         x = step(x)
@@ -867,13 +849,14 @@ def system_order(system) -> int:
 def pair_sup_separation(system, x, y) -> Fraction:
     """sup over n in Z of d(f^n x, f^n y), exact.
 
-    Finite backends read kernel.separation, others check both points
+    Finite backends read kernel.sup_scaled, others check both points
     (off the carrier both raise). On the shift distinct points always
     reach separation exactly 1: shifting moves their first disagreement
     to the origin. Satellite pairs reduce to marked-orbit comparisons.
     """
     if system.finite:
-        return system.kernel.separation[point_index(system, x)][point_index(system, y)]
+        k, i, j = system.kernel, point_index(system, x), point_index(system, y)
+        return Fraction(k.sup_scaled[i][j], k.denominator)
     if system.check_point(x) == system.check_point(y):    # each returns its point
         return ZERO
     if system.backend == "shift":
@@ -1005,8 +988,19 @@ def materialize(system) -> tuple:
     return kernel.explicit, kernel.pts
 
 
+def _is_bijection(relabel: dict, pts) -> bool:
+    """Are the keys and the values of relabel both the points pts? A dict's
+    keys are distinct, so equal key and value sets make a bijection."""
+    try:
+        return set(relabel) == set(relabel.values()) == set(pts)
+    except TypeError:               # an unhashable value is no carrier point
+        return False
+
+
 def is_self_isometry(system, relabel: dict) -> bool:
-    """Does the carrier bijection `relabel` preserve the metric?"""
+    """Is relabel a bijection of the finite carrier that keeps every distance?"""
+    if not (system.finite and _is_bijection(relabel, system.kernel.pts)):
+        return False
     pts = list(relabel)
     return all(system.dist(relabel[a], relabel[b]) == system.dist(a, b)
                for i, a in enumerate(pts) for b in pts[i + 1:])
@@ -1026,12 +1020,7 @@ def conjugate_system(system, relabel: dict, name=None,
         raise UnsupportedBackendError("conjugation requires a finite carrier")
     kernel = system.kernel
     pts = kernel.pts
-    # a dict's keys are distinct, so equal key and value sets make a bijection
-    try:
-        bijective = set(relabel) == set(relabel.values()) == set(pts)
-    except TypeError:               # an unhashable value is no carrier point
-        bijective = False
-    if not bijective:
+    if not _is_bijection(relabel, pts):
         raise PreconditionError("relabeling must be a bijection of the carrier")
     inv = {v: k for k, v in relabel.items()}
     perm = tuple(kernel.index[relabel[system.image(inv[p])]] for p in pts)

@@ -220,8 +220,6 @@ def test_within_and_pullbacks_match_oracle(system, data):
 def test_separation_matches_oracle(system, data):
     k = system.kernel
     oracle = [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
-    assert [[k.separation[i][j] for j in range(len(k.pts))]
-            for i in range(len(k.pts))] == oracle
     assert all(pair_sup_separation(system, p, q) == oracle_sup_separation(system, p, q)
                for p in k.pts for q in k.pts)
     D = k.denominator
@@ -341,11 +339,13 @@ def test_kernel_maps_and_powers(system, rng):
     assert twin.space.table == tuple(tuple(system.dist(inv[a], inv[b]) for b in k.pts)
                                      for a in k.pts)
     assert twin.perm == tuple(k.index[relabel[system.image(inv[p])]] for p in k.pts)
-    for e, row in enumerate(k.powers):
-        cur = list(k.pts)
-        for _ in range(e):
-            cur = [system.image(p) for p in cur]
-        assert [k.pts[i] for i in row] == cur
+    # orbit(i), which lays the periodic tracer's h, against an image walk
+    for i, p in enumerate(k.pts):
+        walk, cur = [p], system.image(p)
+        while cur != p:
+            walk.append(cur)
+            cur = system.image(cur)
+        assert [k.pts[j] for j in k.orbit(i)] == walk
 
 
 LADDER = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
@@ -445,7 +445,7 @@ def test_kernel_does_not_keep_its_system_alive(make):
     try:
         system = make()
         k = system.kernel
-        k.table, k.separation, k.within(F(1, 2)), k.pullbacks(F(1, 2))
+        k.table, k.sup_scaled, k.within(F(1, 2)), k.pullbacks(F(1, 2))
         assert k.explicit.kernel.table == k.table
         alive = weakref.ref(system)
         del system

@@ -37,6 +37,9 @@ def oracle_half_limit_sets(kernel, x, eps, delta, forward):
     by exploring every state and trimming each layer until it is stable."""
     dist, perm = kernel.table, kernel.perm
     rng = range(len(perm))
+    powers = [list(rng)]            # powers[e][z] = f^e z, stepped from perm
+    for _ in range(kernel.order - 1):
+        powers.append([perm[z] for z in powers[-1]])
     if forward:
         succ = [[v for v in rng if dist[perm[u]][v] < delta] for u in rng]
     else:
@@ -51,7 +54,7 @@ def oracle_half_limit_sets(kernel, x, eps, delta, forward):
             continue
         u, A, e = state
         e2 = (e + kstep) % kernel.order
-        pw = kernel.powers[e2]
+        pw = powers[e2]
         outs = [(v, frozenset(z for z in A if dist[pw[z]][v] < eps), e2)
                 for v in succ[u]]
         edges[state] = outs

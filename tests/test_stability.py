@@ -3,12 +3,12 @@
 import hashlib
 from fractions import Fraction as F
 from itertools import islice, permutations, product
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from pointdyn import stability
+from pointdyn import shadowing, stability
 from pointdyn.bundled import bundled_system
 from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
                              hausdorff_distance, is_delta_isometry)
@@ -531,7 +531,12 @@ def test_searches_reject_a_negative_budget():
              lambda b: gh_distance_bounds(ID3, ID3, budget=b),
              lambda b: first_delta_isometry_pair(ID3, nearpair4, F(1, 2), b),
              lambda b: search_delta_isometries(ID3, nearpair4, F(1, 2), b),
-             lambda b: enumerate_perturbations(ID3, 2, budget=b))
+             lambda b: enumerate_perturbations(ID3, 2, budget=b),
+             # these once counted 81 windows first and refused them as over
+             # the budget, a ResourceBudgetError (exit 3) for a bad input
+             lambda b: shadowing.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 2,
+                                                     budget=b),
+             lambda b: shadowing.enumerate_pseudo_orbits(R12K3, 0, F(1, 6), 2, budget=b))
     for call in calls:
         for budget in (-1, -5):
             with pytest.raises(PreconditionError, match="budget must be nonnegative"):
@@ -561,6 +566,18 @@ def test_gh_bounds_close_rotations():
     b = gh_distance_bounds(R12K1, R12K5, budget=40000)
     assert b.lower <= b.upper
     assert b.upper <= F(1, 3) + F(1, 128)
+
+
+def test_gh_search_reads_each_kernel_at_one_scale_per_pair():
+    # the map search compares delta with the rows at lcm(D_f, D_g), which
+    # _clause_values reads too; once it rescaled both tables per bisection
+    # delta (14 tables left on the Z20 pair, 9 on cat5 against Z25)
+    for X, Y, budget in ((build_lattice(20, step=1), build_lattice(20, step=7), None),
+                         (bundled_system("cat5"), build_lattice(25, step=7), 5 * 10 ** 4)):
+        gh_distance_bounds(X, Y, budget=budget)
+        S = lcm(X.kernel.denominator, Y.kernel.denominator)
+        for k in (X.kernel, Y.kernel):
+            assert {key[1] for key in k._views if key[0] == "scaled"} <= {k.denominator, S}
 
 
 def test_gh_bounds_bracket_size_mismatch():
@@ -653,6 +670,16 @@ def test_transported_constant():
     assert transported_constant(NEAR3, {0: 0, 1: 2, 2: 1}, F(1, 2)) == F(1, 128)
     with pytest.raises(PreconditionError):
         transported_constant(ID3, {0: 1, 1: 2, 2: 0}, 2)
+
+
+@pytest.mark.parametrize("h, c, match", (
+    ({i: 0 for i in range(12)}, F(1, 12), "merges"),   # once ValueError: need a positive bound
+    ({0: 1}, F(1, 12), "misses 1"),                     # once a bare KeyError
+    ({0: 1}, 1, "misses 1"),            # no pair separates beyond 1; every point counts
+), ids=("merge", "partial", "partial-unseparated"))
+def test_transported_constant_needs_a_map_of_the_carrier(h, c, match):
+    with pytest.raises(PreconditionError, match=match):
+        transported_constant(R12K3, h, c)
 
 
 # sha256 of gh_stable_point_check entries on the finite bundled systems,

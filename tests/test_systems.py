@@ -77,6 +77,16 @@ def test_iterate_both_directions():
     assert iterate(sh, P01, 5) == P01.shift_by(5)
 
 
+@pytest.mark.parametrize("make, x, error", (
+    (lambda: build_lattice(12, step=3), 99, PreconditionError),     # once returned 6
+    (lambda: bundled_system("nearpair4"), 99, PreconditionError),   # once an IndexError
+    (lambda: build_shift(2), pure((0, 2)), MalformedInputError),
+), ids=("lattice", "explicit", "shift"))
+def test_iterate_refuses_a_point_off_the_carrier(make, x, error):
+    with pytest.raises(error):
+        iterate(make(), x, 1)
+
+
 def test_satellite_metric_cases():
     sat = build_satellite(3, 2, P01)
     q = Satellite(1, 2, 0)
@@ -203,6 +213,15 @@ def test_conjugation_and_self_isometry():
     assert h.image(0) == 9             # reflection turns step 3 into step 9
     not_iso = {i: 0 for i in range(12)}
     assert not is_self_isometry(r12, not_iso)
+
+
+@pytest.mark.parametrize("relabel", (
+    {0: 99, 99: 0},                     # lattice dist reads 99 mod 12: once True
+    {0: 1, 1: 0},                       # a partial map
+    {i: [i] for i in range(12)},        # unhashable values
+), ids=("off-carrier", "partial", "unhashable"))
+def test_self_isometry_needs_a_bijection_of_the_carrier(relabel):
+    assert not is_self_isometry(build_lattice(12, step=3), relabel)
 
 
 @pytest.mark.parametrize("relabel", (
