@@ -24,7 +24,16 @@ permutation of 40 points, and two coprime cycles of lengths 199 and 201
 (n = 400, pair orbits of period 39 999). Explicit distances are drawn
 from [1, 2], so the triangle inequality holds.
 
-Every record is {tree, layer, case, size, wall_s, counters}: wall_s is
+One more layer is not a rung: ``import`` starts --repeats fresh
+interpreters on the --src tree, each timing its own ``import
+pointdyn.cli``. Its record (case ``pointdyn.cli``, size and c null)
+holds the median of those import times as wall_s, and its counters are
+the ``pointdyn`` modules loaded and whether ``dataclasses`` was loaded.
+The children write no bytecode when PYTHONDONTWRITEBYTECODE is set, so
+run ``python3 -m compileall -q src`` on each tree first, or the import
+times the compiler too.
+
+Every other record is {tree, layer, case, size, wall_s, counters}: wall_s is
 the least wall time over --repeats fresh systems, each timed call begun
 after a full garbage collection; size is the point count n, and the
 counters describe the rung, not the code that ran on it: n, cycles,
@@ -37,8 +46,9 @@ that sup_scaled takes one max over. No figure here gates a test.
 Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
 
-    python3 bench/ladder.py --repeats 15 --label change --out BENCH_15.json
-    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_15.json
+    python3 -m compileall -q src ../parent/src
+    python3 bench/ladder.py --repeats 15 --label change --out BENCH_16.json
+    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_16.json
 
 Records of another label already in --out are kept; those of --label
 are replaced.
@@ -49,6 +59,8 @@ import gc
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 from fractions import Fraction as F
@@ -57,6 +69,14 @@ from random import Random
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 PULLBACKS_MAX_ORDER = 1000
+IMPORT_CHILD = """\
+import sys, time
+t0 = time.perf_counter()
+import pointdyn.cli
+wall = time.perf_counter() - t0
+print(wall, sum(m.partition(".")[0] == "pointdyn" for m in sys.modules),
+      "dataclasses" in sys.modules)
+"""
 
 
 def cycles_perm(lengths):
@@ -153,6 +173,20 @@ def measure(label, repeats):
     return records
 
 
+def measure_import(label, src, repeats):
+    """The import layer: the median import time of pointdyn.cli over
+    repeats fresh interpreters that import it from src."""
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env, check=True,
+                           capture_output=True, text=True).stdout.split()
+            for _ in range(repeats)]
+    wall = statistics.median(float(run[0]) for run in runs)
+    return {"tree": label, "layer": "import", "case": "pointdyn.cli", "size": None,
+            "c": None, "wall_s": round(wall, 7),
+            "counters": {"pointdyn_modules": int(runs[0][1]),
+                         "dataclasses": runs[0][2] == "True"}}
+
+
 def main(argv=None):
     here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
@@ -164,9 +198,12 @@ def main(argv=None):
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    sys.path.insert(0, os.path.abspath(args.src))
-    records = measure(args.label, args.repeats)
-    doc = {"statistic": f"min wall seconds over {args.repeats} fresh systems",
+    src = os.path.abspath(args.src)
+    records = [measure_import(args.label, src, args.repeats)]
+    sys.path.insert(0, src)
+    records += measure(args.label, args.repeats)
+    doc = {"statistic": f"min wall seconds over {args.repeats} fresh systems"
+                        f" (import: median over {args.repeats} fresh processes)",
            "python": platform.python_version(), "records": []}
     if args.out and os.path.exists(args.out):
         with open(args.out) as fh:

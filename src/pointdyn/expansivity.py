@@ -16,9 +16,9 @@ cycle (cycle_failures), shared by every centre whose ball meets it.
 Symbolic carriers answer through pair_sup_separation and their regions.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import (PreconditionError, UnsupportedBackendError,
                      UnsupportedSequenceError)
@@ -29,8 +29,7 @@ from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, c0_distance,
                       point_label, sorted_points, system_ball)
 
 
-@dataclass(frozen=True)
-class ExpansivityVerdict:
+class ExpansivityVerdict(NamedTuple):
     point: object
     constant: Fraction
     variant: str
@@ -42,8 +41,7 @@ class ExpansivityVerdict:
         return self.result
 
 
-@dataclass(frozen=True)
-class SeparationWindow:
+class SeparationWindow(NamedTuple):
     times: frozenset            # {n in [-N, N] : d(f^n x, f^n y) > eps}
     window: int
     full_period: bool           # window covers a joint pair period

@@ -7,8 +7,8 @@ positive rational symbol weights, which are genuinely non-atomic. All
 values are exact rationals.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (CarrierMismatchError, MalformedInputError, PointdynError,
                      PreconditionError, UnsupportedBackendError)
@@ -242,8 +242,7 @@ def mu_expansive_points(system, mu, c, probe=None) -> frozenset:
     return frozenset(x for x in pts if mu_uniformly_expansive_at(system, mu, x, c))
 
 
-@dataclass(frozen=True)
-class MeasureExpansivityReport:
+class MeasureExpansivityReport(NamedTuple):
     constant: Fraction
     result: bool
     probes: tuple
@@ -298,8 +297,7 @@ def expansive_measure_check(system, mu, c, probe=None) -> MeasureExpansivityRepo
 # -- tracking maps ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SetValuedAssignment:
+class SetValuedAssignment(NamedTuple):
     """Set-valued map u -> H(u) over an orbit, explicit or rule-given.
 
     Explicit assignments carry one finite image set per orbit point.
@@ -396,8 +394,7 @@ def tracking_commutes(assignment: SetValuedAssignment, f, g):
 # -- strong mu-topological stability ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ClauseCheck:
+class ClauseCheck(NamedTuple):
     name: str
     result: bool
     detail: str = ""
@@ -406,8 +403,7 @@ class ClauseCheck:
         return self.result
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     result: bool
     clauses: tuple
     eta: Fraction

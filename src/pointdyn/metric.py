@@ -8,16 +8,16 @@ iterables and return exact values; on finite spaces inf and sup are
 min and max.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from typing import NamedTuple
 
 from .errors import PreconditionError
 from .rationals import ZERO, as_rational, format_rational
 
 
-@dataclass(frozen=True)
-class MetricViolation:
+class MetricViolation(NamedTuple):
     axiom: str          # "shape" | "identity" | "positivity" | "symmetry" | "triangle"
     witness: tuple
     detail: str
@@ -63,30 +63,34 @@ def validate_metric(space: FiniteMetricSpace):
 
     Checks, in order: table shape, d(x,x) = 0, positivity off the
     diagonal, symmetry, and every triangle d(i,k) <= d(i,j) + d(j,k).
+    The comparisons read the table scaled once to integers by the lcm of
+    its denominators; the details quote the exact entries.
     """
     out = []
-    n = space.n
-    for i, row in enumerate(space.table):
+    table, n = space.table, space.n
+    for i, row in enumerate(table):
         if len(row) != n:
             out.append(MetricViolation("shape", (i,), f"row {i} has length {len(row)}, want {n}"))
     if out:
         return out
+    D = lcm(*(d.denominator for row in table for d in row))
+    s = [[d.numerator * (D // d.denominator) for d in row] for row in table]
     for i in range(n):
-        if space.table[i][i] != 0:
+        if s[i][i] != 0:
             out.append(MetricViolation("identity", (i,),
-                                       f"d({i},{i}) = {format_rational(space.table[i][i])}"))
+                                       f"d({i},{i}) = {format_rational(table[i][i])}"))
     for i in range(n):
         for j in range(i + 1, n):
-            if space.table[i][j] != space.table[j][i]:
+            if s[i][j] != s[j][i]:
                 out.append(MetricViolation("symmetry", (i, j),
                                            "d(i,j) != d(j,i)"))
-            if space.table[i][j] <= 0:
+            if s[i][j] <= 0:
                 out.append(MetricViolation("positivity", (i, j),
-                                           f"d({i},{j}) = {format_rational(space.table[i][j])}"))
+                                           f"d({i},{j}) = {format_rational(table[i][j])}"))
     for i, j, k in combinations(range(n), 3):
         for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
             # d(b,c) <= d(b,a) + d(a,c), a is the middle point
-            if space.table[b][c] > space.table[b][a] + space.table[a][c]:
+            if s[b][c] > s[b][a] + s[a][c]:
                 out.append(MetricViolation(
                     "triangle", (b, a, c),
                     f"d({b},{c}) > d({b},{a}) + d({a},{c})"))

@@ -3,7 +3,9 @@
 Every quantity in this package is a `fractions.Fraction`; floats never
 appear in core computations. The wire format is "p/q" with an explicit
 denominator, also for integers ("0/1", "2/1"), so that serialized
-reports are canonical.
+reports are canonical. The module also holds what every layer shares
+below the scalars: the budget rule and `Frozen`, the base of the
+records that cannot be tuples.
 """
 
 from fractions import Fraction
@@ -74,3 +76,37 @@ def dyadic_below(q: Fraction) -> Fraction:
     while step >= q:
         step /= 2
     return step
+
+
+class Frozen:
+    """A record that is not a tuple. A subclass names its fields in
+    `_fields` and sets them once, in its own __init__, through `_set`;
+    they cannot be reassigned after. Equality, hash and repr go by the
+    field values."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _set(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = (f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({', '.join(fields)})"

@@ -21,8 +21,8 @@ constant, so the verdict only depends on the finitely many reachable
 limit sets of each half.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
@@ -34,8 +34,7 @@ from .systems import point_index, sorted_points, system_ball
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
 
-@dataclass(frozen=True)
-class PseudoOrbitGraph:
+class PseudoOrbitGraph(NamedTuple):
     delta: Fraction
     successors: dict      # point -> tuple of admissible next points
 
@@ -43,8 +42,7 @@ class PseudoOrbitGraph:
         return len(self.successors[u])
 
 
-@dataclass(frozen=True)
-class PseudoOrbitWindow:
+class PseudoOrbitWindow(NamedTuple):
     entries: tuple        # x_{-N} .. x_{N}
     delta: Fraction
 
@@ -60,8 +58,7 @@ class PseudoOrbitWindow:
         return self.entries[n + self.radius]
 
 
-@dataclass(frozen=True)
-class TracerSet:
+class TracerSet(NamedTuple):
     points: frozenset
     eps: Fraction
 
@@ -158,8 +155,7 @@ def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
     return TracerSet(frozenset(k.pts[z] for z in found), eps)
 
 
-@dataclass(frozen=True)
-class WindowedShadowReport:
+class WindowedShadowReport(NamedTuple):
     result: bool
     eps: Fraction
     delta: Fraction
@@ -370,8 +366,7 @@ def splice_trace_shift(system, window, m: int) -> EPPoint:
 # -- measure-restricted variant -------------------------------------------
 
 
-@dataclass(frozen=True)
-class MuShadowReport:
+class MuShadowReport(NamedTuple):
     result: bool
     through_points: tuple
     failing_point: object = None

@@ -15,12 +15,11 @@ disagreement, metric value) decidable by finite scans with provable
 bounds.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedInputError
-from .rationals import ZERO
+from .rationals import Frozen, ZERO
 
 
 def _primitive(word):
@@ -210,16 +209,17 @@ def right_limit_cycle(x: EPPoint):
 # -- symbolic balls -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ShiftBall:
+class ShiftBall(Frozen):
     """All sequences agreeing with `center` at positions |i| <= halfwidth-1.
 
     halfwidth 0 fixes nothing (the whole space). Balls in the shift
     metric are exactly these sets: d(x,y) < r constrains one central
     agreement window and nothing else.
     """
-    center: EPPoint
-    halfwidth: int
+    __slots__ = _fields = ("center", "halfwidth")
+
+    def __init__(self, center: EPPoint, halfwidth: int):
+        self._set(center, halfwidth)
 
     def contains(self, y: EPPoint) -> bool:
         h = self.halfwidth

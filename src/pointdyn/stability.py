@@ -9,16 +9,16 @@ layer searches for delta-isometry pairs by branch and bound and turns
 found pairs / exhausted searches into exact upper / lower bounds.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import islice, product
 from math import lcm
 from operator import sub
+from typing import NamedTuple
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
-from .rationals import (ZERO, as_rational, dyadic_below, format_rational,
+from .rationals import (Frozen, ZERO, as_rational, dyadic_below, format_rational,
                         positive, resolve_budget)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
                       gatherer, materialize, members, orbit_closure,
@@ -33,8 +33,7 @@ MAX_REPORTED_PAIRS = 10_000
 # -- semiconjugacy builder --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConjugacyResult:
+class ConjugacyResult(NamedTuple):
     success: bool
     failed_step: str            # None | "shadowing" | "well-definedness" |
                                 # "commutation" | "residual"
@@ -131,15 +130,16 @@ def _semiconjugacy(f, gperm, x, gap, eps, eta):
 # -- perturbation enumeration ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """The admissible perturbations of base as index permutations on its
-    carrier: index i stands for points[i] in every map."""
-    base: ExplicitSystem        # the input system, materialized
-    points: tuple               # index -> original point
-    perms: tuple                # every index permutation within c0 distance delta
-    nodes: int                  # search nodes visited: the partial maps extended
-                                # in search order, the empty one included
+class PerturbationFamily(Frozen):
+    """The admissible perturbations of base (the input system,
+    materialized) as the index permutations perms within c0 distance
+    delta: index i stands for points[i] in every map. nodes counts the
+    search nodes visited, the partial maps extended in search order, the
+    empty one included. No __slots__: the cached `systems` needs a __dict__."""
+    _fields = ("base", "points", "perms", "nodes")
+
+    def __init__(self, base: ExplicitSystem, points: tuple, perms: tuple, nodes: int):
+        self._set(base, points, perms, nodes)
 
     def __len__(self):
         return len(self.perms)
@@ -233,16 +233,14 @@ def _shared_target_order(bits) -> list:
     return order
 
 
-@dataclass(frozen=True)
-class PerturbationVerdict:
+class PerturbationVerdict(NamedTuple):
     name: str
     status: str                 # "ok" | "failed" | "skipped"
     conjugacy: object
     note: str = ""
 
 
-@dataclass(frozen=True)
-class StablePointReport:
+class StablePointReport(NamedTuple):
     result: bool
     point: object
     eps: Fraction
@@ -309,8 +307,7 @@ def _perturbation_maps(f, perturbations, delta):
 # -- delta-isometry search ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IsometryPair:
+class IsometryPair(NamedTuple):
     i_map: tuple                # X index -> Y index
     j_map: tuple                # Y index -> X index
     delta: Fraction
@@ -431,11 +428,11 @@ class _SearchStop(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class IsometrySearch:
-    pairs: tuple
-    complete: bool
-    delta: Fraction
+class IsometrySearch(Frozen):
+    __slots__ = _fields = ("pairs", "complete", "delta")
+
+    def __init__(self, pairs: tuple, complete: bool, delta: Fraction):
+        self._set(pairs, complete, delta)
 
     def __len__(self):
         return len(self.pairs)
@@ -535,12 +532,12 @@ def find_exact_isomorphism(X, Y):
     return None
 
 
-@dataclass(frozen=True)
-class GHBounds:
-    lower: Fraction
-    upper: Fraction
-    complete: bool
-    witness: object             # IsometryPair certifying the upper bound
+class GHBounds(Frozen):
+    """Compares and hashes as the pair (lower, upper), and unpacks to it."""
+    __slots__ = _fields = ("lower", "upper", "complete", "witness")
+
+    def __init__(self, lower: Fraction, upper: Fraction, complete: bool, witness):
+        self._set(lower, upper, complete, witness)    # witness: IsometryPair certifying upper
 
     def __iter__(self):
         return iter((self.lower, self.upper))
@@ -551,6 +548,9 @@ class GHBounds:
         if isinstance(other, GHBounds):
             return (self.lower, self.upper) == (other.lower, other.upper)
         return NotImplemented
+
+    def __hash__(self):
+        return hash((self.lower, self.upper))
 
 
 def _grid_above(value, step) -> Fraction:
@@ -607,16 +607,14 @@ def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
 # -- GH-stable points ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CandidateVerdict:
+class CandidateVerdict(NamedTuple):
     name: str
     status: str                 # "pass" | "vacuous" | "fail" | "skipped"
     preimages: tuple
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class GHStableReport:
+class GHStableReport(NamedTuple):
     result: bool
     point: object
     eps: Fraction
@@ -712,7 +710,8 @@ def transported_constant(system, h, c) -> Fraction:
 
     The largest dyadic step strictly below the minimum separation of
     h-images over c-separated pairs; h need not be an isometry, but a map
-    that misses a carrier point or merges a c-separated pair is refused.
+    that misses a carrier point, takes one off the carrier or merges a
+    c-separated pair is refused.
     """
     c = as_rational(c)
     move = h if callable(h) else h.__getitem__
@@ -721,6 +720,8 @@ def transported_constant(system, h, c) -> Fraction:
         image = dict(zip(pts, map(move, pts)))
     except KeyError as exc:
         raise PreconditionError(f"h misses {point_label(exc.args[0])}") from None
+    for value in image.values():
+        point_index(system, value)      # PreconditionError off the carrier
     gaps = [system.dist(image[a], image[b])
             for i, a in enumerate(pts) for b in pts[i + 1:]
             if system.dist(a, b) > c]

@@ -22,7 +22,7 @@ carriers are constructed programmatically. All parse failures carry
 the 1-based line number.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import MalformedInputError
 from .measures import WeightedMeasure
@@ -35,8 +35,7 @@ from .systems import (build_explicit, build_lattice, build_satellite,
 SYSTEM_KINDS = ("explicit", "lattice", "shift", "satellite")
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(NamedTuple):
     system: object              # None for measure-only files
     measure: object             # None unless a measure stanza is present
     probes: tuple               # points listed by the system stanza

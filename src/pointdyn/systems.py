@@ -14,17 +14,17 @@ their integer arcs, an explicit system converts its Fraction table once.
 
 import hashlib
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import (CarrierMismatchError, MalformedInputError,
                      PreconditionError, UnsupportedBackendError)
 from .metric import FiniteMetricSpace
-from .rationals import ZERO, as_rational, format_rational
+from .rationals import Frozen, ZERO, as_rational, format_rational
 from .shiftspace import (EPPoint, ShiftBall, ball_halfwidth, format_ep,
                          left_limit_cycle, right_limit_cycle, shift_metric)
 
@@ -34,8 +34,7 @@ ONE = Fraction(1)
 # -- point helpers -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Satellite:
+class Satellite(NamedTuple):
     """An isolated copy index (i, k, j): the i-th copy at depth k over g^j(p)."""
     i: int
     k: int
@@ -45,7 +44,7 @@ class Satellite:
 def point_label(p) -> str:
     if isinstance(p, EPPoint):
         return format_ep(p)
-    if isinstance(p, Satellite):
+    if isinstance(p, Satellite):        # a tuple too: test it first
         return f"q({p.i},{p.k},{p.j})"
     if isinstance(p, tuple):
         return "(" + ",".join(str(v) for v in p) + ")"
@@ -56,12 +55,12 @@ def point_key(p):
     """Deterministic cross-type sort key for report ordering."""
     if isinstance(p, int):
         return (0, (p,), "")
+    if isinstance(p, Satellite):        # a tuple too: test it first
+        return (2, (p.k, p.j, p.i), "")
     if isinstance(p, tuple):
         return (0, p, "")
     if isinstance(p, EPPoint):
         return (1, (len(p.center),), format_ep(p))
-    if isinstance(p, Satellite):
-        return (2, (p.k, p.j, p.i), "")
     raise MalformedInputError(f"not a carrier point: {p!r}")
 
 
@@ -769,8 +768,7 @@ def build_satellite(K: int, t: int, p: EPPoint, probes=(), alphabet=2,
 # -- orbits --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OrbitResult:
+class OrbitResult(NamedTuple):
     points: tuple
     period: int          # joint period of the listed window; None when infinite
     finite: bool = True
@@ -778,13 +776,13 @@ class OrbitResult:
     right_cycle: tuple = ()
 
 
-@dataclass(frozen=True)
-class ShiftOrbitClosure:
+class ShiftOrbitClosure(Frozen):
     """Closure of an infinite shift orbit: all shifts of `base` plus the
     two periodic cycles the forward and backward shifts accumulate on."""
-    base: EPPoint
-    left_cycle: tuple
-    right_cycle: tuple
+    __slots__ = _fields = ("base", "left_cycle", "right_cycle")
+
+    def __init__(self, base: EPPoint, left_cycle: tuple, right_cycle: tuple):
+        self._set(base, left_cycle, right_cycle)
 
     def contains(self, y: EPPoint) -> bool:
         if y in self.left_cycle or y in self.right_cycle:
@@ -916,14 +914,13 @@ def c0_distance(f: MetricSystem, g: MetricSystem, probe=None) -> Fraction:
 # -- balls ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SatelliteBall:
+class SatelliteBall(Frozen):
     """Ball in the satellite carrier: finitely many satellite points
     plus (optionally) a shift ball inside Y and stray Y boundary points."""
-    center: object
-    satellites: tuple
-    y_ball: object = None       # ShiftBall | None
-    y_extra: tuple = ()
+    __slots__ = _fields = ("center", "satellites", "y_ball", "y_extra")
+
+    def __init__(self, center, satellites: tuple, y_ball=None, y_extra: tuple = ()):
+        self._set(center, satellites, y_ball, y_extra)    # y_ball: ShiftBall | None
 
     def contains(self, pt) -> bool:
         if isinstance(pt, Satellite):

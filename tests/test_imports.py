@@ -1,16 +1,26 @@
-"""Every name a pointdyn module imports is used in that module, and no
-module writes a float.
+"""Every name a pointdyn module imports is used in that module, no
+module writes a float, and importing the CLI stays cheap.
 
 A dead import hides which layer a module really depends on, and it
 outlives the code that needed it. The package __init__ is exempt: its
 imports are the re-exported public API. Every verdict is exact, so a
 float literal or a float() call in the library is a bug wherever it is.
+A `pdl` process pays for its imports on every run, so the records are
+NamedTuples or plain classes that generate no code when defined, and
+`dataclasses` (with the `inspect` it loads) stays out of the process.
 """
 
 import ast
+import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from pointdyn import (expansivity, measures, metric, shadowing, shiftspace, stability,
+                      sysfile, systems)
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pointdyn"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -63,3 +73,44 @@ def test_the_check_sees_floats():
     source = ('"""0.5 in a docstring"""\nx = 1 / 2\ny = 0.25 + 1e-3 + 2j\n'
               'z = float("1/3")\nw = int(x)  # float(x)\n')
     assert float_uses(source) == [(3, "0.001"), (3, "0.25"), (3, "2j"), (4, "float()")]
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    code = ("import sys, pointdyn.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+RECORDS = (
+    expansivity.ExpansivityVerdict, expansivity.SeparationWindow,
+    measures.MeasureExpansivityReport, measures.SetValuedAssignment,
+    measures.ClauseCheck, measures.StabilityReport, metric.MetricViolation,
+    shadowing.PseudoOrbitGraph, shadowing.PseudoOrbitWindow, shadowing.TracerSet,
+    shadowing.WindowedShadowReport, shadowing.MuShadowReport, shiftspace.ShiftBall,
+    stability.ConjugacyResult, stability.PerturbationFamily,
+    stability.PerturbationVerdict, stability.StablePointReport, stability.IsometryPair,
+    stability.IsometrySearch, stability.GHBounds, stability.CandidateVerdict,
+    stability.GHStableReport, sysfile.SystemFile, systems.Satellite,
+    systems.OrbitResult, systems.ShiftOrbitClosure, systems.SatelliteBall,
+)
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=[r.__name__ for r in RECORDS])
+def test_records_are_read_only_and_build_as_before(record):
+    params = inspect.signature(record).parameters
+    values = [f"v{i}" for i in range(len(params))]
+    built = record(*values)
+    assert built == record(**dict(zip(params, values)))
+    assert hash(built) == hash(record(*values))
+    assert [getattr(built, name) for name in params] == values
+    defaults = [p.default for p in params.values() if p.default is not p.empty]
+    required = len(params) - len(defaults)
+    short = record(*values[:required])
+    assert [getattr(short, name) for name in params] == values[:required] + defaults
+    for name in params:
+        with pytest.raises(AttributeError):
+            setattr(built, name, "changed")
+        assert getattr(built, name) != "changed"

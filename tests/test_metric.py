@@ -1,12 +1,16 @@
 """Exact metric-space validation and Hausdorff/distortion helpers."""
 
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pointdyn.metric import (FiniteMetricSpace, discrete_space, validate_metric,
-                             ball, hausdorff_distance, distortion,
+from pointdyn.bundled import bundled_names, bundled_system, mixed_sample, sampled_space
+from pointdyn.metric import (FiniteMetricSpace, MetricViolation, discrete_space,
+                             validate_metric, ball, hausdorff_distance, distortion,
                              is_delta_isometry)
+from pointdyn.rationals import format_rational
 from pointdyn.errors import MalformedInputError, PreconditionError
 from pointdyn.rationals import RationalFormatError
 
@@ -83,6 +87,70 @@ def test_validate_flags_ragged_table():
     ragged = FiniteMetricSpace(((F(0), F(1)),))  # 1 row, row length 2
     violations = validate_metric(ragged)
     assert violations and violations[0].axiom == "shape"
+
+
+def validate_metric_oracle(space):
+    """validate_metric on the exact Fraction entries, the route it took
+    before it compared integer rows: same checks, same order."""
+    out = []
+    n = space.n
+    for i, row in enumerate(space.table):
+        if len(row) != n:
+            out.append(MetricViolation("shape", (i,), f"row {i} has length {len(row)}, want {n}"))
+    if out:
+        return out
+    for i in range(n):
+        if space.table[i][i] != 0:
+            out.append(MetricViolation("identity", (i,),
+                                       f"d({i},{i}) = {format_rational(space.table[i][i])}"))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if space.table[i][j] != space.table[j][i]:
+                out.append(MetricViolation("symmetry", (i, j), "d(i,j) != d(j,i)"))
+            if space.table[i][j] <= 0:
+                out.append(MetricViolation("positivity", (i, j),
+                                           f"d({i},{j}) = {format_rational(space.table[i][j])}"))
+    for i, j, k in combinations(range(n), 3):
+        for a, b, c in ((i, j, k), (j, i, k), (i, k, j)):
+            if space.table[b][c] > space.table[b][a] + space.table[a][c]:
+                out.append(MetricViolation("triangle", (b, a, c),
+                                           f"d({b},{c}) > d({b},{a}) + d({a},{c})"))
+    return out
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_integer_validation_matches_the_oracle_on_bundled_samples(name):
+    system = bundled_system(name)
+    space = sampled_space(system, mixed_sample(system))
+    assert validate_metric(space) == validate_metric_oracle(space) == []
+
+
+@pytest.mark.parametrize("rows, axioms", (
+    ([[0, 1], [1, 0, 2]], {"shape"}),
+    ([["1/3", "1/2"], ["1/2", 0]], {"identity"}),
+    ([[0, 0, 1], [0, 0, 1], [1, 1, 0]], {"positivity"}),
+    ([[0, "-1/6"], ["-1/6", 0]], {"positivity"}),
+    ([[0, 1, 1], [1, 0, "5/4"], [1, "3/2", 0]], {"symmetry"}),
+    ([[0, "1/3", 1], ["1/3", 0, "1/2"], [1, "1/2", 0]], {"triangle"}),
+    ([[0, "1/3", "5/6"], ["1/3", 0, "1/2"], ["5/6", "1/2", 0]], set()),   # tight
+    ([["1/7", "1/3", 2, 0], ["1/5", 0, "1/2", 1], [2, "1/2", 0, 3], [0, 1, "1/9", 0]],
+     {"identity", "symmetry", "positivity", "triangle"}),
+), ids=("shape", "identity", "positivity-zero", "positivity-negative", "symmetry",
+        "triangle", "tight-triangle", "every-kind"))
+def test_integer_validation_matches_the_oracle_on_each_violation(rows, axioms):
+    space = FiniteMetricSpace(rows)
+    violations = validate_metric(space)
+    assert violations == validate_metric_oracle(space)
+    assert {v.axiom for v in violations} == axioms
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-1, 3, max_denominator=12), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_integer_validation_matches_the_oracle_on_random_tables(rows):
+    space = FiniteMetricSpace(rows)
+    assert validate_metric(space) == validate_metric_oracle(space)
 
 
 def test_ball_open_vs_closed():

@@ -562,6 +562,15 @@ def test_gh_bounds_zero_for_isometric_conjugate():
     assert gh_distance_bounds(R12K3, twin) == (0, 0)
 
 
+def test_gh_bounds_hash_as_the_pair_they_compare_as():
+    # equality reads (lower, upper) only; the hash once covered all four
+    # fields, so a set kept two equal bounds
+    a, b = stability.GHBounds(0, 1, True, None), stability.GHBounds(0, 1, False, None)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a == (0, 1) and hash(a) == hash((0, 1)) and (0, 1) in {a}
+    assert a != stability.GHBounds(0, 2, True, None) and a != (0, 1, True)
+
+
 def test_gh_bounds_close_rotations():
     b = gh_distance_bounds(R12K1, R12K5, budget=40000)
     assert b.lower <= b.upper
@@ -676,7 +685,8 @@ def test_transported_constant():
     ({i: 0 for i in range(12)}, F(1, 12), "merges"),   # once ValueError: need a positive bound
     ({0: 1}, F(1, 12), "misses 1"),                     # once a bare KeyError
     ({0: 1}, 1, "misses 1"),            # no pair separates beyond 1; every point counts
-), ids=("merge", "partial", "partial-unseparated"))
+    ({i: i + 12 for i in range(12)}, F(1, 12), "12 is not a carrier point"),  # once 1/8
+), ids=("merge", "partial", "partial-unseparated", "off-carrier"))
 def test_transported_constant_needs_a_map_of_the_carrier(h, c, match):
     with pytest.raises(PreconditionError, match=match):
         transported_constant(R12K3, h, c)
