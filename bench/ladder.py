@@ -24,6 +24,20 @@ permutation of 40 points, and two coprime cycles of lengths 199 and 201
 (n = 400, pair orbits of period 39 999). Explicit distances are drawn
 from [1, 2], so the triangle inequality holds.
 
+The ``gh`` layer times the Gromov-Hausdorff searches on pairs of
+systems. ``exact`` records time find_exact_isomorphism from the Z36,
+Z96 and cat rungs to a relabeled twin (a seeded bijection with the
+metric carried over, so an isomorphism is found) and to the same carrier
+under another unit step: the rotation by 5 for Z36 and Z96, the square
+(5 3; 3 2) of the cat map for the cat rungs (no isomorphism exists).
+``bounds`` records time gh_distance_bounds at its default budget on
+the rotation pairs of the stability-pipeline benchmark workload (Z16
+to Z24, steps 1, 5 and 7 where they are units) and on the bundled
+nearpair4 against cat5. Each call gets fresh systems with their integer
+rows and cycles built; size is the point count of the first system, c
+is null, and the counters are the outcome: found, and for bounds also
+complete, lower and upper.
+
 One more layer is not a rung: ``import`` starts --repeats fresh
 interpreters on the --src tree, each timing its own ``import
 pointdyn.cli``. Its record (case ``pointdyn.cli``, size and c null)
@@ -47,8 +61,8 @@ Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
 
     python3 -m compileall -q src ../parent/src
-    python3 bench/ladder.py --repeats 15 --label change --out BENCH_16.json
-    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_16.json
+    python3 bench/ladder.py --repeats 15 --label change --out BENCH_17.json
+    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_17.json
 
 Records of another label already in --out are kept; those of --label
 are replaced.
@@ -69,6 +83,10 @@ from random import Random
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 PULLBACKS_MAX_ORDER = 1000
+# the rotation pairs (n, step, step) of the stability-pipeline GH jobs
+GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
+                 for a, b in ((1, 5), (1, 7), (5, 7))
+                 if gcd(a, n) == gcd(b, n) == 1)
 IMPORT_CHILD = """\
 import sys, time
 t0 = time.perf_counter()
@@ -173,6 +191,69 @@ def measure(label, repeats):
     return records
 
 
+def gh_cases(systems, metric):
+    """(layer case, make, outcome): make returns a fresh pair (X, Y);
+    outcome(X, Y) runs the timed call and returns its counters."""
+    from pointdyn import bundled, stability
+
+    def exact(X, Y):
+        return {"found": stability.find_exact_isomorphism(X, Y) is not None}
+
+    def bounds(X, Y):
+        b = stability.gh_distance_bounds(X, Y)
+        return {"found": b.witness is not None, "complete": b.complete,
+                "lower": str(b.lower), "upper": str(b.upper)}
+
+    def twin(make):
+        def pair():
+            X = make()
+            pts = X.points()
+            h = dict(zip(pts, Random(len(pts)).sample(pts, len(pts))))
+            return X, systems.conjugate_system(X, h, transport_metric=True)
+        return pair
+
+    out = []
+    for case, make, _ in rungs(systems, metric):
+        if case.startswith("cat"):
+            n = int(case[3:])
+            other = (lambda n=n: systems.build_lattice(n, kind="torus", matrix=(5, 3, 3, 2)))
+        elif case in ("Z36", "Z96"):
+            other = (lambda n=int(case[1:]): systems.build_lattice(n, step=5))
+        else:
+            continue
+        out += [(f"exact {case} twin", twin(make), exact),
+                (f"exact {case} other-step", lambda make=make, other=other: (make(), other()),
+                 exact)]
+    for n, a, b in GH_PAIRS:
+        out.append((f"bounds z{n}k{a}-z{n}k{b}",
+                    lambda n=n, a=a, b=b: (systems.build_lattice(n, step=a),
+                                           systems.build_lattice(n, step=b)), bounds))
+    out.append(("bounds nearpair4-cat5",
+                lambda: (bundled.bundled_system("nearpair4"), bundled.bundled_system("cat5")),
+                bounds))
+    return out
+
+
+def measure_gh(label, repeats):
+    from pointdyn import metric, systems
+    records = []
+    for case, make, outcome in gh_cases(systems, metric):
+        best = None
+        for _ in range(repeats):
+            X, Y = make()
+            for k in (X.kernel, Y.kernel):
+                k.scaled(k.denominator), k.cycles
+            gc.collect()
+            t0 = time.perf_counter()
+            result = outcome(X, Y)
+            wall = time.perf_counter() - t0
+            best = wall if best is None else min(best, wall)
+        records.append({"tree": label, "layer": "gh", "case": case,
+                        "size": len(X.kernel.pts), "c": None,
+                        "wall_s": round(best, 7), "counters": result})
+    return records
+
+
 def measure_import(label, src, repeats):
     """The import layer: the median import time of pointdyn.cli over
     repeats fresh interpreters that import it from src."""
@@ -202,6 +283,7 @@ def main(argv=None):
     records = [measure_import(args.label, src, args.repeats)]
     sys.path.insert(0, src)
     records += measure(args.label, args.repeats)
+    records += measure_gh(args.label, args.repeats)
     doc = {"statistic": f"min wall seconds over {args.repeats} fresh systems"
                         f" (import: median over {args.repeats} fresh processes)",
            "python": platform.python_version(), "records": []}

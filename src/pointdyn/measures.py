@@ -140,10 +140,6 @@ def measure_of(mu: WeightedMeasure, subset) -> Fraction:
     return sum((mu.weight(p) for p in subset), ZERO)
 
 
-def measure_complement(mu: WeightedMeasure, subset) -> Fraction:
-    return mu.total() - measure_of(mu, subset)
-
-
 # -- separation sets -------------------------------------------------------
 
 

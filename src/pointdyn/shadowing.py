@@ -385,12 +385,10 @@ def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
     if not system.finite:
         raise UnsupportedBackendError(
             "measure-restricted shadowing needs a finite carrier")
-    pts = system.points()
-    outside = frozenset(p for p in pts if p not in set(B))
-    if measure_of(mu, outside) != 0:
+    B = frozenset(B)
+    if measure_of(mu, frozenset(system.points()) - B) != 0:
         raise PreconditionError("B must have full measure")
-    ball = system_ball(system, x, delta)
-    through = sorted_points(set(B) & set(ball))
+    through = sorted_points(B & system_ball(system, x, delta))
     for x0 in through:
         if not shadowable_exact(system, x0, eps, delta):
             return MuShadowReport(False, tuple(through), x0)

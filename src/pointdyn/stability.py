@@ -9,6 +9,7 @@ layer searches for delta-isometry pairs by branch and bound and turns
 found pairs / exhausted searches into exact upper / lower bounds.
 """
 
+import sys
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import islice, product
@@ -341,30 +342,31 @@ def _clause_values(m, fk, gk):
 
 
 class _MapSearch:
-    """Branch-and-bound enumeration of maps with all clauses strictly below delta.
+    """Branch-and-bound enumeration of maps with all clauses within delta:
+    strictly below it, or at most it when closed.
 
     Assignments follow the f-cycles, each point after its preimage, so
     the commutation clause prunes each new image to a ball around
-    g(previous image); the distortion clause prunes against every
-    assigned point. Both partial quantities are monotone under
+    g(previous image); the distortion clause prunes against the points
+    already placed. Both partial quantities are monotone under
     extension, so pruning is admissible. At a leaf the image is dense
     when the delta rows of its points cover Y: the image lies in Y, so
-    that is its Hausdorff distance to Y being below delta. fk and gk are
-    the kernels of the source and target systems.
+    that is its Hausdorff distance to Y being within delta. fk and gk
+    are the kernels of the source and target systems.
 
     The node checks compare integers on the rows both kernels have at
     S = lcm of their denominators, the rows _clause_values reads: a value
-    v fails the strict "below delta" when v > floor_scaled(delta, S,
-    closed=False), so no table is rescaled for delta.
+    v fails when v > floor_scaled(delta, S, closed), so no table is
+    rescaled for delta.
     """
 
-    def __init__(self, fk, gk, delta, budget):
+    def __init__(self, fk, gk, delta, closed, budget):
         self.fperm, self.finv, self.gperm = fk.perm, fk.inv, gk.perm
         self.n, self.m = len(fk.pts), len(gk.pts)
         scale = lcm(fk.denominator, gk.denominator)
         self.stab, self.dtab = fk.scaled(scale), gk.scaled(scale)
-        self.bound = floor_scaled(delta, scale, closed=False)
-        self.near, self.full = gk.within(delta), (1 << self.m) - 1
+        self.bound = floor_scaled(delta, scale, closed)
+        self.near, self.full = gk.within(delta, closed), (1 << self.m) - 1
         self.budget = budget
         self.nodes = 0
         self.complete = True
@@ -392,7 +394,8 @@ class _MapSearch:
             return
         x = self.order[t]
         fx, px = self.fperm[x], self.finv[x]
-        dtab, gperm, bound = self.dtab, self.gperm, self.bound
+        dtab, gperm, bound, sx = self.dtab, self.gperm, self.bound, self.stab[x]
+        placed = [(image[y], sx[y]) for y in self.order[:t]]
         for v in range(self.m):
             self.nodes += 1
             if self.nodes > self.budget:
@@ -408,20 +411,14 @@ class _MapSearch:
                 if image[fx] is not None and \
                         dtab[gperm[v]][image[fx]] > bound:
                     continue
-            if not self._distortion_ok(x, v, image):
-                continue
-            image[x] = v
-            self._place(t + 1, image, found, limit)
-            image[x] = None
-
-    def _distortion_ok(self, x, v, image):
-        dv, sx, bound = self.dtab[v], self.stab[x], self.bound
-        for y, w in enumerate(image):
-            if w is None or y == x:
-                continue
-            if abs(dv[w] - sx[y]) > bound:
-                return False
-        return True
+            dv = dtab[v]
+            for w, s in placed:
+                if abs(dv[w] - s) > bound:
+                    break
+            else:
+                image[x] = v
+                self._place(t + 1, image, found, limit)
+                image[x] = None
 
 
 class _SearchStop(Exception):
@@ -455,8 +452,8 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     delta = positive(delta, "delta")
     budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     fk, gk = X.kernel, Y.kernel
-    i_maps, i_done = _MapSearch(fk, gk, delta, budget).run()
-    j_maps, j_done = _MapSearch(gk, fk, delta, budget).run()
+    i_maps, i_done = _MapSearch(fk, gk, delta, False, budget).run()
+    j_maps, j_done = _MapSearch(gk, fk, delta, False, budget).run()
     complete = i_done and j_done and len(i_maps) * len(j_maps) <= MAX_REPORTED_PAIRS
     # clause values once per map, not once per crossed pair
     ci = cache(lambda m: _clause_values(m, fk, gk))
@@ -476,10 +473,10 @@ def first_delta_isometry_pair(X, Y, delta, budget=None):
         pair = _make_pair(ident, ident, delta, fk, gk)
         if pair.score < delta:
             return pair, True
-    i_maps, i_done = _MapSearch(fk, gk, delta, budget).run(limit=1)
+    i_maps, i_done = _MapSearch(fk, gk, delta, False, budget).run(limit=1)
     if not i_maps:
         return None, i_done
-    j_maps, j_done = _MapSearch(gk, fk, delta, budget).run(limit=1)
+    j_maps, j_done = _MapSearch(gk, fk, delta, False, budget).run(limit=1)
     if not j_maps:
         return None, j_done
     return _make_pair(i_maps[0], j_maps[0], delta, fk, gk), True
@@ -491,45 +488,21 @@ def first_delta_isometry_pair(X, Y, delta, budget=None):
 def find_exact_isomorphism(X, Y):
     """Distance-preserving bijection with exact commutation, or None.
 
-    Choosing the image of one point per f-cycle forces the whole cycle
-    onto that image's g-orbit, so the search branches only over cycle
-    representatives. Distances are compared as the integer rows of both
-    kernels at one common scale.
+    The delta-map search at distance 0 under the closed rule, stopped at
+    its first map: every clause must read 0. Zero distortion makes the
+    map injective and the within(0) rows are single points, so a dense
+    leaf is a bijection; zero commutation forces each f-cycle onto the
+    g-orbit of its first image, so the search branches only over cycle
+    representatives. No budget applies.
     """
     fk, gk = X.kernel, Y.kernel
-    n = len(fk.pts)
-    if n != len(gk.pts):
+    if len(fk.pts) != len(gk.pts):
         return None
-    scale = lcm(fk.denominator, gk.denominator)
-    xtab, ytab = fk.scaled(scale), gk.scaled(scale)
-    cycles = fk.cycles
-    image = [None] * n
-    used = set()                # the cycles of g already assigned
-
-    def assign_cycle(ci):
-        if ci == len(cycles):
-            return True
-        cyc = cycles[ci]
-        placed = [a for c in cycles[:ci + 1] for a in c]
-        for y0 in range(n):
-            target = gk.cycle_of[y0]
-            if target in used or len(target) != len(cyc):
-                continue
-            for x, y in zip(cyc, gk.orbit(y0)):
-                image[x] = y
-            if all(ytab[image[x]][image[w]] == xtab[x][w]
-                   for x in cyc for w in placed):
-                used.add(target)
-                if assign_cycle(ci + 1):
-                    return True
-                used.discard(target)
-        for x in cyc:
-            image[x] = None
-        return False
-
-    if assign_cycle(0):
-        return {fk.pts[a]: gk.pts[image[a]] for a in range(n)}
-    return None
+    # unbudgeted: no search reaches sys.maxsize nodes
+    maps, _ = _MapSearch(fk, gk, ZERO, True, sys.maxsize).run(limit=1)
+    if not maps:
+        return None
+    return dict(zip(fk.pts, map(gk.pts.__getitem__, maps[0])))
 
 
 class GHBounds(Frozen):
@@ -637,6 +610,7 @@ def gh_stable_point_check(f, x, eps, delta, candidates, budget=None, *,
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     eta = eps if eta is None else positive(eta, "eta")
+    budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     fk = f.kernel
     xi = point_index(f, x)
     entries, ok = [], True

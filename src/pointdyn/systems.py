@@ -836,11 +836,6 @@ def iterate(system, x, n: int):
     return x
 
 
-def system_order(system) -> int:
-    """Smallest L >= 1 with f^L the identity (finite carriers only)."""
-    return system.kernel.order
-
-
 # -- separation along pair orbits ----------------------------------------
 
 

@@ -11,8 +11,7 @@ from pointdyn.metric import (FiniteMetricSpace, discrete_space, validate_metric,
                              is_delta_isometry)
 from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
                               build_shift, orbit, iterate, pair_sup_separation,
-                              c0_distance, conjugate_system, is_self_isometry,
-                              system_order)
+                              c0_distance, conjugate_system, is_self_isometry)
 from pointdyn.shiftspace import EPPoint, pure, shift_metric
 from pointdyn.expansivity import classify_points, uniformly_expansive_at, \
     expansive_point_at
@@ -135,7 +134,7 @@ def test_forward_inverse_identity(system):
 
 @given(perm_systems())
 def test_orbit_period_divides_system_order(system):
-    order = system_order(system)
+    order = system.kernel.order
     for x in system.points():
         assert order % orbit(system, x).period == 0
 
@@ -437,7 +436,7 @@ def test_conjugacy_success_reverifies_externally(data):
     z = h[x]
     seen = x
     zz = z
-    for _ in range(system_order(g)):
+    for _ in range(g.kernel.order):
         seen = g.image(seen)
         zz = f.image(zz)
         assert h[seen] == zz
@@ -504,12 +503,16 @@ def test_exact_isomorphism_matches_brute_force(system, data):
     relabel = dict(enumerate(data.draw(st.permutations(range(n)))))
     twin = conjugate_system(system, relabel, name="twin", transport_metric=True)
     other = data.draw(perm_systems(n, n))
+    # the search places the f-cycles in turn, so the map it returns is the
+    # least isomorphism read in that slot order
+    slots = [i for cyc in system.kernel.cycles for i in cyc]
     for Y in (twin, other):
         found = find_exact_isomorphism(system, Y)
         brute = _brute_isomorphisms(system, Y)
         assert (found is None) == (not brute)
         if found is not None:
             m = tuple(found[a] for a in range(n))
+            assert m == min(brute, key=lambda b: [b[i] for i in slots])
             assert all(Y.space.table[m[a]][m[b]] == system.space.table[a][b]
                        for a in range(n) for b in range(n))
             assert all(m[system.perm[a]] == Y.perm[m[a]] for a in range(n))

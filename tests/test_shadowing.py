@@ -310,6 +310,15 @@ def test_mu_restricted_shadowing():
         SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=(0, 1))
 
 
+def test_mu_shadowable_reads_b_once():
+    # B was once rebuilt as a set for every carrier point, so an iterator
+    # was used up by the first one and a full-measure B was refused
+    uni = WeightedMeasure.from_weights({0: 1, 1: 1, 2: 1})
+    for delta in (F(1, 2), F(2)):
+        listed = SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, [0, 1, 2])
+        assert SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, iter([0, 1, 2])) == listed
+
+
 def test_transient_tracer_sets_are_not_limits():
     # along the true orbit of 0 the tracer set {0, 1} loses 1 after one
     # step (d(f1, f0) = d(2, 1) = 2): only {0} persists

@@ -532,6 +532,9 @@ def test_searches_reject_a_negative_budget():
              lambda b: first_delta_isometry_pair(ID3, nearpair4, F(1, 2), b),
              lambda b: search_delta_isometries(ID3, nearpair4, F(1, 2), b),
              lambda b: enumerate_perturbations(ID3, 2, budget=b),
+             # this once skipped the budget check on an empty candidate list
+             # and reported result=True
+             lambda b: gh_stable_point_check(ID3, 0, F(1, 2), F(1, 2), [], b),
              # these once counted 81 windows first and refused them as over
              # the budget, a ResourceBudgetError (exit 3) for a bad input
              lambda b: shadowing.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 2,
@@ -559,7 +562,10 @@ def test_gh_bounds_zero_for_isometric_conjugate():
     assert is_self_isometry(R12K3, relabel)
     twin = conjugate_system(R12K3, relabel, name="r12k3-refl")
     assert find_exact_isomorphism(R12K3, twin) is not None
-    assert gh_distance_bounds(R12K3, twin) == (0, 0)
+    # the exact search runs without a budget, so a zero budget still
+    # finds the isomorphism
+    for budget in (None, 0):
+        assert gh_distance_bounds(R12K3, twin, budget) == (0, 0)
 
 
 def test_gh_bounds_hash_as_the_pair_they_compare_as():

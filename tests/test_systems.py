@@ -14,7 +14,7 @@ from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               build_satellite, Satellite, orbit, orbit_closure,
                               iterate, pair_sup_separation, c0_distance,
                               system_ball, materialize, conjugate_system,
-                              is_self_isometry, point_label, system_order)
+                              is_self_isometry, point_label)
 from pointdyn.shadowing import shadowable_exact, shadowable_windowed
 from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.errors import (MalformedInputError, CarrierMismatchError,
@@ -41,7 +41,7 @@ def test_circle_lattice_metric_and_map():
     assert r12.image(10) == 1 and r12.preimage(1) == 10
     assert orbit(r12, 0).points == (0, 3, 6, 9)
     assert orbit(r12, 0).period == 4
-    assert system_order(r12) == 4
+    assert r12.kernel.order == 4
 
 
 def test_torus_lattice_cat_map():
