@@ -78,7 +78,7 @@ def shift_probes():
 
 
 def shift2():
-    return build_shift(2, name="shift2")
+    return build_shift(2, name="shift2", probes=shift_probes())
 
 
 def satellite_y_probes():
@@ -184,12 +184,7 @@ def sampled_space(system, points) -> FiniteMetricSpace:
 
 
 def mixed_sample(system):
-    """Validation sample: the whole carrier when finite, the bundled
-    probes (plus satellite points) otherwise."""
-    if system.finite:
-        return list(system.points())
-    if system.backend == "satellite":
-        return system.sample_points()
-    if system.backend == "shift":
-        return list(shift_probes())
-    raise MalformedInputError(f"no sampling rule for backend {system.backend}")
+    """Validation sample: system.sample at the system's own probes, or
+    the bundled shift probes when that sample is empty (a shift that
+    declares no probes)."""
+    return system.sample(system.probes) or list(shift_probes())

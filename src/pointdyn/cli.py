@@ -14,7 +14,7 @@ import time
 from fractions import Fraction
 
 from .bundled import (REGISTRY, bundled_measure, bundled_system, mixed_sample,
-                      sampled_space, shift_probes)
+                      sampled_space)
 from .errors import (MalformedInputError, PointdynError, PreconditionError,
                      ResourceBudgetError)
 from .expansivity import minimally_expansive_at, point_verdicts
@@ -37,20 +37,25 @@ DEFAULT_BUDGET_ENV = "PDL_BUDGET"
 # -- input resolution --------------------------------------------------------
 
 
+def _read(path: str, stanza: str) -> sysfile.SystemFile:
+    """The stanza file at path, which must hold a `stanza` stanza ("system"
+    or "measure"); a file that cannot be read as UTF-8 text is a usage
+    error too."""
+    try:
+        loaded = sysfile.load_file(path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedInputError(f"cannot read {path!r}: {exc}") from None
+    if getattr(loaded, stanza) is None:
+        raise MalformedInputError(f"{path!r} holds no {stanza} stanza")
+    return loaded
+
+
 def _load(spec: str) -> sysfile.SystemFile:
-    """Resolve a path or ``bundled:<name>`` to a SystemFile."""
+    """Resolve a path or ``bundled:<name>`` to a SystemFile with a system."""
     if spec.startswith("bundled:"):
-        name = spec.split(":", 1)[1]
-        system = bundled_system(name)
-        if system.backend == "satellite":
-            probes = system.probes
-        elif system.backend == "shift":
-            probes = shift_probes()
-        else:
-            probes = ()
-        return sysfile.SystemFile(system, None, tuple(probes))
+        return sysfile.SystemFile(bundled_system(spec.split(":", 1)[1]), None)
     if os.path.exists(spec):
-        return sysfile.load_file(spec)
+        return _read(spec, "system")
     if spec in REGISTRY:
         return _load(f"bundled:{spec}")
     raise MalformedInputError(f"no such file or bundled system: {spec!r}")
@@ -108,29 +113,17 @@ def _budget(args):
     return budget
 
 
-def _probe_points(system, loaded: sysfile.SystemFile, args):
-    pts = list(loaded.probes)
-    for text in getattr(args, "probe", None) or ():
-        pts.append(parse_point(system, text))
-    return pts
+def _probe_points(system, args):
+    """The system's own probes, then the points of --probe."""
+    return list(system.probes) + [parse_point(system, text) for text in args.probe or ()]
 
 
 # -- verbs --------------------------------------------------------------------
 
 
 def cmd_validate(args):
-    loaded = _load(args.system)
-    system = loaded.system
-    if system is None:
-        raise MalformedInputError(f"{args.system!r} holds no system stanza")
-    if system.finite:
-        sample = list(system.points())
-    else:
-        sample = _probe_points(system, loaded, args)
-        if system.backend == "satellite":
-            sample.extend(system.satellite_points())
-        if not sample:
-            sample = mixed_sample(system)
+    system = _load(args.system).system
+    sample = system.sample(_probe_points(system, args)) or mixed_sample(system)
     space = sampled_space(system, sample)
     violations = validate_metric(space)
     bijection = all(system.preimage(system.image(x)) == x for x in sample)
@@ -152,7 +145,7 @@ def cmd_validate(args):
 def cmd_classify(args):
     loaded = _load(args.system)
     system = loaded.system
-    probe = _probe_points(system, loaded, args) or None
+    probe = _probe_points(system, args) or None
     echo = {"system": args.system, "variant": args.variant, "c": args.c,
             "eps": args.eps, "delta": args.delta, "measure": args.measure}
     if args.variant == "shadow":
@@ -191,8 +184,7 @@ def cmd_classify(args):
 
 def cmd_shadow(args):
     budget = _budget(args)
-    loaded = _load(args.system)
-    system = loaded.system
+    system = _load(args.system).system
     x = parse_point(system, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
     echo = {"system": args.system, "x": args.x, "eps": args.eps,
@@ -337,10 +329,7 @@ def _resolve_measure(args, loaded: sysfile.SystemFile):
         if spec.startswith("bundled:"):
             return bundled_measure(spec.split(":", 1)[1])
         if os.path.exists(spec):
-            measure = sysfile.load_file(spec).measure
-            if measure is None:
-                raise MalformedInputError(f"{spec!r} holds no measure stanza")
-            return measure
+            return _read(spec, "measure").measure
         try:
             return bundled_measure(spec)
         except MalformedInputError:
@@ -382,14 +371,13 @@ def cmd_mustable(args):
 
 
 def cmd_satellite(args):
-    loaded = _load(args.system if args.system else "bundled:satellite3")
-    system = loaded.system
+    system = _load(args.system if args.system else "bundled:satellite3").system
     if system.backend != "satellite":
         raise MalformedInputError("the satellite verb needs a satellite system")
     shift_c = positive(_scale("1/2" if args.c is None else args.c, "c"),
                        "expansivity constant")
     marked = [system.marked(j) for j in range(system.t)]
-    sample = system.satellite_points() + list(loaded.probes) + marked
+    sample = system.sample(system.probes) + marked
     entries, ok = [], True
     for q in system.satellite_points():
         nearest = min(system.dist(q, y) for y in sample if y != q)
@@ -404,7 +392,7 @@ def cmd_satellite(args):
             "constant": rat(constant), "minimally_expansive": verdict.result,
             "ok": good,
         })
-    for y in loaded.probes:
+    for y in system.probes:
         gap = min(shift_metric(m, y) for m in marked)
         bound = min(shift_c, gap)
         if bound <= 0:

@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import (PreconditionError, UnsupportedBackendError,
-                     UnsupportedSequenceError)
+from .errors import PreconditionError, UnsupportedSequenceError
 from .rationals import ONE, as_rational
 from .shiftspace import ShiftBall, pure, with_symbol
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, c0_distance,
@@ -125,9 +124,8 @@ def _expansive_on_shift_ball(system, region, c):
         return ExpansivityVerdict(None, c, "expansive_on", True,
                                   detail="distinct sequences reach separation 1")
     x = region.center
-    alphabet = getattr(system, "alphabet", 2)
     other = with_symbol(x, region.halfwidth,
-                          (x.value(region.halfwidth) + 1) % alphabet)
+                        (x.value(region.halfwidth) + 1) % system.alphabet)
     return ExpansivityVerdict(None, c, "expansive_on", False, (x, other))
 
 
@@ -175,15 +173,13 @@ def expansive_point_at(system, x, c) -> ExpansivityVerdict:
                                       (x, system.kernel.pts[least(hit)]))
         return ExpansivityVerdict(x, c, "expansive", True)
     system.check_point(x)
-    if system.backend == "shift":
-        if c < ONE:
-            return ExpansivityVerdict(x, c, "expansive", True,
-                                      detail="distinct sequences reach separation 1")
-        other = with_symbol(x, 0, (x.value(0) + 1) % system.alphabet)
-        return ExpansivityVerdict(x, c, "expansive", False, (x, other))
     if system.backend == "satellite":
         return _satellite_expansive_point(system, x, c)
-    raise UnsupportedBackendError(system.backend)
+    if c < ONE:
+        return ExpansivityVerdict(x, c, "expansive", True,
+                                  detail="distinct sequences reach separation 1")
+    other = with_symbol(x, 0, (x.value(0) + 1) % system.alphabet)
+    return ExpansivityVerdict(x, c, "expansive", False, (x, other))
 
 
 def _satellite_expansive_point(system, x, c):
@@ -233,11 +229,9 @@ def minimally_expansive_at(system, x, c) -> ExpansivityVerdict:
                                   tuple(k.pts[i] for i in pairs[y]),
                                   detail=f"orbit closure of {point_label(k.pts[y])} fails")
     region = system_ball(system, x, c)
-    if system.backend == "shift":
-        return _shift_minimal(system, x, c, region)
     if system.backend == "satellite":
         return _satellite_minimal(system, x, c, region)
-    raise UnsupportedBackendError(system.backend)
+    return _shift_minimal(system, x, c, region)
 
 
 def _shift_minimal(system, x, c, region):
@@ -289,20 +283,14 @@ _VARIANTS = {
 
 
 def point_verdicts(system, variant: str, c, probe=None) -> dict:
-    """Verdict at c for every carrier point (or probe and satellite
-    point on infinite carriers), keyed in the canonical point order."""
+    """Verdict at c for every point of system.sample(probe), keyed in the
+    canonical point order."""
     if variant not in _VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
     check = _VARIANTS[variant]
-    if system.finite:
-        pts = system.points()
-    else:
-        pts = list(probe) if probe else []
-        if system.backend == "satellite":
-            pts.extend(system.satellite_points())
-        if not pts:
-            raise PreconditionError(
-                "classification on an infinite carrier needs a probe set")
+    pts = system.sample(probe or ())
+    if not pts:
+        raise PreconditionError("classification on an infinite carrier needs a probe set")
     return {p: check(system, p, c) for p in sorted_points(pts)}
 
 

@@ -149,13 +149,11 @@ def phi_set(system, x, c):
     if system.finite:
         k = system.kernel
         return frozenset(k.pts[j] for j in members(k.inseparable(c)[point_index(system, x)]))
-    if system.backend == "shift":
-        if c < 1:
-            return frozenset([x])  # any disagreement reaches distance 1
-        return ShiftBall(x, 0)
     if system.backend == "satellite":
         return _phi_satellite(system, x, c)
-    raise UnsupportedBackendError(system.backend)
+    if c < 1:
+        return frozenset([x])  # any disagreement reaches distance 1
+    return ShiftBall(x, 0)
 
 
 def _phi_satellite(system, x, c):

@@ -128,8 +128,15 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
 def _check_budget(total, budget):
     if total > budget:
         raise ResourceBudgetError(
-            f"{total} pseudo-orbit windows exceed the budget {budget}",
-            requested=total, budget=budget)
+            f"{_count_text(total)} pseudo-orbit windows exceed the budget "
+            f"{_count_text(budget)}", requested=total, budget=budget)
+
+
+def _count_text(n) -> str:
+    """n in decimal, or "at least 2^k" once n needs more than 64 bits:
+    the window count grows like a power of N, and Python refuses to write
+    an int of more than 4 300 digits in decimal."""
+    return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
 
 
 def _walks(graph, start, length):

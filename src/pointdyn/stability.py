@@ -351,8 +351,10 @@ class _MapSearch:
     already placed. Both partial quantities are monotone under
     extension, so pruning is admissible. At a leaf the image is dense
     when the delta rows of its points cover Y: the image lies in Y, so
-    that is its Hausdorff distance to Y being within delta. fk and gk
-    are the kernels of the source and target systems.
+    that is its Hausdorff distance to Y being within delta. Those rows
+    are O(m^2) to build, so the first leaf builds them: a search that
+    reaches no leaf never does. fk and gk are the kernels of the source
+    and target systems.
 
     The node checks compare integers on the rows both kernels have at
     S = lcm of their denominators, the rows _clause_values reads: a value
@@ -366,7 +368,8 @@ class _MapSearch:
         scale = lcm(fk.denominator, gk.denominator)
         self.stab, self.dtab = fk.scaled(scale), gk.scaled(scale)
         self.bound = floor_scaled(delta, scale, closed)
-        self.near, self.full = gk.within(delta, closed), (1 << self.m) - 1
+        self.near, self.full = None, (1 << self.m) - 1
+        self._near = lambda: gk.within(delta, closed)
         self.budget = budget
         self.nodes = 0
         self.complete = True
@@ -384,9 +387,12 @@ class _MapSearch:
 
     def _place(self, t, image, found, limit):
         if t == self.n:
+            near = self.near
+            if near is None:
+                near = self.near = self._near()
             cover = 0
             for v in image:
-                cover |= self.near[v]
+                cover |= near[v]
             if cover == self.full:
                 found.append(tuple(image))
                 if limit is not None and len(found) >= limit:

@@ -15,8 +15,9 @@ A file holds at most one system stanza and at most one measure stanza::
 Stanza kinds: ``explicit`` (metric table rows ``d i j p/q`` plus
 ``map = ...``), ``lattice`` (circle ``map = rot k`` or torus
 ``map = mat a b c d``), ``shift`` (``alphabet = n``), ``satellite``
-(``K``, ``t``, marked point ``p``). Shift-like stanzas may carry a
-``probes =`` list of points written ``left~center~right@offset``.
+(``K``, ``t``, marked point ``p``). Shift and satellite stanzas may
+carry a ``probes =`` list of points written ``left~center~right@offset``;
+they become the system's ``probes``.
 Weighted measures in files use integer carrier points only; richer
 carriers are constructed programmatically. All parse failures carry
 the 1-based line number.
@@ -32,13 +33,10 @@ from .shiftspace import format_ep, parse_ep
 from .systems import (build_explicit, build_lattice, build_satellite,
                       build_shift)
 
-SYSTEM_KINDS = ("explicit", "lattice", "shift", "satellite")
-
 
 class SystemFile(NamedTuple):
     system: object              # None for measure-only files
     measure: object             # None unless a measure stanza is present
-    probes: tuple               # points listed by the system stanza
 
 
 def _fail(lineno, message):
@@ -188,7 +186,7 @@ def _parse_shift(lineno, body):
     probes = _take(fields, "probes", lineno, required=False)
     name = _take(fields, "name", lineno, required=False)
     pts = _parse_points(probes[1], probes[0]) if probes else ()
-    return build_shift(alphabet, name=name[1] if name else None), pts
+    return build_shift(alphabet, name=name[1] if name else None, probes=pts)
 
 
 def _parse_satellite(lineno, body):
@@ -206,9 +204,12 @@ def _parse_satellite(lineno, body):
     except MalformedInputError as exc:
         _fail(no_p, str(exc))
     pts = _parse_points(probes[1], probes[0]) if probes else ()
-    system = build_satellite(K, t, p, probes=pts,
-                             name=name[1] if name else None)
-    return system, pts
+    return build_satellite(K, t, p, probes=pts, name=name[1] if name else None)
+
+
+# stanza kind -> its parser
+SYSTEM_KINDS = {"explicit": _parse_explicit, "lattice": _parse_lattice,
+                "shift": _parse_shift, "satellite": _parse_satellite}
 
 
 def _parse_measure(lineno, body):
@@ -245,26 +246,19 @@ def _parse_measure(lineno, body):
 
 
 def loads(text: str) -> SystemFile:
-    system, measure, probes = None, None, ()
+    system, measure = None, None
     for kind, lineno, body in _stanzas(text):
         if kind in SYSTEM_KINDS:
             if system is not None:
                 _fail(lineno, "a file may hold only one system stanza")
-            if kind == "explicit":
-                system = _parse_explicit(lineno, body)
-            elif kind == "lattice":
-                system = _parse_lattice(lineno, body)
-            elif kind == "shift":
-                system, probes = _parse_shift(lineno, body)
-            else:
-                system, probes = _parse_satellite(lineno, body)
+            system = SYSTEM_KINDS[kind](lineno, body)
         elif kind == "measure":
             if measure is not None:
                 _fail(lineno, "a file may hold only one measure stanza")
             measure = _parse_measure(lineno, body)
         else:
             _fail(lineno, f"unknown stanza kind {kind!r}")
-    return SystemFile(system, measure, probes)
+    return SystemFile(system, measure)
 
 
 def load_file(path) -> SystemFile:
@@ -272,17 +266,17 @@ def load_file(path) -> SystemFile:
         return loads(handle.read())
 
 
-def dumps(system=None, measure=None, probes=()) -> str:
+def dumps(system=None, measure=None) -> str:
     """Canonical text for the given pieces; parses back to equal objects."""
     chunks = []
     if system is not None:
-        chunks.append(_dump_system(system, probes))
+        chunks.append(_dump_system(system))
     if measure is not None:
         chunks.append(_dump_measure(measure))
     return "\n\n".join(chunks) + "\n"
 
 
-def _dump_system(system, probes):
+def _dump_system(system):
     backend = system.backend
     if backend == "explicit":
         lines = [f"explicit {{", f"  n = {system.space.n}"]
@@ -301,22 +295,13 @@ def _dump_system(system, probes):
         return "\n".join([
             "lattice {", f"  n = {system.n}", f"  map = {map_text}",
             f"  name = {system.name}", "}"])
-    if backend == "shift":
-        lines = ["shift {", f"  alphabet = {system.alphabet}"]
-        if probes:
-            lines.append("  probes = " + " ".join(format_ep(x) for x in probes))
-        lines.append(f"  name = {system.name}")
-        lines.append("}")
-        return "\n".join(lines)
-    if backend == "satellite":
-        lines = ["satellite {", f"  K = {system.K}", f"  t = {system.t}",
-                 f"  p = {format_ep(system.p)}"]
+    if backend in ("shift", "satellite"):
+        lines = (["shift {", f"  alphabet = {system.alphabet}"] if backend == "shift" else
+                 ["satellite {", f"  K = {system.K}", f"  t = {system.t}",
+                  f"  p = {format_ep(system.p)}"])
         if system.probes:
-            lines.append("  probes = "
-                         + " ".join(format_ep(x) for x in system.probes))
-        lines.append(f"  name = {system.name}")
-        lines.append("}")
-        return "\n".join(lines)
+            lines.append("  probes = " + " ".join(map(format_ep, system.probes)))
+        return "\n".join(lines + [f"  name = {system.name}", "}"])
     raise MalformedInputError(f"no file form for backend {backend!r}")
 
 

@@ -74,6 +74,8 @@ def sorted_points(points):
 class MetricSystem:
     backend = "abstract"
     name = "?"
+    probes = ()                 # points a symbolic carrier is sampled at
+
 
     @property
     def finite(self) -> bool:
@@ -81,6 +83,11 @@ class MetricSystem:
 
     def points(self):
         raise UnsupportedBackendError(f"{self.backend} carrier is not enumerable")
+
+    def sample(self, probe=()) -> list:
+        """The points a question about every point is asked at: the whole
+        carrier when finite, else the points of probe."""
+        return list(self.points()) if self.finite else list(probe)
 
     def dist(self, x, y) -> Fraction:
         raise NotImplementedError
@@ -279,15 +286,17 @@ def _arc_rows(arcs) -> tuple:
 
 
 class ShiftSystem(MetricSystem):
-    """Full shift on eventually periodic points over a finite alphabet."""
+    """Full shift on eventually periodic points over a finite alphabet,
+    sampled at its probe points."""
 
     backend = "shift"
 
-    def __init__(self, alphabet: int = 2, name=None):
+    def __init__(self, alphabet: int = 2, name=None, probes=()):
         if alphabet < 2:
             raise MalformedInputError("shift alphabet needs at least 2 symbols")
         self.alphabet = alphabet
         self.name = name or f"shift{alphabet}"
+        self.probes = tuple(probes)
 
     @property
     def finite(self):
@@ -317,7 +326,7 @@ class ShiftSystem(MetricSystem):
         return f"shift alphabet={self.alphabet}"
 
 
-class SatelliteSystem(MetricSystem):
+class SatelliteSystem(ShiftSystem):
     """Shift core Y plus satellite copies q(i,k,j) near the orbit of p.
 
     The marked point p is periodic with period t (so g^t p = p). Each
@@ -325,6 +334,8 @@ class SatelliteSystem(MetricSystem):
     distance 1/k "above" g^j(p); the map advances j cyclically and acts
     as the shift on Y. The truncation bound K keeps the satellite part
     finite; every retained distance matches the untruncated construction.
+    Y is the full shift, so the carrier keeps the shift's alphabet, probes
+    and point check for its Y points.
     """
 
     backend = "satellite"
@@ -337,22 +348,16 @@ class SatelliteSystem(MetricSystem):
             raise MalformedInputError("satellite orbit length needs t >= 2")
         if not p.is_periodic or p.period != t:
             raise MalformedInputError("marked point must have least period exactly t")
+        super().__init__(alphabet, name or f"satellite_K{K}_t{t}", probes)
         self.K = K
         self.t = t
         self.p = p
-        self.alphabet = alphabet
-        self.probes = tuple(probes)
-        self.name = name or f"satellite_K{K}_t{t}"
         self._marked = tuple(p.shift_by(j) for j in range(t))
-
-    @property
-    def finite(self):
-        return False
 
     def check_point(self, x):
         """x itself; satellites must lie in the truncation, Y points in the shift."""
         if not isinstance(x, Satellite):
-            return ShiftSystem.check_point(self, x)
+            return super().check_point(x)
         if not (1 <= x.i <= self.COPIES and 1 <= x.k <= self.K and 0 <= x.j < self.t):
             raise MalformedInputError(
                 f"{point_label(x)} is not a carrier point (K={self.K}, t={self.t})")
@@ -367,8 +372,9 @@ class SatelliteSystem(MetricSystem):
                 for j in range(self.t)
                 for i in range(1, self.COPIES + 1)]
 
-    def sample_points(self):
-        return list(self.probes) + self.satellite_points()
+    def sample(self, probe=()) -> list:
+        """The points of probe, then every satellite point."""
+        return list(probe) + self.satellite_points()
 
     def dist(self, x, y):
         if x == y:
@@ -756,8 +762,8 @@ def build_lattice(n: int, kind: str = "circle", step: int = None,
     raise MalformedInputError(f"unknown lattice kind {kind!r}")
 
 
-def build_shift(alphabet: int = 2, name=None) -> ShiftSystem:
-    return ShiftSystem(alphabet, name)
+def build_shift(alphabet: int = 2, name=None, probes=()) -> ShiftSystem:
+    return ShiftSystem(alphabet, name, probes)
 
 
 def build_satellite(K: int, t: int, p: EPPoint, probes=(), alphabet=2,
@@ -852,11 +858,9 @@ def pair_sup_separation(system, x, y) -> Fraction:
         return Fraction(k.sup_scaled[i][j], k.denominator)
     if system.check_point(x) == system.check_point(y):    # each returns its point
         return ZERO
-    if system.backend == "shift":
-        return ONE
     if system.backend == "satellite":
         return _satellite_sup_separation(system, x, y)
-    raise UnsupportedBackendError(system.backend)
+    return ONE
 
 
 def _satellite_sup_separation(system, x, y):
@@ -881,29 +885,19 @@ def _satellite_sup_separation(system, x, y):
 # -- C0 distance ---------------------------------------------------------
 
 
-def c0_distance(f: MetricSystem, g: MetricSystem, probe=None) -> Fraction:
-    """sup over the carrier of d(f(x), g(x)).
+def c0_distance(f: MetricSystem, g: MetricSystem) -> Fraction:
+    """sup over the carrier of d(f(x), g(x)), exact.
 
-    Exact on finite backends, where the carrier is shared index by index
+    On finite backends the carrier is shared index by index
     (check_carrier) and the sup is taken over f's integer kernel rows
-    (FiniteKernel.c0_scaled). On shift/satellite carriers a finite
-    probe set is required and the result is a lower bound (the sup is
-    over an infinite carrier); callers surface that caveat. Only there
-    do equal descriptions short-cut to zero.
+    (FiniteKernel.c0_scaled). A symbolic carrier's token fixes its map,
+    and check_carrier admits two symbolic systems only when their tokens
+    are equal, so their maps agree and the distance is zero.
     """
     check_carrier(f, g)
-    if f is g:
+    if f is g or not f.finite:
         return ZERO
-    if f.finite:
-        return Fraction(f.kernel.c0_scaled(g.kernel.perm), f.kernel.denominator)
-    if f.digest() == g.digest():
-        return ZERO
-    pts = list(probe) if probe else []
-    if f.backend == "satellite":
-        pts.extend(f.satellite_points())
-    if not pts:
-        raise PreconditionError("c0_distance on an infinite carrier needs a probe set")
-    return max(f.dist(f.image(x), g.image(x)) for x in pts)
+    return Fraction(f.kernel.c0_scaled(g.kernel.perm), f.kernel.denominator)
 
 
 # -- balls ---------------------------------------------------------------
@@ -935,16 +929,14 @@ def system_ball(system, x, radius, closed: bool = False):
         row = k.within(r, closed)[point_index(system, x)]
         return frozenset(k.pts[y] for y in members(row))
     system.check_point(x)
-    if system.backend == "shift":
-        if closed and r == 0:
-            return frozenset([x])
-        h = ball_halfwidth(r, closed)
-        if h is None:
-            return frozenset()
-        return ShiftBall(x, h)
     if system.backend == "satellite":
         return _satellite_ball(system, x, r, closed)
-    raise UnsupportedBackendError(system.backend)
+    if closed and r == 0:
+        return frozenset([x])
+    h = ball_halfwidth(r, closed)
+    if h is None:
+        return frozenset()
+    return ShiftBall(x, h)
 
 
 def _satellite_ball(system, x, r, closed):

@@ -190,6 +190,25 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 BAD_STANZA = "explicit {\n  n = 2\n  d 0 1 abc\n  map = 1 0\n}\n"
 ID3_SCALES = ("--eps", "1/2", "--delta", "1/2")
 
+
+def write_stanza_files(directory: Path) -> dict:
+    """Placeholder -> path of the files an argv may name: a stanza file
+    with a parse error, a lattice, one that holds only a measure, a
+    directory and a file that is not UTF-8 text."""
+    files = {"{stanza}": BAD_STANZA,
+             "{lattice}": "lattice {\n  n = 6\n  map = rot 2\n}\n",
+             "{measure-only}": "measure {\n  weights = 0:1 1:1 2:1\n}\n"}
+    paths = {}
+    for key, text in files.items():
+        paths[key] = directory / f"{key[1:-1]}.pdl"
+        paths[key].write_text(text)
+    paths["{dir}"] = directory / "folder.pdl"
+    paths["{dir}"].mkdir()
+    paths["{binary}"] = directory / "binary.pdl"
+    paths["{binary}"].write_bytes(b"\xff\xfe lattice {\n")
+    return {key: str(path) for key, path in paths.items()}
+
+
 # argv that once ended in a traceback, with the exit codes they now give
 BAD_ARGV = (
     (("classify", "bundled:r12k3", "--variant", "minimal", "--c", "abc"), {2}),
@@ -232,25 +251,46 @@ BAD_ARGV = (
       "--probe", "2~2~2@0"), {1, 2}),
     (("classify", "bundled:satellite3", "--variant", "expansive", "--c", "1/2",
       "--probe", "q(1,1,99)"), {1, 2}),
+    # a window count of thousands of digits once broke its refusal message
+    (("shadow", "bundled:r12k3", "--x", "0", "--eps", "1/4", "--delta", "1/6",
+      "--window", "8000"), {3}),
+    # a stanza file with no system stanza, a directory and a file that is
+    # not UTF-8 once ended in a traceback wherever they were read
+    (("classify", "{measure-only}", "--variant", "minimal", "--c", "1/2"), {2}),
+    (("shadow", "{measure-only}", "--x", "0", "--eps", "1/4", "--delta", "1/24"),
+     {2}),
+    (("conjugacy", "{measure-only}", "bundled:id3", "--x", "0", *ID3_SCALES), {2}),
+    (("trackmap", "{measure-only}", "--x", "0", "--eta", "1/2"), {2}),
+    (("ghdist", "bundled:id3", "{measure-only}"), {2}),
+    (("ghstable", "bundled:id3", "{measure-only}", "--x", "0", *ID3_SCALES), {2}),
+    (("mustable", "{measure-only}", "--x", "0", *ID3_SCALES), {2}),
+    (("satellite", "{measure-only}"), {2}),
+    (("validate", "{dir}"), {2}),
+    (("classify", "{dir}", "--variant", "minimal", "--c", "1/2"), {2}),
+    (("mustable", "bundled:id3", "--measure", "{dir}", "--x", "0", *ID3_SCALES),
+     {2}),
+    (("validate", "{binary}"), {2}),
+    (("trackmap", "{binary}", "--x", "0", "--eta", "1/2"), {2}),
+    (("mustable", "bundled:id3", "--measure", "{binary}", "--x", "0",
+      *ID3_SCALES), {2}),
 )
 
 
 @pytest.mark.parametrize("argv, codes", BAD_ARGV,
                          ids=[" ".join(a) for a, _ in BAD_ARGV])
 def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
-    stanza = tmp_path / "bad.pdl"
-    stanza.write_text(BAD_STANZA)
-    argv = [str(stanza) if a == "{stanza}" else a for a in argv]
+    files = write_stanza_files(tmp_path)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys; from pointdyn.cli import main; sys.exit(main())", *argv],
+         "import sys; from pointdyn.cli import main; sys.exit(main())",
+         *(files.get(a, a) for a in argv)],
         capture_output=True, text=True, env=env)
     assert proc.returncode in codes
     assert "Traceback" not in proc.stderr
-    if argv[0] == "validate":
+    if "{stanza}" in argv:
         assert "line 3:" in proc.stderr
 
 
@@ -297,13 +337,18 @@ def test_optional_scales_name_their_flag(capsys, verb, flag):
 # -- fuzzing: any argv ends in an exit code, never in an exception -----------
 
 # Values are drawn mostly well formed, so that most argv get past parsing
-# and reach the library; the rest are off the carrier or not scales.
+# and reach the library; the rest are off the carrier or not scales. The
+# {placeholders} name the files of write_stanza_files: a lattice stanza and
+# three files no verb can load.
 FUZZ_POINTS = {
-    "id3": ("0", "2"), "nearpair4": ("0", "3"), "r6k2": ("0", "5"),
-    "r12k3": ("0", "11"), "r12k5": ("1", "7"), "cat5": ("(0,0)", "(4,1)"),
-    "shift2": ("01~~01@0", "0~1~0@2"), "satellite3": ("q(1,1,0)", "01~~01@0"),
+    "bundled:id3": ("0", "2"), "bundled:nearpair4": ("0", "3"),
+    "bundled:r6k2": ("0", "5"), "bundled:r12k3": ("0", "11"),
+    "bundled:r12k5": ("1", "7"), "bundled:cat5": ("(0,0)", "(4,1)"),
+    "bundled:shift2": ("01~~01@0", "0~1~0@2"),
+    "bundled:satellite3": ("q(1,1,0)", "01~~01@0"), "{lattice}": ("0", "5"),
 }
-FUZZ_SYSTEMS = tuple(f"bundled:{name}" for name in FUZZ_POINTS) + ("bundled:nope",)
+UNLOADABLE = ("{measure-only}", "{dir}", "{binary}")
+FUZZ_SYSTEMS = tuple(FUZZ_POINTS) + ("bundled:nope",) + UNLOADABLE
 OFF_POINTS = ("99", "-1", "abc", "(9,9)", "2~2~2@0", "q(1,1,99)")
 GOOD_SCALES = ("1/6", "1/4", "1/3", "1/2", "2/3", "1", "2")
 FUZZ_SCALES = GOOD_SCALES * 3 + ("0", "-1/2", "abc", "1/0")
@@ -313,7 +358,8 @@ FUZZ_VALUES = {
     "--window": st.integers(-2, 40).map(str),
     "--budget": st.one_of(st.integers(-10 ** 4, -1), st.integers(0, 10 ** 4)).map(str),
     "--measure": st.sampled_from(("bundled:uniform3", "bundled:nullpoint3",
-                                  "bundled:bernoulli_half", "bundled:nope")),
+                                  "bundled:bernoulli_half", "bundled:nope",
+                                  "{lattice}") + UNLOADABLE),
     "--g": st.sampled_from(FUZZ_SYSTEMS),
 }
 # PDL_BUDGET values: unset (None), integers, and text that is not one
@@ -345,7 +391,7 @@ def pdl_argv(draw):
     verb = draw(st.sampled_from(sorted(FUZZ_VERBS)))
     arity, flags = FUZZ_VERBS[verb]
     systems = [draw(st.sampled_from(FUZZ_SYSTEMS)) for _ in range(arity)]
-    points = st.sampled_from(FUZZ_POINTS.get(systems[0][8:], ()) * 3 + OFF_POINTS)
+    points = st.sampled_from(FUZZ_POINTS.get(systems[0], ()) * 3 + OFF_POINTS)
     argv = [verb] + systems
     for flag in flags:
         if flag == "--budget" and env_budget:    # mostly left to PDL_BUDGET
@@ -360,12 +406,18 @@ def pdl_argv(draw):
     return argv, env_budget
 
 
+@pytest.fixture(scope="module")
+def stanza_files(tmp_path_factory):
+    return write_stanza_files(tmp_path_factory.mktemp("stanzas"))
+
+
 @settings(max_examples=150, deadline=None)
 @given(pdl_argv())
 @example((["shadow", "bundled:r12k3", "--x", "0", "--eps", "1/4",
            "--delta", "1/24", "--window", "2"], "abc"))
-def test_any_argv_exits_with_a_contract_code(drawn):
+def test_any_argv_exits_with_a_contract_code(stanza_files, drawn):
     argv, env_budget = drawn
+    argv = [stanza_files.get(a, a) for a in argv]
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(err):

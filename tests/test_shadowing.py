@@ -233,6 +233,17 @@ def test_windowed_budget_refusal():
     assert rep.result is False and rep.windows_checked == 18
 
 
+
+def test_window_budget_refusal_of_a_count_of_thousands_of_digits():
+    # 3^16000 windows: Python writes no int of more than 4 300 digits in decimal
+    with pytest.raises(ResourceBudgetError) as err:
+        SH.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 8000)
+    assert err.value.requested == 3 ** 16000
+    assert err.value.budget == SH.DEFAULT_WINDOW_BUDGET
+    assert str(err.value) == (f"at least 2^25359 pseudo-orbit windows exceed "
+                              f"the budget {SH.DEFAULT_WINDOW_BUDGET}")
+
+
 # `pdl shadow ... --window N` stdout, recorded with the window-by-window
 # loop: the False cases pin the count and the witness where the first
 # traceless window stops the loop.

@@ -6,7 +6,7 @@ import pytest
 
 from pointdyn import sysfile
 from pointdyn.bundled import bundled_system, bundled_measure, shift_probes
-from pointdyn.systems import c0_distance, Satellite
+from pointdyn.systems import build_shift, c0_distance, Satellite
 from pointdyn.shiftspace import pure
 from pointdyn.errors import MalformedInputError
 
@@ -41,10 +41,10 @@ explicit {
 
 
 def test_shift_stanza_with_probes():
-    text = sysfile.dumps(system=bundled_system("shift2"), probes=shift_probes()[:3])
+    text = sysfile.dumps(system=build_shift(2, name="shift2", probes=shift_probes()[:3]))
     sf = sysfile.loads(text)
     assert sf.system.backend == "shift"
-    assert sf.probes == tuple(shift_probes()[:3])
+    assert sf.system.probes == tuple(shift_probes()[:3])
 
 
 def test_satellite_stanza_keeps_marked_word_and_probes():
