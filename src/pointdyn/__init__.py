@@ -23,15 +23,15 @@ from .systems import (build_explicit, build_lattice, build_shift,
 from .expansivity import (expansive_point_at, uniformly_expansive_at,
                           minimally_expansive_at, classify_points,
                           separation_horizon, sequence_expansivity_criterion)
-from .shadowing import (pseudo_orbit_graph, count_pseudo_orbits,
-                        enumerate_pseudo_orbits, trace, shadowable_windowed,
+from .shadowing import (count_pseudo_orbits, trace, shadowable_windowed,
                         shadowable_exact, shadowable_exact_neighborhood,
                         splice_trace_shift, mu_shadowable_at)
 from .measures import (WeightedMeasure, mu_uniformly_expansive_at,
                        mu_expansive_points, expansive_measure_check,
                        build_tracking_map, tracking_within_ball,
                        tracking_commutes,
-                       verify_strong_mu_topological_stability)
+                       verify_strong_mu_topological_stability,
+                       measure_sequence_criterion)
 from .stability import (build_conjugacy, enumerate_perturbations,
                         PerturbationFamily, verify_topologically_stable_point,
                         search_delta_isometries, first_delta_isometry_pair,
@@ -54,13 +54,12 @@ __all__ = [
     "conjugate_system", "is_self_isometry", "point_label",
     "expansive_point_at", "uniformly_expansive_at", "minimally_expansive_at",
     "classify_points", "separation_horizon", "sequence_expansivity_criterion",
-    "pseudo_orbit_graph", "count_pseudo_orbits", "enumerate_pseudo_orbits",
-    "trace", "shadowable_windowed", "shadowable_exact",
+    "count_pseudo_orbits", "trace", "shadowable_windowed", "shadowable_exact",
     "shadowable_exact_neighborhood", "splice_trace_shift", "mu_shadowable_at",
     "WeightedMeasure", "mu_uniformly_expansive_at", "mu_expansive_points",
     "expansive_measure_check", "build_tracking_map",
     "tracking_within_ball", "tracking_commutes",
-    "verify_strong_mu_topological_stability",
+    "verify_strong_mu_topological_stability", "measure_sequence_criterion",
     "build_conjugacy", "enumerate_perturbations", "PerturbationFamily",
     "verify_topologically_stable_point", "search_delta_isometries",
     "first_delta_isometry_pair", "find_exact_isomorphism",

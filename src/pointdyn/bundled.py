@@ -184,7 +184,6 @@ def sampled_space(system, points) -> FiniteMetricSpace:
 
 
 def mixed_sample(system):
-    """Validation sample: system.sample at the system's own probes, or
-    the bundled shift probes when that sample is empty (a shift that
-    declares no probes)."""
-    return system.sample(system.probes) or list(shift_probes())
+    """Validation sample: system.sample(), or the bundled shift probes
+    when that sample is empty (a shift that declares no probes)."""
+    return system.sample() or list(shift_probes())

@@ -377,7 +377,7 @@ def cmd_satellite(args):
     shift_c = positive(_scale("1/2" if args.c is None else args.c, "c"),
                        "expansivity constant")
     marked = [system.marked(j) for j in range(system.t)]
-    sample = system.sample(system.probes) + marked
+    sample = system.sample() + marked
     entries, ok = [], True
     for q in system.satellite_points():
         nearest = min(system.dist(q, y) for y in sample if y != q)

@@ -40,30 +40,6 @@ class ExpansivityVerdict(NamedTuple):
         return self.result
 
 
-class SeparationWindow(NamedTuple):
-    times: frozenset            # {n in [-N, N] : d(f^n x, f^n y) > eps}
-    window: int
-    full_period: bool           # window covers a joint pair period
-    period: int = None
-
-
-def separation_set(system, x, y, eps, window: int) -> SeparationWindow:
-    """Times |n| <= window at which the pair separates beyond eps (strict).
-
-    When the window covers a full joint period of the pair orbit the
-    flag is set: membership for every integer n then follows by
-    periodic extension.
-    """
-    eps = as_rational(eps)
-    if window < 0:
-        raise PreconditionError("window must be nonnegative")
-    times = frozenset(n for n in range(-window, window + 1)
-                      if system.dist(iterate(system, x, n), iterate(system, y, n)) > eps)
-    period = _joint_period_or_none(system, x, y)
-    full = period is not None and 2 * window + 1 >= period
-    return SeparationWindow(times, window, full, period)
-
-
 def _joint_period_or_none(system, x, y):
     obx, oby = orbit(system, x), orbit(system, y)
     if obx.finite and oby.finite:
@@ -258,20 +234,13 @@ def _non_fixed_cylinder_point(system, region):
 
 
 def _satellite_minimal(system, x, c, region):
-    has_y = region.y_ball is not None or region.y_extra
-    if has_y and c >= ONE:
-        if region.y_ball is not None:
-            y = _non_fixed_cylinder_point(system, region.y_ball)
-        else:
-            y = region.y_extra[0]  # marked point: periodic with period t >= 2
+    # Only the Y part of the open ball can fail, once c >= 1: a satellite
+    # orbit, whose pairs separate to 1 + 2/k, fails only when c > 1, and
+    # then the open ball has a Y part.
+    if region.y_ball is not None and c >= ONE:
+        y = _non_fixed_cylinder_point(system, region.y_ball)
         return ExpansivityVerdict(x, c, "minimal", False, (y, y.shift_by(1)),
                                   detail=f"orbit closure of {point_label(y)} fails")
-    for q in region.satellites:
-        # distinct points of a satellite orbit separate to exactly 1 + 2/k
-        if ONE + Fraction(2, q.k) <= c:
-            q2 = system.image(q)
-            return ExpansivityVerdict(x, c, "minimal", False, (q, q2),
-                                      detail=f"orbit of {point_label(q)} fails")
     return ExpansivityVerdict(x, c, "minimal", True)
 
 
@@ -288,9 +257,9 @@ def point_verdicts(system, variant: str, c, probe=None) -> dict:
     if variant not in _VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
     check = _VARIANTS[variant]
-    pts = system.sample(probe or ())
+    pts = system.sample(probe)
     if not pts:
-        raise PreconditionError("classification on an infinite carrier needs a probe set")
+        raise PreconditionError("an infinite carrier needs a probe set")
     return {p: check(system, p, c) for p in sorted_points(pts)}
 
 

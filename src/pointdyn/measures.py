@@ -86,36 +86,6 @@ class WeightedMeasure:
         return f"WeightedMeasure(bernoulli=({body}))"
 
 
-def pullback(h, mu: WeightedMeasure) -> WeightedMeasure:
-    """Transported measure giving h(x) the weight of x.
-
-    For Bernoulli measures h must act as a symbol permutation (any
-    other transformation has no Bernoulli image).
-    """
-    if mu.kind == "weights":
-        relabel = h if callable(h) else h.__getitem__
-        moved = {relabel(p): w for p, w in mu.weights.items()}
-        if len(moved) != len(mu.weights):
-            raise PreconditionError("measure transport needs a bijection")
-        return WeightedMeasure.from_weights(moved)
-    n = len(mu.bernoulli)
-    if callable(h):
-        perm = [h(s) for s in range(n)]
-    else:
-        try:
-            perm = [h[s] for s in range(n)]
-        except (KeyError, IndexError, TypeError):
-            raise UnsupportedBackendError(
-                "Bernoulli transport needs a symbol permutation") from None
-    if sorted(perm) != list(range(n)):
-        raise UnsupportedBackendError(
-            "Bernoulli transport needs a symbol permutation")
-    moved = [None] * n
-    for s in range(n):
-        moved[perm[s]] = mu.bernoulli[s]
-    return WeightedMeasure.from_bernoulli(moved)
-
-
 def measure_of(mu: WeightedMeasure, subset) -> Fraction:
     """Exact measure of a finite point set, shift cylinder, or orbit closure."""
     if isinstance(subset, SatelliteBall):
@@ -138,6 +108,15 @@ def measure_of(mu: WeightedMeasure, subset) -> Fraction:
                     f"{point_label(p)} is not a shift point")
         return ZERO  # finitely many atoms of an atomless measure
     return sum((mu.weight(p) for p in subset), ZERO)
+
+
+def carrier_set(system, points) -> frozenset:
+    """points as a set of the finite carrier's points; PreconditionError
+    names a point off the carrier."""
+    points = frozenset(points)
+    for p in points:
+        point_index(system, p)
+    return points
 
 
 # -- separation sets -------------------------------------------------------
@@ -226,13 +205,10 @@ def mu_uniformly_expansive_at(system, mu, x, c) -> ExpansivityVerdict:
 
 
 def mu_expansive_points(system, mu, c, probe=None) -> frozenset:
-    """The set of mu-uniformly-expansive points (probe set on the shift)."""
-    if system.finite:
-        pts = system.points()
-    else:
-        if probe is None:
-            raise PreconditionError("infinite carriers need a probe set")
-        pts = list(probe)
+    """The mu-uniformly-expansive points of system.sample(probe)."""
+    pts = system.sample(probe)
+    if not pts:
+        raise PreconditionError("an infinite carrier needs a probe set")
     return frozenset(x for x in pts if mu_uniformly_expansive_at(system, mu, x, c))
 
 
@@ -257,15 +233,12 @@ def expansive_measure_check(system, mu, c, probe=None) -> MeasureExpansivityRepo
     """
     c = as_rational(c)
     _check_measure_backend(system, mu)
-    if system.finite:
-        pts = system.points()
-        if probe is not None and set(probe) != set(pts):
-            raise PreconditionError("finite carriers must be probed in full")
-        probes = tuple(sorted_points(pts))
-    else:
-        if probe is None:
-            raise PreconditionError("the shift carrier needs a declared probe set")
-        probes = tuple(sorted_points(probe))
+    pts = system.sample(probe)
+    if system.finite and probe is not None and set(probe) != set(pts):
+        raise PreconditionError("finite carriers must be probed in full")
+    if not pts:
+        raise PreconditionError("an infinite carrier needs a probe set")
+    probes = tuple(sorted_points(pts))
     failing = None
     for p in probes:
         if measure_of(mu, phi_set(system, p, c)) != 0:
@@ -439,7 +412,7 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
             "pre:c0", gap <= delta,
             f"c0 distance {format_rational(gap)} vs delta {format_rational(delta)}"))
         carrier = frozenset(f.points())
-        B = carrier if B is None else frozenset(B)
+        B = carrier if B is None else carrier_set(f, B)
         b_defect = measure_of(mu, carrier - B)
         clauses.append(ClauseCheck(
             "pre:B", b_defect == 0,

@@ -26,20 +26,12 @@ from typing import NamedTuple
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
-from .measures import measure_of
+from .measures import carrier_set, measure_of
 from .rationals import positive, resolve_budget
 from .shiftspace import EPPoint, shift_metric
 from .systems import point_index, sorted_points, system_ball
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
-
-
-class PseudoOrbitGraph(NamedTuple):
-    delta: Fraction
-    successors: dict      # point -> tuple of admissible next points
-
-    def out_degree(self, u) -> int:
-        return len(self.successors[u])
 
 
 class PseudoOrbitWindow(NamedTuple):
@@ -66,17 +58,6 @@ class TracerSet(NamedTuple):
         return bool(self.points)
 
 
-def pseudo_orbit_graph(system, delta) -> PseudoOrbitGraph:
-    delta = positive(delta, "pseudo-orbit gap")
-    if not system.finite:
-        raise UnsupportedBackendError(
-            f"{system.backend} carrier has no finite pseudo-orbit graph")
-    pts = system.points()
-    succ = {u: tuple(v for v in pts if system.dist(system.image(u), v) < delta)
-            for u in pts}
-    return PseudoOrbitGraph(delta, succ)
-
-
 def _path_counts(steps, length):
     """counts[k][u] = number of walks of k steps from index u, for k = 0..length."""
     counts = [[1] * len(steps)]
@@ -84,14 +65,6 @@ def _path_counts(steps, length):
         prev = counts[-1]
         counts.append([sum(prev[v] for v in row) for row in steps])
     return counts
-
-
-def _reverse(graph, pts):
-    rev = {u: [] for u in pts}
-    for u in pts:
-        for v in graph.successors[u]:
-            rev[v].append(u)
-    return PseudoOrbitGraph(graph.delta, {u: tuple(vs) for u, vs in rev.items()})
 
 
 def _windows(system, x, delta, N):
@@ -110,21 +83,6 @@ def count_pseudo_orbits(system, x, delta, N) -> int:
     return _windows(system, x, delta, N)[3]
 
 
-def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
-    """All delta-pseudo-orbit windows x_{-N}..x_N with x_0 = x.
-
-    Counts first and refuses beyond the window budget so runtimes stay
-    predictable; PDL_BUDGET / the budget argument raise the ceiling.
-    Walks follow pseudo_orbit_graph, a route apart from the kernel steps.
-    """
-    budget = resolve_budget(budget, DEFAULT_WINDOW_BUDGET)
-    _check_budget(count_pseudo_orbits(system, x, delta, N), budget)
-    graph = pseudo_orbit_graph(system, delta)
-    rev = _reverse(graph, system.points())
-    return (PseudoOrbitWindow(tuple(reversed(back)) + (x,) + tuple(out), graph.delta)
-            for back in _walks(rev, x, N) for out in _walks(graph, x, N))
-
-
 def _check_budget(total, budget):
     if total > budget:
         raise ResourceBudgetError(
@@ -139,16 +97,6 @@ def _count_text(n) -> str:
     return str(n) if n.bit_length() <= 64 else f"at least 2^{n.bit_length() - 1}"
 
 
-def _walks(graph, start, length):
-    """All walks of `length` steps from start, start excluded from output."""
-    if length == 0:
-        yield ()
-        return
-    for v in graph.successors[start]:
-        for rest in _walks(graph, v, length - 1):
-            yield (v,) + rest
-
-
 def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
     """Exact tracer set {z : d(f^n z, x_n) < eps for every window index}."""
     eps = positive(eps, "tracing radius")
@@ -157,7 +105,7 @@ def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
             "enumerative tracing needs a finite carrier; "
             "the shift backend traces by splicing")
     k = system.kernel
-    found = k.tracers([k.index[p] for p in window.entries], eps,
+    found = k.tracers([point_index(system, p) for p in window.entries], eps,
                       first=-window.radius)
     return TracerSet(frozenset(k.pts[z] for z in found), eps)
 
@@ -178,12 +126,13 @@ class WindowedShadowReport(NamedTuple):
 def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadowReport:
     """Every window of radius N through x traceable at eps?
 
-    The report is the one a window-by-window enumeration gives
-    (enumerate_pseudo_orbits order, each window traced): on True every
-    window is counted and the worst window is the first with the fewest
-    tracers; on False the count stops at the first window with none,
-    which is the witness. Windows are refused beyond the budget before
-    any work, as in enumerate_pseudo_orbits.
+    The report is the one a window-by-window enumeration gives, with
+    the windows ordered by their backward half, then their forward half,
+    each half's walks in lexicographic order of kernel indices, and each
+    window traced: on True every window is counted and the worst window
+    is the first with the fewest tracers; on False the count stops at
+    the first window with none, which is the witness. Windows are
+    refused beyond the budget before any work.
 
     No window is built. Each half is walked once (_half_windows), which
     yields its distinct final tracer sets, each with the first walk that
@@ -299,6 +248,13 @@ def _half_limit_sets(kernel, x: int, eps, delta, forward: bool):
     return {states[s][1] for s, k in enumerate(left) if k}
 
 
+def _exact_kernel(system):
+    if not system.finite:
+        raise UnsupportedBackendError(
+            "the exact decider needs a finite carrier")
+    return system.kernel
+
+
 def shadowable_exact(system, x, eps, delta) -> bool:
     """Is every bi-infinite delta-pseudo-orbit through x eps-traceable?
 
@@ -307,10 +263,7 @@ def shadowable_exact(system, x, eps, delta) -> bool:
     forward limit tracer set meets every backward one.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
-    if not system.finite:
-        raise UnsupportedBackendError(
-            "the exact decider needs a finite carrier")
-    kernel = system.kernel
+    kernel = _exact_kernel(system)
     xi = point_index(system, x)
     fwd = _half_limit_sets(kernel, xi, eps, delta, forward=True)
     if fwd is None:
@@ -322,6 +275,7 @@ def shadowable_exact(system, x, eps, delta) -> bool:
 def shadowable_exact_neighborhood(system, x, eps, delta) -> bool:
     """Every pseudo-orbit through the open delta-ball around x traceable."""
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
+    _exact_kernel(system)
     return all(shadowable_exact(system, x0, eps, delta)
                for x0 in sorted_points(system_ball(system, x, delta)))
 
@@ -389,10 +343,8 @@ def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
     finitely many admissible through-points.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
-    if not system.finite:
-        raise UnsupportedBackendError(
-            "measure-restricted shadowing needs a finite carrier")
-    B = frozenset(B)
+    _exact_kernel(system)
+    B = carrier_set(system, B)
     if measure_of(mu, frozenset(system.points()) - B) != 0:
         raise PreconditionError("B must have full measure")
     through = sorted_points(B & system_ball(system, x, delta))

@@ -228,24 +228,9 @@ class ShiftBall(Frozen):
         m = first_disagreement(self.center, y)
         return m is None or m >= h
 
-    @property
-    def is_whole_space(self) -> bool:
-        return self.halfwidth == 0
-
     def fixed_positions(self):
         h = self.halfwidth
         return range(-(h - 1), h) if h else range(0)
-
-    def sample_points(self, alphabet: int, limit: int = 6):
-        """A few members: the center plus single-symbol edits outside the window."""
-        out = [self.center]
-        h = self.halfwidth
-        for k in range(limit - 1):
-            pos = h + k
-            cur = self.center.value(pos)
-            new = (cur + 1) % alphabet
-            out.append(with_symbol(self.center, pos, new))
-        return out
 
 
 def ball_halfwidth(radius: Fraction, closed: bool = False):

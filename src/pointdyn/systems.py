@@ -84,10 +84,13 @@ class MetricSystem:
     def points(self):
         raise UnsupportedBackendError(f"{self.backend} carrier is not enumerable")
 
-    def sample(self, probe=()) -> list:
+    def sample(self, probe=None) -> list:
         """The points a question about every point is asked at: the whole
-        carrier when finite, else the points of probe."""
-        return list(self.points()) if self.finite else list(probe)
+        carrier when finite, else the points of probe (by default the
+        system's own probes)."""
+        if self.finite:
+            return list(self.points())
+        return list(self.probes if probe is None else probe)
 
     def dist(self, x, y) -> Fraction:
         raise NotImplementedError
@@ -372,9 +375,10 @@ class SatelliteSystem(ShiftSystem):
                 for j in range(self.t)
                 for i in range(1, self.COPIES + 1)]
 
-    def sample(self, probe=()) -> list:
-        """The points of probe, then every satellite point."""
-        return list(probe) + self.satellite_points()
+    def sample(self, probe=None) -> list:
+        """The points of probe (by default the system's own probes), then
+        every satellite point."""
+        return super().sample(probe) + self.satellite_points()
 
     def dist(self, x, y):
         if x == y:

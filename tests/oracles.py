@@ -1,0 +1,148 @@
+"""Second routes that only the tests read.
+
+The library answers each of these questions another way; the tests
+compare the two. Pseudo-orbit windows are enumerated here walk by walk
+over a graph built on Fraction distances, apart from the kernel's step
+rows and the layered halves of shadowable_windowed. Separation windows
+are listed time by time with iterate and dist. Measures are transported
+point by point, and shift balls are sampled by single-symbol edits.
+"""
+
+from fractions import Fraction
+from typing import NamedTuple
+
+from pointdyn.errors import PreconditionError, UnsupportedBackendError
+from pointdyn.expansivity import _joint_period_or_none
+from pointdyn.measures import WeightedMeasure
+from pointdyn.rationals import as_rational, positive, resolve_budget
+from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
+                                _check_budget, count_pseudo_orbits)
+from pointdyn.shiftspace import with_symbol
+from pointdyn.systems import iterate
+
+
+# -- pseudo-orbits, window by window ---------------------------------------
+
+
+class PseudoOrbitGraph(NamedTuple):
+    delta: Fraction
+    successors: dict      # point -> tuple of admissible next points
+
+    def out_degree(self, u) -> int:
+        return len(self.successors[u])
+
+
+def pseudo_orbit_graph(system, delta) -> PseudoOrbitGraph:
+    delta = positive(delta, "pseudo-orbit gap")
+    if not system.finite:
+        raise UnsupportedBackendError(
+            f"{system.backend} carrier has no finite pseudo-orbit graph")
+    pts = system.points()
+    succ = {u: tuple(v for v in pts if system.dist(system.image(u), v) < delta)
+            for u in pts}
+    return PseudoOrbitGraph(delta, succ)
+
+
+def _reverse(graph, pts):
+    rev = {u: [] for u in pts}
+    for u in pts:
+        for v in graph.successors[u]:
+            rev[v].append(u)
+    return PseudoOrbitGraph(graph.delta, {u: tuple(vs) for u, vs in rev.items()})
+
+
+def _walks(graph, start, length):
+    """All walks of `length` steps from start, start excluded from output."""
+    if length == 0:
+        yield ()
+        return
+    for v in graph.successors[start]:
+        for rest in _walks(graph, v, length - 1):
+            yield (v,) + rest
+
+
+def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
+    """All delta-pseudo-orbit windows x_{-N}..x_N with x_0 = x, in the
+    order shadowable_windowed reports them.
+
+    Counts first and refuses beyond the window budget, as
+    shadowable_windowed does.
+    """
+    budget = resolve_budget(budget, DEFAULT_WINDOW_BUDGET)
+    _check_budget(count_pseudo_orbits(system, x, delta, N), budget)
+    graph = pseudo_orbit_graph(system, delta)
+    rev = _reverse(graph, system.points())
+    return (PseudoOrbitWindow(tuple(reversed(back)) + (x,) + tuple(out), graph.delta)
+            for back in _walks(rev, x, N) for out in _walks(graph, x, N))
+
+
+# -- separation windows ----------------------------------------------------
+
+
+class SeparationWindow(NamedTuple):
+    times: frozenset            # {n in [-N, N] : d(f^n x, f^n y) > eps}
+    window: int
+    full_period: bool           # window covers a joint pair period
+    period: int = None
+
+
+def separation_set(system, x, y, eps, window: int) -> SeparationWindow:
+    """Times |n| <= window at which the pair separates beyond eps (strict).
+
+    When the window covers a full joint period of the pair orbit the
+    flag is set: membership for every integer n then follows by
+    periodic extension.
+    """
+    eps = as_rational(eps)
+    if window < 0:
+        raise PreconditionError("window must be nonnegative")
+    times = frozenset(n for n in range(-window, window + 1)
+                      if system.dist(iterate(system, x, n), iterate(system, y, n)) > eps)
+    period = _joint_period_or_none(system, x, y)
+    full = period is not None and 2 * window + 1 >= period
+    return SeparationWindow(times, window, full, period)
+
+
+# -- measures and shift balls ----------------------------------------------
+
+
+def pullback(h, mu: WeightedMeasure) -> WeightedMeasure:
+    """Transported measure giving h(x) the weight of x.
+
+    For Bernoulli measures h must act as a symbol permutation (any
+    other transformation has no Bernoulli image).
+    """
+    if mu.kind == "weights":
+        relabel = h if callable(h) else h.__getitem__
+        moved = {relabel(p): w for p, w in mu.weights.items()}
+        if len(moved) != len(mu.weights):
+            raise PreconditionError("measure transport needs a bijection")
+        return WeightedMeasure.from_weights(moved)
+    n = len(mu.bernoulli)
+    if callable(h):
+        perm = [h(s) for s in range(n)]
+    else:
+        try:
+            perm = [h[s] for s in range(n)]
+        except (KeyError, IndexError, TypeError):
+            raise UnsupportedBackendError(
+                "Bernoulli transport needs a symbol permutation") from None
+    if sorted(perm) != list(range(n)):
+        raise UnsupportedBackendError(
+            "Bernoulli transport needs a symbol permutation")
+    moved = [None] * n
+    for s in range(n):
+        moved[perm[s]] = mu.bernoulli[s]
+    return WeightedMeasure.from_bernoulli(moved)
+
+
+def sample_points(ball, alphabet: int, limit: int = 6):
+    """A few members of a ShiftBall: the center plus single-symbol edits
+    outside its window."""
+    out = [ball.center]
+    h = ball.halfwidth
+    for k in range(limit - 1):
+        pos = h + k
+        new = (ball.center.value(pos) + 1) % alphabet
+        out.append(with_symbol(ball.center, pos, new))
+    return out

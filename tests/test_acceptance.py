@@ -18,7 +18,7 @@ from pointdyn.expansivity import (classify_points, minimally_expansive_at,
                                   uniformly_expansive_at)
 from pointdyn.measures import (WeightedMeasure, build_tracking_map,
                                expansive_measure_check, mu_expansive_points,
-                               pullback, tracking_commutes,
+                               tracking_commutes,
                                tracking_within_ball,
                                verify_strong_mu_topological_stability)
 from pointdyn.metric import FiniteMetricSpace, validate_metric
@@ -31,6 +31,8 @@ from pointdyn.stability import (build_conjugacy, c0_distance,
                                 verify_topologically_stable_point)
 from pointdyn.systems import (build_explicit, conjugate_system,
                               is_self_isometry, materialize)
+
+from oracles import pullback
 
 
 def _finish(num, label, t0, budget):

@@ -15,9 +15,11 @@ from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.expansivity import (ExpansivityVerdict, expansive_point_at,
                                   uniformly_expansive_at, is_expansive_on,
                                   minimally_expansive_at, classify_points,
-                                  separation_set, separation_horizon,
+                                  separation_horizon,
                                   sequence_expansivity_criterion, point_verdicts)
 from pointdyn.errors import PreconditionError
+
+from oracles import separation_set
 
 R12K3 = build_lattice(12, step=3)
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")

@@ -75,6 +75,25 @@ GOLDEN = (
      "283e81271d687f5bc5cd06d01edb3ee17390cd3ba757dc76dd939db11a36e945"),
     ("classify bundled:cat5 --variant minimal --c 1/4", 0,
      "859280dd9ec4e55a3a9ae1276c0f43ed5b8da7ce42ecb34fc3f0fa03f92ecd29"),
+    # verb paths no invocation above reaches, recorded before the code only
+    # the tests read left the library: the measure classifier on a finite
+    # and on the shift carrier, the exact shadowing classifier, B given
+    # point by point, the shift's measure check and its identity rule
+    ("classify bundled:id3 --variant mu-uniform --c 1/2 --measure bundled:nullpoint3", 0,
+     "66b74c1451cdfc4200c20c0f57ddd88b72b135009bd82430dd604d18b2781787"),
+    ("classify bundled:shift2 --variant mu-uniform --c 1/2 "
+     "--measure bundled:bernoulli_half", 0,
+     "4bb736dd38eb5dfc18d3173f6c33404d1e70a336c10d91682129ccfacc140b1b"),
+    ("classify bundled:r12k3 --variant shadow --eps 1/4 --delta 1/12", 0,
+     "1a32a2cd61a7f974267952b20b5d1215764b46647ad72cc1c423beeed40786fa"),
+    ("mustable bundled:id3 --measure bundled:nullpoint3 --x 0 --eps 1/2 "
+     "--delta 1/2 --through 1 --through 2", 0,
+     "1fdb439330be0ae0e48e2527bc4148439fcd2c98cbd55af48c3f9379f70be375"),
+    ("mustable bundled:shift2 --measure bundled:bernoulli_half --x 0~1~0@0 "
+     "--eps 1/2 --delta 1/2", 0,
+     "ae6c20327f2102a6257d049491dbfcaf7310470008d629ac36bbfdb1ead7c3cf"),
+    ("trackmap bundled:shift2 --x 0~1~0@0 --eta 1/2", 0,
+     "52cf65277ae8dacfed240935f3483d7ff04a1d99e04f954b98be57561cfc82b4"),
 )
 
 
@@ -84,3 +103,24 @@ def test_report_is_pinned(capsys, command, code, digest):
     assert main(command.split()) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# a system file that carries its own measure stanza, read without --measure;
+# the report echoes the file name, so the file sits in the working directory
+MEASURED_LATTICE = ("lattice {\n  n = 6\n  map = rot 2\n}\n"
+                    "measure {\n  weights = 0:1 1:1 2:0 3:1 4:1 5:0\n}\n")
+MEASURED = (
+    ("classify measured6.pdl --variant mu-uniform --c 1/12", 0,
+     "4eca180472b351e604e1c57a500697a9f4460b01bbfd48828992c5cc1c14ceed"),
+    ("mustable measured6.pdl --x 0 --eps 1/2 --delta 1/2", 1,
+     "f1c2946c2cda6898d03f1e8e76c4aada9fc23b7053958b89fff6cb552079df87"),
+)
+
+
+@pytest.mark.parametrize("command, code, digest", MEASURED,
+                         ids=[g[0] for g in MEASURED])
+def test_file_measure_report_is_pinned(tmp_path, monkeypatch, capsys, command, code,
+                                       digest):
+    (tmp_path / "measured6.pdl").write_text(MEASURED_LATTICE)
+    monkeypatch.chdir(tmp_path)
+    test_report_is_pinned(capsys, command, code, digest)

@@ -1,8 +1,11 @@
-"""Every name a pointdyn module imports is used in that module, no
-module writes a float, and importing the CLI stays cheap.
+"""Every name a pointdyn module imports is used in that module, every
+public name is exported or read by the library, no module writes a
+float, and importing the CLI stays cheap.
 
 A dead import hides which layer a module really depends on, and it
-outlives the code that needed it. The package __init__ is exempt: its
+outlives the code that needed it. A public name that neither the package
+exports nor any module reads is code only the tests reach: it belongs in
+tests/oracles.py. The package __init__ is exempt: its
 imports are the re-exported public API. Every verdict is exact, so a
 float literal or a float() call in the library is a bug wherever it is.
 A `pdl` process pays for its imports on every run, so the records are
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import pointdyn
 from pointdyn import (expansivity, measures, metric, shadowing, shiftspace, stability,
                       sysfile, systems)
 
@@ -50,6 +54,59 @@ def test_the_check_sees_dead_and_live_imports():
     source = ("import os\nfrom math import lcm, gcd as g\nfrom . import sysfile\n"
               "print(g(4, 6), sysfile.load_file)\n")
     assert unused_imports(source) == ["lcm", "os"]
+
+
+# documented module API that the package does not re-export: the stanza
+# writer, the inverse of sysfile.loads, called as pointdyn.sysfile.dumps
+MODULE_API = {("sysfile", "dumps")}
+
+
+def public_names(tree) -> list:
+    """The public names a module binds at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if not name.startswith("_")]
+
+
+def read_names(trees: dict) -> set:
+    """Names the modules read: bare names, and module.name for a sibling
+    module (cli reads sysfile.load_file)."""
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in trees):
+                read.add(node.attr)
+    return read
+
+
+def unreached_names(trees: dict, exported) -> list:
+    """(module, name) of each public name neither exported nor read."""
+    read = read_names(trees) | set(exported)
+    return [(module, name) for module, tree in sorted(trees.items())
+            for name in public_names(tree)
+            if name not in read and (module, name) not in MODULE_API]
+
+
+def test_every_public_name_is_exported_or_read():
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    assert unreached_names(trees, pointdyn.__all__) == []
+
+
+def test_the_check_sees_test_only_names():
+    trees = {"a": ast.parse("LIMIT = 3\ndef used(): pass\ndef spare(): pass\n"
+                            "class Exported: pass\ndef _private(): pass\n"),
+             "b": ast.parse("import json\nfrom . import a\n"
+                            "def load(): return used(), a.LIMIT, json.dumps(0)\n"
+                            "def dumps(): pass\n")}
+    assert unreached_names(trees, ["Exported", "load"]) == [("a", "spare"), ("b", "dumps")]
 
 
 def float_uses(source: str) -> list:
@@ -85,10 +142,10 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 
 RECORDS = (
-    expansivity.ExpansivityVerdict, expansivity.SeparationWindow,
+    expansivity.ExpansivityVerdict,
     measures.MeasureExpansivityReport, measures.SetValuedAssignment,
     measures.ClauseCheck, measures.StabilityReport, metric.MetricViolation,
-    shadowing.PseudoOrbitGraph, shadowing.PseudoOrbitWindow, shadowing.TracerSet,
+    shadowing.PseudoOrbitWindow, shadowing.TracerSet,
     shadowing.WindowedShadowReport, shadowing.MuShadowReport, shiftspace.ShiftBall,
     stability.ConjugacyResult, stability.PerturbationFamily,
     stability.PerturbationVerdict, stability.StablePointReport, stability.IsometryPair,

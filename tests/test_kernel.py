@@ -14,11 +14,12 @@ from hypothesis import example, given, settings, strategies as st
 from pointdyn import metric, systems
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
-from pointdyn.shadowing import pseudo_orbit_graph
 from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
                               build_shift, conjugate_system, iterate,
                               materialize, members, pair_sup_separation,
                               sorted_points, system_ball)
+
+from oracles import pseudo_orbit_graph
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))

