@@ -8,7 +8,9 @@ a fresh system, timed alone with the views it reads already built:
 - ``within``: the bitset rows within(c);
 - ``inseparable``: the bitset rows inseparable(c), over sup_scaled;
 - ``twin``: conjugate_system(..., transport_metric=True) with a seeded
-  bijection, the relabeled twin of the classify-lattice workload;
+  bijection, the relabeled twin of the classify-lattice workload: the
+  gather of the source's integer rows and the twin's Fractions, one per
+  distinct value, built from them;
 - ``pullbacks``: the pull-backs pullbacks(c) of within(c), one bitset
   row per point and exponent below the order, which both shadowing
   deciders read. It costs O(order * n) whatever the code, so rungs whose
@@ -154,7 +156,6 @@ def layers(systems):
 
     def warm_twin(system, c):
         warm_rows(system, c)
-        system.kernel.table
         pts = system.kernel.pts
         return dict(zip(pts, Random(len(pts)).sample(pts, len(pts))))
 

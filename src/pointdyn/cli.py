@@ -154,7 +154,7 @@ def cmd_classify(args):
             raise MalformedInputError(
                 "the exact shadowing classifier needs a finite carrier")
         verdicts = {p: shadowable_exact(system, p, eps, delta)
-                    for p in system.points()}
+                    for p in system.sample(probe)}
         points = [p for p, ok in verdicts.items() if ok]
         results = {
             "points": labels(points),

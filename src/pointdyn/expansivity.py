@@ -329,7 +329,7 @@ def sequence_expansivity_criterion(system, approximants, x, delta,
     delta = as_rational(delta)
     if variant not in ("uniform", "minimal"):
         raise PreconditionError(f"unsupported variant {variant!r}")
-    tail_start = _eventual_agreement_index(system, approximants)
+    tail_start = eventual_agreement_index(system, approximants)
     check = _VARIANTS[variant]
     inner = check(system, x, delta)
     detail = (f"tail agrees with limit map from index {tail_start}; "
@@ -338,7 +338,7 @@ def sequence_expansivity_criterion(system, approximants, x, delta,
                               inner.counterexample, detail)
 
 
-def _eventual_agreement_index(system, approximants):
+def eventual_agreement_index(system, approximants):
     """First index from which every approximant equals the limit map."""
     approximants = list(approximants)
     if not approximants:

@@ -12,14 +12,13 @@ from typing import NamedTuple
 
 from .errors import (CarrierMismatchError, MalformedInputError, PointdynError,
                      PreconditionError, UnsupportedBackendError)
-from .expansivity import (ExpansivityVerdict, _eventual_agreement_index,
-                          _region_contains)
+from .expansivity import ExpansivityVerdict, eventual_agreement_index
 from .rationals import ONE, ZERO, as_rational, format_rational, positive
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
                       c0_distance, check_carrier, members, orbit_closure,
                       pair_sup_separation, point_index, point_label,
-                      sorted_points, system_ball)
+                      sorted_points)
 
 
 class WeightedMeasure:
@@ -151,23 +150,6 @@ def _phi_satellite(system, x, c):
     return SatelliteBall(x, tuple(sorted_points(sats)), ShiftBall(base, 0), ())
 
 
-def gamma_set(system, x, c, z):
-    """phi_set(z, c) cut down to the open ball B(x, c); z must lie in that ball."""
-    c = as_rational(c)
-    ball = system_ball(system, x, c)
-    if not _region_contains(ball, z):
-        raise PreconditionError(
-            f"{point_label(z)} lies outside the open ball of radius {c}")
-    phi = phi_set(system, z, c)
-    if isinstance(phi, frozenset):
-        return frozenset(y for y in phi if _region_contains(ball, y))
-    if system.backend == "shift":
-        # phi is the whole space here (c >= 1), so the cut is the ball itself
-        return ball
-    raise UnsupportedBackendError(
-        "satellite gamma sets with an unbounded Y part are not finitely representable")
-
-
 # -- pointwise mu-expansivity ----------------------------------------------
 
 
@@ -187,14 +169,13 @@ def mu_uniformly_expansive_at(system, mu, x, c) -> ExpansivityVerdict:
     c = as_rational(c)
     _check_measure_backend(system, mu)
     if system.finite:
-        for z in sorted_points(system_ball(system, x, c)):
-            gamma = gamma_set(system, x, c, z)
-            if measure_of(mu, gamma) != 0:
-                return ExpansivityVerdict(
-                    x, c, "mu_uniform", False, counterexample=(z,),
-                    detail=f"gamma set of {point_label(z)} has measure "
-                           f"{format_rational(measure_of(mu, gamma))}")
-        return ExpansivityVerdict(x, c, "mu_uniform", True)
+        found = _massive_companions(system, mu, x, c, c)
+        if found is None:
+            return ExpansivityVerdict(x, c, "mu_uniform", True)
+        z, mass = found
+        return ExpansivityVerdict(
+            x, c, "mu_uniform", False, counterexample=(z,),
+            detail=f"gamma set of {point_label(z)} has measure {format_rational(mass)}")
     if c < 1:
         return ExpansivityVerdict(
             x, c, "mu_uniform", True,
@@ -202,6 +183,20 @@ def mu_uniformly_expansive_at(system, mu, x, c) -> ExpansivityVerdict:
     return ExpansivityVerdict(
         x, c, "mu_uniform", False, counterexample=(x,),
         detail="the gamma set of the centre is a cylinder of positive measure")
+
+
+def _massive_companions(system, mu, x, radius, c):
+    """(z, mass) for the first z of the open ball B(x, radius) on a finite
+    carrier whose companions in the ball, the y with sup-separation from z
+    at most c, carry mass under mu; None when all of them are mu-null.
+    One scan of the kernel rows within(radius)[x] and inseparable(c)."""
+    k = system.kernel
+    ball, rows = k.within(radius)[point_index(system, x)], k.inseparable(c)
+    for z in members(ball):
+        mass = measure_of(mu, [k.pts[y] for y in members(rows[z] & ball)])
+        if mass != 0:
+            return k.pts[z], mass
+    return None
 
 
 def mu_expansive_points(system, mu, c, probe=None) -> frozenset:
@@ -234,7 +229,7 @@ def expansive_measure_check(system, mu, c, probe=None) -> MeasureExpansivityRepo
     c = as_rational(c)
     _check_measure_backend(system, mu)
     pts = system.sample(probe)
-    if system.finite and probe is not None and set(probe) != set(pts):
+    if system.finite and set(pts) != set(system.points()):
         raise PreconditionError("finite carriers must be probed in full")
     if not pts:
         raise PreconditionError("an infinite carrier needs a probe set")
@@ -490,17 +485,11 @@ def measure_sequence_criterion(f, approximants, mu, x, delta) -> ExpansivityVerd
     """
     delta = as_rational(delta)
     _check_measure_backend(f, mu)
-    tail = _eventual_agreement_index(f, approximants)
+    tail = eventual_agreement_index(f, approximants)
     third = delta / 3
     if f.finite:
-        k = f.kernel
-        ball, rows = k.within(delta)[point_index(f, x)], k.inseparable(third)
-        witness = None
-        for z in members(ball):
-            failure = frozenset(k.pts[y] for y in members(rows[z] & ball))
-            if measure_of(mu, failure) != 0:
-                witness = k.pts[z]
-                break
+        found = _massive_companions(f, mu, x, delta, third)
+        witness = None if found is None else found[0]
         result = witness is None
     else:
         result = third < 1  # otherwise the failure set is a positive cylinder

@@ -21,7 +21,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .rationals import (Frozen, ZERO, as_rational, dyadic_below, format_rational,
                         positive, resolve_budget)
-from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
+from .systems import (c0_distance, check_carrier, floor_scaled,
                       gatherer, materialize, members, orbit_closure,
                       pair_sup_separation, point_index, point_label)
 
@@ -113,7 +113,7 @@ def _semiconjugacy(f, gperm, x, gap, eps, eta):
             f"expansivity constant")
     h = dict(zip(orb, path))
     commutation = all(fperm[h[u]] == h[gperm[u]] for u in orb)
-    residual = max(fk.table[h[u]][u] for u in orb)
+    residual = Fraction(max(fk.rows[h[u]][u] for u in orb), fk.denominator)
     mapping = {pts[u]: pts[v] for u, v in h.items()}
     if not commutation:
         return ConjugacyResult(
@@ -132,14 +132,14 @@ def _semiconjugacy(f, gperm, x, gap, eps, eta):
 
 
 class PerturbationFamily(Frozen):
-    """The admissible perturbations of base (the input system,
-    materialized) as the index permutations perms within c0 distance
-    delta: index i stands for points[i] in every map. nodes counts the
-    search nodes visited, the partial maps extended in search order, the
-    empty one included. No __slots__: the cached `systems` needs a __dict__."""
+    """The admissible perturbations of base (the input system) as the
+    index permutations perms within c0 distance delta: index i stands for
+    points[i] in every map. nodes counts the search nodes visited, the
+    partial maps extended in search order, the empty one included. No
+    __slots__: the cached `systems` needs a __dict__."""
     _fields = ("base", "points", "perms", "nodes")
 
-    def __init__(self, base: ExplicitSystem, points: tuple, perms: tuple, nodes: int):
+    def __init__(self, base, points: tuple, perms: tuple, nodes: int):
         self._set(base, points, perms, nodes)
 
     def __len__(self):
@@ -150,10 +150,10 @@ class PerturbationFamily(Frozen):
 
     @cached_property
     def systems(self) -> tuple:
-        """The perturbations as ExplicitSystems on base's space, built on
-        first access."""
-        return tuple(ExplicitSystem(self.base.space, p, name=self.name(i))
-                     for i, p in enumerate(self.perms))
+        """The perturbations as ExplicitSystems on the space of base,
+        materialized once, on first access."""
+        flat = materialize(self.base)[0]
+        return tuple(flat.with_map(p, self.name(i)) for i, p in enumerate(self.perms))
 
 
 def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
@@ -177,10 +177,10 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     """
     delta = positive(delta, "perturbation radius")
     budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
-    base, pts = materialize(system)
-    n = base.space.n
-    rows = system.kernel.within(delta, closed=True)
-    bits = [rows[v] for v in base.perm]
+    k = system.kernel
+    n = len(k.pts)
+    rows = k.within(delta, closed=True)
+    bits = [rows[v] for v in k.perm]
     order = _shared_target_order(bits)
     due, later = [0] * n, 0
     for t in reversed(range(n)):
@@ -209,7 +209,7 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
 
     place(0, 0)
     perms.sort()
-    return PerturbationFamily(base, pts, tuple(perms), nodes)
+    return PerturbationFamily(system, k.pts, tuple(perms), nodes)
 
 
 def _shared_target_order(bits) -> list:
@@ -558,7 +558,7 @@ def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
     budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if find_exact_isomorphism(X, Y) is not None:
         return GHBounds(ZERO, ZERO, True, None)
-    start = 1 + max(Fraction(max(map(max, k.scaled(k.denominator))), k.denominator)
+    start = 1 + max(Fraction(max(map(max, k.rows)), k.denominator)
                     for k in (X.kernel, Y.kernel))
     pair, _ = first_delta_isometry_pair(X, Y, start, budget)
     if pair is None:
@@ -661,7 +661,7 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
     commutation with the maps are verified independently of how the
     tracer was found.
     """
-    fperm, gperm, table = fk.perm, gk.perm, fk.table
+    fperm, gperm, rows = fk.perm, gk.perm, fk.rows
     orb = gk.orbit(y)
     tracers, _, path = fk.trace_cycle([j_map[v] for v in orb], eta)
     if not tracers:
@@ -669,7 +669,8 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
     if path is None:
         return "tracer does not close up over the orbit period"
     h = dict(zip(orb, path))
-    if any(table[h[v]][j_map[v]] >= eps for v in orb):
+    bound = floor_scaled(eps, fk.denominator, closed=False)
+    if any(rows[h[v]][j_map[v]] > bound for v in orb):
         return "conjugacy image strays to eps or beyond from j"
     if any(fperm[h[v]] != h[gperm[v]] for v in orb):
         return "conjugacy fails to commute with the maps"

@@ -13,7 +13,6 @@ their integer arcs, an explicit system converts its Fraction table once.
 """
 
 import hashlib
-import weakref
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import chain
@@ -85,12 +84,12 @@ class MetricSystem:
         raise UnsupportedBackendError(f"{self.backend} carrier is not enumerable")
 
     def sample(self, probe=None) -> list:
-        """The points a question about every point is asked at: the whole
-        carrier when finite, else the points of probe (by default the
-        system's own probes)."""
-        if self.finite:
-            return list(self.points())
-        return list(self.probes if probe is None else probe)
+        """The points a question about every point is asked at: the points
+        of probe when one is given, else the whole carrier when finite or
+        the system's own probes."""
+        if probe is not None:
+            return list(probe)
+        return list(self.points() if self.finite else self.probes)
 
     def dist(self, x, y) -> Fraction:
         raise NotImplementedError
@@ -161,7 +160,14 @@ class ExplicitSystem(MetricSystem):
     def carrier_token(self):
         return ("explicit", self.space.table)
 
-    _integers = None            # (D, rows) handed over by conjugate_system
+    _integers = None            # (D, rows) handed over by _explicit or with_map
+
+    def with_map(self, perm, name) -> "ExplicitSystem":
+        """The system with map perm on this carrier and metric; it shares the
+        integer rows of this system's kernel instead of converting them."""
+        system = ExplicitSystem(self.space, perm, name)
+        system._integers = self.kernel.denominator, self.kernel.rows
+        return system
 
     def _integer_table(self):
         if self._integers is not None:
@@ -418,42 +424,27 @@ class SatelliteSystem(ShiftSystem):
 class FiniteKernel:
     """A finite system compiled to indices: point i is pts[i].
 
-    perm and inv are the map and its inverse on indices. The kernel has
-    one integer scaling: denominator D and the rows scaled(D) = D * table,
-    which come first (the system's _integer_table: integer arcs on a
-    lattice, one conversion of an explicit table, a conjugate_system twin's
-    source rows); table is their Fractions. A radius r meets these rows
-    and sup_scaled as floor_scaled(r, D, closed). Only a comparison of two
-    kernels reads scaled(S), at S = lcm of their denominators. The table,
-    sup_scaled, the cycles, the order, and per radius or constant (keyed
-    on its numerator and denominator) within(r), its pull-backs, the
-    pseudo-orbit steps, inseparable(c) and cycle_failures(c) are built on
-    first use and kept. f^m steps by whole-row gathers of perm or inv, or
-    along a cycle (orbit). The system caches its kernel, so the kernel
-    holds the system weakly: a strong link back would make each pair a
-    cycle that only the cyclic collector frees.
+    perm and inv are the map and its inverse on indices. The kernel is
+    integer data taken once, when it is built, and keeps no link back to
+    its system: denominator D, the least S with S * table integral, and
+    the rows = D * table (the system's _integer_table: integer arcs on a
+    lattice, one conversion of an explicit table, a twin's source rows).
+    A radius r meets these rows and sup_scaled as floor_scaled(r, D,
+    closed). Only a comparison of two kernels reads scaled(S), at S = lcm
+    of their denominators. sup_scaled, the cycles, the order, and per
+    radius or constant (keyed on its numerator and denominator) within(r),
+    its pull-backs, the pseudo-orbit steps, inseparable(c) and
+    cycle_failures(c) are built on first use and kept. f^m steps by
+    whole-row gathers of perm or inv, or along a cycle (orbit).
     """
 
     def __init__(self, system):
-        self._system = weakref.ref(system)
         self.pts = tuple(system.points())
         self.index = {p: i for i, p in enumerate(self.pts)}
         self.perm = tuple(self.index[system.image(p)] for p in self.pts)
         self.inv = _inverse(self.perm)
+        self.denominator, self.rows = system._integer_table()
         self._views = {}            # (view, *arguments) -> view
-        self._explicit = None
-
-    @cached_property
-    def table(self) -> tuple:
-        """table[i][j] = d(pts[i], pts[j]): an explicit system's own table,
-        else the Fractions of scaled(D), one object per distinct value."""
-        system = self.system
-        if isinstance(system, ExplicitSystem):
-            return system.space.table
-        D = self.denominator
-        rows = self.scaled(D)
-        values = {s: Fraction(s, D) for s in set().union(*rows)}
-        return tuple(tuple(map(values.__getitem__, row)) for row in rows)
 
     @cached_property
     def sup_scaled(self) -> tuple:
@@ -464,7 +455,7 @@ class FiniteKernel:
         c2 is that max over the k' = k mod gcd(p, len(c2)) (_residue_classes).
         Row f^m i is row i gathered at f^-m. O(n^2): about 4n gathers of n
         entries and under n/2 class maxima per cycle."""
-        rows, n = self.scaled(self.denominator), len(self.perm)
+        rows, n = self.rows, len(self.perm)
         identity, forward, back = tuple(range(n)), gatherer(self.perm), gatherer(self.inv)
         residues, sep = cache(lambda p: _residue_classes(self.cycles, p, n)), [None] * n
         for cyc in self.cycles:
@@ -561,55 +552,30 @@ class FiniteKernel:
         """Smallest L >= 1 with f^L the identity."""
         return lcm(*(len(cyc) for cyc in self.cycles))
 
-    @property
-    def system(self) -> MetricSystem:
-        system = self._system()
-        if system is None:
-            raise ReferenceError("the system of this kernel has been freed")
-        return system
-
-    @property
-    def explicit(self) -> "ExplicitSystem":
-        """The system as an ExplicitSystem on indices (itself if explicit)."""
-        system = self.system
-        if isinstance(system, ExplicitSystem):
-            return system
-        if self._explicit is None:
-            self._explicit = ExplicitSystem(FiniteMetricSpace(self.table), self.perm,
-                                            name=system.name)
-        return self._explicit
-
-    @cached_property
-    def denominator(self) -> int:
-        """The least S with S * table integral; the rows come with it."""
-        D, self._rows = self.system._integer_table()
-        return D
-
     def scaled(self, scale) -> tuple:
         """The integer rows scale * table, for a multiple scale of denominator."""
         key = ("scaled", scale)
         if (rows := self._views.get(key)) is None:
             k = scale // self.denominator
-            rows = self._views[key] = self._rows if k == 1 else tuple(
-                tuple(v * k for v in row) for row in self._rows)
+            rows = self._views[key] = self.rows if k == 1 else tuple(
+                tuple(v * k for v in row) for row in self.rows)
         return rows
 
     def c0_scaled(self, perm) -> int:
         """denominator * max over i of d(f(pts[i]), pts[perm[i]]): the C0
         distance from perm to the kernel's map on the same indices, read
-        off the integer rows scaled(denominator)."""
-        rows = self.scaled(self.denominator)
+        off the integer rows."""
+        rows = self.rows
         return max((rows[a][b] for a, b in zip(self.perm, perm)), default=0)
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
-        i.e. scaled(D)[v][y] <= floor_scaled(r, D, closed), D = denominator."""
+        i.e. rows[v][y] <= floor_scaled(r, D, closed), D = denominator."""
         key = ("within", radius.numerator, radius.denominator, closed)
         if (rows := self._views.get(key)) is None:
-            D = self.denominator
-            bound = floor_scaled(radius, D, closed)
+            bound = floor_scaled(radius, self.denominator, closed)
             rows = self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d <= bound)
-                                            for row in self.scaled(D))
+                                            for row in self.rows)
         return rows
 
     def pullbacks(self, radius, closed=False) -> tuple:
@@ -733,15 +699,18 @@ def check_carrier(f, g) -> None:
     """CarrierMismatchError unless f and g share a carrier.
 
     Systems share a carrier when their carrier tokens are equal, and two
-    finite systems also when their distance tables are equal. Either
-    way index i stands for f.kernel.pts[i] on both sides, whatever
+    finite systems also when their distance tables are equal: D is the
+    least common denominator, so equal (D, rows) pairs mean equal tables.
+    Either way index i stands for f.kernel.pts[i] on both sides, whatever
     labels g gives its points: a lattice and a perturbation enumerated
     on its indices share a carrier.
     """
     if f.carrier_token() == g.carrier_token():
         return
-    if f.finite and g.finite and f.kernel.table == g.kernel.table:
-        return
+    if f.finite and g.finite:
+        fk, gk = f.kernel, g.kernel
+        if (fk.denominator, fk.rows) == (gk.denominator, gk.rows):
+            return
     raise CarrierMismatchError(
         f"carriers differ: {f.carrier_token()[0]} vs {g.carrier_token()[0]}")
 
@@ -969,11 +938,23 @@ def _satellite_ball(system, x, r, closed):
 def materialize(system) -> tuple:
     """Finite system as (ExplicitSystem, points); index i <-> pts[i].
 
-    An ExplicitSystem is its own materialization; other systems build
-    theirs once, on their kernel.
+    An ExplicitSystem is its own materialization; any other system gets a
+    fresh one on each call, built from its kernel's integer rows.
     """
     kernel = system.kernel
-    return kernel.explicit, kernel.pts
+    if isinstance(system, ExplicitSystem):
+        return system, kernel.pts
+    return _explicit(kernel.denominator, kernel.rows, kernel.perm, system.name), kernel.pts
+
+
+def _explicit(D, rows, perm, name) -> ExplicitSystem:
+    """The ExplicitSystem of the integer rows D * table: one Fraction per
+    distinct value, and the rows handed over as its integer table."""
+    values = {s: Fraction(s, D) for s in set().union(*rows)}
+    system = ExplicitSystem(FiniteMetricSpace(tuple(tuple(map(values.__getitem__, row))
+                                                    for row in rows)), perm, name)
+    system._integers = D, rows
+    return system
 
 
 def _is_bijection(relabel: dict, pts) -> bool:
@@ -1012,13 +993,9 @@ def conjugate_system(system, relabel: dict, name=None,
         raise PreconditionError("relabeling must be a bijection of the carrier")
     inv = {v: k for k, v in relabel.items()}
     perm = tuple(kernel.index[relabel[system.image(inv[p])]] for p in pts)
-    table, D = kernel.table, kernel.denominator
-    rows = kernel.scaled(D)
+    rows = kernel.rows
     if transport_metric:
         # twin index i carries the point inv[pts[i]]: gather at its source index
         take = gatherer([kernel.index[inv[p]] for p in pts])
-        table, rows = (tuple(map(take, take(t))) for t in (table, rows))
-    twin = ExplicitSystem(FiniteMetricSpace(table), perm,
-                          name=name or f"{system.name}_conj")
-    twin._integers = D, rows
-    return twin
+        rows = tuple(map(take, take(rows)))
+    return _explicit(kernel.denominator, rows, perm, name or f"{system.name}_conj")

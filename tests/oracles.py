@@ -1,11 +1,15 @@
 """Second routes that only the tests read.
 
 The library answers each of these questions another way; the tests
-compare the two. Pseudo-orbit windows are enumerated here walk by walk
-over a graph built on Fraction distances, apart from the kernel's step
-rows and the layered halves of shadowable_windowed. Separation windows
-are listed time by time with iterate and dist. Measures are transported
-point by point, and shift balls are sampled by single-symbol edits.
+compare the two. Distance tables are filled one dist call per pair,
+apart from the kernel's integer rows. Pseudo-orbit windows are
+enumerated here walk by walk over a graph built on Fraction distances,
+apart from the kernel's step rows and the layered halves of
+shadowable_windowed. Separation windows are listed time by time with
+iterate and dist. Gamma sets are cut from phi sets and balls point by
+point, apart from the measure layer's scan of kernel rows. Measures are
+transported point by point, and shift balls are sampled by single-symbol
+edits.
 """
 
 from fractions import Fraction
@@ -13,12 +17,22 @@ from typing import NamedTuple
 
 from pointdyn.errors import PreconditionError, UnsupportedBackendError
 from pointdyn.expansivity import _joint_period_or_none
-from pointdyn.measures import WeightedMeasure
+from pointdyn.measures import WeightedMeasure, phi_set
 from pointdyn.rationals import as_rational, positive, resolve_budget
 from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
-from pointdyn.systems import iterate
+from pointdyn.systems import iterate, point_label, system_ball
+
+
+# -- distance tables ---------------------------------------------------------
+
+
+def distance_table(system) -> tuple:
+    """table[i][j] = d(p_i, p_j) over the points p of a finite carrier,
+    in system.points() order."""
+    pts = system.points()
+    return tuple(tuple(system.dist(p, q) for q in pts) for p in pts)
 
 
 # -- pseudo-orbits, window by window ---------------------------------------
@@ -104,6 +118,30 @@ def separation_set(system, x, y, eps, window: int) -> SeparationWindow:
 
 
 # -- measures and shift balls ----------------------------------------------
+
+
+def _region_contains(region, y) -> bool:
+    if isinstance(region, frozenset):
+        return y in region
+    return region.contains(y)
+
+
+def gamma_set(system, x, c, z):
+    """phi_set(z, c) cut down to the open ball B(x, c); z must lie in that ball."""
+    c = as_rational(c)
+    ball = system_ball(system, x, c)
+    if not _region_contains(ball, z):
+        raise PreconditionError(
+            f"{point_label(z)} lies outside the open ball of radius {c}")
+    phi = phi_set(system, z, c)
+    if isinstance(phi, frozenset):
+        return frozenset(y for y in phi if _region_contains(ball, y))
+    if system.backend == "shift":
+        # phi is the whole space here (c >= 1), so the cut is the ball itself
+        return ball
+    raise UnsupportedBackendError(
+        "satellite gamma sets with an unbounded Y part are not finitely representable")
+
 
 
 def pullback(h, mu: WeightedMeasure) -> WeightedMeasure:

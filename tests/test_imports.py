@@ -1,6 +1,7 @@
-"""Every name a pointdyn module imports is used in that module, every
-public name is exported or read by the library, no module writes a
-float, and importing the CLI stays cheap.
+"""Every name a pointdyn module imports is used in that module, no
+module imports a sibling's _private name, every public name is exported
+or read by the library, no module writes a float, and importing the CLI
+stays cheap.
 
 A dead import hides which layer a module really depends on, and it
 outlives the code that needed it. A public name that neither the package
@@ -54,6 +55,31 @@ def test_the_check_sees_dead_and_live_imports():
     source = ("import os\nfrom math import lcm, gcd as g\nfrom . import sysfile\n"
               "print(g(4, 6), sysfile.load_file)\n")
     assert unused_imports(source) == ["lcm", "os"]
+
+
+def private_imports(source: str) -> list:
+    """The _private names source imports from a sibling pointdyn module,
+    anywhere in the module (dunders such as __version__ are not private)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pointdyn"):
+            out += [alias.name for alias in node.names if alias.name.startswith("_")
+                    and not (alias.name.startswith("__") and alias.name.endswith("__"))]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=[p.name for p in ALL_MODULES])
+def test_no_private_name_crosses_a_module(path):
+    # a _private name is a module's own business: a sibling that needs it
+    # reads a public name, so each layer's interface stays visible
+    assert private_imports(path.read_text()) == []
+
+
+def test_the_check_sees_private_imports():
+    source = ("from .a import _x, y\nfrom . import __version__\nfrom os import _exit\n"
+              "from pointdyn.b import _w\ndef f():\n    from .c import _z as z\n")
+    assert private_imports(source) == ["_w", "_x", "_z"]
 
 
 # documented module API that the package does not re-export: the stanza

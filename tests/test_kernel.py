@@ -19,7 +19,7 @@ from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
                               materialize, members, pair_sup_separation,
                               sorted_points, system_ball)
 
-from oracles import pseudo_orbit_graph
+from oracles import distance_table, pseudo_orbit_graph
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -176,7 +176,8 @@ def test_within_and_pullbacks_match_oracle(system, data):
     # the system's own distances are the strict/closed boundary; 2/11 has
     # a denominator coprime to every table's (n <= 9, palette quarters
     # and thirds)
-    own = tuple(sorted({d for row in k.table for d in row}))
+    table = distance_table(system)
+    own = tuple(sorted({d for row in table for d in row}))
     radius = data.draw(st.sampled_from(RADII + (F(2, 11),) + own))
 
     def bitsets(starts, inside):
@@ -199,13 +200,13 @@ def test_within_and_pullbacks_match_oracle(system, data):
     assert members(0) == [] and members(0b101001) == [0, 3, 5]
     # within compares on scaled(S): S * table is integral, and no T < S is
     S = k.denominator
-    assert all((d * S).denominator == 1 for row in k.table for d in row)
-    assert all(any((d * T).denominator != 1 for row in k.table for d in row)
+    assert all((d * S).denominator == 1 for row in table for d in row)
+    assert all(any((d * T).denominator != 1 for row in table for d in row)
                for T in range(1, S))
     for scale in (S, 3 * S):
         got = k.scaled(scale)
         assert all(type(v) is int for row in got for v in row)
-        assert got == tuple(tuple(scale * d for d in row) for row in k.table)
+        assert got == tuple(tuple(scale * d for d in row) for row in table)
     if radius > 0:
         # the step rows are the pseudo-orbit graph on indices, and its reverse
         graph = pseudo_orbit_graph(system, radius)
@@ -300,7 +301,8 @@ def test_integer_rows_at_lattice_sizes(system):
     oracle = [[system.dist(p, q) for q in k.pts] for p in k.pts]
     if system.backend == "lattice":
         assert oracle == [[oracle_lattice_dist(system, p, q) for q in k.pts] for p in k.pts]
-    assert [list(row) for row in k.table] == oracle
+    # the materialized copy builds its Fractions from the integer rows
+    assert [list(row) for row in materialize(system)[0].space.table] == oracle
     S = k.denominator
     assert S == lcm(*(d.denominator for row in oracle for d in row))
     if system.backend == "explicit":
@@ -328,7 +330,7 @@ def test_kernel_maps_and_powers(system, rng):
         assert k.pts[k.perm[i]] == system.image(p)
         assert k.pts[k.inv[i]] == system.preimage(p)
         for j, q in enumerate(k.pts):
-            assert k.table[i][j] == system.dist(p, q)
+            assert F(k.rows[i][j], k.denominator) == system.dist(p, q)
             if system.backend == "lattice":
                 # the arc tables against the formula they replaced
                 assert system.dist(p, q) == oracle_lattice_dist(system, p, q)
@@ -424,8 +426,13 @@ def test_views_are_keyed_by_value():
 def test_explicit_system_is_its_own_materialization():
     swap = build_explicit(discrete_space(3), (1, 0, 2))
     m, pts = materialize(swap)
-    assert m is swap and m.kernel.table is swap.space.table
-    assert pts == (0, 1, 2)
+    assert m is swap and pts == (0, 1, 2)
+    # a lattice gets a fresh copy on each call, built from its integer rows
+    r12 = build_lattice(12, step=5)
+    (a, pts), (b, _) = materialize(r12), materialize(r12)
+    assert a is not b and a.space == b.space and a.perm == b.perm == r12.kernel.perm
+    assert a.space.table == distance_table(r12) and pts == tuple(r12.points())
+    assert a.kernel.rows is r12.kernel.rows
 
 
 def test_infinite_carriers_have_no_kernel():
@@ -440,18 +447,19 @@ def test_infinite_carriers_have_no_kernel():
     lambda: build_explicit(discrete_space(3), (1, 2, 0)),
 ), ids=("lattice", "explicit"))
 def test_kernel_does_not_keep_its_system_alive(make):
-    # the system caches its kernel; a strong link back would be a cycle
-    # that only the cyclic collector frees
+    # the system caches its kernel; a link back would be a cycle that
+    # only the cyclic collector frees. The kernel is integer data taken
+    # when it is built, so its views still build once the system is gone.
     gc.disable()
     try:
         system = make()
         k = system.kernel
-        k.table, k.sup_scaled, k.within(F(1, 2)), k.pullbacks(F(1, 2))
-        assert k.explicit.kernel.table == k.table
+        want = (k.sup_scaled, k.within(F(1, 2)), k.pullbacks(F(1, 2)))
         alive = weakref.ref(system)
         del system
         assert alive() is None
-        with pytest.raises(ReferenceError):
-            k.explicit
+        fresh = make().kernel
+        assert (fresh.sup_scaled, fresh.within(F(1, 2)), fresh.pullbacks(F(1, 2))) == want
+        assert k.inseparable(F(1, 2)) == fresh.inseparable(F(1, 2))
     finally:
         gc.enable()

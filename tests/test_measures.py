@@ -11,12 +11,12 @@ from pointdyn.rationals import format_rational
 from pointdyn.stability import enumerate_perturbations
 from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
                               build_shift, build_satellite, c0_distance,
-                              point_label, Satellite)
+                              materialize, point_label, Satellite)
 from pointdyn.shiftspace import pure, ShiftBall
 from pointdyn import measures as M
 from pointdyn.errors import MalformedInputError, PreconditionError
 
-from oracles import pullback
+from oracles import distance_table, gamma_set, pullback
 
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3)
@@ -79,11 +79,11 @@ def test_phi_set_on_satellite():
 
 
 def test_gamma_sets():
-    assert M.gamma_set(ID3, 0, F(1, 2), 0) == frozenset({0})
-    assert M.gamma_set(R12K3, 0, F(1, 6), 0) == frozenset({11, 0, 1})
-    assert M.gamma_set(SHIFT2, P01, F(1, 2), P01) == frozenset({P01})
+    assert gamma_set(ID3, 0, F(1, 2), 0) == frozenset({0})
+    assert gamma_set(R12K3, 0, F(1, 6), 0) == frozenset({11, 0, 1})
+    assert gamma_set(SHIFT2, P01, F(1, 2), P01) == frozenset({P01})
     with pytest.raises(PreconditionError):
-        M.gamma_set(R12K3, 0, F(1, 6), 3)  # 3 outside the c-ball of 0
+        gamma_set(R12K3, 0, F(1, 6), 3)  # 3 outside the c-ball of 0
 
 
 def test_mu_expansivity_classifiers():
@@ -191,7 +191,7 @@ def test_lattice_against_its_perturbation_family():
     verdicts = set()
     for g in fam.systems:
         for x in (0, 7):
-            rep = _against_base(z12, fam.base, fam.points, g, x, mu,
+            rep = _against_base(z12, materialize(z12)[0], fam.points, g, x, mu,
                                 F(1, 4), F(1, 12), F(1, 8))
             verdicts.add(rep.result)
     assert verdicts == {True, False}
@@ -199,11 +199,11 @@ def test_lattice_against_its_perturbation_family():
 
 def test_torus_against_index_perturbations():
     cat5 = bundled_system("cat5")
-    k = cat5.kernel
-    base, pts = k.explicit, k.pts
+    k, table = cat5.kernel, distance_table(cat5)
+    base, pts = materialize(cat5)
     # cat5 with the images of two points a fifth apart swapped, on indices
     swaps = [(a, b) for a in range(25) for b in range(a + 1, 25)
-             if k.table[k.perm[a]][k.perm[b]] == F(1, 5)][:6]
+             if table[k.perm[a]][k.perm[b]] == F(1, 5)][:6]
     perturbations = [ExplicitSystem(base.space, k.perm, name="cat5~same")]
     for a, b in swaps:
         perm = list(k.perm)

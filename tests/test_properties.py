@@ -17,7 +17,8 @@ from pointdyn.expansivity import classify_points, uniformly_expansive_at, \
     expansive_point_at
 from pointdyn.shadowing import (shadowable_windowed, shadowable_exact,
                                 shadowable_exact_neighborhood)
-from pointdyn.measures import (WeightedMeasure, phi_set, gamma_set,
+from pointdyn.measures import (WeightedMeasure, phi_set, measure_of,
+                               measure_sequence_criterion,
                                mu_uniformly_expansive_at, mu_expansive_points,
                                build_tracking_map, tracking_within_ball,
                                tracking_commutes)
@@ -25,9 +26,9 @@ from pointdyn.shadowing import mu_shadowable_at
 from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
                                 find_exact_isomorphism, gh_distance_bounds,
                                 transport_under_conjugacy)
-from pointdyn.rationals import dyadic_below
+from pointdyn.rationals import dyadic_below, format_rational
 
-from oracles import pullback
+from oracles import gamma_set, pullback
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -333,7 +334,6 @@ def test_pullback_preserves_transported_mass(data):
     perm = data.draw(st.permutations(range(n)))
     h = {i: perm[i] for i in range(n)}
     nu = pullback(h, mu)
-    from pointdyn.measures import measure_of
     A = frozenset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
     hA = frozenset(h[a] for a in A)
     assert measure_of(nu, hA) == measure_of(mu, A)
@@ -356,6 +356,34 @@ def test_gamma_inside_phi_and_ball(system, data):
     half_ball = system_ball(system, x, c / 2)
     if y in half_ball:
         assert gamma_set(system, x, c / 2, y) <= gamma
+
+
+@given(perm_systems(2, 5), st.data())
+def test_companion_scan_matches_gamma_sets(system, data):
+    # the measure layer scans kernel rows once per ball; the reference
+    # route cuts each ball point's gamma set from its phi set and the ball
+    from pointdyn.systems import system_ball
+    pts = list(system.points())
+    mu = WeightedMeasure.from_weights(
+        {p: data.draw(st.sampled_from((0, 0, 1, F(1, 2)))) for p in pts[:-1]} | {pts[-1]: 1})
+    x = data.draw(st.sampled_from(pts))
+    c = data.draw(st.sampled_from(SCALES))
+    ball = sorted(system_ball(system, x, c))
+    heavy = [(z, measure_of(mu, gamma_set(system, x, c, z))) for z in ball]
+    heavy = [(z, m) for z, m in heavy if m != 0]
+    verdict = mu_uniformly_expansive_at(system, mu, x, c)
+    assert verdict.result == (not heavy)
+    if heavy:
+        z, mass = heavy[0]
+        assert verdict.counterexample == (z,)
+        assert verdict.detail == f"gamma set of {z} has measure {format_rational(mass)}"
+    # the sequence criterion asks the same at radius delta, constant delta/3
+    third_ball = frozenset(system_ball(system, x, c))
+    failing = [z for z in ball
+               if measure_of(mu, phi_set(system, z, c / 3) & third_ball) != 0]
+    crit = measure_sequence_criterion(system, [system], mu, x, c)
+    assert crit.result == (not failing)
+    assert crit.counterexample == (None if not failing else (failing[0],))
 
 
 @given(perm_systems(2, 4), st.data())

@@ -21,7 +21,7 @@ from pointdyn import shadowing as SH
 from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
-from oracles import enumerate_pseudo_orbits, pseudo_orbit_graph
+from oracles import distance_table, enumerate_pseudo_orbits, pseudo_orbit_graph
 from test_kernel import finite_systems
 
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
@@ -34,10 +34,11 @@ UNI12 = WeightedMeasure.from_weights({p: 1 for p in range(12)})
 # -- oracle: the frozenset decider the bitset one replaced ---------------------
 
 
-def oracle_half_limit_sets(kernel, x, eps, delta, forward):
+def oracle_half_limit_sets(system, x, eps, delta, forward):
     """Limit tracer sets of one time direction, as frozensets of indices,
     by exploring every state and trimming each layer until it is stable."""
-    dist, perm = kernel.table, kernel.perm
+    kernel = system.kernel
+    dist, perm = distance_table(system), kernel.perm
     rng = range(len(perm))
     powers = [list(rng)]            # powers[e][z] = f^e z, stepped from perm
     for _ in range(kernel.order - 1):
@@ -101,7 +102,7 @@ def oracle_shadowable_windowed(system, x, eps, delta, N, budget=None):
 def distances(system):
     """The carrier's positive distances, ascending: drawing eps and delta
     from them exercises d == eps and d == delta, both excluded (strict)."""
-    return sorted({d for row in system.kernel.table for d in row if d > 0}) or [F(1)]
+    return sorted({d for row in distance_table(system) for d in row if d > 0}) or [F(1)]
 
 
 def assert_matches_oracle(system, eps, delta):
@@ -110,7 +111,7 @@ def assert_matches_oracle(system, eps, delta):
         halves = []
         for forward in (True, False):
             got = SH._half_limit_sets(k, x, eps, delta, forward)
-            want = oracle_half_limit_sets(k, x, eps, delta, forward)
+            want = oracle_half_limit_sets(system, x, eps, delta, forward)
             if got is None:
                 assert frozenset() in want
             else:
@@ -354,7 +355,7 @@ def test_transient_tracer_sets_are_not_limits():
                        (1, 2, 0))
     for forward in (True, False):
         assert SH._half_limit_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b001}
-        assert oracle_half_limit_sets(f.kernel, 0, F(3, 2), F(1), forward) == \
+        assert oracle_half_limit_sets(f, 0, F(3, 2), F(1), forward) == \
             {frozenset({0})}
     assert_matches_oracle(f, F(3, 2), F(1))
 

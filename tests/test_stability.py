@@ -25,7 +25,7 @@ from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
 from pointdyn.errors import (CarrierMismatchError, PreconditionError,
                              ResourceBudgetError)
 
-from oracles import enumerate_pseudo_orbits
+from oracles import distance_table, enumerate_pseudo_orbits
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -50,6 +50,32 @@ def test_conjugacy_with_itself_is_identity_on_orbit():
     assert res.success and res.residual == 0
     assert res.mapping == {0: 0, 3: 3, 6: 6, 9: 9}
     assert res.eta == F(1, 6) / 16
+
+
+# 0 lies 1/2 from 1 and from 2, which lie 1 apart; V3 is the identity
+# and V3_SWAP swaps 1 and 2 (c0 distance 1). At eta 3/4 only 0 traces
+# the swap's orbit (1, 2), and the least tracer of 1 under V3 is 0, so
+# the semiconjugacy and the GH trace both move 1 by exactly 1/2.
+V3 = ExplicitSystem(FiniteMetricSpace([[0, F(1, 2), F(1, 2)], [F(1, 2), 0, 1],
+                                       [F(1, 2), 1, 0]]), (0, 1, 2), name="v3")
+V3_SWAP = ExplicitSystem(V3.space, (0, 2, 1), name="v3swap")
+
+
+def test_conjugacy_residual_at_and_beyond_eps():
+    at = build_conjugacy(V3, V3_SWAP, 1, F(1, 2), 1, eta=F(3, 4))
+    assert at.success and at.mapping == {1: 0, 2: 0}
+    assert at.residual == F(1, 2) and type(at.residual) is F
+    beyond = build_conjugacy(V3, V3_SWAP, 1, F(1, 3), 1, eta=F(3, 4))
+    assert not beyond.success and beyond.failed_step == "residual"
+    assert beyond.residual == F(1, 2) and beyond.detail == "sup displacement 1/2 exceeds eps"
+
+
+def test_gh_trace_refuses_an_image_exactly_eps_from_j():
+    rep = gh_stable_point_check(V3, 1, F(1, 2), F(1, 2), [V3], eta=F(3, 4))
+    assert not rep.result and rep.entries[0].status == "fail"
+    assert rep.entries[0].detail == "1: conjugacy image strays to eps or beyond from j"
+    rep = gh_stable_point_check(V3, 1, F(3, 5), F(1, 2), [V3], eta=F(3, 4))
+    assert rep.result and rep.entries[0].status == "pass"
 
 
 def test_conjugacy_enforces_c0_gap():
@@ -106,20 +132,21 @@ def explicit_systems(draw, min_n=2, max_n=6, palette=EXPLICIT_PALETTE):
 def carrier_radius(data, system):
     """A positive distance value of the carrier, so that the closed
     bound c0 <= delta is hit by some map."""
-    values = sorted({d for row in system.kernel.table for d in row if d > 0})
+    values = sorted({d for row in distance_table(system) for d in row if d > 0})
     return data.draw(st.sampled_from(values))
 
 
 def perturbation_oracle(base, delta):
     """The permutations p of base's carrier with c0_distance(base, p) <=
     delta, in lexicographic order. Each index keeps the images within
-    delta of its base image by a Fraction compare on the table, and
+    delta of its base image by a Fraction compare on the dist table, and
     itertools.product runs through those ascending lists in order."""
-    n, table = base.space.n, base.space.table
-    images = [[v for v in range(n) if table[base.perm[u]][v] <= delta]
-              for u in range(n)]
+    pts, table = base.points(), distance_table(base)
+    n, space = len(pts), materialize(base)[0].space
+    images = [[v for v in range(n) if table[pts.index(base.image(p))][v] <= delta]
+              for p in pts]
     return [p for p in product(*images) if len(set(p)) == n
-            and c0_distance(base, ExplicitSystem(base.space, p)) <= delta]
+            and c0_distance(base, ExplicitSystem(space, p)) <= delta]
 
 
 def assert_family_is(fam, want):
@@ -255,7 +282,7 @@ def test_torus_against_its_perturbation_family():
         rep = verify_topologically_stable_point(
             cat5, x, F(1, 4), F(1, 10), fam, expansivity_c=F(1, 10))
         ref = verify_topologically_stable_point(
-            fam.base, cat5.kernel.index[x], F(1, 4), F(1, 10), fam,
+            materialize(cat5)[0], cat5.kernel.index[x], F(1, 4), F(1, 10), fam,
             expansivity_c=F(1, 10))
         assert rep.result == ref.result
         assert [e.status for e in rep.entries] == [e.status for e in ref.entries]
@@ -269,7 +296,8 @@ def test_torus_against_its_perturbation_family():
 def three_routes(f, x, eps, delta, fam, **kw):
     """The stable-point reports against the family itself, its systems,
     and fresh copies of its maps, which take the per-system route."""
-    copies = [ExplicitSystem(fam.base.space, p, name=fam.name(i))
+    space = materialize(fam.base)[0].space
+    copies = [ExplicitSystem(space, p, name=fam.name(i))
               for i, p in enumerate(fam.perms)]
     return [verify_topologically_stable_point(f, x, eps, delta, maps, **kw)
             for maps in (fam, list(fam.systems), copies)]
@@ -283,6 +311,28 @@ def assert_same_reports(reports):
         assert len(rep.entries) == len(first.entries)
         for got, want in zip(rep.entries, first.entries):
             assert got == want
+
+
+def test_a_lattice_family_builds_no_explicit_system(monkeypatch):
+    # the family keeps its input system as base and checks its carrier by
+    # token; only reading fam.systems materializes the base, once
+    built = []
+    init = ExplicitSystem.__init__
+
+    def counted(self, *args, **kw):
+        built.append(kw.get("name"))
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(ExplicitSystem, "__init__", counted)
+    z12 = build_lattice(12, step=1)
+    fam = enumerate_perturbations(z12, F(1, 12))
+    assert fam.base is z12
+    for x in z12.points():
+        rep = verify_topologically_stable_point(z12, x, F(1, 4), F(1, 12), fam)
+        assert len(rep.entries) == len(fam)
+    assert built == []
+    fam.systems
+    assert len(built) == len(fam) + 1
 
 
 def test_verify_routes_agree_on_z12():
@@ -427,9 +477,9 @@ def test_identity_pair_for_close_rotations():
 
 def fraction_clauses(m, X, Y):
     """The clause values of m: X -> Y by the Fraction route on the
-    kernels' explicit systems."""
+    systems' dist tables."""
     fk, gk = X.kernel, Y.kernel
-    src, dst = fk.explicit.space, gk.explicit.space
+    src, dst = (FiniteMetricSpace(distance_table(s)) for s in (X, Y))
     comm = max(dst.table[gk.perm[m[u]]][m[fk.perm[u]]] for u in range(src.n))
     return (distortion(m, src, dst), hausdorff_distance(dst, set(m), range(dst.n)),
             comm)
@@ -506,8 +556,8 @@ def test_clause_values_read_only_integer_rows():
     X, Y = build_lattice(16, step=3), build_lattice(5, kind="torus", matrix=(2, 1, 1, 1))
     mp = (0, 1, 2) * 5 + (24,)
     got = _clause_values(mp, X.kernel, Y.kernel)
-    for k in (X.kernel, Y.kernel):
-        assert "table" not in vars(k) and k._explicit is None
+    for k in (X.kernel, Y.kernel):      # a kernel has no Fraction table to read
+        assert not {"table", "explicit", "system", "_explicit"} & set(dir(k))
     assert got == fraction_clauses(mp, X, Y)
 
 

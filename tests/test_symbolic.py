@@ -20,6 +20,7 @@ import pytest
 
 from pointdyn.bundled import bundled_measure, bundled_system, mixed_sample
 from pointdyn.cli import main
+from pointdyn.errors import PreconditionError
 from pointdyn.expansivity import (expansive_point_at, is_expansive_on,
                                   minimally_expansive_at, point_verdicts,
                                   uniformly_expansive_at)
@@ -137,6 +138,24 @@ def test_shift_classifiers_read_the_shift_probes():
     _, out = _report("classify bundled:shift2 --variant mu-uniform --c 1/2 "
                      "--measure bundled:bernoulli_half")
     assert json.loads(out)["results"]["points"] == [point_label(p) for p in probes]
+
+
+def test_a_probe_narrows_a_finite_sample():
+    # on a finite carrier a probe was once widened to the whole carrier by
+    # point_verdicts, mu_expansive_points and classify --variant shadow
+    id3, mu, c = bundled_system("id3"), bundled_measure("nullpoint3"), F(1, 2)
+    assert id3.sample([2, 1]) == [2, 1] and id3.sample() == [0, 1, 2]
+    assert list(point_verdicts(id3, "uniform", c, probe=[2])) == [2]
+    assert mu_expansive_points(id3, mu, c) == frozenset({0})
+    assert mu_expansive_points(id3, mu, c, probe=[2, 1]) == frozenset()
+    shadow = "classify bundled:id3 --variant shadow --eps 1/2 --delta 1/2"
+    for probe, want in (("", ["0", "1", "2"]), (" --probe 2 --probe 1", ["1", "2"])):
+        code, out = _report(shadow + probe)
+        assert code == 0 and sorted(json.loads(out)["results"]["certificates"]) == want
+    # the Phi-set check still asks at the whole finite carrier
+    with pytest.raises(PreconditionError, match="probed in full"):
+        expansive_measure_check(id3, mu, c, probe=[2, 1])
+    assert expansive_measure_check(id3, mu, c, probe=[2, 1, 0]).probes == (0, 1, 2)
 
 
 @pytest.mark.parametrize("argv, digest", (

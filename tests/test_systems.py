@@ -8,12 +8,12 @@ from pointdyn.bundled import bundled_system
 from pointdyn.expansivity import (expansive_point_at, minimally_expansive_at,
                                   point_verdicts, uniformly_expansive_at)
 from pointdyn.measures import build_tracking_map, phi_set
-from pointdyn.metric import discrete_space
+from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.stability import build_conjugacy, gh_stable_point_check
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               build_satellite, Satellite, orbit, orbit_closure,
                               iterate, pair_sup_separation, c0_distance,
-                              system_ball, materialize, conjugate_system,
+                              check_carrier, system_ball, materialize, conjugate_system,
                               is_self_isometry, point_label)
 from pointdyn.shadowing import shadowable_exact, shadowable_windowed
 from pointdyn.shiftspace import pure, parse_ep
@@ -141,6 +141,23 @@ def test_c0_distance_values():
     assert c0_distance(materialize(r5)[0], r1) == F(1, 3)
     with pytest.raises(CarrierMismatchError):
         c0_distance(cat5, materialize(r1)[0])
+
+
+def test_check_carrier_compares_integer_rows():
+    # a lattice and its materialized copy: test_c0_distance_values
+    r12 = build_lattice(12, step=5)
+    twin = conjugate_system(r12, {p: 5 * p % 12 for p in range(12)})   # metric kept
+    check_carrier(r12, twin)
+    check_carrier(twin, r12)
+    # one entry off, at the same least denominator 12
+    flat = materialize(r12)[0]
+    table = [list(row) for row in flat.space.table]
+    table[0][6] = F(5, 12)
+    near = build_explicit(FiniteMetricSpace(table), flat.perm)
+    assert near.kernel.denominator == r12.kernel.denominator
+    for f, g in ((r12, near), (near, r12), (flat, near)):
+        with pytest.raises(CarrierMismatchError):
+            check_carrier(f, g)
 
 
 @pytest.mark.parametrize("name, x", [("r12k3", 99), ("cat5", (7, 7)),
