@@ -9,8 +9,12 @@ a fresh system, timed alone with the views it reads already built:
 - ``inseparable``: the bitset rows inseparable(c), over sup_scaled;
 - ``twin``: conjugate_system(..., transport_metric=True) with a seeded
   bijection, the relabeled twin of the classify-lattice workload: the
-  gather of the source's integer rows and the twin's Fractions, one per
-  distinct value, built from them;
+  gather of the source's integer rows into the twin's space, which builds
+  no Fraction table until one is read;
+- ``carrier``: check_carrier between the rung and a second copy built
+  separately, both with their integer rows built: a comparison of the
+  two carrier tokens, which on a finite carrier are the (denominator,
+  rows) pairs;
 - ``pullbacks``: the pull-backs pullbacks(c) of within(c), one bitset
   row per point and exponent below the order, which both shadowing
   deciders read. It costs O(order * n) whatever the code, so rungs whose
@@ -140,30 +144,37 @@ def counters(kernel):
 
 
 def layers(systems):
-    """(layer, prepare, build): prepare(system, c) warms what the layer
-    reads; build(system, c) is the timed call."""
-    def warm_rows(system, c):
+    """(layer, prepare, build): prepare(system, c, make) warms what the
+    layer reads and returns the build's third argument; build(system, c,
+    arg) is the timed call."""
+    def warm_rows(system, c, make=None):
         k = system.kernel
         k.scaled(k.denominator), k.cycles
 
-    def warm_within(system, c):
+    def warm_within(system, c, make):
         warm_rows(system, c)
         system.kernel.within(c)
 
-    def warm_sup(system, c):
+    def warm_sup(system, c, make):
         warm_rows(system, c)
         system.kernel.sup_scaled
 
-    def warm_twin(system, c):
+    def warm_twin(system, c, make):
         warm_rows(system, c)
         pts = system.kernel.pts
         return dict(zip(pts, Random(len(pts)).sample(pts, len(pts))))
+
+    def warm_copy(system, c, make):
+        other = make()
+        warm_rows(system, c), warm_rows(other, c)
+        return other
 
     return (("sup_scaled", warm_rows, lambda s, c, _: s.kernel.sup_scaled),
             ("within", warm_rows, lambda s, c, _: s.kernel.within(c)),
             ("inseparable", warm_sup, lambda s, c, _: s.kernel.inseparable(c)),
             ("twin", warm_twin,
              lambda s, c, h: systems.conjugate_system(s, h, transport_metric=True)),
+            ("carrier", warm_copy, lambda s, c, other: systems.check_carrier(s, other)),
             ("pullbacks", warm_within, lambda s, c, _: s.kernel.pullbacks(c)))
 
 
@@ -178,7 +189,7 @@ def measure(label, repeats):
             best = None
             for _ in range(repeats):
                 system = make()
-                arg = prepare(system, c)
+                arg = prepare(system, c, make)
                 # whether a collection falls inside the timed call must not
                 # depend on the garbage the earlier rungs left behind
                 gc.collect()

@@ -21,7 +21,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
 from .rationals import (Frozen, ZERO, as_rational, dyadic_below, format_rational,
                         positive, resolve_budget)
-from .systems import (c0_distance, check_carrier, floor_scaled,
+from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
                       gatherer, materialize, members, orbit_closure,
                       pair_sup_separation, point_index, point_label)
 
@@ -152,8 +152,8 @@ class PerturbationFamily(Frozen):
     def systems(self) -> tuple:
         """The perturbations as ExplicitSystems on the space of base,
         materialized once, on first access."""
-        flat = materialize(self.base)[0]
-        return tuple(flat.with_map(p, self.name(i)) for i, p in enumerate(self.perms))
+        space = materialize(self.base)[0].space
+        return tuple(ExplicitSystem(space, p, self.name(i)) for i, p in enumerate(self.perms))
 
 
 def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:

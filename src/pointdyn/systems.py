@@ -9,7 +9,7 @@ periodic orbit of the shift. Infinite carriers answer set-level
 questions through symbolic objects (ShiftBall, ShiftOrbitClosure,
 SatelliteBall) instead of enumeration; every answer stays exact. A finite
 backend hands its FiniteKernel integer rows: lattices rotate and concatenate
-their integer arcs, an explicit system converts its Fraction table once.
+their integer arcs, an explicit system hands over the rows its space owns.
 """
 
 import hashlib
@@ -86,10 +86,10 @@ class MetricSystem:
     def sample(self, probe=None) -> list:
         """The points a question about every point is asked at: the points
         of probe when one is given, else the whole carrier when finite or
-        the system's own probes."""
-        if probe is not None:
-            return list(probe)
-        return list(self.points() if self.finite else self.probes)
+        the system's own probes; each point once, at its first place."""
+        if probe is None:
+            probe = self.points() if self.finite else self.probes
+        return list(dict.fromkeys(probe))
 
     def dist(self, x, y) -> Fraction:
         raise NotImplementedError
@@ -101,7 +101,10 @@ class MetricSystem:
         raise NotImplementedError
 
     def carrier_token(self):
-        raise NotImplementedError
+        """A finite carrier's token is its kernel's (denominator, rows): D is
+        the least common denominator, so equal tokens mean equal tables."""
+        kernel = self.kernel
+        return kernel.denominator, kernel.rows
 
     def describe(self) -> str:
         raise NotImplementedError
@@ -157,27 +160,8 @@ class ExplicitSystem(MetricSystem):
     def preimage(self, x):
         return self.inv[x]
 
-    def carrier_token(self):
-        return ("explicit", self.space.table)
-
-    _integers = None            # (D, rows) handed over by _explicit or with_map
-
-    def with_map(self, perm, name) -> "ExplicitSystem":
-        """The system with map perm on this carrier and metric; it shares the
-        integer rows of this system's kernel instead of converting them."""
-        system = ExplicitSystem(self.space, perm, name)
-        system._integers = self.kernel.denominator, self.kernel.rows
-        return system
-
     def _integer_table(self):
-        if self._integers is not None:
-            return self._integers
-        # one conversion per distinct object: a table's n^2 entries share a few
-        table = self.space.table
-        values = {id(d): d for row in table for d in row}
-        D = lcm(*(d.denominator for d in values.values()))
-        ints = {key: d.numerator * (D // d.denominator) for key, d in values.items()}
-        return D, tuple(tuple(map(ints.__getitem__, map(id, row))) for row in table)
+        return self.space.denominator, self.space.rows
 
     def describe(self):
         rows = [f"explicit n={self.space.n}"]
@@ -217,9 +201,6 @@ class CircleSystem(MetricSystem):
 
     def preimage(self, x):
         return (x - self.step) % self.n
-
-    def carrier_token(self):
-        return ("circle", self.n)
 
     def _integer_table(self):
         return self.n, _arc_rows(self._arcs)
@@ -264,9 +245,6 @@ class TorusSystem(MetricSystem):
     def preimage(self, x):
         a, b, c, d = self.inv_matrix
         return ((a * x[0] + b * x[1]) % self.n, (c * x[0] + d * x[1]) % self.n)
-
-    def carrier_token(self):
-        return ("torus", self.n)
 
     def _integer_table(self):
         # row (u, v) is n blocks, one per u': the circle row of v maxed
@@ -383,8 +361,9 @@ class SatelliteSystem(ShiftSystem):
 
     def sample(self, probe=None) -> list:
         """The points of probe (by default the system's own probes), then
-        every satellite point."""
-        return super().sample(probe) + self.satellite_points()
+        every satellite point; a probe may itself be a satellite point, so
+        each point is kept once, at its first place."""
+        return list(dict.fromkeys(super().sample(probe) + self.satellite_points()))
 
     def dist(self, x, y):
         if x == y:
@@ -428,7 +407,7 @@ class FiniteKernel:
     integer data taken once, when it is built, and keeps no link back to
     its system: denominator D, the least S with S * table integral, and
     the rows = D * table (the system's _integer_table: integer arcs on a
-    lattice, one conversion of an explicit table, a twin's source rows).
+    lattice, the rows of an explicit system's space).
     A radius r meets these rows and sup_scaled as floor_scaled(r, D,
     closed). Only a comparison of two kernels reads scaled(S), at S = lcm
     of their denominators. sup_scaled, the cycles, the order, and per
@@ -696,23 +675,15 @@ def point_index(system, x) -> int:
 
 
 def check_carrier(f, g) -> None:
-    """CarrierMismatchError unless f and g share a carrier.
-
-    Systems share a carrier when their carrier tokens are equal, and two
-    finite systems also when their distance tables are equal: D is the
-    least common denominator, so equal (D, rows) pairs mean equal tables.
-    Either way index i stands for f.kernel.pts[i] on both sides, whatever
-    labels g gives its points: a lattice and a perturbation enumerated
-    on its indices share a carrier.
+    """CarrierMismatchError unless f and g share a carrier, i.e. their
+    carrier tokens are equal: two finite systems share one when their
+    distance tables are equal. Index i then stands for f.kernel.pts[i] on
+    both sides, whatever labels g gives its points: a lattice and a
+    perturbation enumerated on its indices share a carrier.
     """
-    if f.carrier_token() == g.carrier_token():
-        return
-    if f.finite and g.finite:
-        fk, gk = f.kernel, g.kernel
-        if (fk.denominator, fk.rows) == (gk.denominator, gk.rows):
-            return
-    raise CarrierMismatchError(
-        f"carriers differ: {f.carrier_token()[0]} vs {g.carrier_token()[0]}")
+    if f.carrier_token() != g.carrier_token():
+        raise CarrierMismatchError(
+            f"carriers differ: {f.name} ({f.backend}) vs {g.name} ({g.backend})")
 
 
 # -- builders ------------------------------------------------------------
@@ -939,22 +910,13 @@ def materialize(system) -> tuple:
     """Finite system as (ExplicitSystem, points); index i <-> pts[i].
 
     An ExplicitSystem is its own materialization; any other system gets a
-    fresh one on each call, built from its kernel's integer rows.
+    fresh one on each call, on the space of its kernel's integer rows.
     """
     kernel = system.kernel
     if isinstance(system, ExplicitSystem):
         return system, kernel.pts
-    return _explicit(kernel.denominator, kernel.rows, kernel.perm, system.name), kernel.pts
-
-
-def _explicit(D, rows, perm, name) -> ExplicitSystem:
-    """The ExplicitSystem of the integer rows D * table: one Fraction per
-    distinct value, and the rows handed over as its integer table."""
-    values = {s: Fraction(s, D) for s in set().union(*rows)}
-    system = ExplicitSystem(FiniteMetricSpace(tuple(tuple(map(values.__getitem__, row))
-                                                    for row in rows)), perm, name)
-    system._integers = D, rows
-    return system
+    space = FiniteMetricSpace.from_rows(kernel.denominator, kernel.rows)
+    return ExplicitSystem(space, kernel.perm, system.name), kernel.pts
 
 
 def _is_bijection(relabel: dict, pts) -> bool:
@@ -998,4 +960,5 @@ def conjugate_system(system, relabel: dict, name=None,
         # twin index i carries the point inv[pts[i]]: gather at its source index
         take = gatherer([kernel.index[inv[p]] for p in pts])
         rows = tuple(map(take, take(rows)))
-    return _explicit(kernel.denominator, rows, perm, name or f"{system.name}_conj")
+    space = FiniteMetricSpace.from_rows(kernel.denominator, rows)
+    return ExplicitSystem(space, perm, name or f"{system.name}_conj")

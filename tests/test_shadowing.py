@@ -10,9 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import build_explicit, build_lattice, build_shift, members
-from pointdyn.shiftspace import pure, with_symbol, shift_metric
+from pointdyn.shiftspace import EPPoint, pure, with_symbol, shift_metric
 from pointdyn.cli import main
 from pointdyn.measures import (WeightedMeasure, build_tracking_map,
+                               expansive_measure_check, measure_sequence_criterion,
                                verify_strong_mu_topological_stability)
 from pointdyn.stability import (build_conjugacy, gh_stable_point_check,
                                 search_delta_isometries,
@@ -29,6 +30,7 @@ R12K3 = build_lattice(12, step=3)
 SHIFT2 = build_shift(2)
 P01 = pure((0, 1))
 UNI12 = WeightedMeasure.from_weights({p: 1 for p in range(12)})
+NULL3 = WeightedMeasure.from_weights({0: 0, 1: 1, 2: 1})
 
 
 # -- oracle: the frozenset decider the bitset one replaced ---------------------
@@ -223,6 +225,11 @@ def test_non_positive_scales_are_rejected(eps, delta):
         with pytest.raises(PreconditionError, match=what):
             verify_strong_mu_topological_stability(R12K3, UNI12, 0, F(1, 4), F(1, 12),
                                                    R12K3, expansivity_c=delta)
+        # the measure layer's scales: c for the Phi-sets, delta for the ball
+        with pytest.raises(PreconditionError, match=what):
+            expansive_measure_check(ID3, NULL3, delta)
+        with pytest.raises(PreconditionError, match="delta must be positive"):
+            measure_sequence_criterion(ID3, [ID3], NULL3, 0, delta)
 
 
 def test_windowed_budget_refusal():
@@ -303,6 +310,34 @@ def test_splice_of_true_orbit_stays_close():
     z0 = SH.splice_trace_shift(SHIFT2, SH.PseudoOrbitWindow(tuple(orb), F(1, 8)), 3)
     for n in range(-N, N + 1):
         assert shift_metric(z0.shift_by(n), orb[n + N]) <= F(1, 16)
+
+
+@st.composite
+def spliceable_windows(draw):
+    """(window entries, m): 2N + 1 shift points, each agreeing with the
+    shift of the one before on every |i| <= m, so every gap is below 2^-m."""
+    m, N = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    word = st.lists(st.integers(0, 1), min_size=1, max_size=3)
+    x = EPPoint(draw(word), draw(st.lists(st.integers(0, 1), max_size=5)), draw(word),
+                draw(st.integers(-6, 6)))
+    entries = [x]
+    for _ in range(2 * N):
+        x = x.shift_by(1)
+        for pos in draw(st.lists(st.integers(m + 1, m + 6), max_size=3)):
+            x = with_symbol(x, draw(st.sampled_from((pos, -pos))), draw(st.integers(0, 1)))
+        entries.append(x)
+    return entries, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(spliceable_windows())
+def test_splice_stays_within_half_the_gap_of_every_entry(window):
+    # the tails outside the window copy the end entries' own tails
+    entries, m = window
+    z = SH.splice_trace_shift(SHIFT2, entries, m)
+    N = (len(entries) - 1) // 2
+    for n in range(-N, N + 1):
+        assert shift_metric(z.shift_by(n), entries[n + N]) <= F(1, 2 ** (m + 1))
 
 
 def test_splice_validates_window():

@@ -87,6 +87,21 @@ def test_conjugacy_enforces_c0_gap():
     assert not res.success and res.failed_step == "shadowing"
 
 
+def test_a_tracer_that_does_not_close_up_fails_well_definedness():
+    # the swap of nearpair4's points 0 and 1, at 1/100, against the identity:
+    # the tracer 0 of the fixed point 0 has period 2, not 1
+    nearpair4 = bundled_system("nearpair4")
+    swap01 = ExplicitSystem(nearpair4.space, (1, 0, 2, 3), name="swap01")
+    res = build_conjugacy(swap01, nearpair4, 0, F(1, 2), F(1, 2), eta=F(1, 50))
+    assert not res.success and res.failed_step == "well-definedness"
+    assert res.domain == (0,) and res.mapping is None
+    assert "separate by only 1/100" in res.detail
+    rep = verify_topologically_stable_point(swap01, 0, F(1, 2), F(1, 2), [nearpair4],
+                                            eta=F(1, 50))
+    assert not rep.result
+    assert [(e.status, e.note) for e in rep.entries] == [("failed", "well-definedness")]
+
+
 def test_enumerate_perturbations_counts():
     fam = enumerate_perturbations(ID3, F(1, 2))
     assert len(fam) == 1 and fam.systems[0].perm == (0, 1, 2)

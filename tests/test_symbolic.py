@@ -158,6 +158,23 @@ def test_a_probe_narrows_a_finite_sample():
     assert expansive_measure_check(id3, mu, c, probe=[2, 1, 0]).probes == (0, 1, 2)
 
 
+def test_a_repeated_probe_point_is_sampled_once():
+    # each point once, at its first place, as point_verdicts keys by point
+    id3, mu, c = bundled_system("id3"), bundled_measure("nullpoint3"), F(1, 2)
+    assert id3.sample([2, 0, 2, 1, 0]) == [2, 0, 1]
+    assert expansive_measure_check(id3, mu, c, probe=[0, 0, 1, 2]).probes == (0, 1, 2)
+    shift2, coin = bundled_system("shift2"), bundled_measure("bernoulli_half")
+    probes = list(shift2.probes)
+    assert shift2.sample(probes * 2) == probes
+    report = expansive_measure_check(shift2, coin, c, probe=probes * 2)
+    assert report.probes == tuple(sorted_points(probes))
+    assert list(point_verdicts(shift2, "uniform", c, probe=probes * 2)) == sorted_points(probes)
+    # a satellite probe comes first and is not listed again among the satellites
+    sat, q = bundled_system("satellite3"), Satellite(1, 1, 0)
+    assert sat.sample([q]) == [q] + [p for p in sat.satellite_points() if p != q]
+    assert sat.sample([q, q]) == sat.sample([q])
+
+
 @pytest.mark.parametrize("argv, digest", (
     ("validate bundled:shift2",
      "7aa78a82033bcf46c6ab4fb7a8bc01d9ff4a1162c8c138a1266f09886d5e0f1f"),

@@ -1,12 +1,14 @@
 """System backends: lattices, shifts, satellites, orbits, C0 distance."""
 
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
 from pointdyn.bundled import bundled_system
-from pointdyn.expansivity import (expansive_point_at, minimally_expansive_at,
-                                  point_verdicts, uniformly_expansive_at)
+from pointdyn.expansivity import (classify_points, expansive_point_at,
+                                  minimally_expansive_at, point_verdicts,
+                                  uniformly_expansive_at)
 from pointdyn.measures import build_tracking_map, phi_set
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.stability import build_conjugacy, gh_stable_point_check
@@ -19,6 +21,8 @@ from pointdyn.shadowing import shadowable_exact, shadowable_windowed
 from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.errors import (MalformedInputError, CarrierMismatchError,
                              PreconditionError)
+
+from oracles import distance_table
 
 P01 = pure((0, 1))
 
@@ -216,6 +220,28 @@ def test_materialize_round_trip():
     m2, pts2 = materialize(swap)
     assert m2.perm == (1, 0, 2) and tuple(pts2) == (0, 1, 2)
     assert m2.space == swap.space
+
+
+def test_a_relabeled_twin_is_classified_without_its_fraction_table():
+    cat9 = build_lattice(9, kind="torus", matrix=(2, 1, 1, 1))
+    pts = cat9.points()
+    h = dict(zip(pts, Random(9).sample(pts, len(pts))))
+    twin = conjugate_system(cat9, h, transport_metric=True)
+    index = {p: i for i, p in enumerate(pts)}
+    for variant in ("expansive", "uniform", "minimal"):
+        want = {index[h[p]] for p in classify_points(cat9, variant, F(1, 4))}
+        assert set(classify_points(twin, variant, F(1, 4))) == want
+    assert "table" not in vars(twin.space)
+    # read, the table carries the metric over: twin index i stands for h^-1(pts[i])
+    inv = [{v: k for k, v in h.items()}[p] for p in pts]
+    assert twin.space.table == tuple(tuple(cat9.dist(p, q) for q in inv) for p in inv)
+    assert twin.space.table == distance_table(twin)
+    assert materialize(cat9)[0].space.table == distance_table(cat9)
+    # a space equals the space of its (D, rows), and hashes alike
+    for space in (twin.space, materialize(cat9)[0].space, bundled_system("nearpair4").space):
+        again = FiniteMetricSpace.from_rows(space.denominator, space.rows)
+        assert again == space and hash(again) == hash(space)
+        assert FiniteMetricSpace(space.table) == again
 
 
 def test_conjugation_and_self_isometry():
