@@ -17,10 +17,22 @@ a fresh system, timed alone with the views it reads already built:
   rows) pairs;
 - ``pullbacks``: the pull-backs pullbacks(c) of within(c), one bitset
   row per point and exponent below the order, which both shadowing
-  deciders read. It costs O(order * n) whatever the code, so rungs whose
+  deciders read. The view builds a row when it is first read, so the
+  timed call reads every exponent, as the records of BENCH_14-18 built
+  them. It costs O(order * n) whatever the code, so rungs whose
   order exceeds 1 000 (cycles43 and coprime400) are left out of this
   layer: there one build would time the size of the view, not the way
   the code steps f.
+- ``decider``: shadowable_exact at the rung's first point, at (eps,
+  delta) = (5/4, 5/4) and (7/5, 1/2), on a fresh system with its integer
+  rows and cycles built (c holds "eps delta"). Its counters are the
+  verdict and the exponents of pullbacks(eps) built by the call: the
+  order, where all of them are built. Rungs whose order exceeds 1 000
+  run only the first pair, which is False there; the second is True and
+  builds every exponent. A tree that builds every exponent before the
+  decider reads one (as before BENCH_22) skips the rungs with more than
+  EAGER_MAX_ROWS rows in all: coprime400 would hold 39 999 * 400 bitsets,
+  over a GB.
 
 The rungs are the cat map (2 1; 1 1) on the 7, 9, 13 and 17 tori at
 c = 1/4, the circles Z36 and Z96 with a unit step at c = 1/(2n), and
@@ -55,11 +67,11 @@ times the compiler too.
 
 Every other record is {tree, layer, case, size, wall_s, counters}: wall_s is
 the least wall time over --repeats fresh systems, each timed call begun
-after a full garbage collection; size is the point count n, and the
-counters describe the rung, not the code that ran on it: n, cycles,
-order, gathers = sum over cycles of M = max over cycle lengths q of
-lcm(p, q), the whole-row gathers of a fold over a full period of every
-pair orbit, and classes = sum over cycle pairs (p, q) of
+after a full garbage collection; size is the point count n, and, outside
+the decider layer, the counters describe the rung, not the code that ran
+on it: n, cycles, order, gathers = sum over cycles of M = max over cycle
+lengths q of lcm(p, q), the whole-row gathers of a fold over a full
+period of every pair orbit, and classes = sum over cycle pairs (p, q) of
 gcd(p, q) when it is below q, the residue classes of more than one point
 that sup_scaled takes one max over. No figure here gates a test.
 
@@ -67,8 +79,8 @@ Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
 
     python3 -m compileall -q src ../parent/src
-    python3 bench/ladder.py --repeats 15 --label change --out BENCH_17.json
-    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_17.json
+    python3 bench/ladder.py --repeats 15 --label change --out BENCH_22.json
+    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_22.json
 
 Records of another label already in --out are kept; those of --label
 are replaced.
@@ -89,6 +101,8 @@ from random import Random
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 PULLBACKS_MAX_ORDER = 1000
+DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
+EAGER_MAX_ROWS = 10 ** 7
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
                  for a, b in ((1, 5), (1, 7), (5, 7))
@@ -175,7 +189,12 @@ def layers(systems):
             ("twin", warm_twin,
              lambda s, c, h: systems.conjugate_system(s, h, transport_metric=True)),
             ("carrier", warm_copy, lambda s, c, other: systems.check_carrier(s, other)),
-            ("pullbacks", warm_within, lambda s, c, _: s.kernel.pullbacks(c)))
+            ("pullbacks", warm_within, lambda s, c, _: read_pullbacks(s.kernel, c)))
+
+
+def read_pullbacks(kernel, c):
+    pull = kernel.pullbacks(c)
+    return [pull[e] for e in range(kernel.order)]
 
 
 def measure(label, repeats):
@@ -200,6 +219,36 @@ def measure(label, repeats):
             records.append({"tree": label, "layer": layer, "case": case,
                             "size": len(system.kernel.pts), "c": str(c),
                             "wall_s": round(best, 7), "counters": counters(system.kernel)})
+    return records
+
+
+def measure_decider(label, repeats):
+    """The decider layer: shadowable_exact at each rung's first point."""
+    from pointdyn import metric, shadowing, systems
+    probe = systems.build_lattice(6, step=1).kernel
+    eager = len(probe.pullbacks(F(1, 12))) == probe.order
+    records = []
+    for case, make, _ in rungs(systems, metric):
+        k = make().kernel
+        if eager and k.order * len(k.pts) > EAGER_MAX_ROWS:
+            continue
+        big = k.order > PULLBACKS_MAX_ORDER
+        for eps, delta in DECIDER_SCALES[:1] if big else DECIDER_SCALES:
+            best = None
+            for _ in range(repeats):
+                system = make()
+                k = system.kernel
+                k.scaled(k.denominator), k.cycles
+                gc.collect()
+                t0 = time.perf_counter()
+                result = shadowing.shadowable_exact(system, k.pts[0], eps, delta)
+                wall = time.perf_counter() - t0
+                best = wall if best is None else min(best, wall)
+            records.append({"tree": label, "layer": "decider", "case": case,
+                            "size": len(k.pts), "c": f"{eps} {delta}",
+                            "wall_s": round(best, 7),
+                            "counters": {"result": result, "order": k.order,
+                                         "exponents": len(k.pullbacks(eps))}})
     return records
 
 
@@ -295,6 +344,7 @@ def main(argv=None):
     records = [measure_import(args.label, src, args.repeats)]
     sys.path.insert(0, src)
     records += measure(args.label, args.repeats)
+    records += measure_decider(args.label, args.repeats)
     records += measure_gh(args.label, args.repeats)
     doc = {"statistic": f"min wall seconds over {args.repeats} fresh systems"
                         f" (import: median over {args.repeats} fresh processes)",

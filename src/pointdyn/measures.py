@@ -111,11 +111,11 @@ def measure_of(mu: WeightedMeasure, subset) -> Fraction:
 
 def carrier_set(system, points) -> frozenset:
     """points as a set of the finite carrier's points; PreconditionError
-    names a point off the carrier."""
-    points = frozenset(points)
+    names the first point off the carrier, in the order points come."""
+    points = dict.fromkeys(points)
     for p in points:
         point_index(system, p)
-    return points
+    return frozenset(points)
 
 
 # -- separation sets -------------------------------------------------------
@@ -156,7 +156,9 @@ def _phi_satellite(system, x, c):
 def _check_measure_backend(system, mu):
     if system.finite and mu.kind != "weights":
         raise CarrierMismatchError("finite carriers need point-weight measures")
-    if not system.finite:
+    if system.finite:
+        carrier_set(system, mu.weights)     # mass off it makes each check vacuous
+    else:
         if system.backend != "shift":
             raise UnsupportedBackendError(
                 "no measures are defined on the satellite carrier")

@@ -347,6 +347,7 @@ def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
     B = carrier_set(system, B)
     if measure_of(mu, frozenset(system.points()) - B) != 0:
         raise PreconditionError("B must have full measure")
+    carrier_set(system, mu.weights)         # no mass off the carrier
     through = sorted_points(B & system_ball(system, x, delta))
     for x0 in through:
         if not shadowable_exact(system, x0, eps, delta):

@@ -15,7 +15,7 @@ their integer arcs, an explicit system hands over the rows its space owns.
 import hashlib
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain
+from itertools import chain, cycle, islice
 from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
@@ -412,9 +412,9 @@ class FiniteKernel:
     closed). Only a comparison of two kernels reads scaled(S), at S = lcm
     of their denominators. sup_scaled, the cycles, the order, and per
     radius or constant (keyed on its numerator and denominator) within(r),
-    its pull-backs, the pseudo-orbit steps, inseparable(c) and
-    cycle_failures(c) are built on first use and kept. f^m steps by
-    whole-row gathers of perm or inv, or along a cycle (orbit).
+    the pseudo-orbit steps, inseparable(c) and cycle_failures(c) are built
+    on first use and kept; the pull-backs of within(r) build each exponent's
+    rows on its first read. f^m steps by whole-row gathers, or along a cycle.
     """
 
     def __init__(self, system):
@@ -557,17 +557,12 @@ class FiniteKernel:
                                             for row in self.rows)
         return rows
 
-    def pullbacks(self, radius, closed=False) -> tuple:
-        """pullbacks(r)[e][v]: the bitset of z with f^e z in within(r)[v];
-        f^-e advances by one whole-row gather of inv per exponent e."""
+    def pullbacks(self, radius, closed=False) -> "_PullBacks":
+        """pullbacks(r)[e][v], 0 <= e < order: the bitset of z with f^e z
+        in within(r)[v]; row e is built when it is first read."""
         key = ("pullbacks", radius.numerator, radius.denominator, closed)
         if (pull := self._views.get(key)) is None:
-            rows = [members(w) for w in self.within(radius, closed)]
-            at, back, pull = tuple(range(len(self.perm))), gatherer(self.inv), []
-            for _ in range(self.order):
-                pull.append(tuple(sum(1 << at[y] for y in row) for row in rows))
-                at = back(at)                       # at[y] = f^-e y
-            pull = self._views[key] = tuple(pull)
+            pull = self._views[key] = _PullBacks(self, self.within(radius, closed))
         return pull
 
     def steps(self, delta, forward=True) -> tuple:
@@ -581,8 +576,8 @@ class FiniteKernel:
         return rows
 
     def tracers(self, targets, radius, first=0, closed=False) -> list:
-        """Indices z with d(f^(first+n) z, targets[n]) < radius for every n,
-        or <= radius when closed; targets are indices, the result ascends."""
+        """Ascending indices z with d(f^(first+n) z, targets[n]) < radius for every n,
+        or <= radius when closed; targets: any iterable of indices, read lazily."""
         pull, order = self.pullbacks(radius, closed), self.order
         found = (1 << len(self.perm)) - 1
         for n, t in enumerate(targets):
@@ -603,8 +598,7 @@ class FiniteKernel:
         the orbit does not close up. z and h are None without a tracer.
         """
         P = len(window)
-        found = self.tracers([window[n % P] for n in range(lcm(self.order, P))],
-                             radius, first, closed)
+        found = self.tracers(islice(cycle(window), lcm(self.order, P)), radius, first, closed)
         if not found:
             return found, None, None
         z = prefer if prefer in found else found[0]
@@ -612,6 +606,33 @@ class FiniteKernel:
         if P % len(cyc):
             return found, z, None
         return found, z, cyc * (P // len(cyc))
+
+
+class _PullBacks(dict):
+    """FiniteKernel.pullbacks, row e built on first read. ends[1] and
+    ends[-1] hold the exponents hi >= 0 >= lo that end the arc of built
+    rows, each with bits[y] = 1 << f^-e(y) there and the gather (of inv, of
+    perm) that steps bits one exponent outward; a read grows the nearer end."""
+
+    def __init__(self, kernel, within):
+        super().__init__({0: within})
+        bits, self.order = tuple(1 << y for y in range(len(within))), kernel.order
+        self.ends = {1: (0, bits, gatherer(kernel.inv)), -1: (0, bits, gatherer(kernel.perm))}
+        self.wide = [(v, gatherer(members(w))) for v, w in enumerate(within) if w != 1 << v]
+
+    def __missing__(self, e):
+        if not 0 < e < self.order:
+            raise KeyError(e)
+        step = 1 if e - self.ends[1][0] <= self.ends[-1][0] + self.order - e else -1
+        k, bits, gather = self.ends[step]
+        while k % self.order != e:
+            k, bits = k + step, gather(bits)
+            row = list(bits)            # row v sums bits over within[v]
+            for v, get in self.wide:
+                row[v] = sum(get(bits))
+            self[k % self.order] = tuple(row)
+        self.ends[step] = k, bits, gather
+        return self[e]
 
 
 def floor_scaled(r, S, closed) -> int:

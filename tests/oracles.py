@@ -2,7 +2,9 @@
 
 The library answers each of these questions another way; the tests
 compare the two. Distance tables are filled one dist call per pair,
-apart from the kernel's integer rows. Pseudo-orbit windows are
+apart from the kernel's integer rows, and pull-back rows are built for
+every exponent below the order in one pass, apart from the kernel's
+rows built on first read. Pseudo-orbit windows are
 enumerated here walk by walk over a graph built on Fraction distances,
 apart from the kernel's step rows and the layered halves of
 shadowable_windowed. Separation windows are listed time by time with
@@ -22,7 +24,7 @@ from pointdyn.rationals import as_rational, positive, resolve_budget
 from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
-from pointdyn.systems import iterate, point_label, system_ball
+from pointdyn.systems import gatherer, iterate, members, point_label, system_ball
 
 
 # -- distance tables ---------------------------------------------------------
@@ -33,6 +35,18 @@ def distance_table(system) -> tuple:
     in system.points() order."""
     pts = system.points()
     return tuple(tuple(system.dist(p, q) for q in pts) for p in pts)
+
+
+def eager_pullbacks(kernel, r, closed=False) -> tuple:
+    """Every row of kernel.pullbacks(r, closed), built in one pass over the
+    exponents below the order: f^-e advances by one whole-row gather of
+    inv per exponent, and each row member adds one bit."""
+    rows = [members(w) for w in kernel.within(r, closed)]
+    at, back, pull = tuple(range(len(kernel.perm))), gatherer(kernel.inv), []
+    for _ in range(kernel.order):
+        pull.append(tuple(sum(1 << at[y] for y in row) for row in rows))
+        at = back(at)                       # at[y] = f^-e y
+    return tuple(pull)
 
 
 # -- pseudo-orbits, window by window ---------------------------------------

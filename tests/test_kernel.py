@@ -19,7 +19,7 @@ from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
                               materialize, members, pair_sup_separation,
                               sorted_points, system_ball)
 
-from oracles import distance_table, pseudo_orbit_graph
+from oracles import distance_table, eager_pullbacks, pseudo_orbit_graph
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -189,11 +189,21 @@ def test_within_and_pullbacks_match_oracle(system, data):
         inside = (lambda d: d <= radius) if closed else (lambda d: d < radius)
         assert k.within(radius, closed) == bitsets(pts, inside)
         pull = k.pullbacks(radius, closed)
-        assert len(pull) == k.order
         image = list(pts)          # image[i] = f^e(pts[i])
         for e in range(k.order):
             assert pull[e] == bitsets(image, inside)
             image = [system.image(p) for p in image]
+        # rows are built on first read, whichever end of the arc around
+        # exponent 0 a read grows: fresh views read downward and shuffled
+        oracle = eager_pullbacks(k, radius, closed)
+        shuffled = data.draw(st.permutations(range(k.order)))
+        for order in (range(k.order - 1, -1, -1), shuffled):
+            fresh = systems.FiniteKernel(system).pullbacks(radius, closed)
+            for e in order:
+                assert fresh[e] == oracle[e]
+            assert len(fresh) == k.order
+            with pytest.raises(KeyError):
+                fresh[k.order]
         for x in pts:
             assert system_ball(system, x, radius, closed) == \
                 frozenset(y for y in pts if inside(system.dist(x, y)))
@@ -454,12 +464,19 @@ def test_kernel_does_not_keep_its_system_alive(make):
     try:
         system = make()
         k = system.kernel
-        want = (k.sup_scaled, k.within(F(1, 2)), k.pullbacks(F(1, 2)))
+
+        def pulled(kernel):
+            # the pull-back view builds its rows as they are read, so two
+            # views are compared by the rows read at every exponent
+            pull = kernel.pullbacks(F(1, 2))
+            return [pull[e] for e in range(kernel.order)]
+
+        want = (k.sup_scaled, k.within(F(1, 2)), pulled(k))
         alive = weakref.ref(system)
         del system
         assert alive() is None
         fresh = make().kernel
-        assert (fresh.sup_scaled, fresh.within(F(1, 2)), fresh.pullbacks(F(1, 2))) == want
+        assert (fresh.sup_scaled, fresh.within(F(1, 2)), pulled(fresh)) == want
         assert k.inseparable(F(1, 2)) == fresh.inseparable(F(1, 2))
     finally:
         gc.enable()

@@ -14,6 +14,7 @@ from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
                               materialize, point_label, Satellite)
 from pointdyn.shiftspace import pure, ShiftBall
 from pointdyn import measures as M
+from pointdyn.shadowing import mu_shadowable_at
 from pointdyn.errors import MalformedInputError, PreconditionError
 
 from oracles import distance_table, gamma_set, pullback
@@ -154,6 +155,26 @@ def test_measure_sequence_criterion():
     swap = build_explicit(discrete_space(3), (1, 0, 2), name="swap")
     mv3 = M.measure_sequence_criterion(ID3, [swap, ID3, ID3], UNI, 0, F(1, 2))
     assert mv3.result is False and "index 1" in mv3.detail
+
+
+def test_mass_off_the_carrier_is_refused():
+    # all the mass at 99, off id3's carrier, once made every check vacuous:
+    # expansive_measure_check and the strong-stability check returned True
+    off = M.WeightedMeasure.from_weights({0: 0, 1: 0, 2: 0, 99: 1})
+    half = F(1, 2)
+    calls = (lambda: M.mu_uniformly_expansive_at(ID3, off, 0, half),
+             lambda: M.mu_expansive_points(ID3, off, half),
+             lambda: M.expansive_measure_check(ID3, off, half),
+             lambda: M.verify_strong_mu_topological_stability(ID3, off, 0, half, half, ID3),
+             lambda: M.measure_sequence_criterion(ID3, [ID3], off, 0, half),
+             lambda: mu_shadowable_at(ID3, off, 0, half, half, B=()))
+    for call in calls:
+        with pytest.raises(PreconditionError, match="99 is not a carrier point"):
+            call()
+    # the first weighted point off the carrier is the one named
+    two_off = M.WeightedMeasure.from_weights({0: 1, 7: 0, 99: 1})
+    with pytest.raises(PreconditionError, match="^7 is not a carrier point"):
+        M.expansive_measure_check(ID3, two_off, half)
 
 
 # -- a lattice against perturbations on its indices ---------------------------

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pointdyn.metric import FiniteMetricSpace, discrete_space
-from pointdyn.systems import build_explicit, build_lattice, build_shift, members
+from pointdyn.systems import (FiniteKernel, build_explicit, build_lattice, build_shift,
+                              members)
 from pointdyn.shiftspace import EPPoint, pure, with_symbol, shift_metric
 from pointdyn.cli import main
 from pointdyn.measures import (WeightedMeasure, build_tracking_map,
@@ -22,8 +23,9 @@ from pointdyn import shadowing as SH
 from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
-from oracles import distance_table, enumerate_pseudo_orbits, pseudo_orbit_graph
-from test_kernel import finite_systems
+from oracles import (distance_table, eager_pullbacks, enumerate_pseudo_orbits,
+                     pseudo_orbit_graph)
+from test_kernel import finite_systems, ladder_rung
 
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3)
@@ -446,3 +448,40 @@ def test_windowed_decider_matches_oracle(system, data):
 def test_windowed_decider_matches_oracle_on_rotations(n, data):
     system = build_lattice(n, step=data.draw(st.integers(0, n - 1), label="step"))
     assert_windowed_matches_oracle(system, data)
+
+
+# -- pull-back rows built on first read ----------------------------------------
+
+
+@pytest.mark.parametrize("case, order", [("cycles43", 60060), ("coprime400", 39999)])
+def test_false_verdicts_read_few_exponents(case, order):
+    # the ladder's rungs whose order is far above n: the decider refutes
+    # x = 0 within three steps, so it builds at most three exponents of
+    # the pull-back rows, not the order of them
+    system = ladder_rung(case)
+    k = system.kernel
+    assert k.order == order
+    assert SH.shadowable_exact(system, k.pts[0], F(5, 4), F(5, 4)) is False
+    assert len(k.pullbacks(F(5, 4))) <= 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_systems(), st.data())
+def test_deciders_agree_with_eager_rows(system, data):
+    # each draw decided twice: with the kernel's rows built on first read,
+    # and with the oracle's rows for every exponent patched in
+    values = distances(system)
+    eps = data.draw(st.sampled_from(values), label="eps")
+    delta = data.draw(st.sampled_from(values), label="delta")
+    x = data.draw(st.sampled_from(system.points()), label="x")
+    N = data.draw(st.integers(0, 2), label="N")
+
+    def decide():
+        return (SH.shadowable_exact(system, x, eps, delta),
+                SH.shadowable_windowed(system, x, eps, delta, N))
+
+    lazy = decide()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FiniteKernel, "pullbacks", eager_pullbacks)
+        assert type(system.kernel.pullbacks(eps)) is tuple
+        assert decide() == lazy
