@@ -33,6 +33,11 @@ a fresh system, timed alone with the views it reads already built:
   decider reads one (as before BENCH_22) skips the rungs with more than
   EAGER_MAX_ROWS rows in all: coprime400 would hold 39 999 * 400 bitsets,
   over a GB.
+- ``sweep``: shadowable_exact at every point of cat7 and cat9 at (eps,
+  delta) = (1/2, 1/3), on a fresh system with its integer rows and
+  cycles built, so later points read the views the earlier ones built.
+  Every point is True there, so each call runs both half-searches to the
+  end. Its counters are the points decided and the True verdicts.
 
 The rungs are the cat map (2 1; 1 1) on the 7, 9, 13 and 17 tori at
 c = 1/4, the circles Z36 and Z96 with a unit step at c = 1/(2n), and
@@ -68,19 +73,20 @@ times the compiler too.
 Every other record is {tree, layer, case, size, wall_s, counters}: wall_s is
 the least wall time over --repeats fresh systems, each timed call begun
 after a full garbage collection; size is the point count n, and, outside
-the decider layer, the counters describe the rung, not the code that ran
-on it: n, cycles, order, gathers = sum over cycles of M = max over cycle
-lengths q of lcm(p, q), the whole-row gathers of a fold over a full
-period of every pair orbit, and classes = sum over cycle pairs (p, q) of
-gcd(p, q) when it is below q, the residue classes of more than one point
-that sup_scaled takes one max over. No figure here gates a test.
+the decider and sweep layers, the counters describe the rung, not the
+code that ran on it: n, cycles, order, gathers = sum over cycles of M =
+max over cycle lengths q of lcm(p, q), the whole-row gathers of a fold
+over a full period of every pair orbit, and classes = sum over cycle
+pairs (p, q) of gcd(p, q) when it is below q, the residue classes of
+more than one point that sup_scaled takes one max over. No figure here
+gates a test.
 
 Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
 
     python3 -m compileall -q src ../parent/src
-    python3 bench/ladder.py --repeats 15 --label change --out BENCH_22.json
-    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_22.json
+    python3 bench/ladder.py --repeats 15 --label change --out BENCH_23.json
+    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_23.json
 
 Records of another label already in --out are kept; those of --label
 are replaced.
@@ -102,6 +108,7 @@ from random import Random
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 PULLBACKS_MAX_ORDER = 1000
 DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
+SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9"), (F(1, 2), F(1, 3))
 EAGER_MAX_ROWS = 10 ** 7
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
@@ -222,8 +229,25 @@ def measure(label, repeats):
     return records
 
 
+def best_of(repeats, make, call):
+    """(least wall time of call(system), its last result, its last system)
+    over repeats fresh systems, each with its integer rows and cycles built."""
+    best = None
+    for _ in range(repeats):
+        system = make()
+        k = system.kernel
+        k.scaled(k.denominator), k.cycles
+        gc.collect()
+        t0 = time.perf_counter()
+        result = call(system)
+        wall = time.perf_counter() - t0
+        best = wall if best is None else min(best, wall)
+    return best, result, system
+
+
 def measure_decider(label, repeats):
-    """The decider layer: shadowable_exact at each rung's first point."""
+    """The decider layer: shadowable_exact at each rung's first point; and
+    the sweep layer: shadowable_exact at every point of SWEEP_CASES."""
     from pointdyn import metric, shadowing, systems
     probe = systems.build_lattice(6, step=1).kernel
     eager = len(probe.pullbacks(F(1, 12))) == probe.order
@@ -234,21 +258,22 @@ def measure_decider(label, repeats):
             continue
         big = k.order > PULLBACKS_MAX_ORDER
         for eps, delta in DECIDER_SCALES[:1] if big else DECIDER_SCALES:
-            best = None
-            for _ in range(repeats):
-                system = make()
-                k = system.kernel
-                k.scaled(k.denominator), k.cycles
-                gc.collect()
-                t0 = time.perf_counter()
-                result = shadowing.shadowable_exact(system, k.pts[0], eps, delta)
-                wall = time.perf_counter() - t0
-                best = wall if best is None else min(best, wall)
+            best, result, system = best_of(repeats, make, lambda s: shadowing.shadowable_exact(
+                s, s.kernel.pts[0], eps, delta))
+            k = system.kernel
             records.append({"tree": label, "layer": "decider", "case": case,
                             "size": len(k.pts), "c": f"{eps} {delta}",
                             "wall_s": round(best, 7),
                             "counters": {"result": result, "order": k.order,
                                          "exponents": len(k.pullbacks(eps))}})
+        if case in SWEEP_CASES:
+            eps, delta = SWEEP_SCALES
+            best, result, _ = best_of(repeats, make, lambda s: [
+                shadowing.shadowable_exact(s, p, eps, delta) for p in s.kernel.pts])
+            records.append({"tree": label, "layer": "sweep", "case": case,
+                            "size": len(result), "c": f"{eps} {delta}",
+                            "wall_s": round(best, 7),
+                            "counters": {"points": len(result), "true": sum(result)}})
     return records
 
 

@@ -6,7 +6,7 @@ separates beyond the constant at some time; uniformly expansive when
 the map is expansive on the open ball around it; minimally expansive
 when the map is expansive on the orbit closure of every ball point.
 Each verdict carries either a per-pair certificate or a concrete
-counterexample pair.
+counterexample pair. A constant c <= 0 is a PreconditionError.
 
 On finite carriers every verdict is read off the kernel's bitset rows
 inseparable(c) (the j with sup-separation at most c from i), built once
@@ -21,7 +21,7 @@ from math import lcm
 from typing import NamedTuple
 
 from .errors import PreconditionError, UnsupportedSequenceError
-from .rationals import ONE, as_rational
+from .rationals import ONE, as_rational, positive
 from .shiftspace import ShiftBall, pure, with_symbol
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, c0_distance,
                       iterate, least, orbit, pair_sup_separation, point_index,
@@ -55,7 +55,7 @@ def is_expansive_on(system, domain, c) -> ExpansivityVerdict:
     pair_sup_separation must exceed c. The counterexample is the first
     failing pair in point order.
     """
-    c = as_rational(c)
+    c = positive(c, "expansivity constant")
     if isinstance(domain, ShiftOrbitClosure):
         return _expansive_on_shift_closure(system, domain, c)
     if isinstance(domain, ShiftBall):
@@ -140,7 +140,7 @@ def _expansive_on_satellite_ball(system, region, c):
 
 def expansive_point_at(system, x, c) -> ExpansivityVerdict:
     """True iff every y != x satisfies pair_sup_separation(x, y) > c."""
-    c = as_rational(c)
+    c = positive(c, "expansivity constant")
     if system.finite:
         i = point_index(system, x)
         hit = system.kernel.inseparable(c)[i] & ~(1 << i)
@@ -178,7 +178,7 @@ def _satellite_expansive_point(system, x, c):
 
 def uniformly_expansive_at(system, x, c) -> ExpansivityVerdict:
     """Expansive with constant c on the open ball B(x, c)."""
-    c = as_rational(c)
+    c = positive(c, "expansivity constant")
     if system.finite:
         ball = system.kernel.within(c)[point_index(system, x)]
         return _bits_verdict(system, x, c, "uniform", ball)
@@ -193,7 +193,7 @@ def minimally_expansive_at(system, x, c) -> ExpansivityVerdict:
     On a finite carrier the orbit closure of y is its cycle, so the
     verdict is that of the first ball point whose cycle fails.
     """
-    c = as_rational(c)
+    c = positive(c, "expansivity constant")
     if system.finite:
         k = system.kernel
         failing, pairs = k.cycle_failures(c)
@@ -256,7 +256,7 @@ def point_verdicts(system, variant: str, c, probe=None) -> dict:
     canonical point order."""
     if variant not in _VARIANTS:
         raise PreconditionError(f"unknown variant {variant!r}")
-    check = _VARIANTS[variant]
+    c, check = positive(c, "expansivity constant"), _VARIANTS[variant]
     pts = system.sample(probe)
     if not pts:
         raise PreconditionError("an infinite carrier needs a probe set")
@@ -326,7 +326,7 @@ def sequence_expansivity_criterion(system, approximants, x, delta,
     direct classifier at constant delta. The verdict surfaces the
     scaled constant delta/3 that the converse direction transports.
     """
-    delta = as_rational(delta)
+    delta = positive(delta, "delta")
     if variant not in ("uniform", "minimal"):
         raise PreconditionError(f"unsupported variant {variant!r}")
     tail_start = eventual_agreement_index(system, approximants)

@@ -123,7 +123,7 @@ def carrier_set(system, points) -> frozenset:
 
 def phi_set(system, x, c):
     """Points never separating from x beyond c: {y : sup_n d(f^n x, f^n y) <= c}."""
-    c = as_rational(c)
+    c = positive(c, "expansivity constant")
     if system.finite:
         k = system.kernel
         return frozenset(k.pts[j] for j in members(k.inseparable(c)[point_index(system, x)]))
@@ -168,7 +168,7 @@ def _check_measure_backend(system, mu):
 
 def mu_uniformly_expansive_at(system, mu, x, c) -> ExpansivityVerdict:
     """Every z in B(x, c) has a mu-null set of c-inseparable ball companions."""
-    c = as_rational(c)
+    c = positive(c, "expansivity constant")
     _check_measure_backend(system, mu)
     if system.finite:
         found = _massive_companions(system, mu, x, c, c)

@@ -17,8 +17,12 @@ sets; path counts recover the number and the order of the windows, so
 its report matches a window-by-window enumeration. The exact decider
 settles the bi-infinite quantifier: along any infinite pseudo-orbit the
 set of surviving time-zero tracers is non-increasing, hence eventually
-constant, so the verdict only depends on the finitely many reachable
-limit sets of each half.
+constant, so the verdict only depends on the limit sets of each half,
+the sets that some infinite walk keeps. Every state has a successor
+(f(u) forward, f^-1(u) backward, at distance 0 < delta), so below every
+reachable set lies a limit set, and limit sets are reachable: every
+forward set meets every backward set over the reachable sets exactly
+when it does over the limit sets, and the decider needs no trim.
 """
 
 from fractions import Fraction
@@ -202,27 +206,20 @@ def _half_windows(pull, order, steps, counts, x: int, N: int, kstep: int) -> dic
 # -- exact decider --------------------------------------------------------
 
 
-def _half_limit_sets(kernel, x: int, eps, delta, forward: bool):
-    """Limit tracer sets of one time direction, as bitsets, or None
-    when the empty set is reachable.
+def _reachable_sets(kernel, x: int, eps, delta, forward: bool):
+    """The tracer sets of the states reachable in one time direction, as
+    bitsets, or None when the empty set is reachable.
 
     States are (point u, surviving time-zero tracer set A, exponent e
     mod order). A step to v at exponent e' keeps A & pullbacks(eps)[e'][v]
     for each of the kernel's delta steps v from u in that direction.
-    Sets only shrink along a walk, so A is a limit set when some
-    reachable walk keeps it forever. One counter-based trim over the
-    A-keeping edges removes every state with no A-keeping successor
-    left; the sets of the states that remain are the limits. The empty set is absorbing and every
-    state has a successor (f(u) forward, f^-1(u) backward, at distance
-    0 < delta), so reaching it makes it a limit and the search stops.
     """
     pull, order = kernel.pullbacks(eps), kernel.order
     succ, kstep = kernel.steps(delta, forward), 1 if forward else -1
     start = (x, pull[0][x], 0)      # holds x: eps > 0
-    ids, states, left, preds, stack = {start: 0}, [start], [0], [[]], [0]
+    seen, stack = {start}, [start]
     while stack:
-        s = stack.pop()
-        u, A, e = states[s]
+        u, A, e = stack.pop()
         e = (e + kstep) % order
         row = pull[e]
         for v in succ[u]:
@@ -230,22 +227,10 @@ def _half_limit_sets(kernel, x: int, eps, delta, forward: bool):
             if not B:
                 return None
             state = (v, B, e)
-            j = ids.setdefault(state, len(states))
-            if j == len(states):
-                states.append(state)
-                left.append(0)
-                preds.append([])
-                stack.append(j)
-            if B == A:
-                left[s] += 1
-                preds[j].append(s)
-    dead = [s for s, k in enumerate(left) if not k]
-    while dead:
-        for s in preds[dead.pop()]:
-            left[s] -= 1
-            if not left[s]:
-                dead.append(s)
-    return {states[s][1] for s, k in enumerate(left) if k}
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return {A for _, A, _ in seen}
 
 
 def _exact_kernel(system):
@@ -259,16 +244,18 @@ def shadowable_exact(system, x, eps, delta) -> bool:
     """Is every bi-infinite delta-pseudo-orbit through x eps-traceable?
 
     Exact: forward and backward halves of a pseudo-orbit are
-    independent, so the quantifier reduces to checking that every
-    forward limit tracer set meets every backward one.
+    independent, so the quantifier asks that every forward limit tracer
+    set meet every backward one. Every reachable set holds a limit set
+    and every limit set is reachable (module docstring), so that is the
+    same as every forward reachable set meeting every backward one.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     kernel = _exact_kernel(system)
     xi = point_index(system, x)
-    fwd = _half_limit_sets(kernel, xi, eps, delta, forward=True)
+    fwd = _reachable_sets(kernel, xi, eps, delta, forward=True)
     if fwd is None:
         return False
-    bwd = _half_limit_sets(kernel, xi, eps, delta, forward=False)
+    bwd = _reachable_sets(kernel, xi, eps, delta, forward=False)
     return bwd is not None and all(a & b for a in fwd for b in bwd)
 
 

@@ -567,12 +567,18 @@ class FiniteKernel:
 
     def steps(self, delta, forward=True) -> tuple:
         """The delta-pseudo-orbit steps, each row ascending: the v with
-        d(f(u), v) < delta forward, the w with d(f(w), u) < delta backward."""
+        d(f(u), v) < delta forward, the w with d(f(w), u) < delta backward.
+        Backward row u is f^-1 of forward row f^-1(u), so both directions
+        share one members pass over within(delta)."""
         key = ("steps", delta.numerator, delta.denominator, forward)
         if (rows := self._views.get(key)) is None:
-            near = [members(row) for row in self.within(delta)]
-            rows = self._views[key] = (tuple(near[v] for v in self.perm) if forward else
-                                       tuple(sorted(self.inv[y] for y in row) for row in near))
+            if forward:
+                near = [members(row) for row in self.within(delta)]
+                rows = tuple(near[v] for v in self.perm)
+            else:
+                inv, out = self.inv, self.steps(delta)
+                rows = tuple(sorted(inv[y] for y in out[w]) for w in inv)
+            self._views[key] = rows
         return rows
 
     def tracers(self, targets, radius, first=0, closed=False) -> list:

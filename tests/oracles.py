@@ -4,10 +4,11 @@ The library answers each of these questions another way; the tests
 compare the two. Distance tables are filled one dist call per pair,
 apart from the kernel's integer rows, and pull-back rows are built for
 every exponent below the order in one pass, apart from the kernel's
-rows built on first read. Pseudo-orbit windows are
-enumerated here walk by walk over a graph built on Fraction distances,
-apart from the kernel's step rows and the layered halves of
-shadowable_windowed. Separation windows are listed time by time with
+rows built on first read. Pseudo-orbit windows are enumerated here walk
+by walk over a graph built on Fraction distances, apart from the
+kernel's step rows and the layered halves of shadowable_windowed. The
+limit tracer sets of a half are trimmed out of the reachable ones that
+shadowable_exact reads. Separation windows are listed time by time with
 iterate and dist. Gamma sets are cut from phi sets and balls point by
 point, apart from the measure layer's scan of kernel rows. Measures are
 transported point by point, and shift balls are sampled by single-symbol
@@ -102,6 +103,47 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
     rev = _reverse(graph, system.points())
     return (PseudoOrbitWindow(tuple(reversed(back)) + (x,) + tuple(out), graph.delta)
             for back in _walks(rev, x, N) for out in _walks(graph, x, N))
+
+
+def trimmed_limit_sets(kernel, x: int, eps, delta, forward: bool):
+    """The limit tracer sets of one time direction, as bitsets, or None
+    when the empty set is reachable: the walk of shadowing._reachable_sets,
+    then a counter-based trim over the set-keeping edges.
+
+    A is a limit set when some reachable walk keeps it forever. The trim
+    removes every state with no set-keeping successor left; the sets of
+    the states that remain are the limits.
+    """
+    pull, order = kernel.pullbacks(eps), kernel.order
+    succ, kstep = kernel.steps(delta, forward), 1 if forward else -1
+    start = (x, pull[0][x], 0)
+    ids, states, left, preds, stack = {start: 0}, [start], [0], [[]], [0]
+    while stack:
+        s = stack.pop()
+        u, A, e = states[s]
+        e = (e + kstep) % order
+        row = pull[e]
+        for v in succ[u]:
+            B = A & row[v]
+            if not B:
+                return None
+            state = (v, B, e)
+            j = ids.setdefault(state, len(states))
+            if j == len(states):
+                states.append(state)
+                left.append(0)
+                preds.append([])
+                stack.append(j)
+            if B == A:
+                left[s] += 1
+                preds[j].append(s)
+    dead = [s for s, k in enumerate(left) if not k]
+    while dead:
+        for s in preds[dead.pop()]:
+            left[s] -= 1
+            if not left[s]:
+                dead.append(s)
+    return {states[s][1] for s, k in enumerate(left) if k}
 
 
 # -- separation windows ----------------------------------------------------

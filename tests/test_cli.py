@@ -242,6 +242,8 @@ BAD_ARGV = (
     (("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "0",
       *ID3_SCALES, "--c", "-1"), {1}),
     (("satellite", "bundled:satellite3", "--c", "0"), {1}),
+    (("classify", "bundled:r12k3", "--variant", "minimal", "--c=-1/2"), {1}),
+    (("classify", "bundled:r12k3", "--variant", "expansive", "--c", "0"), {1}),
     # optional scales go through the parser of --eps: an empty --eta was
     # once read as absent, and a bad --c did not name its flag
     (("conjugacy", "bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES,

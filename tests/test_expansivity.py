@@ -221,10 +221,19 @@ def test_classifiers_match_the_pair_loops(system, data):
     own = sorted({oracle_sup(system, x, y) for x in pts for y in pts})
     c = data.draw(st.sampled_from(own), label="separation")
     c += data.draw(st.sampled_from((F(0), F(1, 10 ** 6))), label="above")
+    domain = data.draw(st.lists(st.sampled_from(pts), unique=True), label="domain")
+    if not c:
+        # a point's separation from itself: no expansivity constant
+        for check in (expansive_point_at, uniformly_expansive_at,
+                      minimally_expansive_at, phi_set):
+            with pytest.raises(PreconditionError, match="expansivity constant must be"):
+                check(system, pts[0], c)
+        with pytest.raises(PreconditionError, match="expansivity constant must be"):
+            is_expansive_on(system, domain, c)
+        return
     for x in pts:
         assert expansive_point_at(system, x, c) == oracle_expansive_point(system, x, c)
         assert uniformly_expansive_at(system, x, c) == oracle_uniform(system, x, c)
         assert minimally_expansive_at(system, x, c) == oracle_minimal(system, x, c)
         assert phi_set(system, x, c) == oracle_phi(system, x, c)
-    domain = data.draw(st.lists(st.sampled_from(pts), unique=True), label="domain")
     assert is_expansive_on(system, domain, c) == oracle_expansive_on(system, domain, c)

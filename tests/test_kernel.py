@@ -27,6 +27,18 @@ TORUS_MATRICES = ((2, 1, 1, 1), (1, 1, 0, 1), (0, 1, 1, 0))
 
 
 @st.composite
+def palette_systems(draw, max_n=6):
+    """An explicit system on at most max_n points, distances from the palette."""
+    n = draw(st.integers(1, max_n))
+    table = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            table[i][j] = table[j][i] = draw(st.sampled_from(PALETTE))
+    perm = draw(st.permutations(range(n)))
+    return build_explicit(FiniteMetricSpace(table), tuple(perm))
+
+
+@st.composite
 def finite_systems(draw):
     kind = draw(st.sampled_from(("explicit", "circle", "torus")))
     if kind == "circle":
@@ -34,13 +46,7 @@ def finite_systems(draw):
     if kind == "torus":
         return build_lattice(draw(st.integers(2, 4)), kind="torus",
                              matrix=draw(st.sampled_from(TORUS_MATRICES)))
-    n = draw(st.integers(1, 6))
-    table = [[F(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i][j] = table[j][i] = draw(st.sampled_from(PALETTE))
-    perm = draw(st.permutations(range(n)))
-    return build_explicit(FiniteMetricSpace(table), tuple(perm))
+    return draw(palette_systems())
 
 
 # -- oracles: the loops the kernel replaced ---------------------------------
@@ -226,6 +232,10 @@ def test_within_and_pullbacks_match_oracle(system, data):
         assert succ == [list(row) for row in forward]
         assert back == [list(row) for row in backward]
         assert all(list(row) == sorted(row) for row in forward + backward)
+        # the backward rows are built from the forward ones: read them first
+        fresh = systems.FiniteKernel(system)
+        assert [list(row) for row in fresh.steps(radius, False)] == back
+        assert fresh.steps(radius, True) == forward
 
 
 @given(finite_systems(), st.data())

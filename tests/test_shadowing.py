@@ -13,8 +13,12 @@ from pointdyn.systems import (FiniteKernel, build_explicit, build_lattice, build
                               members)
 from pointdyn.shiftspace import EPPoint, pure, with_symbol, shift_metric
 from pointdyn.cli import main
+from pointdyn.expansivity import (classify_points, expansive_point_at, is_expansive_on,
+                                  minimally_expansive_at, point_verdicts,
+                                  sequence_expansivity_criterion, uniformly_expansive_at)
 from pointdyn.measures import (WeightedMeasure, build_tracking_map,
                                expansive_measure_check, measure_sequence_criterion,
+                               mu_expansive_points, mu_uniformly_expansive_at, phi_set,
                                verify_strong_mu_topological_stability)
 from pointdyn.stability import (build_conjugacy, gh_stable_point_check,
                                 search_delta_isometries,
@@ -24,8 +28,8 @@ from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
 from oracles import (distance_table, eager_pullbacks, enumerate_pseudo_orbits,
-                     pseudo_orbit_graph)
-from test_kernel import finite_systems, ladder_rung
+                     pseudo_orbit_graph, trimmed_limit_sets)
+from test_kernel import finite_systems, ladder_rung, palette_systems
 
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3)
@@ -38,9 +42,11 @@ NULL3 = WeightedMeasure.from_weights({0: 0, 1: 1, 2: 1})
 # -- oracle: the frozenset decider the bitset one replaced ---------------------
 
 
-def oracle_half_limit_sets(system, x, eps, delta, forward):
-    """Limit tracer sets of one time direction, as frozensets of indices,
-    by exploring every state and trimming each layer until it is stable."""
+def oracle_half_sets(system, x, eps, delta, forward):
+    """(reachable, limits): the tracer sets of every reachable state of
+    one time direction, and those that some infinite walk keeps, as
+    frozensets of indices, by exploring every state and trimming each
+    layer until it is stable."""
     kernel = system.kernel
     dist, perm = distance_table(system), kernel.perm
     rng = range(len(perm))
@@ -69,8 +75,8 @@ def oracle_half_limit_sets(system, x, eps, delta, forward):
     by_set = {}
     for state in edges:
         by_set.setdefault(state[1], []).append(state)
-    return {A for A, layer in by_set.items()
-            if oracle_layer_has_infinite_path(layer, edges, A)}
+    return set(by_set), {A for A, layer in by_set.items()
+                         if oracle_layer_has_infinite_path(layer, edges, A)}
 
 
 def oracle_layer_has_infinite_path(layer, edges, A):
@@ -109,17 +115,29 @@ def distances(system):
     return sorted({d for row in distance_table(system) for d in row if d > 0}) or [F(1)]
 
 
+def minimal(sets):
+    """The inclusion-minimal members of a family of frozensets."""
+    return {A for A in sets if not any(B < A for B in sets)}
+
+
+def as_sets(bitsets):
+    return {frozenset(members(A)) for A in bitsets}
+
+
 def assert_matches_oracle(system, eps, delta):
+    # each half returns every reachable tracer set, whose minimal members
+    # are the minimal limit sets; the verdict is the limit sets' verdict
     k = system.kernel
     for x, p in enumerate(k.pts):
         halves = []
         for forward in (True, False):
-            got = SH._half_limit_sets(k, x, eps, delta, forward)
-            want = oracle_half_limit_sets(system, x, eps, delta, forward)
+            got = SH._reachable_sets(k, x, eps, delta, forward)
+            reachable, want = oracle_half_sets(system, x, eps, delta, forward)
             if got is None:
                 assert frozenset() in want
             else:
-                assert {frozenset(members(A)) for A in got} == want
+                assert as_sets(got) == reachable
+                assert minimal(as_sets(got)) == minimal(want)
             halves.append(want)
         fwd, bwd = halves
         assert SH.shadowable_exact(system, p, eps, delta) == \
@@ -232,6 +250,24 @@ def test_non_positive_scales_are_rejected(eps, delta):
             expansive_measure_check(ID3, NULL3, delta)
         with pytest.raises(PreconditionError, match="delta must be positive"):
             measure_sequence_criterion(ID3, [ID3], NULL3, 0, delta)
+        # the classifiers and the Phi-sets once listed every point at such a c
+        for classify in (expansive_point_at, uniformly_expansive_at,
+                         minimally_expansive_at, phi_set):
+            with pytest.raises(PreconditionError, match=what):
+                classify(R12K3, 0, delta)
+        with pytest.raises(PreconditionError, match=what):
+            is_expansive_on(R12K3, range(12), delta)
+        for variant in ("expansive", "uniform", "minimal"):
+            with pytest.raises(PreconditionError, match=what):
+                point_verdicts(R12K3, variant, delta)
+            with pytest.raises(PreconditionError, match=what):
+                classify_points(R12K3, variant, delta)
+        with pytest.raises(PreconditionError, match=what):
+            mu_uniformly_expansive_at(R12K3, UNI12, 0, delta)
+        with pytest.raises(PreconditionError, match=what):
+            mu_expansive_points(R12K3, UNI12, delta)
+        with pytest.raises(PreconditionError, match="delta must be positive"):
+            sequence_expansivity_criterion(R12K3, [R12K3], 0, delta, "minimal")
 
 
 def test_windowed_budget_refusal():
@@ -391,9 +427,10 @@ def test_transient_tracer_sets_are_not_limits():
     f = build_explicit(FiniteMetricSpace([[0, 1, 2], [1, 0, 2], [2, 2, 0]]),
                        (1, 2, 0))
     for forward in (True, False):
-        assert SH._half_limit_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b001}
-        assert oracle_half_limit_sets(f, 0, F(3, 2), F(1), forward) == \
-            {frozenset({0})}
+        # the transient set is reachable, but not a limit
+        assert SH._reachable_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b011, 0b001}
+        assert trimmed_limit_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b001}
+        assert oracle_half_sets(f, 0, F(3, 2), F(1), forward)[1] == {frozenset({0})}
     assert_matches_oracle(f, F(3, 2), F(1))
 
 
@@ -417,6 +454,38 @@ def test_exact_decider_matches_oracle_on_rotations(n, data):
     values = distances(system)
     eps = data.draw(st.sampled_from(values[:2]), label="eps")
     assert_matches_oracle(system, eps, data.draw(st.sampled_from(values), label="delta"))
+
+
+@settings(max_examples=500, deadline=None)
+@given(palette_systems(max_n=8), st.data())
+def test_reachable_sets_decide_as_the_limit_sets(system, data):
+    # the verdict over the reachable sets is the verdict over the trimmed
+    # limit sets; scales sit at each distance value, where the strict
+    # comparisons flip, and 1/64 to either side
+    scales = [d + s for d in distances(system) for s in (F(-1, 64), F(0), F(1, 64))]
+    eps = data.draw(st.sampled_from(scales), label="eps")
+    delta = data.draw(st.sampled_from(scales), label="delta")
+    k = system.kernel
+    x = data.draw(st.sampled_from(range(len(k.pts))), label="x")
+    halves = []
+    for forward in (True, False):
+        reachable = SH._reachable_sets(k, x, eps, delta, forward)
+        limits = trimmed_limit_sets(k, x, eps, delta, forward)
+        assert (reachable is None) == (limits is None)
+        if limits is not None:
+            assert limits <= reachable
+            assert minimal(as_sets(reachable)) == minimal(as_sets(limits))
+        halves.append(limits)
+    fwd, bwd = halves
+    verdict = SH.shadowable_exact(system, k.pts[x], eps, delta)
+    assert verdict == \
+        (fwd is not None and bwd is not None and all(a & b for a in fwd for b in bwd))
+    # every step u -> v lies on a cycle of (point, exponent mod order)
+    # states (u -> v gives f^-1(v) -> f(u), and f^order is the identity),
+    # so a forward walk can run any backward walk in time order and come
+    # back to x at exponent 0: the halves reach the empty set together,
+    # and when neither does every forward set meets every backward set
+    assert (fwd is None) == (bwd is None) and verdict == (fwd is not None)
 
 
 # The oracle traces every window, so N shrinks until a draw has at most
