@@ -33,11 +33,15 @@ a fresh system, timed alone with the views it reads already built:
   decider reads one (as before BENCH_22) skips the rungs with more than
   EAGER_MAX_ROWS rows in all: coprime400 would hold 39 999 * 400 bitsets,
   over a GB.
-- ``sweep``: shadowable_exact at every point of cat7 and cat9 at (eps,
-  delta) = (1/2, 1/3), on a fresh system with its integer rows and
-  cycles built, so later points read the views the earlier ones built.
-  Every point is True there, so each call runs both half-searches to the
-  end. Its counters are the points decided and the True verdicts.
+- ``sweep``: shadowable_exact_points at every point of cat7, cat9,
+  cat13 and cat17 at (eps, delta) = (1/2, 1/3), on a fresh system with
+  its integer rows and cycles built. Every point is True there, so the
+  sweep walks every state reachable from the carrier, each once, as
+  later walks stop at the states of earlier ones. A tree without
+  shadowable_exact_points (before BENCH_24) is timed calling
+  shadowable_exact at each point, so later points read only the views
+  the earlier ones built. Its counters are the points decided and the
+  True verdicts.
 
 The rungs are the cat map (2 1; 1 1) on the 7, 9, 13 and 17 tori at
 c = 1/4, the circles Z36 and Z96 with a unit step at c = 1/(2n), and
@@ -85,8 +89,8 @@ Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
 
     python3 -m compileall -q src ../parent/src
-    python3 bench/ladder.py --repeats 15 --label change --out BENCH_23.json
-    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_23.json
+    python3 bench/ladder.py --repeats 15 --label change --out BENCH_24.json
+    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_24.json
 
 Records of another label already in --out are kept; those of --label
 are replaced.
@@ -108,7 +112,7 @@ from random import Random
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 PULLBACKS_MAX_ORDER = 1000
 DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
-SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9"), (F(1, 2), F(1, 3))
+SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9", "cat13", "cat17"), (F(1, 2), F(1, 3))
 EAGER_MAX_ROWS = 10 ** 7
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
@@ -247,8 +251,11 @@ def best_of(repeats, make, call):
 
 def measure_decider(label, repeats):
     """The decider layer: shadowable_exact at each rung's first point; and
-    the sweep layer: shadowable_exact at every point of SWEEP_CASES."""
+    the sweep layer: shadowable_exact_points at every point of SWEEP_CASES."""
     from pointdyn import metric, shadowing, systems
+    sweep = getattr(shadowing, "shadowable_exact_points", None) or (
+        lambda s, pts, eps, delta: {p: shadowing.shadowable_exact(s, p, eps, delta)
+                                    for p in pts})
     probe = systems.build_lattice(6, step=1).kernel
     eager = len(probe.pullbacks(F(1, 12))) == probe.order
     records = []
@@ -268,12 +275,13 @@ def measure_decider(label, repeats):
                                          "exponents": len(k.pullbacks(eps))}})
         if case in SWEEP_CASES:
             eps, delta = SWEEP_SCALES
-            best, result, _ = best_of(repeats, make, lambda s: [
-                shadowing.shadowable_exact(s, p, eps, delta) for p in s.kernel.pts])
+            best, result, _ = best_of(repeats, make,
+                                      lambda s: sweep(s, s.kernel.pts, eps, delta))
             records.append({"tree": label, "layer": "sweep", "case": case,
                             "size": len(result), "c": f"{eps} {delta}",
                             "wall_s": round(best, 7),
-                            "counters": {"points": len(result), "true": sum(result)}})
+                            "counters": {"points": len(result),
+                                         "true": sum(result.values())}})
     return records
 
 

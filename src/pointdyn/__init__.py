@@ -24,8 +24,9 @@ from .expansivity import (expansive_point_at, uniformly_expansive_at,
                           minimally_expansive_at, classify_points,
                           separation_horizon, sequence_expansivity_criterion)
 from .shadowing import (count_pseudo_orbits, trace, shadowable_windowed,
-                        shadowable_exact, shadowable_exact_neighborhood,
-                        splice_trace_shift, mu_shadowable_at)
+                        shadowable_exact, shadowable_exact_points,
+                        shadowable_exact_neighborhood, splice_trace_shift,
+                        mu_shadowable_at)
 from .measures import (WeightedMeasure, mu_uniformly_expansive_at,
                        mu_expansive_points, expansive_measure_check,
                        build_tracking_map, tracking_within_ball,
@@ -55,7 +56,8 @@ __all__ = [
     "expansive_point_at", "uniformly_expansive_at", "minimally_expansive_at",
     "classify_points", "separation_horizon", "sequence_expansivity_criterion",
     "count_pseudo_orbits", "trace", "shadowable_windowed", "shadowable_exact",
-    "shadowable_exact_neighborhood", "splice_trace_shift", "mu_shadowable_at",
+    "shadowable_exact_points", "shadowable_exact_neighborhood",
+    "splice_trace_shift", "mu_shadowable_at",
     "WeightedMeasure", "mu_uniformly_expansive_at", "mu_expansive_points",
     "expansive_measure_check", "build_tracking_map",
     "tracking_within_ball", "tracking_commutes",

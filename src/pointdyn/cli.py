@@ -24,7 +24,8 @@ from .measures import (build_tracking_map, mu_expansive_points,
 from .metric import validate_metric
 from .rationals import dyadic_below, parse_rational, positive
 from .report import assemble, label, labels, opt_rat, rat, render, table
-from .shadowing import shadowable_exact, shadowable_windowed
+from .shadowing import (shadowable_exact, shadowable_exact_points,
+                        shadowable_windowed)
 from .shiftspace import parse_ep, shift_metric
 from .stability import (build_conjugacy, gh_distance_bounds,
                         gh_stable_point_check)
@@ -153,8 +154,7 @@ def cmd_classify(args):
         if not system.finite:
             raise MalformedInputError(
                 "the exact shadowing classifier needs a finite carrier")
-        verdicts = {p: shadowable_exact(system, p, eps, delta)
-                    for p in system.sample(probe)}
+        verdicts = shadowable_exact_points(system, system.sample(probe), eps, delta)
         points = [p for p, ok in verdicts.items() if ok]
         results = {
             "points": labels(points),
@@ -518,7 +518,11 @@ def main(argv=None) -> int:
     except PointdynError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(render(payload, pretty=args.pretty))
+    try:
+        print(render(payload, pretty=args.pretty), flush=True)
+    except BrokenPipeError:     # the reader left: quiet the exit flush too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     elapsed = time.perf_counter() - started
     print(f"{args.verb}: {elapsed:.3f}s", file=sys.stderr)
     return code

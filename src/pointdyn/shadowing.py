@@ -10,19 +10,19 @@ per decider state.
 
 The two directions of time constrain tracers independently: the tracer
 set of a window x_-N..x_N is F & B, where F is the AND of the rows of
-x_0..x_N and B that of x_-N..x_0. Both deciders work on the halves.
-The windowed decider walks each half once, layer by layer, over the
-distinct (endpoint, tracer set) states, and pairs the distinct final
-sets; path counts recover the number and the order of the windows, so
-its report matches a window-by-window enumeration. The exact decider
-settles the bi-infinite quantifier: along any infinite pseudo-orbit the
-set of surviving time-zero tracers is non-increasing, hence eventually
-constant, so the verdict only depends on the limit sets of each half,
-the sets that some infinite walk keeps. Every state has a successor
-(f(u) forward, f^-1(u) backward, at distance 0 < delta), so below every
-reachable set lies a limit set, and limit sets are reachable: every
-forward set meets every backward set over the reachable sets exactly
-when it does over the limit sets, and the decider needs no trim.
+x_0..x_N and B that of x_-N..x_0. The windowed decider walks each half
+once, layer by layer, over the distinct (endpoint, tracer set) states,
+and pairs the distinct final sets; path counts recover the number and
+the order of the windows, so its report matches a window-by-window
+enumeration. The exact decider walks forward only, over the states
+(point u, time-zero tracer set A, exponent e mod order). Each step
+u -> v lies on a cycle of (point, exponent mod order) pairs (u -> v
+gives f^-1(v) -> f(u); f^order is the identity), so a forward walk from
+x runs any window through x in time order, out to x_-N and back through
+x_0 to x_N, keeping a subset of its tracers: x is shadowable exactly
+when no forward walk from (x, within(eps)[x], 0) reaches the empty set.
+Whether a state reaches it depends on the state alone, so the states of
+a walk that ends without it are safe for later starts (closed, none empty).
 """
 
 from fractions import Fraction
@@ -206,21 +206,19 @@ def _half_windows(pull, order, steps, counts, x: int, N: int, kstep: int) -> dic
 # -- exact decider --------------------------------------------------------
 
 
-def _reachable_sets(kernel, x: int, eps, delta, forward: bool):
-    """The tracer sets of the states reachable in one time direction, as
-    bitsets, or None when the empty set is reachable.
-
-    States are (point u, surviving time-zero tracer set A, exponent e
-    mod order). A step to v at exponent e' keeps A & pullbacks(eps)[e'][v]
-    for each of the kernel's delta steps v from u in that direction.
-    """
+def _reachable_states(kernel, x: int, eps, delta, safe):
+    """The states of the forward walk from x, with those of safe, which it
+    does not enter, or None when it reaches the empty tracer set. A state
+    is (point u, time-zero tracers A, exponent e mod order); a step to v
+    keeps A & pullbacks(eps)[e + 1][v] for each delta step v from u."""
     pull, order = kernel.pullbacks(eps), kernel.order
-    succ, kstep = kernel.steps(delta, forward), 1 if forward else -1
+    succ = kernel.steps(delta, True)
     start = (x, pull[0][x], 0)      # holds x: eps > 0
-    seen, stack = {start}, [start]
+    seen, stack = set(safe), [start]
+    seen.add(start)
     while stack:
         u, A, e = stack.pop()
-        e = (e + kstep) % order
+        e = (e + 1) % order
         row = pull[e]
         for v in succ[u]:
             B = A & row[v]
@@ -230,7 +228,7 @@ def _reachable_sets(kernel, x: int, eps, delta, forward: bool):
             if state not in seen:
                 seen.add(state)
                 stack.append(state)
-    return {A for _, A, _ in seen}
+    return seen
 
 
 def _exact_kernel(system):
@@ -240,31 +238,33 @@ def _exact_kernel(system):
     return system.kernel
 
 
-def shadowable_exact(system, x, eps, delta) -> bool:
-    """Is every bi-infinite delta-pseudo-orbit through x eps-traceable?
-
-    Exact: forward and backward halves of a pseudo-orbit are
-    independent, so the quantifier asks that every forward limit tracer
-    set meet every backward one. Every reachable set holds a limit set
-    and every limit set is reachable (module docstring), so that is the
-    same as every forward reachable set meeting every backward one.
-    """
+def shadowable_exact_points(system, points, eps, delta) -> dict:
+    """{x: shadowable_exact(system, x, eps, delta)} in the order of points,
+    each walk kept out of the states of the earlier walks that ended
+    without the empty set (module docstring)."""
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     kernel = _exact_kernel(system)
-    xi = point_index(system, x)
-    fwd = _reachable_sets(kernel, xi, eps, delta, forward=True)
-    if fwd is None:
-        return False
-    bwd = _reachable_sets(kernel, xi, eps, delta, forward=False)
-    return bwd is not None and all(a & b for a in fwd for b in bwd)
+    verdicts, safe = {}, frozenset()
+    for x in points:
+        seen = _reachable_states(kernel, point_index(system, x), eps, delta, safe)
+        verdicts[x] = seen is not None
+        safe = safe if seen is None else seen
+    return verdicts
+
+
+def shadowable_exact(system, x, eps, delta) -> bool:
+    """Is every bi-infinite delta-pseudo-orbit through x eps-traceable?
+    Exact: no forward walk from x reaches the empty tracer set, since
+    forward walks run every window through x (module docstring)."""
+    return shadowable_exact_points(system, (x,), eps, delta)[x]
 
 
 def shadowable_exact_neighborhood(system, x, eps, delta) -> bool:
     """Every pseudo-orbit through the open delta-ball around x traceable."""
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     _exact_kernel(system)
-    return all(shadowable_exact(system, x0, eps, delta)
-               for x0 in sorted_points(system_ball(system, x, delta)))
+    ball = sorted_points(system_ball(system, x, delta))
+    return all(shadowable_exact_points(system, ball, eps, delta).values())
 
 
 # -- shift backend: constructive splice tracer ----------------------------
@@ -335,8 +335,7 @@ def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
     if measure_of(mu, frozenset(system.points()) - B) != 0:
         raise PreconditionError("B must have full measure")
     carrier_set(system, mu.weights)         # no mass off the carrier
-    through = sorted_points(B & system_ball(system, x, delta))
-    for x0 in through:
-        if not shadowable_exact(system, x0, eps, delta):
-            return MuShadowReport(False, tuple(through), x0)
-    return MuShadowReport(True, tuple(through))
+    through = tuple(sorted_points(B & system_ball(system, x, delta)))
+    verdicts = shadowable_exact_points(system, through, eps, delta)
+    failing = next((x0 for x0, ok in verdicts.items() if not ok), None)
+    return MuShadowReport(failing is None, through, failing)

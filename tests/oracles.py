@@ -3,16 +3,17 @@
 The library answers each of these questions another way; the tests
 compare the two. Distance tables are filled one dist call per pair,
 apart from the kernel's integer rows, and pull-back rows are built for
-every exponent below the order in one pass, apart from the kernel's
-rows built on first read. Pseudo-orbit windows are enumerated here walk
-by walk over a graph built on Fraction distances, apart from the
-kernel's step rows and the layered halves of shadowable_windowed. The
-limit tracer sets of a half are trimmed out of the reachable ones that
-shadowable_exact reads. Separation windows are listed time by time with
-iterate and dist. Gamma sets are cut from phi sets and balls point by
-point, apart from the measure layer's scan of kernel rows. Measures are
-transported point by point, and shift balls are sampled by single-symbol
-edits.
+every exponent below the order in one pass, apart from the kernel's rows
+built on first read. Pseudo-orbit windows are enumerated here walk by
+walk over a graph built on Fraction distances, apart from the kernel's
+step rows and the layered halves of shadowable_windowed. The exact
+decider's verdict is rebuilt from both halves of a pseudo-orbit, apart
+from its one forward walk: the tracer sets each half reaches, and the
+limit sets trimmed out of them. Separation windows are listed time by
+time with iterate and dist. Gamma sets are cut from phi sets and balls
+point by point, apart from the measure layer's scan of kernel rows.
+Measures are transported point by point, and shift balls are sampled by
+single-symbol edits.
 """
 
 from fractions import Fraction
@@ -105,10 +106,40 @@ def enumerate_pseudo_orbits(system, x, delta, N, budget=None):
             for back in _walks(rev, x, N) for out in _walks(graph, x, N))
 
 
+def reachable_sets(kernel, x: int, eps, delta, forward: bool):
+    """The tracer sets of the states reachable in one time direction, as
+    bitsets, or None when the empty set is reachable.
+
+    States are (point u, surviving time-zero tracer set A, exponent e
+    mod order). A step to v at exponent e' keeps A & pullbacks(eps)[e'][v]
+    for each of the kernel's delta steps v from u in that direction.
+    x is shadowable exactly when neither half reaches the empty set and
+    every forward set meets every backward set: the second route to
+    shadowable_exact's one forward walk.
+    """
+    pull, order = kernel.pullbacks(eps), kernel.order
+    succ, kstep = kernel.steps(delta, forward), 1 if forward else -1
+    start = (x, pull[0][x], 0)      # holds x: eps > 0
+    seen, stack = {start}, [start]
+    while stack:
+        u, A, e = stack.pop()
+        e = (e + kstep) % order
+        row = pull[e]
+        for v in succ[u]:
+            B = A & row[v]
+            if not B:
+                return None
+            state = (v, B, e)
+            if state not in seen:
+                seen.add(state)
+                stack.append(state)
+    return {A for _, A, _ in seen}
+
+
 def trimmed_limit_sets(kernel, x: int, eps, delta, forward: bool):
     """The limit tracer sets of one time direction, as bitsets, or None
-    when the empty set is reachable: the walk of shadowing._reachable_sets,
-    then a counter-based trim over the set-keeping edges.
+    when the empty set is reachable: the walk of reachable_sets, then a
+    counter-based trim over the set-keeping edges.
 
     A is a limit set when some reachable walk keeps it forever. The trim
     removes every state with no set-keeping successor left; the sets of

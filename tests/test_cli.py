@@ -303,6 +303,29 @@ def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
         assert "99 is not a carrier point" in proc.stderr
 
 
+def test_closed_stdout_exits_without_traceback():
+    # a reader that leaves early (pdl ... | head -c 10) once ended the run
+    # in a BrokenPipeError traceback; the read end is closed before the
+    # child starts, so its first write to stdout fails on every run
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from pointdyn.cli import main; sys.exit(main())",
+             "classify", "bundled:cat5", "--variant", "shadow",
+             "--eps", "1/2", "--delta", "1/3"],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "Exception ignored" not in proc.stderr
+
+
 # every verb that takes a budget reads it first; ghdist once reported
 # with a negative one and shadow --window ran out of it (exit 3)
 BUDGET_ARGV = (

@@ -6,7 +6,7 @@ import io
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies as st, target
 
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (FiniteKernel, build_explicit, build_lattice, build_shift,
@@ -28,7 +28,7 @@ from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
 from oracles import (distance_table, eager_pullbacks, enumerate_pseudo_orbits,
-                     pseudo_orbit_graph, trimmed_limit_sets)
+                     pseudo_orbit_graph, reachable_sets, trimmed_limit_sets)
 from test_kernel import finite_systems, ladder_rung, palette_systems
 
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
@@ -131,7 +131,7 @@ def assert_matches_oracle(system, eps, delta):
     for x, p in enumerate(k.pts):
         halves = []
         for forward in (True, False):
-            got = SH._reachable_sets(k, x, eps, delta, forward)
+            got = reachable_sets(k, x, eps, delta, forward)
             reachable, want = oracle_half_sets(system, x, eps, delta, forward)
             if got is None:
                 assert frozenset() in want
@@ -428,7 +428,7 @@ def test_transient_tracer_sets_are_not_limits():
                        (1, 2, 0))
     for forward in (True, False):
         # the transient set is reachable, but not a limit
-        assert SH._reachable_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b011, 0b001}
+        assert reachable_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b011, 0b001}
         assert trimmed_limit_sets(f.kernel, 0, F(3, 2), F(1), forward) == {0b001}
         assert oracle_half_sets(f, 0, F(3, 2), F(1), forward)[1] == {frozenset({0})}
     assert_matches_oracle(f, F(3, 2), F(1))
@@ -469,7 +469,7 @@ def test_reachable_sets_decide_as_the_limit_sets(system, data):
     x = data.draw(st.sampled_from(range(len(k.pts))), label="x")
     halves = []
     for forward in (True, False):
-        reachable = SH._reachable_sets(k, x, eps, delta, forward)
+        reachable = reachable_sets(k, x, eps, delta, forward)
         limits = trimmed_limit_sets(k, x, eps, delta, forward)
         assert (reachable is None) == (limits is None)
         if limits is not None:
@@ -486,6 +486,35 @@ def test_reachable_sets_decide_as_the_limit_sets(system, data):
     # back to x at exponent 0: the halves reach the empty set together,
     # and when neither does every forward set meets every backward set
     assert (fwd is None) == (bwd is None) and verdict == (fwd is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(palette_systems(max_n=8), st.data())
+def test_shared_sweep_matches_per_point_calls(system, data):
+    # a sweep keeps each walk out of the states of the earlier True walks;
+    # in ascending and in shuffled point order it gives the verdicts of
+    # separate calls, at scales at each distance value and 1/64 to either
+    # side. Sharing can only go wrong where True and False verdicts mix,
+    # so the draws are steered toward systems with both.
+    scales = [d + s for d in distances(system) for s in (F(-1, 64), F(0), F(1, 64))]
+    eps = data.draw(st.sampled_from(scales), label="eps")
+    delta = data.draw(st.sampled_from(scales), label="delta")
+    pts = system.points()
+    want = {x: SH.shadowable_exact(system, x, eps, delta) for x in pts}
+    true = sum(want.values())
+    target(min(true, len(pts) - true), label="minority verdicts")
+    for order in (pts, data.draw(st.permutations(pts), label="order")):
+        got = SH.shadowable_exact_points(system, order, eps, delta)
+        assert list(got) == list(order) and got == want
+
+
+def test_true_verdicts_read_no_backward_steps():
+    # the decider walks forward only: a True verdict, which walks every
+    # reachable state, builds no backward step rows on a fresh kernel
+    system = build_lattice(12, step=3)
+    assert SH.shadowable_exact(system, 0, F(1, 4), F(1, 12)) is True
+    assert [key for key in system.kernel._views if key[0] == "steps"] == \
+        [("steps", 1, 12, True)]
 
 
 # The oracle traces every window, so N shrinks until a draw has at most
