@@ -17,12 +17,12 @@ a fresh system, timed alone with the views it reads already built:
   rows) pairs;
 - ``pullbacks``: the pull-backs pullbacks(c) of within(c), one bitset
   row per point and exponent below the order, which both shadowing
-  deciders read. The view builds a row when it is first read, so the
-  timed call reads every exponent, as the records of BENCH_14-18 built
-  them. It costs O(order * n) whatever the code, so rungs whose
-  order exceeds 1 000 (cycles43 and coprime400) are left out of this
-  layer: there one build would time the size of the view, not the way
-  the code steps f.
+  deciders read. The view builds its rows upward from exponent 0 as
+  they are read, so the timed call reads every exponent, as the records
+  of BENCH_14-18 built them. It costs O(order * n) whatever the code,
+  so rungs whose order exceeds 1 000 (cycles43 and coprime400) are left
+  out of this layer: there one build would time the size of the view,
+  not the way the code steps f.
 - ``decider``: shadowable_exact at the rung's first point, at (eps,
   delta) = (5/4, 5/4) and (7/5, 1/2), on a fresh system with its integer
   rows and cycles built (c holds "eps delta"). Its counters are the
@@ -74,16 +74,16 @@ The children write no bytecode when PYTHONDONTWRITEBYTECODE is set, so
 run ``python3 -m compileall -q src`` on each tree first, or the import
 times the compiler too.
 
-Every other record is {tree, layer, case, size, wall_s, counters}: wall_s is
-the least wall time over --repeats fresh systems, each timed call begun
-after a full garbage collection; size is the point count n, and, outside
-the decider and sweep layers, the counters describe the rung, not the
-code that ran on it: n, cycles, order, gathers = sum over cycles of M =
-max over cycle lengths q of lcm(p, q), the whole-row gathers of a fold
-over a full period of every pair orbit, and classes = sum over cycle
-pairs (p, q) of gcd(p, q) when it is below q, the residue classes of
-more than one point that sup_scaled takes one max over. No figure here
-gates a test.
+Every other record is {tree, layer, case, size, repeats, wall_s,
+counters}: wall_s is the least wall time over repeats fresh systems,
+each timed call begun after a full garbage collection; size is the point
+count n, and, outside the decider and sweep layers, the counters
+describe the rung, not the code that ran on it: n, cycles, order,
+gathers = sum over cycles of M = max over cycle lengths q of lcm(p, q),
+the whole-row gathers of a fold over a full period of every pair orbit,
+and classes = sum over cycle pairs (p, q) of gcd(p, q) when it is below
+q, the residue classes of more than one point that sup_scaled takes one
+max over. No figure here gates a test.
 
 Run it from the repository root; --src picks the library tree, so the
 same ladder measures a second checkout:
@@ -93,7 +93,9 @@ same ladder measures a second checkout:
     python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_24.json
 
 Records of another label already in --out are kept; those of --label
-are replaced.
+are replaced. Each record carries the --repeats of its own run, and the
+document's statistic names no count, so trees run at different
+--repeats share one file.
 """
 
 import argparse
@@ -118,6 +120,8 @@ EAGER_MAX_ROWS = 10 ** 7
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
                  for a, b in ((1, 5), (1, 7), (5, 7))
                  if gcd(a, n) == gcd(b, n) == 1)
+STATISTIC = ("wall_s: min wall seconds over a record's repeats fresh systems"
+             " (import: median over repeats fresh processes)")
 IMPORT_CHILD = """\
 import sys, time
 t0 = time.perf_counter()
@@ -173,8 +177,7 @@ def layers(systems):
     layer reads and returns the build's third argument; build(system, c,
     arg) is the timed call."""
     def warm_rows(system, c, make=None):
-        k = system.kernel
-        k.scaled(k.denominator), k.cycles
+        warmed(system)
 
     def warm_within(system, c, make):
         warm_rows(system, c)
@@ -208,6 +211,34 @@ def read_pullbacks(kernel, c):
     return [pull[e] for e in range(kernel.order)]
 
 
+def warmed(system):
+    """system, with its integer rows and cycles built."""
+    k = system.kernel
+    k.scaled(k.denominator), k.cycles
+    return system
+
+
+def best_of(repeats, make, call):
+    """(least wall time of call(made), its last result, the last made) over
+    repeats values made = make(). Each timed call begins after a full
+    garbage collection: whether a collection falls inside it must not
+    depend on the garbage the earlier calls left behind."""
+    best = None
+    for _ in range(repeats):
+        made = make()
+        gc.collect()
+        t0 = time.perf_counter()
+        result = call(made)
+        wall = time.perf_counter() - t0
+        best = wall if best is None else min(best, wall)
+    return best, result, made
+
+
+def record(label, layer, case, size, c, repeats, wall, counters):
+    return {"tree": label, "layer": layer, "case": case, "size": size, "c": c,
+            "repeats": repeats, "wall_s": round(wall, 7), "counters": counters}
+
+
 def measure(label, repeats):
     from pointdyn import metric, systems
     records = []
@@ -216,37 +247,16 @@ def measure(label, repeats):
         for layer, prepare, build in layers(systems):
             if layer == "pullbacks" and order > PULLBACKS_MAX_ORDER:
                 continue
-            best = None
-            for _ in range(repeats):
+
+            def setup():
                 system = make()
-                arg = prepare(system, c, make)
-                # whether a collection falls inside the timed call must not
-                # depend on the garbage the earlier rungs left behind
-                gc.collect()
-                t0 = time.perf_counter()
-                build(system, c, arg)
-                wall = time.perf_counter() - t0
-                best = wall if best is None else min(best, wall)
-            records.append({"tree": label, "layer": layer, "case": case,
-                            "size": len(system.kernel.pts), "c": str(c),
-                            "wall_s": round(best, 7), "counters": counters(system.kernel)})
+                return system, prepare(system, c, make)
+
+            best, _, (system, _) = best_of(repeats, setup,
+                                           lambda made: build(made[0], c, made[1]))
+            records.append(record(label, layer, case, len(system.kernel.pts), str(c),
+                                  repeats, best, counters(system.kernel)))
     return records
-
-
-def best_of(repeats, make, call):
-    """(least wall time of call(system), its last result, its last system)
-    over repeats fresh systems, each with its integer rows and cycles built."""
-    best = None
-    for _ in range(repeats):
-        system = make()
-        k = system.kernel
-        k.scaled(k.denominator), k.cycles
-        gc.collect()
-        t0 = time.perf_counter()
-        result = call(system)
-        wall = time.perf_counter() - t0
-        best = wall if best is None else min(best, wall)
-    return best, result, system
 
 
 def measure_decider(label, repeats):
@@ -265,23 +275,21 @@ def measure_decider(label, repeats):
             continue
         big = k.order > PULLBACKS_MAX_ORDER
         for eps, delta in DECIDER_SCALES[:1] if big else DECIDER_SCALES:
-            best, result, system = best_of(repeats, make, lambda s: shadowing.shadowable_exact(
-                s, s.kernel.pts[0], eps, delta))
+            best, result, system = best_of(
+                repeats, lambda: warmed(make()),
+                lambda s: shadowing.shadowable_exact(s, s.kernel.pts[0], eps, delta))
             k = system.kernel
-            records.append({"tree": label, "layer": "decider", "case": case,
-                            "size": len(k.pts), "c": f"{eps} {delta}",
-                            "wall_s": round(best, 7),
-                            "counters": {"result": result, "order": k.order,
-                                         "exponents": len(k.pullbacks(eps))}})
+            records.append(record(label, "decider", case, len(k.pts), f"{eps} {delta}",
+                                  repeats, best,
+                                  {"result": result, "order": k.order,
+                                   "exponents": len(k.pullbacks(eps))}))
         if case in SWEEP_CASES:
             eps, delta = SWEEP_SCALES
-            best, result, _ = best_of(repeats, make,
+            best, result, _ = best_of(repeats, lambda: warmed(make()),
                                       lambda s: sweep(s, s.kernel.pts, eps, delta))
-            records.append({"tree": label, "layer": "sweep", "case": case,
-                            "size": len(result), "c": f"{eps} {delta}",
-                            "wall_s": round(best, 7),
-                            "counters": {"points": len(result),
-                                         "true": sum(result.values())}})
+            records.append(record(label, "sweep", case, len(result), f"{eps} {delta}",
+                                  repeats, best,
+                                  {"points": len(result), "true": sum(result.values())}))
     return records
 
 
@@ -332,19 +340,10 @@ def measure_gh(label, repeats):
     from pointdyn import metric, systems
     records = []
     for case, make, outcome in gh_cases(systems, metric):
-        best = None
-        for _ in range(repeats):
-            X, Y = make()
-            for k in (X.kernel, Y.kernel):
-                k.scaled(k.denominator), k.cycles
-            gc.collect()
-            t0 = time.perf_counter()
-            result = outcome(X, Y)
-            wall = time.perf_counter() - t0
-            best = wall if best is None else min(best, wall)
-        records.append({"tree": label, "layer": "gh", "case": case,
-                        "size": len(X.kernel.pts), "c": None,
-                        "wall_s": round(best, 7), "counters": result})
+        best, result, (X, _) = best_of(repeats, lambda: tuple(map(warmed, make())),
+                                       lambda pair: outcome(*pair))
+        records.append(record(label, "gh", case, len(X.kernel.pts), None, repeats,
+                              best, result))
     return records
 
 
@@ -356,10 +355,8 @@ def measure_import(label, src, repeats):
                            capture_output=True, text=True).stdout.split()
             for _ in range(repeats)]
     wall = statistics.median(float(run[0]) for run in runs)
-    return {"tree": label, "layer": "import", "case": "pointdyn.cli", "size": None,
-            "c": None, "wall_s": round(wall, 7),
-            "counters": {"pointdyn_modules": int(runs[0][1]),
-                         "dataclasses": runs[0][2] == "True"}}
+    return record(label, "import", "pointdyn.cli", None, None, repeats, wall,
+                  {"pointdyn_modules": int(runs[0][1]), "dataclasses": runs[0][2] == "True"})
 
 
 def main(argv=None):
@@ -379,9 +376,7 @@ def main(argv=None):
     records += measure(args.label, args.repeats)
     records += measure_decider(args.label, args.repeats)
     records += measure_gh(args.label, args.repeats)
-    doc = {"statistic": f"min wall seconds over {args.repeats} fresh systems"
-                        f" (import: median over {args.repeats} fresh processes)",
-           "python": platform.python_version(), "records": []}
+    doc = {"statistic": STATISTIC, "python": platform.python_version(), "records": []}
     if args.out and os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)

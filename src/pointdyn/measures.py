@@ -153,7 +153,10 @@ def _phi_satellite(system, x, c):
 # -- pointwise mu-expansivity ----------------------------------------------
 
 
-def _check_measure_backend(system, mu):
+def check_measure_backend(system, mu):
+    """The check every mu-check makes first: a finite carrier takes point
+    weights with no mass off it, the shift a Bernoulli measure, and the
+    satellite carrier none."""
     if system.finite and mu.kind != "weights":
         raise CarrierMismatchError("finite carriers need point-weight measures")
     if system.finite:
@@ -169,7 +172,7 @@ def _check_measure_backend(system, mu):
 def mu_uniformly_expansive_at(system, mu, x, c) -> ExpansivityVerdict:
     """Every z in B(x, c) has a mu-null set of c-inseparable ball companions."""
     c = positive(c, "expansivity constant")
-    _check_measure_backend(system, mu)
+    check_measure_backend(system, mu)
     if system.finite:
         found = _massive_companions(system, mu, x, c, c)
         if found is None:
@@ -228,7 +231,7 @@ def expansive_measure_check(system, mu, c, probe=None) -> MeasureExpansivityRepo
     every point to be mu-uniformly expansive at c.
     """
     c = positive(c, "expansivity constant")
-    _check_measure_backend(system, mu)
+    check_measure_backend(system, mu)
     pts = system.sample(probe)
     if system.finite and set(pts) != set(system.points()):
         raise PreconditionError("finite carriers must be probed in full")
@@ -288,11 +291,10 @@ def build_tracking_map(f, g, x, eta) -> SetValuedAssignment:
     carrier (systems.check_carrier): x is a point of f, and on finite
     carriers g's index i stands for f.kernel.pts[i], so the domain and
     the images are f's points whatever labels g gives its own. Each
-    image is one exact trace of the periodic g-orbit by f's kernel
-    (FiniteKernel.trace_cycle, the tracer the semiconjugacy and GH
-    checks use), started at that image's rotation of the orbit, so no
-    image is derived from another. Empty images are kept: they shrink
-    the domain.
+    image H(u) is one exact trace by f's kernel (FiniteKernel.trace_cycle,
+    the tracer the semiconjugacy and GH checks use) of the periodic
+    g-orbit rotated to start at u, so no image is derived from another.
+    Empty images are kept: they shrink the domain.
     """
     eta = positive(eta, "tracking radius")
     check_carrier(f, g)
@@ -312,7 +314,7 @@ def build_tracking_map(f, g, x, eta) -> SetValuedAssignment:
     orb = g.kernel.orbit(point_index(f, x))
     images = {}
     for i, u in enumerate(orb):
-        tracers, _, _ = k.trace_cycle(orb, eta, first=-i, closed=True)
+        tracers, _, _ = k.trace_cycle(orb[i:] + orb[:i], eta, closed=True)
         images[k.pts[u]] = frozenset(k.pts[z] for z in tracers)
     return SetValuedAssignment(eta, tuple(k.pts[u] for u in orb), images=images)
 
@@ -387,7 +389,7 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
     PreconditionError.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
-    _check_measure_backend(f, mu)
+    check_measure_backend(f, mu)
     c = None if expansivity_c is None else positive(expansivity_c, "expansivity constant")
     if eta is None:
         eta = eps / 2 if c is None else min(c / 16, eps / 2)
@@ -477,7 +479,7 @@ def measure_sequence_criterion(f, approximants, mu, x, delta) -> ExpansivityVerd
     against mu-uniform expansivity at delta/9.
     """
     delta = positive(delta, "delta")
-    _check_measure_backend(f, mu)
+    check_measure_backend(f, mu)
     tail = eventual_agreement_index(f, approximants)
     third = delta / 3
     if f.finite:

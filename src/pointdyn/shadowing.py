@@ -8,21 +8,25 @@ sets are integer bitsets over kernel indices, and a step is one AND
 with a row of the kernel's eps pull-backs, so no distance is compared
 per decider state.
 
-The two directions of time constrain tracers independently: the tracer
-set of a window x_-N..x_N is F & B, where F is the AND of the rows of
-x_0..x_N and B that of x_-N..x_0. The windowed decider walks each half
-once, layer by layer, over the distinct (endpoint, tracer set) states,
-and pairs the distinct final sets; path counts recover the number and
-the order of the windows, so its report matches a window-by-window
-enumeration. The exact decider walks forward only, over the states
-(point u, time-zero tracer set A, exponent e mod order). Each step
-u -> v lies on a cycle of (point, exponent mod order) pairs (u -> v
-gives f^-1(v) -> f(u); f^order is the identity), so a forward walk from
-x runs any window through x in time order, out to x_-N and back through
-x_0 to x_N, keeping a subset of its tracers: x is shadowable exactly
-when no forward walk from (x, within(eps)[x], 0) reaches the empty set.
-Whether a state reaches it depends on the state alone, so the states of
-a walk that ends without it are safe for later starts (closed, none empty).
+The two directions of time constrain tracers independently. Every read
+of the pull-back rows runs forward in time from exponent 0, so a window
+x_-N..x_N is traced from x_-N: its tracers at time -N are F & B, where
+F is the AND of the rows of x_0..x_N at exponents N..2N and B that of
+x_-N..x_0 at exponents 0..N, and f^N takes them one to one to the
+tracers at time 0. The windowed decider walks each half once, layer by
+layer, over the distinct (endpoint, tracer set) states, and pairs the
+distinct final sets; path counts recover the number and the order of
+the windows, so its report matches a window-by-window enumeration.
+
+The exact decider walks forward only, over the states (point u,
+time-zero tracer set A, exponent e mod order). Each step u -> v lies on
+a cycle of (point, exponent mod order) pairs (u -> v gives f^-1(v) ->
+f(u); f^order is the identity), so a forward walk from x runs any
+window through x in time order, out to x_-N and back through x_0 to
+x_N, keeping a subset of its tracers: x is shadowable exactly when no
+forward walk from (x, within(eps)[x], 0) reaches the empty set. Whether
+a state reaches it depends on the state alone, so the states of a walk
+that ends without it are safe for later starts (closed, none empty).
 """
 
 from fractions import Fraction
@@ -30,7 +34,7 @@ from typing import NamedTuple
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
-from .measures import carrier_set, measure_of
+from .measures import carrier_set, check_measure_backend, measure_of
 from .rationals import positive, resolve_budget
 from .shiftspace import EPPoint, shift_metric
 from .systems import point_index, sorted_points, system_ball
@@ -72,13 +76,15 @@ def _path_counts(steps, length):
 
 
 def _windows(system, x, delta, N):
-    """x's kernel index, the forward and backward kernel steps, the walk
-    counts of each and the number of radius-N windows through x."""
+    """x's kernel index, the forward and backward steps, the walk counts
+    of each and the number of radius-N windows through x. Backward row u,
+    the w with d(f(w), u) < delta, is f^-1 of the kernel's row f^-1(u)."""
     if N < 0:
         raise PreconditionError("window radius must be nonnegative")
     xi = point_index(system, x)
     delta = positive(delta, "pseudo-orbit gap")
-    steps = [system.kernel.steps(delta, forward) for forward in (True, False)]
+    inv, out = system.kernel.inv, system.kernel.steps(delta)
+    steps = [out, tuple(sorted(inv[y] for y in out[w]) for w in inv)]
     counts = [_path_counts(rows, N) for rows in steps]
     return xi, steps, counts, counts[0][N][xi] * counts[1][N][xi]
 
@@ -109,8 +115,9 @@ def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
             "enumerative tracing needs a finite carrier; "
             "the shift backend traces by splicing")
     k = system.kernel
-    found = k.tracers([point_index(system, p) for p in window.entries], eps,
-                      first=-window.radius)
+    found = k.tracers([point_index(system, p) for p in window.entries], eps)
+    for _ in range(window.radius):      # from time -N to time 0
+        found = [k.perm[z] for z in found]
     return TracerSet(frozenset(k.pts[z] for z in found), eps)
 
 
@@ -139,9 +146,9 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     refused beyond the budget before any work.
 
     No window is built. Each half is walked once (_half_windows), which
-    yields its distinct final tracer sets, each with the first walk that
-    ends in it and that walk's rank among the half's walks. The window
-    of backward rank rb and forward rank ra comes at position
+    yields its distinct final tracer sets at time -N, each with the first
+    walk that ends in it and that walk's rank among the half's walks. The
+    window of backward rank rb and forward rank ra comes at position
     rb * n_out + ra of the enumeration (n_out forward walks), so
     scanning the pairs of sets in (rb, ra) order finds the first window
     with the fewest tracers, and the first with none.
@@ -179,17 +186,17 @@ def _half_windows(pull, order, steps, counts, x: int, N: int, kstep: int) -> dic
     the entries of the first walk that ends in it.
 
     Layer t holds the states (endpoint v, AND of the eps pull-back rows
-    of the walk's entries at exponents kstep * 0..t), each with the
-    first walk that reaches it. Iterating the previous layer in
-    insertion order and the steps in ascending order makes the first
-    walk to reach a state the least one in enumeration order, and the
-    states of a layer come in the order of their least walks. A walk's
-    rank adds, at each step, the walks to complete (counts) from the
-    steps it passes over.
+    of the walk's entries at exponents N + kstep * 0..t: their tracers at
+    time -N), each with the first walk that reaches it. Iterating the
+    previous layer in insertion order and the steps in ascending order
+    makes the first walk to reach a state the least one in enumeration
+    order, and the states of a layer come in the order of their least
+    walks. A walk's rank adds, at each step, the walks to complete
+    (counts) from the steps it passes over.
     """
-    layer = {(x, pull[0][x]): (0, ())}
+    layer = {(x, pull[N % order][x]): (0, ())}
     for t in range(1, N + 1):
-        row, below, nxt = pull[kstep * t % order], counts[N - t], {}
+        row, below, nxt = pull[(N + kstep * t) % order], counts[N - t], {}
         for (u, A), (rank, walk) in layer.items():
             for v in steps[u]:
                 state = (v, A & row[v])
@@ -212,7 +219,7 @@ def _reachable_states(kernel, x: int, eps, delta, safe):
     is (point u, time-zero tracers A, exponent e mod order); a step to v
     keeps A & pullbacks(eps)[e + 1][v] for each delta step v from u."""
     pull, order = kernel.pullbacks(eps), kernel.order
-    succ = kernel.steps(delta, True)
+    succ = kernel.steps(delta)
     start = (x, pull[0][x], 0)      # holds x: eps > 0
     seen, stack = set(safe), [start]
     seen.add(start)
@@ -331,10 +338,10 @@ def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     _exact_kernel(system)
+    check_measure_backend(system, mu)
     B = carrier_set(system, B)
     if measure_of(mu, frozenset(system.points()) - B) != 0:
         raise PreconditionError("B must have full measure")
-    carrier_set(system, mu.weights)         # no mass off the carrier
     through = tuple(sorted_points(B & system_ball(system, x, delta)))
     verdicts = shadowable_exact_points(system, through, eps, delta)
     failing = next((x0 for x0, ok in verdicts.items() if not ok), None)

@@ -391,7 +391,7 @@ class SatelliteSystem(ShiftSystem):
         return x.shift_by(-1)
 
     def carrier_token(self):
-        return ("satellite", self.K, self.t, format_ep(self.p))
+        return ("satellite", self.alphabet, self.K, self.t, format_ep(self.p))
 
     def describe(self):
         return f"satellite K={self.K} t={self.t} p={format_ep(self.p)}"
@@ -413,8 +413,8 @@ class FiniteKernel:
     of their denominators. sup_scaled, the cycles, the order, and per
     radius or constant (keyed on its numerator and denominator) within(r),
     the pseudo-orbit steps, inseparable(c) and cycle_failures(c) are built
-    on first use and kept; the pull-backs of within(r) build each exponent's
-    rows on its first read. f^m steps by whole-row gathers, or along a cycle.
+    on first use and kept; the pull-backs of within(r) grow from exponent 0
+    as they are read. f^m steps by whole-row gathers, or along a cycle.
     """
 
     def __init__(self, system):
@@ -559,42 +559,35 @@ class FiniteKernel:
 
     def pullbacks(self, radius, closed=False) -> "_PullBacks":
         """pullbacks(r)[e][v], 0 <= e < order: the bitset of z with f^e z
-        in within(r)[v]; row e is built when it is first read."""
+        in within(r)[v]; a read of row e builds the rows up to e."""
         key = ("pullbacks", radius.numerator, radius.denominator, closed)
         if (pull := self._views.get(key)) is None:
             pull = self._views[key] = _PullBacks(self, self.within(radius, closed))
         return pull
 
-    def steps(self, delta, forward=True) -> tuple:
-        """The delta-pseudo-orbit steps, each row ascending: the v with
-        d(f(u), v) < delta forward, the w with d(f(w), u) < delta backward.
-        Backward row u is f^-1 of forward row f^-1(u), so both directions
-        share one members pass over within(delta)."""
-        key = ("steps", delta.numerator, delta.denominator, forward)
+    def steps(self, delta) -> tuple:
+        """The delta-pseudo-orbit steps: row u holds the v with
+        d(f(u), v) < delta, ascending."""
+        key = ("steps", delta.numerator, delta.denominator)
         if (rows := self._views.get(key)) is None:
-            if forward:
-                near = [members(row) for row in self.within(delta)]
-                rows = tuple(near[v] for v in self.perm)
-            else:
-                inv, out = self.inv, self.steps(delta)
-                rows = tuple(sorted(inv[y] for y in out[w]) for w in inv)
-            self._views[key] = rows
+            near = [members(row) for row in self.within(delta)]
+            rows = self._views[key] = tuple(near[v] for v in self.perm)
         return rows
 
-    def tracers(self, targets, radius, first=0, closed=False) -> list:
-        """Ascending indices z with d(f^(first+n) z, targets[n]) < radius for every n,
+    def tracers(self, targets, radius, closed=False) -> list:
+        """Ascending indices z with d(f^n z, targets[n]) < radius for every n,
         or <= radius when closed; targets: any iterable of indices, read lazily."""
         pull, order = self.pullbacks(radius, closed), self.order
         found = (1 << len(self.perm)) - 1
         for n, t in enumerate(targets):
-            found &= pull[(first + n) % order][t]
+            found &= pull[n % order][t]
             if not found:
                 break
         return members(found)
 
-    def trace_cycle(self, window, radius, first=0, closed=False, prefer=None) -> tuple:
+    def trace_cycle(self, window, radius, closed=False, prefer=None) -> tuple:
         """Trace the periodic index window w, P = len(w): the tracers are
-        the z with d(f^(first+n) z, w[n % P]) < radius for every integer n
+        the z with d(f^n z, w[n % P]) < radius for every integer n
         (<= radius when closed); both sides repeat after lcm(order, P).
 
         Returns (tracers, z, h): z is prefer when it traces, else the least
@@ -604,7 +597,7 @@ class FiniteKernel:
         the orbit does not close up. z and h are None without a tracer.
         """
         P = len(window)
-        found = self.tracers(islice(cycle(window), lcm(self.order, P)), radius, first, closed)
+        found = self.tracers(islice(cycle(window), lcm(self.order, P)), radius, closed)
         if not found:
             return found, None, None
         z = prefer if prefer in found else found[0]
@@ -615,29 +608,27 @@ class FiniteKernel:
 
 
 class _PullBacks(dict):
-    """FiniteKernel.pullbacks, row e built on first read. ends[1] and
-    ends[-1] hold the exponents hi >= 0 >= lo that end the arc of built
-    rows, each with bits[y] = 1 << f^-e(y) there and the gather (of inv, of
-    perm) that steps bits one exponent outward; a read grows the nearer end."""
+    """FiniteKernel.pullbacks, grown upward from exponent 0: a read of row
+    e builds every row below it first. bits[y] = 1 << f^-k(y) at the
+    highest built exponent k, and one gather of inv steps it to k + 1."""
 
     def __init__(self, kernel, within):
         super().__init__({0: within})
-        bits, self.order = tuple(1 << y for y in range(len(within))), kernel.order
-        self.ends = {1: (0, bits, gatherer(kernel.inv)), -1: (0, bits, gatherer(kernel.perm))}
+        self.bits, self.order = tuple(1 << y for y in range(len(within))), kernel.order
+        self.back = gatherer(kernel.inv)
         self.wide = [(v, gatherer(members(w))) for v, w in enumerate(within) if w != 1 << v]
 
     def __missing__(self, e):
         if not 0 < e < self.order:
             raise KeyError(e)
-        step = 1 if e - self.ends[1][0] <= self.ends[-1][0] + self.order - e else -1
-        k, bits, gather = self.ends[step]
-        while k % self.order != e:
-            k, bits = k + step, gather(bits)
+        bits = self.bits
+        for k in range(len(self), e + 1):
+            bits = self.back(bits)
             row = list(bits)            # row v sums bits over within[v]
             for v, get in self.wide:
                 row[v] = sum(get(bits))
-            self[k % self.order] = tuple(row)
-        self.ends[step] = k, bits, gather
+            self[k] = tuple(row)
+        self.bits = bits
         return self[e]
 
 

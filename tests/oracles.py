@@ -9,11 +9,12 @@ walk over a graph built on Fraction distances, apart from the kernel's
 step rows and the layered halves of shadowable_windowed. The exact
 decider's verdict is rebuilt from both halves of a pseudo-orbit, apart
 from its one forward walk: the tracer sets each half reaches, and the
-limit sets trimmed out of them. Separation windows are listed time by
-time with iterate and dist. Gamma sets are cut from phi sets and balls
-point by point, apart from the measure layer's scan of kernel rows.
-Measures are transported point by point, and shift balls are sampled by
-single-symbol edits.
+limit sets trimmed out of them; the backward half's steps are read off
+within(delta) bit by bit here, as the kernel keeps forward steps only.
+Separation windows are listed time by time with iterate and dist. Gamma
+sets are cut from phi sets and balls point by point, apart from the
+measure layer's scan of kernel rows. Measures are transported point by
+point, and shift balls are sampled by single-symbol edits.
 """
 
 from fractions import Fraction
@@ -49,6 +50,16 @@ def eager_pullbacks(kernel, r, closed=False) -> tuple:
         pull.append(tuple(sum(1 << at[y] for y in row) for row in rows))
         at = back(at)                       # at[y] = f^-e y
     return tuple(pull)
+
+
+def half_steps(kernel, delta, forward: bool):
+    """The delta steps in one direction of time: the kernel's rows
+    forward, and backward row u holds the w with d(f(w), u) < delta,
+    ascending, the w with f(w) in within(delta)[u]."""
+    if forward:
+        return kernel.steps(delta)
+    near, perm, rng = kernel.within(delta), kernel.perm, range(len(kernel.perm))
+    return [[w for w in rng if near[u] >> perm[w] & 1] for u in rng]
 
 
 # -- pseudo-orbits, window by window ---------------------------------------
@@ -118,7 +129,7 @@ def reachable_sets(kernel, x: int, eps, delta, forward: bool):
     shadowable_exact's one forward walk.
     """
     pull, order = kernel.pullbacks(eps), kernel.order
-    succ, kstep = kernel.steps(delta, forward), 1 if forward else -1
+    succ, kstep = half_steps(kernel, delta, forward), 1 if forward else -1
     start = (x, pull[0][x], 0)      # holds x: eps > 0
     seen, stack = {start}, [start]
     while stack:
@@ -146,7 +157,7 @@ def trimmed_limit_sets(kernel, x: int, eps, delta, forward: bool):
     the states that remain are the limits.
     """
     pull, order = kernel.pullbacks(eps), kernel.order
-    succ, kstep = kernel.steps(delta, forward), 1 if forward else -1
+    succ, kstep = half_steps(kernel, delta, forward), 1 if forward else -1
     start = (x, pull[0][x], 0)
     ids, states, left, preds, stack = {start: 0}, [start], [0], [[]], [0]
     while stack:

@@ -11,7 +11,7 @@ from random import Random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pointdyn import metric, systems
+from pointdyn import metric, shadowing as SH, systems
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
@@ -140,12 +140,18 @@ def test_tracers_match_oracle(system, data):
     pts = system.points()
     targets = data.draw(st.lists(st.sampled_from(pts), max_size=7))
     radius = data.draw(st.sampled_from(RADII))
-    first = data.draw(st.integers(-4, 4))
     idx = [k.index[t] for t in targets]
     # both comparisons on one kernel: the per-radius cache keeps them apart
     for closed in (False, True):
-        got = [k.pts[z] for z in k.tracers(idx, radius, first, closed)]
-        assert got == oracle_tracers(system, targets, radius, first, closed)
+        got = [k.pts[z] for z in k.tracers(idx, radius, closed)]
+        assert got == oracle_tracers(system, targets, radius, 0, closed)
+    # a window x_-N..x_N starts at exponent -N: trace reads it from x_-N
+    # and moves the tracers to time 0
+    N = data.draw(st.integers(0, 4))
+    entries = data.draw(st.lists(st.sampled_from(pts), min_size=2 * N + 1,
+                                 max_size=2 * N + 1))
+    got = SH.trace(system, SH.PseudoOrbitWindow(tuple(entries), F(1)), radius)
+    assert got.points == frozenset(oracle_tracers(system, entries, radius, -N, False))
 
 
 @given(finite_systems(), st.data())
@@ -157,10 +163,12 @@ def test_trace_cycle_matches_oracle(system, data):
     first = data.draw(st.integers(-4, 4))
     closed = data.draw(st.booleans())
     prefer = data.draw(st.sampled_from(pts))
-    found, z, h = k.trace_cycle([k.index[p] for p in window], radius, first,
-                                closed, prefer=k.index[prefer])
-    # the oracle traces order * P steps, a multiple of the routine's horizon
+    # a start at exponent first is the window rotated by -first
     P = len(window)
+    turned = window[-first % P:] + window[:-first % P]
+    found, z, h = k.trace_cycle([k.index[p] for p in turned], radius, closed,
+                                prefer=k.index[prefer])
+    # the oracle traces order * P steps, a multiple of the routine's horizon
     targets = [window[n % P] for n in range(oracle_order(system) * P)]
     want = oracle_tracers(system, targets, radius, first, closed)
     assert [k.pts[i] for i in found] == want
@@ -199,14 +207,15 @@ def test_within_and_pullbacks_match_oracle(system, data):
         for e in range(k.order):
             assert pull[e] == bitsets(image, inside)
             image = [system.image(p) for p in image]
-        # rows are built on first read, whichever end of the arc around
-        # exponent 0 a read grows: fresh views read downward and shuffled
+        # rows are built upward from exponent 0, whatever order they are
+        # read in: fresh views read downward and shuffled
         oracle = eager_pullbacks(k, radius, closed)
         shuffled = data.draw(st.permutations(range(k.order)))
         for order in (range(k.order - 1, -1, -1), shuffled):
             fresh = systems.FiniteKernel(system).pullbacks(radius, closed)
             for e in order:
                 assert fresh[e] == oracle[e]
+                assert sorted(fresh) == list(range(len(fresh)))
             assert len(fresh) == k.order
             with pytest.raises(KeyError):
                 fresh[k.order]
@@ -224,18 +233,16 @@ def test_within_and_pullbacks_match_oracle(system, data):
         assert all(type(v) is int for row in got for v in row)
         assert got == tuple(tuple(scale * d for d in row) for row in table)
     if radius > 0:
-        # the step rows are the pseudo-orbit graph on indices, and its reverse
+        # the step rows are the pseudo-orbit graph on indices, and the
+        # windowed decider's backward rows, built from them, its reverse
         graph = pseudo_orbit_graph(system, radius)
         succ = [[k.index[v] for v in graph.successors[p]] for p in pts]
         back = [[u for u in range(len(pts)) if v in succ[u]] for v in range(len(pts))]
-        forward, backward = k.steps(radius, True), k.steps(radius, False)
+        forward, backward = SH._windows(system, pts[0], radius, 0)[1]
+        assert forward is k.steps(radius)
         assert succ == [list(row) for row in forward]
         assert back == [list(row) for row in backward]
         assert all(list(row) == sorted(row) for row in forward + backward)
-        # the backward rows are built from the forward ones: read them first
-        fresh = systems.FiniteKernel(system)
-        assert [list(row) for row in fresh.steps(radius, False)] == back
-        assert fresh.steps(radius, True) == forward
 
 
 @given(finite_systems(), st.data())

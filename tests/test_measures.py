@@ -15,7 +15,7 @@ from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
 from pointdyn.shiftspace import pure, ShiftBall
 from pointdyn import measures as M
 from pointdyn.shadowing import mu_shadowable_at
-from pointdyn.errors import MalformedInputError, PreconditionError
+from pointdyn.errors import CarrierMismatchError, MalformedInputError, PreconditionError
 
 from oracles import distance_table, gamma_set, pullback
 
@@ -175,6 +175,21 @@ def test_mass_off_the_carrier_is_refused():
     two_off = M.WeightedMeasure.from_weights({0: 1, 7: 0, 99: 1})
     with pytest.raises(PreconditionError, match="^7 is not a carrier point"):
         M.expansive_measure_check(ID3, two_off, half)
+
+
+def test_bernoulli_measure_on_a_finite_carrier_is_refused():
+    # mu_shadowable_at once read the weights of a Bernoulli measure, which
+    # has none, and raised a TypeError; every mu-check now refuses it alike
+    half = F(1, 2)
+    calls = (lambda: M.mu_uniformly_expansive_at(ID3, BERN, 0, half),
+             lambda: M.mu_expansive_points(ID3, BERN, half),
+             lambda: M.expansive_measure_check(ID3, BERN, half),
+             lambda: M.verify_strong_mu_topological_stability(ID3, BERN, 0, half, half, ID3),
+             lambda: M.measure_sequence_criterion(ID3, [ID3], BERN, 0, half),
+             lambda: mu_shadowable_at(ID3, BERN, 0, half, half, [0, 1, 2]))
+    for call in calls:
+        with pytest.raises(CarrierMismatchError, match="point-weight measures"):
+            call()
 
 
 # -- a lattice against perturbations on its indices ---------------------------

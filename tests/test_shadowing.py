@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st, target
 
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (FiniteKernel, build_explicit, build_lattice, build_shift,
-                              members)
+                              iterate, members)
 from pointdyn.shiftspace import EPPoint, pure, with_symbol, shift_metric
 from pointdyn.cli import main
 from pointdyn.expansivity import (classify_points, expansive_point_at, is_expansive_on,
@@ -510,11 +510,12 @@ def test_shared_sweep_matches_per_point_calls(system, data):
 
 def test_true_verdicts_read_no_backward_steps():
     # the decider walks forward only: a True verdict, which walks every
-    # reachable state, builds no backward step rows on a fresh kernel
+    # reachable state, builds one step view, the forward one, on a fresh
+    # kernel, and the kernel keeps no other
     system = build_lattice(12, step=3)
     assert SH.shadowable_exact(system, 0, F(1, 4), F(1, 12)) is True
     assert [key for key in system.kernel._views if key[0] == "steps"] == \
-        [("steps", 1, 12, True)]
+        [("steps", 1, 12)]
 
 
 # The oracle traces every window, so N shrinks until a draw has at most
@@ -561,6 +562,64 @@ def test_false_verdicts_read_few_exponents(case, order):
     assert k.order == order
     assert SH.shadowable_exact(system, k.pts[0], F(5, 4), F(5, 4)) is False
     assert len(k.pullbacks(F(5, 4))) <= 3
+
+
+def pullback_views(system):
+    """The pull-back views the system's kernel has built."""
+    return [view for key, view in system.kernel._views.items() if key[0] == "pullbacks"]
+
+
+def contiguous(view) -> bool:
+    return sorted(view) == list(range(len(view)))
+
+
+def fresh_kernel(system):
+    system._kernel = FiniteKernel(system)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_systems(), st.data())
+def test_pullback_reads_run_forward_from_zero(system, data):
+    # every reader reads exponents 0, 1, 2, ...: after each call on a
+    # fresh kernel, each pull-back view holds exactly the rows 0..len - 1
+    values = distances(system)
+    eps = data.draw(st.sampled_from(values), label="eps")
+    delta = data.draw(st.sampled_from(values), label="delta")
+    pts = system.points()
+    x = data.draw(st.sampled_from(pts), label="x")
+    N = data.draw(st.integers(1, 3), label="N")
+    while SH.count_pseudo_orbits(system, x, delta, N) > WINDOW_CAP:
+        N -= 1
+    entries = data.draw(st.lists(st.sampled_from(pts), min_size=2 * N + 1,
+                                 max_size=2 * N + 1), label="entries")
+    calls = (lambda: SH.shadowable_windowed(system, x, eps, delta, N),
+             lambda: SH.trace(system, SH.PseudoOrbitWindow(tuple(entries), delta), eps),
+             lambda: build_tracking_map(system, system, x, eps),
+             lambda: SH.shadowable_exact(system, x, eps, delta))
+    for call in calls:
+        fresh_kernel(system)
+        call()
+        views = pullback_views(system)
+        assert views and all(map(contiguous, views))
+
+
+def test_windowed_reads_build_few_rows():
+    # cycles43 has order 60 060; a radius-2 window reads exponents 0..4
+    # only, as the windowed decider and trace read it from x_-2
+    system = ladder_rung("cycles43")
+    pts, eps = system.kernel.pts, F(7, 5)
+    rep = SH.shadowable_windowed(system, pts[0], eps, F(5, 4), 2)
+    assert (rep.result, rep.windows_checked, rep.worst_window.entries) == \
+        (False, 26, (0, 0, 0, 3, 9))
+    assert sorted(system.kernel.pullbacks(eps)) == [0, 1, 2, 3, 4]
+    orbit = tuple(iterate(system, pts[0], n) for n in range(-2, 3))
+    for window in (rep.worst_window.entries, orbit):
+        fresh_kernel(system)
+        found = SH.trace(system, SH.PseudoOrbitWindow(window, F(5, 4)), eps)
+        # the worst window has no tracer; x's own orbit has x among its tracers
+        assert (pts[0] in found.points) == bool(found) == (window == orbit)
+        views = pullback_views(system)
+        assert len(views) == 1 and contiguous(views[0]) and len(views[0]) <= 5
 
 
 @settings(max_examples=60, deadline=None)

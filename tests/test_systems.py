@@ -164,6 +164,22 @@ def test_check_carrier_compares_integer_rows():
             check_carrier(f, g)
 
 
+def test_satellite_carriers_differ_by_alphabet():
+    # the alphabet of Y is part of the carrier: 2~~2@0 lies in the
+    # second system only, yet the two once shared a carrier at C0 distance 0
+    two, three = (build_satellite(1, 2, P01, alphabet=a) for a in (2, 3))
+    point = parse_ep("2~~2@0")
+    assert three.check_point(point) == point
+    with pytest.raises(MalformedInputError):
+        two.check_point(point)
+    for f, g in ((two, three), (three, two)):
+        with pytest.raises(CarrierMismatchError):
+            check_carrier(f, g)
+        with pytest.raises(CarrierMismatchError):
+            c0_distance(f, g)
+    assert c0_distance(two, build_satellite(1, 2, P01)) == 0
+
+
 @pytest.mark.parametrize("name, x", [("r12k3", 99), ("cat5", (7, 7)),
                                      ("satellite3", Satellite(1, 1, 99))])
 def test_off_carrier_points_raise(name, x):
