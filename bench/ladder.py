@@ -16,8 +16,8 @@ a fresh system, timed alone with the views it reads already built:
   two carrier tokens, which on a finite carrier are the (denominator,
   rows) pairs;
 - ``pullbacks``: the pull-backs pullbacks(c) of within(c), one bitset
-  row per point and exponent below the order, which both shadowing
-  deciders read. The view builds its rows upward from exponent 0 as
+  row per point and exponent below the order, which windowed shadowing
+  and tracing read (the exact decider did before BENCH_26). The view builds its rows upward from exponent 0 as
   they are read, so the timed call reads every exponent, as the records
   of BENCH_14-18 built them. It costs O(order * n) whatever the code,
   so rungs whose order exceeds 1 000 (cycles43 and coprime400) are left
@@ -26,13 +26,16 @@ a fresh system, timed alone with the views it reads already built:
 - ``decider``: shadowable_exact at the rung's first point, at (eps,
   delta) = (5/4, 5/4) and (7/5, 1/2), on a fresh system with its integer
   rows and cycles built (c holds "eps delta"). Its counters are the
-  verdict and the exponents of pullbacks(eps) built by the call: the
-  order, where all of them are built. Rungs whose order exceeds 1 000
-  run only the first pair, which is False there; the second is True and
-  builds every exponent. A tree that builds every exponent before the
-  decider reads one (as before BENCH_22) skips the rungs with more than
-  EAGER_MAX_ROWS rows in all: coprime400 would hold 39 999 * 400 bitsets,
-  over a GB.
+  verdict, the order, and the work of one more walk from that point on
+  another fresh system: states, the tracer sets it keeps, and images, the
+  distinct f(A) it computes. A tree whose decider reads the pull-back rows
+  (before BENCH_26) counts the exponents of pullbacks(eps) the call built
+  instead, and runs only the first pair, which is False there, on rungs
+  whose order exceeds PULLBACKS_MAX_ORDER: the second is True and builds
+  every exponent. A tree that builds every exponent before the decider
+  reads one (before BENCH_22) skips the rungs with more than
+  EAGER_MAX_ROWS rows in all: coprime400 would hold 39 999 * 400
+  bitsets, over a GB.
 - ``sweep``: shadowable_exact_points at every point of cat7, cat9,
   cat13 and cat17 at (eps, delta) = (1/2, 1/3), on a fresh system with
   its integer rows and cycles built. Every point is True there, so the
@@ -66,13 +69,13 @@ is null, and the counters are the outcome: found, and for bounds also
 complete, lower and upper.
 
 One more layer is not a rung: ``import`` starts --repeats fresh
-interpreters on the --src tree, each timing its own ``import
-pointdyn.cli``. Its record (case ``pointdyn.cli``, size and c null)
-holds the median of those import times as wall_s, and its counters are
-the ``pointdyn`` modules loaded and whether ``dataclasses`` was loaded.
-The children write no bytecode when PYTHONDONTWRITEBYTECODE is set, so
-run ``python3 -m compileall -q src`` on each tree first, or the import
-times the compiler too.
+interpreters on each tree, each timing its own ``import pointdyn.cli``.
+Its record (case ``pointdyn.cli``, size and c null) holds the median of
+those import times as wall_s, and its counters are the ``pointdyn``
+modules loaded and whether ``dataclasses`` was loaded. The children
+write no bytecode when PYTHONDONTWRITEBYTECODE is set, so run ``python3
+-m compileall -q src`` on each tree first, or the import times the
+compiler too.
 
 Every other record is {tree, layer, case, size, repeats, wall_s,
 counters}: wall_s is the least wall time over repeats fresh systems,
@@ -85,17 +88,22 @@ and classes = sum over cycle pairs (p, q) of gcd(p, q) when it is below
 q, the residue classes of more than one point that sup_scaled takes one
 max over. No figure here gates a test.
 
-Run it from the repository root; --src picks the library tree, so the
-same ladder measures a second checkout:
+Run it from the repository root. Each --tree LABEL=SRC names a library
+tree and the label its records carry. One invocation times every tree:
+each runs in its own child process, which imports pointdyn from that
+tree, and the trees take turns on every (layer, rung) unit, in reverse
+turn order on every other unit, and on every fresh import process. So
+host drift over the run falls on all trees alike and does not read as a
+code effect:
 
     python3 -m compileall -q src ../parent/src
-    python3 bench/ladder.py --repeats 15 --label change --out BENCH_24.json
-    python3 bench/ladder.py --repeats 15 --src ../parent/src --label parent --out BENCH_24.json
+    python3 bench/ladder.py --repeats 15 --tree parent=../parent/src \
+        --tree change=src --out BENCH_26.json
 
-Records of another label already in --out are kept; those of --label
-are replaced. Each record carries the --repeats of its own run, and the
-document's statistic names no count, so trees run at different
---repeats share one file.
+Records of other labels already in --out are kept; those of the given
+labels are replaced. Each record carries its --repeats, and the
+document's statistic names no count, so runs at different --repeats
+share one file.
 """
 
 import argparse
@@ -239,58 +247,73 @@ def record(label, layer, case, size, c, repeats, wall, counters):
             "repeats": repeats, "wall_s": round(wall, 7), "counters": counters}
 
 
-def measure(label, repeats):
-    from pointdyn import metric, systems
+def measure(label, repeats, layer, case, make, c):
+    """The record of one kernel layer on one rung ([] where it is left out)."""
+    from pointdyn import systems
+    prepare, build = {name: (p, b) for name, p, b in layers(systems)}[layer]
+    if layer == "pullbacks" and make().kernel.order > PULLBACKS_MAX_ORDER:
+        return []
+
+    def setup():
+        system = make()
+        return system, prepare(system, c, make)
+
+    best, _, (system, _) = best_of(repeats, setup, lambda made: build(made[0], c, made[1]))
+    return [record(label, layer, case, len(system.kernel.pts), str(c), repeats, best,
+                   counters(system.kernel))]
+
+
+def decider_probes(shadowing, systems):
+    """(eager, pulls) for the tree: does a first read of the pull-back rows
+    build every exponent, and does the exact decider read them at all."""
+    system = systems.build_lattice(6, step=1)
+    shadowing.shadowable_exact(system, 0, F(1, 12), F(1, 12))
+    views = getattr(system.kernel, "_views", None)
+    pulls = views is None or any(key[0] == "pullbacks" for key in views)
+    probe = systems.build_lattice(6, step=1).kernel
+    return len(probe.pullbacks(F(1, 12))) == probe.order, pulls
+
+
+def walk_work(shadowing, system, eps, delta):
+    """The states kept and the distinct images f(A) computed by one walk of
+    the exact decider from the system's first point."""
+    k = system.kernel
+    kept, images, journal = [set() for _ in k.perm], {}, []
+    shadowing._reachable_states(k, 0, eps, delta, kept, images, journal)
+    return {"states": len(journal), "images": len(images)}
+
+
+def measure_decider(label, repeats, case, make, probes):
+    """The decider layer: shadowable_exact at the rung's first point."""
+    from pointdyn import shadowing
+    (eager, pulls), k = probes, make().kernel
+    if eager and k.order * len(k.pts) > EAGER_MAX_ROWS:
+        return []
+    big = pulls and k.order > PULLBACKS_MAX_ORDER
     records = []
-    for case, make, c in rungs(systems, metric):
-        order = make().kernel.order
-        for layer, prepare, build in layers(systems):
-            if layer == "pullbacks" and order > PULLBACKS_MAX_ORDER:
-                continue
-
-            def setup():
-                system = make()
-                return system, prepare(system, c, make)
-
-            best, _, (system, _) = best_of(repeats, setup,
-                                           lambda made: build(made[0], c, made[1]))
-            records.append(record(label, layer, case, len(system.kernel.pts), str(c),
-                                  repeats, best, counters(system.kernel)))
+    for eps, delta in DECIDER_SCALES[:1] if big else DECIDER_SCALES:
+        best, result, system = best_of(
+            repeats, lambda: warmed(make()),
+            lambda s: shadowing.shadowable_exact(s, s.kernel.pts[0], eps, delta))
+        k = system.kernel
+        work = ({"exponents": len(k.pullbacks(eps))} if pulls
+                else walk_work(shadowing, make(), eps, delta))
+        records.append(record(label, "decider", case, len(k.pts), f"{eps} {delta}",
+                              repeats, best, {"result": result, "order": k.order, **work}))
     return records
 
 
-def measure_decider(label, repeats):
-    """The decider layer: shadowable_exact at each rung's first point; and
-    the sweep layer: shadowable_exact_points at every point of SWEEP_CASES."""
-    from pointdyn import metric, shadowing, systems
+def measure_sweep(label, repeats, case, make):
+    """The sweep layer: shadowable_exact_points at every point of the rung."""
+    from pointdyn import shadowing
     sweep = getattr(shadowing, "shadowable_exact_points", None) or (
         lambda s, pts, eps, delta: {p: shadowing.shadowable_exact(s, p, eps, delta)
                                     for p in pts})
-    probe = systems.build_lattice(6, step=1).kernel
-    eager = len(probe.pullbacks(F(1, 12))) == probe.order
-    records = []
-    for case, make, _ in rungs(systems, metric):
-        k = make().kernel
-        if eager and k.order * len(k.pts) > EAGER_MAX_ROWS:
-            continue
-        big = k.order > PULLBACKS_MAX_ORDER
-        for eps, delta in DECIDER_SCALES[:1] if big else DECIDER_SCALES:
-            best, result, system = best_of(
-                repeats, lambda: warmed(make()),
-                lambda s: shadowing.shadowable_exact(s, s.kernel.pts[0], eps, delta))
-            k = system.kernel
-            records.append(record(label, "decider", case, len(k.pts), f"{eps} {delta}",
-                                  repeats, best,
-                                  {"result": result, "order": k.order,
-                                   "exponents": len(k.pullbacks(eps))}))
-        if case in SWEEP_CASES:
-            eps, delta = SWEEP_SCALES
-            best, result, _ = best_of(repeats, lambda: warmed(make()),
-                                      lambda s: sweep(s, s.kernel.pts, eps, delta))
-            records.append(record(label, "sweep", case, len(result), f"{eps} {delta}",
-                                  repeats, best,
-                                  {"points": len(result), "true": sum(result.values())}))
-    return records
+    eps, delta = SWEEP_SCALES
+    best, result, _ = best_of(repeats, lambda: warmed(make()),
+                              lambda s: sweep(s, s.kernel.pts, eps, delta))
+    return [record(label, "sweep", case, len(result), f"{eps} {delta}", repeats, best,
+                   {"points": len(result), "true": sum(result.values())})]
 
 
 def gh_cases(systems, metric):
@@ -336,51 +359,105 @@ def gh_cases(systems, metric):
     return out
 
 
-def measure_gh(label, repeats):
-    from pointdyn import metric, systems
-    records = []
-    for case, make, outcome in gh_cases(systems, metric):
-        best, result, (X, _) = best_of(repeats, lambda: tuple(map(warmed, make())),
-                                       lambda pair: outcome(*pair))
-        records.append(record(label, "gh", case, len(X.kernel.pts), None, repeats,
-                              best, result))
-    return records
+def measure_gh(label, repeats, case, make, outcome):
+    """The gh layer: one Gromov-Hausdorff search on a fresh pair."""
+    best, result, (X, _) = best_of(repeats, lambda: tuple(map(warmed, make())),
+                                   lambda pair: outcome(*pair))
+    return [record(label, "gh", case, len(X.kernel.pts), None, repeats, best, result)]
 
 
-def measure_import(label, src, repeats):
+def measure_import(trees, repeats):
     """The import layer: the median import time of pointdyn.cli over
-    repeats fresh interpreters that import it from src."""
-    env = dict(os.environ, PYTHONPATH=src)
-    runs = [subprocess.run([sys.executable, "-c", IMPORT_CHILD], env=env, check=True,
-                           capture_output=True, text=True).stdout.split()
-            for _ in range(repeats)]
-    wall = statistics.median(float(run[0]) for run in runs)
-    return record(label, "import", "pointdyn.cli", None, None, repeats, wall,
-                  {"pointdyn_modules": int(runs[0][1]), "dataclasses": runs[0][2] == "True"})
+    repeats fresh interpreters per tree, the trees taking turns."""
+    runs = {label: [] for label, _ in trees}
+    for r in range(repeats):
+        for label, src in trees if r % 2 == 0 else trees[::-1]:
+            env = dict(os.environ, PYTHONPATH=src)
+            runs[label].append(subprocess.run(
+                [sys.executable, "-c", IMPORT_CHILD], env=env, check=True,
+                capture_output=True, text=True).stdout.split())
+    return [record(label, "import", "pointdyn.cli", None, None, repeats,
+                   statistics.median(float(run[0]) for run in found),
+                   {"pointdyn_modules": int(found[0][1]),
+                    "dataclasses": found[0][2] == "True"})
+            for label, found in runs.items()]
+
+
+def serve(label, repeats):
+    """One tree's child process: answer each JSON request line on stdin
+    with one JSON line on stdout, "units" with the ladder's (layer, case)
+    units in order, and a unit with its records."""
+    from pointdyn import metric, shadowing, systems
+    cases = {case: (make, c) for case, make, c in rungs(systems, metric)}
+    gh = {case: (make, outcome) for case, make, outcome in gh_cases(systems, metric)}
+    probes = decider_probes(shadowing, systems)
+    for line in sys.stdin:
+        request = json.loads(line)
+        if request == "units":
+            kernel_layers = [layer for layer, _, _ in layers(systems)]
+            answer = [[layer, case] for case in cases
+                      for layer in kernel_layers + ["decider"] + ["sweep"] * (case in SWEEP_CASES)]
+            answer += [["gh", case] for case in gh]
+        else:
+            layer, case = request
+            if layer == "gh":
+                answer = measure_gh(label, repeats, case, *gh[case])
+            elif layer == "decider":
+                answer = measure_decider(label, repeats, case, cases[case][0], probes)
+            elif layer == "sweep":
+                answer = measure_sweep(label, repeats, case, cases[case][0])
+            else:
+                answer = measure(label, repeats, layer, case, *cases[case])
+        sys.stdout.write(json.dumps(answer) + "\n")
+        sys.stdout.flush()
 
 
 def main(argv=None):
-    here = os.path.dirname(os.path.abspath(__file__))
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("--src", default=os.path.join(here, os.pardir, "src"),
-                    help="library tree to import pointdyn from (default: this checkout's src)")
-    ap.add_argument("--label", required=True, help="tree name stored with each record")
+    ap.add_argument("--tree", action="append", required=True, metavar="LABEL=SRC",
+                    help="a library tree to import pointdyn from, and its records' label")
     ap.add_argument("--repeats", type=int, default=15, help="fresh systems per layer and rung")
     ap.add_argument("--out", help="JSON file to merge the records into (default: stdout)")
+    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    src = os.path.abspath(args.src)
-    records = [measure_import(args.label, src, args.repeats)]
-    sys.path.insert(0, src)
-    records += measure(args.label, args.repeats)
-    records += measure_decider(args.label, args.repeats)
-    records += measure_gh(args.label, args.repeats)
+    trees = []
+    for tree in args.tree:
+        label, eq, src = tree.partition("=")
+        if not (label and eq and src):
+            ap.error(f"--tree takes LABEL=SRC, got {tree!r}")
+        trees.append((label, os.path.abspath(src)))
+    if len({label for label, _ in trees}) < len(trees):
+        ap.error("each --tree needs its own label")
+    if args.child:
+        sys.path.insert(0, trees[0][1])
+        serve(trees[0][0], args.repeats)
+        return
+    children = [subprocess.Popen([sys.executable, os.path.abspath(__file__), "--child",
+                                  "--tree", f"{label}={src}", "--repeats", str(args.repeats)],
+                                 stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+                for label, src in trees]
+
+    def ask(child, request):
+        child.stdin.write(json.dumps(request) + "\n")
+        child.stdin.flush()
+        return json.loads(child.stdout.readline())
+
+    records = measure_import(trees, args.repeats)
+    for i, unit in enumerate(ask(children[0], "units")):
+        for child in children if i % 2 == 0 else children[::-1]:
+            records += ask(child, unit)
+    for child in children:
+        child.stdin.close()
+        child.wait()
+    labels = [label for label, _ in trees]
+    records.sort(key=lambda r: labels.index(r["tree"]))
     doc = {"statistic": STATISTIC, "python": platform.python_version(), "records": []}
     if args.out and os.path.exists(args.out):
         with open(args.out) as fh:
             doc = json.load(fh)
-    doc["records"] = [r for r in doc["records"] if r["tree"] != args.label] + records
+    doc["records"] = [r for r in doc["records"] if r["tree"] not in labels] + records
     text = json.dumps(doc, indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

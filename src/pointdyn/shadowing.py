@@ -5,8 +5,8 @@ d(f(u), v) < delta (strict), while the stability layer admits
 perturbations at c0 distance <= delta (closed). Tracing asks for a
 single true orbit staying strictly within eps of every entry. Tracer
 sets are integer bitsets over kernel indices, and a step is one AND
-with a row of the kernel's eps pull-backs, so no distance is compared
-per decider state.
+with a kernel row (of the eps pull-backs, or of within(eps)), so no
+distance is compared per decider state.
 
 The two directions of time constrain tracers independently. Every read
 of the pull-back rows runs forward in time from exponent 0, so a window
@@ -18,15 +18,19 @@ layer, over the distinct (endpoint, tracer set) states, and pairs the
 distinct final sets; path counts recover the number and the order of
 the windows, so its report matches a window-by-window enumeration.
 
-The exact decider walks forward only, over the states (point u,
-time-zero tracer set A, exponent e mod order). Each step u -> v lies on
-a cycle of (point, exponent mod order) pairs (u -> v gives f^-1(v) ->
-f(u); f^order is the identity), so a forward walk from x runs any
-window through x in time order, out to x_-N and back through x_0 to
-x_N, keeping a subset of its tracers: x is shadowable exactly when no
-forward walk from (x, within(eps)[x], 0) reaches the empty set. Whether
-a state reaches it depends on the state alone, so the states of a walk
-that ends without it are safe for later starts (closed, none empty).
+The exact decider walks forward only, over the states (point u, current
+tracer set A): a step u -> v keeps f(A) & within(eps)[v], and as f is a
+bijection, f^t maps a walk's time-zero tracers one to one onto these.
+Each step u -> v lies on a cycle of (point, exponent mod order) pairs
+(u -> v gives f^-1(v) -> f(u); f^order is the identity), so a forward
+walk from x runs any window through x in time order, out to x_-N and
+back through x_0 to x_N, keeping a subset of its tracers: x is
+shadowable exactly when no forward walk from (x, within(eps)[x]) reaches
+the empty set. For C inside B, a walk from (v, B) keeps a superset of
+what it keeps from (v, C), so a set that contains one already walked
+from v is skipped (the antichains of De Wulf, Doyen, Henzinger and
+Raskin, CAV 2006). Whether a state reaches the empty set depends on the
+state alone, so a sweep keeps the sets of its True walks for later ones.
 """
 
 from fractions import Fraction
@@ -213,29 +217,38 @@ def _half_windows(pull, order, steps, counts, x: int, N: int, kstep: int) -> dic
 # -- exact decider --------------------------------------------------------
 
 
-def _reachable_states(kernel, x: int, eps, delta, safe):
-    """The states of the forward walk from x, with those of safe, which it
-    does not enter, or None when it reaches the empty tracer set. A state
-    is (point u, time-zero tracers A, exponent e mod order); a step to v
-    keeps A & pullbacks(eps)[e + 1][v] for each delta step v from u."""
-    pull, order = kernel.pullbacks(eps), kernel.order
-    succ = kernel.steps(delta)
-    start = (x, pull[0][x], 0)      # holds x: eps > 0
-    seen, stack = set(safe), [start]
-    seen.add(start)
+def _reachable_states(kernel, x: int, eps, delta, kept, images, journal) -> bool:
+    """Does the forward walk from x stay off the empty tracer set? kept[u]
+    holds the sets walked on from u by True walks and this one: a step to
+    one is not taken, a state whose set contains one is skipped. journal
+    logs this walk's sets, which a False walk takes out of kept again;
+    images[A] memoizes f(A), built one set bit of A at a time."""
+    near, succ, perm = kernel.within(eps), kernel.steps(delta), kernel.perm
+    stack = [(x, near[x])]          # holds x: eps > 0
     while stack:
-        u, A, e = stack.pop()
-        e = (e + 1) % order
-        row = pull[e]
-        for v in succ[u]:
-            B = A & row[v]
-            if not B:
-                return None
-            state = (v, B, e)
-            if state not in seen:
-                seen.add(state)
-                stack.append(state)
-    return seen
+        u, A = stack.pop()
+        have = kept[u]
+        for C in have:
+            if C & A == C:
+                break
+        else:
+            have.add(A)
+            journal.append((u, A))
+            if (fA := images.get(A)) is None:
+                fA, rest = 0, A
+                while rest:
+                    fA |= 1 << perm[(rest & -rest).bit_length() - 1]
+                    rest &= rest - 1
+                images[A] = fA
+            for v in succ[u]:
+                B = fA & near[v]
+                if not B:
+                    for w, C in journal:
+                        kept[w].discard(C)
+                    return False
+                if B not in kept[v]:
+                    stack.append((v, B))
+    return True
 
 
 def _exact_kernel(system):
@@ -247,16 +260,13 @@ def _exact_kernel(system):
 
 def shadowable_exact_points(system, points, eps, delta) -> dict:
     """{x: shadowable_exact(system, x, eps, delta)} in the order of points,
-    each walk kept out of the states of the earlier walks that ended
-    without the empty set (module docstring)."""
+    the walks sharing the sets of the True walks per point and the images
+    (module docstring)."""
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     kernel = _exact_kernel(system)
-    verdicts, safe = {}, frozenset()
-    for x in points:
-        seen = _reachable_states(kernel, point_index(system, x), eps, delta, safe)
-        verdicts[x] = seen is not None
-        safe = safe if seen is None else seen
-    return verdicts
+    kept, images = [set() for _ in kernel.perm], {}
+    return {x: _reachable_states(kernel, point_index(system, x), eps, delta, kept, images, [])
+            for x in points}
 
 
 def shadowable_exact(system, x, eps, delta) -> bool:

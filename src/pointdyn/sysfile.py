@@ -15,9 +15,9 @@ A file holds at most one system stanza and at most one measure stanza::
 Stanza kinds: ``explicit`` (metric table rows ``d i j p/q`` plus
 ``map = ...``), ``lattice`` (circle ``map = rot k`` or torus
 ``map = mat a b c d``), ``shift`` (``alphabet = n``), ``satellite``
-(``K``, ``t``, marked point ``p``). Shift and satellite stanzas may
-carry a ``probes =`` list of points written ``left~center~right@offset``;
-they become the system's ``probes``.
+(``K``, ``t``, marked point ``p``, ``alphabet = n`` unless n = 2).
+Shift and satellite stanzas may carry a ``probes =`` list of points
+written ``left~center~right@offset``; they become the system's ``probes``.
 Weighted measures in files use integer carrier points only; richer
 carriers are constructed programmatically. All parse failures carry
 the 1-based line number.
@@ -191,12 +191,13 @@ def _parse_shift(lineno, body):
 
 def _parse_satellite(lineno, body):
     fields, _ = _keyvalues(body, lineno)
-    _check_keys(fields, "satellite", {"K", "t", "p", "probes", "name"})
+    _check_keys(fields, "satellite", {"K", "t", "p", "alphabet", "probes", "name"})
     no_k, k_text = _take(fields, "K", lineno)
     K = _parse_int(k_text, no_k, "K")
     no_t, t_text = _take(fields, "t", lineno)
     t = _parse_int(t_text, no_t, "t")
     no_p, p_text = _take(fields, "p", lineno)
+    alphabet = _take(fields, "alphabet", lineno, required=False)
     probes = _take(fields, "probes", lineno, required=False)
     name = _take(fields, "name", lineno, required=False)
     try:
@@ -204,7 +205,9 @@ def _parse_satellite(lineno, body):
     except MalformedInputError as exc:
         _fail(no_p, str(exc))
     pts = _parse_points(probes[1], probes[0]) if probes else ()
-    return build_satellite(K, t, p, probes=pts, name=name[1] if name else None)
+    alphabet = _parse_int(alphabet[1], alphabet[0], "alphabet") if alphabet else 2
+    return build_satellite(K, t, p, probes=pts, alphabet=alphabet,
+                           name=name[1] if name else None)
 
 
 # stanza kind -> its parser
@@ -298,7 +301,8 @@ def _dump_system(system):
     if backend in ("shift", "satellite"):
         lines = (["shift {", f"  alphabet = {system.alphabet}"] if backend == "shift" else
                  ["satellite {", f"  K = {system.K}", f"  t = {system.t}",
-                  f"  p = {format_ep(system.p)}"])
+                  f"  p = {format_ep(system.p)}"]
+                 + [f"  alphabet = {system.alphabet}"] * (system.alphabet != 2))
         if system.probes:
             lines.append("  probes = " + " ".join(map(format_ep, system.probes)))
         return "\n".join(lines + [f"  name = {system.name}", "}"])

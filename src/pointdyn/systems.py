@@ -394,7 +394,8 @@ class SatelliteSystem(ShiftSystem):
         return ("satellite", self.alphabet, self.K, self.t, format_ep(self.p))
 
     def describe(self):
-        return f"satellite K={self.K} t={self.t} p={format_ep(self.p)}"
+        return (f"satellite K={self.K} t={self.t} p={format_ep(self.p)}"
+                + (f" alphabet={self.alphabet}" if self.alphabet != 2 else ""))
 
 
 # -- the finite kernel ---------------------------------------------------

@@ -7,10 +7,12 @@ every exponent below the order in one pass, apart from the kernel's rows
 built on first read. Pseudo-orbit windows are enumerated here walk by
 walk over a graph built on Fraction distances, apart from the kernel's
 step rows and the layered halves of shadowable_windowed. The exact
-decider's verdict is rebuilt from both halves of a pseudo-orbit, apart
-from its one forward walk: the tracer sets each half reaches, and the
-limit sets trimmed out of them; the backward half's steps are read off
-within(delta) bit by bit here, as the kernel keeps forward steps only.
+decider's verdict is rebuilt, apart from its one forward walk over
+current tracer sets, from the same walk over time-zero sets and
+exponents, and from both halves of a pseudo-orbit: the tracer sets each
+half reaches, and the limit sets trimmed out of them; the backward
+half's steps are read off within(delta) bit by bit here, as the kernel
+keeps forward steps only.
 Separation windows are listed time by time with iterate and dist. Gamma
 sets are cut from phi sets and balls point by point, apart from the
 measure layer's scan of kernel rows. Measures are transported point by
@@ -145,6 +147,42 @@ def reachable_sets(kernel, x: int, eps, delta, forward: bool):
                 seen.add(state)
                 stack.append(state)
     return {A for _, A, _ in seen}
+
+
+def time_zero_verdicts(kernel, points, eps, delta) -> dict:
+    """{x: verdict} for the indices x in points, in order: the second route
+    to shadowable_exact_points, whose states hold the tracers' current
+    positions. Here a state is (point u, time-zero tracer set A, exponent
+    e mod order), a step to v keeps A & pullbacks(eps)[e + 1][v] for each
+    delta step v from u, and each walk skips the states of the earlier
+    walks that ended without the empty set."""
+    pull, order = kernel.pullbacks(eps), kernel.order
+    succ = kernel.steps(delta)
+
+    def walk(x, safe):
+        start = (x, pull[0][x], 0)      # holds x: eps > 0
+        seen, stack = set(safe), [start]
+        seen.add(start)
+        while stack:
+            u, A, e = stack.pop()
+            e = (e + 1) % order
+            row = pull[e]
+            for v in succ[u]:
+                B = A & row[v]
+                if not B:
+                    return None
+                state = (v, B, e)
+                if state not in seen:
+                    seen.add(state)
+                    stack.append(state)
+        return seen
+
+    verdicts, safe = {}, frozenset()
+    for x in points:
+        seen = walk(x, safe)
+        verdicts[x] = seen is not None
+        safe = safe if seen is None else seen
+    return verdicts
 
 
 def trimmed_limit_sets(kernel, x: int, eps, delta, forward: bool):

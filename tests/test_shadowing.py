@@ -28,7 +28,8 @@ from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
 from oracles import (distance_table, eager_pullbacks, enumerate_pseudo_orbits,
-                     pseudo_orbit_graph, reachable_sets, trimmed_limit_sets)
+                     pseudo_orbit_graph, reachable_sets, time_zero_verdicts,
+                     trimmed_limit_sets)
 from test_kernel import finite_systems, ladder_rung, palette_systems
 
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
@@ -488,24 +489,38 @@ def test_reachable_sets_decide_as_the_limit_sets(system, data):
     assert (fwd is None) == (bwd is None) and verdict == (fwd is not None)
 
 
-@settings(max_examples=300, deadline=None)
-@given(palette_systems(max_n=8), st.data())
-def test_shared_sweep_matches_per_point_calls(system, data):
-    # a sweep keeps each walk out of the states of the earlier True walks;
-    # in ascending and in shuffled point order it gives the verdicts of
-    # separate calls, at scales at each distance value and 1/64 to either
-    # side. Sharing can only go wrong where True and False verdicts mix,
-    # so the draws are steered toward systems with both.
+def assert_matches_time_zero_walk(system, data):
+    # the walk over current tracer sets, with its antichains, against the
+    # walk over time-zero sets and exponents, per point and in sweeps in
+    # ascending and shuffled point order, at scales at each distance value
+    # and 1/64 to either side. A sweep shares the sets of its True walks
+    # and takes a False walk's sets out again, which can only go wrong
+    # where True and False verdicts mix, so the draws are steered there.
     scales = [d + s for d in distances(system) for s in (F(-1, 64), F(0), F(1, 64))]
     eps = data.draw(st.sampled_from(scales), label="eps")
     delta = data.draw(st.sampled_from(scales), label="delta")
     pts = system.points()
-    want = {x: SH.shadowable_exact(system, x, eps, delta) for x in pts}
+    want = dict(zip(pts, time_zero_verdicts(system.kernel, range(len(pts)), eps,
+                                            delta).values()))
     true = sum(want.values())
     target(min(true, len(pts) - true), label="minority verdicts")
+    assert {x: SH.shadowable_exact(system, x, eps, delta) for x in pts} == want
     for order in (pts, data.draw(st.permutations(pts), label="order")):
         got = SH.shadowable_exact_points(system, order, eps, delta)
         assert list(got) == list(order) and got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(palette_systems(max_n=10), st.data())
+def test_shared_sweep_matches_per_point_calls(system, data):
+    assert_matches_time_zero_walk(system, data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(6, 36), st.data())
+def test_exact_decider_matches_time_zero_walk_on_rotations(n, data):
+    system = build_lattice(n, step=data.draw(st.integers(0, n - 1), label="step"))
+    assert_matches_time_zero_walk(system, data)
 
 
 def test_true_verdicts_read_no_backward_steps():
@@ -552,16 +567,21 @@ def test_windowed_decider_matches_oracle_on_rotations(n, data):
 # -- pull-back rows built on first read ----------------------------------------
 
 
-@pytest.mark.parametrize("case, order", [("cycles43", 60060), ("coprime400", 39999)])
-def test_false_verdicts_read_few_exponents(case, order):
-    # the ladder's rungs whose order is far above n: the decider refutes
-    # x = 0 within three steps, so it builds at most three exponents of
-    # the pull-back rows, not the order of them
+@pytest.mark.parametrize("case", ["cycles43", "coprime400"])
+def test_exact_decider_keeps_few_states(case):
+    # the ladder's rungs whose order is far above n (60 060 and 39 999):
+    # the decider keeps current tracer sets, so a fresh kernel builds no
+    # pull-back row and never computes the order. x = 0 is refuted at
+    # (5/4, 5/4) within two kept states, and proved at (7/5, 1/2) within n
     system = ladder_rung(case)
     k = system.kernel
-    assert k.order == order
-    assert SH.shadowable_exact(system, k.pts[0], F(5, 4), F(5, 4)) is False
-    assert len(k.pullbacks(F(5, 4))) <= 3
+    for eps, delta, verdict, most in ((F(5, 4), F(5, 4), False, 2),
+                                      (F(7, 5), F(1, 2), True, len(k.pts))):
+        kept, journal = [set() for _ in k.perm], []
+        assert SH._reachable_states(k, 0, eps, delta, kept, {}, journal) is verdict
+        assert len(journal) <= most
+        assert SH.shadowable_exact(system, k.pts[0], eps, delta) is verdict
+    assert not pullback_views(system) and "order" not in vars(k)
 
 
 def pullback_views(system):
@@ -581,7 +601,8 @@ def fresh_kernel(system):
 @given(finite_systems(), st.data())
 def test_pullback_reads_run_forward_from_zero(system, data):
     # every reader reads exponents 0, 1, 2, ...: after each call on a
-    # fresh kernel, each pull-back view holds exactly the rows 0..len - 1
+    # fresh kernel, each pull-back view holds exactly the rows 0..len - 1;
+    # the exact decider, which keeps current tracer sets, builds none
     values = distances(system)
     eps = data.draw(st.sampled_from(values), label="eps")
     delta = data.draw(st.sampled_from(values), label="delta")
@@ -594,13 +615,15 @@ def test_pullback_reads_run_forward_from_zero(system, data):
                                  max_size=2 * N + 1), label="entries")
     calls = (lambda: SH.shadowable_windowed(system, x, eps, delta, N),
              lambda: SH.trace(system, SH.PseudoOrbitWindow(tuple(entries), delta), eps),
-             lambda: build_tracking_map(system, system, x, eps),
-             lambda: SH.shadowable_exact(system, x, eps, delta))
+             lambda: build_tracking_map(system, system, x, eps))
     for call in calls:
         fresh_kernel(system)
         call()
         views = pullback_views(system)
         assert views and all(map(contiguous, views))
+    fresh_kernel(system)
+    SH.shadowable_exact(system, x, eps, delta)
+    assert not pullback_views(system) and "order" not in vars(system.kernel)
 
 
 def test_windowed_reads_build_few_rows():
@@ -624,21 +647,17 @@ def test_windowed_reads_build_few_rows():
 
 @settings(max_examples=60, deadline=None)
 @given(finite_systems(), st.data())
-def test_deciders_agree_with_eager_rows(system, data):
+def test_windowed_decider_agrees_with_eager_rows(system, data):
     # each draw decided twice: with the kernel's rows built on first read,
-    # and with the oracle's rows for every exponent patched in
+    # and with the oracle's rows for every exponent patched in (the exact
+    # decider reads no pull-back rows)
     values = distances(system)
     eps = data.draw(st.sampled_from(values), label="eps")
     delta = data.draw(st.sampled_from(values), label="delta")
     x = data.draw(st.sampled_from(system.points()), label="x")
     N = data.draw(st.integers(0, 2), label="N")
-
-    def decide():
-        return (SH.shadowable_exact(system, x, eps, delta),
-                SH.shadowable_windowed(system, x, eps, delta, N))
-
-    lazy = decide()
+    lazy = SH.shadowable_windowed(system, x, eps, delta, N)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(FiniteKernel, "pullbacks", eager_pullbacks)
         assert type(system.kernel.pullbacks(eps)) is tuple
-        assert decide() == lazy
+        assert SH.shadowable_windowed(system, x, eps, delta, N) == lazy

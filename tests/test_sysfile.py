@@ -6,7 +6,7 @@ import pytest
 
 from pointdyn import sysfile
 from pointdyn.bundled import bundled_system, bundled_measure, shift_probes
-from pointdyn.systems import build_shift, c0_distance, Satellite
+from pointdyn.systems import build_satellite, build_shift, c0_distance, Satellite
 from pointdyn.shiftspace import pure
 from pointdyn.errors import MalformedInputError
 
@@ -54,6 +54,18 @@ def test_satellite_stanza_keeps_marked_word_and_probes():
     assert sf.system.p == pure((0, 1))
     assert sf.system.image(Satellite(1, 2, 1)) == Satellite(1, 2, 0)
     assert len(sf.system.probes) == len(sat.probes)
+
+
+def test_satellite_stanza_keeps_its_alphabet():
+    # the stanza once dropped the alphabet, so a satellite over three
+    # symbols read back over two; alphabet 2 is still written as before
+    sat = build_satellite(1, 2, pure((0, 1)), alphabet=3)
+    text = sysfile.dumps(system=sat)
+    assert "  alphabet = 3\n" in text
+    back = sysfile.loads(text).system
+    assert back.alphabet == 3 and back.carrier_token() == sat.carrier_token()
+    two = sysfile.dumps(system=build_satellite(1, 2, pure((0, 1))))
+    assert "alphabet" not in two and sysfile.loads(two).system.alphabet == 2
 
 
 def test_measure_stanzas_round_trip():

@@ -178,6 +178,9 @@ def test_satellite_carriers_differ_by_alphabet():
         with pytest.raises(CarrierMismatchError):
             c0_distance(f, g)
     assert c0_distance(two, build_satellite(1, 2, P01)) == 0
+    # and of its description: the digests differ, and alphabet 2 writes none
+    assert two.digest() != three.digest()
+    assert three.describe() == two.describe() + " alphabet=3"
 
 
 @pytest.mark.parametrize("name, x", [("r12k3", 99), ("cat5", (7, 7)),
