@@ -15,27 +15,21 @@ a fresh system, timed alone with the views it reads already built:
   separately, both with their integer rows built: a comparison of the
   two carrier tokens, which on a finite carrier are the (denominator,
   rows) pairs;
-- ``pullbacks``: the pull-backs pullbacks(c) of within(c), one bitset
-  row per point and exponent below the order, which windowed shadowing
-  and tracing read (the exact decider did before BENCH_26). The view builds its rows upward from exponent 0 as
-  they are read, so the timed call reads every exponent, as the records
-  of BENCH_14-18 built them. It costs O(order * n) whatever the code,
-  so rungs whose order exceeds 1 000 (cycles43 and coprime400) are left
-  out of this layer: there one build would time the size of the view,
-  not the way the code steps f.
 - ``decider``: shadowable_exact at the rung's first point, at (eps,
   delta) = (5/4, 5/4) and (7/5, 1/2), on a fresh system with its integer
   rows and cycles built (c holds "eps delta"). Its counters are the
   verdict, the order, and the work of one more walk from that point on
   another fresh system: states, the tracer sets it keeps, and images, the
-  distinct f(A) it computes. A tree whose decider reads the pull-back rows
-  (before BENCH_26) counts the exponents of pullbacks(eps) the call built
-  instead, and runs only the first pair, which is False there, on rungs
-  whose order exceeds PULLBACKS_MAX_ORDER: the second is True and builds
-  every exponent. A tree that builds every exponent before the decider
-  reads one (before BENCH_22) skips the rungs with more than
-  EAGER_MAX_ROWS rows in all: coprime400 would hold 39 999 * 400
-  bitsets, over a GB.
+  distinct f(A) it computes.
+- ``tracing``: FiniteKernel.trace_cycle at the rung's c of the orbit of
+  the first point, and of that orbit less its last point when it has
+  more than one, on a fresh system with its integer rows and within(c)
+  built. Its counters are P, the window's length, and tracers, the
+  tracer count. A tree whose tracing reads the pull-back rows (before
+  BENCH_27) builds lcm(order, P) rows of n bitsets, so it skips the
+  windows where that makes more than TRACING_MAX_ROWS bitsets: the
+  length-199 orbit on coprime400 would build 39 999 rows of 400 and take
+  minutes, while cycles43's 60 060 rows of 43 take seconds.
 - ``sweep``: shadowable_exact_points at every point of cat7, cat9,
   cat13 and cat17 at (eps, delta) = (1/2, 1/3), on a fresh system with
   its integer rows and cycles built. Every point is True there, so the
@@ -68,6 +62,14 @@ rows and cycles built; size is the point count of the first system, c
 is null, and the counters are the outcome: found, and for bounds also
 complete, lower and upper.
 
+The ``windowed`` layer times shadowable_windowed on fresh systems with
+their integer rows and cycles built: on the circle Z6 with a unit step
+at x = 0, (eps, delta) = (2/3, 103/300) and N = 3, 4, 5 (15 625 to
+9 765 625 windows, decided past the default window budget), and on
+cycles43 at its first point, (7/5, 5/4) and N = 2. The case names the
+system and N, c holds "eps delta", and the counters are the verdict,
+windows_checked and worst, the worst window's tracer count.
+
 One more layer is not a rung: ``import`` starts --repeats fresh
 interpreters on each tree, each timing its own ``import pointdyn.cli``.
 Its record (case ``pointdyn.cli``, size and c null) holds the median of
@@ -80,8 +82,9 @@ compiler too.
 Every other record is {tree, layer, case, size, repeats, wall_s,
 counters}: wall_s is the least wall time over repeats fresh systems,
 each timed call begun after a full garbage collection; size is the point
-count n, and, outside the decider and sweep layers, the counters
-describe the rung, not the code that ran on it: n, cycles, order,
+count n, and in the sup_scaled, within, inseparable, twin and carrier
+layers the counters describe the rung, not the code that ran on it:
+n, cycles, order (the lcm of the cycle lengths),
 gathers = sum over cycles of M = max over cycle lengths q of lcm(p, q),
 the whole-row gathers of a fold over a full period of every pair orbit,
 and classes = sum over cycle pairs (p, q) of gcd(p, q) when it is below
@@ -98,7 +101,7 @@ code effect:
 
     python3 -m compileall -q src ../parent/src
     python3 bench/ladder.py --repeats 15 --tree parent=../parent/src \
-        --tree change=src --out BENCH_26.json
+        --tree change=src --out BENCH_27.json
 
 Records of other labels already in --out are kept; those of the given
 labels are replaced. Each record carries its --repeats, and the
@@ -120,10 +123,10 @@ from math import gcd, lcm
 from random import Random
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
-PULLBACKS_MAX_ORDER = 1000
 DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
 SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9", "cat13", "cat17"), (F(1, 2), F(1, 3))
-EAGER_MAX_ROWS = 10 ** 7
+TRACING_MAX_ROWS = 10 ** 7
+WINDOWED_BUDGET = 10 ** 8
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
                  for a, b in ((1, 5), (1, 7), (5, 7))
@@ -175,7 +178,7 @@ def rungs(systems, metric):
 
 def counters(kernel):
     lengths = [len(cyc) for cyc in kernel.cycles]
-    return {"n": len(kernel.pts), "cycles": len(lengths), "order": kernel.order,
+    return {"n": len(kernel.pts), "cycles": len(lengths), "order": lcm(*lengths),
             "gathers": sum(max(lcm(p, q) for q in lengths) for p in lengths),
             "classes": sum(gcd(p, q) for p in lengths for q in lengths if gcd(p, q) < q)}
 
@@ -186,10 +189,6 @@ def layers(systems):
     arg) is the timed call."""
     def warm_rows(system, c, make=None):
         warmed(system)
-
-    def warm_within(system, c, make):
-        warm_rows(system, c)
-        system.kernel.within(c)
 
     def warm_sup(system, c, make):
         warm_rows(system, c)
@@ -210,13 +209,7 @@ def layers(systems):
             ("inseparable", warm_sup, lambda s, c, _: s.kernel.inseparable(c)),
             ("twin", warm_twin,
              lambda s, c, h: systems.conjugate_system(s, h, transport_metric=True)),
-            ("carrier", warm_copy, lambda s, c, other: systems.check_carrier(s, other)),
-            ("pullbacks", warm_within, lambda s, c, _: read_pullbacks(s.kernel, c)))
-
-
-def read_pullbacks(kernel, c):
-    pull = kernel.pullbacks(c)
-    return [pull[e] for e in range(kernel.order)]
+            ("carrier", warm_copy, lambda s, c, other: systems.check_carrier(s, other)))
 
 
 def warmed(system):
@@ -251,8 +244,6 @@ def measure(label, repeats, layer, case, make, c):
     """The record of one kernel layer on one rung ([] where it is left out)."""
     from pointdyn import systems
     prepare, build = {name: (p, b) for name, p, b in layers(systems)}[layer]
-    if layer == "pullbacks" and make().kernel.order > PULLBACKS_MAX_ORDER:
-        return []
 
     def setup():
         system = make()
@@ -261,17 +252,6 @@ def measure(label, repeats, layer, case, make, c):
     best, _, (system, _) = best_of(repeats, setup, lambda made: build(made[0], c, made[1]))
     return [record(label, layer, case, len(system.kernel.pts), str(c), repeats, best,
                    counters(system.kernel))]
-
-
-def decider_probes(shadowing, systems):
-    """(eager, pulls) for the tree: does a first read of the pull-back rows
-    build every exponent, and does the exact decider read them at all."""
-    system = systems.build_lattice(6, step=1)
-    shadowing.shadowable_exact(system, 0, F(1, 12), F(1, 12))
-    views = getattr(system.kernel, "_views", None)
-    pulls = views is None or any(key[0] == "pullbacks" for key in views)
-    probe = systems.build_lattice(6, step=1).kernel
-    return len(probe.pullbacks(F(1, 12))) == probe.order, pulls
 
 
 def walk_work(shadowing, system, eps, delta):
@@ -283,23 +263,42 @@ def walk_work(shadowing, system, eps, delta):
     return {"states": len(journal), "images": len(images)}
 
 
-def measure_decider(label, repeats, case, make, probes):
+def measure_decider(label, repeats, case, make):
     """The decider layer: shadowable_exact at the rung's first point."""
     from pointdyn import shadowing
-    (eager, pulls), k = probes, make().kernel
-    if eager and k.order * len(k.pts) > EAGER_MAX_ROWS:
-        return []
-    big = pulls and k.order > PULLBACKS_MAX_ORDER
     records = []
-    for eps, delta in DECIDER_SCALES[:1] if big else DECIDER_SCALES:
+    for eps, delta in DECIDER_SCALES:
         best, result, system = best_of(
             repeats, lambda: warmed(make()),
             lambda s: shadowing.shadowable_exact(s, s.kernel.pts[0], eps, delta))
         k = system.kernel
-        work = ({"exponents": len(k.pullbacks(eps))} if pulls
-                else walk_work(shadowing, make(), eps, delta))
         records.append(record(label, "decider", case, len(k.pts), f"{eps} {delta}",
-                              repeats, best, {"result": result, "order": k.order, **work}))
+                              repeats, best, {"result": result, "order": counters(k)["order"],
+                                              **walk_work(shadowing, make(), eps, delta)}))
+    return records
+
+
+def measure_tracing(label, repeats, case, make, c):
+    """The tracing layer: trace_cycle of the first point's orbit, and of
+    that orbit less its last point."""
+    from pointdyn.systems import FiniteKernel
+    k = make().kernel
+    orbit, order = k.orbit(0), counters(k)["order"]
+    records = []
+    for window in (orbit, orbit[:-1]) if len(orbit) > 1 else (orbit,):
+        P = len(window)
+        if hasattr(FiniteKernel, "pullbacks") and lcm(order, P) * len(k.pts) > TRACING_MAX_ROWS:
+            continue
+
+        def setup():
+            system = warmed(make())
+            system.kernel.within(c)
+            return system
+
+        best, (found, _, _), system = best_of(
+            repeats, setup, lambda s: s.kernel.trace_cycle(list(window), c))
+        records.append(record(label, "tracing", case, len(system.kernel.pts), str(c),
+                              repeats, best, {"P": P, "tracers": len(found)}))
     return records
 
 
@@ -366,6 +365,27 @@ def measure_gh(label, repeats, case, make, outcome):
     return [record(label, "gh", case, len(X.kernel.pts), None, repeats, best, result)]
 
 
+def windowed_cases(systems, metric):
+    """(case, make, eps, delta, N): make builds a fresh system whose first
+    point is x."""
+    cycles43 = {case: make for case, make, _ in rungs(systems, metric)}["cycles43"]
+    out = [(f"Z6 N={N}", lambda: systems.build_lattice(6, step=1), F(2, 3), F(103, 300), N)
+           for N in (3, 4, 5)]
+    return out + [("cycles43 N=2", cycles43, F(7, 5), F(5, 4), 2)]
+
+
+def measure_windowed(label, repeats, case, make, eps, delta, N):
+    """The windowed layer: shadowable_windowed at the first point."""
+    from pointdyn import shadowing
+    best, rep, system = best_of(
+        repeats, lambda: warmed(make()),
+        lambda s: shadowing.shadowable_windowed(s, s.kernel.pts[0], eps, delta, N,
+                                                budget=WINDOWED_BUDGET))
+    return [record(label, "windowed", case, len(system.kernel.pts), f"{eps} {delta}",
+                   repeats, best, {"result": rep.result, "windows_checked": rep.windows_checked,
+                                   "worst": rep.worst_tracer_count})]
+
+
 def measure_import(trees, repeats):
     """The import layer: the median import time of pointdyn.cli over
     repeats fresh interpreters per tree, the trees taking turns."""
@@ -390,20 +410,25 @@ def serve(label, repeats):
     from pointdyn import metric, shadowing, systems
     cases = {case: (make, c) for case, make, c in rungs(systems, metric)}
     gh = {case: (make, outcome) for case, make, outcome in gh_cases(systems, metric)}
-    probes = decider_probes(shadowing, systems)
+    windowed = {case: rest for case, *rest in windowed_cases(systems, metric)}
     for line in sys.stdin:
         request = json.loads(line)
         if request == "units":
-            kernel_layers = [layer for layer, _, _ in layers(systems)]
+            kernel_layers = [layer for layer, _, _ in layers(systems)] + ["tracing", "decider"]
             answer = [[layer, case] for case in cases
-                      for layer in kernel_layers + ["decider"] + ["sweep"] * (case in SWEEP_CASES)]
+                      for layer in kernel_layers + ["sweep"] * (case in SWEEP_CASES)]
             answer += [["gh", case] for case in gh]
+            answer += [["windowed", case] for case in windowed]
         else:
             layer, case = request
             if layer == "gh":
                 answer = measure_gh(label, repeats, case, *gh[case])
+            elif layer == "windowed":
+                answer = measure_windowed(label, repeats, case, *windowed[case])
+            elif layer == "tracing":
+                answer = measure_tracing(label, repeats, case, *cases[case])
             elif layer == "decider":
-                answer = measure_decider(label, repeats, case, cases[case][0], probes)
+                answer = measure_decider(label, repeats, case, cases[case][0])
             elif layer == "sweep":
                 answer = measure_sweep(label, repeats, case, cases[case][0])
             else:

@@ -4,33 +4,31 @@ A delta-pseudo-orbit is a walk in the graph whose edges (u, v) satisfy
 d(f(u), v) < delta (strict), while the stability layer admits
 perturbations at c0 distance <= delta (closed). Tracing asks for a
 single true orbit staying strictly within eps of every entry. Tracer
-sets are integer bitsets over kernel indices, and a step is one AND
-with a kernel row (of the eps pull-backs, or of within(eps)), so no
-distance is compared per decider state.
+sets are integer bitsets over kernel indices that hold the tracers'
+current positions: a step moves the set by f (FiniteKernel.image) and
+ANDs it with a row of within(eps), so no distance is compared per
+decider state; f^t, a bijection, maps the tracers at time 0 one to one
+onto the set at time t.
 
-The two directions of time constrain tracers independently. Every read
-of the pull-back rows runs forward in time from exponent 0, so a window
-x_-N..x_N is traced from x_-N: its tracers at time -N are F & B, where
-F is the AND of the rows of x_0..x_N at exponents N..2N and B that of
-x_-N..x_0 at exponents 0..N, and f^N takes them one to one to the
-tracers at time 0. The windowed decider walks each half once, layer by
-layer, over the distinct (endpoint, tracer set) states, and pairs the
-distinct final sets; path counts recover the number and the order of
-the windows, so its report matches a window-by-window enumeration.
+The windowed decider walks a window x_-N..x_N out from x_0 both ways,
+by f through x_1..x_N and by f^-1 through x_-1..x_-N, once per half,
+layer by layer, over the distinct (endpoint, tracer set) states. The
+forward half's distinct final sets move from time N to time -N, where
+the window's tracers are their AND with the backward half's final sets;
+path counts recover the number and the order of the windows, so its
+report matches a window-by-window enumeration.
 
 The exact decider walks forward only, over the states (point u, current
-tracer set A): a step u -> v keeps f(A) & within(eps)[v], and as f is a
-bijection, f^t maps a walk's time-zero tracers one to one onto these.
-Each step u -> v lies on a cycle of (point, exponent mod order) pairs
-(u -> v gives f^-1(v) -> f(u); f^order is the identity), so a forward
-walk from x runs any window through x in time order, out to x_-N and
-back through x_0 to x_N, keeping a subset of its tracers: x is
-shadowable exactly when no forward walk from (x, within(eps)[x]) reaches
-the empty set. For C inside B, a walk from (v, B) keeps a superset of
-what it keeps from (v, C), so a set that contains one already walked
-from v is skipped (the antichains of De Wulf, Doyen, Henzinger and
-Raskin, CAV 2006). Whether a state reaches the empty set depends on the
-state alone, so a sweep keeps the sets of its True walks for later ones.
+tracer set A): a step u -> v keeps f(A) & within(eps)[v]. As u -> v
+gives f^-1(v) -> f(u) and f has finite order, a forward walk from x runs
+any window through x in time order, out to x_-N and back through x_0 to
+x_N, keeping a subset of its tracers: x is shadowable exactly when no
+forward walk from (x, within(eps)[x]) reaches the empty set. For C
+inside B, a walk from (v, B) keeps a superset of what it keeps from
+(v, C), so a set that contains one already walked from v is skipped
+(the antichains of De Wulf, Doyen, Henzinger and Raskin, CAV 2006).
+Whether a state reaches the empty set depends on the state alone, so a
+sweep keeps the sets of its True walks for later ones.
 """
 
 from fractions import Fraction
@@ -41,7 +39,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .measures import carrier_set, check_measure_backend, measure_of
 from .rationals import positive, resolve_budget
 from .shiftspace import EPPoint, shift_metric
-from .systems import point_index, sorted_points, system_ball
+from .systems import members, point_index, sorted_points, system_ball
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
@@ -120,9 +118,8 @@ def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
             "the shift backend traces by splicing")
     k = system.kernel
     found = k.tracers([point_index(system, p) for p in window.entries], eps)
-    for _ in range(window.radius):      # from time -N to time 0
-        found = [k.perm[z] for z in found]
-    return TracerSet(frozenset(k.pts[z] for z in found), eps)
+    found = k.image(sum(1 << z for z in found), window.radius)     # time -N to 0
+    return TracerSet(frozenset(k.pts[z] for z in members(found)), eps)
 
 
 class WindowedShadowReport(NamedTuple):
@@ -150,21 +147,22 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     refused beyond the budget before any work.
 
     No window is built. Each half is walked once (_half_windows), which
-    yields its distinct final tracer sets at time -N, each with the first
+    yields its distinct final tracer sets, each with the first
     walk that ends in it and that walk's rank among the half's walks. The
     window of backward rank rb and forward rank ra comes at position
     rb * n_out + ra of the enumeration (n_out forward walks), so
-    scanning the pairs of sets in (rb, ra) order finds the first window
-    with the fewest tracers, and the first with none.
+    scanning the pairs of sets in (rb, ra) order, with the forward sets
+    moved to time -N, finds the first window with the fewest tracers,
+    and the first with none.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     budget = resolve_budget(budget, DEFAULT_WINDOW_BUDGET)
     xi, steps, counts, total = _windows(system, x, delta, N)
     _check_budget(total, budget)
     kernel, n_out = system.kernel, counts[0][N][xi]
-    pull = kernel.pullbacks(eps)
-    fwd, bwd = (_half_windows(pull, kernel.order, rows, c, xi, N, kstep)
+    fwd, bwd = (_half_windows(kernel, eps, rows, c, xi, N, kstep)
                 for rows, c, kstep in zip(steps, counts, (1, -1)))
+    fwd = {kernel.image(A, -2 * N): first for A, first in fwd.items()}
     worst = None
     for b, (rb, back) in bwd.items():
         for a, (ra, out) in fwd.items():
@@ -184,26 +182,28 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     return WindowedShadowReport(False, eps, delta, N, at + 1, window, 0)
 
 
-def _half_windows(pull, order, steps, counts, x: int, N: int, kstep: int) -> dict:
-    """The distinct tracer sets of the N-step walks from x, forward
-    (kstep 1) or backward (kstep -1) in time, each with the rank and
-    the entries of the first walk that ends in it.
+def _half_windows(kernel, eps, steps, counts, x: int, N: int, kstep: int) -> dict:
+    """The distinct tracer sets at time kstep * N of the N-step walks
+    from x, forward (kstep 1) or backward (kstep -1) in time, each with
+    the rank and the entries of the first walk that ends in it.
 
-    Layer t holds the states (endpoint v, AND of the eps pull-back rows
-    of the walk's entries at exponents N + kstep * 0..t: their tracers at
-    time -N), each with the first walk that reaches it. Iterating the
-    previous layer in insertion order and the steps in ascending order
-    makes the first walk to reach a state the least one in enumeration
-    order, and the states of a layer come in the order of their least
-    walks. A walk's rank adds, at each step, the walks to complete
-    (counts) from the steps it passes over.
+    Layer t holds the states (endpoint v, f^kstep of the previous set AND
+    within(eps)[v]), each with the first walk that reaches it: iterating
+    the previous layer in insertion order and the steps in ascending order
+    makes it the least one in enumeration order, and a layer's states come
+    in the order of their least walks. A walk's rank adds, at each step,
+    the walks to complete (counts) from the steps it passes over, and
+    images memoizes f^kstep of each set.
     """
-    layer = {(x, pull[N % order][x]): (0, ())}
+    near, images = kernel.within(eps), {}
+    layer = {(x, near[x]): (0, ())}
     for t in range(1, N + 1):
-        row, below, nxt = pull[(N + kstep * t) % order], counts[N - t], {}
+        below, nxt = counts[N - t], {}
         for (u, A), (rank, walk) in layer.items():
+            if (fA := images.get(A)) is None:
+                fA = images[A] = kernel.image(A, kstep)
             for v in steps[u]:
-                state = (v, A & row[v])
+                state = (v, fA & near[v])
                 if state not in nxt:
                     nxt[state] = (rank, walk + (v,))
                 rank += below[v]
@@ -222,8 +222,8 @@ def _reachable_states(kernel, x: int, eps, delta, kept, images, journal) -> bool
     holds the sets walked on from u by True walks and this one: a step to
     one is not taken, a state whose set contains one is skipped. journal
     logs this walk's sets, which a False walk takes out of kept again;
-    images[A] memoizes f(A), built one set bit of A at a time."""
-    near, succ, perm = kernel.within(eps), kernel.steps(delta), kernel.perm
+    images[A] memoizes f(A)."""
+    near, succ = kernel.within(eps), kernel.steps(delta)
     stack = [(x, near[x])]          # holds x: eps > 0
     while stack:
         u, A = stack.pop()
@@ -235,11 +235,7 @@ def _reachable_states(kernel, x: int, eps, delta, kept, images, journal) -> bool
             have.add(A)
             journal.append((u, A))
             if (fA := images.get(A)) is None:
-                fA, rest = 0, A
-                while rest:
-                    fA |= 1 << perm[(rest & -rest).bit_length() - 1]
-                    rest &= rest - 1
-                images[A] = fA
+                fA = images[A] = kernel.image(A)
             for v in succ[u]:
                 B = fA & near[v]
                 if not B:

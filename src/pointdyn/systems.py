@@ -15,7 +15,7 @@ their integer arcs, an explicit system hands over the rows its space owns.
 import hashlib
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, cycle, islice
+from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 from typing import NamedTuple
@@ -411,11 +411,11 @@ class FiniteKernel:
     lattice, the rows of an explicit system's space).
     A radius r meets these rows and sup_scaled as floor_scaled(r, D,
     closed). Only a comparison of two kernels reads scaled(S), at S = lcm
-    of their denominators. sup_scaled, the cycles, the order, and per
-    radius or constant (keyed on its numerator and denominator) within(r),
-    the pseudo-orbit steps, inseparable(c) and cycle_failures(c) are built
-    on first use and kept; the pull-backs of within(r) grow from exponent 0
-    as they are read. f^m steps by whole-row gathers, or along a cycle.
+    of their denominators. sup_scaled, the cycles, per radius or constant
+    (keyed on its numerator and denominator) within(r), the pseudo-orbit
+    steps, inseparable(c) and cycle_failures(c), and per period P the
+    orbits of f^P are built on first use and kept. Tracer sets hold
+    current positions and move by image; rows move by whole-row gathers.
     """
 
     def __init__(self, system):
@@ -527,10 +527,23 @@ class FiniteKernel:
         at = cyc.index(i)
         return cyc[at:] + cyc[:at]
 
-    @cached_property
-    def order(self) -> int:
-        """Smallest L >= 1 with f^L the identity."""
-        return lcm(*(len(cyc) for cyc in self.cycles))
+    def image(self, bits, k=1) -> int:
+        """f^k of the bitset bits, for k of either sign: one lookup per set
+        bit in perm, or in the map f^k built along the cycles, kept per k."""
+        if k == 1:
+            to = self.perm
+        elif (to := self._views.get(("power", k))) is None:
+            to = [0] * len(self.perm)
+            for cyc in self.cycles:
+                s = k % len(cyc)
+                for a, b in zip(cyc, cyc[s:] + cyc[:s]):
+                    to[a] = b
+            to = self._views["power", k] = tuple(to)
+        out = 0
+        while bits:
+            out |= 1 << to[(bits & -bits).bit_length() - 1]
+            bits &= bits - 1
+        return out
 
     def scaled(self, scale) -> tuple:
         """The integer rows scale * table, for a multiple scale of denominator."""
@@ -558,14 +571,6 @@ class FiniteKernel:
                                             for row in self.rows)
         return rows
 
-    def pullbacks(self, radius, closed=False) -> "_PullBacks":
-        """pullbacks(r)[e][v], 0 <= e < order: the bitset of z with f^e z
-        in within(r)[v]; a read of row e builds the rows up to e."""
-        key = ("pullbacks", radius.numerator, radius.denominator, closed)
-        if (pull := self._views.get(key)) is None:
-            pull = self._views[key] = _PullBacks(self, self.within(radius, closed))
-        return pull
-
     def steps(self, delta) -> tuple:
         """The delta-pseudo-orbit steps: row u holds the v with
         d(f(u), v) < delta, ascending."""
@@ -577,19 +582,22 @@ class FiniteKernel:
 
     def tracers(self, targets, radius, closed=False) -> list:
         """Ascending indices z with d(f^n z, targets[n]) < radius for every n,
-        or <= radius when closed; targets: any iterable of indices, read lazily."""
-        pull, order = self.pullbacks(radius, closed), self.order
-        found = (1 << len(self.perm)) - 1
+        or <= radius when closed: the current positions A start at
+        within(r)[targets[0]], entry n keeps f(A) & within(r)[targets[n]],
+        and the last set moves back to time 0."""
+        near, found = self.within(radius, closed), (1 << len(self.perm)) - 1
         for n, t in enumerate(targets):
-            found &= pull[n % order][t]
-            if not found:
-                break
-        return members(found)
+            found = (self.image(found) if n else found) & near[t]
+        return members(self.image(found, 1 - len(targets)))
 
     def trace_cycle(self, window, radius, closed=False, prefer=None) -> tuple:
-        """Trace the periodic index window w, P = len(w): the tracers are
+        """Trace the periodic index window w, P = len(w) > 0: the tracers are
         the z with d(f^n z, w[n % P]) < radius for every integer n
-        (<= radius when closed); both sides repeat after lcm(order, P).
+        (<= radius when closed). For z = C[j] on a cycle C of f, the f^n z
+        at the n = i mod P make up C[(j + i) % g :: g], g = gcd(len(C), P),
+        an orbit of f^P; so z traces exactly when that class lies inside
+        within(r)[w[i]] at every phase i < P: one subset test per class and
+        phase, over the classes that meet within(r)[w[0]] (classes(P)).
 
         Returns (tracers, z, h): z is prefer when it traces, else the least
         tracer (pts ascend in point_key order on every finite backend);
@@ -597,40 +605,36 @@ class FiniteKernel:
         None when f^P z != z, i.e. the cycle's length does not divide P and
         the orbit does not close up. z and h are None without a tracer.
         """
-        P = len(window)
-        found = self.tracers(islice(cycle(window), lcm(self.order, P)), radius, closed)
-        if not found:
+        P, near, place = len(window), self.within(radius, closed), self.classes(len(window))
+        todo, bits = near[window[0]], 0
+        while todo:
+            turned = place[least(todo)]
+            todo &= ~turned[0]
+            for c, v in zip(turned, window):
+                if c & near[v] != c:
+                    break
+            else:
+                bits |= turned[0]
+        if not (found := members(bits)):
             return found, None, None
         z = prefer if prefer in found else found[0]
         cyc = self.orbit(z)
-        if P % len(cyc):
-            return found, z, None
-        return found, z, cyc * (P // len(cyc))
+        return found, z, None if P % len(cyc) else cyc * (P // len(cyc))
 
-
-class _PullBacks(dict):
-    """FiniteKernel.pullbacks, grown upward from exponent 0: a read of row
-    e builds every row below it first. bits[y] = 1 << f^-k(y) at the
-    highest built exponent k, and one gather of inv steps it to k + 1."""
-
-    def __init__(self, kernel, within):
-        super().__init__({0: within})
-        self.bits, self.order = tuple(1 << y for y in range(len(within))), kernel.order
-        self.back = gatherer(kernel.inv)
-        self.wide = [(v, gatherer(members(w))) for v, w in enumerate(within) if w != 1 << v]
-
-    def __missing__(self, e):
-        if not 0 < e < self.order:
-            raise KeyError(e)
-        bits = self.bits
-        for k in range(len(self), e + 1):
-            bits = self.back(bits)
-            row = list(bits)            # row v sums bits over within[v]
-            for v, get in self.wide:
-                row[v] = sum(get(bits))
-            self[k] = tuple(row)
-        self.bits = bits
-        return self[e]
+    def classes(self, P) -> tuple:
+        """classes(P)[i]: the orbits of f^P that f^n i meets at n = 0..P-1,
+        as bitsets: C[(j + n) % g :: g] for i = C[j] on a cycle C, g =
+        gcd(len(C), P). Kept per P; the points of a class share one tuple."""
+        if (place := self._views.get(("classes", P))) is None:
+            place = [None] * len(self.perm)
+            for cyc in self.cycles:
+                g = gcd(len(cyc), P)
+                classes = [sum(1 << a for a in cyc[s::g]) for s in range(g)] * (P // g + 1)
+                turns = [tuple(classes[s:s + P]) for s in range(g)]
+                for t, a in enumerate(cyc):
+                    place[a] = turns[t % g]
+            place = self._views["classes", P] = tuple(place)
+        return place
 
 
 def floor_scaled(r, S, closed) -> int:

@@ -2,17 +2,20 @@
 
 The library answers each of these questions another way; the tests
 compare the two. Distance tables are filled one dist call per pair,
-apart from the kernel's integer rows, and pull-back rows are built for
-every exponent below the order in one pass, apart from the kernel's rows
-built on first read. Pseudo-orbit windows are enumerated here walk by
-walk over a graph built on Fraction distances, apart from the kernel's
-step rows and the layered halves of shadowable_windowed. The exact
-decider's verdict is rebuilt, apart from its one forward walk over
-current tracer sets, from the same walk over time-zero sets and
-exponents, and from both halves of a pseudo-orbit: the tracer sets each
-half reaches, and the limit sets trimmed out of them; the backward
-half's steps are read off within(delta) bit by bit here, as the kernel
-keeps forward steps only.
+apart from the kernel's integer rows. The library keeps tracer sets as
+current positions and never computes the order of f; here the order is
+the lcm of the cycle lengths, and the pull-back rows, the tracers at time
+0 of each row of within(r) at each exponent below the order, are built
+in one pass. A periodic window is traced here by a walk of lcm(order, P)
+steps, apart from the kernel's test over the orbits of f^P.
+Pseudo-orbit windows are enumerated here walk by walk over a graph built
+on Fraction distances, apart from the kernel's step rows and the layered
+halves of shadowable_windowed. The exact decider's verdict is rebuilt,
+apart from its one forward walk over current tracer sets, from the same
+walk over time-zero sets and exponents, and from both halves of a
+pseudo-orbit: the tracer sets each half reaches, and the limit sets
+trimmed out of them; the backward half's steps are read off
+within(delta) bit by bit here, as the kernel keeps forward steps only.
 Separation windows are listed time by time with iterate and dist. Gamma
 sets are cut from phi sets and balls point by point, apart from the
 measure layer's scan of kernel rows. Measures are transported point by
@@ -20,6 +23,7 @@ point, and shift balls are sampled by single-symbol edits.
 """
 
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple
 
 from pointdyn.errors import PreconditionError, UnsupportedBackendError
@@ -42,16 +46,46 @@ def distance_table(system) -> tuple:
     return tuple(tuple(system.dist(p, q) for q in pts) for p in pts)
 
 
+def map_order(kernel) -> int:
+    """The least L >= 1 with f^L the identity: the lcm of the cycle lengths."""
+    return lcm(*map(len, kernel.cycles))
+
+
 def eager_pullbacks(kernel, r, closed=False) -> tuple:
-    """Every row of kernel.pullbacks(r, closed), built in one pass over the
-    exponents below the order: f^-e advances by one whole-row gather of
-    inv per exponent, and each row member adds one bit."""
+    """pull[e][v], 0 <= e < order: the bitset of z with f^e z in
+    within(r, closed)[v], every row built in one pass over the exponents:
+    f^-e advances by one whole-row gather of inv per exponent, and each
+    row member adds one bit."""
     rows = [members(w) for w in kernel.within(r, closed)]
     at, back, pull = tuple(range(len(kernel.perm))), gatherer(kernel.inv), []
-    for _ in range(kernel.order):
+    for _ in range(map_order(kernel)):
         pull.append(tuple(sum(1 << at[y] for y in row) for row in rows))
         at = back(at)                       # at[y] = f^-e y
     return tuple(pull)
+
+
+def walked_cycle(kernel, window, radius, closed=False, prefer=None) -> tuple:
+    """FiniteKernel.trace_cycle's (tracers, z, h) by a bitset walk of
+    L = lcm(order, P) steps, after which both sides repeat: A keeps the
+    current positions, f(A) & within(r)[w[n % P]] at step n < L, and f(A)
+    after the last step is the tracer set at time 0 again, as f^L is the
+    identity. h walks z P steps by perm."""
+    P, near, perm = len(window), kernel.within(radius, closed), kernel.perm
+
+    def image(bits):
+        return sum(1 << perm[z] for z in members(bits))
+
+    found = near[window[0]]
+    for n in range(1, lcm(map_order(kernel), P)):
+        found = image(found) & near[window[n % P]]
+    tracers = members(image(found))
+    if not tracers:
+        return [], None, None
+    z = prefer if prefer in tracers else tracers[0]
+    h = [z]
+    for _ in range(P - 1):
+        h.append(perm[h[-1]])
+    return tracers, z, (tuple(h) if perm[h[-1]] == z else None)
 
 
 def half_steps(kernel, delta, forward: bool):
@@ -124,13 +158,15 @@ def reachable_sets(kernel, x: int, eps, delta, forward: bool):
     bitsets, or None when the empty set is reachable.
 
     States are (point u, surviving time-zero tracer set A, exponent e
-    mod order). A step to v at exponent e' keeps A & pullbacks(eps)[e'][v]
-    for each of the kernel's delta steps v from u in that direction.
+    mod order). A step to v at exponent e' keeps A & pull[e'][v], the
+    eager_pullbacks rows, for each of the kernel's delta steps v from u in
+    that direction.
     x is shadowable exactly when neither half reaches the empty set and
     every forward set meets every backward set: the second route to
     shadowable_exact's one forward walk.
     """
-    pull, order = kernel.pullbacks(eps), kernel.order
+    pull = eager_pullbacks(kernel, eps)
+    order = len(pull)
     succ, kstep = half_steps(kernel, delta, forward), 1 if forward else -1
     start = (x, pull[0][x], 0)      # holds x: eps > 0
     seen, stack = {start}, [start]
@@ -153,10 +189,11 @@ def time_zero_verdicts(kernel, points, eps, delta) -> dict:
     """{x: verdict} for the indices x in points, in order: the second route
     to shadowable_exact_points, whose states hold the tracers' current
     positions. Here a state is (point u, time-zero tracer set A, exponent
-    e mod order), a step to v keeps A & pullbacks(eps)[e + 1][v] for each
+    e mod order), a step to v keeps A & pull[e + 1][v] for each
     delta step v from u, and each walk skips the states of the earlier
     walks that ended without the empty set."""
-    pull, order = kernel.pullbacks(eps), kernel.order
+    pull = eager_pullbacks(kernel, eps)
+    order = len(pull)
     succ = kernel.steps(delta)
 
     def walk(x, safe):
@@ -194,7 +231,8 @@ def trimmed_limit_sets(kernel, x: int, eps, delta, forward: bool):
     removes every state with no set-keeping successor left; the sets of
     the states that remain are the limits.
     """
-    pull, order = kernel.pullbacks(eps), kernel.order
+    pull = eager_pullbacks(kernel, eps)
+    order = len(pull)
     succ, kstep = half_steps(kernel, delta, forward), 1 if forward else -1
     start = (x, pull[0][x], 0)
     ids, states, left, preds, stack = {start: 0}, [start], [0], [[]], [0]

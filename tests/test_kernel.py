@@ -19,7 +19,8 @@ from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
                               materialize, members, pair_sup_separation,
                               sorted_points, system_ball)
 
-from oracles import distance_table, eager_pullbacks, pseudo_orbit_graph
+from oracles import (distance_table, eager_pullbacks, map_order, pseudo_orbit_graph,
+                     walked_cycle)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -117,11 +118,6 @@ def oracle_sup_separation(system, x, y):
 
 
 @given(finite_systems())
-def test_order_matches_oracle(system):
-    assert system.kernel.order == oracle_order(system)
-
-
-@given(finite_systems())
 def test_cycles_match_oracle(system):
     k = system.kernel
     assert {frozenset(k.pts[i] for i in cyc) for cyc in k.cycles} == \
@@ -202,23 +198,14 @@ def test_within_and_pullbacks_match_oracle(system, data):
     for closed in (False, True):
         inside = (lambda d: d <= radius) if closed else (lambda d: d < radius)
         assert k.within(radius, closed) == bitsets(pts, inside)
-        pull = k.pullbacks(radius, closed)
+        # the oracle's pull-back rows, which the second routes of the
+        # shadowing tests read, against Fraction distances at each exponent
+        pull = eager_pullbacks(k, radius, closed)
+        assert len(pull) == oracle_order(system)
         image = list(pts)          # image[i] = f^e(pts[i])
-        for e in range(k.order):
-            assert pull[e] == bitsets(image, inside)
+        for row in pull:
+            assert row == bitsets(image, inside)
             image = [system.image(p) for p in image]
-        # rows are built upward from exponent 0, whatever order they are
-        # read in: fresh views read downward and shuffled
-        oracle = eager_pullbacks(k, radius, closed)
-        shuffled = data.draw(st.permutations(range(k.order)))
-        for order in (range(k.order - 1, -1, -1), shuffled):
-            fresh = systems.FiniteKernel(system).pullbacks(radius, closed)
-            for e in order:
-                assert fresh[e] == oracle[e]
-                assert sorted(fresh) == list(range(len(fresh)))
-            assert len(fresh) == k.order
-            with pytest.raises(KeyError):
-                fresh[k.order]
         for x in pts:
             assert system_ball(system, x, radius, closed) == \
                 frozenset(y for y in pts if inside(system.dist(x, y)))
@@ -369,6 +356,11 @@ def test_kernel_maps_and_powers(system, rng):
     assert twin.space.table == tuple(tuple(system.dist(inv[a], inv[b]) for b in k.pts)
                                      for a in k.pts)
     assert twin.perm == tuple(k.index[relabel[system.image(inv[p])]] for p in k.pts)
+    # image(bits, m) moves a tracer set by f^m, either way in time
+    bits = rng.getrandbits(len(k.pts))
+    for m in range(-3, 4):
+        assert members(k.image(bits, m)) == sorted(
+            k.index[iterate(system, k.pts[i], m)] for i in members(bits))
     # orbit(i), which lays the periodic tracer's h, against an image walk
     for i, p in enumerate(k.pts):
         walk, cur = [p], system.image(p)
@@ -395,11 +387,26 @@ def test_sup_scaled_over_many_cycle_lengths():
     # so n = 43 and order 60 060, and pair orbits up to lcm(11, 13) = 143
     system = ladder_rung("cycles43")
     k = system.kernel
-    assert sorted(map(len, k.cycles)) == [3, 4, 5, 7, 11, 13] and k.order == 60060
+    assert sorted(map(len, k.cycles)) == [3, 4, 5, 7, 11, 13] and map_order(k) == 60060
     D = k.denominator
     assert k.sup_scaled == tuple(tuple(int(D * oracle_sup_separation(system, p, q))
                                        for q in k.pts) for p in k.pts)
     assert "powers" not in vars(k)
+
+
+def test_trace_cycle_on_long_orders():
+    # cycles43 has order 60 060: the oracle walks lcm(order, P) steps, the
+    # kernel tests the orbits of f^P. Point 0's orbit (P = 3) is traced by
+    # 0 alone; the window (0, 1) (P = 2) by 4 and 6 at 7/5, the orbit of
+    # f^2 through 4 on the 4-cycle, whose h does not close up
+    k = ladder_rung("cycles43").kernel
+    cases = {(k.orbit(0), F(7, 5)): [0], (k.orbit(0), F(5, 4)): [0],
+             ((0, 1), F(7, 5)): [4, 6], ((0, 1), F(5, 4)): []}
+    for (window, radius), want in cases.items():
+        got = k.trace_cycle(list(window), radius, prefer=6)
+        assert got == walked_cycle(k, list(window), radius, prefer=6)
+        assert got[0] == want
+    assert k.trace_cycle([0, 1], F(7, 5))[1:] == (4, None)
 
 
 def test_sup_scaled_on_long_coprime_cycles(monkeypatch):
@@ -443,7 +450,7 @@ def test_views_are_keyed_by_value():
     k = system.kernel
     one, other = F(1, 4), F(2, 8)
     assert one is not other
-    for view in (k.within, k.pullbacks, k.steps, k.inseparable, k.cycle_failures):
+    for view in (k.within, k.steps, k.inseparable, k.cycle_failures):
         assert view(one) is view(other)
     assert k.within(one, True) is k.within(other, True)
     assert k.within(one, True) is not k.within(one)
@@ -482,18 +489,16 @@ def test_kernel_does_not_keep_its_system_alive(make):
         system = make()
         k = system.kernel
 
-        def pulled(kernel):
-            # the pull-back view builds its rows as they are read, so two
-            # views are compared by the rows read at every exponent
-            pull = kernel.pullbacks(F(1, 2))
-            return [pull[e] for e in range(kernel.order)]
+        def traced(kernel):
+            # a periodic trace reads the cycles, within and the orbits of f^P
+            return kernel.trace_cycle(kernel.orbit(0), F(1, 2))
 
-        want = (k.sup_scaled, k.within(F(1, 2)), pulled(k))
+        want = (k.sup_scaled, k.within(F(1, 2)), traced(k))
         alive = weakref.ref(system)
         del system
         assert alive() is None
         fresh = make().kernel
-        assert (fresh.sup_scaled, fresh.within(F(1, 2)), pulled(fresh)) == want
+        assert (fresh.sup_scaled, fresh.within(F(1, 2)), traced(fresh)) == want
         assert k.inseparable(F(1, 2)) == fresh.inseparable(F(1, 2))
     finally:
         gc.enable()

@@ -1,0 +1,58 @@
+"""bench/ladder.py, each layer measured once in-process on small rungs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from pointdyn import metric, systems
+
+LADDER = Path(__file__).resolve().parents[1] / "bench" / "ladder.py"
+SRC = Path(__file__).resolve().parents[1] / "src"
+FIELDS = {"tree", "layer", "case", "size", "c", "repeats", "wall_s", "counters"}
+
+
+def load_ladder():
+    spec = importlib.util.spec_from_file_location("bench_ladder", LADDER)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    return ladder
+
+
+def well_formed(records, layer, case):
+    assert records and json.loads(json.dumps(records)) == records
+    for r in records:
+        assert set(r) == FIELDS and (r["tree"], r["layer"], r["case"]) == ("t", layer, case)
+        assert r["repeats"] == 1 and r["wall_s"] >= 0 and isinstance(r["counters"], dict)
+
+
+def test_every_layer_measures_small_rungs():
+    ladder = load_ladder()
+    cases = {case: (make, c) for case, make, c in ladder.rungs(systems, metric)}
+    for case in ("cat7", "cycles43"):
+        make, c = cases[case]
+        for layer, _, _ in ladder.layers(systems):
+            records = ladder.measure("t", 1, layer, case, make, c)
+            well_formed(records, layer, case)
+            assert records[0]["counters"]["n"] == records[0]["size"]
+        well_formed(ladder.measure_decider("t", 1, case, make), "decider", case)
+        tracing = ladder.measure_tracing("t", 1, case, make, c)
+        well_formed(tracing, "tracing", case)
+        # cat7's first point is fixed; cycles43's lies on its 3-cycle
+        assert [r["counters"]["P"] for r in tracing] == ([1] if case == "cat7" else [3, 2])
+    assert ladder.counters(cases["cycles43"][0]().kernel)["order"] == 60060
+    well_formed(ladder.measure_sweep("t", 1, "cat7", cases["cat7"][0]), "sweep", "cat7")
+    gh = {case: rest for case, *rest in ladder.gh_cases(systems, metric)}
+    well_formed(ladder.measure_gh("t", 1, "exact cat7 twin", *gh["exact cat7 twin"]),
+                "gh", "exact cat7 twin")
+    windowed = {case: rest for case, *rest in ladder.windowed_cases(systems, metric)}
+    for case in ("Z6 N=3", "cycles43 N=2"):
+        records = ladder.measure_windowed("t", 1, case, *windowed[case])
+        well_formed(records, "windowed", case)
+    assert records[0]["counters"] == {"result": False, "windows_checked": 26, "worst": 0}
+
+
+def test_import_layer_times_a_fresh_interpreter():
+    ladder = load_ladder()
+    records = ladder.measure_import([("t", str(SRC))], 1)
+    well_formed(records, "import", "pointdyn.cli")
+    assert records[0]["counters"]["pointdyn_modules"] > 1

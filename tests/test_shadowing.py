@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st, target
 
 from pointdyn.metric import FiniteMetricSpace, discrete_space
-from pointdyn.systems import (FiniteKernel, build_explicit, build_lattice, build_shift,
+from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               iterate, members)
 from pointdyn.shiftspace import EPPoint, pure, with_symbol, shift_metric
 from pointdyn.cli import main
@@ -27,7 +27,7 @@ from pointdyn import shadowing as SH
 from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
-from oracles import (distance_table, eager_pullbacks, enumerate_pseudo_orbits,
+from oracles import (distance_table, enumerate_pseudo_orbits, map_order,
                      pseudo_orbit_graph, reachable_sets, time_zero_verdicts,
                      trimmed_limit_sets)
 from test_kernel import finite_systems, ladder_rung, palette_systems
@@ -52,7 +52,7 @@ def oracle_half_sets(system, x, eps, delta, forward):
     dist, perm = distance_table(system), kernel.perm
     rng = range(len(perm))
     powers = [list(rng)]            # powers[e][z] = f^e z, stepped from perm
-    for _ in range(kernel.order - 1):
+    for _ in range(map_order(kernel) - 1):
         powers.append([perm[z] for z in powers[-1]])
     if forward:
         succ = [[v for v in rng if dist[perm[u]][v] < delta] for u in rng]
@@ -67,7 +67,7 @@ def oracle_half_sets(system, x, eps, delta, forward):
         if state in edges:
             continue
         u, A, e = state
-        e2 = (e + kstep) % kernel.order
+        e2 = (e + kstep) % len(powers)
         pw = powers[e2]
         outs = [(v, frozenset(z for z in A if dist[pw[z]][v] < eps), e2)
                 for v in succ[u]]
@@ -564,14 +564,13 @@ def test_windowed_decider_matches_oracle_on_rotations(n, data):
     assert_windowed_matches_oracle(system, data)
 
 
-# -- pull-back rows built on first read ----------------------------------------
+# -- long orders: no power of f beyond the walk -----------------------------
 
 
 @pytest.mark.parametrize("case", ["cycles43", "coprime400"])
 def test_exact_decider_keeps_few_states(case):
     # the ladder's rungs whose order is far above n (60 060 and 39 999):
-    # the decider keeps current tracer sets, so a fresh kernel builds no
-    # pull-back row and never computes the order. x = 0 is refuted at
+    # the decider keeps current tracer sets, so x = 0 is refuted at
     # (5/4, 5/4) within two kept states, and proved at (7/5, 1/2) within n
     system = ladder_rung(case)
     k = system.kernel
@@ -581,83 +580,18 @@ def test_exact_decider_keeps_few_states(case):
         assert SH._reachable_states(k, 0, eps, delta, kept, {}, journal) is verdict
         assert len(journal) <= most
         assert SH.shadowable_exact(system, k.pts[0], eps, delta) is verdict
-    assert not pullback_views(system) and "order" not in vars(k)
 
 
-def pullback_views(system):
-    """The pull-back views the system's kernel has built."""
-    return [view for key, view in system.kernel._views.items() if key[0] == "pullbacks"]
-
-
-def contiguous(view) -> bool:
-    return sorted(view) == list(range(len(view)))
-
-
-def fresh_kernel(system):
-    system._kernel = FiniteKernel(system)
-
-
-@settings(max_examples=60, deadline=None)
-@given(finite_systems(), st.data())
-def test_pullback_reads_run_forward_from_zero(system, data):
-    # every reader reads exponents 0, 1, 2, ...: after each call on a
-    # fresh kernel, each pull-back view holds exactly the rows 0..len - 1;
-    # the exact decider, which keeps current tracer sets, builds none
-    values = distances(system)
-    eps = data.draw(st.sampled_from(values), label="eps")
-    delta = data.draw(st.sampled_from(values), label="delta")
-    pts = system.points()
-    x = data.draw(st.sampled_from(pts), label="x")
-    N = data.draw(st.integers(1, 3), label="N")
-    while SH.count_pseudo_orbits(system, x, delta, N) > WINDOW_CAP:
-        N -= 1
-    entries = data.draw(st.lists(st.sampled_from(pts), min_size=2 * N + 1,
-                                 max_size=2 * N + 1), label="entries")
-    calls = (lambda: SH.shadowable_windowed(system, x, eps, delta, N),
-             lambda: SH.trace(system, SH.PseudoOrbitWindow(tuple(entries), delta), eps),
-             lambda: build_tracking_map(system, system, x, eps))
-    for call in calls:
-        fresh_kernel(system)
-        call()
-        views = pullback_views(system)
-        assert views and all(map(contiguous, views))
-    fresh_kernel(system)
-    SH.shadowable_exact(system, x, eps, delta)
-    assert not pullback_views(system) and "order" not in vars(system.kernel)
-
-
-def test_windowed_reads_build_few_rows():
-    # cycles43 has order 60 060; a radius-2 window reads exponents 0..4
-    # only, as the windowed decider and trace read it from x_-2
+def test_windowed_decider_on_long_order():
+    # cycles43 has order 60 060; a radius-2 window is walked two steps
+    # out from x_0 each way, and trace walks it from x_-2
     system = ladder_rung("cycles43")
     pts, eps = system.kernel.pts, F(7, 5)
     rep = SH.shadowable_windowed(system, pts[0], eps, F(5, 4), 2)
     assert (rep.result, rep.windows_checked, rep.worst_window.entries) == \
         (False, 26, (0, 0, 0, 3, 9))
-    assert sorted(system.kernel.pullbacks(eps)) == [0, 1, 2, 3, 4]
     orbit = tuple(iterate(system, pts[0], n) for n in range(-2, 3))
     for window in (rep.worst_window.entries, orbit):
-        fresh_kernel(system)
         found = SH.trace(system, SH.PseudoOrbitWindow(window, F(5, 4)), eps)
         # the worst window has no tracer; x's own orbit has x among its tracers
         assert (pts[0] in found.points) == bool(found) == (window == orbit)
-        views = pullback_views(system)
-        assert len(views) == 1 and contiguous(views[0]) and len(views[0]) <= 5
-
-
-@settings(max_examples=60, deadline=None)
-@given(finite_systems(), st.data())
-def test_windowed_decider_agrees_with_eager_rows(system, data):
-    # each draw decided twice: with the kernel's rows built on first read,
-    # and with the oracle's rows for every exponent patched in (the exact
-    # decider reads no pull-back rows)
-    values = distances(system)
-    eps = data.draw(st.sampled_from(values), label="eps")
-    delta = data.draw(st.sampled_from(values), label="delta")
-    x = data.draw(st.sampled_from(system.points()), label="x")
-    N = data.draw(st.integers(0, 2), label="N")
-    lazy = SH.shadowable_windowed(system, x, eps, delta, N)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(FiniteKernel, "pullbacks", eager_pullbacks)
-        assert type(system.kernel.pullbacks(eps)) is tuple
-        assert SH.shadowable_windowed(system, x, eps, delta, N) == lazy
