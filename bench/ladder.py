@@ -4,9 +4,13 @@ the shadowing deciders pay for.
 Each rung is one finite system; each layer is one kernel view built on
 a fresh system, timed alone with the views it reads already built:
 
-- ``sup_scaled``: the integer sup-separation matrix;
 - ``within``: the bitset rows within(c);
-- ``inseparable``: the bitset rows inseparable(c), over sup_scaled;
+- ``inseparable``: the bitset rows inseparable(c), built from the
+  integer rows and cycles alone (within(c, closed=True) and the orbits
+  of f^p are part of the timed build), at the rung's c and at the
+  carrier's diameter, where every class of every cycle survives. The
+  ``sup_scaled`` layer of BENCH_14 to BENCH_27 timed the integer
+  sup-separation matrix these rows were read from before BENCH_28;
 - ``twin``: conjugate_system(..., transport_metric=True) with a seeded
   bijection, the relabeled twin of the classify-lattice workload: the
   gather of the source's integer rows into the twin's space, which builds
@@ -82,14 +86,12 @@ compiler too.
 Every other record is {tree, layer, case, size, repeats, wall_s,
 counters}: wall_s is the least wall time over repeats fresh systems,
 each timed call begun after a full garbage collection; size is the point
-count n, and in the sup_scaled, within, inseparable, twin and carrier
-layers the counters describe the rung, not the code that ran on it:
-n, cycles, order (the lcm of the cycle lengths),
-gathers = sum over cycles of M = max over cycle lengths q of lcm(p, q),
-the whole-row gathers of a fold over a full period of every pair orbit,
-and classes = sum over cycle pairs (p, q) of gcd(p, q) when it is below
-q, the residue classes of more than one point that sup_scaled takes one
-max over. No figure here gates a test.
+count n, and in the within, inseparable, twin and carrier layers the
+counters describe the rung, not the code that ran on it: n, cycles and
+order (the lcm of the cycle lengths); the inseparable layer adds
+scanned, the sum over cycles C of length p of the orbits of f^p that
+meet within(c, closed=True)[C[0]], the classes the periodic scan tests.
+No figure here gates a test.
 
 Run it from the repository root. Each --tree LABEL=SRC names a library
 tree and the label its records carry. One invocation times every tree:
@@ -101,7 +103,7 @@ code effect:
 
     python3 -m compileall -q src ../parent/src
     python3 bench/ladder.py --repeats 15 --tree parent=../parent/src \
-        --tree change=src --out BENCH_27.json
+        --tree change=src --out BENCH_28.json
 
 Records of other labels already in --out are kept; those of the given
 labels are replaced. Each record carries its --repeats, and the
@@ -178,9 +180,20 @@ def rungs(systems, metric):
 
 def counters(kernel):
     lengths = [len(cyc) for cyc in kernel.cycles]
-    return {"n": len(kernel.pts), "cycles": len(lengths), "order": lcm(*lengths),
-            "gathers": sum(max(lcm(p, q) for q in lengths) for p in lengths),
-            "classes": sum(gcd(p, q) for p in lengths for q in lengths if gcd(p, q) < q)}
+    return {"n": len(kernel.pts), "cycles": len(lengths), "order": lcm(*lengths)}
+
+
+def scanned(kernel, c):
+    """The orbits of f^p that meet within(c, closed=True)[C[0]], summed
+    over the cycles C of length p."""
+    near = kernel.within(c, closed=True)
+    return sum(len({kernel.classes(len(cyc))[a][0] for a in range(len(kernel.pts))
+                    if near[cyc[0]] >> a & 1}) for cyc in kernel.cycles)
+
+
+def diameter(kernel):
+    """The carrier's largest distance."""
+    return F(max(map(max, kernel.rows)), kernel.denominator)
 
 
 def layers(systems):
@@ -189,10 +202,6 @@ def layers(systems):
     arg) is the timed call."""
     def warm_rows(system, c, make=None):
         warmed(system)
-
-    def warm_sup(system, c, make):
-        warm_rows(system, c)
-        system.kernel.sup_scaled
 
     def warm_twin(system, c, make):
         warm_rows(system, c)
@@ -204,9 +213,8 @@ def layers(systems):
         warm_rows(system, c), warm_rows(other, c)
         return other
 
-    return (("sup_scaled", warm_rows, lambda s, c, _: s.kernel.sup_scaled),
-            ("within", warm_rows, lambda s, c, _: s.kernel.within(c)),
-            ("inseparable", warm_sup, lambda s, c, _: s.kernel.inseparable(c)),
+    return (("within", warm_rows, lambda s, c, _: s.kernel.within(c)),
+            ("inseparable", warm_rows, lambda s, c, _: s.kernel.inseparable(c)),
             ("twin", warm_twin,
              lambda s, c, h: systems.conjugate_system(s, h, transport_metric=True)),
             ("carrier", warm_copy, lambda s, c, other: systems.check_carrier(s, other)))
@@ -241,17 +249,22 @@ def record(label, layer, case, size, c, repeats, wall, counters):
 
 
 def measure(label, repeats, layer, case, make, c):
-    """The record of one kernel layer on one rung ([] where it is left out)."""
+    """The records of one kernel layer on one rung: at the rung's c, and
+    for inseparable also at the carrier's diameter."""
     from pointdyn import systems
     prepare, build = {name: (p, b) for name, p, b in layers(systems)}[layer]
+    records = []
+    for r in (c, diameter(make().kernel)) if layer == "inseparable" else (c,):
+        def setup():
+            system = make()
+            return system, prepare(system, r, make)
 
-    def setup():
-        system = make()
-        return system, prepare(system, c, make)
-
-    best, _, (system, _) = best_of(repeats, setup, lambda made: build(made[0], c, made[1]))
-    return [record(label, layer, case, len(system.kernel.pts), str(c), repeats, best,
-                   counters(system.kernel))]
+        best, _, (system, _) = best_of(repeats, setup, lambda made: build(made[0], r, made[1]))
+        k = system.kernel
+        extra = {"scanned": scanned(k, r)} if layer == "inseparable" else {}
+        records.append(record(label, layer, case, len(k.pts), str(r), repeats, best,
+                              {**counters(k), **extra}))
+    return records
 
 
 def walk_work(shadowing, system, eps, delta):

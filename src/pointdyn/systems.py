@@ -14,7 +14,7 @@ their integer arcs, an explicit system hands over the rows its space owns.
 
 import hashlib
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
@@ -409,13 +409,14 @@ class FiniteKernel:
     its system: denominator D, the least S with S * table integral, and
     the rows = D * table (the system's _integer_table: integer arcs on a
     lattice, the rows of an explicit system's space).
-    A radius r meets these rows and sup_scaled as floor_scaled(r, D,
-    closed). Only a comparison of two kernels reads scaled(S), at S = lcm
-    of their denominators. sup_scaled, the cycles, per radius or constant
+    A radius r meets these rows as floor_scaled(r, D, closed). Only a
+    comparison of two kernels reads scaled(S), at S = lcm of their
+    denominators. The cycles, the rows' bytes copy, per radius or constant
     (keyed on its numerator and denominator) within(r), the pseudo-orbit
     steps, inseparable(c) and cycle_failures(c), and per period P the
-    orbits of f^P are built on first use and kept. Tracer sets hold
-    current positions and move by image; rows move by whole-row gathers.
+    orbits of f^P are built on first use and kept. No sup-separation
+    matrix is kept: inseparable(c) is periodic tracing of each cycle at
+    closed radius c. Tracer sets hold current positions and move by image.
     """
 
     def __init__(self, system):
@@ -426,50 +427,33 @@ class FiniteKernel:
         self.denominator, self.rows = system._integer_table()
         self._views = {}            # (view, *arguments) -> view
 
-    @cached_property
-    def sup_scaled(self) -> tuple:
-        """sup_scaled[i][j] = denominator * sup over n of d(f^n pts[i], f^n pts[j]).
-        For the first point i of a cycle of length p, the elementwise max over
-        t < p of rows[f^t i] gathered at f^t (folded 32 rows at a time) is the
-        sup over one period of i; as f^p fixes i, the sup at c2[k] on a cycle
-        c2 is that max over the k' = k mod gcd(p, len(c2)) (_residue_classes).
-        Row f^m i is row i gathered at f^-m. O(n^2): about 4n gathers of n
-        entries and under n/2 class maxima per cycle."""
-        rows, n = self.rows, len(self.perm)
-        identity, forward, back = tuple(range(n)), gatherer(self.perm), gatherer(self.inv)
-        residues, sep = cache(lambda p: _residue_classes(self.cycles, p, n)), [None] * n
-        for cyc in self.cycles:
-            classes, spread = residues(p := len(cyc))
-            at, best = identity, rows[cyc[0]]
-            for t in range(1, p, 32):
-                seen = [best]
-                for _ in range(min(32, p - t)):
-                    at = forward(at)                        # at[j] = f^t j
-                    seen.append(gatherer(at)(rows[at[cyc[0]]]))
-                best = tuple(map(max, *seen))
-            if classes:
-                best = spread(best + tuple(max(map(best.__getitem__, c)) for c in classes))
-            at = identity
-            for a in cyc:
-                sep[a] = gatherer(at)(best)         # at[j] = f^-m j for a = f^m i
-                at = back(at)
-        return tuple(sep)
-
     def inseparable(self, c) -> tuple:
-        """inseparable(c)[i]: the bitset of j whose sup-separation from i
-        is at most c, i.e. sup_scaled[i][j] <= floor_scaled(c, D, True)."""
+        """inseparable(c)[i]: the bitset of j with d(f^n i, f^n j) <= c for
+        every n, i.e. sup-separation at most c: the periodic tracers of i's
+        own cycle at closed radius c. For a cycle C of length p these are
+        the orbits of f^p inside within(c, closed=True)[C[k]] at every phase
+        k (_tracing_classes), and row C[k] ORs their phase-k entries."""
         key = ("inseparable", c.numerator, c.denominator)
         if (rows := self._views.get(key)) is None:
-            bound = floor_scaled(c, self.denominator, closed=True)
-            rows = self._views[key] = tuple(sum(1 << j for j, s in enumerate(row) if s <= bound)
-                                            for row in self.sup_scaled)
+            near, rows = self.within(c, closed=True), [0] * len(self.perm)
+            for cyc in self.cycles:
+                # the kept classes are disjoint at each phase: a sum is their OR
+                for a, phase in zip(cyc, zip(*self._tracing_classes(cyc, near))):
+                    rows[a] = sum(phase)
+            rows = self._views[key] = tuple(rows)
         return rows
 
     def first_inseparable_pair(self, c, mask):
         """The least pair (i, j), i < j both in the bitset mask, whose
         sup-separation is at most c, read off inseparable(c); None when every
-        pair of mask separates beyond c."""
-        rows = self.inseparable(c)
+        pair of mask separates beyond c. The scan walks only the points of
+        mask with an inseparable partner (one bitset per constant)."""
+        rows, key = self.inseparable(c), ("paired", c.numerator, c.denominator)
+        if (paired := self._views.get(key)) is None:
+            # a row of two or more bits: the point and a partner
+            paired = self._views[key] = sum(1 << i for i, row in enumerate(rows)
+                                            if row & (row - 1))
+        mask &= paired
         while mask:
             i = least(mask)
             mask &= mask - 1            # what is left lies above i
@@ -563,13 +547,29 @@ class FiniteKernel:
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
-        i.e. rows[v][y] <= floor_scaled(r, D, closed), D = denominator."""
+        i.e. rows[v][y] <= floor_scaled(r, D, closed), D = denominator: row
+        v's bytes copy translated to '1' up to the bound and '0' above, read
+        backwards in base 2, or one generator step per entry when a scaled
+        value exceeds 255."""
         key = ("within", radius.numerator, radius.denominator, closed)
         if (rows := self._views.get(key)) is None:
             bound = floor_scaled(radius, self.denominator, closed)
-            rows = self._views[key] = tuple(sum(1 << y for y, d in enumerate(row) if d <= bound)
-                                            for row in self.rows)
+            if (raw := self._byte_rows) is None:
+                rows = tuple(sum(1 << y for y, d in enumerate(row) if d <= bound)
+                             for row in self.rows)
+            else:
+                table = (b"1" * min(bound + 1, 256) + b"0" * 256)[:256]
+                rows = tuple(int(row.translate(table)[::-1], 2) for row in raw)
+            self._views[key] = rows
         return rows
+
+    @cached_property
+    def _byte_rows(self):
+        """The rows as bytes, or None when a scaled value exceeds 255."""
+        try:
+            return tuple(map(bytes, self.rows))
+        except ValueError:
+            return None
 
     def steps(self, delta) -> tuple:
         """The delta-pseudo-orbit steps: row u holds the v with
@@ -605,8 +605,20 @@ class FiniteKernel:
         None when f^P z != z, i.e. the cycle's length does not divide P and
         the orbit does not close up. z and h are None without a tracer.
         """
-        P, near, place = len(window), self.within(radius, closed), self.classes(len(window))
-        todo, bits = near[window[0]], 0
+        P, near, bits = len(window), self.within(radius, closed), 0
+        for turned in self._tracing_classes(window, near):
+            bits |= turned[0]
+        if not (found := members(bits)):
+            return found, None, None
+        z = prefer if prefer in found else found[0]
+        cyc = self.orbit(z)
+        return found, z, None if P % len(cyc) else cyc * (P // len(cyc))
+
+    def _tracing_classes(self, window, near) -> list:
+        """The orbits of f^P, P = len(window), that lie inside near[window[i]]
+        at every phase i < P, each as its classes(P) tuple: one subset test
+        per class and phase, over the classes that meet near[window[0]]."""
+        place, todo, kept = self.classes(len(window)), near[window[0]], []
         while todo:
             turned = place[least(todo)]
             todo &= ~turned[0]
@@ -614,12 +626,8 @@ class FiniteKernel:
                 if c & near[v] != c:
                     break
             else:
-                bits |= turned[0]
-        if not (found := members(bits)):
-            return found, None, None
-        z = prefer if prefer in found else found[0]
-        cyc = self.orbit(z)
-        return found, z, None if P % len(cyc) else cyc * (P // len(cyc))
+                kept.append(turned)
+        return kept
 
     def classes(self, P) -> tuple:
         """classes(P)[i]: the orbits of f^P that f^n i meets at n = 0..P-1,
@@ -661,21 +669,6 @@ def gatherer(indices):
     if len(indices) > 1:
         return itemgetter(*indices)
     return lambda row: tuple(row[i] for i in indices)
-
-
-def _residue_classes(cycles, p, n):
-    """(classes, spread) for a cycle of length p: the classes c2[r::g],
-    g = gcd(p, len(c2)), of more than one point, and the gather that takes
-    row + (one value per class) to row with each class set to its value."""
-    slot, classes = list(range(n)), []
-    for c2 in cycles:
-        g = gcd(p, len(c2))
-        if g < len(c2):
-            for r in range(g):
-                for j in c2[r::g]:
-                    slot[j] = n + len(classes)
-                classes.append(c2[r::g])
-    return classes, gatherer(slot)
 
 
 def _inverse(perm) -> tuple:
@@ -815,14 +808,18 @@ def iterate(system, x, n: int):
 def pair_sup_separation(system, x, y) -> Fraction:
     """sup over n in Z of d(f^n x, f^n y), exact.
 
-    Finite backends read kernel.sup_scaled, others check both points
-    (off the carrier both raise). On the shift distinct points always
-    reach separation exactly 1: shifting moves their first disagreement
-    to the origin. Satellite pairs reduce to marked-orbit comparisons.
+    Finite backends take the max of the kernel's integer rows along the
+    pair's joint orbit, lcm(p, q) steps over orbit(i) and orbit(j); others
+    check both points (off the carrier both raise). On the shift distinct
+    points always reach separation exactly 1: shifting moves their first
+    disagreement to the origin. Satellite pairs reduce to marked-orbit
+    comparisons.
     """
     if system.finite:
-        k, i, j = system.kernel, point_index(system, x), point_index(system, y)
-        return Fraction(k.sup_scaled[i][j], k.denominator)
+        k, rows = system.kernel, system.kernel.rows
+        a, b = k.orbit(point_index(system, x)), k.orbit(point_index(system, y))
+        p, q = len(a), len(b)
+        return Fraction(max(rows[a[t % p]][b[t % q]] for t in range(lcm(p, q))), k.denominator)
     if system.check_point(x) == system.check_point(y):    # each returns its point
         return ZERO
     if system.backend == "satellite":

@@ -238,14 +238,60 @@ def test_separation_matches_oracle(system, data):
     oracle = [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
     assert all(pair_sup_separation(system, p, q) == oracle_sup_separation(system, p, q)
                for p in k.pts for q in k.pts)
-    D = k.denominator
-    assert k.sup_scaled == tuple(tuple(int(D * v) for v in row) for row in oracle)
-    # the system's own separations are the <= boundary, and just above them
+    # the system's own separations are the <= boundary, and just above
+    # them; at the carrier's largest distance every pair is inseparable
     own = sorted({v for row in oracle for v in row})
     base = data.draw(st.sampled_from(own + list(RADII) + [F(-1)]))
-    for c in (base, base + F(1, 10 ** 6)):
+    top = max(system.dist(p, q) for p in k.pts for q in k.pts)
+    for c in (base, base + F(1, 10 ** 6), top, top - F(1, 10 ** 6)):
         assert k.inseparable(c) == tuple(sum(1 << j for j, v in enumerate(row) if v <= c)
                                          for row in oracle)
+
+
+# denominators 7, 9 and 11: D = 693, so every scaled value exceeds 255 and
+# within takes its generator route; distances in [1/2, 1] keep the triangles
+WIDE = build_explicit(FiniteMetricSpace(
+    [[0, F(4, 7), F(5, 9), F(6, 11)], [F(4, 7), 0, F(5, 7), F(7, 9)],
+     [F(5, 9), F(5, 7), 0, F(10, 11)], [F(6, 11), F(7, 9), F(10, 11), 0]]), (1, 2, 3, 0))
+
+
+@given(finite_systems())
+@example(WIDE)
+def test_within_rows_match_oracle_at_own_values(system):
+    # rows translated from bytes when every scaled value fits in one,
+    # else built by the generator, against Fraction comparisons at each
+    # of the system's own distances and just above and below it
+    k = system.kernel
+    table = distance_table(system)
+    assert (k._byte_rows is None) == any(v > 255 for row in k.rows for v in row)
+    tiny = F(1, 10 ** 6)
+    for d in sorted({d for row in table for d in row}):
+        for r in (d - tiny, d, d + tiny):
+            for closed in (False, True):
+                inside = (lambda v: v <= r) if closed else (lambda v: v < r)
+                assert k.within(r, closed) == tuple(
+                    sum(1 << j for j, v in enumerate(row) if inside(v)) for row in table)
+
+
+@given(st.one_of(finite_systems(), st.just(WIDE)), st.data())
+def test_first_inseparable_pair_matches_oracle(system, data):
+    k = system.kernel
+    oracle = [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
+    # below the least separation no pair is inseparable; at the diameter
+    # and above every pair is
+    parted = min((v for row in oracle for v in row if v), default=F(1))
+    top = max(system.dist(p, q) for p in k.pts for q in k.pts)
+    c = data.draw(st.sampled_from(sorted({v for row in oracle for v in row})
+                                  + [parted / 2, top, top + 1]))
+    mask = data.draw(st.integers(0, (1 << len(k.pts)) - 1))
+    inside = members(mask)
+    want = next(((i, j) for at, i in enumerate(inside) for j in inside[at + 1:]
+                 if oracle[i][j] <= c), None)
+    assert k.first_inseparable_pair(c, mask) == want
+    if c < parted:
+        assert want is None
+    if c >= top and len(inside) > 1:
+        assert want == (inside[0], inside[1])
 
 
 @st.composite
@@ -305,7 +351,7 @@ def long_cycles(lengths, seed):
 @example(reversed_twin(build_lattice(1, kind="torus", matrix=TORUS_MATRICES[0]), False))
 @example(reversed_twin(build_explicit(discrete_space(1), (0,)), True))
 @example(reversed_twin(build_explicit(discrete_space(1), (0,)), False))
-# cycles longer than the 32 rows sup_scaled folds at a time
+# cycles longer than 32, pair orbits up to lcm(70, 5) = 70 steps
 @example(long_cycles((70, 5), 70))
 @example(reversed_twin(long_cycles((33, 6, 4), 33), True))
 def test_integer_rows_at_lattice_sizes(system):
@@ -328,8 +374,8 @@ def test_integer_rows_at_lattice_sizes(system):
         got = k.scaled(scale)
         assert all(type(v) is int for row in got for v in row)
         assert got == tuple(tuple(int(scale * d) for d in row) for row in oracle)
-    assert k.sup_scaled == tuple(tuple(int(S * oracle_sup_separation(system, p, q))
-                                       for q in k.pts) for p in k.pts)
+    assert all(pair_sup_separation(system, p, q) == oracle_sup_separation(system, p, q)
+               for p in k.pts for q in k.pts)
 
 
 @given(finite_systems(), st.randoms(use_true_random=False))
@@ -382,15 +428,17 @@ def ladder_rung(case):
     return {name: make for name, make, _c in ladder.rungs(systems, metric)}[case]()
 
 
-def test_sup_scaled_over_many_cycle_lengths():
+def test_separation_over_many_cycle_lengths():
     # the ladder's cycles43 rung: cycles of lengths 3, 4, 5, 7, 11 and 13,
     # so n = 43 and order 60 060, and pair orbits up to lcm(11, 13) = 143
     system = ladder_rung("cycles43")
     k = system.kernel
     assert sorted(map(len, k.cycles)) == [3, 4, 5, 7, 11, 13] and map_order(k) == 60060
-    D = k.denominator
-    assert k.sup_scaled == tuple(tuple(int(D * oracle_sup_separation(system, p, q))
-                                       for q in k.pts) for p in k.pts)
+    oracle = [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
+    assert [[pair_sup_separation(system, p, q) for q in k.pts] for p in k.pts] == oracle
+    for c in sorted({v for row in oracle for v in row}):
+        assert k.inseparable(c) == tuple(sum(1 << j for j, v in enumerate(row) if v <= c)
+                                         for row in oracle)
     assert "powers" not in vars(k)
 
 
@@ -409,38 +457,25 @@ def test_trace_cycle_on_long_orders():
     assert k.trace_cycle([0, 1], F(7, 5))[1:] == (4, None)
 
 
-def test_sup_scaled_on_long_coprime_cycles(monkeypatch):
+def test_separation_on_long_coprime_cycles():
     # the ladder's coprime400 rung: cycles of lengths 199 and 201, whose
-    # pair orbits have period 39 999; an orbit-row fold over a full period
-    # would gather 2 * 39 999 rows of 400 entries, the class maxima gather
-    # O(n^2) entries in all
+    # pair orbits have period 39 999
     system = ladder_rung("coprime400")
     k = system.kernel
     a, b = sorted(k.cycles, key=len)
     assert (len(a), len(b)) == (199, 201)
-    gathered = []
-
-    def counted(indices):
-        take = gather(indices)
-
-        def run(row):
-            gathered.append(len(indices))
-            return take(row)
-        return run
-
-    gather = systems.gatherer
-    monkeypatch.setattr(systems, "gatherer", counted)
-    got, n = k.sup_scaled, len(k.pts)
-    assert sum(gathered) <= 5 * n * n
-    rows = k.scaled(k.denominator)
-    # coprime lengths: the orbit of (x, y), x in a and y in b, is all of a x b
+    rows, D = k.scaled(k.denominator), k.denominator
+    # coprime lengths: the orbit of (x, y), x in a and y in b, is all of a x b,
+    # so every cross pair separates by the block's max, and none by less
     block = max(rows[x][y] for x in a for y in b)
-    assert all(got[x][y] == got[y][x] == block for x in a for y in b)
-    D = k.denominator
+    amask, bmask = sum(1 << x for x in a), sum(1 << y for y in b)
+    at, below = k.inseparable(F(block, D)), k.inseparable(F(block - 1, D))
+    assert all(at[x] & bmask == bmask for x in a) and all(at[y] & amask == amask for y in b)
+    assert not any(below[x] & bmask for x in a) and not any(below[y] & amask for y in b)
     for x in (a[0], a[57], b[0], b[200]):
         same = a if x in a else b
-        assert [got[x][y] for y in same] == \
-            [int(D * oracle_sup_separation(system, k.pts[x], k.pts[y])) for y in same]
+        assert [pair_sup_separation(system, k.pts[x], k.pts[y]) for y in same] == \
+            [oracle_sup_separation(system, k.pts[x], k.pts[y]) for y in same]
 
 
 def test_views_are_keyed_by_value():
@@ -493,12 +528,12 @@ def test_kernel_does_not_keep_its_system_alive(make):
             # a periodic trace reads the cycles, within and the orbits of f^P
             return kernel.trace_cycle(kernel.orbit(0), F(1, 2))
 
-        want = (k.sup_scaled, k.within(F(1, 2)), traced(k))
+        want = (k.within(F(1, 2)), traced(k))
         alive = weakref.ref(system)
         del system
         assert alive() is None
         fresh = make().kernel
-        assert (fresh.sup_scaled, fresh.within(F(1, 2)), traced(fresh)) == want
+        assert (fresh.within(F(1, 2)), traced(fresh)) == want
         assert k.inseparable(F(1, 2)) == fresh.inseparable(F(1, 2))
     finally:
         gc.enable()

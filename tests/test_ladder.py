@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+from fractions import Fraction as F
+from math import gcd
 from pathlib import Path
 
 from pointdyn import metric, systems
@@ -30,16 +32,26 @@ def test_every_layer_measures_small_rungs():
     cases = {case: (make, c) for case, make, c in ladder.rungs(systems, metric)}
     for case in ("cat7", "cycles43"):
         make, c = cases[case]
-        for layer, _, _ in ladder.layers(systems):
-            records = ladder.measure("t", 1, layer, case, make, c)
+        measured = {layer: ladder.measure("t", 1, layer, case, make, c)
+                    for layer, _, _ in ladder.layers(systems)}
+        for layer, records in measured.items():
             well_formed(records, layer, case)
             assert records[0]["counters"]["n"] == records[0]["size"]
+        # inseparable at the rung's c and at the diameter (the arc 3/7 on
+        # the 7-torus, the palette's 2 on cycles43), where more is scanned
+        at_c, at_top = measured["inseparable"]
+        assert (at_c["c"], at_top["c"]) == (str(c), "3/7" if case == "cat7" else "2")
+        assert at_c["counters"]["scanned"] < at_top["counters"]["scanned"]
         well_formed(ladder.measure_decider("t", 1, case, make), "decider", case)
         tracing = ladder.measure_tracing("t", 1, case, make, c)
         well_formed(tracing, "tracing", case)
         # cat7's first point is fixed; cycles43's lies on its 3-cycle
         assert [r["counters"]["P"] for r in tracing] == ([1] if case == "cat7" else [3, 2])
     assert ladder.counters(cases["cycles43"][0]().kernel)["order"] == 60060
+    # at the diameter every class of every cycle: gcd(p, q) per pair of cycles
+    lengths = (3, 4, 5, 7, 11, 13)
+    assert ladder.scanned(cases["cycles43"][0]().kernel, F(2)) == \
+        sum(gcd(p, q) for p in lengths for q in lengths)
     well_formed(ladder.measure_sweep("t", 1, "cat7", cases["cat7"][0]), "sweep", "cat7")
     gh = {case: rest for case, *rest in ladder.gh_cases(systems, metric)}
     well_formed(ladder.measure_gh("t", 1, "exact cat7 twin", *gh["exact cat7 twin"]),
