@@ -8,7 +8,9 @@ a fresh system, timed alone with the views it reads already built:
 - ``inseparable``: the bitset rows inseparable(c), built from the
   integer rows and cycles alone (within(c, closed=True) and the orbits
   of f^p are part of the timed build), at the rung's c and at the
-  carrier's diameter, where every class of every cycle survives. The
+  carrier's diameter, where every class of every cycle survives. From
+  BENCH_29 on the timed pass also builds first_inseparable_pair's paired
+  mask and the per-cycle verdicts of cycle_failures(c). The
   ``sup_scaled`` layer of BENCH_14 to BENCH_27 timed the integer
   sup-separation matrix these rows were read from before BENCH_28;
 - ``twin``: conjugate_system(..., transport_metric=True) with a seeded
@@ -103,7 +105,7 @@ code effect:
 
     python3 -m compileall -q src ../parent/src
     python3 bench/ladder.py --repeats 15 --tree parent=../parent/src \
-        --tree change=src --out BENCH_28.json
+        --tree change=src --out BENCH_29.json
 
 Records of other labels already in --out are kept; those of the given
 labels are replaced. Each record carries its --repeats, and the

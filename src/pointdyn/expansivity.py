@@ -10,7 +10,7 @@ counterexample pair. A constant c <= 0 is a PreconditionError.
 
 On finite carriers every verdict is read off the kernel's bitset rows
 inseparable(c) (the j with sup-separation at most c from i), built once
-per constant as the periodic tracers of each cycle at closed radius c:
+per closed bound as the periodic tracers of each cycle at closed radius c:
 a point's row, the first pair of a ball's bits, and for minimal
 expansivity one verdict per cycle (cycle_failures), shared by every
 centre whose ball meets it.

@@ -155,12 +155,14 @@ def _phi_satellite(system, x, c):
 
 def check_measure_backend(system, mu):
     """The check every mu-check makes first: a finite carrier takes point
-    weights with no mass off it, the shift a Bernoulli measure, and the
-    satellite carrier none."""
+    weights with no mass off it and a weight at each of its points, the
+    shift a Bernoulli measure, and the satellite carrier none."""
     if system.finite and mu.kind != "weights":
         raise CarrierMismatchError("finite carriers need point-weight measures")
     if system.finite:
         carrier_set(system, mu.weights)     # mass off it makes each check vacuous
+        for p in system.kernel.pts:         # else only checks that visit p fail
+            mu.weight(p)
     else:
         if system.backend != "shift":
             raise UnsupportedBackendError(

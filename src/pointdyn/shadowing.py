@@ -117,8 +117,11 @@ def trace(system, window: PseudoOrbitWindow, eps) -> TracerSet:
             "enumerative tracing needs a finite carrier; "
             "the shift backend traces by splicing")
     k = system.kernel
-    found = k.tracers([point_index(system, p) for p in window.entries], eps)
-    found = k.image(sum(1 << z for z in found), window.radius)     # time -N to 0
+    near, found = k.within(eps), (1 << len(k.perm)) - 1
+    for n, p in enumerate(window.entries):
+        found = (k.image(found) if n else found) & near[point_index(system, p)]
+    # from the last entry's time to time 0, which is x_-N's time + N
+    found = k.image(found, window.radius + 1 - len(window.entries))
     return TracerSet(frozenset(k.pts[z] for z in members(found)), eps)
 
 

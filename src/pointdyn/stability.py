@@ -661,7 +661,7 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
     commutation with the maps are verified independently of how the
     tracer was found.
     """
-    fperm, gperm, rows = fk.perm, gk.perm, fk.rows
+    fperm, gperm, near = fk.perm, gk.perm, fk.within(eps)
     orb = gk.orbit(y)
     tracers, _, path = fk.trace_cycle([j_map[v] for v in orb], eta)
     if not tracers:
@@ -669,8 +669,7 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
     if path is None:
         return "tracer does not close up over the orbit period"
     h = dict(zip(orb, path))
-    bound = floor_scaled(eps, fk.denominator, closed=False)
-    if any(rows[h[v]][j_map[v]] > bound for v in orb):
+    if any(not near[h[v]] >> j_map[v] & 1 for v in orb):
         return "conjugacy image strays to eps or beyond from j"
     if any(fperm[h[v]] != h[gperm[v]] for v in orb):
         return "conjugacy fails to commute with the maps"

@@ -409,14 +409,18 @@ class FiniteKernel:
     its system: denominator D, the least S with S * table integral, and
     the rows = D * table (the system's _integer_table: integer arcs on a
     lattice, the rows of an explicit system's space).
-    A radius r meets these rows as floor_scaled(r, D, closed). Only a
-    comparison of two kernels reads scaled(S), at S = lcm of their
-    denominators. The cycles, the rows' bytes copy, per radius or constant
-    (keyed on its numerator and denominator) within(r), the pseudo-orbit
-    steps, inseparable(c) and cycle_failures(c), and per period P the
-    orbits of f^P are built on first use and kept. No sup-separation
-    matrix is kept: inseparable(c) is periodic tracing of each cycle at
-    closed radius c. Tracer sets hold current positions and move by image.
+    A radius r meets these rows at the integer bound floor_scaled(r, D,
+    closed), and every radius view is kept per bound, so radii of one
+    bound share one build. Only a comparison of two kernels reads
+    scaled(S), at S = lcm of their denominators. The cycles, the rows'
+    bytes copy, within(r) and the pseudo-orbit steps per bound, one
+    separation pass per closed bound (inseparable(c), the paired mask of
+    first_inseparable_pair and cycle_failures(c) together), and per
+    period P the orbits of f^P are built on first use and kept. No
+    sup-separation matrix is kept: inseparable(c) is periodic tracing of
+    each cycle at closed radius c. Tracer sets hold current positions and
+    move by image; a finite window is traced by shadowing.trace, a
+    periodic one by trace_cycle.
     """
 
     def __init__(self, system):
@@ -425,34 +429,19 @@ class FiniteKernel:
         self.perm = tuple(self.index[system.image(p)] for p in self.pts)
         self.inv = _inverse(self.perm)
         self.denominator, self.rows = system._integer_table()
-        self._views = {}            # (view, *arguments) -> view
+        self._views = {}            # (view, bound or argument) -> view
 
     def inseparable(self, c) -> tuple:
         """inseparable(c)[i]: the bitset of j with d(f^n i, f^n j) <= c for
-        every n, i.e. sup-separation at most c: the periodic tracers of i's
-        own cycle at closed radius c. For a cycle C of length p these are
-        the orbits of f^p inside within(c, closed=True)[C[k]] at every phase
-        k (_tracing_classes), and row C[k] ORs their phase-k entries."""
-        key = ("inseparable", c.numerator, c.denominator)
-        if (rows := self._views.get(key)) is None:
-            near, rows = self.within(c, closed=True), [0] * len(self.perm)
-            for cyc in self.cycles:
-                # the kept classes are disjoint at each phase: a sum is their OR
-                for a, phase in zip(cyc, zip(*self._tracing_classes(cyc, near))):
-                    rows[a] = sum(phase)
-            rows = self._views[key] = tuple(rows)
-        return rows
+        every n, i.e. sup-separation at most c (_separation)."""
+        return self._separation(c)[0]
 
     def first_inseparable_pair(self, c, mask):
         """The least pair (i, j), i < j both in the bitset mask, whose
         sup-separation is at most c, read off inseparable(c); None when every
         pair of mask separates beyond c. The scan walks only the points of
-        mask with an inseparable partner (one bitset per constant)."""
-        rows, key = self.inseparable(c), ("paired", c.numerator, c.denominator)
-        if (paired := self._views.get(key)) is None:
-            # a row of two or more bits: the point and a partner
-            paired = self._views[key] = sum(1 << i for i, row in enumerate(rows)
-                                            if row & (row - 1))
+        mask with an inseparable partner (_separation's paired mask)."""
+        rows, paired, _ = self._separation(c)
         mask &= paired
         while mask:
             i = least(mask)
@@ -465,18 +454,34 @@ class FiniteKernel:
     def cycle_failures(self, c) -> tuple:
         """(bits, pairs): pairs[i] is the first_inseparable_pair of the
         cycle through i (None when the cycle separates beyond c), and bits
-        holds the i with a pair; one verdict per cycle and constant."""
-        key = ("cycle_failures", c.numerator, c.denominator)
-        if (view := self._views.get(key)) is None:
-            bits, pairs = 0, [None] * len(self.perm)
+        holds the i with a pair (_separation)."""
+        return self._separation(c)[2]
+
+    def _separation(self, c) -> tuple:
+        """(inseparable rows, paired, (bits, pairs)) at the closed bound of
+        c, one pass per bound. For a cycle C of length p the rows are the
+        periodic tracers of C at closed radius c: the orbits of f^p inside
+        within(c, closed=True)[C[k]] at every phase k (_tracing_classes),
+        row C[k] ORing their phase-k entries. paired holds the points with
+        a partner. f maps an inseparable pair to an inseparable pair, so C
+        has a pair exactly when its least point C[0] has a partner on C,
+        and (C[0], least partner) is the least pair of C."""
+        bound = floor_scaled(c, self.denominator, True)
+        if (view := self._views.get(("separation", bound))) is None:
+            near, n = self.within(c, closed=True), len(self.perm)
+            rows, bits, pairs = [0] * n, 0, [None] * n
             for cyc in self.cycles:
+                # the kept classes are disjoint at each phase: a sum is their OR
+                for a, phase in zip(cyc, zip(*self._tracing_classes(cyc, near))):
+                    rows[a] = sum(phase)
                 mask = sum(1 << i for i in cyc)
-                pair = self.first_inseparable_pair(c, mask)
-                if pair is not None:
-                    bits |= mask
+                if hit := rows[cyc[0]] & mask & ~(1 << cyc[0]):
+                    bits, pair = bits | mask, (cyc[0], least(hit))
                     for i in cyc:
                         pairs[i] = pair
-            view = self._views[key] = bits, tuple(pairs)
+            # a row of two or more bits: the point and a partner
+            paired = sum(1 << i for i, row in enumerate(rows) if row & (row - 1))
+            view = self._views["separation", bound] = tuple(rows), paired, (bits, tuple(pairs))
         return view
 
     @cached_property
@@ -547,20 +552,19 @@ class FiniteKernel:
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),
-        i.e. rows[v][y] <= floor_scaled(r, D, closed), D = denominator: row
-        v's bytes copy translated to '1' up to the bound and '0' above, read
-        backwards in base 2, or one generator step per entry when a scaled
-        value exceeds 255."""
-        key = ("within", radius.numerator, radius.denominator, closed)
-        if (rows := self._views.get(key)) is None:
-            bound = floor_scaled(radius, self.denominator, closed)
+        i.e. rows[v][y] <= floor_scaled(r, D, closed), D = denominator,
+        kept per bound: row v's bytes copy translated to '1' up to the bound
+        and '0' above, read backwards in base 2, or one generator step per
+        entry when a scaled value exceeds 255."""
+        bound = floor_scaled(radius, self.denominator, closed)
+        if (rows := self._views.get(("within", bound))) is None:
             if (raw := self._byte_rows) is None:
                 rows = tuple(sum(1 << y for y, d in enumerate(row) if d <= bound)
                              for row in self.rows)
             else:
                 table = (b"1" * min(bound + 1, 256) + b"0" * 256)[:256]
                 rows = tuple(int(row.translate(table)[::-1], 2) for row in raw)
-            self._views[key] = rows
+            self._views["within", bound] = rows
         return rows
 
     @cached_property
@@ -573,22 +577,12 @@ class FiniteKernel:
 
     def steps(self, delta) -> tuple:
         """The delta-pseudo-orbit steps: row u holds the v with
-        d(f(u), v) < delta, ascending."""
-        key = ("steps", delta.numerator, delta.denominator)
-        if (rows := self._views.get(key)) is None:
+        d(f(u), v) < delta, ascending; kept per open bound of delta."""
+        bound = floor_scaled(delta, self.denominator, False)
+        if (rows := self._views.get(("steps", bound))) is None:
             near = [members(row) for row in self.within(delta)]
-            rows = self._views[key] = tuple(near[v] for v in self.perm)
+            rows = self._views["steps", bound] = tuple(near[v] for v in self.perm)
         return rows
-
-    def tracers(self, targets, radius, closed=False) -> list:
-        """Ascending indices z with d(f^n z, targets[n]) < radius for every n,
-        or <= radius when closed: the current positions A start at
-        within(r)[targets[0]], entry n keeps f(A) & within(r)[targets[n]],
-        and the last set moves back to time 0."""
-        near, found = self.within(radius, closed), (1 << len(self.perm)) - 1
-        for n, t in enumerate(targets):
-            found = (self.image(found) if n else found) & near[t]
-        return members(self.image(found, 1 - len(targets)))
 
     def trace_cycle(self, window, radius, closed=False, prefer=None) -> tuple:
         """Trace the periodic index window w, P = len(w) > 0: the tracers are

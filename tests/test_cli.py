@@ -194,12 +194,13 @@ ID3_SCALES = ("--eps", "1/2", "--delta", "1/2")
 def write_stanza_files(directory: Path) -> dict:
     """Placeholder -> path of the files an argv may name: a stanza file
     with a parse error, a lattice, one that holds only a measure, a
-    measure whose mass lies off id3's carrier, a directory and a file that
-    is not UTF-8 text."""
+    measure whose mass lies off id3's carrier, one that weighs only id3's
+    point 0, a directory and a file that is not UTF-8 text."""
     files = {"{stanza}": BAD_STANZA,
              "{lattice}": "lattice {\n  n = 6\n  map = rot 2\n}\n",
              "{measure-only}": "measure {\n  weights = 0:1 1:1 2:1\n}\n",
-             "{off-carrier}": "measure {\n  weights = 0:0 1:0 2:0 99:1\n}\n"}
+             "{off-carrier}": "measure {\n  weights = 0:0 1:0 2:0 99:1\n}\n",
+             "{partial}": "measure {\n  weights = 0:1\n}\n"}
     paths = {}
     for key, text in files.items():
         paths[key] = directory / f"{key[1:-1]}.pdl"
@@ -280,6 +281,9 @@ BAD_ARGV = (
     # a measure with all its mass off the carrier once passed every clause
     (("mustable", "bundled:id3", "--measure", "{off-carrier}", "--x", "0",
       *ID3_SCALES), {1}),
+    # a measure with no weight at 1 and 2 once classified id3
+    (("classify", "bundled:id3", "--variant", "mu-uniform", "--c", "1/2",
+      "--measure", "{partial}"), {1}),
 )
 
 
@@ -301,6 +305,8 @@ def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
         assert "line 3:" in proc.stderr
     if "{off-carrier}" in argv:
         assert "99 is not a carrier point" in proc.stderr
+    if "{partial}" in argv:
+        assert "1 carries no weight" in proc.stderr
 
 
 def test_closed_stdout_exits_without_traceback():

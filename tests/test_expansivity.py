@@ -217,10 +217,14 @@ def classified_systems(draw):
 @given(classified_systems(), st.data())
 def test_classifiers_match_the_pair_loops(system, data):
     pts = system.points()
-    # the system's own separations are the <= boundary; also just above them
+    # the system's own separations are the <= boundary; also just above
+    # them, and just below a positive one, where the ball's open bound and
+    # the closed bound of the separation pass differ
     own = sorted({oracle_sup(system, x, y) for x in pts for y in pts})
     c = data.draw(st.sampled_from(own), label="separation")
-    c += data.draw(st.sampled_from((F(0), F(1, 10 ** 6))), label="above")
+    tiny = F(1, 10 ** 6)
+    c += data.draw(st.sampled_from((F(0), tiny, -tiny) if c > 0 else (F(0), tiny)),
+                   label="offset")
     domain = data.draw(st.lists(st.sampled_from(pts), unique=True), label="domain")
     if not c:
         # a point's separation from itself: no expansivity constant

@@ -132,22 +132,16 @@ def test_cycles_match_oracle(system):
 
 @given(finite_systems(), st.data())
 def test_tracers_match_oracle(system, data):
-    k = system.kernel
+    # a window x_-N..x_N starts at exponent -N, N = its radius: trace reads
+    # it from x_-N and moves the tracers to time 0. Empty and even-length
+    # windows start at exponent -radius too (an empty window's radius is -1)
     pts = system.points()
-    targets = data.draw(st.lists(st.sampled_from(pts), max_size=7))
+    entries = data.draw(st.lists(st.sampled_from(pts), max_size=7))
     radius = data.draw(st.sampled_from(RADII))
-    idx = [k.index[t] for t in targets]
-    # both comparisons on one kernel: the per-radius cache keeps them apart
-    for closed in (False, True):
-        got = [k.pts[z] for z in k.tracers(idx, radius, closed)]
-        assert got == oracle_tracers(system, targets, radius, 0, closed)
-    # a window x_-N..x_N starts at exponent -N: trace reads it from x_-N
-    # and moves the tracers to time 0
-    N = data.draw(st.integers(0, 4))
-    entries = data.draw(st.lists(st.sampled_from(pts), min_size=2 * N + 1,
-                                 max_size=2 * N + 1))
-    got = SH.trace(system, SH.PseudoOrbitWindow(tuple(entries), F(1)), radius)
-    assert got.points == frozenset(oracle_tracers(system, entries, radius, -N, False))
+    window = SH.PseudoOrbitWindow(tuple(entries), F(1))
+    got = SH.trace(system, window, radius)
+    assert got.points == frozenset(
+        oracle_tracers(system, entries, radius, -window.radius, False))
 
 
 @given(finite_systems(), st.data())
@@ -490,6 +484,45 @@ def test_views_are_keyed_by_value():
     assert k.within(one, True) is k.within(other, True)
     assert k.within(one, True) is not k.within(one)
     assert not any(type(v) is F for key in k._views for v in key)
+
+
+def test_radii_of_one_bound_share_a_view():
+    # Z36 meets a radius r at the bound floor_scaled(r, 36, closed): radii
+    # of one bound share one build, open or closed, and no key holds a
+    # radius's parts or closed
+    k = build_lattice(36, step=1).kernel
+    assert k.within(F(1, 72)) is k.within(F(1, 72), closed=True)      # bound 0
+    assert k.within(F(1, 4)) is k.within(F(2, 9), closed=True)        # bound 8
+    assert k.within(F(1, 4), closed=True) is not k.within(F(1, 4))    # bound 9
+    assert sorted(key for key in k._views if key[0] == "within") == \
+        [("within", 0), ("within", 8), ("within", 9)]
+    # 1/4 and 13/50 both meet the rows at the closed bound 9
+    one, other = F(1, 4), F(13, 50)
+    assert k.inseparable(one) is k.inseparable(other)
+    assert k.cycle_failures(one) is k.cycle_failures(other)
+    assert k.cycle_failures(one) == (2 ** 36 - 1, ((0, 1),) * 36)
+    assert all(len(key) == 2 and type(key[1]) is int for key in k._views)
+
+
+@given(finite_systems())
+@example(WIDE)
+def test_cycle_failures_match_oracle(system):
+    # each cycle's verdict is its least pair with sup-separation at most c,
+    # read off the oracle, at each own value and just above and below it
+    k = system.kernel
+    oracle = [[oracle_sup_separation(system, p, q) for q in k.pts] for p in k.pts]
+    tiny = F(1, 10 ** 6)
+    for base in sorted({v for row in oracle for v in row}):
+        for c in (base - tiny, base, base + tiny):
+            want = [None] * len(k.pts)
+            for cyc in k.cycles:
+                inside = sorted(cyc)
+                pair = next(((i, j) for at, i in enumerate(inside) for j in inside[at + 1:]
+                             if oracle[i][j] <= c), None)
+                for i in cyc:
+                    want[i] = pair
+            bits = sum(1 << i for i, pair in enumerate(want) if pair)
+            assert k.cycle_failures(c) == (bits, tuple(want))
 
 
 def test_explicit_system_is_its_own_materialization():

@@ -192,6 +192,26 @@ def test_bernoulli_measure_on_a_finite_carrier_is_refused():
             call()
 
 
+def test_partial_point_weights_are_refused():
+    # weights at 0 alone once gave answers that hung on the points a check
+    # visited: expansive_measure_check returned a verdict and
+    # mu_shadowable_at True, while mu_expansive_points raised at 1
+    part = M.WeightedMeasure.from_weights({0: 1})
+    half = F(1, 2)
+    calls = (lambda: M.mu_uniformly_expansive_at(ID3, part, 0, half),
+             lambda: M.mu_expansive_points(ID3, part, half),
+             lambda: M.expansive_measure_check(ID3, part, half),
+             lambda: M.verify_strong_mu_topological_stability(ID3, part, 0, half, half, ID3),
+             lambda: M.measure_sequence_criterion(ID3, [ID3], part, 0, half),
+             lambda: mu_shadowable_at(ID3, part, 0, half, half, [0, 1, 2]))
+    for call in calls:
+        with pytest.raises(CarrierMismatchError, match="^1 carries no weight$"):
+            call()
+    # mass off the carrier is named before a missing weight
+    with pytest.raises(PreconditionError, match="^99 is not a carrier point"):
+        M.expansive_measure_check(ID3, M.WeightedMeasure.from_weights({0: 1, 99: 1}), half)
+
+
 # -- a lattice against perturbations on its indices ---------------------------
 
 

@@ -530,7 +530,7 @@ def test_true_verdicts_read_no_backward_steps():
     system = build_lattice(12, step=3)
     assert SH.shadowable_exact(system, 0, F(1, 4), F(1, 12)) is True
     assert [key for key in system.kernel._views if key[0] == "steps"] == \
-        [("steps", 1, 12)]
+        [("steps", 0)]
 
 
 # The oracle traces every window, so N shrinks until a draw has at most
