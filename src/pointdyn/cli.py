@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Verbs load systems from stanza files (or ``bundled:<name>``), run the
-classifiers and pipelines, and print one JSON report to stdout. Exit
-codes: 0 clean pass, 1 property or clause failure, 2 usage/parse
-problem, 3 exhausted resource budget. Timing goes to stderr so reports
-stay byte-identical across runs.
+classifiers and pipelines, and return their results, exit code and the
+systems they read; main alone echoes the parsed arguments and prints the
+one JSON report to stdout. Exit codes: 0 clean pass, 1 property or
+clause failure, 2 usage/parse problem, 3 exhausted resource budget.
+Timing goes to stderr so reports stay byte-identical across runs.
 """
 
 import argparse
@@ -13,8 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .bundled import (REGISTRY, bundled_measure, bundled_system, mixed_sample,
-                      sampled_space)
+from .bundled import bundled_measure, bundled_system, mixed_sample, sampled_space
 from .errors import (MalformedInputError, PointdynError, PreconditionError,
                      ResourceBudgetError)
 from .expansivity import minimally_expansive_at, point_verdicts
@@ -23,7 +23,7 @@ from .measures import (build_tracking_map, mu_expansive_points,
                        verify_strong_mu_topological_stability)
 from .metric import validate_metric
 from .rationals import dyadic_below, parse_rational, positive
-from .report import assemble, label, labels, opt_rat, rat, render, table
+from .report import assemble, labels, opt_rat, rat, render, table
 from .shadowing import (shadowable_exact, shadowable_exact_points,
                         shadowable_windowed)
 from .shiftspace import parse_ep, shift_metric
@@ -38,28 +38,28 @@ DEFAULT_BUDGET_ENV = "PDL_BUDGET"
 # -- input resolution --------------------------------------------------------
 
 
-def _read(path: str, stanza: str) -> sysfile.SystemFile:
-    """The stanza file at path, which must hold a `stanza` stanza ("system"
-    or "measure"); a file that cannot be read as UTF-8 text is a usage
-    error too."""
-    try:
-        loaded = sysfile.load_file(path)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise MalformedInputError(f"cannot read {path!r}: {exc}") from None
-    if getattr(loaded, stanza) is None:
-        raise MalformedInputError(f"{path!r} holds no {stanza} stanza")
-    return loaded
-
-
-def _load(spec: str) -> sysfile.SystemFile:
-    """Resolve a path or ``bundled:<name>`` to a SystemFile with a system."""
+def _load(spec: str, stanza: str = "system") -> sysfile.SystemFile:
+    """The SystemFile of a stanza file, of ``bundled:<name>`` or of a bare
+    bundled name, holding a `stanza` stanza ("system" or "measure"). A file
+    that cannot be read as UTF-8 text is a usage error too."""
+    bundled = bundled_system if stanza == "system" else bundled_measure
     if spec.startswith("bundled:"):
-        return sysfile.SystemFile(bundled_system(spec.split(":", 1)[1]), None)
-    if os.path.exists(spec):
-        return _read(spec, "system")
-    if spec in REGISTRY:
-        return _load(f"bundled:{spec}")
-    raise MalformedInputError(f"no such file or bundled system: {spec!r}")
+        value = bundled(spec.split(":", 1)[1])
+    elif os.path.exists(spec):
+        try:
+            loaded = sysfile.load_file(spec)
+        except (OSError, UnicodeDecodeError) as exc:
+            raise MalformedInputError(f"cannot read {spec!r}: {exc}") from None
+        if getattr(loaded, stanza) is None:
+            raise MalformedInputError(f"{spec!r} holds no {stanza} stanza")
+        return loaded
+    else:
+        try:
+            value = bundled(spec)
+        except MalformedInputError:
+            raise MalformedInputError(
+                f"no such file or bundled {stanza}: {spec!r}") from None
+    return sysfile.SystemFile(None, None)._replace(**{stanza: value})
 
 
 def parse_point(system, text: str):
@@ -139,16 +139,13 @@ def cmd_validate(args):
         "bijection_on_sample": bijection,
         "ok": not violations and bijection,
     }
-    echo = {"system": args.system}
-    return assemble("validate", echo, results, system), 0 if results["ok"] else 1
+    return results, 0 if results["ok"] else 1, (system,)
 
 
 def cmd_classify(args):
     loaded = _load(args.system)
     system = loaded.system
     probe = _probe_points(system, args) or None
-    echo = {"system": args.system, "variant": args.variant, "c": args.c,
-            "eps": args.eps, "delta": args.delta, "measure": args.measure}
     if args.variant == "shadow":
         eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
         if not system.finite:
@@ -158,28 +155,26 @@ def cmd_classify(args):
         points = [p for p, ok in verdicts.items() if ok]
         results = {
             "points": labels(points),
-            "certificates": {label(p): {"result": ok}
+            "certificates": {point_label(p): {"result": ok}
                              for p, ok in verdicts.items()},
         }
-        return assemble("classify", echo, results, system), 0
+        return results, 0, (system,)
     c = _scale(args.c, "c")
     if args.variant == "mu-uniform":
         mu = _resolve_measure(args, loaded)
         points = mu_expansive_points(system, mu, c, probe=probe)
-        results = {"points": labels(points)}
-        return assemble("classify", echo, results, system), 0
+        return {"points": labels(points)}, 0, (system,)
     verdicts = point_verdicts(system, args.variant, c, probe=probe)
     points = [p for p, verdict in verdicts.items() if verdict.result]
     certificates = {}
     for p, verdict in verdicts.items():
         entry = {"result": verdict.result}
         if verdict.counterexample:
-            entry["counterexample"] = [label(q) for q in verdict.counterexample]
+            entry["counterexample"] = [point_label(q) for q in verdict.counterexample]
         if verdict.detail:
             entry["detail"] = verdict.detail
-        certificates[label(p)] = entry
-    results = {"points": labels(points), "certificates": certificates}
-    return assemble("classify", echo, results, system), 0
+        certificates[point_label(p)] = entry
+    return {"points": labels(points), "certificates": certificates}, 0, (system,)
 
 
 def cmd_shadow(args):
@@ -187,8 +182,6 @@ def cmd_shadow(args):
     system = _load(args.system).system
     x = parse_point(system, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
-    echo = {"system": args.system, "x": args.x, "eps": args.eps,
-            "delta": args.delta, "window": args.window}
     if args.window is not None:
         rep = shadowable_windowed(system, x, eps, delta, args.window,
                                   budget=budget)
@@ -199,12 +192,12 @@ def cmd_shadow(args):
             "windows_checked": rep.windows_checked,
         }
         if rep.worst_window is not None:
-            results["worst_window"] = [label(p) for p in rep.worst_window.entries]
+            results["worst_window"] = [point_label(p) for p in rep.worst_window.entries]
             results["worst_tracer_count"] = rep.worst_tracer_count
     else:
         ok = shadowable_exact(system, x, eps, delta)
         results = {"mode": "exact", "result": ok}
-    return assemble("shadow", echo, results, system), 0 if results["result"] else 1
+    return results, 0 if results["result"] else 1, (system,)
 
 
 def cmd_conjugacy(args):
@@ -218,17 +211,14 @@ def cmd_conjugacy(args):
     results = {
         "success": res.success,
         "failed_step": res.failed_step,
-        "domain": [label(p) for p in res.domain],
+        "domain": [point_label(p) for p in res.domain],
         "h": None if res.mapping is None else table(res.mapping),
         "residual": opt_rat(res.residual),
         "commutation": res.commutation_ok,
         "eta": rat(res.eta),
         "detail": res.detail,
     }
-    echo = {"f": args.f, "g": args.g, "x": args.x, "eps": args.eps,
-            "delta": args.delta, "c": args.c, "eta": args.eta}
-    return (assemble("conjugacy", echo, results, f, extra_systems=(g,)),
-            0 if res.success else 1)
+    return results, 0 if res.success else 1, (f, g)
 
 
 def cmd_trackmap(args):
@@ -242,33 +232,30 @@ def cmd_trackmap(args):
     if assignment.rule == "identity":
         images = "identity"
     else:
-        images = {label(u): labels(assignment.image_of(u))
+        images = {point_label(u): labels(assignment.image_of(u))
                   for u in assignment.domain}
     results = {
         "eta": rat(assignment.eta),
-        "domain": [label(p) for p in assignment.domain],
+        "domain": [point_label(p) for p in assignment.domain],
         "images": images,
         "within_ball": {"ok": within_ok,
                         "witness": None if within_witness is None
-                        else label(within_witness)},
+                        else point_label(within_witness)},
         "commutes": {"ok": commute_ok,
                      "witness": None if commute_witness is None
-                     else label(commute_witness)},
+                     else point_label(commute_witness)},
         "ok": within_ok and commute_ok,
     }
-    echo = {"f": args.f, "g": args.g, "x": args.x, "eta": args.eta}
-    extra = (g,) if g is not f else ()
-    return (assemble("trackmap", echo, results, f, extra_systems=extra),
-            0 if results["ok"] else 1)
+    return results, 0 if results["ok"] else 1, (f, g) if g is not f else (f,)
 
 
 def _pair_payload(pair, xpts, ypts):
     if pair is None:
         return None
     return {
-        "i": {label(xpts[a]): label(ypts[pair.i_map[a]])
+        "i": {point_label(xpts[a]): point_label(ypts[pair.i_map[a]])
               for a in range(len(xpts))},
-        "j": {label(ypts[b]): label(xpts[pair.j_map[b]])
+        "j": {point_label(ypts[b]): point_label(xpts[pair.j_map[b]])
               for b in range(len(ypts))},
         "clauses": {
             "i_distortion": rat(pair.i_distortion),
@@ -287,16 +274,13 @@ def cmd_ghdist(args):
     X = _load(args.x_system).system
     Y = _load(args.y_system).system
     bounds = gh_distance_bounds(X, Y, budget=budget)
-    xpts, ypts = X.kernel.pts, Y.kernel.pts
     results = {
         "lower": rat(bounds.lower),
         "upper": rat(bounds.upper),
         "complete": bounds.complete,
-        "witness": _pair_payload(bounds.witness, xpts, ypts),
+        "witness": _pair_payload(bounds.witness, X.kernel.pts, Y.kernel.pts),
     }
-    echo = {"x_system": args.x_system, "y_system": args.y_system,
-            "budget": args.budget}
-    return assemble("ghdist", echo, results, X, extra_systems=(Y,)), 0
+    return results, 0, (X, Y)
 
 
 def cmd_ghstable(args):
@@ -312,29 +296,18 @@ def cmd_ghstable(args):
         "result": rep.result,
         "entries": [
             {"candidate": e.name, "status": e.status,
-             "preimages": [label(p) for p in e.preimages],
+             "preimages": [point_label(p) for p in e.preimages],
              "detail": e.detail}
             for e in rep.entries
         ],
     }
-    echo = {"f": args.f, "x": args.x, "eps": args.eps, "delta": args.delta,
-            "eta": args.eta, "candidates": list(args.candidates)}
-    return (assemble("ghstable", echo, results, f, extra_systems=candidates),
-            0 if rep.result else 1)
+    return results, 0 if rep.result else 1, (f, *candidates)
 
 
 def _resolve_measure(args, loaded: sysfile.SystemFile):
-    spec = getattr(args, "measure", None)
-    if spec:
-        if spec.startswith("bundled:"):
-            return bundled_measure(spec.split(":", 1)[1])
-        if os.path.exists(spec):
-            return _read(spec, "measure").measure
-        try:
-            return bundled_measure(spec)
-        except MalformedInputError:
-            raise MalformedInputError(
-                f"no such measure file or bundled measure: {spec!r}") from None
+    """The measure of --measure, else of the system file's measure stanza."""
+    if args.measure:
+        return _load(args.measure, "measure").measure
     if loaded.measure is not None:
         return loaded.measure
     raise MalformedInputError(
@@ -361,13 +334,7 @@ def cmd_mustable(args):
         "clauses": [{"name": cl.name, "result": cl.result, "detail": cl.detail}
                     for cl in rep.clauses],
     }
-    echo = {"f": args.f, "g": args.g, "x": args.x, "eps": args.eps,
-            "delta": args.delta, "eta": args.eta, "c": args.c,
-            "measure": args.measure,
-            "through": list(args.through) if args.through else None}
-    extra = (g,) if g is not f else ()
-    return (assemble("mustable", echo, results, f, extra_systems=extra),
-            0 if rep.result else 1)
+    return results, 0 if rep.result else 1, (f, g) if g is not f else (f,)
 
 
 def cmd_satellite(args):
@@ -387,7 +354,7 @@ def cmd_satellite(args):
         good = isolated and verdict.result
         ok = ok and good
         entries.append({
-            "point": label(q), "kind": "satellite",
+            "point": point_label(q), "kind": "satellite",
             "nearest_distinct": rat(nearest), "isolated": isolated,
             "constant": rat(constant), "minimally_expansive": verdict.result,
             "ok": good,
@@ -396,7 +363,7 @@ def cmd_satellite(args):
         gap = min(shift_metric(m, y) for m in marked)
         bound = min(shift_c, gap)
         if bound <= 0:
-            entries.append({"point": label(y), "kind": "marked-orbit",
+            entries.append({"point": point_label(y), "kind": "marked-orbit",
                             "ok": True, "note":
                             "on the marked orbit: no admissible constant"})
             continue
@@ -404,14 +371,13 @@ def cmd_satellite(args):
         verdict = minimally_expansive_at(system, y, constant)
         ok = ok and verdict.result
         entries.append({
-            "point": label(y), "kind": "core",
+            "point": point_label(y), "kind": "core",
             "bound": rat(bound), "constant": rat(constant),
             "minimally_expansive": verdict.result, "ok": verdict.result,
         })
     results = {"result": ok, "entries": entries,
                "satellite_count": len(system.satellite_points())}
-    echo = {"system": args.system, "c": args.c}
-    return assemble("satellite", echo, results, system), 0 if ok else 1
+    return results, 0 if ok else 1, (system,)
 
 
 # -- argument plumbing ---------------------------------------------------------
@@ -505,7 +471,12 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     started = time.perf_counter()
     try:
-        payload, code = args.run(args)
+        results, code, systems = args.run(args)
+        # the command block echoes every argument as parsed; PDL_BUDGET
+        # is not argv, so it stays out
+        echo = {k: v for k, v in vars(args).items()
+                if k not in ("run", "verb", "pretty")}
+        payload = assemble(args.verb, echo, results, systems)
     except MalformedInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,10 +24,6 @@ def opt_rat(value):
     return None if value is None else rat(value)
 
 
-def label(point) -> str:
-    return point_label(point)
-
-
 def labels(points) -> list:
     return [point_label(p) for p in sorted_points(points)]
 
@@ -43,19 +39,19 @@ def system_info(system) -> dict:
             "digest": system.digest()}
 
 
-def assemble(verb: str, echo: dict, results: dict, system=None,
-             extra_systems=()) -> dict:
+def assemble(verb: str, echo: dict, results: dict, systems) -> dict:
+    """The report of verb: the echo of its arguments with the absent ones
+    dropped, its results, and the systems it read, the primary one first."""
     payload = {
         "tool": TOOL,
         "version": __version__,
         "verb": verb,
         "command": {k: echo[k] for k in sorted(echo) if echo[k] is not None},
         "results": results,
+        "system": system_info(systems[0]),
     }
-    if system is not None:
-        payload["system"] = system_info(system)
-    if extra_systems:
-        payload["others"] = [system_info(s) for s in extra_systems]
+    if systems[1:]:
+        payload["others"] = [system_info(s) for s in systems[1:]]
     return payload
 
 

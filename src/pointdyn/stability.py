@@ -187,27 +187,29 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
         due[t] = bits[order[t]] & ~later
         later |= bits[order[t]]
     allowed = [members(bits[u]) for u in order]
-    perms, chosen, nodes = [], [None] * n, 0
-
-    def place(t, used):
-        nonlocal nodes
-        if t == n:
+    # the untried images and the used targets of each slot up to the t-th
+    perms, chosen, nodes = [], [None] * n, 1
+    untried, useds = [None] * n, [0] * n
+    t, untried[0] = 0, iter(allowed[0])
+    while t >= 0:
+        u, need, used = order[t], due[t], useds[t]
+        for v in untried[t]:
+            bit = 1 << v
+            if used & bit or need & ~(used | bit):
+                continue
+            chosen[u] = v
+            if t + 1 < n:
+                t += 1
+                untried[t], useds[t] = iter(allowed[t]), used | bit
+                nodes += 1
+                break
             perms.append(tuple(chosen))
             if len(perms) > budget:
                 raise ResourceBudgetError(
                     f"more than {budget} admissible perturbations",
                     budget=budget)
-            return
-        nodes += 1
-        u, need = order[t], due[t]
-        for v in allowed[t]:
-            bit = 1 << v
-            if used & bit or need & ~(used | bit):
-                continue
-            chosen[u] = v
-            place(t + 1, used | bit)
-
-    place(0, 0)
+        else:
+            t -= 1
     perms.sort()
     return PerturbationFamily(system, k.pts, tuple(perms), nodes)
 
@@ -372,41 +374,55 @@ class _MapSearch:
         self._near = lambda: gk.within(delta, closed)
         self.budget = budget
         self.nodes = 0
-        self.complete = True
         self.order = [i for cyc in fk.cycles for i in cyc]
 
     def run(self, limit=None):
         """(maps found, whether the search ran to the end)."""
-        found = []
-        image = [None] * self.n
-        try:
-            self._place(0, image, found, limit)
-        except _SearchStop:
-            pass
-        return found, self.complete
+        n, m, order = self.n, self.m, self.order
+        # the candidate generator of each point in order up to the t-th, and
+        # the last image it gave: every image tried is a node, admitted or not
+        found, image, slots, tried = [], [None] * n, [None] * n, [-1] * n
+        t, slots[0] = 0, self._candidates(0, image)
+        while t >= 0:
+            x = order[t]
+            for v in slots[t]:
+                if not self._count(v - tried[t]):
+                    return found, False
+                tried[t] = image[x] = v
+                if t + 1 < n:
+                    t += 1
+                    slots[t], tried[t] = self._candidates(t, image), -1
+                    break
+                near = self.near
+                if near is None:
+                    near = self.near = self._near()
+                cover = 0
+                for w in image:
+                    cover |= near[w]
+                if cover == self.full:
+                    found.append(tuple(image))
+                    if limit is not None and len(found) >= limit:
+                        return found, True
+            else:
+                if not self._count(m - 1 - tried[t]):
+                    return found, False
+                image[x] = None
+                t -= 1
+        return found, True
 
-    def _place(self, t, image, found, limit):
-        if t == self.n:
-            near = self.near
-            if near is None:
-                near = self.near = self._near()
-            cover = 0
-            for v in image:
-                cover |= near[v]
-            if cover == self.full:
-                found.append(tuple(image))
-                if limit is not None and len(found) >= limit:
-                    raise _SearchStop
-            return
+    def _count(self, k):
+        """Count k more nodes: are they all within the budget?"""
+        self.nodes = min(self.nodes + k, self.budget + 1)
+        return self.nodes <= self.budget
+
+    def _candidates(self, t, image):
+        """The images of the t-th point in order, ascending, that keep every
+        clause within delta against the points placed before it."""
         x = self.order[t]
         fx, px = self.fperm[x], self.finv[x]
         dtab, gperm, bound, sx = self.dtab, self.gperm, self.bound, self.stab[x]
         placed = [(image[y], sx[y]) for y in self.order[:t]]
         for v in range(self.m):
-            self.nodes += 1
-            if self.nodes > self.budget:
-                self.complete = False
-                raise _SearchStop
             if fx == x:
                 if dtab[gperm[v]][v] > bound:
                     continue
@@ -422,13 +438,7 @@ class _MapSearch:
                 if abs(dv[w] - s) > bound:
                     break
             else:
-                image[x] = v
-                self._place(t + 1, image, found, limit)
-                image[x] = None
-
-
-class _SearchStop(Exception):
-    pass
+                yield v
 
 
 class IsometrySearch(Frozen):

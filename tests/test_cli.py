@@ -284,7 +284,16 @@ BAD_ARGV = (
     # a measure with no weight at 1 and 2 once classified id3
     (("classify", "bundled:id3", "--variant", "mu-uniform", "--c", "1/2",
       "--measure", "{partial}"), {1}),
+    # one loader reads systems and measures: a spec it cannot resolve
+    (("mustable", "bundled:id3", "--measure", "nosuch", "--x", "0", *ID3_SCALES),
+     {2}),
+    (("mustable", "bundled:id3", "--measure", "bundled:nosuch", "--x", "0",
+      *ID3_SCALES), {2}),
+    (("classify", "nosuch", "--variant", "minimal", "--c", "1/2"), {2}),
 )
+# what the loader says of a spec it cannot resolve, by the stanza it wanted
+LOADER_MISSES = {"nosuch": "no such file or bundled {}: 'nosuch'",
+                 "bundled:nosuch": "no bundled {} named 'nosuch'"}
 
 
 @pytest.mark.parametrize("argv, codes", BAD_ARGV,
@@ -307,6 +316,30 @@ def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
         assert "99 is not a carrier point" in proc.stderr
     if "{partial}" in argv:
         assert "1 carries no weight" in proc.stderr
+    for spec, message in LOADER_MISSES.items():
+        if spec in argv:
+            stanza = "measure" if argv[argv.index(spec) - 1] == "--measure" else "system"
+            assert message.format(stanza) in proc.stderr
+
+
+def test_ghdist_reads_carriers_past_the_recursion_limit(tmp_path):
+    # the map searches once recursed once per carrier point: ghdist on two
+    # 1 100-point stanza files ended in a RecursionError traceback (exit 1)
+    paths = []
+    for name in ("a", "b"):
+        paths.append(tmp_path / f"z1100{name}.pdl")
+        paths[-1].write_text("lattice {\n  n = 1100\n  map = rot 1\n}\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from pointdyn.cli import main; sys.exit(main())",
+         "ghdist", *map(str, paths)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr
+    results = json.loads(proc.stdout)["results"]
+    assert (results["lower"], results["upper"], results["complete"]) == ("0/1", "0/1", True)
 
 
 def test_closed_stdout_exits_without_traceback():
@@ -370,6 +403,37 @@ def test_optional_scales_name_their_flag(capsys, verb, flag):
     for bad in ("abc", ""):
         assert main([verb, *args, flag, bad]) == 2
         assert f"{flag} must be a rational p/q, got {bad!r}" in capsys.readouterr().err
+
+
+# flags that verbs once left out of the command block: it echoes every
+# argument as parsed, so a budgeted or probed report states its inputs;
+# PDL_BUDGET is not argv, so it is never echoed
+ECHO_ARGV = (
+    (("shadow", "bundled:id3", "--x", "0", *ID3_SCALES, "--budget", "100"),
+     {"system": "bundled:id3", "x": "0", "eps": "1/2", "delta": "1/2",
+      "budget": 100}),
+    (("ghstable", "bundled:id3", "bundled:id3", "--x", "0", *ID3_SCALES,
+      "--budget", "100"),
+     {"f": "bundled:id3", "candidates": ["bundled:id3"], "x": "0", "eps": "1/2",
+      "delta": "1/2", "budget": 100}),
+    (("validate", "bundled:shift2", "--probe", "0~1~0@2"),
+     {"system": "bundled:shift2", "probe": ["0~1~0@2"]}),
+    (("classify", "bundled:id3", "--variant", "shadow", *ID3_SCALES,
+      "--probe", "2", "--probe", "1"),
+     {"system": "bundled:id3", "variant": "shadow", "eps": "1/2", "delta": "1/2",
+      "probe": ["2", "1"]}),
+    (("ghdist", "bundled:id3", "bundled:nearpair4"),
+     {"x_system": "bundled:id3", "y_system": "bundled:nearpair4"}),
+)
+
+
+@pytest.mark.parametrize("argv, command", ECHO_ARGV,
+                         ids=[" ".join(a) for a, _ in ECHO_ARGV])
+def test_the_command_block_echoes_every_flag(capsys, monkeypatch, argv, command):
+    monkeypatch.setenv("PDL_BUDGET", "100")
+    code, doc = run(capsys, *argv)
+    assert code == 0
+    assert doc["command"] == command
 
 
 # -- fuzzing: any argv ends in an exit code, never in an exception -----------
@@ -467,3 +531,13 @@ def test_any_argv_exits_with_a_contract_code(stanza_files, drawn):
     budget = argv[argv.index("--budget") + 1] if "--budget" in argv else env_budget
     if "--budget" in FUZZ_VERBS[argv[0]][1] and budget and budget.startswith("-"):
         assert code == 2, (argv, env_budget, err.getvalue())
+    if out.getvalue():
+        # a report echoes every flag the argv gives, with its parsed value
+        command = json.loads(out.getvalue())["command"]
+        arity = FUZZ_VERBS[argv[0]][0]
+        for flag, value in zip(argv[1 + arity::2], argv[2 + arity::2]):
+            if flag in ("--window", "--budget"):
+                value = int(value)
+            elif flag in ("--probe", "--through"):
+                value = [value]
+            assert command[flag[2:]] == value, (argv, command)

@@ -1,7 +1,7 @@
 """Every name a pointdyn module imports is used in that module, no
 module imports a sibling's _private name, every public name is exported
-or read by the library, no module writes a float, and importing the CLI
-stays cheap.
+or read by the library, no module writes a float, only the CLI's main
+assembles a report, and importing the CLI stays cheap.
 
 A dead import hides which layer a module really depends on, and it
 outlives the code that needed it. A public name that neither the package
@@ -156,6 +156,48 @@ def test_the_check_sees_floats():
     source = ('"""0.5 in a docstring"""\nx = 1 / 2\ny = 0.25 + 1e-3 + 2j\n'
               'z = float("1/3")\nw = int(x)  # float(x)\n')
     assert float_uses(source) == [(3, "0.001"), (3, "0.25"), (3, "2j"), (4, "float()")]
+
+
+def report_breaches(trees: dict) -> list:
+    """(module, function, what) of each call of assemble anywhere but in
+    cli.main, and of each cmd_* function that binds the name echo; a call
+    at module level reads function None."""
+    out = []
+
+    def visit(module, node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Call):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee == "assemble" and (module, func) != ("cli", "main"):
+                out.append((module, func, "assemble"))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (func or "").startswith("cmd_"):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "echo" for t in targets):
+                out.append((module, func, "echo"))
+        for child in ast.iter_child_nodes(node):
+            visit(module, child, func)
+
+    for module, tree in sorted(trees.items()):
+        visit(module, tree, None)
+    return out
+
+
+def test_only_main_assembles_a_report():
+    # verbs return their results and main alone echoes the argv: an echo
+    # list written per verb drifts from the parser
+    trees = {p.stem: ast.parse(p.read_text()) for p in MODULES}
+    assert report_breaches(trees) == []
+
+
+def test_the_check_sees_reports_assembled_outside_main():
+    trees = {"cli": ast.parse("def main(a):\n    return assemble(a, {})\n"
+                              "def cmd_x(a):\n    echo = {'x': a.x}\n"
+                              "    return report.assemble('x', echo, {})\n"),
+             "report": ast.parse("def assemble(v, e): pass\nassemble('v', {})\n")}
+    assert report_breaches(trees) == [("cli", "cmd_x", "echo"),
+                                      ("cli", "cmd_x", "assemble"),
+                                      ("report", None, "assemble")]
 
 
 def test_importing_the_cli_loads_no_dataclasses():

@@ -1,6 +1,7 @@
 """Conjugacy construction, perturbation families, isometry search, GH bounds."""
 
 import hashlib
+import sys
 from fractions import Fraction as F
 from itertools import islice, permutations, product
 from math import gcd, lcm
@@ -580,6 +581,17 @@ def test_find_exact_isomorphism():
     assert find_exact_isomorphism(ID3, ID3) == {0: 0, 1: 1, 2: 2}
     s3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="d3")
     assert find_exact_isomorphism(s3, D2) is None
+
+
+def test_searches_place_a_carrier_past_the_recursion_limit():
+    # both searches once recursed once per carrier point, so a carrier of
+    # about 1 000 points ended in a RecursionError
+    n = 1100
+    assert sys.getrecursionlimit() < n
+    z = build_lattice(n, step=1)
+    assert find_exact_isomorphism(z, z) == {p: p for p in z.kernel.pts}
+    fam = enumerate_perturbations(z, F(1, 2 * n))
+    assert fam.perms == (tuple(z.kernel.perm),) and fam.nodes == n
 
 
 @pytest.mark.parametrize("delta", (F(0), F(-1), -1))
