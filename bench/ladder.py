@@ -74,7 +74,13 @@ at x = 0, (eps, delta) = (2/3, 103/300) and N = 3, 4, 5 (15 625 to
 9 765 625 windows, decided past the default window budget), and on
 cycles43 at its first point, (7/5, 5/4) and N = 2. The case names the
 system and N, c holds "eps delta", and the counters are the verdict,
-windows_checked and worst, the worst window's tracer count.
+windows_checked and worst, the worst window's tracer count. Two more
+cases are refused under the default window budget: cat5 at (0,0),
+(1/2, 1/2), N = 1 000 and N = 4 000, where the time goes to the exact
+window count. A refused record's counters are refused, requested_bits,
+the bit length of the count, and peak_kib, the tracemalloc peak of one
+more, untimed call, which shows whether the count keeps every layer of
+walk counts (before BENCH_31) or one.
 
 One more layer is not a rung: ``import`` starts --repeats fresh
 interpreters on each tree, each timing its own ``import pointdyn.cli``.
@@ -105,7 +111,7 @@ code effect:
 
     python3 -m compileall -q src ../parent/src
     python3 bench/ladder.py --repeats 15 --tree parent=../parent/src \
-        --tree change=src --out BENCH_29.json
+        --tree change=src --out BENCH_31.json
 
 Records of other labels already in --out are kept; those of the given
 labels are replaced. Each record carries its --repeats, and the
@@ -122,6 +128,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from math import gcd, lcm
 from random import Random
@@ -381,24 +388,46 @@ def measure_gh(label, repeats, case, make, outcome):
 
 
 def windowed_cases(systems, metric):
-    """(case, make, eps, delta, N): make builds a fresh system whose first
-    point is x."""
+    """(case, make, eps, delta, N, budget): make builds a fresh system whose
+    first point is x; a budget of None is the default window budget."""
+    from pointdyn import bundled
     cycles43 = {case: make for case, make, _ in rungs(systems, metric)}["cycles43"]
-    out = [(f"Z6 N={N}", lambda: systems.build_lattice(6, step=1), F(2, 3), F(103, 300), N)
-           for N in (3, 4, 5)]
-    return out + [("cycles43 N=2", cycles43, F(7, 5), F(5, 4), 2)]
+    out = [(f"Z6 N={N}", lambda: systems.build_lattice(6, step=1), F(2, 3), F(103, 300), N,
+            WINDOWED_BUDGET) for N in (3, 4, 5)]
+    out += [("cycles43 N=2", cycles43, F(7, 5), F(5, 4), 2, WINDOWED_BUDGET)]
+    return out + [(f"cat5 refused N={N}", lambda: bundled.bundled_system("cat5"),
+                   F(1, 2), F(1, 2), N, None) for N in (1000, 4000)]
 
 
-def measure_windowed(label, repeats, case, make, eps, delta, N):
-    """The windowed layer: shadowable_windowed at the first point."""
+def measure_windowed(label, repeats, case, make, eps, delta, N, budget):
+    """The windowed layer: shadowable_windowed at the first point, or its
+    refusal with the tracemalloc peak of one more call."""
     from pointdyn import shadowing
-    best, rep, system = best_of(
-        repeats, lambda: warmed(make()),
-        lambda s: shadowing.shadowable_windowed(s, s.kernel.pts[0], eps, delta, N,
-                                                budget=WINDOWED_BUDGET))
+    from pointdyn.errors import ResourceBudgetError
+
+    def call(s):
+        try:
+            return shadowing.shadowable_windowed(s, s.kernel.pts[0], eps, delta, N,
+                                                 budget=budget)
+        except ResourceBudgetError as err:
+            return err
+
+    best, rep, system = best_of(repeats, lambda: warmed(make()), call)
+    if isinstance(rep, ResourceBudgetError):
+        again = warmed(make())
+        tracemalloc.start()
+        try:
+            call(again)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        counters = {"refused": True, "requested_bits": rep.requested.bit_length(),
+                    "peak_kib": round(peak / 1024, 1)}
+    else:
+        counters = {"result": rep.result, "windows_checked": rep.windows_checked,
+                    "worst": rep.worst_tracer_count}
     return [record(label, "windowed", case, len(system.kernel.pts), f"{eps} {delta}",
-                   repeats, best, {"result": rep.result, "windows_checked": rep.windows_checked,
-                                   "worst": rep.worst_tracer_count})]
+                   repeats, best, counters)]
 
 
 def measure_import(trees, repeats):

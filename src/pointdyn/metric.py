@@ -120,8 +120,18 @@ def validate_metric(space: FiniteMetricSpace):
     return out
 
 
+def _indices(space: FiniteMetricSpace, points) -> tuple:
+    """points as a tuple, each in range(space.n): the table reads -1 as n - 1."""
+    points = tuple(points)
+    for i in points:
+        if i not in range(space.n):
+            raise PreconditionError(f"{i!r} is not a point of the space (n = {space.n})")
+    return points
+
+
 def ball(space: FiniteMetricSpace, x: int, radius, closed: bool = False):
     """Indices within radius of x; strict by default, closed on request."""
+    _indices(space, (x,))
     r = as_rational(radius)
     if closed:
         return frozenset(y for y in space.points() if space.table[x][y] <= r)
@@ -129,7 +139,7 @@ def ball(space: FiniteMetricSpace, x: int, radius, closed: bool = False):
 
 
 def hausdorff_distance(space: FiniteMetricSpace, a, b) -> Fraction:
-    a, b = tuple(a), tuple(b)
+    a, b = _indices(space, a), _indices(space, b)
     if not a or not b:
         raise PreconditionError("hausdorff_distance needs nonempty sets")
     d_ab = max(min(space.table[i][j] for j in b) for i in a)
@@ -137,20 +147,18 @@ def hausdorff_distance(space: FiniteMetricSpace, a, b) -> Fraction:
     return max(d_ab, d_ba)
 
 
-def _as_total_map(mapping, src_n: int):
-    if isinstance(mapping, dict):
-        m = mapping
-    else:
-        m = {i: v for i, v in enumerate(mapping)}
-    missing = [i for i in range(src_n) if i not in m]
+def _as_total_map(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace):
+    m = mapping if isinstance(mapping, dict) else dict(enumerate(mapping))
+    missing = [i for i in range(src.n) if i not in m]
     if missing:
         raise PreconditionError(f"map not total on source carrier, missing {missing[:4]}")
+    _indices(dst, m.values())
     return m
 
 
 def distortion(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace) -> Fraction:
     """sup over pairs of |d_dst(f(a), f(b)) - d_src(a, b)|, exact."""
-    m = _as_total_map(mapping, src.n)
+    m = _as_total_map(mapping, src, dst)
     worst = ZERO
     for a in range(src.n):
         for b in range(a + 1, src.n):
@@ -168,7 +176,7 @@ def is_delta_isometry(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace, d
     values when True.
     """
     d = as_rational(delta)
-    m = _as_total_map(mapping, src.n)
+    m = _as_total_map(mapping, src, dst)
     dist = distortion(m, src, dst)
     image = sorted(set(m.values()))
     density = hausdorff_distance(dst, image, tuple(range(dst.n)))

@@ -15,8 +15,8 @@ by f through x_1..x_N and by f^-1 through x_-1..x_-N, once per half,
 layer by layer, over the distinct (endpoint, tracer set) states. The
 forward half's distinct final sets move from time N to time -N, where
 the window's tracers are their AND with the backward half's final sets;
-path counts recover the number and the order of the windows, so its
-report matches a window-by-window enumeration.
+walk counts give the number of the windows and a witness's position,
+so its report matches a window-by-window enumeration.
 
 The exact decider walks forward only, over the states (point u, current
 tracer set A): a step u -> v keeps f(A) & within(eps)[v]. As u -> v
@@ -39,7 +39,8 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .measures import carrier_set, check_measure_backend, measure_of
 from .rationals import positive, resolve_budget
 from .shiftspace import EPPoint, shift_metric
-from .systems import members, point_index, sorted_points, system_ball
+from .systems import (Satellite, members, point_index, point_label, sorted_points,
+                      system_ball)
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
@@ -68,31 +69,35 @@ class TracerSet(NamedTuple):
         return bool(self.points)
 
 
-def _path_counts(steps, length):
-    """counts[k][u] = number of walks of k steps from index u, for k = 0..length."""
-    counts = [[1] * len(steps)]
-    for _ in range(length):
-        prev = counts[-1]
-        counts.append([sum(prev[v] for v in row) for row in steps])
-    return counts
+def _walks(steps, x, N, walk=()):
+    """The number of N-step walks from index x and, given one by its
+    entries after x, its rank among them in index order. One layer of
+    counts is kept at a time: step N - k of the walk adds the k-step
+    counts of the smaller siblings it passes over."""
+    path, counts, rank = (x, *walk), [1] * len(steps), 0
+    for k in range(N):
+        if walk:
+            rank += sum(counts[w] for w in steps[path[N - k - 1]] if w < path[N - k])
+        counts = [sum(counts[w] for w in row) for row in steps]
+    return counts[x], rank
 
 
 def _windows(system, x, delta, N):
-    """x's kernel index, the forward and backward steps, the walk counts
-    of each and the number of radius-N windows through x. Backward row u,
-    the w with d(f(w), u) < delta, is f^-1 of the kernel's row f^-1(u)."""
+    """x's kernel index, the forward and backward steps and the number of
+    N-step walks from x along each. Backward row u, the w with
+    d(f(w), u) < delta, is f^-1 of the kernel's row f^-1(u)."""
     if N < 0:
         raise PreconditionError("window radius must be nonnegative")
     xi = point_index(system, x)
     delta = positive(delta, "pseudo-orbit gap")
     inv, out = system.kernel.inv, system.kernel.steps(delta)
     steps = [out, tuple(sorted(inv[y] for y in out[w]) for w in inv)]
-    counts = [_path_counts(rows, N) for rows in steps]
-    return xi, steps, counts, counts[0][N][xi] * counts[1][N][xi]
+    return xi, steps, [_walks(rows, xi, N)[0] for rows in steps]
 
 
 def count_pseudo_orbits(system, x, delta, N) -> int:
-    return _windows(system, x, delta, N)[3]
+    n_out, n_back = _windows(system, x, delta, N)[2]
+    return n_out * n_back
 
 
 def _check_budget(total, budget):
@@ -150,70 +155,67 @@ def shadowable_windowed(system, x, eps, delta, N, budget=None) -> WindowedShadow
     refused beyond the budget before any work.
 
     No window is built. Each half is walked once (_half_windows), which
-    yields its distinct final tracer sets, each with the first
-    walk that ends in it and that walk's rank among the half's walks. The
-    window of backward rank rb and forward rank ra comes at position
-    rb * n_out + ra of the enumeration (n_out forward walks), so
-    scanning the pairs of sets in (rb, ra) order, with the forward sets
-    moved to time -N, finds the first window with the fewest tracers,
-    and the first with none.
+    yields its distinct final tracer sets, each with the first walk that
+    ends in it, in the order of those walks. The window of backward walk
+    b and forward walk a comes at rank(b) * n_out + rank(a) (n_out forward
+    walks), so scanning the pairs of sets in order, the forward sets moved
+    to time -N, finds the first window with the fewest tracers, and the
+    first with none, the one window whose position is counted (_walks).
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     budget = resolve_budget(budget, DEFAULT_WINDOW_BUDGET)
-    xi, steps, counts, total = _windows(system, x, delta, N)
+    xi, steps, (n_out, n_back) = _windows(system, x, delta, N)
+    kernel, total = system.kernel, n_out * n_back
     _check_budget(total, budget)
-    kernel, n_out = system.kernel, counts[0][N][xi]
-    fwd, bwd = (_half_windows(kernel, eps, rows, c, xi, N, kstep)
-                for rows, c, kstep in zip(steps, counts, (1, -1)))
-    fwd = {kernel.image(A, -2 * N): first for A, first in fwd.items()}
+    fwd, bwd = (_half_windows(kernel, eps, rows, xi, N, kstep)
+                for rows, kstep in zip(steps, (1, -1)))
+    fwd = {kernel.image(A, -2 * N): out for A, out in fwd.items()}
     worst = None
-    for b, (rb, back) in bwd.items():
-        for a, (ra, out) in fwd.items():
+    for b, back in bwd.items():
+        for a, out in fwd.items():
             count = (a & b).bit_count()
             if worst is None or count < worst[0]:
-                worst = (count, rb * n_out + ra, back, out)
+                worst = (count, back, out)
                 if not count:
                     break
         if not worst[0]:
             break
-    count, at, back, out = worst
+    count, back, out = worst
     pts = kernel.pts
     window = PseudoOrbitWindow(tuple(pts[i] for i in reversed(back)) + (x,)
                                + tuple(pts[i] for i in out), delta)
     if count:
         return WindowedShadowReport(True, eps, delta, N, total, window, count)
+    at = _walks(steps[1], xi, N, back)[1] * n_out + _walks(steps[0], xi, N, out)[1]
     return WindowedShadowReport(False, eps, delta, N, at + 1, window, 0)
 
 
-def _half_windows(kernel, eps, steps, counts, x: int, N: int, kstep: int) -> dict:
+def _half_windows(kernel, eps, steps, x: int, N: int, kstep: int) -> dict:
     """The distinct tracer sets at time kstep * N of the N-step walks
     from x, forward (kstep 1) or backward (kstep -1) in time, each with
-    the rank and the entries of the first walk that ends in it.
+    the first walk that ends in it, in the order of those walks.
 
     Layer t holds the states (endpoint v, f^kstep of the previous set AND
     within(eps)[v]), each with the first walk that reaches it: iterating
     the previous layer in insertion order and the steps in ascending order
     makes it the least one in enumeration order, and a layer's states come
-    in the order of their least walks. A walk's rank adds, at each step,
-    the walks to complete (counts) from the steps it passes over, and
-    images memoizes f^kstep of each set.
+    in the order of their least walks. images memoizes f^kstep of each set.
     """
     near, images = kernel.within(eps), {}
-    layer = {(x, near[x]): (0, ())}
-    for t in range(1, N + 1):
-        below, nxt = counts[N - t], {}
-        for (u, A), (rank, walk) in layer.items():
+    layer = {(x, near[x]): ()}
+    for _ in range(N):
+        nxt = {}
+        for (u, A), walk in layer.items():
             if (fA := images.get(A)) is None:
                 fA = images[A] = kernel.image(A, kstep)
             for v in steps[u]:
                 state = (v, fA & near[v])
                 if state not in nxt:
-                    nxt[state] = (rank, walk + (v,))
-                rank += below[v]
+                    nxt[state] = walk + (v,)
         layer = nxt
     found = {}
-    for (_, A), first in layer.items():
-        found.setdefault(A, first)
+    for (_, A), walk in layer.items():
+        found.setdefault(A, walk)
     return found
 
 
@@ -293,10 +295,16 @@ def splice_trace_shift(system, window, m: int) -> EPPoint:
     and continues with the end entries' own tails outside it; the gap
     condition makes consecutive entries agree on a 2m-wide block, so
     the splice stays within 2^-(m+1) of every entry — strictly below
-    the 2^-m+1 tracing target.
+    the 2^-m+1 tracing target. A satellite point has no tail to splice.
     """
+    if system.finite:
+        raise UnsupportedBackendError(
+            "splice tracing needs a shift carrier; a finite one traces enumeratively")
     entries = list(window.entries if isinstance(window, PseudoOrbitWindow)
                    else window)
+    for p in entries:
+        if isinstance(system.check_point(p), Satellite):
+            raise PreconditionError(f"{point_label(p)} is a satellite point, not a shift point")
     if m < 0:
         raise PreconditionError("agreement depth must be nonnegative")
     gap = Fraction(1, 2 ** m)

@@ -19,8 +19,8 @@ from typing import NamedTuple
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
-from .rationals import (Frozen, ZERO, as_rational, dyadic_below, format_rational,
-                        positive, resolve_budget)
+from .rationals import (Frozen, ZERO, dyadic_below, format_rational, positive,
+                        resolve_budget)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
                       gatherer, materialize, members, orbit_closure,
                       pair_sup_separation, point_index, point_label)
@@ -343,95 +343,45 @@ def _clause_values(m, fk, gk):
     return Fraction(dist, S), Fraction(density, S), Fraction(comm, S)
 
 
-class _MapSearch:
-    """Branch-and-bound enumeration of maps with all clauses within delta:
-    strictly below it, or at most it when closed.
+def _map_search(fk, gk, delta, closed, budget, limit=None):
+    """(maps found, whether the search ran to the end): branch and bound
+    over the maps from fk's system to gk's with all clauses below delta
+    (at most delta when closed), stopped at limit maps or past budget nodes.
 
     Assignments follow the f-cycles, each point after its preimage, so
     the commutation clause prunes each new image to a ball around
     g(previous image); the distortion clause prunes against the points
     already placed. Both partial quantities are monotone under
-    extension, so pruning is admissible. At a leaf the image is dense
-    when the delta rows of its points cover Y: the image lies in Y, so
-    that is its Hausdorff distance to Y being within delta. Those rows
-    are O(m^2) to build, so the first leaf builds them: a search that
-    reaches no leaf never does. fk and gk are the kernels of the source
-    and target systems.
+    extension, so pruning is admissible. Every image index tried at a
+    slot is a node, admitted or not. At a leaf the image is dense when
+    the delta rows of its points cover Y, its Hausdorff distance to Y
+    being within delta; those O(m^2) rows are built at the first leaf.
 
-    The node checks compare integers on the rows both kernels have at
-    S = lcm of their denominators, the rows _clause_values reads: a value
-    v fails when v > floor_scaled(delta, S, closed), so no table is
-    rescaled for delta.
+    The node checks compare integers on the rows scaled(S) of both
+    kernels, S = lcm of their denominators, as _clause_values does: a
+    value v fails when v > floor_scaled(delta, S, closed).
     """
+    fperm, finv, gperm = fk.perm, fk.inv, gk.perm
+    n, m = len(fk.pts), len(gk.pts)
+    scale = lcm(fk.denominator, gk.denominator)
+    stab, dtab = fk.scaled(scale), gk.scaled(scale)
+    bound = floor_scaled(delta, scale, closed)
+    order = [i for cyc in fk.cycles for i in cyc]
 
-    def __init__(self, fk, gk, delta, closed, budget):
-        self.fperm, self.finv, self.gperm = fk.perm, fk.inv, gk.perm
-        self.n, self.m = len(fk.pts), len(gk.pts)
-        scale = lcm(fk.denominator, gk.denominator)
-        self.stab, self.dtab = fk.scaled(scale), gk.scaled(scale)
-        self.bound = floor_scaled(delta, scale, closed)
-        self.near, self.full = None, (1 << self.m) - 1
-        self._near = lambda: gk.within(delta, closed)
-        self.budget = budget
-        self.nodes = 0
-        self.order = [i for cyc in fk.cycles for i in cyc]
-
-    def run(self, limit=None):
-        """(maps found, whether the search ran to the end)."""
-        n, m, order = self.n, self.m, self.order
-        # the candidate generator of each point in order up to the t-th, and
-        # the last image it gave: every image tried is a node, admitted or not
-        found, image, slots, tried = [], [None] * n, [None] * n, [-1] * n
-        t, slots[0] = 0, self._candidates(0, image)
-        while t >= 0:
-            x = order[t]
-            for v in slots[t]:
-                if not self._count(v - tried[t]):
-                    return found, False
-                tried[t] = image[x] = v
-                if t + 1 < n:
-                    t += 1
-                    slots[t], tried[t] = self._candidates(t, image), -1
-                    break
-                near = self.near
-                if near is None:
-                    near = self.near = self._near()
-                cover = 0
-                for w in image:
-                    cover |= near[w]
-                if cover == self.full:
-                    found.append(tuple(image))
-                    if limit is not None and len(found) >= limit:
-                        return found, True
-            else:
-                if not self._count(m - 1 - tried[t]):
-                    return found, False
-                image[x] = None
-                t -= 1
-        return found, True
-
-    def _count(self, k):
-        """Count k more nodes: are they all within the budget?"""
-        self.nodes = min(self.nodes + k, self.budget + 1)
-        return self.nodes <= self.budget
-
-    def _candidates(self, t, image):
-        """The images of the t-th point in order, ascending, that keep every
-        clause within delta against the points placed before it."""
-        x = self.order[t]
-        fx, px = self.fperm[x], self.finv[x]
-        dtab, gperm, bound, sx = self.dtab, self.gperm, self.bound, self.stab[x]
-        placed = [(image[y], sx[y]) for y in self.order[:t]]
-        for v in range(self.m):
+    def candidates(t):
+        """The images of the t-th point in order, ascending, that keep
+        every clause within delta against the points placed before it."""
+        x = order[t]
+        fx, px, sx = fperm[x], finv[x], stab[x]
+        placed = [(image[y], sx[y]) for y in order[:t]]
+        for v in range(m):
             if fx == x:
                 if dtab[gperm[v]][v] > bound:
                     continue
             else:
-                if px != x and image[px] is not None and \
-                        dtab[gperm[image[px]]][v] > bound:
+                if image[px] is not None and dtab[gperm[image[px]]][v] > bound:
                     continue
-                if image[fx] is not None and \
-                        dtab[gperm[v]][image[fx]] > bound:
+                if image[fx] is not None and dtab[gperm[v]][image[fx]] > bound:
                     continue
             dv = dtab[v]
             for w, s in placed:
@@ -439,6 +389,38 @@ class _MapSearch:
                     break
             else:
                 yield v
+
+    # per point in order up to the t-th: its candidates, the last one tried
+    found, image, slots, tried = [], [None] * n, [None] * n, [-1] * n
+    nodes, near, full = 0, None, (1 << m) - 1
+    t, slots[0] = 0, candidates(0)
+    while t >= 0:
+        x = order[t]
+        for v in slots[t]:
+            nodes += v - tried[t]
+            if nodes > budget:
+                return found, False
+            tried[t] = image[x] = v
+            if t + 1 < n:
+                t += 1
+                slots[t], tried[t] = candidates(t), -1
+                break
+            if near is None:
+                near = gk.within(delta, closed)
+            cover = 0
+            for w in image:
+                cover |= near[w]
+            if cover == full:
+                found.append(tuple(image))
+                if limit is not None and len(found) >= limit:
+                    return found, True
+        else:
+            nodes += m - 1 - tried[t]
+            if nodes > budget:
+                return found, False
+            image[x] = None
+            t -= 1
+    return found, True
 
 
 class IsometrySearch(Frozen):
@@ -468,8 +450,8 @@ def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
     delta = positive(delta, "delta")
     budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     fk, gk = X.kernel, Y.kernel
-    i_maps, i_done = _MapSearch(fk, gk, delta, False, budget).run()
-    j_maps, j_done = _MapSearch(gk, fk, delta, False, budget).run()
+    i_maps, i_done = _map_search(fk, gk, delta, False, budget)
+    j_maps, j_done = _map_search(gk, fk, delta, False, budget)
     complete = i_done and j_done and len(i_maps) * len(j_maps) <= MAX_REPORTED_PAIRS
     # clause values once per map, not once per crossed pair
     ci = cache(lambda m: _clause_values(m, fk, gk))
@@ -489,10 +471,10 @@ def first_delta_isometry_pair(X, Y, delta, budget=None):
         pair = _make_pair(ident, ident, delta, fk, gk)
         if pair.score < delta:
             return pair, True
-    i_maps, i_done = _MapSearch(fk, gk, delta, False, budget).run(limit=1)
+    i_maps, i_done = _map_search(fk, gk, delta, False, budget, 1)
     if not i_maps:
         return None, i_done
-    j_maps, j_done = _MapSearch(gk, fk, delta, False, budget).run(limit=1)
+    j_maps, j_done = _map_search(gk, fk, delta, False, budget, 1)
     if not j_maps:
         return None, j_done
     return _make_pair(i_maps[0], j_maps[0], delta, fk, gk), True
@@ -515,7 +497,7 @@ def find_exact_isomorphism(X, Y):
     if len(fk.pts) != len(gk.pts):
         return None
     # unbudgeted: no search reaches sys.maxsize nodes
-    maps, _ = _MapSearch(fk, gk, ZERO, True, sys.maxsize).run(limit=1)
+    maps, _ = _map_search(fk, gk, ZERO, True, sys.maxsize, 1)
     if not maps:
         return None
     return dict(zip(fk.pts, map(gk.pts.__getitem__, maps[0])))
@@ -703,7 +685,7 @@ def transported_constant(system, h, c) -> Fraction:
     that misses a carrier point, takes one off the carrier or merges a
     c-separated pair is refused.
     """
-    c = as_rational(c)
+    c = positive(c, "expansivity constant")
     move = h if callable(h) else h.__getitem__
     pts = system.points()
     try:

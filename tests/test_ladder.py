@@ -61,6 +61,11 @@ def test_every_layer_measures_small_rungs():
         records = ladder.measure_windowed("t", 1, case, *windowed[case])
         well_formed(records, "windowed", case)
     assert records[0]["counters"] == {"result": False, "windows_checked": 26, "worst": 0}
+    records = ladder.measure_windowed("t", 1, "cat5 refused N=1000",
+                                      *windowed["cat5 refused N=1000"])
+    well_formed(records, "windowed", "cat5 refused N=1000")
+    assert set(records[0]["counters"]) == {"refused", "requested_bits", "peak_kib"}
+    assert records[0]["counters"]["refused"] is True
 
 
 def test_import_layer_times_a_fresh_interpreter():

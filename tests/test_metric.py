@@ -171,6 +171,21 @@ def test_hausdorff_distance_basics():
         hausdorff_distance(sp, (), (0,))
 
 
+@pytest.mark.parametrize("call, bad", (
+    (lambda sp: ball(sp, -1, F(1, 2)), -1),                          # once {2}
+    (lambda sp: ball(sp, 3, F(1, 2), closed=True), 3),               # once an IndexError
+    (lambda sp: hausdorff_distance(sp, [-1], [2]), -1),              # once 0
+    (lambda sp: hausdorff_distance(sp, [0, 9], [1]), 9),             # once an IndexError
+    (lambda sp: hausdorff_distance(sp, [0], [1, -2]), -2),           # once 1
+    (lambda sp: distortion([0, 1, 7], sp, sp), 7),                   # once an IndexError
+    (lambda sp: is_delta_isometry([0, 1, -1], sp, sp, F(1, 2)), -1), # once (True, ...)
+), ids=("ball-negative", "ball-past-end", "hausdorff-negative", "hausdorff-past-end",
+        "hausdorff-second-set", "distortion", "delta-isometry"))
+def test_indices_off_the_space_are_refused(call, bad):
+    with pytest.raises(PreconditionError, match=rf"^{bad} is not a point of the space \(n = 3\)$"):
+        call(bundled_system("id3").space)
+
+
 def test_distortion_exact():
     src = discrete_space(3)
     dst = space_from_rows([[0, F(1, 2), 1], [F(1, 2), 0, 1], [1, 1, 0]])

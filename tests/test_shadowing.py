@@ -3,14 +3,16 @@
 import contextlib
 import hashlib
 import io
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st, target
 
 from pointdyn.metric import FiniteMetricSpace, discrete_space
-from pointdyn.systems import (build_explicit, build_lattice, build_shift,
+from pointdyn.systems import (Satellite, build_explicit, build_lattice, build_shift,
                               iterate, members)
+from pointdyn.bundled import bundled_system
 from pointdyn.shiftspace import EPPoint, pure, with_symbol, shift_metric
 from pointdyn.cli import main
 from pointdyn.expansivity import (classify_points, expansive_point_at, is_expansive_on,
@@ -24,7 +26,7 @@ from pointdyn.stability import (build_conjugacy, gh_stable_point_check,
                                 search_delta_isometries,
                                 verify_topologically_stable_point)
 from pointdyn import shadowing as SH
-from pointdyn.errors import (PreconditionError, ResourceBudgetError,
+from pointdyn.errors import (MalformedInputError, PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
 from oracles import (distance_table, enumerate_pseudo_orbits, map_order,
@@ -35,6 +37,7 @@ from test_kernel import finite_systems, ladder_rung, palette_systems
 ID3 = build_explicit(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3)
 SHIFT2 = build_shift(2)
+SAT3 = bundled_system("satellite3")
 P01 = pure((0, 1))
 UNI12 = WeightedMeasure.from_weights({p: 1 for p in range(12)})
 NULL3 = WeightedMeasure.from_weights({0: 0, 1: 1, 2: 1})
@@ -293,6 +296,18 @@ def test_window_budget_refusal_of_a_count_of_thousands_of_digits():
                               f"the budget {SH.DEFAULT_WINDOW_BUDGET}")
 
 
+def test_window_budget_refusal_keeps_one_layer_of_counts():
+    # one layer of N = 1000 counts is a few KB; all N + 1 layers take 3.6 MB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            SH.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
 # `pdl shadow ... --window N` stdout, recorded with the window-by-window
 # loop: the False cases pin the count and the witness where the first
 # traceless window stops the loop.
@@ -383,6 +398,24 @@ def test_splice_validates_window():
     bad = SH.PseudoOrbitWindow((P01, P01, P01), F(1, 2))  # not a pseudo-orbit
     with pytest.raises(PreconditionError):
         SH.splice_trace_shift(SHIFT2, bad, 1)
+
+
+@pytest.mark.parametrize("system, entries, error, match", (
+    (R12K3, (0, 3, 6), UnsupportedBackendError,             # once an AttributeError
+     "needs a shift carrier"),
+    (SHIFT2, (pure((2,)),), MalformedInputError,            # once the tracer 2~~2@0
+     "outside alphabet 2"),
+    (SAT3, (P01, Satellite(1, 1, 0), P01.shift_by(2)), PreconditionError,
+     r"q\(1,1,0\) is a satellite point"),
+), ids=("finite", "off-alphabet", "satellite"))
+def test_splice_reads_its_system(system, entries, error, match):
+    with pytest.raises(error, match=match):
+        SH.splice_trace_shift(system, entries, 1)
+
+
+def test_splice_of_y_points_on_a_satellite_carrier():
+    orb = tuple(P01.shift_by(n) for n in range(-2, 3))
+    assert SH.splice_trace_shift(SAT3, orb, 3) == SH.splice_trace_shift(SHIFT2, orb, 3)
 
 
 def test_mu_restricted_shadowing():

@@ -771,7 +771,9 @@ def test_transported_constant():
     ({0: 1}, F(1, 12), "misses 1"),                     # once a bare KeyError
     ({0: 1}, 1, "misses 1"),            # no pair separates beyond 1; every point counts
     ({i: i + 12 for i in range(12)}, F(1, 12), "12 is not a carrier point"),  # once 1/8
-), ids=("merge", "partial", "partial-unseparated", "off-carrier"))
+    ({i: i for i in range(12)}, 0, "expansivity constant must be positive"),  # once 1/16
+    ({i: i for i in range(12)}, F(-1, 2), "expansivity constant must be positive"),
+), ids=("merge", "partial", "partial-unseparated", "off-carrier", "zero", "negative"))
 def test_transported_constant_needs_a_map_of_the_carrier(h, c, match):
     with pytest.raises(PreconditionError, match=match):
         transported_constant(R12K3, h, c)
