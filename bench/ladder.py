@@ -82,6 +82,18 @@ the bit length of the count, and peak_kib, the tracemalloc peak of one
 more, untimed call, which shows whether the count keeps every layer of
 walk counts (before BENCH_31) or one.
 
+The ``perturbations`` layer times enumerate_perturbations on fresh
+systems with their integer rows, cycles and within(delta, closed=True)
+built: Z12, Z20 and Z24 with a unit step at delta = 1/n, each as the
+lattice and as its relabeled twin (a seeded bijection with the metric
+carried over), whose maps the enumerator must sort. The counters are
+maps, the family's size, and nodes, the partial maps a plain
+depth-first search extends. One more case, Z48 refused, is refused at
+delta = 1/48 under a budget of 10**5 maps; its counters are refused
+and peak_kib, the tracemalloc peak of one more call, which shows
+whether the refusal holds the maps found so far (before BENCH_32) or
+none.
+
 One more layer is not a rung: ``import`` starts --repeats fresh
 interpreters on each tree, each timing its own ``import pointdyn.cli``.
 Its record (case ``pointdyn.cli``, size and c null) holds the median of
@@ -138,6 +150,7 @@ DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
 SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9", "cat13", "cat17"), (F(1, 2), F(1, 3))
 TRACING_MAX_ROWS = 10 ** 7
 WINDOWED_BUDGET = 10 ** 8
+PERTURBATION_SIZES = (12, 20, 24)
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
                  for a, b in ((1, 5), (1, 7), (5, 7))
@@ -337,6 +350,24 @@ def measure_sweep(label, repeats, case, make):
                    {"points": len(result), "true": sum(result.values())})]
 
 
+def seeded_twin(systems, X):
+    """X relabeled by a bijection seeded by its size, the metric carried over."""
+    pts = X.points()
+    h = dict(zip(pts, Random(len(pts)).sample(pts, len(pts))))
+    return systems.conjugate_system(X, h, transport_metric=True)
+
+
+def traced_peak_kib(call):
+    """The tracemalloc peak of call(), in KiB."""
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return round(peak / 1024, 1)
+
+
 def gh_cases(systems, metric):
     """(layer case, make, outcome): make returns a fresh pair (X, Y);
     outcome(X, Y) runs the timed call and returns its counters."""
@@ -353,9 +384,7 @@ def gh_cases(systems, metric):
     def twin(make):
         def pair():
             X = make()
-            pts = X.points()
-            h = dict(zip(pts, Random(len(pts)).sample(pts, len(pts))))
-            return X, systems.conjugate_system(X, h, transport_metric=True)
+            return X, seeded_twin(systems, X)
         return pair
 
     out = []
@@ -415,18 +444,53 @@ def measure_windowed(label, repeats, case, make, eps, delta, N, budget):
     best, rep, system = best_of(repeats, lambda: warmed(make()), call)
     if isinstance(rep, ResourceBudgetError):
         again = warmed(make())
-        tracemalloc.start()
-        try:
-            call(again)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         counters = {"refused": True, "requested_bits": rep.requested.bit_length(),
-                    "peak_kib": round(peak / 1024, 1)}
+                    "peak_kib": traced_peak_kib(lambda: call(again))}
     else:
         counters = {"result": rep.result, "windows_checked": rep.windows_checked,
                     "worst": rep.worst_tracer_count}
     return [record(label, "windowed", case, len(system.kernel.pts), f"{eps} {delta}",
+                   repeats, best, counters)]
+
+
+def perturbation_cases(systems):
+    """(case, make, delta, budget): make builds a fresh system; a budget of
+    None is the default enumeration budget."""
+    def lattice(n):
+        return lambda: systems.build_lattice(n, step=1)
+
+    out = []
+    for n in PERTURBATION_SIZES:
+        out += [(f"Z{n}", lattice(n), F(1, n), None),
+                (f"Z{n} twin", lambda n=n: seeded_twin(systems, lattice(n)()), F(1, n), None)]
+    return out + [("Z48 refused", lattice(48), F(1, 48), 10 ** 5)]
+
+
+def measure_perturbations(label, repeats, case, make, delta, budget):
+    """The perturbations layer: enumerate_perturbations on a fresh system
+    with within(delta, closed=True) built, or its refusal with the
+    tracemalloc peak of one more call."""
+    from pointdyn import stability
+    from pointdyn.errors import ResourceBudgetError
+
+    def setup():
+        system = warmed(make())
+        system.kernel.within(delta, closed=True)
+        return system
+
+    def call(s):
+        try:
+            return stability.enumerate_perturbations(s, delta, budget)
+        except ResourceBudgetError as err:
+            return err
+
+    best, fam, system = best_of(repeats, setup, call)
+    if isinstance(fam, ResourceBudgetError):
+        again = setup()
+        counters = {"refused": True, "peak_kib": traced_peak_kib(lambda: call(again))}
+    else:
+        counters = {"maps": len(fam), "nodes": fam.nodes}
+    return [record(label, "perturbations", case, len(system.kernel.pts), str(delta),
                    repeats, best, counters)]
 
 
@@ -455,6 +519,7 @@ def serve(label, repeats):
     cases = {case: (make, c) for case, make, c in rungs(systems, metric)}
     gh = {case: (make, outcome) for case, make, outcome in gh_cases(systems, metric)}
     windowed = {case: rest for case, *rest in windowed_cases(systems, metric)}
+    perturbations = {case: rest for case, *rest in perturbation_cases(systems)}
     for line in sys.stdin:
         request = json.loads(line)
         if request == "units":
@@ -463,9 +528,12 @@ def serve(label, repeats):
                       for layer in kernel_layers + ["sweep"] * (case in SWEEP_CASES)]
             answer += [["gh", case] for case in gh]
             answer += [["windowed", case] for case in windowed]
+            answer += [["perturbations", case] for case in perturbations]
         else:
             layer, case = request
-            if layer == "gh":
+            if layer == "perturbations":
+                answer = measure_perturbations(label, repeats, case, *perturbations[case])
+            elif layer == "gh":
                 answer = measure_gh(label, repeats, case, *gh[case])
             elif layer == "windowed":
                 answer = measure_windowed(label, repeats, case, *windowed[case])

@@ -12,7 +12,7 @@ found pairs / exhausted searches into exact upper / lower bounds.
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import islice, product
+from itertools import chain, islice, product
 from math import lcm
 from operator import sub
 from typing import NamedTuple
@@ -134,9 +134,11 @@ def _semiconjugacy(f, gperm, x, gap, eps, eta):
 class PerturbationFamily(Frozen):
     """The admissible perturbations of base (the input system) as the
     index permutations perms within c0 distance delta: index i stands for
-    points[i] in every map. nodes counts the search nodes visited, the
-    partial maps extended in search order, the empty one included. No
-    __slots__: the cached `systems` needs a __dict__."""
+    points[i] in every map. nodes counts the partial maps, the empty one
+    included, that a plain depth-first search in the enumerator's slot
+    order would extend; the enumerator counts them per frontier state
+    and visits each state once. No __slots__: the cached `systems` needs
+    a __dict__."""
     _fields = ("base", "points", "perms", "nodes")
 
     def __init__(self, base, points: tuple, perms: tuple, nodes: int):
@@ -165,15 +167,22 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     (d(f(w_n), w_(n+1)) < delta): a perturbation with a step of exactly
     delta is admitted here, though its orbits are not delta-pseudo-orbits.
 
-    A depth-first search places the images of the indices in the order
-    of _shared_target_order, which depends on the admissible targets
-    only, not on how the carrier is labeled. It checks forward in that
-    order: due[t] holds the targets that no index placed after the t-th
-    may take, and an image that leaves one of them unused cuts the
-    branch. nodes counts the partial maps the search extends, in its
-    order. The maps are sorted at the end, so the family lists them in
-    lexicographic order whatever the search order. The budget caps the
-    maps found.
+    The images of the indices are placed slot by slot in the order of
+    _shared_target_order, which depends on the admissible targets only,
+    not on how the carrier is labeled, and each placement is checked
+    forward: due[t] holds the targets that no slot after the t-th may
+    take, and an image that leaves one of them unused is refused. What
+    follows slot t depends only on key = used & fut[t], the used targets
+    that slots t.. can still take, so each (t, key) state is expanded
+    once, on an explicit stack, and keeps its map count, its node count
+    and its live edges (image, next key). nodes counts the partial maps
+    a plain depth-first search in slot order extends, the empty one
+    included. The budget caps the maps: the search refuses once the maps
+    known on its stack exceed it, before any map is built. The maps are
+    then joined from the prefixes of the first n // 2 slots and the
+    suffixes of each middle state, in search order, which is
+    lexicographic when slot t places index t; any other slot order is
+    sorted, so the family lists its maps in lexicographic order.
     """
     delta = positive(delta, "perturbation radius")
     budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
@@ -182,36 +191,59 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     rows = k.within(delta, closed=True)
     bits = [rows[v] for v in k.perm]
     order = _shared_target_order(bits)
-    due, later = [0] * n, 0
+    due, fut = [0] * n, [0] * (n + 1)
     for t in reversed(range(n)):
-        due[t] = bits[order[t]] & ~later
-        later |= bits[order[t]]
+        due[t] = bits[order[t]] & ~fut[t + 1]
+        fut[t] = fut[t + 1] | bits[order[t]]
     allowed = [members(bits[u]) for u in order]
-    # the untried images and the used targets of each slot up to the t-th
-    perms, chosen, nodes = [], [None] * n, 1
-    untried, useds = [None] * n, [0] * n
-    t, untried[0] = 0, iter(allowed[0])
+    # states[t][key] = (maps, nodes, live edges); every full map is one state
+    states = [{} for _ in range(n)] + [{0: (1, 0, ())}]
+    # per slot up to the t-th: used targets, untried images, the image
+    # placed, and the edges (image, next key) tried so far
+    useds, untried, chosen, edges = [0] * n, [None] * n, [None] * n, [None] * n
+    t, known, untried[0], edges[0] = 0, 0, iter(allowed[0]), []
     while t >= 0:
-        u, need, used = order[t], due[t], useds[t]
+        used, need, later, below, out = useds[t], due[t], fut[t + 1], states[t + 1], edges[t]
         for v in untried[t]:
             bit = 1 << v
             if used & bit or need & ~(used | bit):
                 continue
-            chosen[u] = v
-            if t + 1 < n:
+            key = (used | bit) & later
+            if key not in below:
+                chosen[t] = v
                 t += 1
-                untried[t], useds[t] = iter(allowed[t]), used | bit
-                nodes += 1
+                useds[t], untried[t], edges[t] = used | bit, iter(allowed[t]), []
                 break
-            perms.append(tuple(chosen))
-            if len(perms) > budget:
+            out.append((v, key))
+            known += below[key][0]
+            if known > budget:
                 raise ResourceBudgetError(
                     f"more than {budget} admissible perturbations",
                     budget=budget)
         else:
+            key = used & fut[t]
+            states[t][key] = (sum(below[c][0] for _, c in out),
+                              1 + sum(below[c][1] for _, c in out),
+                              tuple(e for e in out if below[e[1]][0]))
             t -= 1
-    perms.sort()
-    return PerturbationFamily(system, k.pts, tuple(perms), nodes)
+            if t >= 0:
+                edges[t].append((chosen[t], key))
+    heads = _grow(states, [((), 0)], 0, n // 2)
+    tails = {key: [s for s, _ in _grow(states, [((), key)], n // 2, n)]
+             for key in {key for _, key in heads}}
+    perms = chain.from_iterable(map(p.__add__, tails[key]) for p, key in heads)
+    if order != list(range(n)):
+        perms = sorted(map(gatherer(sorted(range(n), key=order.__getitem__)), perms))
+    return PerturbationFamily(system, k.pts, tuple(perms), states[0][0][1])
+
+
+def _grow(states, blocks, start, stop) -> list:
+    """blocks, pairs (images of slots start.., key of the state they
+    reach), extended along the live edges of states through slot stop - 1,
+    in search order."""
+    for t in range(start, stop):
+        blocks = [(p + (v,), c) for p, key in blocks for v, c in states[t][key][2]]
+    return blocks
 
 
 def _shared_target_order(bits) -> list:
@@ -542,10 +574,12 @@ def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
     so far, whichever is lower; a complete search that finds none there
     raises lower to the midpoint. So lower is 0 or a midpoint, upper is a
     grid point or a midpoint: both are dyadic, but need not lie on the
-    grid (nearpair4 against cat5 gives lower 129/256). The witness is the
-    best pair found, and its score is below upper. A complete result has
-    upper - lower <= GH_GRID_STEP. An exhausted budget stops the
-    bisection and leaves the bounds valid but wider, with complete False.
+    grid (nearpair4 against cat5 gives lower 129/256). Midpoints of one
+    bound floor_scaled(mid, S), S = lcm of the denominators, search alike,
+    so each bound is searched once. The witness is the best pair found,
+    and its score is below upper. A complete result has upper - lower <=
+    GH_GRID_STEP. An exhausted budget stops the bisection and leaves the
+    bounds valid but wider, with complete False.
     """
     budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
     if find_exact_isomorphism(X, Y) is not None:
@@ -558,11 +592,13 @@ def gh_distance_bounds(X, Y, budget=None) -> GHBounds:
         return GHBounds(ZERO, start, False, None)
     best = pair
     hi = _grid_above(best.score, GH_GRID_STEP)
-    lo = ZERO
-    complete = True
+    lo, complete, searched = ZERO, True, {}
+    S = lcm(X.kernel.denominator, Y.kernel.denominator)
     while hi - lo > GH_GRID_STEP:
         mid = (lo + hi) / 2
-        found, done = first_delta_isometry_pair(X, Y, mid, budget)
+        if (key := floor_scaled(mid, S, False)) not in searched:
+            searched[key] = first_delta_isometry_pair(X, Y, mid, budget)
+        found, done = searched[key]
         if found is not None:
             if found.score < best.score:
                 best = found

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
-from operator import itemgetter
+from operator import getitem, itemgetter
 from typing import NamedTuple
 
 from .errors import (CarrierMismatchError, MalformedInputError,
@@ -137,6 +137,8 @@ class ExplicitSystem(MetricSystem):
 
     def __init__(self, space: FiniteMetricSpace, perm, name="explicit"):
         perm = tuple(perm)
+        if not space.n:
+            raise MalformedInputError("explicit system needs n >= 1, got an empty carrier")
         if sorted(perm) != list(range(space.n)):
             raise MalformedInputError("map table is not a permutation of the carrier")
         self.space = space
@@ -408,7 +410,8 @@ class FiniteKernel:
     integer data taken once, when it is built, and keeps no link back to
     its system: denominator D, the least S with S * table integral, and
     the rows = D * table (the system's _integer_table: integer arcs on a
-    lattice, the rows of an explicit system's space).
+    lattice, the rows of an explicit system's space), with image_rows[i]
+    = rows[perm[i]], the row of i's image, which C0 distances read.
     A radius r meets these rows at the integer bound floor_scaled(r, D,
     closed), and every radius view is kept per bound, so radii of one
     bound share one build. Only a comparison of two kernels reads
@@ -429,6 +432,7 @@ class FiniteKernel:
         self.perm = tuple(self.index[system.image(p)] for p in self.pts)
         self.inv = _inverse(self.perm)
         self.denominator, self.rows = system._integer_table()
+        self.image_rows = gatherer(self.perm)(self.rows)
         self._views = {}            # (view, bound or argument) -> view
 
     def inseparable(self, c) -> tuple:
@@ -546,9 +550,8 @@ class FiniteKernel:
     def c0_scaled(self, perm) -> int:
         """denominator * max over i of d(f(pts[i]), pts[perm[i]]): the C0
         distance from perm to the kernel's map on the same indices, read
-        off the integer rows."""
-        rows = self.rows
-        return max((rows[a][b] for a, b in zip(self.perm, perm)), default=0)
+        off the integer rows of the images, image_rows."""
+        return max(map(getitem, self.image_rows, perm), default=0)
 
     def within(self, radius, closed=False) -> tuple:
         """within(r)[v]: the bitset of y with d(v, y) < r (<= r when closed),

@@ -19,21 +19,74 @@ within(delta) bit by bit here, as the kernel keeps forward steps only.
 Separation windows are listed time by time with iterate and dist. Gamma
 sets are cut from phi sets and balls point by point, apart from the
 measure layer's scan of kernel rows. Measures are transported point by
-point, and shift balls are sampled by single-symbol edits.
+point, and shift balls are sampled by single-symbol edits. Perturbations
+are listed by a plain depth-first search that visits every partial map,
+apart from the library's count over memoized frontier states.
 """
 
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from pointdyn.errors import PreconditionError, UnsupportedBackendError
+from pointdyn.errors import (PreconditionError, ResourceBudgetError,
+                             UnsupportedBackendError)
 from pointdyn.expansivity import _joint_period_or_none
 from pointdyn.measures import WeightedMeasure, phi_set
 from pointdyn.rationals import as_rational, positive, resolve_budget
 from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
+from pointdyn.stability import DEFAULT_ENUMERATION_BUDGET, _shared_target_order
 from pointdyn.systems import gatherer, iterate, members, point_label, system_ball
+
+
+# -- perturbation enumeration ------------------------------------------------
+
+
+def dfs_perturbations(system, delta, budget=None):
+    """(perms, nodes): the admissible perturbations of system, sorted, and
+    the partial maps a plain depth-first search extends, the empty one
+    included; ResourceBudgetError past budget maps. The search visits
+    every partial map in the order of _shared_target_order, with the
+    forward check of due[t] (the targets that no slot after the t-th may
+    take), and refuses at the first map past the budget."""
+    delta = positive(delta, "perturbation radius")
+    budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
+    k = system.kernel
+    n = len(k.pts)
+    rows = k.within(delta, closed=True)
+    bits = [rows[v] for v in k.perm]
+    order = _shared_target_order(bits)
+    due, later = [0] * n, 0
+    for t in reversed(range(n)):
+        due[t] = bits[order[t]] & ~later
+        later |= bits[order[t]]
+    allowed = [members(bits[u]) for u in order]
+    # the untried images and the used targets of each slot up to the t-th
+    perms, chosen, nodes = [], [None] * n, 1
+    untried, useds = [None] * n, [0] * n
+    t, untried[0] = 0, iter(allowed[0])
+    while t >= 0:
+        u, need, used = order[t], due[t], useds[t]
+        for v in untried[t]:
+            bit = 1 << v
+            if used & bit or need & ~(used | bit):
+                continue
+            chosen[u] = v
+            if t + 1 < n:
+                t += 1
+                untried[t], useds[t] = iter(allowed[t]), used | bit
+                nodes += 1
+                break
+            perms.append(tuple(chosen))
+            if len(perms) > budget:
+                raise ResourceBudgetError(
+                    f"more than {budget} admissible perturbations",
+                    budget=budget)
+        else:
+            t -= 1
+    perms.sort()
+    return tuple(perms), nodes
 
 
 # -- distance tables ---------------------------------------------------------

@@ -66,6 +66,17 @@ def test_every_layer_measures_small_rungs():
     well_formed(records, "windowed", "cat5 refused N=1000")
     assert set(records[0]["counters"]) == {"refused", "requested_bits", "peak_kib"}
     assert records[0]["counters"]["refused"] is True
+    perturbations = {case: rest for case, *rest in ladder.perturbation_cases(systems)}
+    for case in ("Z12", "Z12 twin"):
+        records = ladder.measure_perturbations("t", 1, case, *perturbations[case])
+        well_formed(records, "perturbations", case)
+        # matchings of the 12-cycle (Lucas number 322) plus 2 rotations;
+        # the twin's search follows the same chain of shared targets
+        assert records[0]["counters"] == {"maps": 324, "nodes": 948}
+    records = ladder.measure_perturbations("t", 1, "Z48 refused", *perturbations["Z48 refused"])
+    well_formed(records, "perturbations", "Z48 refused")
+    assert set(records[0]["counters"]) == {"refused", "peak_kib"}
+    assert records[0]["counters"]["refused"] is True
 
 
 def test_import_layer_times_a_fresh_interpreter():

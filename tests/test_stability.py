@@ -2,6 +2,7 @@
 
 import hashlib
 import sys
+import tracemalloc
 from fractions import Fraction as F
 from itertools import islice, permutations, product
 from math import gcd, lcm
@@ -26,7 +27,7 @@ from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
 from pointdyn.errors import (CarrierMismatchError, PreconditionError,
                              ResourceBudgetError)
 
-from oracles import distance_table, enumerate_pseudo_orbits
+from oracles import distance_table, dfs_perturbations, enumerate_pseudo_orbits
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -183,6 +184,38 @@ def test_enumerator_matches_permutation_oracle(system, data):
     assert_family_is(enumerate_perturbations(system, delta), want)
 
 
+def memoized_perturbations(system, delta, budget=None):
+    fam = enumerate_perturbations(system, delta, budget)
+    return fam.perms, fam.nodes
+
+
+def family_or_refusal(search, system, delta, budget=None):
+    """(perms, nodes) from search, or the refusal's type, message and budget."""
+    try:
+        return search(system, delta, budget)
+    except ResourceBudgetError as err:
+        return type(err), str(err), err.budget
+
+
+def assert_agrees_with_dfs(system, delta):
+    """The family and nodes of the plain depth-first search, and its
+    refusals at budgets 0, size - 1 and size."""
+    want = dfs_perturbations(system, delta)
+    assert memoized_perturbations(system, delta) == want
+    size = len(want[0])
+    for budget in (0, size - 1, size):
+        assert family_or_refusal(memoized_perturbations, system, delta, budget) == \
+            family_or_refusal(dfs_perturbations, system, delta, budget)
+
+
+@settings(max_examples=80, deadline=None)
+@given(explicit_systems(max_n=7), st.data())
+def test_enumerator_agrees_with_the_plain_search(system, data):
+    # explicit carriers have dead ends: partial maps the forward check
+    # passes that extend to no map, which nodes still counts
+    assert_agrees_with_dfs(system, carrier_radius(data, system))
+
+
 def rotation_and_twin(n, data):
     """Z_n with a drawn unit step, and a transported twin under a drawn
     relabeling (a dict of indices)."""
@@ -199,6 +232,8 @@ def test_enumerator_matches_oracle_on_rotations_and_twins(n, data):
     fams = [enumerate_perturbations(system, F(1, n)) for system in (rot, twin)]
     # the search follows shared targets, so labels do not change its size
     assert fams[1].nodes == fams[0].nodes
+    for system in (rot, twin):
+        assert_agrees_with_dfs(system, F(1, n))
     if n <= 12:
         # the carrier's least distance 1/n; the next one, 2/n, would make
         # the oracle's product 5^n long
@@ -226,8 +261,10 @@ def test_enumeration_refuses_exactly_past_its_budget(n, data):
 @pytest.mark.parametrize("n", range(3, 17))
 def test_enumeration_visits_no_dead_end(n):
     # forward checking: every node the search visits extends to a map
-    fam = enumerate_perturbations(build_lattice(n, step=1), F(1, n))
+    z = build_lattice(n, step=1)
+    fam = enumerate_perturbations(z, F(1, n))
     assert fam.nodes == len({p[:k] for p in fam.perms for k in range(n)})
+    assert_agrees_with_dfs(z, F(1, n))
 
 
 def test_z48_enumeration_refuses_within_its_budget():
@@ -236,6 +273,21 @@ def test_z48_enumeration_refuses_within_its_budget():
     with pytest.raises(ResourceBudgetError) as err:
         enumerate_perturbations(build_lattice(48, step=1), F(1, 48), budget=10 ** 5)
     assert err.value.budget == 10 ** 5
+
+
+def test_enumeration_refusal_builds_no_map():
+    # the plain search held the 10^5 maps it had found, tuples of 48
+    # (about 40 MB), when it refused; the count over frontier states
+    # refuses before any map is built
+    z48 = build_lattice(48, step=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError):
+            enumerate_perturbations(z48, F(1, 48), budget=10 ** 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_stable_point_identity_only():
@@ -672,6 +724,24 @@ def test_gh_search_reads_each_kernel_at_one_scale_per_pair():
         S = lcm(X.kernel.denominator, Y.kernel.denominator)
         for k in (X.kernel, Y.kernel):
             assert {key[1] for key in k._views if key[0] == "scaled"} <= {k.denominator, S}
+
+
+def test_gh_bisection_searches_each_integer_bound_once(monkeypatch):
+    # Z20 step 1 against step 7: the midpoints 273/1024, 585/2048,
+    # 1209/4096 and 2457/8192 all meet the rows at bound 5/20, and each
+    # once ran the same exhaustive search, which found no pair
+    X, Y = build_lattice(20, step=1), build_lattice(20, step=7)
+    bounds = []
+    search = stability.first_delta_isometry_pair
+
+    def counted(X, Y, delta, budget=None):
+        bounds.append(stability.floor_scaled(delta, 20, False))
+        return search(X, Y, delta, budget)
+
+    monkeypatch.setattr(stability, "first_delta_isometry_pair", counted)
+    b = gh_distance_bounds(X, Y)
+    assert (b.lower, b.upper, b.complete) == (F(2457, 8192), F(39, 128), True)
+    assert len(bounds) == len(set(bounds)) == 4
 
 
 def test_gh_bounds_bracket_size_mismatch():

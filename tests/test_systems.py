@@ -12,7 +12,7 @@ from pointdyn.expansivity import (classify_points, expansive_point_at,
 from pointdyn.measures import build_tracking_map, phi_set
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.stability import build_conjugacy, gh_stable_point_check
-from pointdyn.systems import (build_explicit, build_lattice, build_shift,
+from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice, build_shift,
                               build_satellite, Satellite, orbit, orbit_closure,
                               iterate, pair_sup_separation, c0_distance,
                               check_carrier, system_ball, materialize, conjugate_system,
@@ -35,6 +35,16 @@ def test_explicit_system_validates_permutation():
         build_explicit(sp, (0, 0, 1))
     with pytest.raises(MalformedInputError):
         build_explicit(sp, (0, 1))
+
+
+@pytest.mark.parametrize("build", (ExplicitSystem, build_explicit),
+                         ids=("constructor", "build_explicit"))
+def test_explicit_system_refuses_an_empty_carrier(build):
+    # an empty carrier was accepted, and then enumerate_perturbations and
+    # gh_distance_bounds raised IndexError, while classify_points asked
+    # for the probe set of an infinite carrier
+    with pytest.raises(MalformedInputError, match="empty carrier"):
+        build(FiniteMetricSpace([]), ())
 
 
 def test_circle_lattice_metric_and_map():
