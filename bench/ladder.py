@@ -31,20 +31,13 @@ a fresh system, timed alone with the views it reads already built:
   the first point, and of that orbit less its last point when it has
   more than one, on a fresh system with its integer rows and within(c)
   built. Its counters are P, the window's length, and tracers, the
-  tracer count. A tree whose tracing reads the pull-back rows (before
-  BENCH_27) builds lcm(order, P) rows of n bitsets, so it skips the
-  windows where that makes more than TRACING_MAX_ROWS bitsets: the
-  length-199 orbit on coprime400 would build 39 999 rows of 400 and take
-  minutes, while cycles43's 60 060 rows of 43 take seconds.
+  tracer count.
 - ``sweep``: shadowable_exact_points at every point of cat7, cat9,
   cat13 and cat17 at (eps, delta) = (1/2, 1/3), on a fresh system with
   its integer rows and cycles built. Every point is True there, so the
   sweep walks every state reachable from the carrier, each once, as
-  later walks stop at the states of earlier ones. A tree without
-  shadowable_exact_points (before BENCH_24) is timed calling
-  shadowable_exact at each point, so later points read only the views
-  the earlier ones built. Its counters are the points decided and the
-  True verdicts.
+  later walks stop at the states of earlier ones. Its counters are the
+  points decided and the True verdicts.
 
 The rungs are the cat map (2 1; 1 1) on the 7, 9, 13 and 17 tori at
 c = 1/4, the circles Z36 and Z96 with a unit step at c = 1/(2n), and
@@ -148,7 +141,6 @@ from random import Random
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
 SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9", "cat13", "cat17"), (F(1, 2), F(1, 3))
-TRACING_MAX_ROWS = 10 ** 7
 WINDOWED_BUDGET = 10 ** 8
 PERTURBATION_SIZES = (12, 20, 24)
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
@@ -316,14 +308,11 @@ def measure_decider(label, repeats, case, make):
 def measure_tracing(label, repeats, case, make, c):
     """The tracing layer: trace_cycle of the first point's orbit, and of
     that orbit less its last point."""
-    from pointdyn.systems import FiniteKernel
     k = make().kernel
-    orbit, order = k.orbit(0), counters(k)["order"]
+    orbit = k.orbit(0)
     records = []
     for window in (orbit, orbit[:-1]) if len(orbit) > 1 else (orbit,):
         P = len(window)
-        if hasattr(FiniteKernel, "pullbacks") and lcm(order, P) * len(k.pts) > TRACING_MAX_ROWS:
-            continue
 
         def setup():
             system = warmed(make())
@@ -340,12 +329,10 @@ def measure_tracing(label, repeats, case, make, c):
 def measure_sweep(label, repeats, case, make):
     """The sweep layer: shadowable_exact_points at every point of the rung."""
     from pointdyn import shadowing
-    sweep = getattr(shadowing, "shadowable_exact_points", None) or (
-        lambda s, pts, eps, delta: {p: shadowing.shadowable_exact(s, p, eps, delta)
-                                    for p in pts})
     eps, delta = SWEEP_SCALES
     best, result, _ = best_of(repeats, lambda: warmed(make()),
-                              lambda s: sweep(s, s.kernel.pts, eps, delta))
+                              lambda s: shadowing.shadowable_exact_points(
+                                  s, s.kernel.pts, eps, delta))
     return [record(label, "sweep", case, len(result), f"{eps} {delta}", repeats, best,
                    {"points": len(result), "true": sum(result.values())})]
 

@@ -14,18 +14,19 @@ per closed bound as the periodic tracers of each cycle at closed radius c:
 a point's row, the first pair of a ball's bits, and for minimal
 expansivity one verdict per cycle (cycle_failures), shared by every
 centre whose ball meets it.
-Symbolic carriers answer through pair_sup_separation and their regions.
+Symbolic carriers answer through pair_sup_separation and their regions;
+on their shift part every verdict is one rule (_shift_rule), as distinct
+sequences separate to exactly 1.
 """
 
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from .errors import PreconditionError, UnsupportedSequenceError
 from .rationals import ONE, as_rational, positive
 from .shiftspace import ShiftBall, pure, with_symbol
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, c0_distance,
-                      iterate, least, orbit, pair_sup_separation, point_index,
+                      least, orbit, pair_sup_separation, point_index,
                       point_label, sorted_points, system_ball)
 
 
@@ -41,13 +42,6 @@ class ExpansivityVerdict(NamedTuple):
         return self.result
 
 
-def _joint_period_or_none(system, x, y):
-    obx, oby = orbit(system, x), orbit(system, y)
-    if obx.finite and oby.finite:
-        return lcm(obx.period, oby.period)
-    return None
-
-
 def is_expansive_on(system, domain, c) -> ExpansivityVerdict:
     """Is every distinct pair of `domain` separated beyond c at some time?
 
@@ -58,9 +52,11 @@ def is_expansive_on(system, domain, c) -> ExpansivityVerdict:
     """
     c = positive(c, "expansivity constant")
     if isinstance(domain, ShiftOrbitClosure):
-        return _expansive_on_shift_closure(system, domain, c)
+        y = domain.base
+        return _shift_rule(None, c, "expansive_on", _APART, (y, y.shift_by(1)))
     if isinstance(domain, ShiftBall):
-        return _expansive_on_shift_ball(system, domain, c)
+        return _shift_rule(None, c, "expansive_on", _APART,
+                           _flipped(system, domain.center, domain.halfwidth))
     if isinstance(domain, SatelliteBall):
         return _expansive_on_satellite_ball(system, domain, c)
     if system.finite:
@@ -87,51 +83,44 @@ def _bits_verdict(system, x, c, variant, mask):
     return ExpansivityVerdict(x, c, variant, False, (k.pts[pair[0]], k.pts[pair[1]]))
 
 
-def _expansive_on_shift_closure(system, closure, c):
-    # every distinct pair in a shift orbit closure attains separation 1
+_APART = "distinct sequences reach separation 1"
+
+
+def _shift_rule(x, c, variant, detail, witness, failure=""):
+    """A verdict on the shift part of a carrier, where every distinct pair
+    separates to exactly 1 (shifting moves its first disagreement to the
+    origin): true for every c < 1, with the caller's detail, and false at
+    c >= 1 on the caller's witness pair and failure detail."""
     if c < ONE:
-        return ExpansivityVerdict(None, c, "expansive_on", True,
-                                  detail="distinct sequences reach separation 1")
-    y = closure.base
-    return ExpansivityVerdict(None, c, "expansive_on", False, (y, y.shift_by(1)))
+        return ExpansivityVerdict(x, c, variant, True, detail=detail)
+    return ExpansivityVerdict(x, c, variant, False, witness, failure)
 
 
-def _expansive_on_shift_ball(system, region, c):
-    if c < ONE:
-        return ExpansivityVerdict(None, c, "expansive_on", True,
-                                  detail="distinct sequences reach separation 1")
-    x = region.center
-    other = with_symbol(x, region.halfwidth,
-                        (x.value(region.halfwidth) + 1) % system.alphabet)
-    return ExpansivityVerdict(None, c, "expansive_on", False, (x, other))
-
-
-def _satellite_y_region_points(region):
-    """At least two Y-points of the region, as concrete witnesses."""
-    pts = list(region.y_extra)
-    if region.y_ball is not None:
-        x = region.y_ball.center
-        pts.append(x)
-        pts.append(with_symbol(x, region.y_ball.halfwidth,
-                                 (x.value(region.y_ball.halfwidth) + 1) % 2))
-    return pts
+def _flipped(system, x, pos):
+    """x and x with the symbol at pos advanced mod the alphabet: a pair of
+    the cylinder of halfwidth pos around x."""
+    return x, with_symbol(x, pos, (x.value(pos) + 1) % system.alphabet)
 
 
 def _expansive_on_satellite_ball(system, region, c):
-    y_points = _satellite_y_region_points(region)
-    if len(y_points) >= 2 and c >= ONE:
-        return ExpansivityVerdict(None, c, "expansive_on", False,
-                                  (y_points[0], y_points[1]))
+    # the Y-points of the region as concrete witnesses: its stray points,
+    # then a pair of its shift ball
+    y_points = region.y_extra
+    if region.y_ball is not None:
+        y_points += _flipped(system, region.y_ball.center, region.y_ball.halfwidth)
+    if len(y_points) >= 2:
+        shift_part = _shift_rule(None, c, "expansive_on", "", y_points[:2])
+        if not shift_part:
+            return shift_part
     for idx, q in enumerate(region.satellites):
         # nearest ball partner of a satellite inside Y is the marked point
         base = system.marked(q.j)
         if region.contains(base):
             if Fraction(1, q.k) <= c:
                 return ExpansivityVerdict(None, c, "expansive_on", False, (q, base))
-        elif region.y_ball is not None or region.y_extra:
+        elif y_points:
             if Fraction(1, q.k) + ONE <= c:
-                z = next(p for p in y_points)
-                return ExpansivityVerdict(None, c, "expansive_on", False, (q, z))
+                return ExpansivityVerdict(None, c, "expansive_on", False, (q, y_points[0]))
         for q2 in region.satellites[idx + 1:]:
             if pair_sup_separation(system, q, q2) <= c:
                 return ExpansivityVerdict(None, c, "expansive_on", False, (q, q2))
@@ -152,11 +141,7 @@ def expansive_point_at(system, x, c) -> ExpansivityVerdict:
     system.check_point(x)
     if system.backend == "satellite":
         return _satellite_expansive_point(system, x, c)
-    if c < ONE:
-        return ExpansivityVerdict(x, c, "expansive", True,
-                                  detail="distinct sequences reach separation 1")
-    other = with_symbol(x, 0, (x.value(0) + 1) % system.alphabet)
-    return ExpansivityVerdict(x, c, "expansive", False, (x, other))
+    return _shift_rule(x, c, "expansive", _APART, _flipped(system, x, 0))
 
 
 def _satellite_expansive_point(system, x, c):
@@ -168,13 +153,13 @@ def _satellite_expansive_point(system, x, c):
             return ExpansivityVerdict(x, c, variant, False, (x, other))
         return ExpansivityVerdict(x, c, variant, True,
                                   detail=f"nearest orbit pattern separates at 1/{x.k}")
-    if c >= ONE:
-        other = with_symbol(x, 0, (x.value(0) + 1) % system.alphabet)
-        return ExpansivityVerdict(x, c, variant, False, (x, other))
+    shift_part = _shift_rule(x, c, variant, "", _flipped(system, x, 0))
+    if not shift_part:
+        return shift_part
     for q in system.satellite_points():
         if pair_sup_separation(system, x, q) <= c:
             return ExpansivityVerdict(x, c, variant, False, (x, q))
-    return ExpansivityVerdict(x, c, variant, True)
+    return shift_part
 
 
 def uniformly_expansive_at(system, x, c) -> ExpansivityVerdict:
@@ -206,19 +191,24 @@ def minimally_expansive_at(system, x, c) -> ExpansivityVerdict:
                                   tuple(k.pts[i] for i in pairs[y]),
                                   detail=f"orbit closure of {point_label(k.pts[y])} fails")
     region = system_ball(system, x, c)
-    if system.backend == "satellite":
-        return _satellite_minimal(system, x, c, region)
-    return _shift_minimal(system, x, c, region)
+    if system.backend == "shift":
+        # closures of cylinder points are sets of sequences: pairs separate to 1
+        return _shift_rule(x, c, "minimal", "closure pairs reach separation 1",
+                           *_closure_fails(system, region))
+    # Only the Y part of the open ball can fail, once c >= 1: a satellite
+    # orbit, whose pairs separate to 1 + 2/k, fails only when c > 1, and
+    # then the open ball has a Y part.
+    if region.y_ball is None:
+        return ExpansivityVerdict(x, c, "minimal", True)
+    return _shift_rule(x, c, "minimal", "", *_closure_fails(system, region.y_ball))
 
 
-def _shift_minimal(system, x, c, region):
-    # closures of cylinder points are sets of sequences: pairs separate to 1
-    if c < ONE:
-        return ExpansivityVerdict(x, c, "minimal", True,
-                                  detail="closure pairs reach separation 1")
-    y = _non_fixed_cylinder_point(system, region)
-    return ExpansivityVerdict(x, c, "minimal", False, (y, y.shift_by(1)),
-                              detail=f"orbit closure of {point_label(y)} fails")
+def _closure_fails(system, cylinder):
+    """Witness pair and failure detail of a minimal verdict that fails on
+    the cylinder: the orbit closure of one of its points y holds y and
+    f(y), which never separate beyond 1."""
+    y = _non_fixed_cylinder_point(system, cylinder)
+    return (y, y.shift_by(1)), f"orbit closure of {point_label(y)} fails"
 
 
 def _non_fixed_cylinder_point(system, region):
@@ -232,17 +222,6 @@ def _non_fixed_cylinder_point(system, region):
     y = with_symbol(x, h, (x.value(h - 1) + 1) % system.alphabet)
     assert y.shift_by(1) != y and region.contains(y)
     return y
-
-
-def _satellite_minimal(system, x, c, region):
-    # Only the Y part of the open ball can fail, once c >= 1: a satellite
-    # orbit, whose pairs separate to 1 + 2/k, fails only when c > 1, and
-    # then the open ball has a Y part.
-    if region.y_ball is not None and c >= ONE:
-        y = _non_fixed_cylinder_point(system, region.y_ball)
-        return ExpansivityVerdict(x, c, "minimal", False, (y, y.shift_by(1)),
-                                  detail=f"orbit closure of {point_label(y)} fails")
-    return ExpansivityVerdict(x, c, "minimal", True)
 
 
 _VARIANTS = {
@@ -291,22 +270,24 @@ def separation_horizon(system, x, c, y, eps) -> int:
     pts = ob.points
     horizon = 0
     for i, u in enumerate(pts):
-        for v in pts[i + 1:]:
-            if system.dist(u, v) < eps:
+        for j in range(i + 1, len(pts)):
+            if system.dist(u, pts[j]) < eps:
                 continue
-            horizon = max(horizon, _first_separation_time(system, u, v, c))
+            horizon = max(horizon, _first_separation_time(system, pts, i, j, c))
     return horizon
 
 
-def _first_separation_time(system, u, v, c) -> int:
-    """min{|n| : d(f^n u, f^n v) >= c}; exists under minimal expansivity."""
-    period = _joint_period_or_none(system, u, v)
-    for n in range(period + 1):
-        for s in ((n, -n) if n else (0,)):
-            if system.dist(iterate(system, u, s), iterate(system, v, s)) >= c:
-                return abs(s)
+def _first_separation_time(system, pts, i, j, c) -> int:
+    """min{|n| : d(f^n u, f^n v) >= c} for u = pts[i] and v = pts[j] on the
+    periodic orbit pts, read as f^n(pts[i]) = pts[(i + n) % p]; it exists
+    under minimal expansivity."""
+    p = len(pts)
+    for n in range(p // 2 + 1):
+        for s in (n, -n):
+            if system.dist(pts[(i + s) % p], pts[(j + s) % p]) >= c:
+                return n
     raise PreconditionError(
-        f"pair ({point_label(u)}, {point_label(v)}) never separates to {c}")
+        f"pair ({point_label(pts[i])}, {point_label(pts[j])}) never separates to {c}")
 
 
 def _region_contains(region, y) -> bool:

@@ -23,11 +23,9 @@ from typing import NamedTuple
 from .errors import (CarrierMismatchError, MalformedInputError,
                      PreconditionError, UnsupportedBackendError)
 from .metric import FiniteMetricSpace
-from .rationals import Frozen, ZERO, as_rational, format_rational
+from .rationals import Frozen, ONE, ZERO, as_rational, format_rational
 from .shiftspace import (EPPoint, ShiftBall, ball_halfwidth, format_ep,
                          left_limit_cycle, right_limit_cycle, shift_metric)
-
-ONE = Fraction(1)
 
 
 # -- point helpers -------------------------------------------------------
@@ -828,14 +826,9 @@ def _satellite_sup_separation(system, x, y):
     xs, ys = isinstance(x, Satellite), isinstance(y, Satellite)
     if not xs and not ys:
         return ONE
-    if xs and not ys:
-        x, y = y, x
-        xs, ys = ys, xs
-    if not xs and ys:
-        base = system.marked(y.j)
-        if x == base:
-            return Fraction(1, y.k)
-        return Fraction(1, y.k) + ONE
+    if xs != ys:
+        q, z = (x, y) if xs else (y, x)
+        return Fraction(1, q.k) + (ZERO if z == system.marked(q.j) else ONE)
     if (x.k, x.j) == (y.k, y.j):
         return Fraction(1, x.k)
     worst = max(shift_metric(system.marked(x.j + n), system.marked(y.j + n))
@@ -913,10 +906,8 @@ def _satellite_ball(system, x, r, closed):
     y_extra = ()
     if closed and resid == 0:
         y_extra = (base,)
-    elif (resid > 0) or (closed and resid >= 0):
-        h = ball_halfwidth(resid, closed)
-        if h is not None:
-            y_ball = ShiftBall(base, h)
+    elif resid > 0:
+        y_ball = ShiftBall(base, ball_halfwidth(resid, closed))
     return SatelliteBall(x, sats, y_ball, y_extra)
 
 

@@ -30,14 +30,14 @@ from typing import NamedTuple
 
 from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
-from pointdyn.expansivity import _joint_period_or_none
 from pointdyn.measures import WeightedMeasure, phi_set
 from pointdyn.rationals import as_rational, positive, resolve_budget
 from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
 from pointdyn.stability import DEFAULT_ENUMERATION_BUDGET, _shared_target_order
-from pointdyn.systems import gatherer, iterate, members, point_label, system_ball
+from pointdyn.systems import (gatherer, iterate, members, orbit, point_label,
+                              system_ball)
 
 
 # -- perturbation enumeration ------------------------------------------------
@@ -325,6 +325,13 @@ class SeparationWindow(NamedTuple):
     window: int
     full_period: bool           # window covers a joint pair period
     period: int = None
+
+
+def _joint_period_or_none(system, x, y):
+    obx, oby = orbit(system, x), orbit(system, y)
+    if obx.finite and oby.finite:
+        return lcm(obx.period, oby.period)
+    return None
 
 
 def separation_set(system, x, y, eps, window: int) -> SeparationWindow:

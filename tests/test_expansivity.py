@@ -10,14 +10,15 @@ from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.measures import phi_set
 from pointdyn.systems import (build_explicit, build_lattice, build_shift,
                               build_satellite, conjugate_system, point_label,
-                              Satellite, sorted_points)
+                              Satellite, pair_sup_separation, sorted_points,
+                              system_ball)
 from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.expansivity import (ExpansivityVerdict, expansive_point_at,
                                   uniformly_expansive_at, is_expansive_on,
                                   minimally_expansive_at, classify_points,
-                                  separation_horizon,
+                                  separation_horizon, eventual_agreement_index,
                                   sequence_expansivity_criterion, point_verdicts)
-from pointdyn.errors import PreconditionError
+from pointdyn.errors import PreconditionError, UnsupportedSequenceError
 
 from oracles import separation_set
 
@@ -73,6 +74,18 @@ def test_satellite_expansivity():
     assert not expansive_point_at(sat, P01, F(1, 3)).result
 
 
+def test_satellite_ball_witness_uses_the_alphabet():
+    # the Y part of a satellite ball once advanced its witness symbol
+    # mod 2, so over three symbols 01~~01@0 was paired with 10~0~01@1
+    sat = build_satellite(1, 2, P01, alphabet=3)
+    v = uniformly_expansive_at(sat, P01, 1)
+    assert not v.result
+    assert v.counterexample == (P01, parse_ep("10~2~01@1"))
+    ball = system_ball(sat, P01, 1)
+    assert all(ball.contains(y) for y in v.counterexample)
+    assert pair_sup_separation(sat, *v.counterexample) == 1
+
+
 def test_classify_unknown_variant_rejected():
     with pytest.raises(PreconditionError):
         classify_points(ID3, "bogus", F(1, 2))
@@ -92,11 +105,58 @@ def test_separation_horizon():
     assert separation_horizon(ID3, 0, F(1, 2), 0, F(1, 4)) == 0
 
 
+def test_separation_horizon_on_cat7_ball():
+    # every other point of the open 2/7-ball around the fixed point: its
+    # orbit holds a pair 1/7 apart or more that reaches 2/7 at time +-1
+    cat7 = build_lattice(7, kind="torus", matrix=(2, 1, 1, 1))
+    ball = sorted(y for y in system_ball(cat7, (0, 0), F(2, 7)) if y != (0, 0))
+    assert len(ball) == 8
+    for y in ball:
+        assert separation_horizon(cat7, (0, 0), F(2, 7), y, F(1, 7)) == 1, y
+
+
+def test_separation_horizon_preconditions():
+    cat7 = build_lattice(7, kind="torus", matrix=(2, 1, 1, 1))
+    cases = [
+        ((cat7, (0, 0), F(2, 7), (0, 1), F(2, 7)), "need 0 < eps < c"),
+        ((cat7, (0, 0), F(2, 7), (0, 1), F(0)), "need 0 < eps < c"),
+        # every point of cat7 fails at 3/7
+        ((cat7, (0, 0), F(3, 7), (0, 1), F(1, 7)),
+         "map is not minimally expansive at (x, c)"),
+        ((cat7, (0, 0), F(2, 7), (3, 3), F(1, 7)),
+         "y must lie in the open c-ball around x"),
+        # eventually periodic, not periodic: an infinite orbit in the ball
+        ((SHIFT2, P01, F(1, 2), parse_ep("10~0~01@3"), F(1, 4)),
+         "orbit of 10~0~01@3 is infinite"),
+    ]
+    for args, message in cases:
+        with pytest.raises(PreconditionError) as err:
+            separation_horizon(*args)
+        assert str(err.value) == message
+
+
 def test_sequence_criterion():
     v = sequence_expansivity_criterion(R12K3, [R12K3], 0, F(1, 6), "minimal")
     assert v.result
     v2 = sequence_expansivity_criterion(R12K3, [R12K3], 0, F(1, 2), "uniform")
     assert not v2.result
+    with pytest.raises(PreconditionError, match="unsupported variant 'expansive'"):
+        sequence_expansivity_criterion(R12K3, [R12K3], 0, F(1, 6), "expansive")
+
+
+def test_eventual_agreement_index():
+    r12k5 = build_lattice(12, step=5)
+    assert eventual_agreement_index(R12K3, [r12k5, R12K3, R12K3]) == 1
+    cases = [
+        ([], "empty approximant sequence"),
+        ([build_lattice(6, step=1)],
+         "cannot compare approximants to the limit map: "),
+        ([R12K3, r12k5], "approximants must eventually equal the limit map"),
+    ]
+    for approximants, message in cases:
+        with pytest.raises(UnsupportedSequenceError) as err:
+            eventual_agreement_index(R12K3, approximants)
+        assert str(err.value).startswith(message)
 
 
 # sha256 of every point verdict (result, counterexample, detail) of the

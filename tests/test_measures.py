@@ -11,11 +11,13 @@ from pointdyn.rationals import format_rational
 from pointdyn.stability import enumerate_perturbations
 from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
                               build_shift, build_satellite, c0_distance,
-                              materialize, point_label, Satellite)
-from pointdyn.shiftspace import pure, ShiftBall
+                              materialize, orbit_closure, point_label,
+                              Satellite, system_ball)
+from pointdyn.shiftspace import parse_ep, pure, ShiftBall
 from pointdyn import measures as M
 from pointdyn.shadowing import mu_shadowable_at
-from pointdyn.errors import CarrierMismatchError, MalformedInputError, PreconditionError
+from pointdyn.errors import (CarrierMismatchError, MalformedInputError,
+                             PreconditionError, UnsupportedBackendError)
 
 from oracles import distance_table, gamma_set, pullback
 
@@ -155,6 +157,50 @@ def test_measure_sequence_criterion():
     swap = build_explicit(discrete_space(3), (1, 0, 2), name="swap")
     mv3 = M.measure_sequence_criterion(ID3, [swap, ID3, ID3], UNI, 0, F(1, 2))
     assert mv3.result is False and "index 1" in mv3.detail
+
+
+def test_named_measure_errors():
+    sat = build_satellite(1, 2, P01)
+    half = F(1, 2)
+    cases = [
+        (lambda: M.WeightedMeasure("weights"), MalformedInputError,
+         "weighted measure needs point weights"),
+        (lambda: M.WeightedMeasure("bernoulli"), MalformedInputError,
+         "Bernoulli measure needs symbol weights"),
+        (lambda: M.WeightedMeasure.from_bernoulli((F(0), F(1))), MalformedInputError,
+         "Bernoulli weights must be positive"),
+        (lambda: M.WeightedMeasure("lebesgue"), MalformedInputError,
+         "unknown measure kind 'lebesgue'"),
+        (lambda: BERN.weight(P01), UnsupportedBackendError,
+         "point weights only exist on finite carriers"),
+        (lambda: M.measure_of(BERN, system_ball(sat, P01, half)), UnsupportedBackendError,
+         "no measures are defined on the satellite carrier"),
+        (lambda: M.measure_of(UNI, ShiftBall(P01, 1)), CarrierMismatchError,
+         "shift cylinders need a Bernoulli measure"),
+        (lambda: M.measure_of(UNI, orbit_closure(SHIFT2, parse_ep("0~1~0@0"))),
+         CarrierMismatchError, "orbit closures need a Bernoulli measure"),
+        (lambda: M.measure_of(BERN, [P01, 0]), CarrierMismatchError,
+         "0 is not a shift point"),
+        (lambda: M.check_measure_backend(sat, BERN), UnsupportedBackendError,
+         "no measures are defined on the satellite carrier"),
+        (lambda: M.check_measure_backend(SHIFT2, UNI), CarrierMismatchError,
+         "the shift carrier needs a Bernoulli measure"),
+        (lambda: M.build_tracking_map(sat, sat, P01, half), UnsupportedBackendError,
+         "tracking maps are implemented for finite and shift carriers"),
+        (lambda: M.build_tracking_map(SHIFT2, SHIFT2, P01, F(1)), UnsupportedBackendError,
+         "shift tracking images are only finitely representable below 1"),
+        (lambda: M.verify_strong_mu_topological_stability(
+            SHIFT2, BERN, P01, half, half, SHIFT2, B=[P01]), UnsupportedBackendError,
+         "explicit B sets are only supported on finite carriers"),
+        (lambda: M.mu_expansive_points(SHIFT2, BERN, half), PreconditionError,
+         "an infinite carrier needs a probe set"),
+        (lambda: M.expansive_measure_check(SHIFT2, BERN, half), PreconditionError,
+         "an infinite carrier needs a probe set"),
+    ]
+    for call, error, message in cases:
+        with pytest.raises(error) as err:
+            call()
+        assert str(err.value) == message
 
 
 def test_mass_off_the_carrier_is_refused():

@@ -1,5 +1,6 @@
 """Stanza text format: round trips and line-numbered parse errors."""
 
+import inspect
 from fractions import Fraction as F
 
 import pytest
@@ -100,6 +101,55 @@ def test_parse_errors_carry_line_numbers():
 
     msg = error_line("lattice {\n  n = 12\n  map = rot 3\n")
     assert "unterminated" in msg
+
+
+LATTICE = "lattice {\n  n = 12\n  map = rot 1\n}\n"
+BERNOULLI = "measure {\n  bernoulli = 1/2 1/2\n}\n"
+# one text per _fail call of sysfile.py, in source order, and its message
+FAIL_CASES = [
+    ("lattice\n", "line 1: expected a stanza header like 'lattice {', got 'lattice'"),
+    ("\nlattice {\n  n = 12\n", "line 2: unterminated 'lattice' stanza"),
+    ("lattice {\n  n 12\n}\n", "line 2: expected 'key = value', got 'n 12'"),
+    ("lattice {\n  n =\n}\n", "line 2: expected 'key = value', got 'n ='"),
+    ("lattice {\n  n = 12\n  n = 6\n}\n", "line 3: duplicate key 'n'"),
+    ("lattice {\n  n = 12\n}\n", "line 1: missing required key 'map'"),
+    ("lattice {\n  n = 12\n  wibble = 3\n  map = rot 1\n}\n",
+     "line 3: unknown key 'wibble' in 'lattice' stanza"),
+    ("lattice {\n  n = x\n  map = rot 1\n}\n", "line 2: n must be an integer, got 'x'"),
+    ("shift {\n  alphabet = 2\n  probes = 0~~0@0 zz\n}\n",
+     "line 3: EPPoint needs left~center~right: 'zz'"),
+    ("explicit {\n  n = 0\n  map = 0\n}\n", "line 2: n must be positive"),
+    ("explicit {\n  n = 2\n  d 0 1\n  map = 0 1\n}\n",
+     "line 3: distance rows read 'd i j p/q', got 'd 0 1'"),
+    ("explicit {\n  n = 2\n  d 0 0 1\n  map = 0 1\n}\n",
+     "line 3: distance indices must be distinct carrier points, got 0 0"),
+    ("explicit {\n  n = 2\n  d 0 1 1\n  d 1 0 1\n  map = 0 1\n}\n",
+     "line 4: distance for pair 1 0 given twice"),
+    ("explicit {\n  n = 2\n  d 0 1 x\n  map = 0 1\n}\n", "line 3: not a rational: 'x'"),
+    ("explicit {\n  n = 3\n  d 0 1 1\n  map = 0 1 2\n}\n",
+     "line 1: missing distance for pair 0 2"),
+    ("explicit {\n  n = 2\n  d 0 1 1\n  map = 0\n}\n", "line 4: map needs 2 entries, got 1"),
+    ("lattice {\n  n = 12\n  map = flip 1\n}\n",
+     "line 3: map must be 'rot k' or 'mat a b c d', got 'flip 1'"),
+    ("satellite {\n  K = 1\n  t = 2\n  p = zz\n}\n",
+     "line 4: EPPoint needs left~center~right: 'zz'"),
+    ("measure {\n}\n", "line 1: measure stanza needs exactly one of 'weights', 'bernoulli'"),
+    ("measure {\n  weights = 0\n}\n", "line 2: weights entries read 'point:p/q', got '0'"),
+    ("measure {\n  weights = 0:1 0:1\n}\n", "line 2: weight for point 0 given twice"),
+    ("measure {\n  weights = 0:x\n}\n", "line 2: not a rational: 'x'"),
+    ("measure {\n  weights = 0:0\n}\n", "line 2: measure must be nontrivial (total > 0)"),
+    ("measure {\n  bernoulli = 1/2 1/3\n}\n", "line 2: Bernoulli weights must sum to 1"),
+    (LATTICE + LATTICE, "line 5: a file may hold only one system stanza"),
+    (BERNOULLI + LATTICE + BERNOULLI, "line 8: a file may hold only one measure stanza"),
+    ("wibble {\n}\n", "line 1: unknown stanza kind 'wibble'"),
+]
+
+
+def test_every_fail_message_names_its_line():
+    source = inspect.getsource(sysfile)
+    assert len(FAIL_CASES) == source.count("_fail(") - 1    # less the definition
+    for text, message in FAIL_CASES:
+        assert error_line(text) == message
 
 
 def test_two_system_stanzas_rejected():
