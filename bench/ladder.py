@@ -87,6 +87,15 @@ and peak_kib, the tracemalloc peak of one more call, which shows
 whether the refusal holds the maps found so far (before BENCH_32) or
 none.
 
+The ``stable-point`` layer times verify_topologically_stable_point at
+the first point, eps = 1/4, against the full family at delta = 1/n, on
+fresh systems with their integer rows and cycles built and the family
+enumerated: Z12 and Z20 with a unit step, and Z12's relabeled twin. The
+counters are maps, the family's size, and orbits, the distinct orbits
+of the first point under those maps, which the ladder counts itself
+from the family's index permutations; a verifier that traces each orbit
+once traces orbits, not maps.
+
 One more layer is not a rung: ``import`` starts --repeats fresh
 interpreters on each tree, each timing its own ``import pointdyn.cli``.
 Its record (case ``pointdyn.cli``, size and c null) holds the median of
@@ -143,6 +152,7 @@ DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
 SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9", "cat13", "cat17"), (F(1, 2), F(1, 3))
 WINDOWED_BUDGET = 10 ** 8
 PERTURBATION_SIZES = (12, 20, 24)
+STABLE_POINT_EPS = F(1, 4)
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
                  for a, b in ((1, 5), (1, 7), (5, 7))
@@ -481,6 +491,45 @@ def measure_perturbations(label, repeats, case, make, delta, budget):
                    repeats, best, counters)]
 
 
+def stable_point_cases(systems):
+    """(case, make, delta): make builds a fresh system."""
+    def lattice(n):
+        return lambda: systems.build_lattice(n, step=1)
+
+    return [("Z12", lattice(12), F(1, 12)),
+            ("Z12 twin", lambda: seeded_twin(systems, lattice(12)()), F(1, 12)),
+            ("Z20", lattice(20), F(1, 20))]
+
+
+def orbits_through(perms, x):
+    """The number of distinct orbits of index x under the permutations perms."""
+    seen = set()
+    for p in perms:
+        orbit, u = [x], p[x]
+        while u != x:
+            orbit.append(u)
+            u = p[u]
+        seen.add(tuple(orbit))
+    return len(seen)
+
+
+def measure_stable_point(label, repeats, case, make, delta):
+    """The stable-point layer: verify_topologically_stable_point at the
+    first point against the family at delta, enumerated untimed."""
+    from pointdyn import stability
+
+    def setup():
+        system = warmed(make())
+        return system, stability.enumerate_perturbations(system, delta)
+
+    best, _, (system, fam) = best_of(repeats, setup, lambda made: (
+        stability.verify_topologically_stable_point(
+            made[0], made[0].kernel.pts[0], STABLE_POINT_EPS, delta, made[1])))
+    return [record(label, "stable-point", case, len(system.kernel.pts),
+                   f"{STABLE_POINT_EPS} {delta}", repeats, best,
+                   {"maps": len(fam), "orbits": orbits_through(fam.perms, 0)})]
+
+
 def measure_import(trees, repeats):
     """The import layer: the median import time of pointdyn.cli over
     repeats fresh interpreters per tree, the trees taking turns."""
@@ -507,6 +556,7 @@ def serve(label, repeats):
     gh = {case: (make, outcome) for case, make, outcome in gh_cases(systems, metric)}
     windowed = {case: rest for case, *rest in windowed_cases(systems, metric)}
     perturbations = {case: rest for case, *rest in perturbation_cases(systems)}
+    stable_points = {case: rest for case, *rest in stable_point_cases(systems)}
     for line in sys.stdin:
         request = json.loads(line)
         if request == "units":
@@ -516,9 +566,12 @@ def serve(label, repeats):
             answer += [["gh", case] for case in gh]
             answer += [["windowed", case] for case in windowed]
             answer += [["perturbations", case] for case in perturbations]
+            answer += [["stable-point", case] for case in stable_points]
         else:
             layer, case = request
-            if layer == "perturbations":
+            if layer == "stable-point":
+                answer = measure_stable_point(label, repeats, case, *stable_points[case])
+            elif layer == "perturbations":
                 answer = measure_perturbations(label, repeats, case, *perturbations[case])
             elif layer == "gh":
                 answer = measure_gh(label, repeats, case, *gh[case])

@@ -12,6 +12,7 @@ found pairs / exhausted searches into exact upper / lower bounds.
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
+from heapq import heappop, heappush
 from itertools import chain, islice, product
 from math import lcm
 from operator import sub
@@ -22,7 +23,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .rationals import (Frozen, ZERO, dyadic_below, format_rational, positive,
                         resolve_budget)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
-                      gatherer, materialize, members, orbit_closure,
+                      gatherer, materialize, orbit_closure,
                       pair_sup_separation, point_index, point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
@@ -57,15 +58,16 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
     constant); at that radius well-definedness needs separation only
     beyond 2*eta, which the schedule keeps below c. x is a point of f;
     on finite carriers g may label its points differently, and its index
-    i stands for f's point f.kernel.pts[i] (systems.check_carrier).
+    i stands for f's point f.kernel.pts[i] (systems.check_carrier). The
+    result reads g only through its orbit of x (_semiconjugacies).
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
     gap = c0_distance(f, g)
     if gap > delta:
         raise PreconditionError(
             f"c0 distance {format_rational(gap)} exceeds delta")
-    return _semiconjugacy(f, g.kernel.perm if g.finite else None, x, gap, eps,
-                          _tracing_radius(eps, expansivity_c, eta))
+    step = _semiconjugacies(f, x, eps, _tracing_radius(eps, expansivity_c, eta))
+    return step(g.kernel.perm if g.finite else None, gap)
 
 
 def _tracing_radius(eps, expansivity_c, eta):
@@ -74,58 +76,69 @@ def _tracing_radius(eps, expansivity_c, eta):
     return eps / 16 if eta is None else positive(eta, "eta")
 
 
-def _semiconjugacy(f, gperm, x, gap, eps, eta):
-    """build_conjugacy once the carrier is shared and gap = c0(f, g) is
-    admissible; gperm is g's index permutation on f's kernel indices
-    (None on infinite carriers), and only they read gap. Finite carriers
-    work on kernel indices throughout and label only the results."""
+def _semiconjugacies(f, x, eps, eta):
+    """The step (gperm, gap) -> build_conjugacy's result at x for a map g
+    on f's carrier at an admissible gap = c0(f, g), gperm being g's index
+    permutation (None on infinite carriers, which alone read gap). x's
+    index, the eta rows and the shadowing failure text are resolved once;
+    the step walks g's orbit through x and traces each orbit once, so
+    maps that share it share one result. Finite carriers work on kernel
+    indices throughout and label only the results."""
     if not f.finite:
-        if gap != 0:
-            raise UnsupportedBackendError(
-                "only the trivial perturbation is buildable on infinite carriers")
-        dom = orbit_closure(f, x)
-        dom_t = dom if isinstance(dom, tuple) else ()
-        return ConjugacyResult(True, None, dom_t,
-                               {u: u for u in dom_t} or None, ZERO, True, eta,
-                               "unperturbed map: h is the identity on the orbit closure")
+        def unperturbed(gperm, gap):
+            if gap != 0:
+                raise UnsupportedBackendError(
+                    "only the trivial perturbation is buildable on infinite carriers")
+            dom = orbit_closure(f, x)
+            dom_t = dom if isinstance(dom, tuple) else ()
+            return ConjugacyResult(True, None, dom_t,
+                                   {u: u for u in dom_t} or None, ZERO, True, eta,
+                                   "unperturbed map: h is the identity on the orbit closure")
+        return unperturbed
     fk = f.kernel
     pts, fperm = fk.pts, fk.perm
-    xi = point_index(f, x)
-    orb, u = [xi], gperm[xi]
-    while u != xi:
-        orb.append(u)
-        u = gperm[u]
-    dom = tuple(pts[u] for u in orb)
-    tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi)
-    if not tracers:
+    xi, near = point_index(f, x), fk.within(eta)
+    lost = f"no orbit of f stays within {format_rational(eta)} of the perturbed orbit"
+
+    @cache
+    def trace(orb):
+        dom = tuple(pts[u] for u in orb)
+        tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi, near=near)
+        if not tracers:
+            return ConjugacyResult(False, "shadowing", dom, None, None, None, eta, lost)
+        if path is None:
+            P, cyc = len(orb), fk.orbit(z)
+            sep = pair_sup_separation(f, pts[z], pts[cyc[P % len(cyc)]])
+            return ConjugacyResult(
+                False, "well-definedness", dom, None, None, None, eta,
+                f"tracer {point_label(pts[z])} does not close up over the orbit "
+                f"period {P}: the competing branch images separate by only "
+                f"{format_rational(sep)} (at most 2*eta), below any usable "
+                f"expansivity constant")
+        h = dict(zip(orb, path))
+        commutation = all(fperm[h[u]] == h[v] for u, v in zip(orb, orb[1:] + orb[:1]))
+        residual = Fraction(max(fk.rows[h[u]][u] for u in orb), fk.denominator)
+        mapping = {pts[u]: pts[v] for u, v in h.items()}
+        if not commutation:
+            return ConjugacyResult(
+                False, "commutation", dom, mapping, residual, False, eta,
+                "f o h differs from h o g")
+        if residual > eps:
+            return ConjugacyResult(
+                False, "residual", dom, mapping, residual, True, eta,
+                f"sup displacement {format_rational(residual)} exceeds eps")
         return ConjugacyResult(
-            False, "shadowing", dom, None, None, None, eta,
-            f"no orbit of f stays within {format_rational(eta)} of the "
-            f"perturbed orbit")
-    if path is None:
-        P, cyc = len(orb), fk.orbit(z)
-        sep = pair_sup_separation(f, pts[z], pts[cyc[P % len(cyc)]])
-        return ConjugacyResult(
-            False, "well-definedness", dom, None, None, None, eta,
-            f"tracer {point_label(pts[z])} does not close up over the orbit "
-            f"period {P}: the competing branch images separate by only "
-            f"{format_rational(sep)} (at most 2*eta), below any usable "
-            f"expansivity constant")
-    h = dict(zip(orb, path))
-    commutation = all(fperm[h[u]] == h[gperm[u]] for u in orb)
-    residual = Fraction(max(fk.rows[h[u]][u] for u in orb), fk.denominator)
-    mapping = {pts[u]: pts[v] for u, v in h.items()}
-    if not commutation:
-        return ConjugacyResult(
-            False, "commutation", dom, mapping, residual, False, eta,
-            "f o h differs from h o g")
-    if residual > eps:
-        return ConjugacyResult(
-            False, "residual", dom, mapping, residual, True, eta,
-            f"sup displacement {format_rational(residual)} exceeds eps")
-    return ConjugacyResult(
-        True, None, dom, mapping, residual, True, eta,
-        f"tracer {point_label(pts[z])}, {len(tracers)} candidates")
+            True, None, dom, mapping, residual, True, eta,
+            f"tracer {point_label(pts[z])}, {len(tracers)} candidates")
+
+    def step(gperm, gap):
+        orb, u = [xi], gperm[xi]
+        while u != xi:
+            orb.append(u)
+            u = gperm[u]
+        return trace(tuple(orb))
+
+    return step
 
 
 # -- perturbation enumeration ------------------------------------------------
@@ -190,12 +203,12 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     n = len(k.pts)
     rows = k.within(delta, closed=True)
     bits = [rows[v] for v in k.perm]
-    order = _shared_target_order(bits)
+    order, targets = _shared_target_order(bits)
     due, fut = [0] * n, [0] * (n + 1)
     for t in reversed(range(n)):
         due[t] = bits[order[t]] & ~fut[t + 1]
         fut[t] = fut[t + 1] | bits[order[t]]
-    allowed = [members(bits[u]) for u in order]
+    allowed = [targets[u] for u in order]
     # states[t][key] = (maps, nodes, live edges); every full map is one state
     states = [{} for _ in range(n)] + [{0: (1, 0, ())}]
     # per slot up to the t-th: used targets, untried images, the image
@@ -246,26 +259,56 @@ def _grow(states, blocks, start, stop) -> list:
     return blocks
 
 
-def _shared_target_order(bits) -> list:
-    """The indices of the target bitsets bits in search order.
+def _shared_target_order(bits) -> tuple:
+    """(the indices of the target bitsets bits in search order, the
+    targets of each index ascending).
 
     Each next index is the unplaced one whose targets overlap most with
     the targets already placed; ties go to the larger overlap with the
     last placed index's targets, then to the lower index, so the least
     index comes first. On a lattice this is the identity order; on a
     relabeled twin it follows the same chain of shared targets, so both
-    visit the same number of partial maps.
+    visit the same number of partial maps. The overlaps count[w] (-1
+    once w is placed) rise along the indices sharing each newly placed
+    target, and one heap per count holds the indices at that count, so
+    sparse rows take near-linear work.
     """
-    order, placed, last = [], 0, 0
-    rest = list(range(len(bits)))
-    while rest:
-        u = max(rest, key=lambda w: ((bits[w] & placed).bit_count(),
-                                     (bits[w] & last).bit_count(), -w))
-        rest.remove(u)
+    n = len(bits)
+    rows, sharing = [[] for _ in bits], [[] for _ in bits]
+    for w, b in enumerate(bits):
+        while b:
+            rows[w].append(t := (b & -b).bit_length() - 1)
+            sharing[t].append(w)
+            b &= b - 1
+    heaps = [list(range(n))] + [[] for _ in range(max(map(len, rows), default=0))]
+    count, top, fresh, order = [0] * n, 0, [True] * n, []
+    for _ in range(n):
+        while not (heap := heaps[top]) or count[heap[0]] != top:
+            if heap:
+                heappop(heap)
+            else:
+                top -= 1
+        u = heap[0]
+        if top:
+            last, most = bits[order[-1]], 0
+            for t in rows[order[-1]]:
+                for w in sharing[t]:
+                    if count[w] == top:
+                        k = (bits[w] & last).bit_count()
+                        if k > most or k == most and w < u:
+                            u, most = w, k
+        count[u] = -1
         order.append(u)
-        last = bits[u]
-        placed |= last
-    return order
+        for t in rows[u]:
+            if fresh[t]:
+                fresh[t] = False
+                for w in sharing[t]:
+                    if c := count[w] + 1:
+                        count[w] = c
+                        heappush(heaps[c], w)
+                        if c > top:
+                            top = c
+    return order, rows
 
 
 class PerturbationVerdict(NamedTuple):
@@ -295,22 +338,23 @@ def verify_topologically_stable_point(f, x, eps, delta, perturbations, *,
     delta (closed), while the pseudo-orbits that tracing follows are
     strict (steps below delta), as in enumerate_perturbations.
     Perturbations beyond the delta bound are recorded as skipped, not
-    failed; the verdict quantifies over the admissible ones only.
+    failed; the verdict quantifies over the admissible ones only. x is
+    resolved before the first map, so a point off the carrier is refused
+    even when no map is admissible. Each g-orbit of x is traced once:
+    entries whose maps share that orbit share one ConjugacyResult.
     """
     eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
-    eta = _tracing_radius(eps, expansivity_c, eta)
+    step = _semiconjugacies(f, x, eps, _tracing_radius(eps, expansivity_c, eta))
     entries, ok = [], True
     for name, gperm, gap, skip in _perturbation_maps(f, perturbations, delta):
         if skip:
             entries.append(PerturbationVerdict(
-                name, "skipped", None,
-                f"c0 distance {format_rational(gap)} exceeds delta"))
-            continue
-        res = _semiconjugacy(f, gperm, x, gap, eps, eta)
-        entries.append(PerturbationVerdict(
-            name, "ok" if res.success else "failed", res,
-            "" if res.success else res.failed_step))
-        ok = ok and res.success
+                name, "skipped", None, f"c0 distance {format_rational(gap)} exceeds delta"))
+        elif res := step(gperm, gap):
+            entries.append(PerturbationVerdict(name, "ok", res))
+        else:
+            ok = False
+            entries.append(PerturbationVerdict(name, "failed", res, res.failed_step))
     return StablePointReport(ok, x, eps, delta, tuple(entries))
 
 

@@ -20,7 +20,7 @@ from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
                               sorted_points, system_ball)
 
 from oracles import (distance_table, eager_pullbacks, map_order, pseudo_orbit_graph,
-                     walked_cycle)
+                     traced_separation, walked_cycle)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))
@@ -240,6 +240,50 @@ def test_separation_matches_oracle(system, data):
     for c in (base, base + F(1, 10 ** 6), top, top - F(1, 10 ** 6)):
         assert k.inseparable(c) == tuple(sum(1 << j for j, v in enumerate(row) if v <= c)
                                          for row in oracle)
+
+
+def separation_scans(system, c) -> tuple:
+    """(the separation view of a fresh kernel of system at c, the orbit
+    classes its pass tested)."""
+    k, scanned = systems.FiniteKernel(system), []
+    scan = k._tracing_classes
+
+    def counted(window, near):
+        scanned.append(tuple(window))
+        return scan(window, near)
+
+    k._tracing_classes = counted
+    return k._separation(c), scanned
+
+
+def assert_separation_is_traced(system, c, full):
+    view, scanned = separation_scans(system, c)
+    assert view == traced_separation(system.kernel, c)
+    # at and above the diameter every row is full, and no class is tested
+    assert (scanned == []) == full
+    if full:
+        assert set(view[0]) == {(1 << len(view[0])) - 1}
+
+
+@pytest.mark.parametrize("n", (9, 17))
+def test_separation_at_the_diameter_on_cat_tori(n):
+    cat = build_lattice(n, kind="torus", matrix=(2, 1, 1, 1))
+    k = cat.kernel
+    top = F(max(map(max, k.rows)), k.denominator)
+    for c in (top, F(10)):
+        assert_separation_is_traced(cat, c, True)
+    assert_separation_is_traced(cat, top - F(1, 10 ** 6), False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(finite_systems())
+def test_separation_at_the_diameter_matches_tracing(system):
+    k = system.kernel
+    top = F(max(map(max, k.rows)), k.denominator)
+    for c in (top, top + 1):
+        assert_separation_is_traced(system, c, True)
+    if top > 0:
+        assert_separation_is_traced(system, top - F(1, 10 ** 6), False)
 
 
 # denominators 7, 9 and 11: D = 693, so every scaled value exceeds 255 and

@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction as F
 from itertools import islice, permutations, product
 from math import gcd, lcm
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,9 +16,9 @@ from pointdyn.bundled import bundled_system
 from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
                              hausdorff_distance, is_delta_isometry)
 from pointdyn.rationals import format_rational
-from pointdyn.systems import (ExplicitSystem, build_lattice, c0_distance,
-                              conjugate_system, is_self_isometry, materialize,
-                              point_label)
+from pointdyn.systems import (ExplicitSystem, FiniteKernel, build_lattice,
+                              c0_distance, conjugate_system, is_self_isometry,
+                              materialize, members, point_label)
 from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
                                 enumerate_perturbations, find_exact_isomorphism,
                                 first_delta_isometry_pair, gh_distance_bounds,
@@ -27,7 +28,8 @@ from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
 from pointdyn.errors import (CarrierMismatchError, PreconditionError,
                              ResourceBudgetError)
 
-from oracles import distance_table, dfs_perturbations, enumerate_pseudo_orbits
+from oracles import (distance_table, dfs_perturbations, enumerate_pseudo_orbits,
+                     shared_target_order)
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -214,6 +216,44 @@ def test_enumerator_agrees_with_the_plain_search(system, data):
     # explicit carriers have dead ends: partial maps the forward check
     # passes that extend to no map, which nodes still counts
     assert_agrees_with_dfs(system, carrier_radius(data, system))
+
+
+@st.composite
+def target_rows(draw):
+    """n target bitsets over n targets: drawn freely, or the closed
+    delta rows of the images of a drawn carrier, as the enumerator reads
+    them."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 14))
+        return [draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
+    f = draw(st.one_of(small_carriers(), explicit_systems(2, 7)))
+    k = f.kernel
+    rows = k.within(draw(st.sampled_from(sorted({d for row in distance_table(f)
+                                                 for d in row if d > 0}))), closed=True)
+    return [rows[v] for v in k.perm]
+
+
+@settings(max_examples=200, deadline=None)
+@given(target_rows())
+def test_shared_target_order_matches_the_scan(bits):
+    order, targets = stability._shared_target_order(bits)
+    assert order == shared_target_order(bits)
+    assert targets == [members(b) for b in bits]
+
+
+def test_shared_target_order_on_lattices_and_twins():
+    # a lattice's order is the identity; a twin's follows the same chain
+    for n in (12, 20, 200):
+        rot = build_lattice(n, step=1)
+        relabel = dict(zip(rot.points(), Random(n).sample(rot.points(), n)))
+        for f in (rot, conjugate_system(rot, relabel, name="twin", transport_metric=True)):
+            k = f.kernel
+            rows = k.within(F(1, n), closed=True)
+            bits = [rows[v] for v in k.perm]
+            order, _ = stability._shared_target_order(bits)
+            assert order == shared_target_order(bits)
+            if f.name != "twin":
+                assert order == list(range(n))
 
 
 def rotation_and_twin(n, data):
@@ -463,6 +503,91 @@ def test_verify_skips_exactly_beyond_delta(f, data):
             assert entry.status in ("ok", "failed") and entry.conjugacy is not None
             assert entry.note == ("" if entry.status == "ok"
                                   else entry.conjugacy.failed_step)
+
+
+def test_stable_point_refuses_a_point_off_the_carrier_without_maps():
+    # the point is resolved before the first map, so an empty family, or
+    # one whose every map is skipped, cannot pass a point off the carrier
+    z12 = build_lattice(12, step=1)
+    assert c0_distance(z12, R12K3) == F(1, 6)
+    for maps in ([], [R12K3]):
+        with pytest.raises(PreconditionError, match="99 is not a carrier point"):
+            verify_topologically_stable_point(z12, 99, F(1, 4), F(1, 12), maps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(small_carriers(), explicit_systems(2, 7)), st.data())
+def test_stable_point_entries_are_single_map_conjugacies(f, data):
+    # each admissible entry is what build_conjugacy gives for its map
+    # alone, and the maps that share an orbit through x share one result
+    # the lesser of two drawn radii keeps most families short
+    fam = enumerate_perturbations(f, min(carrier_radius(data, f), carrier_radius(data, f)))
+    assume(len(fam) <= 720)
+    x = data.draw(st.sampled_from(f.points()))
+    eps, delta = carrier_radius(data, f), carrier_radius(data, f)
+    eta = data.draw(st.one_of(st.none(), st.sampled_from(EXPLICIT_PALETTE + (F(1, 100),))))
+    c = data.draw(st.one_of(st.none(), st.sampled_from(EXPLICIT_PALETTE)))
+    rep = verify_topologically_stable_point(f, x, eps, delta, fam, expansivity_c=c, eta=eta)
+    shared = {}
+    for g, entry in zip(fam.systems, rep.entries):
+        if entry.status == "skipped":
+            continue
+        assert entry.conjugacy == build_conjugacy(f, g, x, eps, delta,
+                                                  expansivity_c=c, eta=eta)
+        assert shared.setdefault(entry.conjugacy.domain, entry.conjugacy) is entry.conjugacy
+
+
+# distances from the explicit palette; under (3 2 1 0) at eta 1 the family
+# at 7/8 reaches every verdict a tracer can give
+VERDICTS4 = ExplicitSystem(FiniteMetricSpace(
+    [[0, F(3, 4), F(5, 8), F(7, 8)], [F(3, 4), 0, F(1, 2), 1],
+     [F(5, 8), F(1, 2), 0, F(5, 8)], [F(7, 8), 1, F(5, 8), 0]]), (3, 2, 1, 0), name="v4")
+
+
+def test_one_family_reaches_every_traced_verdict():
+    fam = enumerate_perturbations(VERDICTS4, F(7, 8))
+    rep = verify_topologically_stable_point(VERDICTS4, 0, F(1, 2), F(7, 8), fam, eta=1)
+    notes = [e.note or e.status for e in rep.entries]
+    assert len(notes) == 14 and not rep.result
+    assert set(notes) == {"ok", "shadowing", "well-definedness", "residual"}
+    for g, entry in zip(fam.systems, rep.entries):
+        assert entry.conjugacy == build_conjugacy(VERDICTS4, g, 0, F(1, 2), F(7, 8), eta=1)
+
+
+def test_a_tracer_path_off_the_f_orbit_fails_commutation(monkeypatch):
+    # a path laid along the tracer's cycle always commutes, so the
+    # commutation check is reached only by a tracer that misreports its path
+    k = R12K1.kernel
+    trace = k.trace_cycle
+
+    def reversed_path(*args, **kw):
+        found, z, path = trace(*args, **kw)
+        return found, z, path and path[::-1]
+
+    monkeypatch.setattr(k, "trace_cycle", reversed_path)
+    rep = verify_topologically_stable_point(R12K1, 0, F(1, 4), F(1, 12), [R12K1, R12K1])
+    first, second = rep.entries
+    assert (first.status, first.note) == ("failed", "commutation")
+    assert first.conjugacy is second.conjugacy
+    assert first.conjugacy.commutation_ok is False
+
+
+def test_stable_point_traces_each_orbit_through_x_once(monkeypatch):
+    # Z12 at 1/12 has 324 maps and 234 distinct orbits through 0
+    traced = []
+    scan = FiniteKernel._tracing_classes
+
+    def counted(self, window, near):
+        traced.append(tuple(window))
+        return scan(self, window, near)
+
+    z12 = build_lattice(12, step=1)
+    fam = enumerate_perturbations(z12, F(1, 12))
+    monkeypatch.setattr(FiniteKernel, "_tracing_classes", counted)
+    rep = verify_topologically_stable_point(z12, 0, F(1, 4), F(1, 12), fam)
+    assert len(rep.entries) == 324
+    assert len(traced) == len(set(traced)) == 234
+    assert len({id(e.conjugacy) for e in rep.entries}) == 234
 
 
 def test_search_delta_isometries():
