@@ -12,7 +12,6 @@ found pairs / exhausted searches into exact upper / lower bounds.
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
-from heapq import heappop, heappush
 from itertools import chain, islice, product
 from math import lcm
 from operator import sub
@@ -23,7 +22,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .rationals import (Frozen, ZERO, dyadic_below, format_rational, positive,
                         resolve_budget)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
-                      gatherer, materialize, orbit_closure,
+                      gatherer, materialize, members, orbit_closure,
                       pair_sup_separation, point_index, point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
@@ -80,10 +79,9 @@ def _semiconjugacies(f, x, eps, eta):
     """The step (gperm, gap) -> build_conjugacy's result at x for a map g
     on f's carrier at an admissible gap = c0(f, g), gperm being g's index
     permutation (None on infinite carriers, which alone read gap). x's
-    index, the eta rows and the shadowing failure text are resolved once;
-    the step walks g's orbit through x and traces each orbit once, so
-    maps that share it share one result. Finite carriers work on kernel
-    indices throughout and label only the results."""
+    index and the shadowing failure text are resolved once; the step
+    walks g's orbit through x and traces each orbit once, so maps that
+    share it share one result, on kernel indices, labeled at the end."""
     if not f.finite:
         def unperturbed(gperm, gap):
             if gap != 0:
@@ -97,13 +95,13 @@ def _semiconjugacies(f, x, eps, eta):
         return unperturbed
     fk = f.kernel
     pts, fperm = fk.pts, fk.perm
-    xi, near = point_index(f, x), fk.within(eta)
+    xi = point_index(f, x)
     lost = f"no orbit of f stays within {format_rational(eta)} of the perturbed orbit"
 
     @cache
     def trace(orb):
         dom = tuple(pts[u] for u in orb)
-        tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi, near=near)
+        tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi)
         if not tracers:
             return ConjugacyResult(False, "shadowing", dom, None, None, None, eta, lost)
         if path is None:
@@ -203,12 +201,12 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     n = len(k.pts)
     rows = k.within(delta, closed=True)
     bits = [rows[v] for v in k.perm]
-    order, targets = _shared_target_order(bits)
+    order = _shared_target_order(bits)
     due, fut = [0] * n, [0] * (n + 1)
     for t in reversed(range(n)):
         due[t] = bits[order[t]] & ~fut[t + 1]
         fut[t] = fut[t + 1] | bits[order[t]]
-    allowed = [targets[u] for u in order]
+    allowed = [members(bits[u]) for u in order]
     # states[t][key] = (maps, nodes, live edges); every full map is one state
     states = [{} for _ in range(n)] + [{0: (1, 0, ())}]
     # per slot up to the t-th: used targets, untried images, the image
@@ -259,56 +257,26 @@ def _grow(states, blocks, start, stop) -> list:
     return blocks
 
 
-def _shared_target_order(bits) -> tuple:
-    """(the indices of the target bitsets bits in search order, the
-    targets of each index ascending).
+def _shared_target_order(bits) -> list:
+    """The indices of the target bitsets bits in search order.
 
     Each next index is the unplaced one whose targets overlap most with
     the targets already placed; ties go to the larger overlap with the
     last placed index's targets, then to the lower index, so the least
     index comes first. On a lattice this is the identity order; on a
     relabeled twin it follows the same chain of shared targets, so both
-    visit the same number of partial maps. The overlaps count[w] (-1
-    once w is placed) rise along the indices sharing each newly placed
-    target, and one heap per count holds the indices at that count, so
-    sparse rows take near-linear work.
+    visit the same number of partial maps.
     """
-    n = len(bits)
-    rows, sharing = [[] for _ in bits], [[] for _ in bits]
-    for w, b in enumerate(bits):
-        while b:
-            rows[w].append(t := (b & -b).bit_length() - 1)
-            sharing[t].append(w)
-            b &= b - 1
-    heaps = [list(range(n))] + [[] for _ in range(max(map(len, rows), default=0))]
-    count, top, fresh, order = [0] * n, 0, [True] * n, []
-    for _ in range(n):
-        while not (heap := heaps[top]) or count[heap[0]] != top:
-            if heap:
-                heappop(heap)
-            else:
-                top -= 1
-        u = heap[0]
-        if top:
-            last, most = bits[order[-1]], 0
-            for t in rows[order[-1]]:
-                for w in sharing[t]:
-                    if count[w] == top:
-                        k = (bits[w] & last).bit_count()
-                        if k > most or k == most and w < u:
-                            u, most = w, k
-        count[u] = -1
+    order, placed, last = [], 0, 0
+    rest = list(range(len(bits)))
+    while rest:
+        u = max(rest, key=lambda w: ((bits[w] & placed).bit_count(),
+                                     (bits[w] & last).bit_count(), -w))
+        rest.remove(u)
         order.append(u)
-        for t in rows[u]:
-            if fresh[t]:
-                fresh[t] = False
-                for w in sharing[t]:
-                    if c := count[w] + 1:
-                        count[w] = c
-                        heappush(heaps[c], w)
-                        if c > top:
-                            top = c
-    return order, rows
+        last = bits[u]
+        placed |= last
+    return order
 
 
 class PerturbationVerdict(NamedTuple):

@@ -472,9 +472,8 @@ class FiniteKernel:
         bound = floor_scaled(c, self.denominator, True)
         if (view := self._views.get(("separation", bound))) is None:
             near, n = self.within(c, closed=True), len(self.perm)
-            full = (1 << n) - 1
-            scan = near.count(full) < n
-            rows, bits, pairs = [0 if scan else full] * n, 0, [None] * n
+            scan = near.count((1 << n) - 1) < n
+            rows, bits, pairs = [0] * n if scan else list(near), 0, [None] * n
             for cyc in self.cycles:
                 # the kept classes are disjoint at each phase: a sum is their OR
                 kept = self._tracing_classes(cyc, near) if scan else ()
@@ -589,7 +588,7 @@ class FiniteKernel:
             rows = self._views["steps", bound] = tuple(near[v] for v in self.perm)
         return rows
 
-    def trace_cycle(self, window, radius, closed=False, prefer=None, near=None) -> tuple:
+    def trace_cycle(self, window, radius, closed=False, prefer=None) -> tuple:
         """Trace the periodic index window w, P = len(w) > 0: the tracers are
         the z with d(f^n z, w[n % P]) < radius for every integer n
         (<= radius when closed). For z = C[j] on a cycle C of f, the f^n z
@@ -602,15 +601,13 @@ class FiniteKernel:
         tracer (pts ascend in point_key order on every finite backend);
         h[n] = f^n z for 0 <= n < P lays h along z's cycle orbit(z), and is
         None when f^P z != z, i.e. the cycle's length does not divide P and
-        the orbit does not close up. z and h are None without a tracer. A
-        caller that traces many windows passes near = within(radius, closed).
+        the orbit does not close up. z and h are None without a tracer.
         """
-        P, near, bits = len(window), near or self.within(radius, closed), 0
+        P, near, bits = len(window), self.within(radius, closed), 0
         for turned in self._tracing_classes(window, near):
             bits |= turned[0]
-        if not bits:
+        if not (found := bits and members(bits)):
             return [], None, None
-        found = members(bits)
         z = prefer if prefer in found else found[0]
         cyc = self.orbit(z)
         return found, z, None if P % len(cyc) else cyc * (P // len(cyc))

@@ -35,7 +35,7 @@ from pointdyn.rationals import as_rational, positive, resolve_budget
 from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
-from pointdyn.stability import DEFAULT_ENUMERATION_BUDGET
+from pointdyn.stability import DEFAULT_ENUMERATION_BUDGET, _shared_target_order
 from pointdyn.systems import (gatherer, iterate, members, orbit, point_label,
                               system_ball)
 
@@ -47,7 +47,7 @@ def dfs_perturbations(system, delta, budget=None):
     """(perms, nodes): the admissible perturbations of system, sorted, and
     the partial maps a plain depth-first search extends, the empty one
     included; ResourceBudgetError past budget maps. The search visits
-    every partial map in the order of shared_target_order, with the
+    every partial map in the order of _shared_target_order, with the
     forward check of due[t] (the targets that no slot after the t-th may
     take), and refuses at the first map past the budget."""
     delta = positive(delta, "perturbation radius")
@@ -56,7 +56,7 @@ def dfs_perturbations(system, delta, budget=None):
     n = len(k.pts)
     rows = k.within(delta, closed=True)
     bits = [rows[v] for v in k.perm]
-    order = shared_target_order(bits)
+    order = _shared_target_order(bits)
     due, later = [0] * n, 0
     for t in reversed(range(n)):
         due[t] = bits[order[t]] & ~later
@@ -87,23 +87,6 @@ def dfs_perturbations(system, delta, budget=None):
             t -= 1
     perms.sort()
     return tuple(perms), nodes
-
-
-def shared_target_order(bits) -> list:
-    """stability._shared_target_order by a scan of every unplaced index
-    per step: the one with the most targets among those already placed,
-    ties to the most among the last placed index's targets, then to the
-    lower index."""
-    order, placed, last = [], 0, 0
-    rest = list(range(len(bits)))
-    while rest:
-        u = max(rest, key=lambda w: ((bits[w] & placed).bit_count(),
-                                     (bits[w] & last).bit_count(), -w))
-        rest.remove(u)
-        order.append(u)
-        last = bits[u]
-        placed |= last
-    return order
 
 
 # -- distance tables ---------------------------------------------------------

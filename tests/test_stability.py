@@ -6,7 +6,6 @@ import tracemalloc
 from fractions import Fraction as F
 from itertools import islice, permutations, product
 from math import gcd, lcm
-from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +17,7 @@ from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
 from pointdyn.rationals import format_rational
 from pointdyn.systems import (ExplicitSystem, FiniteKernel, build_lattice,
                               c0_distance, conjugate_system, is_self_isometry,
-                              materialize, members, point_label)
+                              materialize, point_label)
 from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
                                 enumerate_perturbations, find_exact_isomorphism,
                                 first_delta_isometry_pair, gh_distance_bounds,
@@ -28,8 +27,7 @@ from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
 from pointdyn.errors import (CarrierMismatchError, PreconditionError,
                              ResourceBudgetError)
 
-from oracles import (distance_table, dfs_perturbations, enumerate_pseudo_orbits,
-                     shared_target_order)
+from oracles import distance_table, dfs_perturbations, enumerate_pseudo_orbits
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -216,44 +214,6 @@ def test_enumerator_agrees_with_the_plain_search(system, data):
     # explicit carriers have dead ends: partial maps the forward check
     # passes that extend to no map, which nodes still counts
     assert_agrees_with_dfs(system, carrier_radius(data, system))
-
-
-@st.composite
-def target_rows(draw):
-    """n target bitsets over n targets: drawn freely, or the closed
-    delta rows of the images of a drawn carrier, as the enumerator reads
-    them."""
-    if draw(st.booleans()):
-        n = draw(st.integers(0, 14))
-        return [draw(st.integers(0, (1 << n) - 1)) for _ in range(n)]
-    f = draw(st.one_of(small_carriers(), explicit_systems(2, 7)))
-    k = f.kernel
-    rows = k.within(draw(st.sampled_from(sorted({d for row in distance_table(f)
-                                                 for d in row if d > 0}))), closed=True)
-    return [rows[v] for v in k.perm]
-
-
-@settings(max_examples=200, deadline=None)
-@given(target_rows())
-def test_shared_target_order_matches_the_scan(bits):
-    order, targets = stability._shared_target_order(bits)
-    assert order == shared_target_order(bits)
-    assert targets == [members(b) for b in bits]
-
-
-def test_shared_target_order_on_lattices_and_twins():
-    # a lattice's order is the identity; a twin's follows the same chain
-    for n in (12, 20, 200):
-        rot = build_lattice(n, step=1)
-        relabel = dict(zip(rot.points(), Random(n).sample(rot.points(), n)))
-        for f in (rot, conjugate_system(rot, relabel, name="twin", transport_metric=True)):
-            k = f.kernel
-            rows = k.within(F(1, n), closed=True)
-            bits = [rows[v] for v in k.perm]
-            order, _ = stability._shared_target_order(bits)
-            assert order == shared_target_order(bits)
-            if f.name != "twin":
-                assert order == list(range(n))
 
 
 def rotation_and_twin(n, data):
