@@ -59,7 +59,14 @@ to Z24, steps 1, 5 and 7 where they are units) and on the bundled
 nearpair4 against cat5. Each call gets fresh systems with their integer
 rows and cycles built; size is the point count of the first system, c
 is null, and the counters are the outcome: found, and for bounds also
-complete, lower and upper.
+complete, lower and upper. Three more cases add peak_kib, the
+tracemalloc peak of one more call, which shows what the search keeps per
+suspended slot: bounds cat5-z25k7, the stability-pipeline gh-budget job
+(cat5 against Z25 under the rotation by 7, budget 5 * 10**4 nodes), a
+dense search that reads its distance rows many times; and exact Z1100
+self and exact Z1100 other-step (the circle of 1 100 points under the
+unit rotation, against itself and against the rotation by 3), sparse
+searches with one candidate per slot.
 
 The ``windowed`` layer times shadowable_windowed on fresh systems with
 their integer rows and cycles built: on the circle Z6 with a unit step
@@ -153,6 +160,8 @@ SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9", "cat13", "cat17"), (F(1, 2), F(1, 3
 WINDOWED_BUDGET = 10 ** 8
 PERTURBATION_SIZES = (12, 20, 24)
 STABLE_POINT_EPS = F(1, 4)
+# the node budget of the stability-pipeline gh-budget job
+GH_BUDGET = 5 * 10 ** 4
 # the rotation pairs (n, step, step) of the stability-pipeline GH jobs
 GH_PAIRS = tuple((n, a, b) for n in (16, 18, 20, 24)
                  for a, b in ((1, 5), (1, 7), (5, 7))
@@ -373,10 +382,12 @@ def gh_cases(systems, metric):
     def exact(X, Y):
         return {"found": stability.find_exact_isomorphism(X, Y) is not None}
 
-    def bounds(X, Y):
-        b = stability.gh_distance_bounds(X, Y)
-        return {"found": b.witness is not None, "complete": b.complete,
-                "lower": str(b.lower), "upper": str(b.upper)}
+    def bounds(budget=None):
+        def outcome(X, Y):
+            b = stability.gh_distance_bounds(X, Y, budget)
+            return {"found": b.witness is not None, "complete": b.complete,
+                    "lower": str(b.lower), "upper": str(b.upper)}
+        return outcome
 
     def twin(make):
         def pair():
@@ -393,23 +404,36 @@ def gh_cases(systems, metric):
             other = (lambda n=int(case[1:]): systems.build_lattice(n, step=5))
         else:
             continue
-        out += [(f"exact {case} twin", twin(make), exact),
+        out += [(f"exact {case} twin", twin(make), exact, False),
                 (f"exact {case} other-step", lambda make=make, other=other: (make(), other()),
-                 exact)]
+                 exact, False)]
     for n, a, b in GH_PAIRS:
         out.append((f"bounds z{n}k{a}-z{n}k{b}",
                     lambda n=n, a=a, b=b: (systems.build_lattice(n, step=a),
-                                           systems.build_lattice(n, step=b)), bounds))
+                                           systems.build_lattice(n, step=b)), bounds(), False))
     out.append(("bounds nearpair4-cat5",
                 lambda: (bundled.bundled_system("nearpair4"), bundled.bundled_system("cat5")),
-                bounds))
+                bounds(), False))
+    out.append(("bounds cat5-z25k7",
+                lambda: (bundled.bundled_system("cat5"), systems.build_lattice(25, step=7)),
+                bounds(GH_BUDGET), True))
+    for case, step in (("self", 1), ("other-step", 3)):
+        out.append((f"exact Z1100 {case}",
+                    lambda step=step: (systems.build_lattice(1100, step=1),
+                                       systems.build_lattice(1100, step=step)), exact, True))
     return out
 
 
-def measure_gh(label, repeats, case, make, outcome):
-    """The gh layer: one Gromov-Hausdorff search on a fresh pair."""
-    best, result, (X, _) = best_of(repeats, lambda: tuple(map(warmed, make())),
-                                   lambda pair: outcome(*pair))
+def measure_gh(label, repeats, case, make, outcome, peak):
+    """The gh layer: one Gromov-Hausdorff search on a fresh pair, and when
+    peak is set the tracemalloc peak of one more call."""
+    def setup():
+        return tuple(map(warmed, make()))
+
+    best, result, (X, _) = best_of(repeats, setup, lambda pair: outcome(*pair))
+    if peak:
+        again = setup()
+        result["peak_kib"] = traced_peak_kib(lambda: outcome(*again))
     return [record(label, "gh", case, len(X.kernel.pts), None, repeats, best, result)]
 
 
@@ -553,7 +577,7 @@ def serve(label, repeats):
     units in order, and a unit with its records."""
     from pointdyn import metric, shadowing, systems
     cases = {case: (make, c) for case, make, c in rungs(systems, metric)}
-    gh = {case: (make, outcome) for case, make, outcome in gh_cases(systems, metric)}
+    gh = {case: rest for case, *rest in gh_cases(systems, metric)}
     windowed = {case: rest for case, *rest in windowed_cases(systems, metric)}
     perturbations = {case: rest for case, *rest in perturbation_cases(systems)}
     stable_points = {case: rest for case, *rest in stable_point_cases(systems)}

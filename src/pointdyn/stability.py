@@ -22,7 +22,7 @@ from .errors import (PreconditionError, ResourceBudgetError,
 from .rationals import (Frozen, ZERO, dyadic_below, format_rational, positive,
                         resolve_budget)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
-                      gatherer, materialize, members, orbit_closure,
+                      gatherer, least, materialize, members, orbit_closure,
                       pair_sup_separation, point_index, point_label)
 
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
@@ -387,10 +387,26 @@ def _clause_values(m, fk, gk):
     return Fraction(dist, S), Fraction(density, S), Fraction(comm, S)
 
 
+class _Rows(dict):
+    """rows[s]: the bitset of v with |dw[v] - s| <= bound, built at first
+    use. For dw the integer row of a point w, rows[0] is the ball of
+    radius bound around w."""
+    __slots__ = ("dw", "bound")
+
+    def __init__(self, dw, bound):
+        self.dw, self.bound = dw, bound
+
+    def __missing__(self, s):
+        lo, hi = s - self.bound, s + self.bound
+        self[s] = r = sum(1 << v for v, d in enumerate(self.dw) if lo <= d <= hi)
+        return r
+
+
 def _map_search(fk, gk, delta, closed, budget, limit=None):
-    """(maps found, whether the search ran to the end): branch and bound
-    over the maps from fk's system to gk's with all clauses below delta
-    (at most delta when closed), stopped at limit maps or past budget nodes.
+    """(maps found, complete): branch and bound over the maps from fk's
+    system to gk's with all clauses below delta (at most delta when
+    closed). complete is False when the search stopped past budget nodes,
+    True when it ran to the end or stopped at limit maps.
 
     Assignments follow the f-cycles, each point after its preimage, so
     the commutation clause prunes each new image to a ball around
@@ -398,8 +414,14 @@ def _map_search(fk, gk, delta, closed, budget, limit=None):
     already placed. Both partial quantities are monotone under
     extension, so pruning is admissible. Every image index tried at a
     slot is a node, admitted or not. At a leaf the image is dense when
-    the delta rows of its points cover Y, its Hausdorff distance to Y
-    being within delta; those O(m^2) rows are built at the first leaf.
+    the delta balls around its points cover Y.
+
+    A slot's candidates are the set bits of one mask, ascending: the ball
+    around g(image of the preimage), or for a fixed point the v with
+    d(g(v), v) within delta, cut by the row rows[w][s] of each placed
+    image w at distance s until at most one candidate is left, which is
+    then tested against the remaining points directly. Balls and rows
+    are built once per search, as they are first read.
 
     The node checks compare integers on the rows scaled(S) of both
     kernels, S = lcm of their denominators, as _clause_values does: a
@@ -411,33 +433,37 @@ def _map_search(fk, gk, delta, closed, budget, limit=None):
     stab, dtab = fk.scaled(scale), gk.scaled(scale)
     bound = floor_scaled(delta, scale, closed)
     order = [i for cyc in fk.cycles for i in cyc]
+    full, rows = (1 << m) - 1, [_Rows(dw, bound) for dw in dtab]
+    fixed = sum(1 << v for v in range(m) if dtab[gperm[v]][v] <= bound)
 
     def candidates(t):
         """The images of the t-th point in order, ascending, that keep
         every clause within delta against the points placed before it."""
         x = order[t]
         fx, px, sx = fperm[x], finv[x], stab[x]
-        placed = [(image[y], sx[y]) for y in order[:t]]
-        for v in range(m):
-            if fx == x:
-                if dtab[gperm[v]][v] > bound:
-                    continue
-            else:
-                if image[px] is not None and dtab[gperm[image[px]]][v] > bound:
-                    continue
-                if image[fx] is not None and dtab[gperm[v]][image[fx]] > bound:
-                    continue
-            dv = dtab[v]
-            for w, s in placed:
-                if abs(dv[w] - s) > bound:
+        mask = fixed if fx == x else full if (w := image[px]) is None else rows[gperm[w]][0]
+        to, placed = image[fx], islice(order, t)
+        if mask & (mask - 1):
+            for y in placed:
+                mask &= rows[image[y]][sx[y]]
+                if not mask & (mask - 1):
                     break
-            else:
+        if mask:
+            dv = dtab[least(mask)]
+            for y in placed:
+                if abs(dv[image[y]] - sx[y]) > bound:
+                    mask = 0
+                    break
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            v = low.bit_length() - 1
+            if to is None or dtab[gperm[v]][to] <= bound:
                 yield v
 
     # per point in order up to the t-th: its candidates, the last one tried
     found, image, slots, tried = [], [None] * n, [None] * n, [-1] * n
-    nodes, near, full = 0, None, (1 << m) - 1
-    t, slots[0] = 0, candidates(0)
+    nodes, t, slots[0] = 0, 0, candidates(0)
     while t >= 0:
         x = order[t]
         for v in slots[t]:
@@ -449,11 +475,9 @@ def _map_search(fk, gk, delta, closed, budget, limit=None):
                 t += 1
                 slots[t], tried[t] = candidates(t), -1
                 break
-            if near is None:
-                near = gk.within(delta, closed)
             cover = 0
             for w in image:
-                cover |= near[w]
+                cover |= rows[w][0]
             if cover == full:
                 found.append(tuple(image))
                 if limit is not None and len(found) >= limit:

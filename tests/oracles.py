@@ -21,7 +21,9 @@ sets are cut from phi sets and balls point by point, apart from the
 measure layer's scan of kernel rows. Measures are transported point by
 point, and shift balls are sampled by single-symbol edits. Perturbations
 are listed by a plain depth-first search that visits every partial map,
-apart from the library's count over memoized frontier states.
+apart from the library's count over memoized frontier states. The
+delta-map search tests each candidate image against every placed point,
+apart from the library's masks of commutation and distortion rows.
 """
 
 from fractions import Fraction
@@ -36,8 +38,8 @@ from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
 from pointdyn.stability import DEFAULT_ENUMERATION_BUDGET, _shared_target_order
-from pointdyn.systems import (gatherer, iterate, members, orbit, point_label,
-                              system_ball)
+from pointdyn.systems import (floor_scaled, gatherer, iterate, members, orbit,
+                              point_label, system_ball)
 
 
 # -- perturbation enumeration ------------------------------------------------
@@ -87,6 +89,79 @@ def dfs_perturbations(system, delta, budget=None):
             t -= 1
     perms.sort()
     return tuple(perms), nodes
+
+
+# -- the delta-map search, point by point -----------------------------------
+
+
+def scan_map_search(fk, gk, delta, closed, budget, limit=None):
+    """(maps found, whether the search ran to the end, nodes): the
+    library's _map_search with each slot's candidates scanned one image
+    at a time, every clause compared against each placed point, apart
+    from its candidate masks cut by commutation and distortion rows. The
+    traversal, the positional node count and the budget cut are the
+    library's, so both searches stop at the same node; nodes is the count
+    where this one stopped, past budget when it was cut."""
+    fperm, finv, gperm = fk.perm, fk.inv, gk.perm
+    n, m = len(fk.pts), len(gk.pts)
+    scale = lcm(fk.denominator, gk.denominator)
+    stab, dtab = fk.scaled(scale), gk.scaled(scale)
+    bound = floor_scaled(delta, scale, closed)
+    order = [i for cyc in fk.cycles for i in cyc]
+
+    def candidates(t):
+        """The images of the t-th point in order, ascending, that keep
+        every clause within delta against the points placed before it."""
+        x = order[t]
+        fx, px, sx = fperm[x], finv[x], stab[x]
+        placed = [(image[y], sx[y]) for y in order[:t]]
+        for v in range(m):
+            if fx == x:
+                if dtab[gperm[v]][v] > bound:
+                    continue
+            else:
+                if image[px] is not None and dtab[gperm[image[px]]][v] > bound:
+                    continue
+                if image[fx] is not None and dtab[gperm[v]][image[fx]] > bound:
+                    continue
+            dv = dtab[v]
+            for w, s in placed:
+                if abs(dv[w] - s) > bound:
+                    break
+            else:
+                yield v
+
+    # per point in order up to the t-th: its candidates, the last one tried
+    found, image, slots, tried = [], [None] * n, [None] * n, [-1] * n
+    nodes, near, full = 0, None, (1 << m) - 1
+    t, slots[0] = 0, candidates(0)
+    while t >= 0:
+        x = order[t]
+        for v in slots[t]:
+            nodes += v - tried[t]
+            if nodes > budget:
+                return found, False, nodes
+            tried[t] = image[x] = v
+            if t + 1 < n:
+                t += 1
+                slots[t], tried[t] = candidates(t), -1
+                break
+            if near is None:
+                near = gk.within(delta, closed)
+            cover = 0
+            for w in image:
+                cover |= near[w]
+            if cover == full:
+                found.append(tuple(image))
+                if limit is not None and len(found) >= limit:
+                    return found, True, nodes
+        else:
+            nodes += m - 1 - tried[t]
+            if nodes > budget:
+                return found, False, nodes
+            image[x] = None
+            t -= 1
+    return found, True, nodes
 
 
 # -- distance tables ---------------------------------------------------------

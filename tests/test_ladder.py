@@ -56,6 +56,13 @@ def test_every_layer_measures_small_rungs():
     gh = {case: rest for case, *rest in ladder.gh_cases(systems, metric)}
     well_formed(ladder.measure_gh("t", 1, "exact cat7 twin", *gh["exact cat7 twin"]),
                 "gh", "exact cat7 twin")
+    make, outcome, _ = gh["exact cat7 twin"]
+    records = ladder.measure_gh("t", 1, "exact cat7 twin", make, outcome, True)
+    well_formed(records, "gh", "exact cat7 twin")
+    assert set(records[0]["counters"]) == {"found", "peak_kib"}
+    # the large rungs record their peaks too; they are not measured here
+    assert all(gh[case][2] for case in ("bounds cat5-z25k7", "exact Z1100 self",
+                                        "exact Z1100 other-step"))
     windowed = {case: rest for case, *rest in ladder.windowed_cases(systems, metric)}
     for case in ("Z6 N=3", "cycles43 N=2"):
         records = ladder.measure_windowed("t", 1, case, *windowed[case])

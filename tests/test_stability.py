@@ -6,6 +6,7 @@ import tracemalloc
 from fractions import Fraction as F
 from itertools import islice, permutations, product
 from math import gcd, lcm
+from random import Random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -18,7 +19,7 @@ from pointdyn.rationals import format_rational
 from pointdyn.systems import (ExplicitSystem, FiniteKernel, build_lattice,
                               c0_distance, conjugate_system, is_self_isometry,
                               materialize, point_label)
-from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
+from pointdyn.stability import (GH_GRID_STEP, _clause_values, _map_search, build_conjugacy,
                                 enumerate_perturbations, find_exact_isomorphism,
                                 first_delta_isometry_pair, gh_distance_bounds,
                                 gh_stable_point_check, search_delta_isometries,
@@ -27,7 +28,8 @@ from pointdyn.stability import (GH_GRID_STEP, _clause_values, build_conjugacy,
 from pointdyn.errors import (CarrierMismatchError, PreconditionError,
                              ResourceBudgetError)
 
-from oracles import distance_table, dfs_perturbations, enumerate_pseudo_orbits
+from oracles import (distance_table, dfs_perturbations, enumerate_pseudo_orbits,
+                     scan_map_search)
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -625,6 +627,68 @@ def test_identity_pair_for_close_rotations():
     assert ok
 
 
+
+# -- the delta-map search against the point-by-point scan ---------------------
+
+
+def budgets_through(nodes, most):
+    """Every budget from 0 to nodes + 1, or most budgets spread evenly
+    over that range together with its last three when it is longer."""
+    if nodes + 2 <= most:
+        return range(nodes + 2)
+    return sorted({*range(0, nodes + 2, -(-(nodes + 2) // most)), nodes - 1, nodes, nodes + 1})
+
+
+def assert_search_matches_scan(fk, gk, delta, closed, budget, limit, work):
+    """_map_search and the scan agree at budget and at the budgets from 0
+    to the node count where the scan stops under budget, plus one: every
+    one of them, or when nodes * nodes exceeds work about work // nodes
+    of them (16 at least), so that both searches visit about work nodes."""
+    nodes = scan_map_search(fk, gk, delta, closed, budget, limit)[2]
+    for b in {budget, *budgets_through(nodes, max(16, work // (nodes + 2)))}:
+        assert _map_search(fk, gk, delta, closed, b, limit) == \
+            scan_map_search(fk, gk, delta, closed, b, limit)[:2], b
+
+
+@settings(max_examples=60, deadline=None)
+@given(explicit_systems(1, 6), explicit_systems(1, 6), st.data())
+def test_map_search_matches_the_scan_at_every_budget(X, Y, data):
+    # the same maps in the same order, and the same cut at each budget,
+    # pins the positional node count; above about 300 nodes the budgets
+    # are spread over the range, since a drawn pair can have 6^6 maps
+    values = sorted({d for s in (X, Y) for row in distance_table(s) for d in row})
+    delta = data.draw(st.sampled_from(values + [v + F(1, 1000) for v in values]))
+    closed, limit = data.draw(st.booleans()), data.draw(st.sampled_from((None, 1)))
+    assert_search_matches_scan(X.kernel, Y.kernel, delta, closed, sys.maxsize, limit, 10 ** 5)
+
+
+def test_map_search_matches_the_scan_on_benchmark_pairs(monkeypatch):
+    # every search gh_distance_bounds makes on the Z16 to Z24 rotation
+    # pairs and on cat5 against Z25 step 7 at budget 5 * 10**4, and the
+    # exact search on a Z36 twin, each at its own budget
+    calls, search = [], stability._map_search
+
+    def recorded(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(stability, "_map_search", recorded)
+    for n in (16, 18, 20, 24):
+        for a, b in ((1, 5), (1, 7), (5, 7)):
+            if gcd(a, n) == gcd(b, n) == 1:
+                gh_distance_bounds(build_lattice(n, step=a), build_lattice(n, step=b))
+    cat5, z25 = bundled_system("cat5"), build_lattice(25, step=7)
+    assert not gh_distance_bounds(cat5, z25, budget=5 * 10 ** 4).complete
+    z36 = build_lattice(36, step=1)
+    twin = conjugate_system(z36, dict(zip(z36.points(), Random(36).sample(z36.points(), 36))),
+                            transport_metric=True)
+    assert find_exact_isomorphism(z36, twin) is not None
+    assert len(calls) == 38 and calls[-1][2:] == (0, True, sys.maxsize, 1)
+    for fk, gk, delta, closed, budget, limit in calls[:-1]:
+        assert_search_matches_scan(fk, gk, delta, closed, budget, limit, 0)
+    assert_search_matches_scan(*calls[-1], 10 ** 6)
+
+
 # -- clause values against the metric module ----------------------------------
 
 
@@ -729,6 +793,22 @@ def test_searches_place_a_carrier_past_the_recursion_limit():
     assert find_exact_isomorphism(z, z) == {p: p for p in z.kernel.pts}
     fam = enumerate_perturbations(z, F(1, 2 * n))
     assert fam.perms == (tuple(z.kernel.perm),) and fam.nodes == n
+
+
+def test_map_search_keeps_no_placed_list_per_slot():
+    # each suspended slot once kept its own list of (image, distance)
+    # pairs for the points placed before it: O(n^2) tuples, a 38 MB peak
+    # on two 1 100-point circles; a slot now keeps one candidate mask
+    X, Y = build_lattice(1100, step=1), build_lattice(1100, step=1)
+    for k in (X.kernel, Y.kernel):
+        k.scaled(k.denominator), k.cycles
+    tracemalloc.start()
+    try:
+        assert gh_distance_bounds(X, Y) == (0, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("delta", (F(0), F(-1), -1))
