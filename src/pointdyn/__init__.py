@@ -8,65 +8,58 @@ sequences, and satellite extensions of marked periodic orbits.
 
 __version__ = "0.1.0"
 
-from .rationals import Rational, parse_rational, format_rational, dyadic_below
+from .rationals import parse_rational, format_rational, dyadic_below
 from .errors import (PointdynError, MalformedInputError, PreconditionError,
                      ResourceBudgetError, CarrierMismatchError,
                      UnsupportedBackendError)
-from .metric import (FiniteMetricSpace, MetricViolation, validate_metric,
-                     ball, hausdorff_distance, distortion, is_delta_isometry)
+from .metric import FiniteMetricSpace, MetricViolation, validate_metric
 from .shiftspace import EPPoint, pure, parse_ep, format_ep, shift_metric
 from .systems import (build_explicit, build_lattice, build_shift,
                       build_satellite, ExplicitSystem, Satellite, orbit,
-                      orbit_closure, iterate, pair_sup_separation,
-                      c0_distance, system_ball, materialize,
-                      conjugate_system, is_self_isometry, point_label)
+                      orbit_closure, pair_sup_separation, c0_distance,
+                      system_ball, materialize, conjugate_system, point_label)
 from .expansivity import (expansive_point_at, uniformly_expansive_at,
                           minimally_expansive_at, classify_points,
-                          separation_horizon, sequence_expansivity_criterion)
+                          separation_horizon)
 from .shadowing import (count_pseudo_orbits, trace, shadowable_windowed,
                         shadowable_exact, shadowable_exact_points,
-                        shadowable_exact_neighborhood, splice_trace_shift,
-                        mu_shadowable_at)
+                        splice_trace_shift, mu_shadowable_at)
 from .measures import (WeightedMeasure, mu_uniformly_expansive_at,
                        mu_expansive_points, expansive_measure_check,
                        build_tracking_map, tracking_within_ball,
                        tracking_commutes,
-                       verify_strong_mu_topological_stability,
-                       measure_sequence_criterion)
+                       verify_strong_mu_topological_stability)
 from .stability import (build_conjugacy, enumerate_perturbations,
                         PerturbationFamily, verify_topologically_stable_point,
-                        search_delta_isometries, first_delta_isometry_pair,
-                        find_exact_isomorphism, gh_distance_bounds, GHBounds,
-                        gh_stable_point_check, transport_under_conjugacy,
+                        first_delta_isometry_pair, find_exact_isomorphism,
+                        gh_distance_bounds, GHBounds, gh_stable_point_check,
                         transported_constant)
 from .bundled import (bundled_names, bundled_system, bundled_measure,
                       mixed_sample, sampled_space)
 
 __all__ = [
-    "Rational", "parse_rational", "format_rational", "dyadic_below",
+    "parse_rational", "format_rational", "dyadic_below",
     "PointdynError", "MalformedInputError", "PreconditionError",
     "ResourceBudgetError", "CarrierMismatchError", "UnsupportedBackendError",
-    "FiniteMetricSpace", "MetricViolation", "validate_metric", "ball",
-    "hausdorff_distance", "distortion", "is_delta_isometry",
+    "FiniteMetricSpace", "MetricViolation", "validate_metric",
     "EPPoint", "pure", "parse_ep", "format_ep", "shift_metric",
     "build_explicit", "build_lattice", "build_shift", "build_satellite",
-    "ExplicitSystem", "Satellite", "orbit", "orbit_closure", "iterate",
+    "ExplicitSystem", "Satellite", "orbit", "orbit_closure",
     "pair_sup_separation", "c0_distance", "system_ball", "materialize",
-    "conjugate_system", "is_self_isometry", "point_label",
+    "conjugate_system", "point_label",
     "expansive_point_at", "uniformly_expansive_at", "minimally_expansive_at",
-    "classify_points", "separation_horizon", "sequence_expansivity_criterion",
+    "classify_points", "separation_horizon",
     "count_pseudo_orbits", "trace", "shadowable_windowed", "shadowable_exact",
-    "shadowable_exact_points", "shadowable_exact_neighborhood",
-    "splice_trace_shift", "mu_shadowable_at",
+    "shadowable_exact_points", "splice_trace_shift", "mu_shadowable_at",
     "WeightedMeasure", "mu_uniformly_expansive_at", "mu_expansive_points",
     "expansive_measure_check", "build_tracking_map",
     "tracking_within_ball", "tracking_commutes",
-    "verify_strong_mu_topological_stability", "measure_sequence_criterion",
+    "verify_strong_mu_topological_stability",
     "build_conjugacy", "enumerate_perturbations", "PerturbationFamily",
-    "verify_topologically_stable_point", "search_delta_isometries",
+    "verify_topologically_stable_point",
     "first_delta_isometry_pair", "find_exact_isomorphism",
     "gh_distance_bounds", "GHBounds", "gh_stable_point_check",
-    "transport_under_conjugacy", "transported_constant",
+    "transported_constant",
     "bundled_names", "bundled_system", "bundled_measure",
     "mixed_sample", "sampled_space",
 ]

@@ -26,10 +26,6 @@ class UnsupportedBackendError(PointdynError):
     """Operation not defined for this backend (message says which)."""
 
 
-class UnsupportedSequenceError(PreconditionError):
-    """Approximant sequence is not eventually equal to the limit map."""
-
-
 class ResourceBudgetError(PointdynError):
     """Enumeration or search exceeded its budget (exit code 3)."""
 

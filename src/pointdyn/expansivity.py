@@ -22,12 +22,12 @@ sequences separate to exactly 1.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import PreconditionError, UnsupportedSequenceError
+from .errors import PreconditionError
 from .rationals import ONE, as_rational, positive
 from .shiftspace import ShiftBall, pure, with_symbol
-from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, c0_distance,
-                      least, orbit, pair_sup_separation, point_index,
-                      point_label, sorted_points, system_ball)
+from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure, least, orbit,
+                      pair_sup_separation, point_index, point_label, sorted_points,
+                      system_ball)
 
 
 class ExpansivityVerdict(NamedTuple):
@@ -294,46 +294,3 @@ def _region_contains(region, y) -> bool:
     if isinstance(region, (frozenset, set, tuple, list)):
         return y in region
     return region.contains(y)
-
-
-def sequence_expansivity_criterion(system, approximants, x, delta,
-                                   variant: str) -> ExpansivityVerdict:
-    """Separation-set criterion for uniform/minimal expansivity under a
-    convergent sequence of maps.
-
-    The approximants must be eventually equal to the limit map (exact
-    carriers make uniform convergence below the minimum spacing an
-    equality), so the eventual separation sets reduce to those of the
-    limit map, and the criterion at scale delta coincides with the
-    direct classifier at constant delta. The verdict surfaces the
-    scaled constant delta/3 that the converse direction transports.
-    """
-    delta = positive(delta, "delta")
-    if variant not in ("uniform", "minimal"):
-        raise PreconditionError(f"unsupported variant {variant!r}")
-    tail_start = eventual_agreement_index(system, approximants)
-    check = _VARIANTS[variant]
-    inner = check(system, x, delta)
-    detail = (f"tail agrees with limit map from index {tail_start}; "
-              f"converse direction transports constant {delta / 3}")
-    return ExpansivityVerdict(x, delta, f"sequence_{variant}", inner.result,
-                              inner.counterexample, detail)
-
-
-def eventual_agreement_index(system, approximants):
-    """First index from which every approximant equals the limit map."""
-    approximants = list(approximants)
-    if not approximants:
-        raise UnsupportedSequenceError("empty approximant sequence")
-    try:
-        agree = [c0_distance(system, g) == 0 for g in approximants]
-    except PreconditionError as exc:
-        raise UnsupportedSequenceError(
-            f"cannot compare approximants to the limit map: {exc}") from exc
-    if not agree[-1]:
-        raise UnsupportedSequenceError(
-            "approximants must eventually equal the limit map")
-    idx = len(agree)
-    while idx > 0 and agree[idx - 1]:
-        idx -= 1
-    return idx

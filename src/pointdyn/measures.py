@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .errors import (CarrierMismatchError, MalformedInputError, PointdynError,
                      PreconditionError, UnsupportedBackendError)
-from .expansivity import ExpansivityVerdict, eventual_agreement_index
+from .expansivity import ExpansivityVerdict
 from .rationals import ONE, ZERO, as_rational, format_rational, positive
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
@@ -176,7 +176,7 @@ def mu_uniformly_expansive_at(system, mu, x, c) -> ExpansivityVerdict:
     c = positive(c, "expansivity constant")
     check_measure_backend(system, mu)
     if system.finite:
-        found = _massive_companions(system, mu, x, c, c)
+        found = _massive_companions(system, mu, x, c)
         if found is None:
             return ExpansivityVerdict(x, c, "mu_uniform", True)
         z, mass = found
@@ -192,13 +192,13 @@ def mu_uniformly_expansive_at(system, mu, x, c) -> ExpansivityVerdict:
         detail="the gamma set of the centre is a cylinder of positive measure")
 
 
-def _massive_companions(system, mu, x, radius, c):
-    """(z, mass) for the first z of the open ball B(x, radius) on a finite
+def _massive_companions(system, mu, x, c):
+    """(z, mass) for the first z of the open ball B(x, c) on a finite
     carrier whose companions in the ball, the y with sup-separation from z
     at most c, carry mass under mu; None when all of them are mu-null.
-    One scan of the kernel rows within(radius)[x] and inseparable(c)."""
+    One scan of the kernel rows within(c)[x] and inseparable(c)."""
     k = system.kernel
-    ball, rows = k.within(radius)[point_index(system, x)], k.inseparable(c)
+    ball, rows = k.within(c)[point_index(system, x)], k.inseparable(c)
     for z in members(ball):
         mass = measure_of(mu, [k.pts[y] for y in members(rows[z] & ball)])
         if mass != 0:
@@ -466,38 +466,3 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
         if f.finite else "identity-rule images vary continuously"))
 
     return StabilityReport(all(c.result for c in clauses), tuple(clauses), eta, H)
-
-
-# -- sequence criterion ------------------------------------------------------
-
-
-def measure_sequence_criterion(f, approximants, mu, x, delta) -> ExpansivityVerdict:
-    """Do inseparable ball companions stay mu-null along the approximant tail?
-
-    The approximants must eventually equal the limit map, so the
-    eventual-separation sets reduce to sup-separation under f: for each
-    z in B(x, delta) the set {y in B(x, delta) : sup_n d(f^n y, f^n z)
-    <= delta/3} must be mu-null. A passing verdict is cross-checked
-    against mu-uniform expansivity at delta/9.
-    """
-    delta = positive(delta, "delta")
-    check_measure_backend(f, mu)
-    tail = eventual_agreement_index(f, approximants)
-    third = delta / 3
-    if f.finite:
-        found = _massive_companions(f, mu, x, delta, third)
-        witness = None if found is None else found[0]
-        result = witness is None
-    else:
-        result = third < 1  # otherwise the failure set is a positive cylinder
-        witness = None if result else x
-    detail = f"approximants agree with the limit map from index {tail}"
-    if result:
-        if not mu_uniformly_expansive_at(f, mu, x, delta / 9):
-            raise PointdynError(
-                "a null separation-failure layer must transport to "
-                "mu-uniform expansivity at a ninth of the scale")
-        detail += f"; cross-checked at {format_rational(delta / 9)}"
-    return ExpansivityVerdict(x, delta, "measure_sequence", result,
-                              counterexample=(witness,) if witness is not None else None,
-                              detail=detail)

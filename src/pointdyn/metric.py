@@ -3,9 +3,8 @@
 A FiniteMetricSpace is a full symmetric distance table on points
 0..n-1 together with its integer rows. All axioms are decidable by
 exact comparison, so validate_metric returns witnesses instead of
-tolerances. Set-level operations (balls, Hausdorff distance) take index
-iterables and return exact values; on finite spaces inf and sup are
-min and max.
+tolerances. Balls, Hausdorff distances and delta-isometries are read
+off the kernels' integer rows (systems, stability).
 """
 
 from fractions import Fraction
@@ -14,7 +13,6 @@ from itertools import combinations
 from math import lcm
 from typing import NamedTuple
 
-from .errors import PreconditionError
 from .rationals import ZERO, as_rational, format_rational
 
 
@@ -118,71 +116,3 @@ def validate_metric(space: FiniteMetricSpace):
                     "triangle", (b, a, c),
                     f"d({b},{c}) > d({b},{a}) + d({a},{c})"))
     return out
-
-
-def _indices(space: FiniteMetricSpace, points) -> tuple:
-    """points as a tuple, each in range(space.n): the table reads -1 as n - 1."""
-    points = tuple(points)
-    for i in points:
-        if i not in range(space.n):
-            raise PreconditionError(f"{i!r} is not a point of the space (n = {space.n})")
-    return points
-
-
-def ball(space: FiniteMetricSpace, x: int, radius, closed: bool = False):
-    """Indices within radius of x; strict by default, closed on request."""
-    _indices(space, (x,))
-    r = as_rational(radius)
-    if closed:
-        return frozenset(y for y in space.points() if space.table[x][y] <= r)
-    return frozenset(y for y in space.points() if space.table[x][y] < r)
-
-
-def hausdorff_distance(space: FiniteMetricSpace, a, b) -> Fraction:
-    a, b = _indices(space, a), _indices(space, b)
-    if not a or not b:
-        raise PreconditionError("hausdorff_distance needs nonempty sets")
-    d_ab = max(min(space.table[i][j] for j in b) for i in a)
-    d_ba = max(min(space.table[i][j] for i in a) for j in b)
-    return max(d_ab, d_ba)
-
-
-def _as_total_map(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace):
-    m = mapping if isinstance(mapping, dict) else dict(enumerate(mapping))
-    missing = [i for i in range(src.n) if i not in m]
-    if missing:
-        raise PreconditionError(f"map not total on source carrier, missing {missing[:4]}")
-    _indices(dst, m.values())
-    return m
-
-
-def distortion(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace) -> Fraction:
-    """sup over pairs of |d_dst(f(a), f(b)) - d_src(a, b)|, exact."""
-    m = _as_total_map(mapping, src, dst)
-    worst = ZERO
-    for a in range(src.n):
-        for b in range(a + 1, src.n):
-            gap = abs(dst.table[m[a]][m[b]] - src.table[a][b])
-            if gap > worst:
-                worst = gap
-    return worst
-
-
-def is_delta_isometry(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace, delta):
-    """Check max(image Hausdorff gap, distortion) < delta, strictly.
-
-    Returns (verdict, detail). The detail names the violated clause
-    with its exact value when the verdict is False, and carries both
-    values when True.
-    """
-    d = as_rational(delta)
-    m = _as_total_map(mapping, src, dst)
-    dist = distortion(m, src, dst)
-    image = sorted(set(m.values()))
-    density = hausdorff_distance(dst, image, tuple(range(dst.n)))
-    if dist >= d:
-        return False, f"distortion {format_rational(dist)} >= delta"
-    if density >= d:
-        return False, f"image not delta-dense: hausdorff {format_rational(density)} >= delta"
-    return True, (f"distortion {format_rational(dist)}, "
-                  f"image hausdorff {format_rational(density)}")

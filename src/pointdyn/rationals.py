@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .errors import MalformedInputError, PreconditionError
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -68,10 +66,9 @@ def resolve_budget(budget, default) -> int:
     return budget
 
 
-def dyadic_below(q: Fraction) -> Fraction:
-    """Largest power of two 1/2^k strictly below q (q > 0)."""
-    if q <= 0:
-        raise ValueError("need a positive bound")
+def dyadic_below(q) -> Fraction:
+    """Largest power of two 1/2^k strictly below q; q as in positive."""
+    q = positive(q, "dyadic bound")
     step = ONE
     while step >= q:
         step /= 2

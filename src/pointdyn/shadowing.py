@@ -277,14 +277,6 @@ def shadowable_exact(system, x, eps, delta) -> bool:
     return shadowable_exact_points(system, (x,), eps, delta)[x]
 
 
-def shadowable_exact_neighborhood(system, x, eps, delta) -> bool:
-    """Every pseudo-orbit through the open delta-ball around x traceable."""
-    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
-    _exact_kernel(system)
-    ball = sorted_points(system_ball(system, x, delta))
-    return all(shadowable_exact_points(system, ball, eps, delta).values())
-
-
 # -- shift backend: constructive splice tracer ----------------------------
 
 

@@ -12,7 +12,7 @@ found pairs / exhausted searches into exact upper / lower bounds.
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, islice, product
+from itertools import chain, islice
 from math import lcm
 from operator import sub
 from typing import NamedTuple
@@ -28,7 +28,6 @@ from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
 DEFAULT_ENUMERATION_BUDGET = 10 ** 6
 DEFAULT_SEARCH_BUDGET = 500_000
 GH_GRID_STEP = Fraction(1, 128)
-MAX_REPORTED_PAIRS = 10_000
 
 
 # -- semiconjugacy builder --------------------------------------------------
@@ -402,11 +401,12 @@ class _Rows(dict):
         return r
 
 
-def _map_search(fk, gk, delta, closed, budget, limit=None):
-    """(maps found, complete): branch and bound over the maps from fk's
-    system to gk's with all clauses below delta (at most delta when
-    closed). complete is False when the search stopped past budget nodes,
-    True when it ran to the end or stopped at limit maps.
+def _map_search(fk, gk, delta, closed, budget):
+    """(first map or None, complete): branch and bound over the maps from
+    fk's system to gk's with all clauses below delta (at most delta when
+    closed), which returns its first map. complete is False when the
+    search stopped past budget nodes, True when it found a map or ran to
+    the end without one.
 
     Assignments follow the f-cycles, each point after its preimage, so
     the commutation clause prunes each new image to a ball around
@@ -462,14 +462,14 @@ def _map_search(fk, gk, delta, closed, budget, limit=None):
                 yield v
 
     # per point in order up to the t-th: its candidates, the last one tried
-    found, image, slots, tried = [], [None] * n, [None] * n, [-1] * n
+    image, slots, tried = [None] * n, [None] * n, [-1] * n
     nodes, t, slots[0] = 0, 0, candidates(0)
     while t >= 0:
         x = order[t]
         for v in slots[t]:
             nodes += v - tried[t]
             if nodes > budget:
-                return found, False
+                return None, False
             tried[t] = image[x] = v
             if t + 1 < n:
                 t += 1
@@ -479,54 +479,20 @@ def _map_search(fk, gk, delta, closed, budget, limit=None):
             for w in image:
                 cover |= rows[w][0]
             if cover == full:
-                found.append(tuple(image))
-                if limit is not None and len(found) >= limit:
-                    return found, True
+                return tuple(image), True
         else:
             nodes += m - 1 - tried[t]
             if nodes > budget:
-                return found, False
+                return None, False
             image[x] = None
             t -= 1
-    return found, True
-
-
-class IsometrySearch(Frozen):
-    __slots__ = _fields = ("pairs", "complete", "delta")
-
-    def __init__(self, pairs: tuple, complete: bool, delta: Fraction):
-        self._set(pairs, complete, delta)
-
-    def __len__(self):
-        return len(self.pairs)
+    return None, True
 
 
 def _make_pair(i_map, j_map, delta, fk, gk) -> IsometryPair:
     i_d, i_h, i_c = _clause_values(i_map, fk, gk)
     j_d, j_h, j_c = _clause_values(j_map, gk, fk)
-    return IsometryPair(tuple(i_map), tuple(j_map), delta,
-                        i_d, i_h, i_c, j_d, j_h, j_c)
-
-
-def search_delta_isometries(X, Y, delta, budget=None) -> IsometrySearch:
-    """Every delta-isometry pair (i: X->Y, j: Y->X), budget permitting.
-
-    The four clauses split between the two maps, so both directions are
-    searched independently and the results crossed. A capped search or
-    pair list is flagged incomplete.
-    """
-    delta = positive(delta, "delta")
-    budget = resolve_budget(budget, DEFAULT_SEARCH_BUDGET)
-    fk, gk = X.kernel, Y.kernel
-    i_maps, i_done = _map_search(fk, gk, delta, False, budget)
-    j_maps, j_done = _map_search(gk, fk, delta, False, budget)
-    complete = i_done and j_done and len(i_maps) * len(j_maps) <= MAX_REPORTED_PAIRS
-    # clause values once per map, not once per crossed pair
-    ci = cache(lambda m: _clause_values(m, fk, gk))
-    cj = cache(lambda m: _clause_values(m, gk, fk))
-    pairs = tuple(IsometryPair(im, jm, delta, *ci(im), *cj(jm)) for im, jm in
-                  islice(product(i_maps, j_maps), MAX_REPORTED_PAIRS))
-    return IsometrySearch(pairs, complete, delta)
+    return IsometryPair(i_map, j_map, delta, i_d, i_h, i_c, j_d, j_h, j_c)
 
 
 def first_delta_isometry_pair(X, Y, delta, budget=None):
@@ -539,13 +505,13 @@ def first_delta_isometry_pair(X, Y, delta, budget=None):
         pair = _make_pair(ident, ident, delta, fk, gk)
         if pair.score < delta:
             return pair, True
-    i_maps, i_done = _map_search(fk, gk, delta, False, budget, 1)
-    if not i_maps:
+    i_map, i_done = _map_search(fk, gk, delta, False, budget)
+    if i_map is None:
         return None, i_done
-    j_maps, j_done = _map_search(gk, fk, delta, False, budget, 1)
-    if not j_maps:
+    j_map, j_done = _map_search(gk, fk, delta, False, budget)
+    if j_map is None:
         return None, j_done
-    return _make_pair(i_maps[0], j_maps[0], delta, fk, gk), True
+    return _make_pair(i_map, j_map, delta, fk, gk), True
 
 
 # -- exact isomorphism and GH0 bounds ---------------------------------------
@@ -565,10 +531,10 @@ def find_exact_isomorphism(X, Y):
     if len(fk.pts) != len(gk.pts):
         return None
     # unbudgeted: no search reaches sys.maxsize nodes
-    maps, _ = _map_search(fk, gk, ZERO, True, sys.maxsize, 1)
-    if not maps:
+    found, _ = _map_search(fk, gk, ZERO, True, sys.maxsize)
+    if found is None:
         return None
-    return dict(zip(fk.pts, map(gk.pts.__getitem__, maps[0])))
+    return dict(zip(fk.pts, map(gk.pts.__getitem__, found)))
 
 
 class GHBounds(Frozen):
@@ -741,12 +707,6 @@ def _gh_trace(fk, gk, j_map, y, eta, eps):
 
 
 # -- conjugation transport ----------------------------------------------------
-
-
-def transport_under_conjugacy(h, point_set) -> frozenset:
-    """Image of a classified point set under the carrier bijection h."""
-    move = h if callable(h) else h.__getitem__
-    return frozenset(move(p) for p in point_set)
 
 
 def transported_constant(system, h, c) -> Fraction:

@@ -215,6 +215,8 @@ class TorusSystem(MetricSystem):
     backend = "lattice"
 
     def __init__(self, n: int, matrix, name=None):
+        if n < 1:
+            raise MalformedInputError("torus lattice needs n >= 1")
         a, b, c, d = (int(v) for v in matrix)
         det = (a * d - b * c) % n
         if gcd(det, n) != 1:
@@ -791,15 +793,6 @@ def orbit_closure(system, x):
     return ShiftOrbitClosure(x, ob.left_cycle, ob.right_cycle)
 
 
-def iterate(system, x, n: int):
-    """f^n(x); a point off the carrier raises, as in orbit."""
-    point_index(system, x) if system.finite else system.check_point(x)
-    step = system.image if n >= 0 else system.preimage
-    for _ in range(abs(n)):
-        x = step(x)
-    return x
-
-
 # -- separation along pair orbits ----------------------------------------
 
 
@@ -939,22 +932,13 @@ def _is_bijection(relabel: dict, pts) -> bool:
         return False
 
 
-def is_self_isometry(system, relabel: dict) -> bool:
-    """Is relabel a bijection of the finite carrier that keeps every distance?"""
-    if not (system.finite and _is_bijection(relabel, system.kernel.pts)):
-        return False
-    pts = list(relabel)
-    return all(system.dist(relabel[a], relabel[b]) == system.dist(a, b)
-               for i, a in enumerate(pts) for b in pts[i + 1:])
-
-
 def conjugate_system(system, relabel: dict, name=None,
                      transport_metric: bool = False) -> ExplicitSystem:
     """System h o f o h^{-1} where h is the carrier bijection `relabel`.
 
     With transport_metric=False the result lives on the original metric
     space (indices in original point order, metric untouched): h is a
-    conjugacy, and an isometric one exactly when is_self_isometry(h).
+    conjugacy, and an isometric one exactly when h keeps every distance.
     With transport_metric=True the metric is pushed through h as well,
     so the result is always isometrically conjugate to the input.
     """

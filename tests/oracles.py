@@ -24,6 +24,9 @@ are listed by a plain depth-first search that visits every partial map,
 apart from the library's count over memoized frontier states. The
 delta-map search tests each candidate image against every placed point,
 apart from the library's masks of commutation and distortion rows.
+Balls, Hausdorff distances, distortion and the delta-isometry check read
+a space's Fraction table, apart from the kernels' integer rows that the
+library's balls and _clause_values read.
 """
 
 from fractions import Fraction
@@ -33,12 +36,13 @@ from typing import NamedTuple
 from pointdyn.errors import (PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 from pointdyn.measures import WeightedMeasure, phi_set
-from pointdyn.rationals import as_rational, positive, resolve_budget
+from pointdyn.metric import FiniteMetricSpace
+from pointdyn.rationals import ZERO, as_rational, format_rational, positive, resolve_budget
 from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
 from pointdyn.stability import DEFAULT_ENUMERATION_BUDGET, _shared_target_order
-from pointdyn.systems import (floor_scaled, gatherer, iterate, members, orbit,
+from pointdyn.systems import (floor_scaled, gatherer, members, orbit, point_index,
                               point_label, system_ball)
 
 
@@ -243,6 +247,104 @@ def half_steps(kernel, delta, forward: bool):
         return kernel.steps(delta)
     near, perm, rng = kernel.within(delta), kernel.perm, range(len(kernel.perm))
     return [[w for w in rng if near[u] >> perm[w] & 1] for u in rng]
+
+
+# -- Fraction tables: balls, Hausdorff distance, delta-isometries ----------
+
+
+def _indices(space: FiniteMetricSpace, points) -> tuple:
+    """points as a tuple, each in range(space.n): the table reads -1 as n - 1."""
+    points = tuple(points)
+    for i in points:
+        if i not in range(space.n):
+            raise PreconditionError(f"{i!r} is not a point of the space (n = {space.n})")
+    return points
+
+
+def ball(space: FiniteMetricSpace, x: int, radius, closed: bool = False):
+    """Indices within radius of x; strict by default, closed on request."""
+    _indices(space, (x,))
+    r = as_rational(radius)
+    if closed:
+        return frozenset(y for y in space.points() if space.table[x][y] <= r)
+    return frozenset(y for y in space.points() if space.table[x][y] < r)
+
+
+def hausdorff_distance(space: FiniteMetricSpace, a, b) -> Fraction:
+    a, b = _indices(space, a), _indices(space, b)
+    if not a or not b:
+        raise PreconditionError("hausdorff_distance needs nonempty sets")
+    d_ab = max(min(space.table[i][j] for j in b) for i in a)
+    d_ba = max(min(space.table[i][j] for i in a) for j in b)
+    return max(d_ab, d_ba)
+
+
+def _as_total_map(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace):
+    m = mapping if isinstance(mapping, dict) else dict(enumerate(mapping))
+    missing = [i for i in range(src.n) if i not in m]
+    if missing:
+        raise PreconditionError(f"map not total on source carrier, missing {missing[:4]}")
+    _indices(dst, m.values())
+    return m
+
+
+def distortion(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace) -> Fraction:
+    """sup over pairs of |d_dst(f(a), f(b)) - d_src(a, b)|, exact."""
+    m = _as_total_map(mapping, src, dst)
+    worst = ZERO
+    for a in range(src.n):
+        for b in range(a + 1, src.n):
+            gap = abs(dst.table[m[a]][m[b]] - src.table[a][b])
+            if gap > worst:
+                worst = gap
+    return worst
+
+
+def is_delta_isometry(mapping, src: FiniteMetricSpace, dst: FiniteMetricSpace, delta):
+    """Check max(image Hausdorff gap, distortion) < delta, strictly.
+
+    Returns (verdict, detail). The detail names the violated clause
+    with its exact value when the verdict is False, and carries both
+    values when True.
+    """
+    d = as_rational(delta)
+    m = _as_total_map(mapping, src, dst)
+    dist = distortion(m, src, dst)
+    image = sorted(set(m.values()))
+    density = hausdorff_distance(dst, image, tuple(range(dst.n)))
+    if dist >= d:
+        return False, f"distortion {format_rational(dist)} >= delta"
+    if density >= d:
+        return False, f"image not delta-dense: hausdorff {format_rational(density)} >= delta"
+    return True, (f"distortion {format_rational(dist)}, "
+                  f"image hausdorff {format_rational(density)}")
+
+
+# -- orbits and relabelings, point by point ----------------------------------
+
+
+def iterate(system, x, n: int):
+    """f^n(x); a point off the carrier raises, as in orbit."""
+    point_index(system, x) if system.finite else system.check_point(x)
+    step = system.image if n >= 0 else system.preimage
+    for _ in range(abs(n)):
+        x = step(x)
+    return x
+
+
+def is_self_isometry(system, relabel: dict) -> bool:
+    """Is relabel a bijection of the finite carrier that keeps every distance?
+    A dict's keys are distinct, so equal key and value sets make a bijection."""
+    if not system.finite:
+        return False
+    try:
+        if not set(relabel) == set(relabel.values()) == set(system.kernel.pts):
+            return False
+    except TypeError:               # an unhashable value is no carrier point
+        return False
+    pts = list(relabel)
+    return all(system.dist(relabel[a], relabel[b]) == system.dist(a, b)
+               for i, a in enumerate(pts) for b in pts[i + 1:])
 
 
 # -- pseudo-orbits, window by window ---------------------------------------

@@ -29,10 +29,9 @@ from pointdyn.shiftspace import parse_ep, shift_metric
 from pointdyn.stability import (build_conjugacy, c0_distance,
                                 enumerate_perturbations, gh_distance_bounds,
                                 verify_topologically_stable_point)
-from pointdyn.systems import (build_explicit, conjugate_system,
-                              is_self_isometry, materialize)
+from pointdyn.systems import build_explicit, conjugate_system, materialize
 
-from oracles import pullback
+from oracles import is_self_isometry, pullback
 
 
 def _finish(num, label, t0, budget):

@@ -322,6 +322,16 @@ def test_bad_input_exits_without_traceback(tmp_path, argv, codes):
             assert message.format(stanza) in proc.stderr
 
 
+@pytest.mark.parametrize("n", (0, -3))
+def test_torus_lattice_needs_a_positive_n(tmp_path, capsys, n):
+    # n = 0 once ended in a ZeroDivisionError, and n = -3 built an empty
+    # carrier whose validation sample fell back to the shift probes, a TypeError
+    path = tmp_path / "torus.pdl"
+    path.write_text(f"lattice {{\n  n = {n}\n  map = mat 2 1 1 1\n}}\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: torus lattice needs n >= 1\n"
+
+
 def test_ghdist_reads_carriers_past_the_recursion_limit(tmp_path):
     # the map searches once recursed once per carrier point: ghdist on two
     # 1 100-point stanza files ended in a RecursionError traceback (exit 1)

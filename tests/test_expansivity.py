@@ -16,9 +16,8 @@ from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.expansivity import (ExpansivityVerdict, expansive_point_at,
                                   uniformly_expansive_at, is_expansive_on,
                                   minimally_expansive_at, classify_points,
-                                  separation_horizon, eventual_agreement_index,
-                                  sequence_expansivity_criterion, point_verdicts)
-from pointdyn.errors import PreconditionError, UnsupportedSequenceError
+                                  separation_horizon, point_verdicts)
+from pointdyn.errors import PreconditionError
 
 from oracles import separation_set
 
@@ -133,30 +132,6 @@ def test_separation_horizon_preconditions():
         with pytest.raises(PreconditionError) as err:
             separation_horizon(*args)
         assert str(err.value) == message
-
-
-def test_sequence_criterion():
-    v = sequence_expansivity_criterion(R12K3, [R12K3], 0, F(1, 6), "minimal")
-    assert v.result
-    v2 = sequence_expansivity_criterion(R12K3, [R12K3], 0, F(1, 2), "uniform")
-    assert not v2.result
-    with pytest.raises(PreconditionError, match="unsupported variant 'expansive'"):
-        sequence_expansivity_criterion(R12K3, [R12K3], 0, F(1, 6), "expansive")
-
-
-def test_eventual_agreement_index():
-    r12k5 = build_lattice(12, step=5)
-    assert eventual_agreement_index(R12K3, [r12k5, R12K3, R12K3]) == 1
-    cases = [
-        ([], "empty approximant sequence"),
-        ([build_lattice(6, step=1)],
-         "cannot compare approximants to the limit map: "),
-        ([R12K3, r12k5], "approximants must eventually equal the limit map"),
-    ]
-    for approximants, message in cases:
-        with pytest.raises(UnsupportedSequenceError) as err:
-            eventual_agreement_index(R12K3, approximants)
-        assert str(err.value).startswith(message)
 
 
 # sha256 of every point verdict (result, counterexample, detail) of the

@@ -1,13 +1,15 @@
 """Every name a pointdyn module imports is used in that module, no
 module imports a sibling's _private name, every public name is exported
-or read by the library, no module writes a float, only the CLI's main
-assembles a report, and importing the CLI stays cheap.
+or read by the library, every export is read by the library or the
+benchmarks or kept for a paper notion, no module writes a float, only the
+CLI's main assembles a report, and importing the CLI stays cheap.
 
 A dead import hides which layer a module really depends on, and it
 outlives the code that needed it. A public name that neither the package
 exports nor any module reads is code only the tests reach: it belongs in
-tests/oracles.py. The package __init__ is exempt: its
-imports are the re-exported public API. Every verdict is exact, so a
+tests/oracles.py, and so does an export that no module, bench/ or
+perfbench/ reads, unless PAPER_API names the notion it decides. The
+package __init__ is exempt: its imports are the re-exported public API. Every verdict is exact, so a
 float literal or a float() call in the library is a bug wherever it is.
 A `pdl` process pays for its imports on every run, so the records are
 NamedTuples or plain classes that generate no code when defined, and
@@ -99,16 +101,17 @@ def public_names(tree) -> list:
     return [name for name in names if not name.startswith("_")]
 
 
-def read_names(trees: dict) -> set:
-    """Names the modules read: bare names, and module.name for a sibling
-    module (cli reads sysfile.load_file)."""
+def read_names(trees: dict, modules=None) -> set:
+    """Names the trees read: bare names, and module.name for a pointdyn
+    module, by default one of trees (cli reads sysfile.load_file)."""
+    modules = trees if modules is None else modules
     read = set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                  and node.value.id in trees):
+                  and node.value.id in modules):
                 read.add(node.attr)
     return read
 
@@ -133,6 +136,45 @@ def test_the_check_sees_test_only_names():
                             "def load(): return used(), a.LIMIT, json.dumps(0)\n"
                             "def dumps(): pass\n")}
     assert unreached_names(trees, ["Exported", "load"]) == [("a", "spare"), ("b", "dumps")]
+
+
+# exports that no module, bench/ or perfbench/ reads, each kept for the
+# paper notion it decides
+PAPER_API = {
+    "mu_shadowable_at": "Theorem (ii)'s gate, and the mu-shadowable points of the abstract",
+    "splice_trace_shift": "the shift's only shadowing route: shadowable_exact refuses "
+                          "infinite carriers",
+    "separation_horizon": "Theorem (i)'s horizon lemma",
+    "expansive_measure_check": "the Phi-set notion of a mu-expansive measure, "
+                               "cross-checked against the pointwise one",
+    "transported_constant": "the constant a conjugacy transports; no other route "
+                            "computes it",
+}
+ROOT = PACKAGE.parents[1]
+CALLERS = [*MODULES, *sorted(ROOT.glob("bench/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]
+
+
+def unread_exports(trees: dict, exported, kept, modules) -> list:
+    """The exported names that no tree reads (read_names over the pointdyn
+    modules) and that kept does not name."""
+    read = read_names(trees, modules)
+    return sorted(name for name in exported if name not in read and name not in kept)
+
+
+def test_every_export_is_read_or_kept_for_the_paper():
+    trees = {str(p.relative_to(ROOT)): ast.parse(p.read_text()) for p in CALLERS}
+    modules = {p.stem for p in MODULES}
+    assert unread_exports(trees, pointdyn.__all__, PAPER_API, modules) == []
+    assert set(PAPER_API) <= set(pointdyn.__all__)
+
+
+def test_the_check_sees_exports_nothing_reads():
+    trees = {"a": ast.parse("def used(): pass\ndef spare(): pass\ndef kept(): pass\n"),
+             "b": ast.parse("from . import a\ndef f(): return used(), a.helper\n"),
+             "bench/x": ast.parse("import json\nfrom pointdyn import a\n"
+                                  "a.benched(json.other)\n")}
+    exported = ["used", "spare", "kept", "helper", "benched", "other"]
+    assert unread_exports(trees, exported, {"kept": "why"}, {"a", "b"}) == ["other", "spare"]
 
 
 def float_uses(source: str) -> list:
@@ -217,7 +259,7 @@ RECORDS = (
     shadowing.WindowedShadowReport, shadowing.MuShadowReport, shiftspace.ShiftBall,
     stability.ConjugacyResult, stability.PerturbationFamily,
     stability.PerturbationVerdict, stability.StablePointReport, stability.IsometryPair,
-    stability.IsometrySearch, stability.GHBounds, stability.CandidateVerdict,
+    stability.GHBounds, stability.CandidateVerdict,
     stability.GHStableReport, sysfile.SystemFile, systems.Satellite,
     systems.OrbitResult, systems.ShiftOrbitClosure, systems.SatelliteBall,
 )

@@ -15,12 +15,11 @@ from pointdyn import metric, shadowing as SH, systems
 from pointdyn.errors import UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
-                              build_shift, conjugate_system, iterate,
-                              materialize, members, pair_sup_separation,
-                              sorted_points, system_ball)
+                              build_shift, conjugate_system, materialize, members,
+                              pair_sup_separation, sorted_points, system_ball)
 
-from oracles import (distance_table, eager_pullbacks, map_order, pseudo_orbit_graph,
-                     traced_separation, walked_cycle)
+from oracles import (distance_table, eager_pullbacks, iterate, map_order,
+                     pseudo_orbit_graph, traced_separation, walked_cycle)
 
 PALETTE = (F(1), F(5, 4), F(4, 3), F(3, 2), F(7, 4), F(2))
 RADII = (F(1, 8), F(1, 4), F(1, 3), F(1, 2), F(1), F(5, 4), F(3, 2), F(2), F(3))

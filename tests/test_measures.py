@@ -149,16 +149,6 @@ def test_strong_stability_clauses():
     assert rep_shift.result is True
 
 
-def test_measure_sequence_criterion():
-    mv = M.measure_sequence_criterion(SHIFT2, [SHIFT2], BERN, P01, F(1, 2))
-    assert mv.result is True
-    mv2 = M.measure_sequence_criterion(ID3, [ID3], UNI, 0, F(1, 2))
-    assert mv2.result is False and mv2.counterexample == (0,)
-    swap = build_explicit(discrete_space(3), (1, 0, 2), name="swap")
-    mv3 = M.measure_sequence_criterion(ID3, [swap, ID3, ID3], UNI, 0, F(1, 2))
-    assert mv3.result is False and "index 1" in mv3.detail
-
-
 def test_named_measure_errors():
     sat = build_satellite(1, 2, P01)
     half = F(1, 2)
@@ -212,7 +202,6 @@ def test_mass_off_the_carrier_is_refused():
              lambda: M.mu_expansive_points(ID3, off, half),
              lambda: M.expansive_measure_check(ID3, off, half),
              lambda: M.verify_strong_mu_topological_stability(ID3, off, 0, half, half, ID3),
-             lambda: M.measure_sequence_criterion(ID3, [ID3], off, 0, half),
              lambda: mu_shadowable_at(ID3, off, 0, half, half, B=()))
     for call in calls:
         with pytest.raises(PreconditionError, match="99 is not a carrier point"):
@@ -231,7 +220,6 @@ def test_bernoulli_measure_on_a_finite_carrier_is_refused():
              lambda: M.mu_expansive_points(ID3, BERN, half),
              lambda: M.expansive_measure_check(ID3, BERN, half),
              lambda: M.verify_strong_mu_topological_stability(ID3, BERN, 0, half, half, ID3),
-             lambda: M.measure_sequence_criterion(ID3, [ID3], BERN, 0, half),
              lambda: mu_shadowable_at(ID3, BERN, 0, half, half, [0, 1, 2]))
     for call in calls:
         with pytest.raises(CarrierMismatchError, match="point-weight measures"):
@@ -248,7 +236,6 @@ def test_partial_point_weights_are_refused():
              lambda: M.mu_expansive_points(ID3, part, half),
              lambda: M.expansive_measure_check(ID3, part, half),
              lambda: M.verify_strong_mu_topological_stability(ID3, part, 0, half, half, ID3),
-             lambda: M.measure_sequence_criterion(ID3, [ID3], part, 0, half),
              lambda: mu_shadowable_at(ID3, part, 0, half, half, [0, 1, 2]))
     for call in calls:
         with pytest.raises(CarrierMismatchError, match="^1 carries no weight$"):

@@ -1,4 +1,5 @@
-"""Exact metric-space validation and Hausdorff/distortion helpers."""
+"""Exact metric-space validation, and the Fraction-table helpers of the
+oracles (balls, Hausdorff distance, distortion, delta-isometries)."""
 
 from fractions import Fraction as F
 from itertools import combinations
@@ -8,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from pointdyn.bundled import bundled_names, bundled_system, mixed_sample, sampled_space
 from pointdyn.metric import (FiniteMetricSpace, MetricViolation, discrete_space,
-                             validate_metric, ball, hausdorff_distance, distortion,
-                             is_delta_isometry)
+                             validate_metric)
 from pointdyn.rationals import format_rational
 from pointdyn.errors import MalformedInputError, PreconditionError
-from pointdyn.rationals import RationalFormatError
+from pointdyn.rationals import RationalFormatError, dyadic_below
+
+from oracles import ball, distortion, hausdorff_distance, is_delta_isometry
 
 
 def space_from_rows(rows):
@@ -38,6 +40,16 @@ def test_entries_are_coerced_to_exact_fractions():
 def test_floats_are_rejected(rows):
     with pytest.raises(RationalFormatError, match="got float"):
         FiniteMetricSpace(rows)
+
+
+def test_dyadic_below_raises_the_package_errors():
+    # a bound q <= 0 once raised a bare ValueError, and "1/2" a TypeError
+    for q in (0, -1):
+        with pytest.raises(PreconditionError, match="^dyadic bound must be positive$"):
+            dyadic_below(q)
+    assert dyadic_below("1/2") == F(1, 4)
+    with pytest.raises(RationalFormatError, match="^not a rational: 'x'$"):
+        dyadic_below("x")
 
 
 def test_discrete_space_is_clean():

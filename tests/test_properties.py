@@ -6,29 +6,27 @@ from itertools import permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pointdyn.metric import (FiniteMetricSpace, discrete_space, validate_metric,
-                             ball, hausdorff_distance, distortion,
-                             is_delta_isometry)
+from pointdyn.metric import FiniteMetricSpace, discrete_space, validate_metric
 from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
-                              build_shift, orbit, iterate, pair_sup_separation,
-                              c0_distance, conjugate_system, is_self_isometry)
+                              build_shift, orbit, pair_sup_separation,
+                              c0_distance, conjugate_system, sorted_points,
+                              system_ball)
 from pointdyn.shiftspace import EPPoint, pure, shift_metric
 from pointdyn.expansivity import classify_points, uniformly_expansive_at, \
     expansive_point_at
 from pointdyn.shadowing import (shadowable_windowed, shadowable_exact,
-                                shadowable_exact_neighborhood)
+                                shadowable_exact_points)
 from pointdyn.measures import (WeightedMeasure, phi_set, measure_of,
-                               measure_sequence_criterion,
                                mu_uniformly_expansive_at, mu_expansive_points,
                                build_tracking_map, tracking_within_ball,
                                tracking_commutes)
 from pointdyn.shadowing import mu_shadowable_at
 from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
-                                find_exact_isomorphism, gh_distance_bounds,
-                                transport_under_conjugacy)
+                                find_exact_isomorphism, gh_distance_bounds)
 from pointdyn.rationals import dyadic_below, format_rational
 
-from oracles import gamma_set, map_order, pullback
+from oracles import (ball, distortion, gamma_set, hausdorff_distance,
+                     is_delta_isometry, is_self_isometry, map_order, pullback)
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -226,7 +224,6 @@ def test_uniform_on_whole_carrier_implies_pointwise(system, data):
     pts = list(system.points())
     x = data.draw(st.sampled_from(pts))
     c = data.draw(st.sampled_from(SCALES))
-    from pointdyn.systems import system_ball
     if set(system_ball(system, x, c)) != set(pts):
         return
     if uniformly_expansive_at(system, x, c).result:
@@ -268,6 +265,12 @@ def test_exact_implies_windowed_all_depths(system, data):
                                        budget=200000).result
 
 
+def shadowable_neighborhood(system, x, eps, delta) -> bool:
+    """Every pseudo-orbit through the open delta-ball around x traceable."""
+    ball = sorted_points(system_ball(system, x, delta))
+    return all(shadowable_exact_points(system, ball, eps, delta).values())
+
+
 @given(perm_systems(2, 4), st.data())
 @settings(max_examples=40)
 def test_neighborhood_variant_vs_point_variant(system, data):
@@ -275,7 +278,7 @@ def test_neighborhood_variant_vs_point_variant(system, data):
     x = data.draw(st.sampled_from(pts))
     eps = data.draw(st.sampled_from(SCALES))
     delta = data.draw(st.sampled_from(SCALES))
-    if shadowable_exact_neighborhood(system, x, eps, delta):
+    if shadowable_neighborhood(system, x, eps, delta):
         assert shadowable_exact(system, x, eps, delta)
     # converse at shrunken delta: below the minimum spacing the ball
     # through-set collapses to the point itself
@@ -283,7 +286,7 @@ def test_neighborhood_variant_vs_point_variant(system, data):
         spacing = min(system.dist(a, b)
                       for a in pts for b in pts if a != b)
         small = min(delta, dyadic_below(spacing))
-        assert shadowable_exact_neighborhood(system, x, eps, small)
+        assert shadowable_neighborhood(system, x, eps, small)
 
 
 def test_globalization_on_bundled_rotations():
@@ -341,7 +344,6 @@ def test_pullback_preserves_transported_mass(data):
 
 @given(perm_systems(2, 4), st.data())
 def test_gamma_inside_phi_and_ball(system, data):
-    from pointdyn.systems import system_ball
     pts = list(system.points())
     x = data.draw(st.sampled_from(pts))
     c = data.draw(st.sampled_from(SCALES))
@@ -362,7 +364,6 @@ def test_gamma_inside_phi_and_ball(system, data):
 def test_companion_scan_matches_gamma_sets(system, data):
     # the measure layer scans kernel rows once per ball; the reference
     # route cuts each ball point's gamma set from its phi set and the ball
-    from pointdyn.systems import system_ball
     pts = list(system.points())
     mu = WeightedMeasure.from_weights(
         {p: data.draw(st.sampled_from((0, 0, 1, F(1, 2)))) for p in pts[:-1]} | {pts[-1]: 1})
@@ -377,13 +378,12 @@ def test_companion_scan_matches_gamma_sets(system, data):
         z, mass = heavy[0]
         assert verdict.counterexample == (z,)
         assert verdict.detail == f"gamma set of {z} has measure {format_rational(mass)}"
-    # the sequence criterion asks the same at radius delta, constant delta/3
-    third_ball = frozenset(system_ball(system, x, c))
-    failing = [z for z in ball
-               if measure_of(mu, phi_set(system, z, c / 3) & third_ball) != 0]
-    crit = measure_sequence_criterion(system, [system], mu, x, c)
-    assert crit.result == (not failing)
-    assert crit.counterexample == (None if not failing else (failing[0],))
+    # a mu-null companion layer at constant c/3 on B(x, c) forces
+    # mu-uniform expansivity at c/9
+    layer = [z for z in ball
+             if measure_of(mu, phi_set(system, z, c / 3) & frozenset(ball)) != 0]
+    if not layer:
+        assert mu_uniformly_expansive_at(system, mu, x, c / 9).result
 
 
 @given(perm_systems(2, 4), st.data())
@@ -436,7 +436,7 @@ def test_mu_uniform_transport_under_relabel(data):
     c = data.draw(st.sampled_from(SCALES))
     ours = mu_expansive_points(system, mu, c)
     theirs = mu_expansive_points(twin, nu, c)
-    assert theirs == transport_under_conjugacy(relabel, ours)
+    assert theirs == {relabel[x] for x in ours}
 
 
 # ---------------------------------------------------------------------------

@@ -11,25 +11,23 @@ from hypothesis import given, settings, strategies as st, target
 
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (Satellite, build_explicit, build_lattice, build_shift,
-                              iterate, members)
+                              members, sorted_points, system_ball)
 from pointdyn.bundled import bundled_system
 from pointdyn.shiftspace import EPPoint, pure, with_symbol, shift_metric
 from pointdyn.cli import main
 from pointdyn.expansivity import (classify_points, expansive_point_at, is_expansive_on,
                                   minimally_expansive_at, point_verdicts,
-                                  sequence_expansivity_criterion, uniformly_expansive_at)
+                                  uniformly_expansive_at)
 from pointdyn.measures import (WeightedMeasure, build_tracking_map,
-                               expansive_measure_check, measure_sequence_criterion,
-                               mu_expansive_points, mu_uniformly_expansive_at, phi_set,
+                               expansive_measure_check, mu_expansive_points, mu_uniformly_expansive_at, phi_set,
                                verify_strong_mu_topological_stability)
-from pointdyn.stability import (build_conjugacy, gh_stable_point_check,
-                                search_delta_isometries,
-                                verify_topologically_stable_point)
+from pointdyn.stability import (build_conjugacy, first_delta_isometry_pair,
+                                gh_stable_point_check, verify_topologically_stable_point)
 from pointdyn import shadowing as SH
 from pointdyn.errors import (MalformedInputError, PreconditionError, ResourceBudgetError,
                              UnsupportedBackendError)
 
-from oracles import (distance_table, enumerate_pseudo_orbits, map_order,
+from oracles import (distance_table, enumerate_pseudo_orbits, iterate, map_order,
                      pseudo_orbit_graph, reachable_sets, time_zero_verdicts,
                      trimmed_limit_sets)
 from test_kernel import finite_systems, ladder_rung, palette_systems
@@ -213,7 +211,7 @@ def test_non_positive_scales_are_rejected(eps, delta):
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
         SH.shadowable_windowed(R12K3, 0, eps, delta, 1)
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
-        SH.shadowable_exact_neighborhood(R12K3, 0, eps, delta)
+        SH.shadowable_exact_points(R12K3, [0], eps, delta)
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
         SH.mu_shadowable_at(R12K3, UNI12, 0, eps, delta, B=range(12))
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
@@ -238,7 +236,7 @@ def test_non_positive_scales_are_rejected(eps, delta):
             gh_stable_point_check(R12K3, 0, F(1, 4), F(1, 12), [R12K3], eta=eps)
     if delta <= 0:
         with pytest.raises(PreconditionError, match="delta must be positive"):
-            search_delta_isometries(R12K3, R12K3, delta)
+            first_delta_isometry_pair(R12K3, R12K3, delta)
         # the non-positive deltas 0, -1/2 and -1 double as expansivity constants
         what = "expansivity constant must be positive"
         with pytest.raises(PreconditionError, match=what):
@@ -252,8 +250,6 @@ def test_non_positive_scales_are_rejected(eps, delta):
         # the measure layer's scales: c for the Phi-sets, delta for the ball
         with pytest.raises(PreconditionError, match=what):
             expansive_measure_check(ID3, NULL3, delta)
-        with pytest.raises(PreconditionError, match="delta must be positive"):
-            measure_sequence_criterion(ID3, [ID3], NULL3, 0, delta)
         # the classifiers and the Phi-sets once listed every point at such a c
         for classify in (expansive_point_at, uniformly_expansive_at,
                          minimally_expansive_at, phi_set):
@@ -270,8 +266,6 @@ def test_non_positive_scales_are_rejected(eps, delta):
             mu_uniformly_expansive_at(R12K3, UNI12, 0, delta)
         with pytest.raises(PreconditionError, match=what):
             mu_expansive_points(R12K3, UNI12, delta)
-        with pytest.raises(PreconditionError, match="delta must be positive"):
-            sequence_expansivity_criterion(R12K3, [R12K3], 0, delta, "minimal")
 
 
 def test_windowed_budget_refusal():
@@ -342,7 +336,9 @@ def test_exact_matches_deep_windowed():
 
 
 def test_exact_neighborhood():
-    assert SH.shadowable_exact_neighborhood(ID3, 0, F(1, 2), F(1, 2)) is True
+    # every pseudo-orbit through the open delta-ball around 0 is traceable
+    ball = sorted_points(system_ball(ID3, 0, F(1, 2)))
+    assert SH.shadowable_exact_points(ID3, ball, F(1, 2), F(1, 2)) == {0: True}
 
 
 def test_splice_tracer_on_shift():
@@ -445,7 +441,7 @@ def test_bad_carrier_inputs_raise_named_errors():
     # KeyError (99), or accepted a B that holds a point off the carrier
     uni = WeightedMeasure.from_weights({0: 1, 1: 1, 2: 1})
     with pytest.raises(UnsupportedBackendError, match="finite carrier"):
-        SH.shadowable_exact_neighborhood(SHIFT2, P01, F(1, 2), F(1, 2))
+        SH.shadowable_exact_points(SHIFT2, [P01], F(1, 2), F(1, 2))
     with pytest.raises(PreconditionError, match="99 is not a carrier point"):
         SH.trace(R12K3, SH.PseudoOrbitWindow((99,), F(1, 6)), F(1, 4))
     with pytest.raises(PreconditionError, match="7 is not a carrier point"):

@@ -4,7 +4,7 @@ import hashlib
 import sys
 import tracemalloc
 from fractions import Fraction as F
-from itertools import islice, permutations, product
+from itertools import permutations, product
 from math import gcd, lcm
 from random import Random
 
@@ -13,23 +13,21 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pointdyn import shadowing, stability
 from pointdyn.bundled import bundled_system
-from pointdyn.metric import (FiniteMetricSpace, discrete_space, distortion,
-                             hausdorff_distance, is_delta_isometry)
+from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.rationals import format_rational
 from pointdyn.systems import (ExplicitSystem, FiniteKernel, build_lattice,
-                              c0_distance, conjugate_system, is_self_isometry,
-                              materialize, point_label)
+                              c0_distance, conjugate_system, materialize, point_label)
 from pointdyn.stability import (GH_GRID_STEP, _clause_values, _map_search, build_conjugacy,
                                 enumerate_perturbations, find_exact_isomorphism,
                                 first_delta_isometry_pair, gh_distance_bounds,
-                                gh_stable_point_check, search_delta_isometries,
-                                transport_under_conjugacy, transported_constant,
+                                gh_stable_point_check, transported_constant,
                                 verify_topologically_stable_point)
 from pointdyn.errors import (CarrierMismatchError, PreconditionError,
                              ResourceBudgetError)
 
-from oracles import (distance_table, dfs_perturbations, enumerate_pseudo_orbits,
-                     scan_map_search)
+from oracles import (dfs_perturbations, distance_table, distortion,
+                     enumerate_pseudo_orbits, hausdorff_distance, is_delta_isometry,
+                     is_self_isometry, scan_map_search)
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -554,14 +552,12 @@ def test_stable_point_traces_each_orbit_through_x_once(monkeypatch):
 
 def test_search_delta_isometries():
     s3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="d3")
-    found = search_delta_isometries(s3, D2, F(1, 2))
-    assert found.complete and len(found.pairs) == 0
-
-    same = search_delta_isometries(ID3, ID3, F(1, 2))
-    assert same.complete and len(same.pairs) == 36
-    idpair = [p for p in same.pairs
-              if p.i_map == (0, 1, 2) and p.j_map == (0, 1, 2)]
-    assert len(idpair) == 1 and idpair[0].score == 0
+    assert first_delta_isometry_pair(s3, D2, F(1, 2)) == (None, True)
+    # id3 against itself: the scan lists its 6 permutations, the first pair is the identity
+    maps, done, _ = scan_map_search(ID3.kernel, ID3.kernel, F(1, 2), False, sys.maxsize)
+    assert done and sorted(maps) == sorted(permutations(range(3)))
+    pair, settled = first_delta_isometry_pair(ID3, ID3, F(1, 2))
+    assert settled and pair.i_map == pair.j_map == (0, 1, 2) and pair.score == 0
 
 
 # -- the delta-isometry search against brute force ------------------------------
@@ -600,13 +596,20 @@ def test_isometry_search_matches_brute_force(X, Y, data):
     values = sorted({abs(a - b) for a in values for b in values} | set(values))
     between = [(a + b) / 2 for a, b in zip(values, values[1:])] + [values[-1] + 1]
     delta = data.draw(st.sampled_from([d for d in values + between if d > 0]))
-    want = {(im, jm) for im in brute_force_maps(X, Y, delta)
-            for jm in brute_force_maps(Y, X, delta)}
-    found = search_delta_isometries(X, Y, delta)
-    assert found.complete
-    assert len(found.pairs) == len(want)
-    assert {(p.i_map, p.j_map) for p in found.pairs} == want
-    assert all(p.score < delta for p in found.pairs)
+    fk, gk = X.kernel, Y.kernel
+    i_want, j_want = brute_force_maps(X, Y, delta), brute_force_maps(Y, X, delta)
+    want = set(product(i_want, j_want))
+    # the scan run to the end lists every map both ways, so every pair
+    i_maps, i_done, _ = scan_map_search(fk, gk, delta, False, sys.maxsize)
+    j_maps, j_done, _ = scan_map_search(gk, fk, delta, False, sys.maxsize)
+    assert i_done and j_done
+    assert (sorted(i_maps), sorted(j_maps)) == (i_want, j_want)
+    assert all(max(_clause_values(m, fk, gk)) < delta for m in i_maps)
+    assert all(max(_clause_values(m, gk, fk)) < delta for m in j_maps)
+    # the library's search stops at the least map in the order of X's cycles
+    order = [i for cyc in fk.cycles for i in cyc]
+    least = min(i_want, key=lambda m: [m[i] for i in order], default=None)
+    assert _map_search(fk, gk, delta, False, sys.maxsize) == (least, True)
     pair, settled = first_delta_isometry_pair(X, Y, delta)
     assert settled
     assert (pair is None) == (not want)
@@ -639,15 +642,21 @@ def budgets_through(nodes, most):
     return sorted({*range(0, nodes + 2, -(-(nodes + 2) // most)), nodes - 1, nodes, nodes + 1})
 
 
-def assert_search_matches_scan(fk, gk, delta, closed, budget, limit, work):
+def scan_first(fk, gk, delta, closed, budget):
+    """(first map or None, complete, nodes) of the scan stopped at one map."""
+    maps, done, nodes = scan_map_search(fk, gk, delta, closed, budget, 1)
+    return (maps[0] if maps else None), done, nodes
+
+
+def assert_search_matches_scan(fk, gk, delta, closed, budget, work):
     """_map_search and the scan agree at budget and at the budgets from 0
     to the node count where the scan stops under budget, plus one: every
     one of them, or when nodes * nodes exceeds work about work // nodes
     of them (16 at least), so that both searches visit about work nodes."""
-    nodes = scan_map_search(fk, gk, delta, closed, budget, limit)[2]
+    nodes = scan_first(fk, gk, delta, closed, budget)[2]
     for b in {budget, *budgets_through(nodes, max(16, work // (nodes + 2)))}:
-        assert _map_search(fk, gk, delta, closed, b, limit) == \
-            scan_map_search(fk, gk, delta, closed, b, limit)[:2], b
+        assert _map_search(fk, gk, delta, closed, b) == \
+            scan_first(fk, gk, delta, closed, b)[:2], b
 
 
 @settings(max_examples=60, deadline=None)
@@ -658,8 +667,8 @@ def test_map_search_matches_the_scan_at_every_budget(X, Y, data):
     # are spread over the range, since a drawn pair can have 6^6 maps
     values = sorted({d for s in (X, Y) for row in distance_table(s) for d in row})
     delta = data.draw(st.sampled_from(values + [v + F(1, 1000) for v in values]))
-    closed, limit = data.draw(st.booleans()), data.draw(st.sampled_from((None, 1)))
-    assert_search_matches_scan(X.kernel, Y.kernel, delta, closed, sys.maxsize, limit, 10 ** 5)
+    closed = data.draw(st.booleans())
+    assert_search_matches_scan(X.kernel, Y.kernel, delta, closed, sys.maxsize, 10 ** 5)
 
 
 def test_map_search_matches_the_scan_on_benchmark_pairs(monkeypatch):
@@ -683,9 +692,9 @@ def test_map_search_matches_the_scan_on_benchmark_pairs(monkeypatch):
     twin = conjugate_system(z36, dict(zip(z36.points(), Random(36).sample(z36.points(), 36))),
                             transport_metric=True)
     assert find_exact_isomorphism(z36, twin) is not None
-    assert len(calls) == 38 and calls[-1][2:] == (0, True, sys.maxsize, 1)
-    for fk, gk, delta, closed, budget, limit in calls[:-1]:
-        assert_search_matches_scan(fk, gk, delta, closed, budget, limit, 0)
+    assert len(calls) == 38 and calls[-1][2:] == (0, True, sys.maxsize)
+    for fk, gk, delta, closed, budget in calls[:-1]:
+        assert_search_matches_scan(fk, gk, delta, closed, budget, 0)
     assert_search_matches_scan(*calls[-1], 10 ** 6)
 
 
@@ -742,33 +751,6 @@ def test_clause_values_match_the_fraction_route(pair, data):
     assert got == fraction_clauses(mp, X, Y)
 
 
-@pytest.mark.parametrize("X, Y, delta, cap", (
-    (ID3, ID3, F(1, 2), 10_000),        # 6 x 6 maps
-    (ID3, ID3, F(1, 2), 8),             # the cap cuts the crossing inside the second i-map
-    (NEAR3, ID3, F(3, 2), 10_000),      # 27 x 27 maps
-), ids=("id3", "id3-capped", "near3"))
-def test_search_computes_clause_values_once_per_map(monkeypatch, X, Y, delta, cap):
-    calls = []
-
-    def counted(m, fk, gk):
-        calls.append(m)
-        return _clause_values(m, fk, gk)
-
-    monkeypatch.setattr(stability, "_clause_values", counted)
-    monkeypatch.setattr(stability, "MAX_REPORTED_PAIRS", cap)
-    found = search_delta_isometries(X, Y, delta)
-    # the crossed oracle: brute-force maps both ways, crossed in product order
-    crossed = list(islice(product(brute_force_maps(X, Y, delta),
-                                  brute_force_maps(Y, X, delta)), cap))
-    assert [(p.i_map, p.j_map) for p in found.pairs] == crossed
-    for p in found.pairs:
-        assert (p.i_distortion, p.i_density, p.i_commutation) == \
-            fraction_clauses(p.i_map, X, Y)
-        assert (p.j_distortion, p.j_density, p.j_commutation) == \
-            fraction_clauses(p.j_map, Y, X)
-    assert len(calls) == len({im for im, _ in crossed}) + len({jm for _, jm in crossed})
-
-
 def test_clause_values_read_only_integer_rows():
     X, Y = build_lattice(16, step=3), build_lattice(5, kind="torus", matrix=(2, 1, 1, 1))
     mp = (0, 1, 2) * 5 + (24,)
@@ -813,11 +795,10 @@ def test_map_search_keeps_no_placed_list_per_slot():
 
 @pytest.mark.parametrize("delta", (F(0), F(-1), -1))
 def test_first_pair_rejects_nonpositive_delta(delta):
-    # search_delta_isometries already refused these; the first-pair search
-    # once answered (None, True), a complete proof that no pair exists
-    for search in (first_delta_isometry_pair, search_delta_isometries):
-        with pytest.raises(PreconditionError, match="delta must be positive"):
-            search(ID3, ID3, delta)
+    # the first-pair search once answered (None, True), a complete proof
+    # that no pair exists
+    with pytest.raises(PreconditionError, match="delta must be positive"):
+        first_delta_isometry_pair(ID3, ID3, delta)
 
 
 def test_searches_reject_a_negative_budget():
@@ -826,7 +807,6 @@ def test_searches_reject_a_negative_budget():
     calls = (lambda b: gh_distance_bounds(ID3, nearpair4, budget=b),
              lambda b: gh_distance_bounds(ID3, ID3, budget=b),
              lambda b: first_delta_isometry_pair(ID3, nearpair4, F(1, 2), b),
-             lambda b: search_delta_isometries(ID3, nearpair4, F(1, 2), b),
              lambda b: enumerate_perturbations(ID3, 2, budget=b),
              # this once skipped the budget check on an empty candidate list
              # and reported result=True
@@ -985,12 +965,6 @@ def test_gh_stable_point_vacuous_when_j_misses():
     assert missed
     rep = gh_stable_point_check(X23, missed[0], F(1, 2), F(3, 4), [Y2])
     assert rep.result and rep.entries[0].status == "vacuous"
-
-
-def test_transport_helpers():
-    h = {0: 1, 1: 2, 2: 0}
-    assert transport_under_conjugacy(h, {0, 1}) == frozenset({1, 2})
-    assert transport_under_conjugacy(lambda p: (p + 1) % 3, {0, 1}) == frozenset({1, 2})
 
 
 def test_transported_constant():

@@ -14,15 +14,14 @@ from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.stability import build_conjugacy, gh_stable_point_check
 from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice, build_shift,
                               build_satellite, Satellite, orbit, orbit_closure,
-                              iterate, pair_sup_separation, c0_distance,
-                              check_carrier, system_ball, materialize, conjugate_system,
-                              is_self_isometry, point_label)
+                              pair_sup_separation, c0_distance, check_carrier,
+                              system_ball, materialize, conjugate_system, point_label)
 from pointdyn.shadowing import shadowable_exact, shadowable_windowed
 from pointdyn.shiftspace import pure, parse_ep
 from pointdyn.errors import (MalformedInputError, CarrierMismatchError,
                              PreconditionError)
 
-from oracles import distance_table, map_order
+from oracles import distance_table, is_self_isometry, iterate, map_order
 
 P01 = pure((0, 1))
 
