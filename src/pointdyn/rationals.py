@@ -58,9 +58,12 @@ def positive(value, what) -> Fraction:
 
 def resolve_budget(budget, default) -> int:
     """budget, or default when it is None; PreconditionError "budget must
-    be nonnegative" for a negative budget, before any work is done."""
+    be an integer" for any other non-int (a bool included) and "budget
+    must be nonnegative" for a negative budget, before any work is done."""
     if budget is None:
         return default
+    if type(budget) is bool or not isinstance(budget, int):
+        raise PreconditionError(f"budget must be an integer, got {budget!r}")
     if budget < 0:
         raise PreconditionError(f"budget must be nonnegative, got {budget}")
     return budget

@@ -12,9 +12,10 @@ found pairs / exhausted searches into exact upper / lower bounds.
 import sys
 from fractions import Fraction
 from functools import cache, cached_property
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from math import lcm
 from operator import sub
+from struct import Struct
 from typing import NamedTuple
 
 from .errors import (PreconditionError, ResourceBudgetError,
@@ -191,8 +192,12 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     known on its stack exceed it, before any map is built. The maps are
     then joined from the prefixes of the first n // 2 slots and the
     suffixes of each middle state, in search order, which is
-    lexicographic when slot t places index t; any other slot order is
-    sorted, so the family lists its maps in lexicographic order.
+    lexicographic when slot t places index t. Under any other slot order
+    each map is joined as an integer code that holds index i's image as
+    a fixed-width digit, index 0 the most significant, so the codes
+    sorted as integers list the maps in lexicographic order; each code
+    is then unpacked into its tuple. Either way the family lists its
+    maps in lexicographic order.
     """
     delta = positive(delta, "perturbation radius")
     budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
@@ -238,21 +243,35 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
             t -= 1
             if t >= 0:
                 edges[t].append((chosen[t], key))
-    heads = _grow(states, [((), 0)], 0, n // 2)
-    tails = {key: [s for s, _ in _grow(states, [((), key)], n // 2, n)]
+    # under any other slot order a map is an integer code: index i's image
+    # is its digit at 8 * w * (n - 1 - i), so the codes sort as the maps do
+    if order == list(range(n)):
+        empty, shifts = (), None
+    else:
+        w, digit = (1, "B") if n <= 1 << 8 else (2, "H") if n <= 1 << 16 else (4, "I")
+        empty, shifts = 0, [8 * w * (n - 1 - u) for u in order]
+    heads = _grow(states, [(empty, 0)], 0, n // 2, shifts)
+    tails = {key: [s for s, _ in _grow(states, [(empty, key)], n // 2, n, shifts)]
              for key in {key for _, key in heads}}
+    # the digits of a head and a tail do not overlap, so + joins codes too
     perms = chain.from_iterable(map(p.__add__, tails[key]) for p, key in heads)
-    if order != list(range(n)):
-        perms = sorted(map(gatherer(sorted(range(n), key=order.__getitem__)), perms))
+    if shifts is not None:
+        perms = map(Struct(f">{n}{digit}").unpack,
+                    map(int.to_bytes, sorted(perms), repeat(n * w), repeat("big")))
     return PerturbationFamily(system, k.pts, tuple(perms), states[0][0][1])
 
 
-def _grow(states, blocks, start, stop) -> list:
+def _grow(states, blocks, start, stop, shifts=None) -> list:
     """blocks, pairs (images of slots start.., key of the state they
     reach), extended along the live edges of states through slot stop - 1,
-    in search order."""
+    in search order. The images are a tuple in slot order, or with shifts
+    an integer code holding slot t's image v as v << shifts[t]."""
     for t in range(start, stop):
-        blocks = [(p + (v,), c) for p, key in blocks for v, c in states[t][key][2]]
+        if shifts is None:
+            blocks = [(p + (v,), c) for p, key in blocks for v, c in states[t][key][2]]
+        else:
+            s = shifts[t]
+            blocks = [(p | v << s, c) for p, key in blocks for v, c in states[t][key][2]]
     return blocks
 
 

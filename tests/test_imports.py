@@ -144,11 +144,14 @@ PAPER_API = {
     "mu_shadowable_at": "Theorem (ii)'s gate, and the mu-shadowable points of the abstract",
     "splice_trace_shift": "the shift's only shadowing route: shadowable_exact refuses "
                           "infinite carriers",
-    "separation_horizon": "Theorem (i)'s horizon lemma",
+    "separation_horizon": "Theorem (i)'s horizon lemma, checked as the least horizon "
+                          "in test_theorems.py::test_separation_horizon_is_the_least_horizon",
     "expansive_measure_check": "the Phi-set notion of a mu-expansive measure, "
                                "cross-checked against the pointwise one",
     "transported_constant": "the constant a conjugacy transports; no other route "
-                            "computes it",
+                            "computes it, and test_theorems.py::"
+                            "test_minimal_expansivity_moves_to_the_transported_constant "
+                            "checks the implication",
 }
 ROOT = PACKAGE.parents[1]
 CALLERS = [*MODULES, *sorted(ROOT.glob("bench/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]

@@ -1,6 +1,7 @@
 """Conjugacy construction, perturbation families, isometry search, GH bounds."""
 
 import hashlib
+import inspect
 import sys
 import tracemalloc
 from fractions import Fraction as F
@@ -256,6 +257,38 @@ def test_enumeration_refuses_exactly_past_its_budget(n, data):
         with pytest.raises(ResourceBudgetError):
             enumerate_perturbations(system, F(1, n), budget=size - 1)
         assert len(enumerate_perturbations(system, F(1, n), budget=size)) == size
+
+
+def paired_carrier(n):
+    """n points with the 5 pairs (j, n - 1 - j) at distance 1/4 and 1
+    between any other two points; f carries the j-th pair to the next,
+    cyclically, and fixes every other point."""
+    k = 5
+    partner = {j: n - 1 - j for j in range(k)}
+    partner.update({v: u for u, v in partner.items()})
+    rows = tuple(tuple(0 if u == v else 1 if partner.get(u) == v else 4 for v in range(n))
+                 for u in range(n))
+    perm = list(range(n))
+    for j in range(k):
+        perm[j], perm[n - 1 - j] = (j + 1) % k, n - 1 - (j + 1) % k
+    return ExplicitSystem(FiniteMetricSpace.from_rows(4, rows), tuple(perm), name=f"pairs{n}")
+
+
+@pytest.mark.parametrize("n", (256, 257, 260))
+def test_enumerator_agrees_with_the_plain_search_across_the_digit_width(n):
+    # a map's code holds one byte per image up to n = 256 and two bytes
+    # past it: image 256 needs the wider digit
+    system = paired_carrier(n)
+    pts = system.points()
+    twin = conjugate_system(system, dict(zip(pts, Random(n).sample(pts, n))),
+                            transport_metric=True)
+    delta = F(1, 4)
+    for s in (system, twin):
+        assert len(enumerate_perturbations(s, delta)) == 32
+        assert_agrees_with_dfs(s, delta)
+    rows = twin.kernel.within(delta, closed=True)
+    order = stability._shared_target_order([rows[v] for v in twin.kernel.perm])
+    assert order != list(range(n))
 
 
 @pytest.mark.parametrize("n", range(3, 17))
@@ -801,22 +834,29 @@ def test_first_pair_rejects_nonpositive_delta(delta):
         first_delta_isometry_pair(ID3, ID3, delta)
 
 
-def test_searches_reject_a_negative_budget():
+def budgeted_calls():
+    """Each budgeted entry point, called with the budget b."""
     nearpair4 = bundled_system("nearpair4")
     # gh_distance_bounds(id3, nearpair4, budget=-5) once bracketed (0, 2)
-    calls = (lambda b: gh_distance_bounds(ID3, nearpair4, budget=b),
-             lambda b: gh_distance_bounds(ID3, ID3, budget=b),
-             lambda b: first_delta_isometry_pair(ID3, nearpair4, F(1, 2), b),
-             lambda b: enumerate_perturbations(ID3, 2, budget=b),
-             # this once skipped the budget check on an empty candidate list
-             # and reported result=True
-             lambda b: gh_stable_point_check(ID3, 0, F(1, 2), F(1, 2), [], b),
-             # these once counted 81 windows first and refused them as over
-             # the budget, a ResourceBudgetError (exit 3) for a bad input
-             lambda b: shadowing.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 2,
-                                                     budget=b),
-             lambda b: enumerate_pseudo_orbits(R12K3, 0, F(1, 6), 2, budget=b))
-    for call in calls:
+    return (lambda b: gh_distance_bounds(ID3, nearpair4, budget=b),
+            lambda b: gh_distance_bounds(ID3, ID3, budget=b),
+            lambda b: first_delta_isometry_pair(ID3, nearpair4, F(1, 2), b),
+            lambda b: first_delta_isometry_pair(ID3, ID3, F(1, 2), b),
+            lambda b: enumerate_perturbations(ID3, 2, budget=b),
+            lambda b: enumerate_perturbations(R12K1, F(1, 12), budget=b),
+            # this once skipped the budget check on an empty candidate list
+            # and reported result=True
+            lambda b: gh_stable_point_check(ID3, 0, F(1, 2), F(1, 2), [], b),
+            # these once counted 81 windows first and refused them as over
+            # the budget, a ResourceBudgetError (exit 3) for a bad input
+            lambda b: shadowing.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 6), 2,
+                                                    budget=b),
+            lambda b: enumerate_pseudo_orbits(R12K3, 0, F(1, 6), 2, budget=b))
+
+
+def test_searches_reject_a_negative_budget():
+    nearpair4 = bundled_system("nearpair4")
+    for call in budgeted_calls():
         for budget in (-1, -5):
             with pytest.raises(PreconditionError, match="budget must be nonnegative"):
                 call(budget)
@@ -824,6 +864,19 @@ def test_searches_reject_a_negative_budget():
     assert gh_distance_bounds(ID3, ID3, budget=0) == (0, 0)
     assert first_delta_isometry_pair(ID3, ID3, F(1, 2), 0)[0] is not None
     assert gh_distance_bounds(ID3, nearpair4, budget=0).lower == 0
+
+
+@pytest.mark.parametrize("budget", (F(3, 2), 1.5, 2.0, 0.5, True, False, "10", [3]))
+def test_searches_refuse_a_budget_that_is_not_an_int(budget):
+    # the enumerator on Z12 once searched under budget 1.5 and refused with
+    # "more than 1.5 admissible perturbations"; True, 3/2 and 2.0 were
+    # taken as budgets, "10" raised a bare TypeError and
+    # gh_distance_bounds(f, f, budget=0.5) ran
+    for call in budgeted_calls():
+        with pytest.raises(PreconditionError, match="budget must be an integer"):
+            call(budget)
+    # the exact search is unbudgeted, so it has no budget to refuse
+    assert "budget" not in inspect.signature(find_exact_isomorphism).parameters
 
 
 def test_gh_bounds_self_distance_zero():
