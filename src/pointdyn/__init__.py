@@ -23,9 +23,9 @@ from .expansivity import (expansive_point_at, uniformly_expansive_at,
                           separation_horizon)
 from .shadowing import (count_pseudo_orbits, trace, shadowable_windowed,
                         shadowable_exact, shadowable_exact_points,
-                        splice_trace_shift, mu_shadowable_at)
+                        splice_trace_shift)
 from .measures import (WeightedMeasure, mu_uniformly_expansive_at,
-                       mu_expansive_points, expansive_measure_check,
+                       mu_shadowable_at, mu_expansive_points, expansive_measure_check,
                        build_tracking_map, tracking_within_ball,
                        tracking_commutes,
                        verify_strong_mu_topological_stability)
@@ -50,9 +50,9 @@ __all__ = [
     "expansive_point_at", "uniformly_expansive_at", "minimally_expansive_at",
     "classify_points", "separation_horizon",
     "count_pseudo_orbits", "trace", "shadowable_windowed", "shadowable_exact",
-    "shadowable_exact_points", "splice_trace_shift", "mu_shadowable_at",
-    "WeightedMeasure", "mu_uniformly_expansive_at", "mu_expansive_points",
-    "expansive_measure_check", "build_tracking_map",
+    "shadowable_exact_points", "splice_trace_shift",
+    "WeightedMeasure", "mu_uniformly_expansive_at", "mu_shadowable_at",
+    "mu_expansive_points", "expansive_measure_check", "build_tracking_map",
     "tracking_within_ball", "tracking_commutes",
     "verify_strong_mu_topological_stability",
     "build_conjugacy", "enumerate_perturbations", "PerturbationFamily",

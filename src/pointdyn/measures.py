@@ -14,11 +14,12 @@ from .errors import (CarrierMismatchError, MalformedInputError, PointdynError,
                      PreconditionError, UnsupportedBackendError)
 from .expansivity import ExpansivityVerdict
 from .rationals import ONE, ZERO, as_rational, format_rational, positive
+from .shadowing import shadowable_exact_points
 from .shiftspace import EPPoint, ShiftBall
 from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
                       c0_distance, check_carrier, members, orbit_closure,
                       pair_sup_separation, point_index, point_label,
-                      sorted_points)
+                      sorted_points, system_ball)
 
 
 class WeightedMeasure:
@@ -116,6 +117,14 @@ def carrier_set(system, points) -> frozenset:
     for p in points:
         point_index(system, p)
     return frozenset(points)
+
+
+def _full_measure_part(system, mu, B):
+    """B as a set of the finite carrier's points (the whole carrier when B
+    is None) and the mu-measure of its complement."""
+    carrier = frozenset(system.kernel.pts)
+    B = carrier if B is None else carrier_set(system, B)
+    return B, measure_of(mu, carrier - B)
 
 
 # -- separation sets -------------------------------------------------------
@@ -254,6 +263,37 @@ def expansive_measure_check(system, mu, c, probe=None) -> MeasureExpansivityRepo
     return MeasureExpansivityReport(c, result, probes, failing, note)
 
 
+# -- pointwise mu-shadowing -------------------------------------------------
+
+
+class MuShadowReport(NamedTuple):
+    result: bool
+    through_points: tuple
+    failing_point: object = None
+
+    def __bool__(self):
+        return self.result
+
+
+def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
+    """Every pseudo-orbit through B intersected with B(x, delta) traceable.
+
+    B must carry full measure; the quantifier then decomposes over the
+    finitely many admissible through-points, each decided exactly.
+    """
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
+    if not system.finite:
+        raise UnsupportedBackendError("the exact decider needs a finite carrier")
+    check_measure_backend(system, mu)
+    B, defect = _full_measure_part(system, mu, B)
+    if defect != 0:
+        raise PreconditionError("B must have full measure")
+    through = tuple(sorted_points(B & system_ball(system, x, delta)))
+    verdicts = shadowable_exact_points(system, through, eps, delta)
+    failing = next((x0 for x0, ok in verdicts.items() if not ok), None)
+    return MuShadowReport(failing is None, through, failing)
+
+
 # -- tracking maps ----------------------------------------------------------
 
 
@@ -304,9 +344,6 @@ def build_tracking_map(f, g, x, eta) -> SetValuedAssignment:
         if f.backend != "shift":
             raise UnsupportedBackendError(
                 "tracking maps are implemented for finite and shift carriers")
-        if c0_distance(f, g) != 0:
-            raise UnsupportedBackendError(
-                "shift tracking maps require the unperturbed map")
         if eta >= 1:
             raise UnsupportedBackendError(
                 "shift tracking images are only finitely representable below 1")
@@ -378,6 +415,20 @@ class StabilityReport(NamedTuple):
         raise KeyError(key)
 
 
+# On the shift a carrier token fixes the map, so check_carrier admits only
+# g = f and H is the identity on x's orbit closure: every clause holds.
+_SHIFT_CLAUSES = tuple(ClauseCheck(name, True, detail) for name, detail in (
+    ("pre:c0", "shift perturbations must be trivial"),
+    ("pre:B", "B defaults to the whole carrier"),
+    ("i:null-images", "images are single points, null under a Bernoulli measure"),
+    ("ii:displacement", "every image sits inside the closed eps-ball of its argument"),
+    ("iii:commutation", "f(H(u)) = H(g(u)) exactly on the whole domain"),
+    # Dom(H) is the orbit closure and U sits inside it; both complements
+    # carry full measure 1, so the bound is tight.
+    ("iv:domain-measure", "both complements have measure 1 under an atomless measure"),
+    ("usc", "identity-rule images vary continuously")))
+
+
 def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
                                            eta=None, expansivity_c=None):
     """Check the strong stability clauses for the perturbation g of f at x.
@@ -396,73 +447,43 @@ def verify_strong_mu_topological_stability(f, mu, x, eps, delta, g, B=None, *,
     if eta is None:
         eta = eps / 2 if c is None else min(c / 16, eps / 2)
     eta = as_rational(eta)
-    clauses = []
 
-    if f.finite:
-        gap = c0_distance(f, g)
-        clauses.append(ClauseCheck(
-            "pre:c0", gap <= delta,
-            f"c0 distance {format_rational(gap)} vs delta {format_rational(delta)}"))
-        carrier = frozenset(f.points())
-        B = carrier if B is None else carrier_set(f, B)
-        b_defect = measure_of(mu, carrier - B)
-        clauses.append(ClauseCheck(
-            "pre:B", b_defect == 0,
-            f"complement of B has measure {format_rational(b_defect)}"))
-    else:
-        clauses.append(ClauseCheck("pre:c0", c0_distance(f, g) == 0,
-                                   "shift perturbations must be trivial"))
+    if not f.finite:
+        check_carrier(f, g)
         if B is not None:
             raise UnsupportedBackendError(
                 "explicit B sets are only supported on finite carriers")
-        clauses.append(ClauseCheck("pre:B", True, "B defaults to the whole carrier"))
+        return StabilityReport(True, _SHIFT_CLAUSES, eta, build_tracking_map(f, g, x, eta))
 
+    gap = c0_distance(f, g)
+    B, b_defect = _full_measure_part(f, mu, B)
     H = build_tracking_map(f, g, x, eta)
-
-    if f.finite:
-        near = [z for z in H.domain if f.dist(x, z) < delta / 4]
-        bad = next((z for z in near if measure_of(mu, H.images[z]) != 0), None)
-        clauses.append(ClauseCheck(
-            "i:null-images", bad is None,
-            f"checked {len(near)} orbit points in B(x, delta/4)" if bad is None
-            else f"H({point_label(bad)}) has measure "
-                 f"{format_rational(measure_of(mu, H.images[bad]))}"))
-    else:
-        clauses.append(ClauseCheck(
-            "i:null-images", True,
-            "images are single points, null under a Bernoulli measure"))
-
-    ok, witness = tracking_within_ball(H, f, eps)
-    clauses.append(ClauseCheck(
-        "ii:displacement", ok,
-        "every image sits inside the closed eps-ball of its argument" if ok
-        else f"H({point_label(witness[0])}) strays to {point_label(witness[1])}"))
-
-    ok, witness = tracking_commutes(H, f, g)
-    clauses.append(ClauseCheck(
-        "iii:commutation", ok,
-        "f(H(u)) = H(g(u)) exactly on the whole domain" if ok
-        else f"commutation fails at {point_label(witness[0])}"))
-
-    if f.finite:
-        dom = frozenset(H.dom())
-        dom_defect = measure_of(mu, carrier - dom)
-        U = frozenset(u for u in H.domain if u in B and f.dist(x, u) < delta)
-        u_defect = measure_of(mu, carrier - U)
-        clauses.append(ClauseCheck(
-            "iv:domain-measure", dom_defect <= u_defect,
-            f"mu off the domain {format_rational(dom_defect)} vs mu off U "
-            f"{format_rational(u_defect)}"))
-    else:
-        # Dom(H) is the orbit closure and U sits inside it; both
-        # complements carry full measure 1, so the bound is tight.
-        clauses.append(ClauseCheck(
-            "iv:domain-measure", True,
-            "both complements have measure 1 under an atomless measure"))
-
-    clauses.append(ClauseCheck(
-        "usc", True,
-        "set-valued maps on a discrete orbit domain are upper semicontinuous"
-        if f.finite else "identity-rule images vary continuously"))
-
-    return StabilityReport(all(c.result for c in clauses), tuple(clauses), eta, H)
+    near = [z for z in H.domain if f.dist(x, z) < delta / 4]
+    bad = next((z for z in near if measure_of(mu, H.images[z]) != 0), None)
+    inside, stray = tracking_within_ball(H, f, eps)
+    commutes, where = tracking_commutes(H, f, g)
+    carrier = frozenset(f.kernel.pts)
+    dom_defect = measure_of(mu, carrier - frozenset(H.dom()))
+    U = frozenset(u for u in H.domain if u in B and f.dist(x, u) < delta)
+    u_defect = measure_of(mu, carrier - U)
+    clauses = (
+        ClauseCheck("pre:c0", gap <= delta,
+                    f"c0 distance {format_rational(gap)} vs delta {format_rational(delta)}"),
+        ClauseCheck("pre:B", b_defect == 0,
+                    f"complement of B has measure {format_rational(b_defect)}"),
+        ClauseCheck("i:null-images", bad is None,
+                    f"checked {len(near)} orbit points in B(x, delta/4)" if bad is None
+                    else f"H({point_label(bad)}) has measure "
+                         f"{format_rational(measure_of(mu, H.images[bad]))}"),
+        ClauseCheck("ii:displacement", inside,
+                    "every image sits inside the closed eps-ball of its argument" if inside
+                    else f"H({point_label(stray[0])}) strays to {point_label(stray[1])}"),
+        ClauseCheck("iii:commutation", commutes,
+                    "f(H(u)) = H(g(u)) exactly on the whole domain" if commutes
+                    else f"commutation fails at {point_label(where[0])}"),
+        ClauseCheck("iv:domain-measure", dom_defect <= u_defect,
+                    f"mu off the domain {format_rational(dom_defect)} vs mu off U "
+                    f"{format_rational(u_defect)}"),
+        ClauseCheck("usc", True,
+                    "set-valued maps on a discrete orbit domain are upper semicontinuous"))
+    return StabilityReport(all(clauses), clauses, eta, H)

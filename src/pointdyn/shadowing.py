@@ -36,11 +36,9 @@ from typing import NamedTuple
 
 from .errors import (PreconditionError, ResourceBudgetError,
                      UnsupportedBackendError)
-from .measures import carrier_set, check_measure_backend, measure_of
 from .rationals import positive, resolve_budget
 from .shiftspace import EPPoint, shift_metric
-from .systems import (Satellite, members, point_index, point_label, sorted_points,
-                      system_ball)
+from .systems import Satellite, members, point_index, point_label
 
 DEFAULT_WINDOW_BUDGET = 10 ** 6
 
@@ -326,32 +324,3 @@ def splice_trace_shift(system, window, m: int) -> EPPoint:
     right = tuple(last.right[(j + hi + 1 - N - end_anchor) % R] for j in range(R))
     return EPPoint(left, values, right, lo)
 
-
-# -- measure-restricted variant -------------------------------------------
-
-
-class MuShadowReport(NamedTuple):
-    result: bool
-    through_points: tuple
-    failing_point: object = None
-
-    def __bool__(self):
-        return self.result
-
-
-def mu_shadowable_at(system, mu, x, eps, delta, B) -> MuShadowReport:
-    """Every pseudo-orbit through B intersected with B(x, delta) traceable.
-
-    B must carry full measure; the quantifier then decomposes over the
-    finitely many admissible through-points.
-    """
-    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
-    _exact_kernel(system)
-    check_measure_backend(system, mu)
-    B = carrier_set(system, B)
-    if measure_of(mu, frozenset(system.points()) - B) != 0:
-        raise PreconditionError("B must have full measure")
-    through = tuple(sorted_points(B & system_ball(system, x, delta)))
-    verdicts = shadowable_exact_points(system, through, eps, delta)
-    failing = next((x0 for x0, ok in verdicts.items() if not ok), None)
-    return MuShadowReport(failing is None, through, failing)

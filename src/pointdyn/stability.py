@@ -18,8 +18,7 @@ from operator import sub
 from struct import Struct
 from typing import NamedTuple
 
-from .errors import (PreconditionError, ResourceBudgetError,
-                     UnsupportedBackendError)
+from .errors import PreconditionError, ResourceBudgetError
 from .rationals import (Frozen, ZERO, dyadic_below, format_rational, positive,
                         resolve_budget)
 from .systems import (ExplicitSystem, c0_distance, check_carrier, floor_scaled,
@@ -66,7 +65,7 @@ def build_conjugacy(f, g, x, eps, delta, *, expansivity_c=None, eta=None):
         raise PreconditionError(
             f"c0 distance {format_rational(gap)} exceeds delta")
     step = _semiconjugacies(f, x, eps, _tracing_radius(eps, expansivity_c, eta))
-    return step(g.kernel.perm if g.finite else None, gap)
+    return step(g.kernel.perm if g.finite else None)
 
 
 def _tracing_radius(eps, expansivity_c, eta):
@@ -76,17 +75,14 @@ def _tracing_radius(eps, expansivity_c, eta):
 
 
 def _semiconjugacies(f, x, eps, eta):
-    """The step (gperm, gap) -> build_conjugacy's result at x for a map g
-    on f's carrier at an admissible gap = c0(f, g), gperm being g's index
-    permutation (None on infinite carriers, which alone read gap). x's
-    index and the shadowing failure text are resolved once; the step
+    """The step gperm -> build_conjugacy's result at x for a map g on f's
+    carrier within delta of f, gperm being g's index permutation (None on
+    infinite carriers, where a carrier token fixes the map, so g is f).
+    x's index and the shadowing failure text are resolved once; the step
     walks g's orbit through x and traces each orbit once, so maps that
     share it share one result, on kernel indices, labeled at the end."""
     if not f.finite:
-        def unperturbed(gperm, gap):
-            if gap != 0:
-                raise UnsupportedBackendError(
-                    "only the trivial perturbation is buildable on infinite carriers")
+        def unperturbed(gperm):
             dom = orbit_closure(f, x)
             dom_t = dom if isinstance(dom, tuple) else ()
             return ConjugacyResult(True, None, dom_t,
@@ -129,7 +125,7 @@ def _semiconjugacies(f, x, eps, eta):
             True, None, dom, mapping, residual, True, eta,
             f"tracer {point_label(pts[z])}, {len(tracers)} candidates")
 
-    def step(gperm, gap):
+    def step(gperm):
         orb, u = [xi], gperm[xi]
         while u != xi:
             orb.append(u)
@@ -336,7 +332,7 @@ def verify_topologically_stable_point(f, x, eps, delta, perturbations, *,
         if skip:
             entries.append(PerturbationVerdict(
                 name, "skipped", None, f"c0 distance {format_rational(gap)} exceeds delta"))
-        elif res := step(gperm, gap):
+        elif res := step(gperm):
             entries.append(PerturbationVerdict(name, "ok", res))
         else:
             ok = False

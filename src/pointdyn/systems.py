@@ -653,8 +653,13 @@ def floor_scaled(r, S, closed) -> int:
 
 
 def members(bits) -> list:
-    """The indices of the set bits of bits, ascending."""
-    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+    """The indices of the set bits of bits, ascending, the lowest taken off
+    at each step: linear in the set bits, not in the bit length."""
+    out = []
+    while bits:
+        out.append((low := bits & -bits).bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def least(bits) -> int:

@@ -18,13 +18,13 @@ from pointdyn.expansivity import (classify_points, minimally_expansive_at,
                                   uniformly_expansive_at)
 from pointdyn.measures import (WeightedMeasure, build_tracking_map,
                                expansive_measure_check, mu_expansive_points,
-                               tracking_commutes,
+                               mu_shadowable_at, tracking_commutes,
                                tracking_within_ball,
                                verify_strong_mu_topological_stability)
 from pointdyn.metric import FiniteMetricSpace, validate_metric
 from pointdyn.rationals import dyadic_below
-from pointdyn.shadowing import (count_pseudo_orbits, mu_shadowable_at,
-                                shadowable_exact, shadowable_windowed)
+from pointdyn.shadowing import (count_pseudo_orbits, shadowable_exact,
+                                shadowable_windowed)
 from pointdyn.shiftspace import parse_ep, shift_metric
 from pointdyn.stability import (build_conjugacy, c0_distance,
                                 enumerate_perturbations, gh_distance_bounds,

@@ -84,6 +84,53 @@ def test_the_check_sees_private_imports():
     assert private_imports(source) == ["_w", "_x", "_z"]
 
 
+# the layers, lowest first: a module imports only modules before it, so
+# the deciders sit below the measure layer and the CLI on top
+LAYERS = ("errors", "rationals", "metric", "shiftspace", "systems", "expansivity",
+          "shadowing", "measures", "stability", "bundled", "sysfile", "report", "cli")
+
+
+def sibling_imports(source: str) -> list:
+    """The pointdyn modules source imports, anywhere in the module; a
+    dunder imported from the package itself (__version__) names no module."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        parts = (node.module or "").split(".")
+        if node.level == 0 and parts[0] == "pointdyn":
+            parts = parts[1:]
+        elif node.level == 0:
+            continue
+        if parts and parts[0]:
+            out.append(parts[0])
+        else:
+            out += [alias.name for alias in node.names if not alias.name.startswith("__")]
+    return out
+
+
+def layer_breaches(sources: dict, layers) -> list:
+    """(module, imported) for each import of a module that layers does not
+    list before the importing one."""
+    rank = {name: i for i, name in enumerate(layers)}
+    return sorted((module, name) for module, source in sources.items()
+                  for name in sibling_imports(source)
+                  if rank.get(name, len(layers)) >= rank[module])
+
+
+def test_modules_import_only_lower_layers():
+    assert sorted(LAYERS) == [p.stem for p in MODULES]
+    assert layer_breaches({p.stem: p.read_text() for p in MODULES}, LAYERS) == []
+
+
+def test_the_check_sees_upward_imports():
+    sources = {"a": "from . import __version__\nimport json\n",
+               "b": "from .a import x\nfrom pointdyn.c import y\n",
+               "c": "from . import a, b\ndef f():\n    from .d import z\n"
+                    "from pointdyn import c\n"}
+    assert layer_breaches(sources, ("a", "b", "c")) == [("b", "c"), ("c", "c"), ("c", "d")]
+
+
 # documented module API that the package does not re-export: the stanza
 # writer, the inverse of sysfile.loads, called as pointdyn.sysfile.dumps
 MODULE_API = {("sysfile", "dumps")}
@@ -141,7 +188,8 @@ def test_the_check_sees_test_only_names():
 # exports that no module, bench/ or perfbench/ reads, each kept for the
 # paper notion it decides
 PAPER_API = {
-    "mu_shadowable_at": "Theorem (ii)'s gate, and the mu-shadowable points of the abstract",
+    "mu_shadowable_at": "Theorem (ii)'s gate, checked as an implication in "
+                        "test_theorems.py::test_theorem_ii_holds_on_the_census",
     "splice_trace_shift": "the shift's only shadowing route: shadowable_exact refuses "
                           "infinite carriers",
     "separation_horizon": "Theorem (i)'s horizon lemma, checked as the least horizon "
@@ -256,10 +304,11 @@ def test_importing_the_cli_loads_no_dataclasses():
 
 RECORDS = (
     expansivity.ExpansivityVerdict,
-    measures.MeasureExpansivityReport, measures.SetValuedAssignment,
+    measures.MeasureExpansivityReport, measures.MuShadowReport,
+    measures.SetValuedAssignment,
     measures.ClauseCheck, measures.StabilityReport, metric.MetricViolation,
     shadowing.PseudoOrbitWindow, shadowing.TracerSet,
-    shadowing.WindowedShadowReport, shadowing.MuShadowReport, shiftspace.ShiftBall,
+    shadowing.WindowedShadowReport, shiftspace.ShiftBall,
     stability.ConjugacyResult, stability.PerturbationFamily,
     stability.PerturbationVerdict, stability.StablePointReport, stability.IsometryPair,
     stability.GHBounds, stability.CandidateVerdict,

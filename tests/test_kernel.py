@@ -225,6 +225,20 @@ def test_within_and_pullbacks_match_oracle(system, data):
         assert all(list(row) == sorted(row) for row in forward + backward)
 
 
+def test_members_match_the_bit_scan():
+    # members takes off the lowest set bit once per set bit; the scan tests
+    # every position below the bit length
+    rng = Random(11)
+    for width in (0, 1, 63, 64, 65, 1100):
+        full = (1 << width) - 1
+        rows = {0, full, full ^ (full >> 1), full & 1, full & 0x5555 << 40}
+        rows |= {rng.getrandbits(width) for _ in range(8)}
+        rows |= {rng.getrandbits(width) & rng.getrandbits(width) & rng.getrandbits(width)
+                 for _ in range(8)}
+        for bits in rows:
+            assert members(bits) == [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
 @given(finite_systems(), st.data())
 def test_separation_matches_oracle(system, data):
     k = system.kernel

@@ -15,7 +15,7 @@ from pointdyn.systems import (ExplicitSystem, build_explicit, build_lattice,
                               Satellite, system_ball)
 from pointdyn.shiftspace import parse_ep, pure, ShiftBall
 from pointdyn import measures as M
-from pointdyn.shadowing import mu_shadowable_at
+from pointdyn.measures import mu_shadowable_at
 from pointdyn.errors import (CarrierMismatchError, MalformedInputError,
                              PreconditionError, UnsupportedBackendError)
 

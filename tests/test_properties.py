@@ -19,8 +19,7 @@ from pointdyn.shadowing import (shadowable_windowed, shadowable_exact,
 from pointdyn.measures import (WeightedMeasure, phi_set, measure_of,
                                mu_uniformly_expansive_at, mu_expansive_points,
                                build_tracking_map, tracking_within_ball,
-                               tracking_commutes)
-from pointdyn.shadowing import mu_shadowable_at
+                               tracking_commutes, mu_shadowable_at)
 from pointdyn.stability import (build_conjugacy, enumerate_perturbations,
                                 find_exact_isomorphism, gh_distance_bounds)
 from pointdyn.rationals import dyadic_below, format_rational

@@ -19,7 +19,8 @@ from pointdyn.expansivity import (classify_points, expansive_point_at, is_expans
                                   minimally_expansive_at, point_verdicts,
                                   uniformly_expansive_at)
 from pointdyn.measures import (WeightedMeasure, build_tracking_map,
-                               expansive_measure_check, mu_expansive_points, mu_uniformly_expansive_at, phi_set,
+                               expansive_measure_check, mu_expansive_points,
+                               mu_shadowable_at, mu_uniformly_expansive_at, phi_set,
                                verify_strong_mu_topological_stability)
 from pointdyn.stability import (build_conjugacy, first_delta_isometry_pair,
                                 gh_stable_point_check, verify_topologically_stable_point)
@@ -213,7 +214,7 @@ def test_non_positive_scales_are_rejected(eps, delta):
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
         SH.shadowable_exact_points(R12K3, [0], eps, delta)
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
-        SH.mu_shadowable_at(R12K3, UNI12, 0, eps, delta, B=range(12))
+        mu_shadowable_at(R12K3, UNI12, 0, eps, delta, B=range(12))
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
         verify_strong_mu_topological_stability(R12K3, UNI12, 0, eps, delta, R12K3)
     with pytest.raises(PreconditionError, match=f"{what} must be positive"):
@@ -417,14 +418,14 @@ def test_splice_of_y_points_on_a_satellite_carrier():
 def test_mu_restricted_shadowing():
     uni = WeightedMeasure.from_weights({0: 1, 1: 1, 2: 1})
     w011 = WeightedMeasure.from_weights({0: 0, 1: 1, 2: 1})
-    ms = SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=(0, 1, 2))
+    ms = mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=(0, 1, 2))
     assert ms.result is True and ms.through_points == (0,)
-    ms2 = SH.mu_shadowable_at(ID3, w011, 0, F(1, 2), F(1, 2), B=(1, 2))
+    ms2 = mu_shadowable_at(ID3, w011, 0, F(1, 2), F(1, 2), B=(1, 2))
     assert ms2.result is True and ms2.through_points == ()
-    ms3 = SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), F(2), B=(0, 1, 2))
+    ms3 = mu_shadowable_at(ID3, uni, 0, F(1, 2), F(2), B=(0, 1, 2))
     assert ms3.result is False and ms3.failing_point == 0
     with pytest.raises(PreconditionError):
-        SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=(0, 1))
+        mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=(0, 1))
 
 
 def test_mu_shadowable_reads_b_once():
@@ -432,8 +433,8 @@ def test_mu_shadowable_reads_b_once():
     # was used up by the first one and a full-measure B was refused
     uni = WeightedMeasure.from_weights({0: 1, 1: 1, 2: 1})
     for delta in (F(1, 2), F(2)):
-        listed = SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, [0, 1, 2])
-        assert SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, iter([0, 1, 2])) == listed
+        listed = mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, [0, 1, 2])
+        assert mu_shadowable_at(ID3, uni, 0, F(1, 2), delta, iter([0, 1, 2])) == listed
 
 
 def test_bad_carrier_inputs_raise_named_errors():
@@ -445,7 +446,7 @@ def test_bad_carrier_inputs_raise_named_errors():
     with pytest.raises(PreconditionError, match="99 is not a carrier point"):
         SH.trace(R12K3, SH.PseudoOrbitWindow((99,), F(1, 6)), F(1, 4))
     with pytest.raises(PreconditionError, match="7 is not a carrier point"):
-        SH.mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=[0, 1, 2, 7])
+        mu_shadowable_at(ID3, uni, 0, F(1, 2), F(1, 2), B=[0, 1, 2, 7])
     with pytest.raises(PreconditionError, match="9 is not a carrier point"):
         verify_strong_mu_topological_stability(ID3, uni, 0, F(1, 2), F(1, 2), ID3,
                                                B=[0, 1, 2, 9])

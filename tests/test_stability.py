@@ -14,9 +14,12 @@ from hypothesis import assume, given, settings, strategies as st
 
 from pointdyn import shadowing, stability
 from pointdyn.bundled import bundled_system
+from pointdyn.measures import (WeightedMeasure, build_tracking_map,
+                               verify_strong_mu_topological_stability)
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.rationals import format_rational
-from pointdyn.systems import (ExplicitSystem, FiniteKernel, build_lattice,
+from pointdyn.shiftspace import pure
+from pointdyn.systems import (ExplicitSystem, FiniteKernel, build_lattice, build_shift,
                               c0_distance, conjugate_system, materialize, point_label)
 from pointdyn.stability import (GH_GRID_STEP, _clause_values, _map_search, build_conjugacy,
                                 enumerate_perturbations, find_exact_isomorphism,
@@ -335,6 +338,21 @@ def test_stable_point_checks_the_family_carrier():
     with pytest.raises(CarrierMismatchError):
         verify_topologically_stable_point(R12K1, 0, F(1, 4), F(1, 12),
                                           enumerate_perturbations(ID3, F(1, 2)))
+
+
+def test_symbolic_routes_refuse_another_carrier():
+    # a symbolic carrier token fixes the map, so these routes admit only
+    # g = f and need no refusal of a C0-distant g of their own
+    shift2, half = bundled_system("shift2"), F(1, 2)
+    x, mu = pure((0, 1)), WeightedMeasure.from_bernoulli((half, half))
+    for g in (build_shift(3), bundled_system("satellite3")):
+        calls = (lambda: build_conjugacy(shift2, g, x, half, half),
+                 lambda: verify_topologically_stable_point(shift2, x, half, half, [g]),
+                 lambda: build_tracking_map(shift2, g, x, F(1, 4)),
+                 lambda: verify_strong_mu_topological_stability(shift2, mu, x, half, half, g))
+        for call in calls:
+            with pytest.raises(CarrierMismatchError, match="^carriers differ: shift2"):
+                call()
 
 
 def test_stable_point_skips_far_perturbations():
