@@ -86,22 +86,31 @@ The ``perturbations`` layer times enumerate_perturbations on fresh
 systems with their integer rows, cycles and within(delta, closed=True)
 built: Z12, Z20 and Z24 with a unit step at delta = 1/n, each as the
 lattice and as its relabeled twin (a seeded bijection with the metric
-carried over), whose maps the enumerator must sort. The counters are
-maps, the family's size, and nodes, the partial maps a plain
-depth-first search extends. One more case, Z48 refused, is refused at
-delta = 1/48 under a budget of 10**5 maps; its counters are refused
-and peak_kib, the tracemalloc peak of one more call, which shows
-whether the refusal holds the maps found so far (before BENCH_32) or
-none.
+carried over), whose maps must be sorted. These cases read only the
+family's len, which from BENCH_39 on is the state DAG's root count and
+builds no map; the cases Z20 twin perms and Z24 twin perms also read
+the family's perms in the timed call, so they time the listing as well
+(before BENCH_39 the enumerator built perms itself, and the two reads
+cost the same). The counters are maps, the family's size, and nodes,
+the partial maps a plain depth-first search extends. Two more cases
+run at delta = 1/48 under a budget and add peak_kib, the tracemalloc
+peak of one more call: Z48 refused, under 10**5 maps, whose counters
+are refused and peak_kib, which shows whether the refusal holds the
+maps found so far (before BENCH_32) or none; and Z48 counted, under
+10**11 maps, whose counters are maps (10 749 957 124) and peak_kib. Z48
+counted is measured only on a tree whose family builds its perms on
+first read; on an older tree the call would list every map, so it
+gives no record there.
 
 The ``stable-point`` layer times verify_topologically_stable_point at
 the first point, eps = 1/4, against the full family at delta = 1/n, on
 fresh systems with their integer rows and cycles built and the family
-enumerated: Z12 and Z20 with a unit step, and Z12's relabeled twin. The
-counters are maps, the family's size, and orbits, the distinct orbits
-of the first point under those maps, which the ladder counts itself
-from the family's index permutations; a verifier that traces each orbit
-once traces orbits, not maps.
+enumerated and its perms read, so only the verification is timed: Z12
+and Z20 with a unit step, and Z12's relabeled twin. The counters are
+maps, the family's size, and orbits, the distinct orbits of the first
+point under those maps, which the ladder counts itself from the
+family's index permutations; a verifier that traces each orbit once
+traces orbits, not maps.
 
 One more layer is not a rung: ``import`` starts --repeats fresh
 interpreters on each tree, each timing its own ``import pointdyn.cli``.
@@ -159,6 +168,8 @@ DECIDER_SCALES = ((F(5, 4), F(5, 4)), (F(7, 5), F(1, 2)))
 SWEEP_CASES, SWEEP_SCALES = ("cat7", "cat9", "cat13", "cat17"), (F(1, 2), F(1, 3))
 WINDOWED_BUDGET = 10 ** 8
 PERTURBATION_SIZES = (12, 20, 24)
+# the sizes whose twins also have a rung that reads perms
+LISTED_TWINS = (20, 24)
 STABLE_POINT_EPS = F(1, 4)
 # the node budget of the stability-pipeline gh-budget job
 GH_BUDGET = 5 * 10 ** 4
@@ -475,24 +486,37 @@ def measure_windowed(label, repeats, case, make, eps, delta, N, budget):
 
 
 def perturbation_cases(systems):
-    """(case, make, delta, budget): make builds a fresh system; a budget of
-    None is the default enumeration budget."""
+    """(case, make, delta, budget, read): make builds a fresh system; a
+    budget of None is the default enumeration budget; read is what the
+    timed call reads of the family: "len", "perms" (len and perms) or
+    "count" (len of a family too large to list)."""
     def lattice(n):
         return lambda: systems.build_lattice(n, step=1)
 
+    def twin(n):
+        return lambda: seeded_twin(systems, lattice(n)())
+
     out = []
     for n in PERTURBATION_SIZES:
-        out += [(f"Z{n}", lattice(n), F(1, n), None),
-                (f"Z{n} twin", lambda n=n: seeded_twin(systems, lattice(n)()), F(1, n), None)]
-    return out + [("Z48 refused", lattice(48), F(1, 48), 10 ** 5)]
+        out += [(f"Z{n}", lattice(n), F(1, n), None, "len"),
+                (f"Z{n} twin", twin(n), F(1, n), None, "len")]
+        if n in LISTED_TWINS:
+            out.append((f"Z{n} twin perms", twin(n), F(1, n), None, "perms"))
+    return out + [("Z48 refused", lattice(48), F(1, 48), 10 ** 5, "len"),
+                  ("Z48 counted", lattice(48), F(1, 48), 10 ** 11, "count")]
 
 
-def measure_perturbations(label, repeats, case, make, delta, budget):
+def measure_perturbations(label, repeats, case, make, delta, budget, read):
     """The perturbations layer: enumerate_perturbations on a fresh system
-    with within(delta, closed=True) built, or its refusal with the
-    tracemalloc peak of one more call."""
+    with within(delta, closed=True) built, reading what read names, and
+    under an explicit budget the tracemalloc peak of one more call. A
+    "count" case gives no record on a tree whose family lists every map
+    when it is enumerated."""
     from pointdyn import stability
     from pointdyn.errors import ResourceBudgetError
+
+    if read == "count" and not hasattr(stability.PerturbationFamily, "perms"):
+        return []
 
     def setup():
         system = warmed(make())
@@ -501,16 +525,23 @@ def measure_perturbations(label, repeats, case, make, delta, budget):
 
     def call(s):
         try:
-            return stability.enumerate_perturbations(s, delta, budget)
+            fam = stability.enumerate_perturbations(s, delta, budget)
         except ResourceBudgetError as err:
             return err
+        if read == "perms":
+            fam.perms
+        return fam
 
     best, fam, system = best_of(repeats, setup, call)
     if isinstance(fam, ResourceBudgetError):
-        again = setup()
-        counters = {"refused": True, "peak_kib": traced_peak_kib(lambda: call(again))}
+        counters = {"refused": True}
+    elif read == "count":
+        counters = {"maps": len(fam)}
     else:
         counters = {"maps": len(fam), "nodes": fam.nodes}
+    if budget is not None:
+        again = setup()
+        counters["peak_kib"] = traced_peak_kib(lambda: call(again))
     return [record(label, "perturbations", case, len(system.kernel.pts), str(delta),
                    repeats, best, counters)]
 
@@ -539,12 +570,15 @@ def orbits_through(perms, x):
 
 def measure_stable_point(label, repeats, case, make, delta):
     """The stable-point layer: verify_topologically_stable_point at the
-    first point against the family at delta, enumerated untimed."""
+    first point against the family at delta, enumerated and listed
+    untimed."""
     from pointdyn import stability
 
     def setup():
         system = warmed(make())
-        return system, stability.enumerate_perturbations(system, delta)
+        fam = stability.enumerate_perturbations(system, delta)
+        fam.perms
+        return system, fam
 
     best, _, (system, fam) = best_of(repeats, setup, lambda made: (
         stability.verify_topologically_stable_point(

@@ -144,15 +144,38 @@ class PerturbationFamily(Frozen):
     points[i] in every map. nodes counts the partial maps, the empty one
     included, that a plain depth-first search in the enumerator's slot
     order would extend; the enumerator counts them per frontier state
-    and visits each state once. No __slots__: the cached `systems` needs
-    a __dict__."""
+    and visits each state once.
+
+    A family from enumerate_perturbations is its state DAG: it keeps the
+    slot order, the states and the closed integer bound of its delta on
+    base's rows, builds no map until perms is first read, and counts its
+    maps by the DAG's root count, so len reads no map and len of a
+    family past sys.maxsize maps raises Python's OverflowError (the
+    count itself is exact). Built from perms directly, a family counts
+    its tuple and has no bound. Equality, hash and repr read perms. No
+    __slots__: perms and the cached `systems` need a __dict__."""
     _fields = ("base", "points", "perms", "nodes")
+    _order = _states = _bound = None
 
     def __init__(self, base, points: tuple, perms: tuple, nodes: int):
         self._set(base, points, perms, nodes)
 
+    @classmethod
+    def _of_dag(cls, base, points, nodes, order, states, bound):
+        fam = cls.__new__(cls)
+        for name, value in zip(("base", "points", "nodes", "_order", "_states", "_bound"),
+                               (base, points, nodes, order, states, bound)):
+            object.__setattr__(fam, name, value)
+        return fam
+
     def __len__(self):
-        return len(self.perms)
+        return len(self.perms) if self._states is None else self._states[0][0][0]
+
+    @cached_property
+    def perms(self) -> tuple:
+        """The maps in lexicographic order, joined from the DAG on first
+        read (enumerate_perturbations)."""
+        return _listing(self._order, self._states)
 
     def name(self, i) -> str:
         return f"{self.base.name}~pert{i}"
@@ -185,15 +208,13 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     and its live edges (image, next key). nodes counts the partial maps
     a plain depth-first search in slot order extends, the empty one
     included. The budget caps the maps: the search refuses once the maps
-    known on its stack exceed it, before any map is built. The maps are
-    then joined from the prefixes of the first n // 2 slots and the
-    suffixes of each middle state, in search order, which is
-    lexicographic when slot t places index t. Under any other slot order
-    each map is joined as an integer code that holds index i's image as
-    a fixed-width digit, index 0 the most significant, so the codes
-    sorted as integers list the maps in lexicographic order; each code
-    is then unpacked into its tuple. Either way the family lists its
-    maps in lexicographic order.
+    known on its stack exceed it, before any map is built.
+
+    The family returned holds that DAG: its len is the root's map count,
+    its perms are joined by _listing when first read, and it records the
+    closed bound floor_scaled(delta, D, closed=True) on the kernel's
+    denominator D, which _perturbation_maps can trust in place of each
+    map's C0 distance.
     """
     delta = positive(delta, "perturbation radius")
     budget = resolve_budget(budget, DEFAULT_ENUMERATION_BUDGET)
@@ -239,6 +260,23 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
             t -= 1
             if t >= 0:
                 edges[t].append((chosen[t], key))
+    return PerturbationFamily._of_dag(system, k.pts, states[0][0][1], order, states,
+                                      floor_scaled(delta, k.denominator, closed=True))
+
+
+def _listing(order, states) -> tuple:
+    """The maps of the DAG states in slot order order, as index-order
+    tuples in lexicographic order.
+
+    The maps are joined from the prefixes of the first n // 2 slots and
+    the suffixes of each middle state, in search order, which is
+    lexicographic when slot t places index t. Under any other slot order
+    each map is joined as an integer code that holds index i's image as
+    a fixed-width digit, index 0 the most significant, so the codes
+    sorted as integers list the maps in lexicographic order; each code
+    is then unpacked into its tuple.
+    """
+    n = len(order)
     # under any other slot order a map is an integer code: index i's image
     # is its digit at 8 * w * (n - 1 - i), so the codes sort as the maps do
     if order == list(range(n)):
@@ -254,7 +292,7 @@ def enumerate_perturbations(system, delta, budget=None) -> PerturbationFamily:
     if shifts is not None:
         perms = map(Struct(f">{n}{digit}").unpack,
                     map(int.to_bytes, sorted(perms), repeat(n * w), repeat("big")))
-    return PerturbationFamily(system, k.pts, tuple(perms), states[0][0][1])
+    return tuple(perms)
 
 
 def _grow(states, blocks, start, stop, shifts=None) -> list:
@@ -347,7 +385,10 @@ def _perturbation_maps(f, perturbations, delta):
     A family's carrier is checked once, against its base. Its maps compare
     their integer C0 sup top with delta as top > floor_scaled(delta, D,
     closed=True), and build the distance only beyond delta (None for an
-    admissible map).
+    admissible map). A family from enumerate_perturbations holds only maps
+    within its own closed bound of its base's map; when that bound is at
+    most delta's and the base has f's index map (check_carrier compares
+    carriers only), no map lies beyond delta and none is rechecked.
     Each system of any other iterable is checked by c0_distance, and
     carries no index permutation on an infinite carrier (None).
     """
@@ -355,9 +396,11 @@ def _perturbation_maps(f, perturbations, delta):
         check_carrier(f, perturbations.base)
         k, D = f.kernel, f.kernel.denominator
         bound = floor_scaled(delta, D, closed=True)
+        # equal carriers share D, so the two bounds are on one scale
+        bounded = perturbations._bound is not None and perturbations._bound <= bound \
+            and perturbations.base.kernel.perm == k.perm
         for i, p in enumerate(perturbations.perms):
-            top = k.c0_scaled(p)
-            skip = top > bound
+            skip = not bounded and (top := k.c0_scaled(p)) > bound
             yield perturbations.name(i), p, Fraction(top, D) if skip else None, skip
         return
     for g in perturbations:

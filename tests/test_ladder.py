@@ -89,6 +89,15 @@ def test_every_layer_measures_small_rungs():
     well_formed(records, "perturbations", "Z48 refused")
     assert set(records[0]["counters"]) == {"refused", "peak_kib"}
     assert records[0]["counters"]["refused"] is True
+    records = ladder.measure_perturbations("t", 1, "Z20 twin perms",
+                                           *perturbations["Z20 twin perms"])
+    well_formed(records, "perturbations", "Z20 twin perms")
+    assert records[0]["counters"] == {"maps": 15129, "nodes": 43816}
+    # the Lucas number L_48 plus the 2 rotations, counted on the DAG
+    records = ladder.measure_perturbations("t", 1, "Z48 counted", *perturbations["Z48 counted"])
+    well_formed(records, "perturbations", "Z48 counted")
+    assert set(records[0]["counters"]) == {"maps", "peak_kib"}
+    assert records[0]["counters"]["maps"] == 10_749_957_124
 
 
 def test_import_layer_times_a_fresh_interpreter():

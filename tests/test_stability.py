@@ -190,6 +190,8 @@ def test_enumerator_matches_permutation_oracle(system, data):
 
 def memoized_perturbations(system, delta, budget=None):
     fam = enumerate_perturbations(system, delta, budget)
+    size = len(fam)             # the DAG's root count: no map is built yet
+    assert "perms" not in vars(fam) and len(fam.perms) == size
     return fam.perms, fam.nodes
 
 
@@ -324,6 +326,72 @@ def test_enumeration_refusal_builds_no_map():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 20
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("n", (12, 20, 24, 48))
+def test_a_family_is_counted_without_listing(n):
+    # on Z_n at delta = 1/n the maps are the matchings of the n-cycle
+    # (the Lucas number L_n) and the rotations by +1 and -1
+    lattice = build_lattice(n, step=1)
+    twin = conjugate_system(lattice, dict(zip(range(n), Random(n).sample(range(n), n))),
+                            name="twin", transport_metric=True)
+    for system in (lattice, twin):
+        tracemalloc.start()
+        try:
+            fam = enumerate_perturbations(system, F(1, n), budget=10 ** 11)
+            size = len(fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert size == lucas(n) + 2 and "perms" not in vars(fam)
+        assert peak < 2 ** 20
+    assert lucas(48) + 2 == 10_749_957_124
+
+
+def test_a_len_past_sys_maxsize_is_an_overflow_error():
+    # Z96 at delta = 1/96 holds L_96 + 2, about 1.2 * 10^20 maps
+    fam = enumerate_perturbations(build_lattice(96, step=1), F(1, 96), budget=10 ** 21)
+    assert lucas(96) + 2 > sys.maxsize
+    with pytest.raises(OverflowError):
+        len(fam)
+    assert "perms" not in vars(fam)
+
+
+def test_a_family_lists_alike_whichever_it_reads_first():
+    z12 = build_lattice(12, step=1)
+    twin = conjugate_system(z12, dict(zip(range(12), Random(12).sample(range(12), 12))),
+                            name="twin", transport_metric=True)
+    for system, delta in ((ID3, 2), (z12, F(1, 12)), (twin, F(1, 12)),
+                          (bundled_system("cat5"), F(1, 10))):
+        counted, listed = (enumerate_perturbations(system, delta) for _ in range(2))
+        listed.perms
+        assert len(counted) == len(listed) and "perms" not in vars(counted)
+        assert counted == listed and hash(counted) == hash(listed)
+        assert counted.perms == listed.perms
+        assert [g.perm for g in counted.systems] == list(listed.perms)
+        built = stability.PerturbationFamily(system, listed.points, listed.perms, listed.nodes)
+        assert built == counted and hash(built) == hash(counted)
+        assert len(built) == len(counted)
+    # repr goes by the fields, perms included
+    assert repr(built) == repr(counted)
+
+
+def test_a_family_of_another_map_is_checked_against_f():
+    # the family of the rotation by 5 shares Z12's carrier, but none of
+    # its maps lies within 1/12 of the rotation by 1: its own bound does
+    # not vouch for them against f
+    fam = enumerate_perturbations(build_lattice(12, step=5), F(1, 12))
+    rep = verify_topologically_stable_point(build_lattice(12, step=1), 0, F(1, 4),
+                                            F(1, 12), fam)
+    assert [e.status for e in rep.entries] == ["skipped"] * 324
+    assert rep.result is True
 
 
 def test_stable_point_identity_only():
