@@ -113,13 +113,24 @@ family's index permutations; a verifier that traces each orbit once
 traces orbits, not maps.
 
 One more layer is not a rung: ``import`` starts --repeats fresh
-interpreters on each tree, each timing its own ``import pointdyn.cli``.
-Its record (case ``pointdyn.cli``, size and c null) holds the median of
-those import times as wall_s, and its counters are the ``pointdyn``
-modules loaded and whether ``dataclasses`` was loaded. The children
-write no bytecode when PYTHONDONTWRITEBYTECODE is set, so run ``python3
--m compileall -q src`` on each tree first, or the import times the
-compiler too.
+interpreters on each tree per case, each timing its own ``import
+pointdyn.cli``. The record of case ``pointdyn.cli`` (size and c null)
+holds the median of those import times as wall_s, and its counters are
+the ``pointdyn`` modules loaded and whether ``dataclasses`` was loaded.
+Its children run on the tree as it stands and write no bytecode when
+PYTHONDONTWRITEBYTECODE is set, so run ``python3 -m compileall -q src``
+on each tree first, or the import times the compiler too. From BENCH_40
+on, the other cases run from source, as a fresh checkout under
+PYTHONDONTWRITEBYTECODE=1 does, which is how the cli-desk benchmark
+workload runs: each tree's ``pointdyn`` is copied to a temporary
+directory with no ``__pycache__``, so every process compiles each module
+it imports. Case ``pointdyn.cli from source`` times the import there,
+with the counters above. Each case ``pdl <argv>`` times the import and
+one ``main(argv)`` call, a call per verb (validate, classify and shadow
+on a lattice stanza file, the rest on bundled systems), and its counters
+are the ``pointdyn`` modules the call loaded and its exit code. A
+``PYTHONPYCACHEPREFIX`` pointed at an empty directory is no substitute
+for the copy: it compiles the standard library too.
 
 Every other record is {tree, layer, case, size, repeats, wall_s,
 counters}: wall_s is the least wall time over repeats fresh systems,
@@ -155,8 +166,10 @@ import json
 import os
 import platform
 import statistics
+import shutil
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -187,6 +200,34 @@ wall = time.perf_counter() - t0
 print(wall, sum(m.partition(".")[0] == "pointdyn" for m in sys.modules),
       "dataclasses" in sys.modules)
 """
+PDL_CHILD = """\
+import contextlib, io, sys, time
+t0 = time.perf_counter()
+import pointdyn.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = pointdyn.cli.main(sys.argv[1:])
+wall = time.perf_counter() - t0
+print(wall, sum(m.partition(".")[0] == "pointdyn" for m in sys.modules), code)
+"""
+# one pdl call per verb as the cli-desk benchmark workload makes them:
+# validate, classify and shadow on a lattice stanza file (STANZA, written
+# next to the copied package), the other verbs on bundled systems
+STANZA, STANZA_TEXT = "z12k5.pdl", "lattice {\n  n = 12\n  map = rot 5\n  name = z12k5\n}\n"
+VERB_ARGV = (
+    ("validate", STANZA),
+    ("classify", STANZA, "--variant", "uniform", "--c", "1/12"),
+    ("shadow", STANZA, "--x", "0", "--eps", "1/4", "--delta", "1/24", "--window", "2"),
+    ("classify", "bundled:r12k3", "--variant", "minimal", "--c", "1/6"),
+    ("conjugacy", "bundled:id3", "bundled:id3", "--x", "0", "--eps", "1/2",
+     "--delta", "1/2"),
+    ("trackmap", "bundled:id3", "--x", "0", "--eta", "1/2"),
+    ("ghdist", "bundled:r12k1", "bundled:r12k5", "--budget", "40000"),
+    ("ghstable", "bundled:id3", "bundled:id3", "--x", "0", "--eps", "1/2",
+     "--delta", "1/2"),
+    ("mustable", "bundled:id3", "--measure", "bundled:nullpoint3", "--x", "0",
+     "--eps", "1/2", "--delta", "1/2"),
+    ("satellite", "bundled:satellite3"),
+)
 
 
 def cycles_perm(lengths):
@@ -588,21 +629,68 @@ def measure_stable_point(label, repeats, case, make, delta):
                    {"maps": len(fam), "orbits": orbits_through(fam.perms, 0)})]
 
 
+def fresh_runs(paths, repeats, child, argv=(), cwd=None, **env):
+    """{label: the words child printed, per run} over repeats fresh
+    interpreters per tree, each importing pointdyn from paths[label] with
+    argv and env, the trees taking turns."""
+    labels = list(paths)
+    runs = {label: [] for label in labels}
+    for r in range(repeats):
+        for label in labels if r % 2 == 0 else labels[::-1]:
+            runs[label].append(subprocess.run(
+                [sys.executable, "-c", child, *argv], cwd=cwd, check=True,
+                env=dict(os.environ, PYTHONPATH=paths[label], **env),
+                capture_output=True, text=True).stdout.split())
+    return runs
+
+
+def import_record(label, case, repeats, found, counters):
+    """The import-layer record of one tree's runs: the median time the
+    child printed first, with counters."""
+    return record(label, "import", case, None, None, repeats,
+                  statistics.median(float(run[0]) for run in found), counters)
+
+
 def measure_import(trees, repeats):
     """The import layer: the median import time of pointdyn.cli over
     repeats fresh interpreters per tree, the trees taking turns."""
-    runs = {label: [] for label, _ in trees}
-    for r in range(repeats):
-        for label, src in trees if r % 2 == 0 else trees[::-1]:
-            env = dict(os.environ, PYTHONPATH=src)
-            runs[label].append(subprocess.run(
-                [sys.executable, "-c", IMPORT_CHILD], env=env, check=True,
-                capture_output=True, text=True).stdout.split())
-    return [record(label, "import", "pointdyn.cli", None, None, repeats,
-                   statistics.median(float(run[0]) for run in found),
-                   {"pointdyn_modules": int(found[0][1]),
-                    "dataclasses": found[0][2] == "True"})
+    runs = fresh_runs(dict(trees), repeats, IMPORT_CHILD)
+    return [import_record(label, "pointdyn.cli", repeats, found,
+                          {"pointdyn_modules": int(found[0][1]),
+                           "dataclasses": found[0][2] == "True"})
             for label, found in runs.items()]
+
+
+def measure_from_source(trees, repeats):
+    """The import layer from source: per tree, the median over repeats
+    fresh interpreters of import pointdyn.cli, and of that import plus
+    one pdl call per VERB_ARGV, the trees taking turns. Each tree's
+    pointdyn is copied to a temporary directory with no __pycache__ and
+    run under PYTHONDONTWRITEBYTECODE=1, so every process compiles what
+    it imports, as a fresh checkout does."""
+    records = []
+    with tempfile.TemporaryDirectory() as tmp:
+        copies = {}
+        for i, (label, src) in enumerate(trees):
+            copies[label] = os.path.join(tmp, str(i))
+            shutil.copytree(os.path.join(src, "pointdyn"),
+                            os.path.join(copies[label], "pointdyn"),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        with open(os.path.join(tmp, STANZA), "w") as fh:
+            fh.write(STANZA_TEXT)
+        runs = fresh_runs(copies, repeats, IMPORT_CHILD, PYTHONDONTWRITEBYTECODE="1")
+        records += [import_record(label, "pointdyn.cli from source", repeats, found,
+                                  {"pointdyn_modules": int(found[0][1]),
+                                   "dataclasses": found[0][2] == "True"})
+                    for label, found in runs.items()]
+        for argv in VERB_ARGV:
+            runs = fresh_runs(copies, repeats, PDL_CHILD, argv, cwd=tmp,
+                              PYTHONDONTWRITEBYTECODE="1")
+            records += [import_record(label, "pdl " + " ".join(argv), repeats, found,
+                                      {"pointdyn_modules": int(found[0][1]),
+                                       "exit": int(found[0][2])})
+                        for label, found in runs.items()]
+    return records
 
 
 def serve(label, repeats):
@@ -679,7 +767,7 @@ def main(argv=None):
         child.stdin.flush()
         return json.loads(child.stdout.readline())
 
-    records = measure_import(trees, args.repeats)
+    records = measure_import(trees, args.repeats) + measure_from_source(trees, args.repeats)
     for i, unit in enumerate(ask(children[0], "units")):
         for child in children if i % 2 == 0 else children[::-1]:
             records += ask(child, unit)

@@ -10,7 +10,6 @@ fresh instance; instances are immutable, so sharing would also be safe.
 from fractions import Fraction
 
 from .errors import MalformedInputError
-from .measures import WeightedMeasure
 from .metric import FiniteMetricSpace, discrete_space
 from .shiftspace import EPPoint, pure
 from .systems import build_explicit, build_lattice, build_satellite, build_shift
@@ -144,19 +143,24 @@ def bundled_system(name: str):
             + ", ".join(bundled_names())) from None
 
 
+# each measure accessor imports measures itself, so a bundled system
+# loads no decider
 def uniform3():
     """Uniform weights on the 3-point carrier (nothing is null)."""
+    from .measures import WeightedMeasure
     return WeightedMeasure.from_weights({0: 1, 1: 1, 2: 1})
 
 
 def nullpoint3():
     """Weights (0, 1, 1): point 0 carries no mass, so singleton sets
     through it are null while the carrier keeps full measure elsewhere."""
+    from .measures import WeightedMeasure
     return WeightedMeasure.from_weights({0: 0, 1: 1, 2: 1})
 
 
 def bernoulli_half():
     """Fair-coin Bernoulli measure on the 2-shift."""
+    from .measures import WeightedMeasure
     return WeightedMeasure.from_bernoulli((Fraction(1, 2), Fraction(1, 2)))
 
 

@@ -6,6 +6,10 @@ systems they read; main alone echoes the parsed arguments and prints the
 one JSON report to stdout. Exit codes: 0 clean pass, 1 property or
 clause failure, 2 usage/parse problem, 3 exhausted resource budget.
 Timing goes to stderr so reports stay byte-identical across runs.
+
+A pdl process pays for every module it imports, compiled from source
+when no bytecode is cached: so only what every verb reads is imported
+here, and each verb imports its deciders in the branch that calls them.
 """
 
 import argparse
@@ -14,21 +18,11 @@ import sys
 import time
 from fractions import Fraction
 
-from .bundled import bundled_measure, bundled_system, mixed_sample, sampled_space
 from .errors import (MalformedInputError, PointdynError, PreconditionError,
                      ResourceBudgetError)
-from .expansivity import minimally_expansive_at, point_verdicts
-from .measures import (build_tracking_map, mu_expansive_points,
-                       tracking_commutes, tracking_within_ball,
-                       verify_strong_mu_topological_stability)
-from .metric import validate_metric
 from .rationals import dyadic_below, parse_rational, positive
 from .report import assemble, labels, opt_rat, rat, render, table
-from .shadowing import (shadowable_exact, shadowable_exact_points,
-                        shadowable_windowed)
 from .shiftspace import parse_ep, shift_metric
-from .stability import (build_conjugacy, gh_distance_bounds,
-                        gh_stable_point_check)
 from .systems import Satellite, point_label
 from . import sysfile
 
@@ -42,10 +36,7 @@ def _load(spec: str, stanza: str = "system") -> sysfile.SystemFile:
     """The SystemFile of a stanza file, of ``bundled:<name>`` or of a bare
     bundled name, holding a `stanza` stanza ("system" or "measure"). A file
     that cannot be read as UTF-8 text is a usage error too."""
-    bundled = bundled_system if stanza == "system" else bundled_measure
-    if spec.startswith("bundled:"):
-        value = bundled(spec.split(":", 1)[1])
-    elif os.path.exists(spec):
+    if not spec.startswith("bundled:") and os.path.exists(spec):
         try:
             loaded = sysfile.load_file(spec)
         except (OSError, UnicodeDecodeError) as exc:
@@ -53,6 +44,10 @@ def _load(spec: str, stanza: str = "system") -> sysfile.SystemFile:
         if getattr(loaded, stanza) is None:
             raise MalformedInputError(f"{spec!r} holds no {stanza} stanza")
         return loaded
+    from .bundled import bundled_measure, bundled_system
+    bundled = bundled_system if stanza == "system" else bundled_measure
+    if spec.startswith("bundled:"):
+        value = bundled(spec.split(":", 1)[1])
     else:
         try:
             value = bundled(spec)
@@ -123,6 +118,8 @@ def _probe_points(system, args):
 
 
 def cmd_validate(args):
+    from .bundled import mixed_sample, sampled_space
+    from .metric import validate_metric
     system = _load(args.system).system
     sample = system.sample(_probe_points(system, args)) or mixed_sample(system)
     space = sampled_space(system, sample)
@@ -151,6 +148,7 @@ def cmd_classify(args):
         if not system.finite:
             raise MalformedInputError(
                 "the exact shadowing classifier needs a finite carrier")
+        from .shadowing import shadowable_exact_points
         verdicts = shadowable_exact_points(system, system.sample(probe), eps, delta)
         points = [p for p, ok in verdicts.items() if ok]
         results = {
@@ -162,8 +160,10 @@ def cmd_classify(args):
     c = _scale(args.c, "c")
     if args.variant == "mu-uniform":
         mu = _resolve_measure(args, loaded)
+        from .measures import mu_expansive_points
         points = mu_expansive_points(system, mu, c, probe=probe)
         return {"points": labels(points)}, 0, (system,)
+    from .expansivity import point_verdicts
     verdicts = point_verdicts(system, args.variant, c, probe=probe)
     points = [p for p, verdict in verdicts.items() if verdict.result]
     certificates = {}
@@ -183,6 +183,7 @@ def cmd_shadow(args):
     x = parse_point(system, args.x)
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
     if args.window is not None:
+        from .shadowing import shadowable_windowed
         rep = shadowable_windowed(system, x, eps, delta, args.window,
                                   budget=budget)
         results = {
@@ -195,6 +196,7 @@ def cmd_shadow(args):
             results["worst_window"] = [point_label(p) for p in rep.worst_window.entries]
             results["worst_tracer_count"] = rep.worst_tracer_count
     else:
+        from .shadowing import shadowable_exact
         ok = shadowable_exact(system, x, eps, delta)
         results = {"mode": "exact", "result": ok}
     return results, 0 if results["result"] else 1, (system,)
@@ -207,6 +209,7 @@ def cmd_conjugacy(args):
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
     c = _scale(args.c, "c", required=False)
     eta = _scale(args.eta, "eta", required=False)
+    from .stability import build_conjugacy
     res = build_conjugacy(f, g, x, eps, delta, expansivity_c=c, eta=eta)
     results = {
         "success": res.success,
@@ -226,6 +229,7 @@ def cmd_trackmap(args):
     g = _load(args.g).system if args.g else f
     x = parse_point(f, args.x)
     eta = _scale(args.eta, "eta")
+    from .measures import build_tracking_map, tracking_commutes, tracking_within_ball
     assignment = build_tracking_map(f, g, x, eta)
     within_ok, within_witness = tracking_within_ball(assignment, f)
     commute_ok, commute_witness = tracking_commutes(assignment, f, g)
@@ -273,6 +277,7 @@ def cmd_ghdist(args):
     budget = _budget(args)
     X = _load(args.x_system).system
     Y = _load(args.y_system).system
+    from .stability import gh_distance_bounds
     bounds = gh_distance_bounds(X, Y, budget=budget)
     results = {
         "lower": rat(bounds.lower),
@@ -290,6 +295,7 @@ def cmd_ghstable(args):
     eps, delta = _scale(args.eps, "eps"), _scale(args.delta, "delta")
     eta = _scale(args.eta, "eta", required=False)
     candidates = [_load(spec).system for spec in args.candidates]
+    from .stability import gh_stable_point_check
     rep = gh_stable_point_check(f, x, eps, delta, candidates,
                                 budget=budget, eta=eta)
     results = {
@@ -326,6 +332,7 @@ def cmd_mustable(args):
     B = None
     if args.through:
         B = frozenset(parse_point(f, t) for t in args.through)
+    from .measures import verify_strong_mu_topological_stability
     rep = verify_strong_mu_topological_stability(
         f, mu, x, eps, delta, g, B, eta=eta, expansivity_c=c)
     results = {
@@ -343,6 +350,7 @@ def cmd_satellite(args):
         raise MalformedInputError("the satellite verb needs a satellite system")
     shift_c = positive(_scale("1/2" if args.c is None else args.c, "c"),
                        "expansivity constant")
+    from .expansivity import minimally_expansive_at
     marked = [system.marked(j) for j in range(system.t)]
     sample = system.sample() + marked
     entries, ok = [], True

@@ -152,13 +152,40 @@ class PerturbationFamily(Frozen):
     maps by the DAG's root count, so len reads no map and len of a
     family past sys.maxsize maps raises Python's OverflowError (the
     count itself is exact). Built from perms directly, a family counts
-    its tuple and has no bound. Equality, hash and repr read perms. No
-    __slots__: perms and the cached `systems` need a __dict__."""
+    its tuple and has no bound. Equality and hash go by base, points,
+    nodes and the map count first, two equal DAGs (slot order and states)
+    are equal without a listing, and only other families compare their
+    perms; repr states the count, not the maps. No __slots__: perms and
+    the cached `systems` need a __dict__."""
     _fields = ("base", "points", "perms", "nodes")
     _order = _states = _bound = None
 
     def __init__(self, base, points: tuple, perms: tuple, nodes: int):
         self._set(base, points, perms, nodes)
+
+    def _count(self) -> int:
+        """The map count, exact past sys.maxsize, read without a listing."""
+        return len(self.perms) if self._states is None else self._states[0][0][0]
+
+    def _key(self) -> tuple:
+        return self.base, self.points, self.nodes, self._count()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self._key() != other._key():
+            return False
+        if self._states is not None and (self._order, self._states) == (
+                other._order, other._states):
+            return True
+        return self.perms == other.perms
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}(base={self.base!r}, points={self.points!r}, "
+                f"maps={self._count()}, nodes={self.nodes!r})")
 
     @classmethod
     def _of_dag(cls, base, points, nodes, order, states, bound):
@@ -169,7 +196,7 @@ class PerturbationFamily(Frozen):
         return fam
 
     def __len__(self):
-        return len(self.perms) if self._states is None else self._states[0][0][0]
+        return self._count()
 
     @cached_property
     def perms(self) -> tuple:

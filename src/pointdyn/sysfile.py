@@ -26,7 +26,6 @@ the 1-based line number.
 from typing import NamedTuple
 
 from .errors import MalformedInputError
-from .measures import WeightedMeasure
 from .metric import FiniteMetricSpace
 from .rationals import format_rational, parse_rational
 from .shiftspace import format_ep, parse_ep
@@ -216,6 +215,8 @@ SYSTEM_KINDS = {"explicit": _parse_explicit, "lattice": _parse_lattice,
 
 
 def _parse_measure(lineno, body):
+    # imported here, so a file that holds no measure loads no decider
+    from .measures import WeightedMeasure
     fields, _ = _keyvalues(body, lineno)
     _check_keys(fields, "measure", {"weights", "bernoulli"})
     weights = _take(fields, "weights", lineno, required=False)

@@ -9,11 +9,14 @@ outlives the code that needed it. A public name that neither the package
 exports nor any module reads is code only the tests reach: it belongs in
 tests/oracles.py, and so does an export that no module, bench/ or
 perfbench/ reads, unless PAPER_API names the notion it decides. The
-package __init__ is exempt: its imports are the re-exported public API. Every verdict is exact, so a
-float literal or a float() call in the library is a bug wherever it is.
-A `pdl` process pays for its imports on every run, so the records are
-NamedTuples or plain classes that generate no code when defined, and
-`dataclasses` (with the `inspect` it loads) stays out of the process.
+package __init__ is exempt: its _EXPORTS table, module to names, is the
+public API, and each name is read from its module on first access. Every
+verdict is exact, so a float literal or a float() call in the library is
+a bug wherever it is. A `pdl` process pays for its imports on every run,
+compiled from source when no bytecode is cached, so the records are
+NamedTuples or plain classes that generate no code when defined,
+`dataclasses` (with the `inspect` it loads) stays out of the process, and
+a verb imports only the deciders it calls.
 """
 
 import ast
@@ -300,6 +303,86 @@ def test_importing_the_cli_loads_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+# the modules that hold deciders: a verb that calls none of them loads none
+DECIDERS = {"stability", "measures", "shadowing", "expansivity", "bundled"}
+LOADED = ("print(*sorted(m.partition('.')[2] for m in sys.modules"
+          " if m.startswith('pointdyn.')))\n")
+PDL = ("import contextlib, io, sys, pointdyn.cli\n"
+       "with contextlib.redirect_stdout(io.StringIO()):\n"
+       "    code = pointdyn.cli.main(sys.argv[1:])\n"
+       "print(code)\n" + LOADED)
+
+
+def fresh_run(code, *argv) -> list:
+    """The words code prints in a fresh interpreter, given argv."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True).stdout.split()
+
+
+def pdl_modules(*argv):
+    """(exit code, the pointdyn modules loaded) of one pdl call in a fresh
+    interpreter."""
+    code, *loaded = fresh_run(PDL, *argv)
+    return int(code), set(loaded)
+
+
+def test_importing_the_cli_loads_no_decider():
+    loaded = fresh_run("import sys, pointdyn.cli\n" + LOADED)
+    assert "cli" in loaded and DECIDERS.isdisjoint(loaded)
+
+
+@pytest.fixture
+def lattice_stanza(tmp_path):
+    path = tmp_path / "z12k5.pdl"
+    path.write_text("lattice {\n  n = 12\n  map = rot 5\n  name = z12k5\n}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("verb", [
+    ("validate",),
+    ("classify", "--variant", "uniform", "--c", "1/12"),
+    ("shadow", "--x", "0", "--eps", "1/4", "--delta", "1/24", "--window", "2"),
+], ids=lambda verb: verb[0])
+def test_a_verb_on_a_stanza_loads_no_stability_layer(lattice_stanza, verb):
+    code, loaded = pdl_modules(verb[0], lattice_stanza, *verb[1:])
+    assert code in (0, 1) and "sysfile" in loaded
+    assert not loaded & {"stability", "measures"}
+
+
+def test_ghdist_loads_the_stability_layer(lattice_stanza):
+    code, loaded = pdl_modules("ghdist", lattice_stanza, lattice_stanza)
+    assert code == 0 and "stability" in loaded and "measures" not in loaded
+
+
+def test_the_star_import_binds_each_export_to_its_module_object():
+    namespace = {}
+    exec("from pointdyn import *", namespace)
+    assert len(pointdyn.__all__) == len(set(pointdyn.__all__))
+    for module, names in pointdyn._EXPORTS.items():
+        for name in names:
+            assert namespace[name] is getattr(sys.modules[f"pointdyn.{module}"], name)
+    assert dir(pointdyn) == sorted(dir(pointdyn)) and set(pointdyn.__all__) <= set(dir(pointdyn))
+
+
+def test_an_export_is_read_through_and_not_bound(monkeypatch):
+    # a function patched on its module reads the same through the package,
+    # and the original again once it is restored
+    original = systems.materialize
+    assert pointdyn.materialize is original and "materialize" not in vars(pointdyn)
+    monkeypatch.setattr(systems, "materialize", len)
+    assert pointdyn.materialize is len
+    monkeypatch.undo()
+    assert pointdyn.materialize is original
+
+
+def test_a_name_outside_the_table_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="nope"):
+        pointdyn.nope
+    assert not hasattr(pointdyn, "point_verdicts")
+    assert pointdyn.__version__ == "0.1.0"
 
 
 RECORDS = (

@@ -105,3 +105,21 @@ def test_import_layer_times_a_fresh_interpreter():
     records = ladder.measure_import([("t", str(SRC))], 1)
     well_formed(records, "import", "pointdyn.cli")
     assert records[0]["counters"]["pointdyn_modules"] > 1
+
+
+def test_from_source_import_layer_counts_the_modules_each_verb_loads():
+    ladder = load_ladder()
+    records = ladder.measure_from_source([("t", str(SRC))], 1)
+    cases = ["pointdyn.cli from source"] + ["pdl " + " ".join(a) for a in ladder.VERB_ARGV]
+    assert [r["case"] for r in records] == cases
+    for r in records:
+        well_formed([r], "import", r["case"])
+    modules = {r["case"]: r["counters"]["pointdyn_modules"] for r in records}
+    # the package, the cli, errors, rationals, metric, shiftspace, systems,
+    # sysfile and report
+    assert modules["pointdyn.cli from source"] == 9
+    assert all(r["counters"]["exit"] in (0, 1) for r in records[1:])
+    # validate on the stanza adds bundled for its sample, and no verb
+    # loads every module
+    assert modules["pdl validate " + ladder.STANZA] == 10
+    assert max(modules.values()) < 14

@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import sys
+import time
 import tracemalloc
 from fractions import Fraction as F
 from itertools import permutations, product
@@ -379,8 +380,38 @@ def test_a_family_lists_alike_whichever_it_reads_first():
         built = stability.PerturbationFamily(system, listed.points, listed.perms, listed.nodes)
         assert built == counted and hash(built) == hash(counted)
         assert len(built) == len(counted)
-    # repr goes by the fields, perms included
+    # repr states the count, so a listed family reads as a counted one
     assert repr(built) == repr(counted)
+
+
+def test_a_counted_family_compares_and_prints_without_listing():
+    # Z48 at delta = 1/48 holds L_48 + 2 = 10 749 957 124 maps: a
+    # comparison, hash or repr that listed them would not finish
+    z48 = build_lattice(48, step=1)
+    a, b = (enumerate_perturbations(z48, F(1, 48), budget=10 ** 11) for _ in range(2))
+    started = time.perf_counter()
+    assert a == b and hash(a) == hash(b)
+    assert "maps=10749957124" in repr(a) and "nodes=" in repr(a)
+    assert time.perf_counter() - started < 1
+    assert "perms" not in vars(a) and "perms" not in vars(b)
+    # families of two bases differ before any map is listed
+    z24, other = build_lattice(24, step=1), build_lattice(24, step=1)
+    c, d = enumerate_perturbations(z24, F(1, 24)), enumerate_perturbations(other, F(1, 24))
+    assert c != d and "perms" not in vars(c) and "perms" not in vars(d)
+
+
+def test_a_family_built_from_perms_compares_by_its_maps():
+    z12 = build_lattice(12, step=1)
+    fam = enumerate_perturbations(z12, F(1, 12))
+    perms = fam.perms
+    built = stability.PerturbationFamily(z12, fam.points, perms, fam.nodes)
+    assert built == fam and fam == built and hash(built) == hash(fam)
+    # the last map swapped for the first keeps the count but not the family
+    swapped = stability.PerturbationFamily(z12, fam.points, perms[:-1] + perms[:1],
+                                           fam.nodes)
+    assert len(swapped) == len(fam) and swapped != fam and fam != swapped
+    assert stability.PerturbationFamily(z12, fam.points, perms[1:], fam.nodes) != fam
+    assert stability.PerturbationFamily(z12, fam.points, perms, fam.nodes + 1) != fam
 
 
 def test_a_family_of_another_map_is_checked_against_f():
