@@ -103,24 +103,19 @@ def _flipped(system, x, pos):
 
 
 def _expansive_on_satellite_ball(system, region, c):
-    # the Y-points of the region as concrete witnesses: its stray points,
-    # then a pair of its shift ball
-    y_points = region.y_extra
+    # a pair of the shift ball separates to exactly 1, and a satellite q and
+    # a Y point other than its marked point to 1 + 1/k: past the shift part
+    # only q's marked point or another satellite can fail
     if region.y_ball is not None:
-        y_points += _flipped(system, region.y_ball.center, region.y_ball.halfwidth)
-    if len(y_points) >= 2:
-        shift_part = _shift_rule(None, c, "expansive_on", "", y_points[:2])
+        shift_part = _shift_rule(None, c, "expansive_on", "",
+                                 _flipped(system, region.y_ball.center, region.y_ball.halfwidth))
         if not shift_part:
             return shift_part
     for idx, q in enumerate(region.satellites):
         # nearest ball partner of a satellite inside Y is the marked point
         base = system.marked(q.j)
-        if region.contains(base):
-            if Fraction(1, q.k) <= c:
-                return ExpansivityVerdict(None, c, "expansive_on", False, (q, base))
-        elif y_points:
-            if Fraction(1, q.k) + ONE <= c:
-                return ExpansivityVerdict(None, c, "expansive_on", False, (q, y_points[0]))
+        if Fraction(1, q.k) <= c and base in region:
+            return ExpansivityVerdict(None, c, "expansive_on", False, (q, base))
         for q2 in region.satellites[idx + 1:]:
             if pair_sup_separation(system, q, q2) <= c:
                 return ExpansivityVerdict(None, c, "expansive_on", False, (q, q2))
@@ -220,7 +215,7 @@ def _non_fixed_cylinder_point(system, region):
     # position h is free; making it differ from position h-1 rules out
     # constant sequences, the only shift-fixed points
     y = with_symbol(x, h, (x.value(h - 1) + 1) % system.alphabet)
-    assert y.shift_by(1) != y and region.contains(y)
+    assert y.shift_by(1) != y and y in region
     return y
 
 
@@ -262,7 +257,7 @@ def separation_horizon(system, x, c, y, eps) -> int:
     if not minimally_expansive_at(system, x, c).result:
         raise PreconditionError("map is not minimally expansive at (x, c)")
     ball = system_ball(system, x, c)
-    if not _region_contains(ball, y):
+    if y not in ball:
         raise PreconditionError("y must lie in the open c-ball around x")
     ob = orbit(system, y)
     if not ob.finite:
@@ -288,9 +283,3 @@ def _first_separation_time(system, pts, i, j, c) -> int:
                 return n
     raise PreconditionError(
         f"pair ({point_label(pts[i])}, {point_label(pts[j])}) never separates to {c}")
-
-
-def _region_contains(region, y) -> bool:
-    if isinstance(region, (frozenset, set, tuple, list)):
-        return y in region
-    return region.contains(y)

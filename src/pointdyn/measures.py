@@ -16,9 +16,8 @@ from .expansivity import ExpansivityVerdict
 from .rationals import ONE, ZERO, as_rational, format_rational, positive
 from .shadowing import shadowable_exact_points
 from .shiftspace import EPPoint, ShiftBall
-from .systems import (Satellite, SatelliteBall, ShiftOrbitClosure,
-                      c0_distance, check_carrier, members, orbit_closure,
-                      pair_sup_separation, point_index, point_label,
+from .systems import (SatelliteBall, ShiftOrbitClosure, c0_distance, check_carrier,
+                      members, orbit_closure, point_index, point_label,
                       sorted_points, system_ball)
 
 
@@ -86,10 +85,13 @@ class WeightedMeasure:
         return f"WeightedMeasure(bernoulli=({body}))"
 
 
+_NO_SATELLITE_MEASURES = "no measures are defined on the satellite carrier"
+
+
 def measure_of(mu: WeightedMeasure, subset) -> Fraction:
     """Exact measure of a finite point set, shift cylinder, or orbit closure."""
     if isinstance(subset, SatelliteBall):
-        raise UnsupportedBackendError("no measures are defined on the satellite carrier")
+        raise UnsupportedBackendError(_NO_SATELLITE_MEASURES)
     if isinstance(subset, ShiftBall):
         if mu.kind != "bernoulli":
             raise CarrierMismatchError("shift cylinders need a Bernoulli measure")
@@ -131,32 +133,18 @@ def _full_measure_part(system, mu, B):
 
 
 def phi_set(system, x, c):
-    """Points never separating from x beyond c: {y : sup_n d(f^n x, f^n y) <= c}."""
+    """Points never separating from x beyond c: {y : sup_n d(f^n x, f^n y) <= c}.
+    Phi-sets matter only under a measure, so the satellite carrier, which
+    carries none, refuses."""
     c = positive(c, "expansivity constant")
     if system.finite:
         k = system.kernel
         return frozenset(k.pts[j] for j in members(k.inseparable(c)[point_index(system, x)]))
     if system.backend == "satellite":
-        return _phi_satellite(system, x, c)
+        raise UnsupportedBackendError(_NO_SATELLITE_MEASURES)
     if c < 1:
         return frozenset([x])  # any disagreement reaches distance 1
     return ShiftBall(x, 0)
-
-
-def _phi_satellite(system, x, c):
-    sats = frozenset(q for q in system.satellite_points()
-                     if pair_sup_separation(system, x, q) <= c)
-    if isinstance(x, Satellite):
-        y_threshold = Fraction(1, x.k) + 1   # separation from any non-anchor Y point
-        anchor = system.marked(x.j)
-        extras = frozenset([anchor]) if Fraction(1, x.k) <= c else frozenset()
-    else:
-        y_threshold = ONE
-        extras = frozenset([x])
-    if c < y_threshold:
-        return sats | extras
-    base = anchor if isinstance(x, Satellite) else x
-    return SatelliteBall(x, tuple(sorted_points(sats)), ShiftBall(base, 0), ())
 
 
 # -- pointwise mu-expansivity ----------------------------------------------
@@ -174,8 +162,7 @@ def check_measure_backend(system, mu):
             mu.weight(p)
     else:
         if system.backend != "shift":
-            raise UnsupportedBackendError(
-                "no measures are defined on the satellite carrier")
+            raise UnsupportedBackendError(_NO_SATELLITE_MEASURES)
         if mu.kind != "bernoulli":
             raise CarrierMismatchError("the shift carrier needs a Bernoulli measure")
 
@@ -312,9 +299,7 @@ class SetValuedAssignment(NamedTuple):
 
     def image_of(self, u) -> frozenset:
         if self.rule == "identity":
-            inside = (self.closure.contains(u) if isinstance(self.closure, ShiftOrbitClosure)
-                      else u in self.closure)
-            if not inside:
+            if u not in self.closure:
                 raise PreconditionError(f"{point_label(u)} is outside the domain")
             return frozenset([u])
         return self.images[u]

@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import MalformedInputError
-from .rationals import Frozen, ZERO
+from .rationals import Frozen, ZERO, positive
 
 
 def _primitive(word):
@@ -221,7 +221,7 @@ class ShiftBall(Frozen):
     def __init__(self, center: EPPoint, halfwidth: int):
         self._set(center, halfwidth)
 
-    def contains(self, y: EPPoint) -> bool:
+    def __contains__(self, y: EPPoint) -> bool:
         h = self.halfwidth
         if h == 0:
             return True
@@ -233,27 +233,13 @@ class ShiftBall(Frozen):
         return range(-(h - 1), h) if h else range(0)
 
 
-def ball_halfwidth(radius: Fraction, closed: bool = False):
-    """Agreement halfwidth for a metric ball; None means the empty set.
-
-    A closed ball of radius 0 is a single point, not a cylinder;
-    callers must handle that case before asking for a halfwidth.
-    """
-    if closed:
-        if radius < 0:
-            return None
-        if radius == 0:
-            raise MalformedInputError("closed shift ball of radius 0 is a point, not a cylinder")
-    else:
-        if radius <= 0:
-            return None
+def ball_halfwidth(radius: Fraction) -> int:
+    """Agreement halfwidth of the open ball of radius r: the least m with
+    2^-m < r. PreconditionError unless r > 0."""
+    radius = positive(radius, "ball radius")
     m = 0
-    if closed:
-        while Fraction(1, 2 ** m) > radius:
-            m += 1
-    else:
-        while Fraction(1, 2 ** m) >= radius:
-            m += 1
+    while Fraction(1, 2 ** m) >= radius:
+        m += 1
     return m
 
 

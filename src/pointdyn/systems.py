@@ -23,7 +23,7 @@ from typing import NamedTuple
 from .errors import (CarrierMismatchError, MalformedInputError,
                      PreconditionError, UnsupportedBackendError)
 from .metric import FiniteMetricSpace
-from .rationals import Frozen, ONE, ZERO, as_rational, format_rational
+from .rationals import Frozen, ONE, ZERO, format_rational, positive
 from .shiftspace import (EPPoint, ShiftBall, ball_halfwidth, format_ep,
                          left_limit_cycle, right_limit_cycle, shift_metric)
 
@@ -755,7 +755,7 @@ class ShiftOrbitClosure(Frozen):
     def __init__(self, base: EPPoint, left_cycle: tuple, right_cycle: tuple):
         self._set(base, left_cycle, right_cycle)
 
-    def contains(self, y: EPPoint) -> bool:
+    def __contains__(self, y: EPPoint) -> bool:
         if y in self.left_cycle or y in self.right_cycle:
             return True
         if y.is_periodic:
@@ -860,56 +860,44 @@ def c0_distance(f: MetricSystem, g: MetricSystem) -> Fraction:
 
 class SatelliteBall(Frozen):
     """Ball in the satellite carrier: finitely many satellite points
-    plus (optionally) a shift ball inside Y and stray Y boundary points."""
-    __slots__ = _fields = ("center", "satellites", "y_ball", "y_extra")
+    plus (optionally) a shift ball inside Y."""
+    __slots__ = _fields = ("center", "satellites", "y_ball")
 
-    def __init__(self, center, satellites: tuple, y_ball=None, y_extra: tuple = ()):
-        self._set(center, satellites, y_ball, y_extra)    # y_ball: ShiftBall | None
+    def __init__(self, center, satellites: tuple, y_ball=None):
+        self._set(center, satellites, y_ball)    # y_ball: ShiftBall | None
 
-    def contains(self, pt) -> bool:
+    def __contains__(self, pt) -> bool:
         if isinstance(pt, Satellite):
             return pt in self.satellites
-        if self.y_ball is not None and self.y_ball.contains(pt):
-            return True
-        return pt in self.y_extra
+        return self.y_ball is not None and pt in self.y_ball
 
 
-def system_ball(system, x, radius, closed: bool = False):
-    """Metric ball around x. Finite backends return a frozenset;
-    the shift returns a ShiftBall; the satellite a SatelliteBall. A center
-    off the carrier raises (PreconditionError on finite carriers)."""
-    r = as_rational(radius)
+def system_ball(system, x, radius):
+    """Open metric ball around x. Finite backends return a frozenset;
+    the shift returns a ShiftBall; the satellite a SatelliteBall. A radius
+    r <= 0 is a PreconditionError, as is a center off a finite carrier;
+    off a symbolic carrier the center raises its own error."""
+    r = positive(radius, "ball radius")
     if system.finite:
         k = system.kernel
-        row = k.within(r, closed)[point_index(system, x)]
+        row = k.within(r)[point_index(system, x)]
         return frozenset(k.pts[y] for y in members(row))
     system.check_point(x)
     if system.backend == "satellite":
-        return _satellite_ball(system, x, r, closed)
-    if closed and r == 0:
-        return frozenset([x])
-    h = ball_halfwidth(r, closed)
-    if h is None:
-        return frozenset()
-    return ShiftBall(x, h)
+        return _satellite_ball(system, x, r)
+    return ShiftBall(x, ball_halfwidth(r))
 
 
-def _satellite_ball(system, x, r, closed):
-    ok = (lambda d: d <= r) if closed else (lambda d: d < r)
-    sats = tuple(q for q in system.satellite_points() if ok(system.dist(x, q)))
+def _satellite_ball(system, x, r):
+    sats = tuple(q for q in system.satellite_points() if system.dist(x, q) < r)
     if isinstance(x, Satellite):
         base = system.marked(x.j)
         resid = r - Fraction(1, x.k)
     else:
         base = x
         resid = r
-    y_ball = None
-    y_extra = ()
-    if closed and resid == 0:
-        y_extra = (base,)
-    elif resid > 0:
-        y_ball = ShiftBall(base, ball_halfwidth(resid, closed))
-    return SatelliteBall(x, sats, y_ball, y_extra)
+    y_ball = ShiftBall(base, ball_halfwidth(resid)) if resid > 0 else None
+    return SatelliteBall(x, sats, y_ball)
 
 
 # -- materialization and conjugation --------------------------------------

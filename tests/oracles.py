@@ -550,27 +550,18 @@ def separation_set(system, x, y, eps, window: int) -> SeparationWindow:
 # -- measures and shift balls ----------------------------------------------
 
 
-def _region_contains(region, y) -> bool:
-    if isinstance(region, frozenset):
-        return y in region
-    return region.contains(y)
-
-
 def gamma_set(system, x, c, z):
     """phi_set(z, c) cut down to the open ball B(x, c); z must lie in that ball."""
     c = as_rational(c)
     ball = system_ball(system, x, c)
-    if not _region_contains(ball, z):
+    if z not in ball:
         raise PreconditionError(
             f"{point_label(z)} lies outside the open ball of radius {c}")
     phi = phi_set(system, z, c)
     if isinstance(phi, frozenset):
-        return frozenset(y for y in phi if _region_contains(ball, y))
-    if system.backend == "shift":
-        # phi is the whole space here (c >= 1), so the cut is the ball itself
-        return ball
-    raise UnsupportedBackendError(
-        "satellite gamma sets with an unbounded Y part are not finitely representable")
+        return frozenset(y for y in phi if y in ball)
+    # phi is the whole shift here (c >= 1), so the cut is the ball itself
+    return ball
 
 
 

@@ -151,15 +151,50 @@ def public_names(tree) -> list:
     return [name for name in names if not name.startswith("_")]
 
 
+def bound_names(tree) -> dict:
+    """The names a module binds by an import, anywhere in it, or by a
+    definition at its top level, each mapped to the name it stands for
+    (`from .a import y as z` binds z to y)."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = alias.name
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update((t.id, t.id) for t in targets if isinstance(t, ast.Name))
+    return bound
+
+
+def traced_names(tree) -> set:
+    """The function names of a top-level TARGETS table of (module, function,
+    counter) rows: perfbench/tracing.py wraps each of them by name."""
+    out = set()
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Tuple)
+                and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
+            out |= {row.elts[1].value for row in node.value.elts
+                    if isinstance(row, ast.Tuple) and isinstance(row.elts[1], ast.Constant)}
+    return out
+
+
 def read_names(trees: dict, modules=None) -> set:
-    """Names the trees read: bare names, and module.name for a pointdyn
-    module, by default one of trees (cli reads sysfile.load_file)."""
+    """Names the trees read: a bare name where its tree binds it (a local
+    def trace does not read the export trace), module.name for a pointdyn
+    module, by default one of trees (cli reads sysfile.load_file), and
+    the functions a TARGETS table wraps."""
     modules = trees if modules is None else modules
     read = set()
     for tree in trees.values():
+        bound = bound_names(tree)
+        read |= traced_names(tree)
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    and node.id in bound):
+                read.add(bound[node.id])
             elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                   and node.value.id in modules):
                 read.add(node.attr)
@@ -182,7 +217,7 @@ def test_every_public_name_is_exported_or_read():
 def test_the_check_sees_test_only_names():
     trees = {"a": ast.parse("LIMIT = 3\ndef used(): pass\ndef spare(): pass\n"
                             "class Exported: pass\ndef _private(): pass\n"),
-             "b": ast.parse("import json\nfrom . import a\n"
+             "b": ast.parse("import json\nfrom . import a\nfrom .a import used\n"
                             "def load(): return used(), a.LIMIT, json.dumps(0)\n"
                             "def dumps(): pass\n")}
     assert unreached_names(trees, ["Exported", "load"]) == [("a", "spare"), ("b", "dumps")]
@@ -198,7 +233,9 @@ PAPER_API = {
     "separation_horizon": "Theorem (i)'s horizon lemma, checked as the least horizon "
                           "in test_theorems.py::test_separation_horizon_is_the_least_horizon",
     "expansive_measure_check": "the Phi-set notion of a mu-expansive measure, "
-                               "cross-checked against the pointwise one",
+                               "cross-checked against the pointwise one and pinned "
+                               "in test_theorems.py::"
+                               "test_the_phi_set_check_is_false_on_the_census",
     "transported_constant": "the constant a conjugacy transports; no other route "
                             "computes it, and test_theorems.py::"
                             "test_minimal_expansivity_moves_to_the_transported_constant "
@@ -223,12 +260,18 @@ def test_every_export_is_read_or_kept_for_the_paper():
 
 
 def test_the_check_sees_exports_nothing_reads():
+    # c calls a nested def trace that shadows the export trace, which once
+    # counted as a read of it; a TARGETS row reads the function it wraps
     trees = {"a": ast.parse("def used(): pass\ndef spare(): pass\ndef kept(): pass\n"),
-             "b": ast.parse("from . import a\ndef f(): return used(), a.helper\n"),
+             "b": ast.parse("from . import a\nfrom .a import used as u\n"
+                            "def f(): return u(), a.helper\n"),
+             "c": ast.parse("def g(orb):\n    def trace(o): pass\n    return trace(orb)\n"),
              "bench/x": ast.parse("import json\nfrom pointdyn import a\n"
-                                  "a.benched(json.other)\n")}
-    exported = ["used", "spare", "kept", "helper", "benched", "other"]
-    assert unread_exports(trees, exported, {"kept": "why"}, {"a", "b"}) == ["other", "spare"]
+                                  "a.benched(json.other)\n"),
+             "perfbench/t": ast.parse('TARGETS = (("a", "wrapped", None),)\n')}
+    exported = ["used", "spare", "kept", "helper", "benched", "other", "trace", "wrapped"]
+    assert unread_exports(trees, exported, {"kept": "why"}, {"a", "b"}) == \
+        ["other", "spare", "trace"]
 
 
 def float_uses(source: str) -> list:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pointdyn import metric, shadowing as SH, systems
-from pointdyn.errors import UnsupportedBackendError
+from pointdyn.errors import PreconditionError, UnsupportedBackendError
 from pointdyn.metric import FiniteMetricSpace, discrete_space
 from pointdyn.systems import (CircleSystem, build_explicit, build_lattice,
                               build_shift, conjugate_system, materialize, members,
@@ -199,9 +199,15 @@ def test_within_and_pullbacks_match_oracle(system, data):
         for row in pull:
             assert row == bitsets(image, inside)
             image = [system.image(p) for p in image]
-        for x in pts:
-            assert system_ball(system, x, radius, closed) == \
-                frozenset(y for y in pts if inside(system.dist(x, y)))
+    for x in pts:
+        # balls are open, and a radius of 0, one of the carrier's own
+        # distances, is refused
+        if radius == 0:
+            with pytest.raises(PreconditionError, match="ball radius must be positive"):
+                system_ball(system, x, radius)
+        else:
+            assert system_ball(system, x, radius) == \
+                frozenset(y for y in pts if system.dist(x, y) < radius)
     assert members(0) == [] and members(0b101001) == [0, 3, 5]
     # within compares on scaled(S): S * table is integral, and no T < S is
     S = k.denominator

@@ -8,7 +8,7 @@ from pointdyn.shiftspace import (EPPoint, pure, with_symbol, first_disagreement,
                                  shift_metric, ShiftBall, ball_halfwidth,
                                  parse_ep, format_ep, left_limit_cycle,
                                  right_limit_cycle)
-from pointdyn.errors import MalformedInputError
+from pointdyn.errors import MalformedInputError, PreconditionError
 
 from oracles import sample_points
 
@@ -89,31 +89,34 @@ def test_limit_cycles():
 
 def test_shift_ball_membership():
     b = ShiftBall(P01, 2)            # positions -1, 0, 1 pinned
-    assert b.contains(P01)
-    assert b.contains(with_symbol(P01, 2, 1))
-    assert b.contains(with_symbol(P01, -2, 1))
-    assert not b.contains(with_symbol(P01, 1, 0))
+    assert P01 in b
+    assert with_symbol(P01, 2, 1) in b
+    assert with_symbol(P01, -2, 1) in b
+    assert with_symbol(P01, 1, 0) not in b
     assert list(b.fixed_positions()) == [-1, 0, 1]
     whole = ShiftBall(P01, 0)
-    assert whole.halfwidth == 0 and whole.contains(P1)
+    assert whole.halfwidth == 0 and P1 in whole
 
 
 def test_shift_ball_samples_stay_inside():
     b = ShiftBall(P01, 3)
     pts = sample_points(b, alphabet=2, limit=5)
     assert len(set(pts)) == 5
-    assert all(b.contains(y) for y in pts)
+    assert all(y in b for y in pts)
 
 
 def test_ball_halfwidth_strict_and_closed():
     assert ball_halfwidth(F(1, 4)) == 3            # need 2^-m < 1/4
-    assert ball_halfwidth(F(1, 4), closed=True) == 2
     assert ball_halfwidth(F(1, 3)) == 2
     assert ball_halfwidth(F(2)) == 0               # whole space
-    assert ball_halfwidth(F(0)) is None            # empty open ball
-    assert ball_halfwidth(F(-1), closed=True) is None
-    with pytest.raises(MalformedInputError):
-        ball_halfwidth(F(0), closed=True)          # a point, not a cylinder
+
+
+@pytest.mark.parametrize("radius", (F(0), F(-1)))
+def test_ball_halfwidth_refuses_a_non_positive_radius(radius):
+    # an open ball of radius 0 once came back as None, and the loop had no
+    # guard for a negative radius
+    with pytest.raises(PreconditionError, match="ball radius must be positive"):
+        ball_halfwidth(radius)
 
 
 def test_wire_format_round_trip():

@@ -15,6 +15,7 @@ import hashlib
 import io
 import json
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -28,8 +29,8 @@ from pointdyn.measures import expansive_measure_check, mu_expansive_points, phi_
 from pointdyn.rationals import Frozen, format_rational
 from pointdyn.shiftspace import EPPoint, parse_ep
 from pointdyn.stability import build_conjugacy
-from pointdyn.systems import (Satellite, SatelliteBall, orbit_closure, point_key,
-                              point_label, sorted_points, system_ball)
+from pointdyn.systems import (Satellite, SatelliteBall, orbit_closure, pair_sup_separation,
+                              point_key, point_label, sorted_points, system_ball)
 
 
 def render(value) -> str:
@@ -80,22 +81,18 @@ def _results():
         for c in SATELLITE_SCALES:
             for name, check in CLASSIFIERS.items():
                 yield f"satellite3 {name} {text} {c}", check(sat, x, F(c))
-            yield f"satellite3 phi {text} {c}", phi_set(sat, x, F(c))
             yield f"satellite3 ball {text} {c}", system_ball(sat, x, F(c))
-            yield f"satellite3 closed-ball {text} {c}", system_ball(sat, x, F(c), closed=True)
     yield ("shift2 conjugacy 0~1~0@0",
            build_conjugacy(shift, shift, parse_ep("0~1~0@0"), F(1, 2), F(1, 2)))
     yield "satellite3 point_verdicts minimal 1/2", point_verdicts(sat, "minimal", F(1, 2))
     yield "shift2 mixed_sample", mixed_sample(shift)
     yield "satellite3 mixed_sample", mixed_sample(sat)
     # balls no system_ball call builds: two satellites with no Y part reach
-    # the satellite-pair loop, and a Y point off the marked orbit the
-    # branch for a satellite whose marked point lies outside the ball
+    # the satellite-pair loop
     a, b = Satellite(1, 1, 0), Satellite(1, 2, 1)
-    for extra, c in (((), "2"), ((), "5/2"), (("0~~0@0",), "2")):
-        ball = SatelliteBall(a, (a, b), None, tuple(map(parse_ep, extra)))
-        yield (f"satellite3 hand-ball q(1,1,0) q(1,2,1) y={' '.join(extra) or '-'} {c}",
-               is_expansive_on(sat, ball, F(c)))
+    for c in ("2", "5/2"):
+        yield (f"satellite3 hand-ball q(1,1,0) q(1,2,1) y=- {c}",
+               is_expansive_on(sat, SatelliteBall(a, (a, b)), F(c)))
 
 
 def test_symbolic_results_are_pinned():
@@ -175,6 +172,24 @@ def test_a_repeated_probe_point_is_sampled_once():
     assert sat.sample([q, q]) == sat.sample([q])
 
 
+def test_membership_has_a_second_route():
+    # `y in region` on each symbolic region against the metric and the
+    # sup-separation it is cut from
+    shift, sat = bundled_system("shift2"), bundled_system("satellite3")
+    marked = [sat.marked(j) for j in range(sat.t)]
+    checks = 0
+    for system, pts in ((shift, shift.sample()), (sat, sat.sample() + marked)):
+        pts = list(dict.fromkeys(pts))
+        for x, y, r in product(pts, pts, map(F, SATELLITE_SCALES)):
+            assert (y in system_ball(system, x, r)) == (system.dist(x, y) < r), (x, y, r)
+            checks += 1
+    for x, y, c in product(shift.sample(), shift.sample(), map(F, SATELLITE_SCALES)):
+        assert (y in phi_set(shift, x, c)) == (pair_sup_separation(shift, x, y) <= c)
+    # 12 shift points and 40 satellite points (the marked orbit is among
+    # them), each pair at 6 radii
+    assert checks == 6 * (12 ** 2 + 40 ** 2)
+
+
 @pytest.mark.parametrize("argv, digest", (
     ("validate bundled:shift2",
      "7aa78a82033bcf46c6ab4fb7a8bc01d9ff4a1162c8c138a1266f09886d5e0f1f"),
@@ -225,288 +240,192 @@ PINS = {
         "ExpansivityVerdict(01~~01@0 1/4 'uniform' True None 'all region pairs separate')",
     'satellite3 minimal 01~~01@0 1/4':
         "ExpansivityVerdict(01~~01@0 1/4 'minimal' True None '')",
-    'satellite3 phi 01~~01@0 1/4':
-        '{01~~01@0}',
     'satellite3 ball 01~~01@0 1/4':
-        'SatelliteBall(01~~01@0 () ShiftBall(01~~01@0 3) ())',
-    'satellite3 closed-ball 01~~01@0 1/4':
-        'SatelliteBall(01~~01@0 () ShiftBall(01~~01@0 2) ())',
+        'SatelliteBall(01~~01@0 () ShiftBall(01~~01@0 3))',
     'satellite3 expansive 01~~01@0 1/2':
         "ExpansivityVerdict(01~~01@0 1/2 'expansive' False (01~~01@0 q(1,2,0)) '')",
     'satellite3 uniform 01~~01@0 1/2':
         "ExpansivityVerdict(01~~01@0 1/2 'uniform' False (q(1,3,0) 01~~01@0) '')",
     'satellite3 minimal 01~~01@0 1/2':
         "ExpansivityVerdict(01~~01@0 1/2 'minimal' True None '')",
-    'satellite3 phi 01~~01@0 1/2':
-        '{01~~01@0 q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)}',
     'satellite3 ball 01~~01@0 1/2':
-        'SatelliteBall(01~~01@0 (q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 2) ())',
-    'satellite3 closed-ball 01~~01@0 1/2':
-        'SatelliteBall(01~~01@0 (q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 1) ())',
+        'SatelliteBall(01~~01@0 (q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 2))',
     'satellite3 expansive 01~~01@0 1':
         "ExpansivityVerdict(01~~01@0 1/1 'expansive' False (01~~01@0 01~1~10@0) '')",
     'satellite3 uniform 01~~01@0 1':
         "ExpansivityVerdict(01~~01@0 1/1 'uniform' False (01~~01@0 10~0~01@1) '')",
     'satellite3 minimal 01~~01@0 1':
         "ExpansivityVerdict(01~~01@0 1/1 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi 01~~01@0 1':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 0) ())',
     'satellite3 ball 01~~01@0 1':
-        'SatelliteBall(01~~01@0 (q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 1) ())',
-    'satellite3 closed-ball 01~~01@0 1':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 0) ())',
+        'SatelliteBall(01~~01@0 (q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 1))',
     'satellite3 expansive 01~~01@0 3/2':
         "ExpansivityVerdict(01~~01@0 3/2 'expansive' False (01~~01@0 01~1~10@0) '')",
     'satellite3 uniform 01~~01@0 3/2':
         "ExpansivityVerdict(01~~01@0 3/2 'uniform' False (01~~01@0 01~1~10@0) '')",
     'satellite3 minimal 01~~01@0 3/2':
         "ExpansivityVerdict(01~~01@0 3/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi 01~~01@0 3/2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
     'satellite3 ball 01~~01@0 3/2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
-    'satellite3 closed-ball 01~~01@0 3/2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
+        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0))',
     'satellite3 expansive 01~~01@0 2':
         "ExpansivityVerdict(01~~01@0 2/1 'expansive' False (01~~01@0 01~1~10@0) '')",
     'satellite3 uniform 01~~01@0 2':
         "ExpansivityVerdict(01~~01@0 2/1 'uniform' False (01~~01@0 01~1~10@0) '')",
     'satellite3 minimal 01~~01@0 2':
         "ExpansivityVerdict(01~~01@0 2/1 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi 01~~01@0 2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
     'satellite3 ball 01~~01@0 2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
-    'satellite3 closed-ball 01~~01@0 2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
+        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0))',
     'satellite3 expansive 01~~01@0 5/2':
         "ExpansivityVerdict(01~~01@0 5/2 'expansive' False (01~~01@0 01~1~10@0) '')",
     'satellite3 uniform 01~~01@0 5/2':
         "ExpansivityVerdict(01~~01@0 5/2 'uniform' False (01~~01@0 01~1~10@0) '')",
     'satellite3 minimal 01~~01@0 5/2':
         "ExpansivityVerdict(01~~01@0 5/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi 01~~01@0 5/2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
     'satellite3 ball 01~~01@0 5/2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
-    'satellite3 closed-ball 01~~01@0 5/2':
-        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
+        'SatelliteBall(01~~01@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0))',
     'satellite3 expansive q(1,1,0) 1/4':
         "ExpansivityVerdict(q(1,1,0) 1/4 'expansive' True None 'nearest orbit pattern separates at 1/1')",
     'satellite3 uniform q(1,1,0) 1/4':
         "ExpansivityVerdict(q(1,1,0) 1/4 'uniform' True None 'all region pairs separate')",
     'satellite3 minimal q(1,1,0) 1/4':
         "ExpansivityVerdict(q(1,1,0) 1/4 'minimal' True None '')",
-    'satellite3 phi q(1,1,0) 1/4':
-        '{q(1,1,0)}',
     'satellite3 ball q(1,1,0) 1/4':
-        'SatelliteBall(q(1,1,0) (q(1,1,0)) None ())',
-    'satellite3 closed-ball q(1,1,0) 1/4':
-        'SatelliteBall(q(1,1,0) (q(1,1,0)) None ())',
+        'SatelliteBall(q(1,1,0) (q(1,1,0)) None)',
     'satellite3 expansive q(1,1,0) 1/2':
         "ExpansivityVerdict(q(1,1,0) 1/2 'expansive' True None 'nearest orbit pattern separates at 1/1')",
     'satellite3 uniform q(1,1,0) 1/2':
         "ExpansivityVerdict(q(1,1,0) 1/2 'uniform' True None 'all region pairs separate')",
     'satellite3 minimal q(1,1,0) 1/2':
         "ExpansivityVerdict(q(1,1,0) 1/2 'minimal' True None '')",
-    'satellite3 phi q(1,1,0) 1/2':
-        '{q(1,1,0)}',
     'satellite3 ball q(1,1,0) 1/2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0)) None ())',
-    'satellite3 closed-ball q(1,1,0) 1/2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0)) None ())',
+        'SatelliteBall(q(1,1,0) (q(1,1,0)) None)',
     'satellite3 expansive q(1,1,0) 1':
         "ExpansivityVerdict(q(1,1,0) 1/1 'expansive' False (q(1,1,0) q(2,1,0)) '')",
     'satellite3 uniform q(1,1,0) 1':
         "ExpansivityVerdict(q(1,1,0) 1/1 'uniform' True None 'all region pairs separate')",
     'satellite3 minimal q(1,1,0) 1':
         "ExpansivityVerdict(q(1,1,0) 1/1 'minimal' True None '')",
-    'satellite3 phi q(1,1,0) 1':
-        '{01~~01@0 q(1,1,0) q(2,1,0) q(3,1,0)}',
     'satellite3 ball q(1,1,0) 1':
-        'SatelliteBall(q(1,1,0) (q(1,1,0)) None ())',
-    'satellite3 closed-ball q(1,1,0) 1':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0)) None (01~~01@0))',
+        'SatelliteBall(q(1,1,0) (q(1,1,0)) None)',
     'satellite3 expansive q(1,1,0) 3/2':
         "ExpansivityVerdict(q(1,1,0) 3/2 'expansive' False (q(1,1,0) q(2,1,0)) '')",
     'satellite3 uniform q(1,1,0) 3/2':
         "ExpansivityVerdict(q(1,1,0) 3/2 'uniform' False (01~~01@0 01~1~10@2) '')",
     'satellite3 minimal q(1,1,0) 3/2':
         "ExpansivityVerdict(q(1,1,0) 3/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi q(1,1,0) 3/2':
-        '{01~~01@0 q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)}',
     'satellite3 ball q(1,1,0) 3/2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 2) ())',
-    'satellite3 closed-ball q(1,1,0) 3/2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 1) ())',
+        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 2))',
     'satellite3 expansive q(1,1,0) 2':
         "ExpansivityVerdict(q(1,1,0) 2/1 'expansive' False (q(1,1,0) q(2,1,0)) '')",
     'satellite3 uniform q(1,1,0) 2':
         "ExpansivityVerdict(q(1,1,0) 2/1 'uniform' False (01~~01@0 10~0~01@1) '')",
     'satellite3 minimal q(1,1,0) 2':
         "ExpansivityVerdict(q(1,1,0) 2/1 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi q(1,1,0) 2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 0) ())',
     'satellite3 ball q(1,1,0) 2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 1) ())',
-    'satellite3 closed-ball q(1,1,0) 2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 0) ())',
+        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0)) ShiftBall(01~~01@0 1))',
     'satellite3 expansive q(1,1,0) 5/2':
         "ExpansivityVerdict(q(1,1,0) 5/2 'expansive' False (q(1,1,0) q(2,1,0)) '')",
     'satellite3 uniform q(1,1,0) 5/2':
         "ExpansivityVerdict(q(1,1,0) 5/2 'uniform' False (01~~01@0 01~1~10@0) '')",
     'satellite3 minimal q(1,1,0) 5/2':
         "ExpansivityVerdict(q(1,1,0) 5/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi q(1,1,0) 5/2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
     'satellite3 ball q(1,1,0) 5/2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
-    'satellite3 closed-ball q(1,1,0) 5/2':
-        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0) ())',
+        'SatelliteBall(q(1,1,0) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,2,0) q(2,2,0) q(3,2,0) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(01~~01@0 0))',
     'satellite3 expansive q(2,3,1) 1/4':
         "ExpansivityVerdict(q(2,3,1) 1/4 'expansive' True None 'nearest orbit pattern separates at 1/3')",
     'satellite3 uniform q(2,3,1) 1/4':
         "ExpansivityVerdict(q(2,3,1) 1/4 'uniform' True None 'all region pairs separate')",
     'satellite3 minimal q(2,3,1) 1/4':
         "ExpansivityVerdict(q(2,3,1) 1/4 'minimal' True None '')",
-    'satellite3 phi q(2,3,1) 1/4':
-        '{q(2,3,1)}',
     'satellite3 ball q(2,3,1) 1/4':
-        'SatelliteBall(q(2,3,1) (q(2,3,1)) None ())',
-    'satellite3 closed-ball q(2,3,1) 1/4':
-        'SatelliteBall(q(2,3,1) (q(2,3,1)) None ())',
+        'SatelliteBall(q(2,3,1) (q(2,3,1)) None)',
     'satellite3 expansive q(2,3,1) 1/2':
         "ExpansivityVerdict(q(2,3,1) 1/2 'expansive' False (q(2,3,1) q(3,3,1)) '')",
     'satellite3 uniform q(2,3,1) 1/2':
         "ExpansivityVerdict(q(2,3,1) 1/2 'uniform' False (q(1,3,1) 10~~10@0) '')",
     'satellite3 minimal q(2,3,1) 1/2':
         "ExpansivityVerdict(q(2,3,1) 1/2 'minimal' True None '')",
-    'satellite3 phi q(2,3,1) 1/2':
-        '{10~~10@0 q(1,3,1) q(2,3,1) q(3,3,1)}',
     'satellite3 ball q(2,3,1) 1/2':
-        'SatelliteBall(q(2,3,1) (q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 3) ())',
-    'satellite3 closed-ball q(2,3,1) 1/2':
-        'SatelliteBall(q(2,3,1) (q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 3) ())',
+        'SatelliteBall(q(2,3,1) (q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 3))',
     'satellite3 expansive q(2,3,1) 1':
         "ExpansivityVerdict(q(2,3,1) 1/1 'expansive' False (q(2,3,1) q(3,3,1)) '')",
     'satellite3 uniform q(2,3,1) 1':
         "ExpansivityVerdict(q(2,3,1) 1/1 'uniform' False (10~~10@0 01~1~10@1) '')",
     'satellite3 minimal q(2,3,1) 1':
         "ExpansivityVerdict(q(2,3,1) 1/1 'minimal' False (10~~10@0 01~~01@0) 'orbit closure of 10~~10@0 fails')",
-    'satellite3 phi q(2,3,1) 1':
-        '{10~~10@0 q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)}',
     'satellite3 ball q(2,3,1) 1':
-        'SatelliteBall(q(2,3,1) (q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 1) ())',
-    'satellite3 closed-ball q(2,3,1) 1':
-        'SatelliteBall(q(2,3,1) (q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 1) ())',
+        'SatelliteBall(q(2,3,1) (q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 1))',
     'satellite3 expansive q(2,3,1) 3/2':
         "ExpansivityVerdict(q(2,3,1) 3/2 'expansive' False (q(2,3,1) q(3,3,1)) '')",
     'satellite3 uniform q(2,3,1) 3/2':
         "ExpansivityVerdict(q(2,3,1) 3/2 'uniform' False (10~~10@0 10~0~01@0) '')",
     'satellite3 minimal q(2,3,1) 3/2':
         "ExpansivityVerdict(q(2,3,1) 3/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi q(2,3,1) 3/2':
-        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
     'satellite3 ball q(2,3,1) 3/2':
-        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
-    'satellite3 closed-ball q(2,3,1) 3/2':
-        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
+        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0))',
     'satellite3 expansive q(2,3,1) 2':
         "ExpansivityVerdict(q(2,3,1) 2/1 'expansive' False (q(2,3,1) q(3,3,1)) '')",
     'satellite3 uniform q(2,3,1) 2':
         "ExpansivityVerdict(q(2,3,1) 2/1 'uniform' False (10~~10@0 10~0~01@0) '')",
     'satellite3 minimal q(2,3,1) 2':
         "ExpansivityVerdict(q(2,3,1) 2/1 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi q(2,3,1) 2':
-        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
     'satellite3 ball q(2,3,1) 2':
-        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
-    'satellite3 closed-ball q(2,3,1) 2':
-        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
+        'SatelliteBall(q(2,3,1) (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0))',
     'satellite3 expansive q(2,3,1) 5/2':
         "ExpansivityVerdict(q(2,3,1) 5/2 'expansive' False (q(2,3,1) q(3,3,1)) '')",
     'satellite3 uniform q(2,3,1) 5/2':
         "ExpansivityVerdict(q(2,3,1) 5/2 'uniform' False (10~~10@0 10~0~01@0) '')",
     'satellite3 minimal q(2,3,1) 5/2':
         "ExpansivityVerdict(q(2,3,1) 5/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi q(2,3,1) 5/2':
-        'SatelliteBall(q(2,3,1) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
     'satellite3 ball q(2,3,1) 5/2':
-        'SatelliteBall(q(2,3,1) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
-    'satellite3 closed-ball q(2,3,1) 5/2':
-        'SatelliteBall(q(2,3,1) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0) ())',
+        'SatelliteBall(q(2,3,1) (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(10~~10@0 0))',
     'satellite3 expansive 0~1~0@0 1/4':
         "ExpansivityVerdict(0~1~0@0 1/4 'expansive' True None '')",
     'satellite3 uniform 0~1~0@0 1/4':
         "ExpansivityVerdict(0~1~0@0 1/4 'uniform' True None 'all region pairs separate')",
     'satellite3 minimal 0~1~0@0 1/4':
         "ExpansivityVerdict(0~1~0@0 1/4 'minimal' True None '')",
-    'satellite3 phi 0~1~0@0 1/4':
-        '{0~1~0@0}',
     'satellite3 ball 0~1~0@0 1/4':
-        'SatelliteBall(0~1~0@0 () ShiftBall(0~1~0@0 3) ())',
-    'satellite3 closed-ball 0~1~0@0 1/4':
-        'SatelliteBall(0~1~0@0 () ShiftBall(0~1~0@0 2) ())',
+        'SatelliteBall(0~1~0@0 () ShiftBall(0~1~0@0 3))',
     'satellite3 expansive 0~1~0@0 1/2':
         "ExpansivityVerdict(0~1~0@0 1/2 'expansive' True None '')",
     'satellite3 uniform 0~1~0@0 1/2':
         "ExpansivityVerdict(0~1~0@0 1/2 'uniform' True None 'all region pairs separate')",
     'satellite3 minimal 0~1~0@0 1/2':
         "ExpansivityVerdict(0~1~0@0 1/2 'minimal' True None '')",
-    'satellite3 phi 0~1~0@0 1/2':
-        '{0~1~0@0}',
     'satellite3 ball 0~1~0@0 1/2':
-        'SatelliteBall(0~1~0@0 () ShiftBall(0~1~0@0 2) ())',
-    'satellite3 closed-ball 0~1~0@0 1/2':
-        'SatelliteBall(0~1~0@0 () ShiftBall(0~1~0@0 1) ())',
+        'SatelliteBall(0~1~0@0 () ShiftBall(0~1~0@0 2))',
     'satellite3 expansive 0~1~0@0 1':
         "ExpansivityVerdict(0~1~0@0 1/1 'expansive' False (0~1~0@0 0~~0@0) '')",
     'satellite3 uniform 0~1~0@0 1':
         "ExpansivityVerdict(0~1~0@0 1/1 'uniform' False (0~1~0@0 0~11~0@0) '')",
     'satellite3 minimal 0~1~0@0 1':
         "ExpansivityVerdict(0~1~0@0 1/1 'minimal' False (0~1~0@0 0~1~0@-1) 'orbit closure of 0~1~0@0 fails')",
-    'satellite3 phi 0~1~0@0 1':
-        'SatelliteBall(0~1~0@0 () ShiftBall(0~1~0@0 0) ())',
     'satellite3 ball 0~1~0@0 1':
-        'SatelliteBall(0~1~0@0 (q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 1) ())',
-    'satellite3 closed-ball 0~1~0@0 1':
-        'SatelliteBall(0~1~0@0 (q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
+        'SatelliteBall(0~1~0@0 (q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 1))',
     'satellite3 expansive 0~1~0@0 3/2':
         "ExpansivityVerdict(0~1~0@0 3/2 'expansive' False (0~1~0@0 0~~0@0) '')",
     'satellite3 uniform 0~1~0@0 3/2':
         "ExpansivityVerdict(0~1~0@0 3/2 'uniform' False (0~1~0@0 0~~0@0) '')",
     'satellite3 minimal 0~1~0@0 3/2':
         "ExpansivityVerdict(0~1~0@0 3/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi 0~1~0@0 3/2':
-        'SatelliteBall(0~1~0@0 (q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
     'satellite3 ball 0~1~0@0 3/2':
-        'SatelliteBall(0~1~0@0 (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
-    'satellite3 closed-ball 0~1~0@0 3/2':
-        'SatelliteBall(0~1~0@0 (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
+        'SatelliteBall(0~1~0@0 (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0))',
     'satellite3 expansive 0~1~0@0 2':
         "ExpansivityVerdict(0~1~0@0 2/1 'expansive' False (0~1~0@0 0~~0@0) '')",
     'satellite3 uniform 0~1~0@0 2':
         "ExpansivityVerdict(0~1~0@0 2/1 'uniform' False (0~1~0@0 0~~0@0) '')",
     'satellite3 minimal 0~1~0@0 2':
         "ExpansivityVerdict(0~1~0@0 2/1 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi 0~1~0@0 2':
-        'SatelliteBall(0~1~0@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
     'satellite3 ball 0~1~0@0 2':
-        'SatelliteBall(0~1~0@0 (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
-    'satellite3 closed-ball 0~1~0@0 2':
-        'SatelliteBall(0~1~0@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
+        'SatelliteBall(0~1~0@0 (q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0))',
     'satellite3 expansive 0~1~0@0 5/2':
         "ExpansivityVerdict(0~1~0@0 5/2 'expansive' False (0~1~0@0 0~~0@0) '')",
     'satellite3 uniform 0~1~0@0 5/2':
         "ExpansivityVerdict(0~1~0@0 5/2 'uniform' False (0~1~0@0 0~~0@0) '')",
     'satellite3 minimal 0~1~0@0 5/2':
         "ExpansivityVerdict(0~1~0@0 5/2 'minimal' False (01~~01@0 10~~10@0) 'orbit closure of 01~~01@0 fails')",
-    'satellite3 phi 0~1~0@0 5/2':
-        'SatelliteBall(0~1~0@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
     'satellite3 ball 0~1~0@0 5/2':
-        'SatelliteBall(0~1~0@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
-    'satellite3 closed-ball 0~1~0@0 5/2':
-        'SatelliteBall(0~1~0@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0) ())',
+        'SatelliteBall(0~1~0@0 (q(1,1,0) q(2,1,0) q(3,1,0) q(1,1,1) q(2,1,1) q(3,1,1) q(1,2,0) q(2,2,0) q(3,2,0) q(1,2,1) q(2,2,1) q(3,2,1) q(1,3,0) q(2,3,0) q(3,3,0) q(1,3,1) q(2,3,1) q(3,3,1)) ShiftBall(0~1~0@0 0))',
     'shift2 conjugacy 0~1~0@0':
         "ConjugacyResult(True None () None 0/1 True 1/32 'unperturbed map: h is the identity on the orbit closure')",
     'satellite3 point_verdicts minimal 1/2':
@@ -519,6 +438,4 @@ PINS = {
         "ExpansivityVerdict(None 2/1 'expansive_on' True None 'all region pairs separate')",
     'satellite3 hand-ball q(1,1,0) q(1,2,1) y=- 5/2':
         "ExpansivityVerdict(None 5/2 'expansive_on' False (q(1,1,0) q(1,2,1)) '')",
-    'satellite3 hand-ball q(1,1,0) q(1,2,1) y=0~~0@0 2':
-        "ExpansivityVerdict(None 2/1 'expansive_on' False (q(1,1,0) 0~~0@0) '')",
 }

@@ -77,9 +77,9 @@ def test_shift_orbits_and_closure():
     assert not ob.finite
     assert ob.left_cycle == (pure((0,)),) and ob.right_cycle == (pure((0,)),)
     clo = orbit_closure(sh, t)
-    assert clo.contains(t.shift_by(5))
-    assert clo.contains(pure((0,)))
-    assert not clo.contains(pure((1,)))
+    assert t.shift_by(5) in clo
+    assert pure((0,)) in clo
+    assert pure((1,)) not in clo
 
 
 def test_iterate_both_directions():
@@ -129,14 +129,18 @@ def test_satellite_sup_separation():
 def test_satellite_balls():
     sat = build_satellite(3, 2, P01)
     q = Satellite(1, 2, 0)
-    b = system_ball(sat, q, 1, closed=True)
-    assert set(b.satellites) == {Satellite(i, k, 0) for i in (1, 2, 3) for k in (2, 3)}
-    assert b.y_ball is not None and b.y_ball.center == P01 and b.y_ball.halfwidth == 1
     bo = system_ball(sat, q, F(1, 2))
-    assert set(bo.satellites) == {q} and bo.y_ball is None and bo.y_extra == ()
-    bc = system_ball(sat, q, F(1, 2), closed=True)
-    assert bc.y_extra == (P01,)
-    assert set(bc.satellites) == {Satellite(i, 2, 0) for i in (1, 2, 3)}
+    assert set(bo.satellites) == {q} and bo.y_ball is None
+
+
+@pytest.mark.parametrize("name, x", (("id3", 0), ("shift2", P01), ("satellite3", P01),
+                                     ("satellite3", Satellite(1, 2, 0))))
+@pytest.mark.parametrize("radius", (0, -1))
+def test_system_ball_refuses_a_non_positive_radius(name, x, radius):
+    # a radius of 0 once gave an empty frozenset on id3 and the shift and
+    # an empty SatelliteBall on the satellite carrier
+    with pytest.raises(PreconditionError, match="ball radius must be positive"):
+        system_ball(bundled_system(name), x, radius)
 
 
 def test_c0_distance_values():

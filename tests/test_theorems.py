@@ -19,6 +19,12 @@ again on two-level ultrametrics, where it does. Theorem (ii): a point
 where f is mu-uniformly expansive and mu-shadowable is strong
 mu-topologically stable.
 
+The Phi-set notion of a mu-expansive measure (expansive_measure_check)
+is pinned on the same census, where no nontrivial point-weight measure
+makes it true, and on the 2-shift under the fair coin, where it holds
+exactly below 1. An implication test of it has no power until the
+symbolic layer has Markov measures.
+
 Two lemmas of the proof run as implications on the same census:
 separation_horizon's N is the least horizon past which orbit pairs that
 stay within c are eps-close, and minimal expansivity moves through a
@@ -29,10 +35,11 @@ from fractions import Fraction as F
 from itertools import permutations, product
 from math import floor
 
+from pointdyn.bundled import bundled_measure, bundled_system
 from pointdyn.errors import PreconditionError
 from pointdyn.expansivity import minimally_expansive_at, separation_horizon
-from pointdyn.measures import (WeightedMeasure, mu_shadowable_at, mu_uniformly_expansive_at,
-                               verify_strong_mu_topological_stability)
+from pointdyn.measures import (WeightedMeasure, expansive_measure_check, mu_shadowable_at,
+                               mu_uniformly_expansive_at, verify_strong_mu_topological_stability)
 from pointdyn.metric import FiniteMetricSpace
 from pointdyn.shadowing import shadowable_exact_points
 from pointdyn.stability import (enumerate_perturbations, transported_constant,
@@ -190,6 +197,31 @@ def theorem_ii_checks(deltas):
 
 def test_theorem_ii_holds_on_the_census():
     assert theorem_ii_checks(PALETTE) == (15000, 0, 5940)
+
+
+def test_the_phi_set_check_is_false_on_the_census():
+    # on a finite carrier Phi_c(x) holds x, and every nontrivial point-weight
+    # measure has an atom, so the check and the pointwise route it is
+    # cross-checked against both read False on every census case
+    cases = null = pointwise = 0
+    for f in small_systems():
+        pts = f.points()
+        for p in [None, *pts]:
+            mu = WeightedMeasure.from_weights({q: int(p is None or q == p) for q in pts})
+            for c in PALETTE + OFF_PALETTE:
+                cases += 1
+                null += expansive_measure_check(f, mu, c).result
+                pointwise += all(mu_uniformly_expansive_at(f, mu, x, c) for x in pts)
+    assert (cases, null, pointwise) == (4008, 0, 0)
+
+
+def test_the_phi_set_check_on_the_shift_holds_below_one():
+    # distinct sequences separate to exactly 1: below it every Phi-set is a
+    # point, null under the coin; from 1 on it is the whole space
+    shift, coin = bundled_system("shift2"), bundled_measure("bernoulli_half")
+    assert {c: expansive_measure_check(shift, coin, c).result
+            for c in (F(1, 4), F(1, 2), F(3, 4), F(1), F(3, 2))} == \
+        {F(1, 4): True, F(1, 2): True, F(3, 4): True, F(1): False, F(3, 2): False}
 
 
 def stays_close_means_close(f, y, c, eps, N) -> bool:
