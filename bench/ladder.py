@@ -107,10 +107,15 @@ the first point, eps = 1/4, against the full family at delta = 1/n, on
 fresh systems with their integer rows and cycles built and the family
 enumerated and its perms read, so only the verification is timed: Z12
 and Z20 with a unit step, and Z12's relabeled twin. The counters are
-maps, the family's size, and orbits, the distinct orbits of the first
+maps, the family's size; orbits, the distinct orbits of the first
 point under those maps, which the ladder counts itself from the
-family's index permutations; a verifier that traces each orbit once
-traces orbits, not maps.
+family's index permutations; and traced, the windows that reach
+FiniteKernel._tracing_classes in one more, untimed call. A verifier
+that traces each orbit once traces orbits, not maps (traced equals
+orbits before BENCH_42); from BENCH_42 on the verifier first walks the
+tracer candidates, the points within eta of the first point, along
+each orbit as integers, and refuses the orbits that none of them
+follows without a trace.
 
 One more layer is not a rung: ``import`` starts --repeats fresh
 interpreters on each tree per case, each timing its own ``import
@@ -609,11 +614,28 @@ def orbits_through(perms, x):
     return len(seen)
 
 
+def scanned_windows(systems, call) -> int:
+    """The number of windows call() hands to FiniteKernel._tracing_classes."""
+    kernel, windows = systems.FiniteKernel, []
+    scan = kernel._tracing_classes
+
+    def counted(self, window, near):
+        windows.append(window)
+        return scan(self, window, near)
+
+    kernel._tracing_classes = counted
+    try:
+        call()
+    finally:
+        kernel._tracing_classes = scan
+    return len(windows)
+
+
 def measure_stable_point(label, repeats, case, make, delta):
     """The stable-point layer: verify_topologically_stable_point at the
     first point against the family at delta, enumerated and listed
     untimed."""
-    from pointdyn import stability
+    from pointdyn import stability, systems
 
     def setup():
         system = warmed(make())
@@ -621,12 +643,16 @@ def measure_stable_point(label, repeats, case, make, delta):
         fam.perms
         return system, fam
 
-    best, _, (system, fam) = best_of(repeats, setup, lambda made: (
-        stability.verify_topologically_stable_point(
-            made[0], made[0].kernel.pts[0], STABLE_POINT_EPS, delta, made[1])))
+    def call(made):
+        return stability.verify_topologically_stable_point(
+            made[0], made[0].kernel.pts[0], STABLE_POINT_EPS, delta, made[1])
+
+    best, _, made = best_of(repeats, setup, call)
+    system, fam = made
     return [record(label, "stable-point", case, len(system.kernel.pts),
                    f"{STABLE_POINT_EPS} {delta}", repeats, best,
-                   {"maps": len(fam), "orbits": orbits_through(fam.perms, 0)})]
+                   {"maps": len(fam), "orbits": orbits_through(fam.perms, 0),
+                    "traced": scanned_windows(systems, lambda: call(made))})]
 
 
 def fresh_runs(paths, repeats, child, argv=(), cwd=None, **env):

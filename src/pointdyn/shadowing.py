@@ -197,24 +197,36 @@ def _half_windows(kernel, eps, steps, x: int, N: int, kstep: int) -> dict:
     within(eps)[v]), each with the first walk that reaches it: iterating
     the previous layer in insertion order and the steps in ascending order
     makes it the least one in enumeration order, and a layer's states come
-    in the order of their least walks. images memoizes f^kstep of each set.
+    in the order of their least walks. A walk is kept as a back-link (v,
+    link of the walk before v), so a step costs O(1) and not a copy, and
+    only the returned walks are unwound. images memoizes f^kstep of each
+    set.
     """
     near, images = kernel.within(eps), {}
-    layer = {(x, near[x]): ()}
+    layer = {(x, near[x]): None}
     for _ in range(N):
         nxt = {}
-        for (u, A), walk in layer.items():
+        for (u, A), link in layer.items():
             if (fA := images.get(A)) is None:
                 fA = images[A] = kernel.image(A, kstep)
             for v in steps[u]:
                 state = (v, fA & near[v])
                 if state not in nxt:
-                    nxt[state] = walk + (v,)
+                    nxt[state] = (v, link)
         layer = nxt
     found = {}
-    for (_, A), walk in layer.items():
-        found.setdefault(A, walk)
-    return found
+    for (_, A), link in layer.items():
+        found.setdefault(A, link)
+    return {A: _unwound(link) for A, link in found.items()}
+
+
+def _unwound(link) -> tuple:
+    """The walk of a back-link chain, first step first."""
+    walk = []
+    while link is not None:
+        v, link = link
+        walk.append(v)
+    return tuple(reversed(walk))
 
 
 # -- exact decider --------------------------------------------------------

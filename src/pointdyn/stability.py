@@ -78,9 +78,12 @@ def _semiconjugacies(f, x, eps, eta):
     """The step gperm -> build_conjugacy's result at x for a map g on f's
     carrier within delta of f, gperm being g's index permutation (None on
     infinite carriers, where a carrier token fixes the map, so g is f).
-    x's index and the shadowing failure text are resolved once; the step
-    walks g's orbit through x and traces each orbit once, so maps that
-    share it share one result, on kernel indices, labeled at the end."""
+    x's index, the shadowing failure text and the tracer candidates are
+    resolved once; the step walks g's orbit through x and settles each
+    orbit once, so maps that share it share one result, on kernel
+    indices, labeled at the end. A tracer of the orbit lies within eta of
+    x, so an orbit that no candidate's f-orbit follows fails at shadowing
+    before trace_cycle, by integer compares on the kernel rows."""
     if not f.finite:
         def unperturbed(gperm):
             dom = orbit_closure(f, x)
@@ -93,11 +96,27 @@ def _semiconjugacies(f, x, eps, eta):
     pts, fperm = fk.pts, fk.perm
     xi = point_index(f, x)
     lost = f"no orbit of f stays within {format_rational(eta)} of the perturbed orbit"
+    cap = floor_scaled(eta, fk.denominator, False)
+    walks = [tuple(fk.rows[u] for u in cyc) * (len(pts) // len(cyc) + 1)
+             for cyc in map(fk.orbit, members(fk.within(eta)[xi]))]
+
+    def followed(orb):
+        # a tracer stays within eta of orb[n] for n < P, and P is at most
+        # the point count: each candidate's rows along its f-orbit,
+        # repeated that far, walk orb to their first miss
+        for rows in walks:
+            for row, v in zip(rows, orb):
+                if row[v] > cap:
+                    break
+            else:
+                return True
+        return False
 
     @cache
     def trace(orb):
-        dom = tuple(pts[u] for u in orb)
-        tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi)
+        dom = tuple(map(pts.__getitem__, orb))
+        tracers, z, path = (fk.trace_cycle(orb, eta, prefer=xi) if followed(orb)
+                            else ([], None, None))
         if not tracers:
             return ConjugacyResult(False, "shadowing", dom, None, None, None, eta, lost)
         if path is None:

@@ -21,7 +21,10 @@ sets are cut from phi sets and balls point by point, apart from the
 measure layer's scan of kernel rows. Measures are transported point by
 point, and shift balls are sampled by single-symbol edits. Perturbations
 are listed by a plain depth-first search that visits every partial map,
-apart from the library's count over memoized frontier states. The
+apart from the library's count over memoized frontier states. A stable
+point is verified with every perturbed orbit traced by trace_cycle,
+apart from the library's integer walks of the tracer candidates, which
+refuse the orbits that none of them follows first. The
 delta-map search tests each candidate image against every placed point,
 apart from the library's masks of commutation and distortion rows.
 Balls, Hausdorff distances, distortion and the delta-isometry check read
@@ -30,6 +33,7 @@ library's balls and _clause_values read.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import lcm
 from typing import NamedTuple
 
@@ -41,9 +45,11 @@ from pointdyn.rationals import ZERO, as_rational, format_rational, positive, res
 from pointdyn.shadowing import (DEFAULT_WINDOW_BUDGET, PseudoOrbitWindow,
                                 _check_budget, count_pseudo_orbits)
 from pointdyn.shiftspace import with_symbol
-from pointdyn.stability import DEFAULT_ENUMERATION_BUDGET, _shared_target_order
-from pointdyn.systems import (floor_scaled, gatherer, members, orbit, point_index,
-                              point_label, system_ball)
+from pointdyn.stability import (DEFAULT_ENUMERATION_BUDGET, ConjugacyResult,
+                                PerturbationVerdict, StablePointReport, _perturbation_maps,
+                                _shared_target_order, _tracing_radius)
+from pointdyn.systems import (floor_scaled, gatherer, members, orbit, pair_sup_separation,
+                              point_index, point_label, system_ball)
 
 
 # -- perturbation enumeration ------------------------------------------------
@@ -93,6 +99,67 @@ def dfs_perturbations(system, delta, budget=None):
             t -= 1
     perms.sort()
     return tuple(perms), nodes
+
+
+# -- stable points, every orbit traced ---------------------------------------
+
+
+def traced_stable_point(f, x, eps, delta, perturbations, *, expansivity_c=None, eta=None):
+    """verify_topologically_stable_point on a finite carrier with every
+    g-orbit of x traced by trace_cycle, once per orbit: the step before
+    the library refused the orbits that no tracer candidate follows."""
+    eps, delta = positive(eps, "tracing radius"), positive(delta, "pseudo-orbit gap")
+    eta = _tracing_radius(eps, expansivity_c, eta)
+    fk = f.kernel
+    pts, fperm, xi = fk.pts, fk.perm, point_index(f, x)
+    lost = f"no orbit of f stays within {format_rational(eta)} of the perturbed orbit"
+
+    @cache
+    def trace(orb):
+        dom = tuple(pts[u] for u in orb)
+        tracers, z, path = fk.trace_cycle(orb, eta, prefer=xi)
+        if not tracers:
+            return ConjugacyResult(False, "shadowing", dom, None, None, None, eta, lost)
+        if path is None:
+            P, cyc = len(orb), fk.orbit(z)
+            sep = pair_sup_separation(f, pts[z], pts[cyc[P % len(cyc)]])
+            return ConjugacyResult(
+                False, "well-definedness", dom, None, None, None, eta,
+                f"tracer {point_label(pts[z])} does not close up over the orbit "
+                f"period {P}: the competing branch images separate by only "
+                f"{format_rational(sep)} (at most 2*eta), below any usable "
+                f"expansivity constant")
+        h = dict(zip(orb, path))
+        commutation = all(fperm[h[u]] == h[v] for u, v in zip(orb, orb[1:] + orb[:1]))
+        residual = Fraction(max(fk.rows[h[u]][u] for u in orb), fk.denominator)
+        mapping = {pts[u]: pts[v] for u, v in h.items()}
+        if not commutation:
+            return ConjugacyResult(
+                False, "commutation", dom, mapping, residual, False, eta,
+                "f o h differs from h o g")
+        if residual > eps:
+            return ConjugacyResult(
+                False, "residual", dom, mapping, residual, True, eta,
+                f"sup displacement {format_rational(residual)} exceeds eps")
+        return ConjugacyResult(
+            True, None, dom, mapping, residual, True, eta,
+            f"tracer {point_label(pts[z])}, {len(tracers)} candidates")
+
+    entries = []
+    for name, gperm, gap, skip in _perturbation_maps(f, perturbations, delta):
+        if skip:
+            entries.append(PerturbationVerdict(
+                name, "skipped", None, f"c0 distance {format_rational(gap)} exceeds delta"))
+            continue
+        orb, u = [xi], gperm[xi]
+        while u != xi:
+            orb.append(u)
+            u = gperm[u]
+        res = trace(tuple(orb))
+        entries.append(PerturbationVerdict(name, "ok", res) if res
+                       else PerturbationVerdict(name, "failed", res, res.failed_step))
+    return StablePointReport(all(e.status != "failed" for e in entries), x, eps, delta,
+                             tuple(entries))
 
 
 # -- the delta-map search, point by point -----------------------------------

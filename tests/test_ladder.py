@@ -83,8 +83,9 @@ def test_every_layer_measures_small_rungs():
     stable_points = {case: rest for case, *rest in ladder.stable_point_cases(systems)}
     records = ladder.measure_stable_point("t", 1, "Z12", *stable_points["Z12"])
     well_formed(records, "stable-point", "Z12")
-    # 324 maps, 234 distinct orbits of the first point among them
-    assert records[0]["counters"] == {"maps": 324, "orbits": 234}
+    # 324 maps, 234 distinct orbits of the first point among them, and 3
+    # of those followed by the one tracer candidate and traced
+    assert records[0]["counters"] == {"maps": 324, "orbits": 234, "traced": 3}
     records = ladder.measure_perturbations("t", 1, "Z48 refused", *perturbations["Z48 refused"])
     well_formed(records, "perturbations", "Z48 refused")
     assert set(records[0]["counters"]) == {"refused", "peak_kib"}

@@ -303,6 +303,16 @@ def test_window_budget_refusal_keeps_one_layer_of_counts():
     assert peak < 2 ** 20
 
 
+def test_one_long_window_is_walked_to_its_ends():
+    # at delta = 1/24 the one step from u is u + 3, so the one window of
+    # radius N is x's orbit; each half keeps its walks as back-links and
+    # unwinds the one it returns
+    N = 20_000
+    rep = SH.shadowable_windowed(R12K3, 0, F(1, 4), F(1, 24), N)
+    assert (rep.result, rep.windows_checked, rep.worst_tracer_count) == (True, 1, 5)
+    assert rep.worst_window.entries == tuple(3 * n % 12 for n in range(-N, N + 1))
+
+
 # `pdl shadow ... --window N` stdout, recorded with the window-by-window
 # loop: the False cases pin the count and the witness where the first
 # traceless window stops the loop.

@@ -32,7 +32,8 @@ from pointdyn.errors import (CarrierMismatchError, PreconditionError,
 
 from oracles import (dfs_perturbations, distance_table, distortion,
                      enumerate_pseudo_orbits, hausdorff_distance, is_delta_isometry,
-                     is_self_isometry, scan_map_search)
+                     is_self_isometry, scan_map_search, traced_stable_point)
+from test_theorems import PALETTE, small_systems as census
 
 ID3 = ExplicitSystem(discrete_space(3), (0, 1, 2), name="id3")
 R12K3 = build_lattice(12, step=3, name="r12k3")
@@ -629,7 +630,8 @@ def test_stable_point_refuses_a_point_off_the_carrier_without_maps():
 @given(st.one_of(small_carriers(), explicit_systems(2, 7)), st.data())
 def test_stable_point_entries_are_single_map_conjugacies(f, data):
     # each admissible entry is what build_conjugacy gives for its map
-    # alone, and the maps that share an orbit through x share one result
+    # alone, the maps that share an orbit through x share one result, and
+    # the report is the one that traces every orbit gives
     # the lesser of two drawn radii keeps most families short
     fam = enumerate_perturbations(f, min(carrier_radius(data, f), carrier_radius(data, f)))
     assume(len(fam) <= 720)
@@ -645,6 +647,7 @@ def test_stable_point_entries_are_single_map_conjugacies(f, data):
         assert entry.conjugacy == build_conjugacy(f, g, x, eps, delta,
                                                   expansivity_c=c, eta=eta)
         assert shared.setdefault(entry.conjugacy.domain, entry.conjugacy) is entry.conjugacy
+    traced_alike(f, x, eps, delta, fam, expansivity_c=c, eta=eta)
 
 
 # distances from the explicit palette; under (3 2 1 0) at eta 1 the family
@@ -683,7 +686,9 @@ def test_a_tracer_path_off_the_f_orbit_fails_commutation(monkeypatch):
 
 
 def test_stable_point_traces_each_orbit_through_x_once(monkeypatch):
-    # Z12 at 1/12 has 324 maps and 234 distinct orbits through 0
+    # Z12 at 1/12 has 324 maps and 234 distinct orbits through 0; eta =
+    # 1/64 lies below every distance, so the one tracer candidate is 0,
+    # and only the 3 orbits that its f-orbit follows reach the tracer scan
     traced = []
     scan = FiniteKernel._tracing_classes
 
@@ -696,8 +701,69 @@ def test_stable_point_traces_each_orbit_through_x_once(monkeypatch):
     monkeypatch.setattr(FiniteKernel, "_tracing_classes", counted)
     rep = verify_topologically_stable_point(z12, 0, F(1, 4), F(1, 12), fam)
     assert len(rep.entries) == 324
-    assert len(traced) == len(set(traced)) == 234
+    assert len(traced) == len(set(traced)) == 3
     assert len({id(e.conjugacy) for e in rep.entries}) == 234
+
+
+def traced_alike(f, x, eps, delta, fam, **kw) -> tuple:
+    """(refused, traced): the distinct admissible g-orbits of x that the
+    verifier refuses before trace_cycle, and those it traces. Its report
+    must equal the oracle's, which traces every orbit, and no refused
+    orbit may have a tracer."""
+    k = f.kernel
+    trace, scanned = k.trace_cycle, set()
+
+    def recorded(window, *args, **kwargs):
+        scanned.add(tuple(window))
+        return trace(window, *args, **kwargs)
+
+    k.trace_cycle = recorded
+    try:
+        rep = verify_topologically_stable_point(f, x, eps, delta, fam, **kw)
+    finally:
+        del k.trace_cycle
+    assert rep == traced_stable_point(f, x, eps, delta, fam, **kw)
+    xi, orbits = k.index[x], {}
+    for perm, entry in zip(fam.perms, rep.entries):
+        if entry.status != "skipped":
+            orb, u = [xi], perm[xi]
+            while u != xi:
+                orb.append(u)
+                u = perm[u]
+            orbits[tuple(orb)] = entry.conjugacy
+    refused = orbits.keys() - scanned
+    for orb in refused:
+        assert orbits[orb].failed_step == "shadowing"
+        assert trace(orb, orbits[orb].eta) == ([], None, None)
+    return len(refused), len(orbits) - len(refused)
+
+
+def test_candidate_walks_agree_with_tracing_on_the_census():
+    # the n <= 3 census at the verifier's eta = min(eps, c)/16 and at two
+    # wider schedules, where perturbations move x's orbit and reach the
+    # tracer scan
+    scales = {(eps, eta) for c, eps in product(PALETTE, PALETTE)
+              for eta in (min(eps, c) / 16, min(eps, c), min(eps, 2 * c))}
+    refused = traced = 0
+    for f in census():
+        for delta in PALETTE:
+            fam = enumerate_perturbations(f, delta)
+            for x, (eps, eta) in product(f.points(), scales):
+                got = traced_alike(f, x, eps, delta, fam, eta=eta)
+                refused, traced = refused + got[0], traced + got[1]
+    assert (len(scales), refused, traced) == (12, 24980, 34744)
+
+
+def test_candidate_walks_agree_with_tracing_on_z12_and_its_twin():
+    z12 = build_lattice(12, step=1)
+    pts = z12.points()
+    twin = conjugate_system(z12, dict(zip(pts, Random(12).sample(pts, 12))),
+                            name="z12-twin", transport_metric=True)
+    counts = []
+    for f in (z12, twin):
+        fam = enumerate_perturbations(f, F(1, 12))
+        counts.append({traced_alike(f, x, F(1, 4), F(1, 12), fam) for x in f.points()})
+    assert counts == [{(231, 3)}, {(231, 3)}]
 
 
 def test_search_delta_isometries():

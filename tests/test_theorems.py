@@ -14,8 +14,12 @@ reads exactly the steps with d(f(u), v) <= delta.
 Each check also counts the gated cases whose perturbations move x's
 orbit, since a map that agrees with f along it is stabilized by f's own
 orbit. On the palette census Theorem (i)'s closed gate admits no such
-case, its tracing radius lying below every distance, so Theorem (i) runs
-again on two-level ultrametrics, where it does. Theorem (ii): a point
+case at the verifier's tracing radius min(eps, c)/16, which lies below
+every distance, so Theorem (i) runs again on two-level ultrametrics,
+where it does, and on the census at wider radii: it still holds at
+min(eps, c), with moved cases, and fails at min(eps, 2c), so the
+proof's constant leaves room of at least 16 and less than 32 on the
+census. Theorem (ii): a point
 where f is mu-uniformly expansive and mu-shadowable is strong
 mu-topologically stable.
 
@@ -108,20 +112,26 @@ def moves(family, orbit) -> bool:
     return any(p[u] != fperm[u] for p in family.perms for u in orbit)
 
 
-def theorem_checks(systems, scales, deltas, closed):
+def proof_eta(eps, c):
+    """The verifier's default tracing radius, min(eps, c) / 16."""
+    return min(eps, c) / 16
+
+
+def theorem_checks(systems, scales, deltas, closed, schedule=proof_eta, failures=None):
     """(gated, failed, moved) over every system, x, c, eps in scales and
     delta in deltas: the gate is minimal expansivity at (x, c) and
-    shadowing at eta = min(eps, c) / 16 with closed steps (delta+) or
-    strict ones (delta); the check is stability against every
-    perturbation within delta, and moved counts gated checks with a
+    shadowing at eta = schedule(eps, c) with closed steps (delta+) or
+    strict ones (delta); the check is stability at the same eta against
+    every perturbation within delta, and moved counts gated checks with a
     perturbation that moves x's orbit. Where the closed gate admits,
-    shadowing at delta must hold too."""
+    shadowing at delta must hold too. failures, when given, collects
+    (f, x, c, eps, delta) of each failed check in order."""
     gated = failed = moved = 0
     for f in systems:
         pts = f.points()
         families = {}
         for c, eps, delta in product(scales, scales, deltas):
-            eta = min(eps, c) / 16
+            eta = schedule(eps, c)
             gate = shadowable_exact_points(f, pts, eta, closed_step(f, delta) if closed else delta)
             if closed:
                 strict = shadowable_exact_points(f, pts, eta, delta)
@@ -132,8 +142,11 @@ def theorem_checks(systems, scales, deltas, closed):
                 if delta not in families:
                     families[delta] = enumerate_perturbations(f, delta)
                 gated += 1
-                failed += not verify_topologically_stable_point(
-                    f, x, eps, delta, families[delta], expansivity_c=c).result
+                if not verify_topologically_stable_point(
+                        f, x, eps, delta, families[delta], expansivity_c=c, eta=eta):
+                    failed += 1
+                    if failures is not None:
+                        failures.append((f, x, c, eps, delta))
                 moved += moves(families[delta], f_orbit(f, x))
     return gated, failed, moved
 
@@ -146,6 +159,32 @@ def test_closed_gate_holds_at_palette_delta():
     # no gated perturbation moves x's orbit: eta <= 1/32 lies below every
     # census distance, so this check has no power (the ultrametrics have)
     assert theorem_checks(small_systems(), PALETTE, PALETTE, closed=True) == (1398, 0, 0)
+
+
+def test_closed_gate_holds_at_the_constant_itself():
+    # at eta = min(eps, c), 16 times the proof's radius, perturbations move
+    # x's orbit in 538 gated cases, and every one is still stable
+    assert theorem_checks(small_systems(), PALETTE, PALETTE, closed=True,
+                          schedule=lambda eps, c: min(eps, c)) == (1936, 0, 538)
+
+
+def test_closed_gate_fails_at_twice_the_constant():
+    # at eta = min(eps, 2c) the implication fails; the first witness is the
+    # swap of two points at 3/4 at x = 0, c = 1/2, eps = 1, delta = 3/4.
+    # There eta = 1 exceeds the distance, so the identity's fixed point 0
+    # has a tracer, but no cycle of the swap closes up over period 1
+    failures = []
+    assert theorem_checks(small_systems(), PALETTE, PALETTE, closed=True,
+                          schedule=lambda eps, c: min(eps, 2 * c),
+                          failures=failures) == (2818, 196, 1420)
+    f, x, c, eps, delta = failures[0]
+    assert (f.kernel.perm, f.dist(0, 1)) == ((1, 0), F(3, 4))
+    assert (x, c, eps, delta) == (0, F(1, 2), 1, F(3, 4))
+    rep = verify_topologically_stable_point(f, x, eps, delta, enumerate_perturbations(f, delta),
+                                            eta=1)
+    assert [(e.status, e.note) for e in rep.entries] == [
+        ("failed", "well-definedness"), ("ok", "")]
+    assert rep.entries[0].conjugacy.domain == (0,)
 
 
 def test_closed_gate_holds_off_the_palette():
